@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .polytope import SimplePolytope, face_as_polytope, face_from_facets
+from .polytope import (
+    SimplePolytope,
+    face_as_polytope,
+    face_from_facets,
+    polytope_from_json,
+    polytope_to_json,
+)
 from .zlinalg import (
     IntMatrix,
     Permutation,
@@ -123,25 +129,47 @@ class ValidationReport:
         return tuple(f.vertex for f in self.failures)
 
 
-def validate(pair: CharPair) -> ValidationReport:
-    """Check the direct-summand condition at every vertex; never raises."""
+# Vertex verdicts keyed by (torus rank, vector tuple): "" for a direct summand,
+# otherwise the failure reason.
+Verdicts = dict[tuple[int, tuple[tuple[int, ...], ...]], str]
+
+
+def _summand_failure(vectors: tuple[tuple[int, ...], ...], rank: int) -> str:
+    """Why the vectors fail to span a direct summand of Z^rank of their own count, or "".
+
+    At full count this is one determinant (|det| = 1); otherwise it is the
+    Smith normal form.  A failing set also gets its invariant factors, for
+    the reason text.
+    """
+    if len(vectors) == rank:
+        ok = is_unimodular_basis(vectors, rank)
+    else:
+        ok = is_direct_summand(vectors, rank)
+    if ok:
+        return ""
+    factors = smith_normal_form(IntMatrix.from_rows(vectors))
+    return f"vectors do not span a direct summand (invariant factors {factors})"
+
+
+def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
+    """Check the direct-summand condition at every vertex; never raises.
+
+    Each distinct vector set is certified once.  ``verdicts`` carries the
+    verdicts from call to call; a verdict depends on its key alone, so any
+    pairs may share one dict.
+    """
+    verdicts = {} if verdicts is None else verdicts
     failures = []
     for v in pair.polytope.vertices:
         mapped = sorted(fid for fid in v.facet_ids if fid in pair.assignment)
         if not mapped:
             continue
         vectors = tuple(pair.assignment[f].entries for f in mapped)
-        ok = True
-        reason = ""
-        if not is_direct_summand(vectors, pair.torus_rank):
-            ok = False
-            factors = smith_normal_form(IntMatrix.from_rows(vectors))
-            reason = f"vectors do not span a direct summand (invariant factors {factors})"
-        elif len(vectors) == pair.torus_rank and not is_unimodular_basis(vectors, pair.torus_rank):
-            ok = False
-            det = determinant(IntMatrix.from_rows(vectors))
-            reason = f"vectors are not a lattice basis (determinant {det})"
-        if not ok:
+        key = (pair.torus_rank, vectors)
+        reason = verdicts.get(key)
+        if reason is None:
+            reason = verdicts[key] = _summand_failure(vectors, pair.torus_rank)
+        if reason:
             failures.append(VertexCheck(v.id, tuple(mapped), vectors, False, reason))
     return ValidationReport(not failures, len(pair.polytope.vertices), tuple(failures))
 
@@ -324,13 +352,14 @@ class SimplexNormalForm:
         return dict(self.normal_form)[facet_id]
 
 
-def normalize_simplex_pair(pair: CharPair) -> SimplexNormalForm:
+def normalize_simplex_pair(pair: CharPair, verdicts: Verdicts | None = None) -> SimplexNormalForm:
     """Change basis so all facets but one carry the standard basis, the last all-ones.
 
     Works for every valid closed pair over a combinatorial simplex: the
     lexicographically largest facet is made residual, the others are mapped
     to the standard basis, and vertex unimodularity forces the residual
     vector's entries to +-1, so signs can be absorbed into the basis change.
+    ``verdicts`` is passed on to ``validate``.
     """
     P = pair.polytope
     if pair.boundary_facet_ids:
@@ -344,7 +373,7 @@ def normalize_simplex_pair(pair: CharPair) -> SimplexNormalForm:
     )
     if not is_simplex:
         raise ValueError("polytope is not a combinatorial simplex")
-    report = validate(pair)
+    report = validate(pair, verdicts)
     if not report.ok:
         first = report.failures[0]
         raise ValueError(
@@ -399,8 +428,6 @@ def orientation_signs(n: int) -> OrientationRecord:
 
 
 def charpair_to_json(pair: CharPair) -> dict:
-    from .polytope import polytope_to_json
-
     return {
         "torus_rank": pair.torus_rank,
         "polytope": polytope_to_json(pair.polytope),
@@ -409,8 +436,6 @@ def charpair_to_json(pair: CharPair) -> dict:
 
 
 def charpair_from_json(data: dict) -> CharPair:
-    from .polytope import polytope_from_json
-
     P = polytope_from_json(data["polytope"])
     rank = int(data["torus_rank"])
     assignment = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .charfn import (
@@ -28,16 +27,16 @@ from .cobordism import (
     betti_boundary,
     boundary_components,
     build_W,
+    cell_euler_check,
+    cell_homology,
     cell_structure,
-    euler_check,
     glue_report,
     glue_report_to_json,
-    homology_W,
     identify_simplex_or_product,
     wmanifold_from_json,
     wmanifold_to_json,
 )
-from .polytope import format_fraction, generate_functional, h_vector
+from .polytope import format_fraction, generate_functional, h_vector, parse_fraction
 from .zlinalg import apply_matrix
 
 _EXIT_OK = 0
@@ -48,13 +47,6 @@ _EXIT_BAD_INPUT = 2
 def _dump_json(data: dict, stream) -> None:
     stream.write(json.dumps(data, indent=2, sort_keys=True, separators=(",", ": ")))
     stream.write("\n")
-
-
-def _parse_r1(text: str) -> Fraction:
-    r1 = Fraction(text)
-    if not Fraction(0) < r1 < Fraction(1, 4):
-        raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {text}")
-    return r1
 
 
 def _resolve_n(args) -> int:
@@ -74,7 +66,7 @@ def _manifold_from_args(args) -> WManifold:
         data = json.loads(Path(args.input).read_text())
         return wmanifold_from_json(data)
     n = _resolve_n(args)
-    return build_W(n // 2 - 1, _parse_r1(args.r1))
+    return build_W(n // 2 - 1, parse_fraction(args.r1))
 
 
 def _add_size_options(p: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -128,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args, out) -> int:
-    W = build_W(_resolve_n(args) // 2 - 1, _parse_r1(args.r1))
+    W = build_W(_resolve_n(args) // 2 - 1, parse_fraction(args.r1))
     data = wmanifold_to_json(W)
     if args.output:
         with open(args.output, "w") as fh:
@@ -206,8 +198,8 @@ def _cmd_homology(args, out) -> int:
         if cell_structure(W, args.seed + s).cell_counts() != counts:
             out.write("cell counts varied across functionals; construction is broken\n")
             return _EXIT_CHECK_FAILED
-    table = homology_W(W, args.seed)
-    euler = euler_check(W, args.seed)
+    table = cell_homology(structure)
+    euler = cell_euler_check(W, structure)
     if args.format == "json":
         _dump_json(
             {
@@ -266,7 +258,7 @@ def _cmd_glue(args, out) -> int:
         if k is None:
             W = _manifold_from_args(args)
         else:
-            W = build_W(k, _parse_r1(args.r1))
+            W = build_W(k, parse_fraction(args.r1))
         reports.append(glue_report(W, args.seed, extra_seeds=args.seeds - 1))
 
     payload = [glue_report_to_json(r) for r in reports]
@@ -286,7 +278,7 @@ def _cmd_demo(args, out) -> int:
     n = args.n
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and at least 4, got {n}")
-    r1 = _parse_r1(args.r1)
+    r1 = parse_fraction(args.r1)
     W = build_W(n // 2 - 1, r1)
     eta = eta_standard(n)
     out.write(f"Worked example: n = {n} (boundary dimension {2 * n - 2}, k = {W.k})\n")
@@ -350,6 +342,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return _EXIT_BAD_INPUT if exc.code else _EXIT_OK
     if getattr(args, "k", None) is not None and getattr(args, "n", None) is not None:
         sys.stderr.write("error: --k and --n are mutually exclusive\n")
+        return _EXIT_BAD_INPUT
+    if getattr(args, "seeds", 1) < 1:
+        sys.stderr.write(f"error: --seeds must be at least 1, got {args.seeds}\n")
         return _EXIT_BAD_INPUT
     try:
         return _COMMANDS[args.command](args, out)

@@ -18,8 +18,10 @@ from typing import Mapping
 
 from .charfn import (
     CharPair,
+    OrientationRecord,
     SimplexNormalForm,
     TranslationWitness,
+    Verdicts,
     attach,
     charpair_from_json,
     charpair_to_json,
@@ -38,12 +40,14 @@ from .polytope import (
     format_fraction,
     generate_functional,
     h_vector,
+    indices_from_values,
     parse_fraction,
-    simplex,
     product,
+    separating_functional,
+    simplex,
     truncated_simplex,
-    vertex_indices,
 )
+from .zlinalg import determinant
 
 BOUNDARY_FACETS = ("P1", "P2", "P3")
 
@@ -54,9 +58,14 @@ class WManifold:
     Torus rank is one less than the dimension and exactly the three cut
     facets are boundary.  Validity of the pair is *not* assumed here so that
     deliberately broken inputs can still be loaded and reported on.
+    ``verdicts`` holds the vertex verdicts of this pair; its boundary
+    components carry the same vector sets and reuse them.
     """
 
     def __init__(self, pair: CharPair, n: int, r1: Fraction) -> None:
+        r1 = Fraction(r1)
+        if not Fraction(0) < r1 < Fraction(1, 4):
+            raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
         if pair.polytope.dim != n:
             raise ValueError(f"pair polytope has dimension {pair.polytope.dim}, expected {n}")
         if pair.torus_rank != n - 1:
@@ -67,7 +76,8 @@ class WManifold:
             )
         self.pair = pair
         self.n = n
-        self.r1 = Fraction(r1)
+        self.r1 = r1
+        self.verdicts: Verdicts = {}
 
     @property
     def k(self) -> int:
@@ -90,7 +100,7 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
     P = truncated_simplex(n, Fraction(r1))
     pair = attach(P, {f: v.entries for f, v in eta_facet_assignment(n).items()}, n - 1)
     W = WManifold(pair, n, Fraction(r1))
-    report = validate(pair)
+    report = validate(pair, W.verdicts)
     if not report.ok:  # would be a bug in the construction, not bad input
         raise AssertionError(f"standard assignment failed validation at {report.failing_vertices()}")
     return W
@@ -146,9 +156,8 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     The top vertex always contributes the single (2n-1)-cell.
     """
     poly = W.pair.polytope
-    zeta = generate_functional(poly, seed)
-    ind = vertex_indices(poly, zeta)
-    values = {v.id: zeta(v.coord) for v in poly.vertices}
+    _, values = separating_functional(poly, seed)
+    ind = indices_from_values(poly, values)
     root_edges = [e for e in poly.edges if e.provenance.kind == "original"]
     per_vertex: dict[str, list] = {v.id: [] for v in poly.vertices}
     for e in root_edges:
@@ -190,10 +199,14 @@ class HomologyTable:
 
 def homology_W(W: WManifold, seed: int = 0) -> HomologyTable:
     """Homology of the pair from the cell counts: rank |I_j| in degree 2j-1."""
-    cells = cell_structure(W, seed)
+    return cell_homology(cell_structure(W, seed))
+
+
+def cell_homology(cells: CellStructure) -> HomologyTable:
+    """``homology_W`` for a cell structure already computed."""
     ranks = [(0, 0)] + [(2 * j - 1, c) for j, c in cells.index_counts().items()]
     table = HomologyTable(tuple(sorted(ranks)))
-    if table.rank(2 * W.n - 1) != 1:
+    if table.rank(2 * cells.n - 1) != 1:
         raise AssertionError("top homology rank is not 1; orientability witness failed")
     return table
 
@@ -218,10 +231,14 @@ def euler_check(W: WManifold, seed: int = 0) -> EulerCheck:
     twice the manifold's characteristic, which forces the cell total to be
     half the summed vertex counts of the three boundary facets.
     """
-    total = cell_structure(W, seed).total()
+    return cell_euler_check(W, cell_structure(W, seed))
+
+
+def cell_euler_check(W: WManifold, cells: CellStructure) -> EulerCheck:
+    """``euler_check`` for a cell structure of W already computed."""
     poly = W.pair.polytope
     boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
-    return EulerCheck(total, boundary_vertices // 2)
+    return EulerCheck(cells.total(), boundary_vertices // 2)
 
 
 def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
@@ -260,7 +277,7 @@ class GluingReport:
     components: tuple[CharPair, ...]
     cell_counts: Mapping[int, int]
     homology: HomologyTable | None
-    orientation: object
+    orientation: OrientationRecord
     boundary_label: str
     witness: TranslationWitness | None
     normal_form: SimplexNormalForm | None
@@ -274,7 +291,10 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     """Run the full certification pipeline and aggregate the results.
 
     ``extra_seeds`` re-runs the cell count under that many further functionals
-    and requires identical counts.
+    and requires identical counts.  Every artifact is computed once: vertex
+    verdicts come from ``W.verdicts`` and are shared with the boundary
+    components, and homology and the Euler check use the cell structure of
+    ``seed``.
     """
     n = W.n
     checks: list[CheckResult] = []
@@ -283,7 +303,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
-    report = validate(W.pair)
+    report = validate(W.pair, W.verdicts)
     checks.append(
         CheckResult(
             "w-validity",
@@ -314,7 +334,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
             )
         )
 
-        sub_reports = [validate(c) for c in components]
+        sub_reports = [validate(c, W.verdicts) for c in components]
         ok = all(r.ok for r in sub_reports)
         checks.append(
             CheckResult(
@@ -340,14 +360,14 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         )
 
         try:
-            normal = normalize_simplex_pair(components[2])
+            normal = normalize_simplex_pair(components[2], W.verdicts)
             allones = normal.vector_of(normal.residual_facet) == (1,) * (n - 1)
             checks.append(
                 CheckResult(
                     "p3-normal-form",
                     allones,
                     f"residual facet {normal.residual_facet} carries the all-ones vector; "
-                    f"basis change determinant {_det_str(normal)}",
+                    f"basis change determinant {determinant(normal.basis_change)}",
                 )
             )
         except ValueError as exc:
@@ -356,27 +376,32 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     if report.ok:
         try:
             structure = cell_structure(W, seed)
-            cells = structure.cell_counts()
-            stable = True
-            for s in range(1, extra_seeds + 1):
-                if cell_structure(W, seed + s).cell_counts() != cells:
-                    stable = False
-            homology = homology_W(W, seed)
-            ok = stable and structure.index_counts().get(n, 0) == 1
-            checks.append(
-                CheckResult(
-                    "cell-structure",
-                    ok,
-                    f"one 0-cell plus odd cells {cells}; top count "
-                    f"{structure.index_counts().get(n, 0)}"
-                    + ("" if stable else "; counts varied across seeds"),
-                )
-            )
         except (ValueError, AssertionError) as exc:
+            # Both checks rest on this structure, so both report its failure.
             checks.append(CheckResult("cell-structure", False, str(exc)))
+            checks.append(CheckResult("euler-cross-check", False, str(exc)))
+        else:
+            try:
+                cells = structure.cell_counts()
+                stable = True
+                for s in range(1, extra_seeds + 1):
+                    if cell_structure(W, seed + s).cell_counts() != cells:
+                        stable = False
+                homology = cell_homology(structure)
+                ok = stable and structure.index_counts().get(n, 0) == 1
+                checks.append(
+                    CheckResult(
+                        "cell-structure",
+                        ok,
+                        f"one 0-cell plus odd cells {cells}; top count "
+                        f"{structure.index_counts().get(n, 0)}"
+                        + ("" if stable else "; counts varied across seeds"),
+                    )
+                )
+            except (ValueError, AssertionError) as exc:
+                checks.append(CheckResult("cell-structure", False, str(exc)))
 
-        try:
-            euler = euler_check(W, seed)
+            euler = cell_euler_check(W, structure)
             checks.append(
                 CheckResult(
                     "euler-cross-check",
@@ -385,8 +410,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
                     f"{euler.half_boundary_vertices}",
                 )
             )
-        except (ValueError, AssertionError) as exc:
-            checks.append(CheckResult("euler-cross-check", False, str(exc)))
 
     orient = orientation_signs(n)
     passed = all(c.passed for c in checks)
@@ -405,12 +428,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         normal_form=normal,
         passed=passed,
     )
-
-
-def _det_str(normal: SimplexNormalForm) -> str:
-    from .zlinalg import determinant
-
-    return str(determinant(normal.basis_change))
 
 
 # --- JSON ---------------------------------------------------------------------
@@ -445,5 +462,7 @@ def glue_report_to_json(report: GluingReport) -> dict:
             "det_delta": report.orientation.det_delta,
         },
         "boundary_label": report.boundary_label,
-        "paper_H0_discrepancy": True,
+        "paper_H0_discrepancy": (
+            report.homology.paper_h0_discrepancy if report.homology else True
+        ),
     }

@@ -531,7 +531,11 @@ def vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
     """
     if not P.has_coords:
         raise ValueError("polytope has no coordinates")
-    values = {v.id: zeta(v.coord) for v in P.vertices}
+    return indices_from_values(P, {v.id: zeta(v.coord) for v in P.vertices})
+
+
+def indices_from_values(P: SimplePolytope, values: Mapping[str, Fraction]) -> dict[str, int]:
+    """``vertex_indices`` for a functional given by its values at the vertices."""
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
     ind = {v.id: 0 for v in P.vertices}
@@ -556,7 +560,16 @@ def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:
 
 
 def generate_functional(P: SimplePolytope, seed: int) -> LinearFunctional:
-    """Draw integer functionals from a seeded PRNG until one separates the vertices."""
+    """The functional drawn by ``separating_functional``, without its values."""
+    return separating_functional(P, seed)[0]
+
+
+def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctional, dict[str, Fraction]]:
+    """Draw integer functionals from a seeded PRNG until one separates the vertices.
+
+    Returns that functional with its values at the vertices: each draw is
+    evaluated once per vertex, and the caller reuses the accepted values.
+    """
     if not P.has_coords:
         raise ValueError("polytope has no coordinates")
     rng = random.Random(seed)
@@ -565,9 +578,9 @@ def generate_functional(P: SimplePolytope, seed: int) -> LinearFunctional:
         zeta = LinearFunctional(
             tuple(rng.randint(-FUNCTIONAL_COEFF_BOUND, FUNCTIONAL_COEFF_BOUND) for _ in range(ambient))
         )
-        values = {zeta(v.coord) for v in P.vertices}
-        if len(values) == len(P.vertices):
-            return zeta
+        values = {v.id: zeta(v.coord) for v in P.vertices}
+        if len(set(values.values())) == len(P.vertices):
+            return zeta, values
     raise ValueError(
         f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
         "vertex coordinates are degenerate"
@@ -631,7 +644,10 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def _provenance_to_json(p: FacetProvenance) -> dict:

@@ -21,10 +21,11 @@ from cpbound.charfn import (
     validate,
     verify_translation,
 )
+from cpbound.cobordism import WManifold, build_W, glue_report
 from cpbound.polytope import simplex, truncated_simplex
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
 
-from oracles import cofactor_det
+from oracles import cofactor_det, minor_gcd_invariant_factors
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -134,6 +135,102 @@ class TestAttachAndValidate:
         assert set(report.failing_vertices()) == expected
         assert expected == {v.id for v in P.vertices if {"d3", "d4"} <= v.facet_ids}
         assert expected  # non-vacuous
+
+
+def reference_failures(pair):
+    """(vertex, facets, reason) of every failing vertex, from the brute-force oracles."""
+    reasons = {}
+    out = []
+    for v in pair.polytope.vertices:
+        mapped = sorted(f for f in v.facet_ids if f in pair.assignment)
+        if not mapped:
+            continue
+        rows = tuple(pair.assignment[f].entries for f in mapped)
+        if rows not in reasons:
+            matrix = [list(r) for r in rows]
+            full = len(rows) == pair.torus_rank
+            if full and abs(cofactor_det(matrix)) == 1:
+                reasons[rows] = ""
+            else:
+                factors = minor_gcd_invariant_factors(matrix)
+                summand = not full and factors == (1,) * len(rows)
+                reasons[rows] = "" if summand else (
+                    f"vectors do not span a direct summand (invariant factors {factors})"
+                )
+        if reasons[rows]:
+            out.append((v.id, tuple(mapped), reasons[rows]))
+    return out
+
+
+def mutated_w_table(n, rng):
+    """The standard vectors with one facet's vector replaced by m*e_j or by another facet's."""
+    table = {f: v.entries for f, v in eta_facet_assignment(n).items()}
+    facet = rng.choice(sorted(table))
+    if rng.random() < 0.5:
+        vec = [0] * (n - 1)
+        vec[rng.randrange(n - 1)] = rng.choice((2, 3))
+        table[facet] = tuple(vec)
+    else:
+        table[facet] = table[rng.choice(sorted(set(table) - {facet}))]
+    return table
+
+
+class TestValidateAgainstOracle:
+    """validate() must give the oracle's verdicts, failing vertices and reasons."""
+
+    def assert_matches_oracle(self, pair, verdicts=None):
+        report = validate(pair, verdicts)
+        expected = reference_failures(pair)
+        assert report.ok == (not expected)
+        assert report.checked_vertices == len(pair.polytope.vertices)
+        assert [(f.vertex, f.facets, f.reason) for f in report.failures] == expected
+        return report
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_mutated_w_pairs(self, k):
+        n = 2 * (k + 1)
+        rng = random.Random(1000 + k)
+        P = truncated_simplex(n, Fraction(1, 5))
+        failed = 0
+        for _ in range(4):
+            pair = attach(P, mutated_w_table(n, rng), n - 1)
+            failed += not self.assert_matches_oracle(pair).ok
+        assert failed  # non-vacuous
+
+    def test_random_simplex_pairs(self):
+        rng = random.Random(77)
+        outcomes = set()
+        for _ in range(60):
+            d = rng.randint(2, 4)
+            boundary = set(rng.sample(range(d + 1), rng.randint(0, 2)))
+            rank = d if not boundary else rng.randint(max(1, d - 1), d + 1)
+            assignment = {}
+            for i in range(d + 1):
+                if i in boundary:
+                    continue
+                vec = (0,) * rank
+                while not any(vec):
+                    vec = tuple(rng.randint(-2, 2) for _ in range(rank))
+                assignment[f"d{i}"] = vec
+            report = self.assert_matches_oracle(attach(simplex(d), assignment, rank))
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_verdicts_stay_with_their_manifold(self, k):
+        n = 2 * (k + 1)
+        P = truncated_simplex(n, Fraction(1, 5))
+        table = {f: v.entries for f, v in eta_facet_assignment(n).items()}
+        table["d1"] = table["d2"]
+        for _ in range(2):
+            valid = build_W(k)
+            mutated = WManifold(attach(P, table, n - 1), n, Fraction(1, 5))
+            assert valid.verdicts is not mutated.verdicts
+            assert self.assert_matches_oracle(valid.pair, valid.verdicts).ok
+            assert not self.assert_matches_oracle(mutated.pair, mutated.verdicts).ok
+            assert glue_report(valid, 0).passed
+            assert glue_report(mutated, 0).failed_checks() == ("w-validity",)
+            assert self.assert_matches_oracle(valid.pair, valid.verdicts).ok
 
 
 class TestRestrictToFacet:

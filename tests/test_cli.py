@@ -42,6 +42,35 @@ class TestExitCodes:
         code, _ = invoke("glue", "--k", "1", "--r1", "1/3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("glue", "--k", "1", "--r1", "1/0"),
+            ("glue", "--k", "1", "--seeds", "0"),
+            ("glue", "--k", "1", "--seeds", "-3"),
+            ("homology", "--k", "1", "--seeds", "0"),
+            ("homology", "--k", "1", "--seeds", "-3"),
+        ],
+    )
+    def test_bad_option_is_a_one_line_error(self, argv, capsys):
+        code, out = invoke(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r1", ("1/0", "0/1", "1/4", "-1/5"))
+    def test_loaded_r1_is_checked(self, tmp_path, capsys, r1):
+        path = tmp_path / "w.json"
+        invoke("construct", "--k", "1", "--output", str(path))
+        data = json.loads(path.read_text())
+        data["r1"] = r1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, out = invoke("glue", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,0 +1,75 @@
+"""How much work one certificate does, counted by wrapping cpbound's functions.
+
+Every artifact is computed once per manifold: one cell structure per seed,
+one determinant per distinct vertex vector set, no Smith normal form on a
+valid datum, and nothing kept from one request to the next.
+"""
+
+import io
+import sys
+from collections import Counter
+
+import pytest
+
+from cpbound import cobordism, zlinalg
+from cpbound.cli import run
+from cpbound.cobordism import build_W, glue_report
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counter of calls, and a function that starts counting one cpbound function."""
+    counts: Counter[str] = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        # Patch every cpbound module that imported the function by name.
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "cpbound" or mod_name.startswith("cpbound."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counting)
+
+    return counts, count
+
+
+@pytest.mark.parametrize("k,extra", [(1, 0), (2, 2), (3, 4)])
+def test_glue_report_builds_one_cell_structure_per_seed(calls, k, extra):
+    counts, count = calls
+    W = build_W(k)
+    count(cobordism, "cell_structure")
+    assert glue_report(W, 0, extra_seeds=extra).passed
+    assert counts["cell_structure"] == 1 + extra
+
+
+@pytest.mark.parametrize("seeds", (1, 3, 5))
+def test_homology_builds_one_cell_structure_per_seed(calls, seeds):
+    counts, count = calls
+    count(cobordism, "cell_structure")
+    code = run(["homology", "--k", "2", "--seeds", str(seeds), "--format", "json"], io.StringIO())
+    assert code == 0
+    assert counts["cell_structure"] == seeds
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_valid_w_certifies_each_vector_set_once(calls, k):
+    counts, count = calls
+    count(zlinalg, "determinant")
+    count(zlinalg, "smith_normal_form")
+    n = 2 * (k + 1)
+    per_request = []
+    for _ in range(2):
+        before = counts["determinant"]
+        assert glue_report(build_W(k), 0, extra_seeds=2).passed
+        per_request.append(counts["determinant"] - before)
+    assert counts["smith_normal_form"] == 0
+    # n(n+4)/4 distinct vertex vector sets, plus four fixed determinants:
+    # the witness and orientation checks of delta' and the P3 basis change.
+    assert per_request[0] <= n * (n + 4) // 4 + 4
+    # Nothing is remembered across requests: the second one does the same work.
+    assert per_request[1] == per_request[0]
