@@ -285,18 +285,6 @@ class TranslationWitness:
         if len(set(self.phi.values())) != len(self.phi):
             raise ValueError("phi is not injective")
 
-    def inverse(self) -> "TranslationWitness":
-        return TranslationWitness(
-            {v: k for k, v in self.phi.items()}, inverse_unimodular(self.delta)
-        )
-
-    def compose(self, first: "TranslationWitness") -> "TranslationWitness":
-        """Witness for pair1 -> pair3 given first: pair1 -> pair2 and self: pair2 -> pair3."""
-        return TranslationWitness(
-            {f: self.phi[g] for f, g in first.phi.items()},
-            matmul(self.delta, first.delta),
-        )
-
 
 @dataclass(frozen=True)
 class TranslationReport:

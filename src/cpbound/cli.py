@@ -24,7 +24,7 @@ from .charfn import (
 from .cobordism import (
     BOUNDARY_FACETS,
     WManifold,
-    betti_boundary,
+    betti_from_h_vector,
     boundary_components,
     build_W,
     cell_euler_check,
@@ -63,8 +63,14 @@ def _resolve_n(args) -> int:
 
 def _manifold_from_args(args) -> WManifold:
     if getattr(args, "input", None):
-        data = json.loads(Path(args.input).read_text())
-        return wmanifold_from_json(data)
+        try:
+            data = json.loads(Path(args.input).read_text())
+        except RecursionError:
+            raise ValueError("malformed certificate: JSON nested too deeply") from None
+        try:
+            return wmanifold_from_json(data)
+        except (TypeError, AttributeError, OverflowError) as exc:  # wrong JSON type, or Infinity
+            raise ValueError(f"malformed certificate: {exc}") from None
     n = _resolve_n(args)
     return build_W(n // 2 - 1, parse_fraction(args.r1))
 
@@ -168,7 +174,7 @@ def _cmd_boundary(args, out) -> int:
     for fid, comp in zip(BOUNDARY_FACETS, components):
         label = identify_simplex_or_product(comp.polytope) or "unrecognized"
         h = h_vector(comp.polytope, generate_functional(comp.polytope, args.seed))
-        betti = betti_boundary(comp, args.seed)
+        betti = betti_from_h_vector(h)
         rows.append(
             {
                 "facet": fid,

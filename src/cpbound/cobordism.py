@@ -36,15 +36,12 @@ from .charfn import (
 )
 from .polytope import (
     SimplePolytope,
-    combinatorially_isomorphic,
     format_fraction,
     generate_functional,
     h_vector,
     indices_from_values,
     parse_fraction,
-    product,
     separating_functional,
-    simplex,
     truncated_simplex,
 )
 from .zlinalg import determinant
@@ -245,19 +242,56 @@ def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
     """Even-degree Betti numbers of a closed pair: b_{2i} = h_i, odd degrees 0."""
     if pair.boundary_facet_ids:
         raise ValueError("Betti numbers need a closed pair")
-    h = h_vector(pair.polytope, generate_functional(pair.polytope, seed))
+    return betti_from_h_vector(h_vector(pair.polytope, generate_functional(pair.polytope, seed)))
+
+
+def betti_from_h_vector(h: tuple[int, ...]) -> dict[int, int]:
+    """``betti_boundary`` for an h-vector already computed."""
     return {2 * i: h_i for i, h_i in enumerate(h)}
 
 
 def identify_simplex_or_product(P: SimplePolytope) -> str | None:
-    """Recognize a simplex or a product of two simplices, by facet search."""
+    """Recognize a simplex or a product of two simplices from the facet-vertex incidence.
+
+    A simple d-polytope with d+1 facets is Delta^d exactly when it has d+1
+    vertices, each missing a different facet.  With d+2 facets every vertex
+    misses two, and the polytope is Delta^a x Delta^b exactly when these
+    missing pairs, taken as edges on the facets, form the complete bipartite
+    graph K_(a+1, b+1): the two colour classes are then the facet bijection
+    onto the model.  Vertex facet sets are distinct, so a connected bipartite
+    graph with parts A and B is complete when it has |A|*|B| edges.
+    """
     d = P.dim
-    if combinatorially_isomorphic(P, simplex(d)) is not None:
-        return f"Delta^{d}"
-    for a in range(1, d // 2 + 1):
-        if combinatorially_isomorphic(P, product(simplex(a), simplex(d - a))) is not None:
-            return f"Delta^{a} x Delta^{d - a}"
-    return None
+    facets = set(P.facet_ids)
+    missing = [tuple(facets - v.facet_ids) for v in P.vertices]
+    if len(facets) == d + 1:
+        if len(P.vertices) == d + 1 and len(set(missing)) == d + 1:
+            return f"Delta^{d}"
+        return None
+    if len(facets) != d + 2:
+        return None
+    neighbours: dict[str, list[str]] = {f: [] for f in facets}
+    for f, g in missing:
+        neighbours[f].append(g)
+        neighbours[g].append(f)
+    start = P.facet_ids[0]
+    side = {start: 0}
+    stack = [start]
+    while stack:
+        f = stack.pop()
+        for g in neighbours[f]:
+            if g not in side:
+                side[g] = 1 - side[f]
+                stack.append(g)
+            elif side[g] == side[f]:
+                return None
+    if len(side) != len(facets):
+        return None
+    ones = sum(side.values())
+    smaller = min(ones, len(facets) - ones)
+    if smaller < 2 or len(P.vertices) != smaller * (len(facets) - smaller):
+        return None
+    return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
 
 
 @dataclass(frozen=True)

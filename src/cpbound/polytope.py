@@ -239,13 +239,6 @@ class SimplePolytope:
         """Map dropped-facet id -> (far endpoint, edge) for edges at a vertex."""
         return self._nav[vertex_id]
 
-    def edge_between(self, a: str, b: str) -> Edge:
-        key = _edge_key(a, b)
-        for e in self.edges:
-            if e.ends == key:
-                return e
-        raise ValueError(f"{a} and {b} are not adjacent")
-
 
 def simplex(n: int) -> SimplePolytope:
     """The n-simplex: vertices are the standard basis of Q^(n+1).

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive and shares no code path with the
-package: determinants by cofactor expansion, ranks by rational Gaussian
-elimination, invariant factors by minor gcds, h-vectors of products by
-polynomial multiplication.
+fast paths it checks: determinants by cofactor expansion, ranks by rational
+Gaussian elimination, invariant factors by minor gcds, h-vectors of products
+by polynomial multiplication, and polytope labels by a backtracking search
+for a facet bijection onto model polytopes.  The last section holds helpers
+over package types that only tests need.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from cpbound.charfn import TranslationWitness
+from cpbound.polytope import Edge, SimplePolytope, combinatorially_isomorphic, product, simplex
+from cpbound.zlinalg import inverse_unimodular, matmul
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -77,3 +83,39 @@ def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square
     r = rng.randint(1, max_size)
     c = r if square else rng.randint(1, max_size)
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def label_by_isomorphism_search(P: SimplePolytope) -> str | None:
+    """``identify_simplex_or_product`` by facet search against built models."""
+    d = P.dim
+    if combinatorially_isomorphic(P, simplex(d)) is not None:
+        return f"Delta^{d}"
+    for a in range(1, d // 2 + 1):
+        if combinatorially_isomorphic(P, product(simplex(a), simplex(d - a))) is not None:
+            return f"Delta^{a} x Delta^{d - a}"
+    return None
+
+
+# --- helpers over package types that only tests use ---------------------------
+
+
+def edge_between(P: SimplePolytope, a: str, b: str) -> Edge:
+    """The edge of P joining vertices a and b."""
+    key = (a, b) if a < b else (b, a)
+    for e in P.edges:
+        if e.ends == key:
+            return e
+    raise ValueError(f"{a} and {b} are not adjacent")
+
+
+def inverse_witness(w: TranslationWitness) -> TranslationWitness:
+    """Witness for pair2 -> pair1 given w: pair1 -> pair2."""
+    return TranslationWitness({v: k for k, v in w.phi.items()}, inverse_unimodular(w.delta))
+
+
+def compose_witnesses(second: TranslationWitness, first: TranslationWitness) -> TranslationWitness:
+    """Witness for pair1 -> pair3 given first: pair1 -> pair2 and second: pair2 -> pair3."""
+    return TranslationWitness(
+        {f: second.phi[g] for f, g in first.phi.items()},
+        matmul(second.delta, first.delta),
+    )

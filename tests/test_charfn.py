@@ -25,7 +25,7 @@ from cpbound.cobordism import WManifold, build_W, glue_report
 from cpbound.polytope import simplex, truncated_simplex
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
 
-from oracles import cofactor_det, minor_gcd_invariant_factors
+from oracles import cofactor_det, compose_witnesses, inverse_witness, minor_gcd_invariant_factors
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -357,8 +357,8 @@ class TestVerifyTranslation:
         p1 = restrict_to_facet(pair, "P1")
         p2 = restrict_to_facet(pair, "P2")
         witness = TranslationWitness(rho_facet_bijection(6), delta_matrix(6))
-        assert verify_translation(p2, p1, witness.inverse()).ok
-        round_trip = witness.inverse().compose(witness)
+        assert verify_translation(p2, p1, inverse_witness(witness)).ok
+        round_trip = compose_witnesses(inverse_witness(witness), witness)
         assert verify_translation(p1, p1, round_trip).ok
 
     def test_rank_mismatch_raises(self):

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -5,12 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpbound.charfn import validate
 from cpbound.cli import run
-from cpbound.cobordism import build_W, wmanifold_from_json
+from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
 
 GOLDENS = Path(__file__).parent / "goldens"
+CERTIFICATE = wmanifold_to_json(build_W(1))
 
 
 def invoke(*argv):
@@ -173,7 +177,120 @@ class TestBatchAndFormats:
         assert "Delta^1 x Delta^2" in out
         assert "(1, 2, 2, 1)" in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ("boundary", "--n", "4"),
+                "P1: Delta^1 x Delta^2, 6 vertices, h-vector (1, 2, 2, 1), Betti (even degrees) (1, 2, 2, 1)\n"
+                "P2: Delta^1 x Delta^2, 6 vertices, h-vector (1, 2, 2, 1), Betti (even degrees) (1, 2, 2, 1)\n"
+                "P3: Delta^3, 4 vertices, h-vector (1, 1, 1, 1), Betti (even degrees) (1, 1, 1, 1)\n",
+            ),
+            (
+                ("boundary", "--n", "6", "--seed", "2"),
+                "P1: Delta^2 x Delta^3, 12 vertices, h-vector (1, 2, 3, 3, 2, 1), "
+                "Betti (even degrees) (1, 2, 3, 3, 2, 1)\n"
+                "P2: Delta^2 x Delta^3, 12 vertices, h-vector (1, 2, 3, 3, 2, 1), "
+                "Betti (even degrees) (1, 2, 3, 3, 2, 1)\n"
+                "P3: Delta^5, 6 vertices, h-vector (1, 1, 1, 1, 1, 1), "
+                "Betti (even degrees) (1, 1, 1, 1, 1, 1)\n",
+            ),
+        ],
+    )
+    def test_boundary_text_pinned(self, argv, expected):
+        assert invoke(*argv) == (0, expected)
+
+    def test_boundary_json_pinned(self):
+        def row(facet, label, vertices, h):
+            return {
+                "betti_even": {str(2 * i): x for i, x in enumerate(h)},
+                "facet": facet,
+                "h_vector": list(h),
+                "polytope": label,
+                "vertices": vertices,
+            }
+
+        expected = {
+            "components": [
+                row("P1", "Delta^1 x Delta^2", 6, (1, 2, 2, 1)),
+                row("P2", "Delta^1 x Delta^2", 6, (1, 2, 2, 1)),
+                row("P3", "Delta^3", 4, (1, 1, 1, 1)),
+            ]
+        }
+        text = json.dumps(expected, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+        assert invoke("boundary", "--n", "4", "--format", "json") == (0, text)
+
     def test_construct_text_format(self):
         code, out = invoke("construct", "--k", "1", "--format", "text")
         assert code == 0
         assert "facets: 8, vertices: 16" in out
+
+
+def vertices_as_int(data):
+    data["pair"]["polytope"]["vertices"] = 5
+    return data
+
+
+class TestMalformedCertificates:
+    @pytest.mark.parametrize("edit", [lambda data: [1, 2], vertices_as_int], ids=["top-level-list", "vertices-int"])
+    def test_wrong_json_type(self, tmp_path, capsys, edit):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke("glue", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out = invoke("validate", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: malformed certificate: JSON nested too deeply\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """The k = 1 certificate with one node replaced, deleted or given a new key."""
+    data = copy.deepcopy(CERTIFICATE)
+    parent, key = None, None
+    node = data
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 5)) > 0:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    action = draw(st.sampled_from(("replace", "delete", "add")))
+    if parent is None:
+        return draw(JSON_VALUES)
+    if action == "replace":
+        parent[key] = draw(JSON_VALUES)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(node, dict):
+        node[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    elif isinstance(node, list):
+        node.append(draw(JSON_VALUES))
+    else:
+        parent[key] = [node]
+    return data
+
+
+@pytest.fixture(scope="module")
+def cert_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("certificates")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_certificates(), command=st.sampled_from(("validate", "boundary", "homology", "glue")))
+def test_mutated_certificates_keep_the_exit_contract(cert_dir, data, command):
+    path = cert_dir / "w.json"
+    path.write_text(json.dumps(data))
+    code, _ = invoke(command, "--input", str(path))
+    assert code in (0, 1, 2)

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cpbound.charfn import attach, eta_facet_assignment, validate
+from cpbound.charfn import attach, charpair_from_json, charpair_to_json, eta_facet_assignment, validate
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
     WManifold,
@@ -19,9 +20,22 @@ from cpbound.cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
-from cpbound.polytope import generate_functional, truncated_simplex, vertex_indices
+from cpbound.polytope import (
+    FacetLabel,
+    SimplePolytope,
+    Vertex,
+    cut_face,
+    face_from_facets,
+    generate_functional,
+    original_edge,
+    original_facet,
+    product,
+    simplex,
+    truncated_simplex,
+    vertex_indices,
+)
 
-from oracles import cofactor_det
+from oracles import cofactor_det, label_by_isomorphism_search
 
 
 class TestBuildW:
@@ -82,6 +96,121 @@ class TestBoundaryComponents:
         for comp in boundary_components(build_W(2)):
             assert comp.boundary_facet_ids == ()
             assert validate(comp).ok
+
+
+def relabel_facets(P, rng):
+    """P with its facet ids renamed so that their sorted order is shuffled."""
+    order = list(range(len(P.facet_ids)))
+    rng.shuffle(order)
+    rename = {f: f"x{i:02d}" for f, i in zip(P.facet_ids, order)}
+    return SimplePolytope(
+        P.dim,
+        [FacetLabel(rename[f.id], f.provenance) for f in P.facets],
+        [Vertex(v.id, frozenset(rename[f] for f in v.facet_ids), v.coord) for v in P.vertices],
+        {e.ends: e.provenance for e in P.edges},
+        P.ancestor_coords,
+    )
+
+
+def incidence_polytope(dim, facet_count, missing_sets):
+    """A combinatorial polytope whose vertices miss the given facet sets, or None."""
+    facets = [f"f{i}" for i in range(facet_count)]
+    vertices = [
+        Vertex(f"v{i:02d}", frozenset(facets) - {facets[j] for j in miss})
+        for i, miss in enumerate(missing_sets)
+    ]
+    tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
+    try:
+        return SimplePolytope(dim, [FacetLabel(f, original_facet(i)) for i, f in enumerate(facets)], vertices, tags)
+    except ValueError:
+        return None
+
+
+class TestRecognizerAgainstOracle:
+    """The missing-facet witness decides what the facet-bijection search decides."""
+
+    @staticmethod
+    def agree(P):
+        label = identify_simplex_or_product(P)
+        assert label == label_by_isomorphism_search(P)
+        return label
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_simplices(self, d):
+        assert self.agree(simplex(d)) == f"Delta^{d}"
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 6) for b in range(a, 6)])
+    def test_relabelled_products(self, a, b):
+        P = relabel_facets(product(simplex(a), simplex(b)), random.Random(10 * a + b))
+        assert self.agree(P) == f"Delta^{a} x Delta^{b}"
+        assert self.agree(relabel_facets(product(simplex(b), simplex(a)), random.Random(a))) == (
+            f"Delta^{a} x Delta^{b}"
+        )
+
+    def test_cube_and_pentagon_unrecognized(self):
+        cube = product(product(simplex(1), simplex(1)), simplex(1))
+        square = product(simplex(1), simplex(1))
+        corner = square.vertices[0]
+        pentagon = cut_face(square, face_from_facets(square, sorted(corner.facet_ids)), Fraction(1, 5))
+        assert len(pentagon.facets) == 5
+        assert self.agree(cube) is None
+        assert self.agree(pentagon) is None
+
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_truncated_simplex_unrecognized(self, n):
+        assert self.agree(truncated_simplex(n)) is None
+
+    def test_product_missing_a_vertex_unrecognized(self):
+        P = product(simplex(2), simplex(2))
+        kept = P.vertices[1:]
+        Q = SimplePolytope(P.dim, P.facets, kept, {e.ends: e.provenance for e in P.edges})
+        assert self.agree(Q) is None
+
+    def test_odd_cycle_with_product_edge_count_unrecognized(self):
+        # Ten = 2 * 5 missing pairs on seven facets, triangle-free, with the
+        # odd cycle f0-f5-f6-f2-f4: only the bipartite test rejects it.
+        pairs = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)]
+        P = incidence_polytope(5, 7, pairs)
+        assert P is not None
+        assert self.agree(P) is None
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_round_tripped_boundary_components(self, k):
+        n = 2 * (k + 1)
+        expected = [f"Delta^{n // 2 - 1} x Delta^{n // 2}"] * 2 + [f"Delta^{n - 1}"]
+        components = [charpair_from_json(charpair_to_json(c)) for c in boundary_components(build_W(k))]
+        assert [self.agree(c.polytope) for c in components] == expected
+
+    def test_random_simplex_incidences(self):
+        # Vertices missing one facet each, from a random subset of the d+1 choices.
+        rng = random.Random(1)
+        labels = set()
+        for _ in range(200):
+            d = rng.randint(2, 5)
+            missing = rng.sample([(j,) for j in range(d + 1)], rng.randint(1, d + 1))
+            P = incidence_polytope(d, d + 1, missing)
+            if P is not None:
+                labels.add(self.agree(P))
+        assert None in labels and "Delta^5" in labels
+
+    def test_perturbed_product_incidences(self):
+        # Missing pairs of Delta^a x Delta^b on shuffled facets with up to three
+        # pairs toggled: odd cycles, incomplete and disconnected bipartite graphs.
+        rng = random.Random(2)
+        labels = set()
+        for _ in range(300):
+            d = rng.randint(2, 6)
+            a = rng.randint(1, d - 1)
+            f = list(range(d + 2))
+            rng.shuffle(f)
+            pairs = {tuple(sorted((f[i], f[a + 1 + j]))) for i in range(a + 1) for j in range(d - a + 1)}
+            pool = list(itertools.combinations(range(d + 2), 2))
+            for _ in range(rng.randint(0, 3)):
+                pairs ^= {rng.choice(pool)}
+            P = incidence_polytope(d, d + 2, sorted(pairs))
+            if P is not None:
+                labels.add(self.agree(P))
+        assert None in labels and "Delta^3 x Delta^3" in labels
 
 
 class TestCellStructure:

@@ -24,7 +24,7 @@ from cpbound.polytope import (
     vertex_indices,
 )
 
-from oracles import product_h_vector
+from oracles import edge_between, product_h_vector
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -47,7 +47,7 @@ class TestSimplex:
     def test_all_edges_original(self):
         P = simplex(4)
         assert all(e.provenance.kind == "original" for e in P.edges)
-        assert P.edge_between("A0", "A3").provenance.ancestors == ("A0", "A3")
+        assert edge_between(P, "A0", "A3").provenance.ancestors == ("A0", "A3")
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 Every artifact is computed once per manifold: one cell structure per seed,
 one determinant per distinct vertex vector set, no Smith normal form on a
-valid datum, and nothing kept from one request to the next.
+valid datum, no model polytope built to recognize the boundary, one
+functional per boundary component, and nothing kept from one request to the
+next.
 """
 
 import io
@@ -11,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from cpbound import cobordism, zlinalg
+from cpbound import cobordism, polytope, zlinalg
 from cpbound.cli import run
 from cpbound.cobordism import build_W, glue_report
 
@@ -73,3 +75,21 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
     assert per_request[0] <= n * (n + 4) // 4 + 4
     # Nothing is remembered across requests: the second one does the same work.
     assert per_request[1] == per_request[0]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_boundary_recognition_builds_no_model_polytopes(calls, k):
+    counts, count = calls
+    W = build_W(k)
+    count(polytope, "product")
+    count(polytope, "combinatorially_isomorphic")
+    count(polytope, "simplex")
+    assert glue_report(W, 0, extra_seeds=1).passed
+    assert counts == {}
+
+
+def test_boundary_draws_one_functional_per_component(calls):
+    counts, count = calls
+    count(polytope, "separating_functional")
+    assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
+    assert counts["separating_functional"] == 3
