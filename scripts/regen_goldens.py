@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the golden JSON files under tests/goldens/.
+"""Regenerate the golden outputs under tests/goldens/.
 
-Run after an intentional change to the serialization format, then review the
-diff before committing.
+Run after an intentional change to the JSON format or the text rendering,
+then review the diff before committing.
 """
 
 import io
@@ -16,6 +16,10 @@ GOLDENS = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 TARGETS = {
     "w_n4.json": ["construct", "--k", "1", "--format", "json"],
     "glue_k1.json": ["glue", "--k", "1", "--format", "json"],
+    "glue_k1.txt": ["glue", "--k", "1"],
+    "demo_n4.txt": ["demo", "--n", "4"],
+    "homology_k1_seeds3.txt": ["homology", "--k", "1", "--seeds", "3"],
+    "homology_k1_seeds3.json": ["homology", "--k", "1", "--seeds", "3", "--format", "json"],
 }
 
 

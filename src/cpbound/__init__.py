@@ -52,10 +52,9 @@ from .cobordism import (
     betti_boundary,
     boundary_components,
     build_W,
+    cell_stage,
     cell_structure,
-    euler_check,
     glue_report,
-    homology_W,
 )
 
 __version__ = "0.1.0"

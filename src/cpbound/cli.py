@@ -13,23 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .charfn import (
-    delta_matrix,
-    eta_standard,
-    orientation_signs,
-    rho_facet_bijection,
-    rho_permutation,
-    validate,
-)
+from .charfn import eta_standard, rho_permutation, validate
 from .cobordism import (
     BOUNDARY_FACETS,
     WManifold,
     betti_from_h_vector,
     boundary_components,
     build_W,
-    cell_euler_check,
-    cell_homology,
-    cell_structure,
+    cell_stage,
     glue_report,
     glue_report_to_json,
     identify_simplex_or_product,
@@ -144,7 +135,7 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_validate(args, out) -> int:
     W = _manifold_from_args(args)
-    report = validate(W.pair)
+    report = validate(W.pair, W.verdicts)
     if args.format == "json":
         _dump_json(
             {
@@ -198,14 +189,17 @@ def _cmd_boundary(args, out) -> int:
 
 def _cmd_homology(args, out) -> int:
     W = _manifold_from_args(args)
-    structure = cell_structure(W, args.seed)
-    counts = structure.cell_counts()
-    for s in range(1, args.seeds):
-        if cell_structure(W, args.seed + s).cell_counts() != counts:
-            out.write("cell counts varied across functionals; construction is broken\n")
-            return _EXIT_CHECK_FAILED
-    table = cell_homology(structure)
-    euler = cell_euler_check(W, structure)
+    try:
+        stage = cell_stage(W, args.seed, extra_seeds=args.seeds - 1)
+        if stage.stable and stage.extra_error is not None:
+            raise stage.extra_error  # an extra seed failed before any disagreed
+    except AssertionError as exc:  # a ValueError (degenerate functional) is bad input
+        out.write(f"cell structure failed: {exc}\n")
+        return _EXIT_CHECK_FAILED
+    if not stage.stable:
+        out.write("cell counts varied across functionals; construction is broken\n")
+        return _EXIT_CHECK_FAILED
+    counts, table, euler = stage.counts, stage.homology, stage.euler
     if args.format == "json":
         _dump_json(
             {
@@ -268,12 +262,13 @@ def _cmd_glue(args, out) -> int:
         reports.append(glue_report(W, args.seed, extra_seeds=args.seeds - 1))
 
     payload = [glue_report_to_json(r) for r in reports]
+    doc = payload[0] if len(payload) == 1 else {"reports": payload}
     if args.output:
         with open(args.output, "w") as fh:
-            _dump_json(payload[0] if len(payload) == 1 else {"reports": payload}, fh)
+            _dump_json(doc, fh)
         out.write(f"wrote {args.output}\n")
-    if args.format == "json" and not args.output:
-        _dump_json(payload[0] if len(payload) == 1 else {"reports": payload}, out)
+    elif args.format == "json":
+        _dump_json(doc, out)
     if args.format == "text":
         for r in reports:
             _render_glue_text(r, out)
@@ -286,6 +281,7 @@ def _cmd_demo(args, out) -> int:
         raise ValueError(f"n must be even and at least 4, got {n}")
     r1 = parse_fraction(args.r1)
     W = build_W(n // 2 - 1, r1)
+    report = glue_report(W, args.seed)
     eta = eta_standard(n)
     out.write(f"Worked example: n = {n} (boundary dimension {2 * n - 2}, k = {W.k})\n")
     out.write("=" * 60 + "\n\n")
@@ -298,28 +294,25 @@ def _cmd_demo(args, out) -> int:
         f"{len(poly.facets)} facets, {len(poly.vertices)} vertices\n"
     )
 
-    components = boundary_components(W)
-    for fid, comp in zip(BOUNDARY_FACETS, components):
+    for fid, comp in zip(BOUNDARY_FACETS, report.components):
         label = identify_simplex_or_product(comp.polytope) or "unrecognized"
         out.write(f"\n{fid} ({label}) carries:\n")
         for facet, vec in sorted(comp.assignment.items()):
             out.write(f"  {facet} /\\ {fid} -> {vec.entries}\n")
 
-    delta = delta_matrix(n)
     rho = rho_permutation(n)
     out.write("\nBasis reversal delta' acting on the vectors:\n")
     for j in range(n + 1):
-        image = apply_matrix(delta, eta[j].entries)
+        image = apply_matrix(report.witness.delta, eta[j].entries)
         out.write(f"  delta'(eta_{j}) = {image} = eta_{rho(j)}\n")
     out.write("\nFacet bijection P1 -> P2 (matching the vector swap):\n")
-    for a, b in sorted(rho_facet_bijection(n).items()):
+    for a, b in sorted(report.witness.phi.items()):
         out.write(f"  {a} /\\ P1  ->  {b} /\\ P2\n")
 
-    report = glue_report(W, args.seed)
     out.write("\nCertification:\n")
     for c in report.checks:
         out.write(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}\n")
-    orient = orientation_signs(n)
+    orient = report.orientation
     out.write(f"\nsign(rho) = {orient.sign_rho:+d}, det(delta') = {orient.det_delta:+d}\n")
     out.write(
         f"After gluing the two product components, the remaining boundary is "

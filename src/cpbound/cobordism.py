@@ -19,7 +19,6 @@ from typing import Mapping
 from .charfn import (
     CharPair,
     OrientationRecord,
-    SimplexNormalForm,
     TranslationWitness,
     Verdicts,
     attach,
@@ -190,23 +189,6 @@ class HomologyTable:
     def rank(self, degree: int) -> int:
         return dict(self.ranks).get(degree, 0)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.ranks)
-
-
-def homology_W(W: WManifold, seed: int = 0) -> HomologyTable:
-    """Homology of the pair from the cell counts: rank |I_j| in degree 2j-1."""
-    return cell_homology(cell_structure(W, seed))
-
-
-def cell_homology(cells: CellStructure) -> HomologyTable:
-    """``homology_W`` for a cell structure already computed."""
-    ranks = [(0, 0)] + [(2 * j - 1, c) for j, c in cells.index_counts().items()]
-    table = HomologyTable(tuple(sorted(ranks)))
-    if table.rank(2 * cells.n - 1) != 1:
-        raise AssertionError("top homology rank is not 1; orientability witness failed")
-    return table
-
 
 @dataclass(frozen=True)
 class EulerCheck:
@@ -218,24 +200,50 @@ class EulerCheck:
         return self.cell_total == self.half_boundary_vertices
 
 
-def euler_check(W: WManifold, seed: int = 0) -> EulerCheck:
-    """Two independent counts that must agree.
+@dataclass(frozen=True)
+class CellStage:
+    """The cells of (W, boundary) under one seed, checked under further seeds.
 
-    The total number of odd cells equals the number of surviving root edges,
-    counted here via the inward-edge criterion; independently, every closed
-    piece of the boundary has Euler characteristic equal to its polytope's
-    vertex count and the boundary of an odd-dimensional compact manifold has
-    twice the manifold's characteristic, which forces the cell total to be
-    half the summed vertex counts of the three boundary facets.
+    ``stable`` says whether the counts held under every extra seed computed;
+    ``extra_error`` is the first extra seed's failure, after which no further
+    seed is drawn.
     """
-    return cell_euler_check(W, cell_structure(W, seed))
+
+    structure: CellStructure
+    counts: dict[int, int]
+    stable: bool
+    extra_error: ValueError | AssertionError | None
+    homology: HomologyTable
+    euler: EulerCheck
 
 
-def cell_euler_check(W: WManifold, cells: CellStructure) -> EulerCheck:
-    """``euler_check`` for a cell structure of W already computed."""
+def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
+    """Cells under ``seed`` and ``extra_seeds`` further functionals, homology and Euler check.
+
+    Homology has rank |I_j| in degree 2j-1.  The Euler check compares two
+    independent counts: the total number of odd cells equals the number of
+    surviving root edges, counted here via the inward-edge criterion; every
+    closed piece of the boundary has Euler characteristic equal to its
+    polytope's vertex count and the boundary of an odd-dimensional compact
+    manifold has twice the manifold's characteristic, which forces the cell
+    total to be half the summed vertex counts of the three boundary facets.
+    A failure of the ``seed`` structure itself is raised.
+    """
+    structure = cell_structure(W, seed)
+    counts = structure.cell_counts()
+    stable, extra_error = True, None
+    for s in range(1, extra_seeds + 1):
+        try:
+            if cell_structure(W, seed + s).cell_counts() != counts:
+                stable = False
+        except (ValueError, AssertionError) as exc:
+            extra_error = exc
+            break
+    homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
     poly = W.pair.polytope
     boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
-    return EulerCheck(cells.total(), boundary_vertices // 2)
+    euler = EulerCheck(structure.total(), boundary_vertices // 2)
+    return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
 def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
@@ -314,7 +322,6 @@ class GluingReport:
     orientation: OrientationRecord
     boundary_label: str
     witness: TranslationWitness | None
-    normal_form: SimplexNormalForm | None
     passed: bool
 
     def failed_checks(self) -> tuple[str, ...]:
@@ -327,13 +334,12 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     ``extra_seeds`` re-runs the cell count under that many further functionals
     and requires identical counts.  Every artifact is computed once: vertex
     verdicts come from ``W.verdicts`` and are shared with the boundary
-    components, and homology and the Euler check use the cell structure of
-    ``seed``.
+    components, and the cell stage (``cell_stage``) supplies both the
+    ``cell-structure`` and the ``euler-cross-check`` checks.
     """
     n = W.n
     checks: list[CheckResult] = []
     witness: TranslationWitness | None = None
-    normal: SimplexNormalForm | None = None
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
@@ -409,33 +415,26 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
 
     if report.ok:
         try:
-            structure = cell_structure(W, seed)
+            stage = cell_stage(W, seed, extra_seeds)
         except (ValueError, AssertionError) as exc:
             # Both checks rest on this structure, so both report its failure.
             checks.append(CheckResult("cell-structure", False, str(exc)))
             checks.append(CheckResult("euler-cross-check", False, str(exc)))
         else:
-            try:
-                cells = structure.cell_counts()
-                stable = True
-                for s in range(1, extra_seeds + 1):
-                    if cell_structure(W, seed + s).cell_counts() != cells:
-                        stable = False
-                homology = cell_homology(structure)
-                ok = stable and structure.index_counts().get(n, 0) == 1
-                checks.append(
-                    CheckResult(
-                        "cell-structure",
-                        ok,
-                        f"one 0-cell plus odd cells {cells}; top count "
-                        f"{structure.index_counts().get(n, 0)}"
-                        + ("" if stable else "; counts varied across seeds"),
-                    )
+            cells = stage.counts
+            if stage.extra_error is None:
+                homology = stage.homology
+                details = (
+                    f"one 0-cell plus odd cells {cells}; top count "
+                    f"{stage.structure.index_counts()[n]}"
+                    + ("" if stage.stable else "; counts varied across seeds")
                 )
-            except (ValueError, AssertionError) as exc:
-                checks.append(CheckResult("cell-structure", False, str(exc)))
-
-            euler = cell_euler_check(W, structure)
+            else:
+                details = str(stage.extra_error)
+            checks.append(
+                CheckResult("cell-structure", stage.stable and stage.extra_error is None, details)
+            )
+            euler = stage.euler
             checks.append(
                 CheckResult(
                     "euler-cross-check",
@@ -459,7 +458,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         orientation=orient,
         boundary_label=orient.boundary_label,
         witness=witness,
-        normal_form=normal,
         passed=passed,
     )
 

@@ -580,47 +580,6 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
     )
 
 
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    work = [row[:] for row in rows]
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def check_geometry(P: SimplePolytope) -> None:
-    """Geometric sanity for the built-in families.
-
-    All vertices must be distinct exact points and every facet's vertex set
-    must affinely span exactly dim-1 dimensions.
-    """
-    if not P.has_coords:
-        raise ValueError("polytope has no coordinates")
-    seen: dict[Point, str] = {}
-    for v in P.vertices:
-        if v.coord in seen:
-            raise ValueError(f"vertices {seen[v.coord]} and {v.id} share coordinates")
-        seen[v.coord] = v.id
-    for fid in P.facet_ids:
-        pts = [P.vertex_by_id[v].coord for v in P.facet_vertices(fid)]
-        base = pts[0]
-        diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-        rank = _fraction_rank(diffs) if diffs else 0
-        if rank != P.dim - 1:
-            raise ValueError(f"facet {fid} spans affine dimension {rank}, expected {P.dim - 1}")
-
-
 # --- JSON serialization ------------------------------------------------------
 #
 # Schema: { "dim": n,

@@ -53,18 +53,8 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
 
 @dataclass(frozen=True)
@@ -79,18 +69,6 @@ class Permutation:
 
     def __call__(self, j: int) -> int:
         return self.images[j]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(j) == self(other(j))."""
-        if len(self.images) != len(other.images):
-            raise ValueError("permutations act on sets of different sizes")
-        return Permutation(tuple(self.images[other.images[j]] for j in range(len(self.images))))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for j, i in enumerate(self.images):
-            inv[i] = j
-        return Permutation(tuple(inv))
 
 
 def _find_pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int] | None:

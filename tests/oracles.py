@@ -119,3 +119,25 @@ def compose_witnesses(second: TranslationWitness, first: TranslationWitness) -> 
         {f: second.phi[g] for f, g in first.phi.items()},
         matmul(second.delta, first.delta),
     )
+
+
+def check_geometry(P: SimplePolytope) -> None:
+    """Geometric sanity for the built-in families.
+
+    All vertices must be distinct exact points and every facet's vertex set
+    must affinely span exactly dim-1 dimensions.
+    """
+    if not P.has_coords:
+        raise ValueError("polytope has no coordinates")
+    seen: dict[tuple[Fraction, ...], str] = {}
+    for v in P.vertices:
+        if v.coord in seen:
+            raise ValueError(f"vertices {seen[v.coord]} and {v.id} share coordinates")
+        seen[v.coord] = v.id
+    for fid in P.facet_ids:
+        pts = [P.vertex_by_id[v].coord for v in P.facet_vertices(fid)]
+        base = pts[0]
+        diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
+        rank = fraction_rank(diffs) if diffs else 0
+        if rank != P.dim - 1:
+            raise ValueError(f"facet {fid} spans affine dimension {rank}, expected {P.dim - 1}")

@@ -30,10 +30,9 @@ from cpbound.cobordism import (
     WManifold,
     boundary_components,
     build_W,
+    cell_stage,
     cell_structure,
-    euler_check,
     glue_report,
-    homology_W,
 )
 from cpbound.polytope import combinatorially_isomorphic, product, simplex, truncated_simplex
 from cpbound.zlinalg import (
@@ -132,14 +131,14 @@ def test_criterion_05_odd_cell_homology():
                     if baseline is None:
                         baseline = cs.cell_counts()
                     assert cs.cell_counts() == baseline
-            table = homology_W(build_W(n // 2 - 1), 0)
+            table = cell_stage(build_W(n // 2 - 1), 0).homology
             assert table.rank(2 * n - 1) == 1  # orientability witness
 
 
 def test_criterion_06_euler_cross_check():
     with criterion(6, "cell total equals half the boundary vertex count and n(n+4)/4"):
         for n in EVEN_RANGE:
-            chk = euler_check(build_W(n // 2 - 1), 0)
+            chk = cell_stage(build_W(n // 2 - 1), 0).euler
             assert chk.ok
             assert chk.cell_total == n * (n + 4) // 4
             assert chk.half_boundary_vertices == n * (n + 4) // 4

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpbound.charfn import validate
@@ -131,6 +131,18 @@ class TestDeterminism:
         _, out = invoke("glue", "--k", "1", "--format", "json")
         assert out == (GOLDENS / "glue_k1.json").read_text()
 
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("glue_k1.txt", ("glue", "--k", "1")),
+            ("demo_n4.txt", ("demo", "--n", "4")),
+            ("homology_k1_seeds3.txt", ("homology", "--k", "1", "--seeds", "3")),
+            ("homology_k1_seeds3.json", ("homology", "--k", "1", "--seeds", "3", "--format", "json")),
+        ],
+    )
+    def test_output_matches_golden(self, golden, argv):
+        assert invoke(*argv) == (0, (GOLDENS / golden).read_text())
+
 
 class TestRoundTrip:
     def test_construct_load_validate_equals_in_memory(self, tmp_path):
@@ -231,6 +243,23 @@ def vertices_as_int(data):
     return data
 
 
+def p3_as_original_facet(data):
+    """The certificate with P3's provenance relabelled as an original facet."""
+    for facet in data["pair"]["polytope"]["facets"]:
+        if facet["id"] == "P3":
+            facet["provenance"] = {"kind": "original", "index": 99}
+    return data
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_homology_names_the_vertex_where_the_cell_structure_fails(tmp_path, capsys, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(p3_as_original_facet(copy.deepcopy(CERTIFICATE))))
+    code, out = invoke("homology", "--input", str(path), "--format", fmt)
+    assert (code, out) == (1, "cell structure failed: vertex v12 lies on 4 root edges, expected 1\n")
+    assert capsys.readouterr().err == ""
+
+
 class TestMalformedCertificates:
     @pytest.mark.parametrize("edit", [lambda data: [1, 2], vertices_as_int], ids=["top-level-list", "vertices-int"])
     def test_wrong_json_type(self, tmp_path, capsys, edit):
@@ -248,6 +277,40 @@ class TestMalformedCertificates:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == "error: malformed certificate: JSON nested too deeply\n"
+
+
+def with_moved_vertex(index, coord):
+    data = copy.deepcopy(CERTIFICATE)
+    data["pair"]["polytope"]["coords"][index] = coord
+    return data
+
+
+@pytest.mark.parametrize(
+    "data,seeds,code,out",
+    [
+        # seed 1 is degenerate: bad input for homology, a failed check for glue
+        (with_moved_vertex(4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"]), "2", 2, ""),
+        # seed 1 gives other counts; seed 2 is degenerate but is never reached first
+        (
+            with_moved_vertex(3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"]),
+            "3",
+            1,
+            "cell counts varied across functionals; construction is broken\n",
+        ),
+    ],
+    ids=["degenerate-extra-seed", "varying-counts"],
+)
+def test_homology_under_extra_seeds(tmp_path, capsys, data, seeds, code, out):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    assert invoke("homology", "--input", str(path), "--seeds", seeds) == (code, out)
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err == ""
+    else:
+        assert err.startswith("error: index profile is degenerate") and err.count("\n") == 1
+    glue_code, glue_out = invoke("glue", "--input", str(path), "--seeds", seeds)
+    assert glue_code == 1 and "[FAIL] cell-structure" in glue_out
 
 
 JSON_VALUES = st.recursive(
@@ -289,6 +352,7 @@ def cert_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(data=mutated_certificates(), command=st.sampled_from(("validate", "boundary", "homology", "glue")))
+@example(data=p3_as_original_facet(copy.deepcopy(CERTIFICATE)), command="homology")
 def test_mutated_certificates_keep_the_exit_contract(cert_dir, data, command):
     path = cert_dir / "w.json"
     path.write_text(json.dumps(data))

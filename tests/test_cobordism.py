@@ -7,15 +7,15 @@ import pytest
 from cpbound.charfn import attach, charpair_from_json, charpair_to_json, eta_facet_assignment, validate
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
+    EulerCheck,
     WManifold,
     betti_boundary,
     boundary_components,
     build_W,
+    cell_stage,
     cell_structure,
-    euler_check,
     glue_report,
     glue_report_to_json,
-    homology_W,
     identify_simplex_or_product,
     wmanifold_from_json,
     wmanifold_to_json,
@@ -257,7 +257,7 @@ class TestCellStructure:
 
 class TestHomology:
     def test_n4_table(self):
-        table = homology_W(build_W(1), 0)
+        table = cell_stage(build_W(1), 0).homology
         assert table.rank(7) == 1
         assert table.rank(0) == 0
         assert table.paper_h0_discrepancy
@@ -265,12 +265,12 @@ class TestHomology:
         assert nonzero <= {1, 3, 5, 7}
 
     def test_n6_top_rank(self):
-        table = homology_W(build_W(2), 0)
+        table = cell_stage(build_W(2), 0).homology
         assert table.rank(11) == 1
         assert all(d % 2 == 1 for d, r in table.ranks if r)
 
     def test_even_degrees_are_zero(self):
-        table = homology_W(build_W(1), 0)
+        table = cell_stage(build_W(1), 0).homology
         for d in range(0, 8, 2):
             assert table.rank(d) == 0
 
@@ -280,11 +280,68 @@ class TestEulerCheck:
         "n,expected", [(4, 8), (6, 15), (8, 24), (10, 35), (12, 48)]
     )
     def test_both_sides_agree(self, n, expected):
-        chk = euler_check(build_W(n // 2 - 1), 0)
+        chk = cell_stage(build_W(n // 2 - 1), 0).euler
         assert chk.ok
         assert chk.cell_total == expected
         assert chk.half_boundary_vertices == expected
         assert expected == n * (n + 4) // 4
+
+
+def with_moved_vertex(index, coord):
+    """The k = 1 datum with one vertex moved, so its coordinates no longer realise it."""
+    data = wmanifold_to_json(build_W(1))
+    data["pair"]["polytope"]["coords"][index] = coord
+    return wmanifold_from_json(data)
+
+
+# Seed 0 draws a clean structure on both; seed 1 is degenerate on the first
+# and gives other counts on the second, whose seed 2 is then degenerate.
+DEGENERATE_AT_SEED_1 = (4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"])
+VARIES_AT_SEED_1 = (3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"])
+
+
+class TestCellStage:
+    @pytest.mark.parametrize("k,extra", [(1, 0), (2, 3), (3, 1)])
+    def test_reports_the_seed_structure(self, k, extra):
+        W = build_W(k)
+        stage = cell_stage(W, 2, extra)
+        structure = cell_structure(W, 2)
+        assert stage.structure == structure
+        assert stage.counts == structure.cell_counts()
+        assert stage.stable and stage.extra_error is None
+        assert stage.homology.ranks == ((0, 0),) + tuple(sorted(structure.cell_counts().items()))
+        assert stage.euler == EulerCheck(structure.total(), W.n * (W.n + 4) // 4)
+
+    def test_seed_failure_is_raised(self):
+        data = wmanifold_to_json(build_W(1))
+        for facet in data["pair"]["polytope"]["facets"]:
+            if facet["id"] == "P3":
+                facet["provenance"] = {"kind": "original", "index": 99}
+        with pytest.raises(AssertionError, match="vertex v12 lies on 4 root edges"):
+            cell_stage(wmanifold_from_json(data), 0, 2)
+
+    def test_extra_seed_failure_is_kept(self):
+        W = with_moved_vertex(*DEGENERATE_AT_SEED_1)
+        stage = cell_stage(W, 0, 3)
+        assert stage.stable
+        assert isinstance(stage.extra_error, ValueError)
+        assert "degenerate" in str(stage.extra_error)
+        assert stage.counts == cell_structure(W, 0).cell_counts()
+
+        report = glue_report(W, 0, extra_seeds=3)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["cell-structure"].passed
+        assert checks["cell-structure"].details == str(stage.extra_error)
+        assert checks["euler-cross-check"].passed
+        assert report.cell_counts == stage.counts and report.homology is None
+
+    def test_disagreement_comes_before_a_later_failure(self):
+        W = with_moved_vertex(*VARIES_AT_SEED_1)
+        stage = cell_stage(W, 0, 1)
+        assert not stage.stable and stage.extra_error is None
+        stage = cell_stage(W, 0, 3)
+        assert not stage.stable and isinstance(stage.extra_error, ValueError)
+        assert cell_stage(W, 1, 0).stable  # one seed alone never disagrees
 
 
 class TestBettiBoundary:

@@ -8,7 +8,6 @@ from cpbound.polytope import (
     LinearFunctional,
     SimplePolytope,
     Vertex,
-    check_geometry,
     combinatorially_isomorphic,
     cut_face,
     face_as_polytope,
@@ -24,7 +23,7 @@ from cpbound.polytope import (
     vertex_indices,
 )
 
-from oracles import edge_between, product_h_vector
+from oracles import check_geometry, edge_between, product_h_vector
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 

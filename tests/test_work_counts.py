@@ -3,19 +3,20 @@
 Every artifact is computed once per manifold: one cell structure per seed,
 one determinant per distinct vertex vector set, no Smith normal form on a
 valid datum, no model polytope built to recognize the boundary, one
-functional per boundary component, and nothing kept from one request to the
-next.
+functional per boundary component, one boundary extraction per ``demo``, no
+gluing work in ``homology``, and nothing kept from one request to the next.
 """
 
 import io
+import json
 import sys
 from collections import Counter
 
 import pytest
 
-from cpbound import cobordism, polytope, zlinalg
+from cpbound import charfn, cobordism, polytope, zlinalg
 from cpbound.cli import run
-from cpbound.cobordism import build_W, glue_report
+from cpbound.cobordism import build_W, glue_report, wmanifold_to_json
 
 
 @pytest.fixture
@@ -93,3 +94,30 @@ def test_boundary_draws_one_functional_per_component(calls):
     count(polytope, "separating_functional")
     assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
     assert counts["separating_functional"] == 3
+
+
+def test_demo_extracts_the_boundary_once(calls):
+    counts, count = calls
+    count(cobordism, "boundary_components")
+    count(charfn, "orientation_signs")
+    assert run(["demo", "--n", "4"], io.StringIO()) == 0
+    assert counts == {"boundary_components": 1, "orientation_signs": 1}
+
+
+def test_homology_does_no_gluing_work(calls, tmp_path):
+    counts, count = calls
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(2))))
+    for name in ("validate", "boundary_components", "identify_simplex_or_product", "cell_structure"):
+        count(cobordism, name)
+    code = run(["homology", "--input", str(path), "--seeds", "3", "--format", "json"], io.StringIO())
+    assert code == 0
+    assert counts == {"cell_structure": 3}
+
+
+def test_homology_validates_only_while_building(calls):
+    counts, count = calls
+    for name in ("validate", "boundary_components", "identify_simplex_or_product"):
+        count(cobordism, name)
+    assert run(["homology", "--k", "2", "--seeds", "3", "--format", "json"], io.StringIO()) == 0
+    assert counts == {"validate": 1}  # build_W certifies the datum it builds
