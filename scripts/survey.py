@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from cpbound.cobordism import build_W, glue_report
+from cpbound.polytope import parse_fraction
 
 
 def main() -> int:
@@ -27,7 +28,12 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3, help="functionals per cell count")
     args = ap.parse_args()
 
-    r1 = Fraction(args.r1)
+    try:
+        r1 = parse_fraction(args.r1)
+    except ValueError as exc:
+        ap.error(f"argument --r1: {exc}")
+    if not Fraction(0) < r1 < Fraction(1, 4):
+        ap.error(f"argument --r1: must lie strictly between 0 and 1/4, got {r1}")
     header = f"{'k':>3} {'n':>3} {'facets':>7} {'verts':>6} {'cells':>6} {'sign_rho':>9} {'det_delta':>10} {'boundary':>16} {'result':>7}"
     print(header)
     print("-" * len(header))

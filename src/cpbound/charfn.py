@@ -19,6 +19,7 @@ from .polytope import (
     SimplePolytope,
     face_as_polytope,
     face_from_facets,
+    parse_int,
     polytope_from_json,
     polytope_to_json,
 )
@@ -425,9 +426,9 @@ def charpair_to_json(pair: CharPair) -> dict:
 
 def charpair_from_json(data: dict) -> CharPair:
     P = polytope_from_json(data["polytope"])
-    rank = int(data["torus_rank"])
+    rank = parse_int(data["torus_rank"], "torus_rank")
     assignment = {
-        str(fid): CharVector.canon([int(x) for x in vec])
+        str(fid): CharVector.canon([parse_int(x, "vector entry") for x in vec])
         for fid, vec in data["vectors"].items()
     }
     return CharPair(P, rank, assignment)

@@ -40,6 +40,7 @@ from .polytope import (
     h_vector,
     indices_from_values,
     parse_fraction,
+    parse_int,
     separating_functional,
     truncated_simplex,
 )
@@ -475,7 +476,7 @@ def wmanifold_to_json(W: WManifold) -> dict:
 
 def wmanifold_from_json(data: dict) -> WManifold:
     pair = charpair_from_json(data["pair"])
-    return WManifold(pair, int(data["n"]), parse_fraction(data["r1"]))
+    return WManifold(pair, parse_int(data["n"], "n"), parse_fraction(data["r1"]))
 
 
 def glue_report_to_json(report: GluingReport) -> dict:

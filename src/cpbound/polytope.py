@@ -9,7 +9,10 @@ endpoints recorded) or was created by a truncation ("cut").
 
 Exact rational coordinates (``fractions.Fraction``, never floats) are
 attached for the built-in families: simplices, products of polytopes with
-coordinates, and iterated face truncations of those.
+coordinates, and iterated face truncations of those.  Integer functionals are
+evaluated on integer rows instead: each polytope scales its coordinates once
+by their common denominator q > 0, which keeps every equality and comparison
+between values exact.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 Point = tuple[Fraction, ...]
@@ -238,6 +244,21 @@ class SimplePolytope:
     def neighbors(self, vertex_id: str) -> Mapping[str, tuple[str, Edge]]:
         """Map dropped-facet id -> (far endpoint, edge) for edges at a vertex."""
         return self._nav[vertex_id]
+
+    @cached_property
+    def integer_coords(self) -> dict[str, tuple[int, ...]]:
+        """Each vertex's coordinates times q, the lcm of all their denominators.
+
+        Built once per polytope, on first use.  Since q > 0, a functional's
+        values on these rows are q times its values at the vertices, so they
+        are equal, and ordered, exactly when those are.
+        """
+        if not self.has_coords:
+            raise ValueError("polytope has no coordinates")
+        q = lcm(*(x.denominator for v in self.vertices for x in v.coord))
+        return {
+            v.id: tuple(x.numerator * (q // x.denominator) for x in v.coord) for v in self.vertices
+        }
 
 
 def simplex(n: int) -> SimplePolytope:
@@ -516,19 +537,29 @@ def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str
     return None
 
 
+def _scaled_values(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
+    """q times zeta at each vertex, evaluated on ``P.integer_coords``."""
+    rows = P.integer_coords
+    c = zeta.coefficients
+    if len(c) != len(P.vertices[0].coord):
+        raise ValueError("functional and point have different ambient dimensions")
+    return {vid: sum(map(mul, c, row)) for vid, row in rows.items()}
+
+
 def vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
     """Per-vertex count of incident edges pointing toward the vertex.
 
     Edges are oriented toward the larger zeta value; zeta must be injective
     on the vertex set.
     """
-    if not P.has_coords:
-        raise ValueError("polytope has no coordinates")
-    return indices_from_values(P, {v.id: zeta(v.coord) for v in P.vertices})
+    return indices_from_values(P, _scaled_values(P, zeta))
 
 
-def indices_from_values(P: SimplePolytope, values: Mapping[str, Fraction]) -> dict[str, int]:
-    """``vertex_indices`` for a functional given by its values at the vertices."""
+def indices_from_values(P: SimplePolytope, values: Mapping[str, int]) -> dict[str, int]:
+    """``vertex_indices`` for a functional given by its values at the vertices.
+
+    The values may be scaled by any q > 0, as those of ``separating_functional`` are.
+    """
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
     ind = {v.id: 0 for v in P.vertices}
@@ -557,11 +588,13 @@ def generate_functional(P: SimplePolytope, seed: int) -> LinearFunctional:
     return separating_functional(P, seed)[0]
 
 
-def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctional, dict[str, Fraction]]:
+def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctional, dict[str, int]]:
     """Draw integer functionals from a seeded PRNG until one separates the vertices.
 
-    Returns that functional with its values at the vertices: each draw is
-    evaluated once per vertex, and the caller reuses the accepted values.
+    Returns that functional with its values at the vertices, scaled by the
+    common denominator q > 0 of ``P.integer_coords``: each draw is evaluated
+    once per vertex on integer rows, and the caller reuses the accepted
+    values, which compare exactly as the unscaled ones do.
     """
     if not P.has_coords:
         raise ValueError("polytope has no coordinates")
@@ -571,7 +604,7 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
         zeta = LinearFunctional(
             tuple(rng.randint(-FUNCTIONAL_COEFF_BOUND, FUNCTIONAL_COEFF_BOUND) for _ in range(ambient))
         )
-        values = {v.id: zeta(v.coord) for v in P.vertices}
+        values = _scaled_values(P, zeta)
         if len(set(values.values())) == len(P.vertices):
             return zeta, values
     raise ValueError(
@@ -596,10 +629,20 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    """An exact rational from its string form; a JSON number is rejected, not coerced."""
+    if not isinstance(s, str):
+        raise TypeError(f"expected a fraction string 'p/q', got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} has a zero denominator") from None
+
+
+def parse_int(x: object, what: str) -> int:
+    """A JSON integer; ``bool``, ``float`` and ``str`` values are rejected, not coerced."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {x!r}")
+    return x
 
 
 def _provenance_to_json(p: FacetProvenance) -> dict:
@@ -610,7 +653,7 @@ def _provenance_to_json(p: FacetProvenance) -> dict:
 
 def _provenance_from_json(d: dict) -> FacetProvenance:
     if d["kind"] == "original":
-        return original_facet(int(d["index"]))
+        return original_facet(parse_int(d["index"], "facet index"))
     if d["kind"] == "cut":
         return cut_facet([str(x) for x in d["face"]])
     raise ValueError(f"unknown facet provenance {d!r}")
@@ -629,7 +672,7 @@ def polytope_to_json(P: SimplePolytope) -> dict:
 
 
 def polytope_from_json(data: dict) -> SimplePolytope:
-    dim = int(data["dim"])
+    dim = parse_int(data["dim"], "dim")
     facets = [FacetLabel(str(f["id"]), _provenance_from_json(f["provenance"])) for f in data["facets"]]
     coords = data.get("coords")
     raw_vertices = data["vertices"]

@@ -4,18 +4,29 @@ Everything here is deliberately naive and shares no code path with the
 fast paths it checks: determinants by cofactor expansion, ranks by rational
 Gaussian elimination, invariant factors by minor gcds, h-vectors of products
 by polynomial multiplication, and polytope labels by a backtracking search
-for a facet bijection onto model polytopes.  The last section holds helpers
-over package types that only tests need.
+for a facet bijection onto model polytopes, and separating functionals by
+``Fraction`` arithmetic at the vertex coordinates.  The last section holds
+helpers over package types that only tests need.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from cpbound.charfn import TranslationWitness
-from cpbound.polytope import Edge, SimplePolytope, combinatorially_isomorphic, product, simplex
+from cpbound.polytope import (
+    FUNCTIONAL_COEFF_BOUND,
+    FUNCTIONAL_RETRY_BUDGET,
+    Edge,
+    LinearFunctional,
+    SimplePolytope,
+    combinatorially_isomorphic,
+    product,
+    simplex,
+)
 from cpbound.zlinalg import inverse_unimodular, matmul
 
 
@@ -94,6 +105,41 @@ def label_by_isomorphism_search(P: SimplePolytope) -> str | None:
         if combinatorially_isomorphic(P, product(simplex(a), simplex(d - a))) is not None:
             return f"Delta^{a} x Delta^{d - a}"
     return None
+
+
+def fraction_separating_functional(P: SimplePolytope, seed: int):
+    """``separating_functional`` evaluated in ``Fraction`` arithmetic at ``v.coord``.
+
+    Returns the accepted functional, its unscaled values at the vertices and
+    the number of draws it took.
+    """
+    rng = random.Random(seed)
+    ambient = len(P.vertices[0].coord)
+    for draws in range(1, FUNCTIONAL_RETRY_BUDGET + 1):
+        zeta = LinearFunctional(
+            tuple(rng.randint(-FUNCTIONAL_COEFF_BOUND, FUNCTIONAL_COEFF_BOUND) for _ in range(ambient))
+        )
+        values = {v.id: zeta(v.coord) for v in P.vertices}
+        if len(set(values.values())) == len(P.vertices):
+            return zeta, values, draws
+    raise ValueError(
+        f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
+        "vertex coordinates are degenerate"
+    )
+
+
+def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
+    """``vertex_indices`` from ``Fraction`` values: neighbours below each vertex."""
+    values = {v.id: zeta(v.coord) for v in P.vertices}
+    if len(set(values.values())) != len(values):
+        raise ValueError("functional is not injective on the vertices")
+    ind = {
+        vid: sum(values[far] < values[vid] for far, _ in P.neighbors(vid).values())
+        for vid in values
+    }
+    if list(ind.values()).count(0) != 1 or list(ind.values()).count(P.dim) != 1:
+        raise ValueError("index profile is degenerate: expected a unique source and sink")
+    return ind
 
 
 # --- helpers over package types that only tests use ---------------------------

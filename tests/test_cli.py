@@ -243,6 +243,34 @@ def vertices_as_int(data):
     return data
 
 
+def set_at(*path_and_value):
+    """An edit of the certificate that sets the node at ``path`` to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(data):
+        node = data
+        for step in path:
+            node = node[step]
+        node[key] = value
+        return data
+
+    return edit
+
+
+# JSON numbers where the loader needs strings ("p/q") or integers: each was
+# once coerced by Fraction() or int() and certified.
+COERCED_NUMBERS = {
+    "r1-float": set_at("r1", 0.2),
+    "vector-floats": set_at("pair", "vectors", "d0", [0.9, 1.9, 1.9]),
+    "n-float": set_at("n", 4.7),
+    "torus-rank-float": set_at("pair", "torus_rank", 3.5),
+    "coords-float": set_at("pair", "polytope", "coords", 0, [0.0, 0.8, 0.0, 0.0, 0.2]),
+    "coords-int": set_at("pair", "polytope", "coords", 0, [0, 1, 0, 0, 0]),
+    "dim-string": set_at("pair", "polytope", "dim", "4"),
+    "facet-index-bool": set_at("pair", "polytope", "facets", 3, "provenance", "index", True),
+}
+
+
 def p3_as_original_facet(data):
     """The certificate with P3's provenance relabelled as an original facet."""
     for facet in data["pair"]["polytope"]["facets"]:
@@ -266,6 +294,16 @@ class TestMalformedCertificates:
         path = tmp_path / "w.json"
         path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
         code, out = invoke("glue", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ("validate", "glue"))
+    @pytest.mark.parametrize("edit", COERCED_NUMBERS.values(), ids=COERCED_NUMBERS.keys())
+    def test_json_number_of_the_wrong_kind(self, tmp_path, capsys, command, edit):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
@@ -353,6 +391,11 @@ def cert_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=mutated_certificates(), command=st.sampled_from(("validate", "boundary", "homology", "glue")))
 @example(data=p3_as_original_facet(copy.deepcopy(CERTIFICATE)), command="homology")
+@example(data=COERCED_NUMBERS["r1-float"](copy.deepcopy(CERTIFICATE)), command="glue")
+@example(data=COERCED_NUMBERS["vector-floats"](copy.deepcopy(CERTIFICATE)), command="validate")
+@example(data=COERCED_NUMBERS["n-float"](copy.deepcopy(CERTIFICATE)), command="glue")
+@example(data=COERCED_NUMBERS["torus-rank-float"](copy.deepcopy(CERTIFICATE)), command="homology")
+@example(data=COERCED_NUMBERS["coords-float"](copy.deepcopy(CERTIFICATE)), command="boundary")
 def test_mutated_certificates_keep_the_exit_contract(cert_dir, data, command):
     path = cert_dir / "w.json"
     path.write_text(json.dumps(data))

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,22 +22,31 @@ from cpbound.cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
+from cpbound import polytope
 from cpbound.polytope import (
+    FUNCTIONAL_RETRY_BUDGET,
     FacetLabel,
     SimplePolytope,
     Vertex,
     cut_face,
     face_from_facets,
     generate_functional,
+    h_vector,
     original_edge,
     original_facet,
     product,
+    separating_functional,
     simplex,
     truncated_simplex,
     vertex_indices,
 )
 
-from oracles import cofactor_det, label_by_isomorphism_search
+from oracles import (
+    cofactor_det,
+    fraction_separating_functional,
+    fraction_vertex_indices,
+    label_by_isomorphism_search,
+)
 
 
 class TestBuildW:
@@ -342,6 +353,78 @@ class TestCellStage:
         stage = cell_stage(W, 0, 3)
         assert not stage.stable and isinstance(stage.extra_error, ValueError)
         assert cell_stage(W, 1, 0).stable  # one seed alone never disagrees
+
+
+# Vertex 3 moved onto vertex 4: no functional separates the vertices.
+COINCIDENT = (3, wmanifold_to_json(build_W(1))["pair"]["polytope"]["coords"][4])
+
+
+def outcome(f, *args):
+    """The result of f, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestIntegerFunctionals:
+    """Integer evaluation over the common denominator q against the Fraction oracle."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        made = []
+        original = polytope._scaled_values
+
+        def counting(P, zeta):
+            made.append(zeta)
+            return original(P, zeta)
+
+        monkeypatch.setattr(polytope, "_scaled_values", counting)
+        return made
+
+    @staticmethod
+    def check(P, seed, draws):
+        q = math.lcm(*(x.denominator for v in P.vertices for x in v.coord))
+        assert P.integer_coords == {v.id: tuple(q * x for x in v.coord) for v in P.vertices}
+        draws.clear()
+        try:
+            zeta, values, n_draws = fraction_separating_functional(P, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                separating_functional(P, seed)
+            assert len(draws) == FUNCTIONAL_RETRY_BUDGET
+            return
+        got_zeta, got_values = separating_functional(P, seed)
+        assert len(draws) == n_draws
+        assert got_zeta == zeta
+        assert got_values == {vid: q * x for vid, x in values.items()}
+        expected = outcome(fraction_vertex_indices, P, zeta)
+        assert outcome(vertex_indices, P, zeta) == expected
+        if isinstance(expected, dict):
+            expected = tuple(list(expected.values()).count(i) for i in range(P.dim + 1))
+        assert outcome(h_vector, P, zeta) == expected
+
+    @pytest.mark.parametrize("r1", [Fraction(1, 5), Fraction(2, 9), Fraction(3, 13), Fraction(1, 7)])
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_truncated_simplices(self, draws, k, r1):
+        P = truncated_simplex(2 * (k + 1), r1)
+        for seed in range(10):
+            self.check(P, seed, draws)
+
+    @pytest.mark.parametrize(
+        "moved", [DEGENERATE_AT_SEED_1, VARIES_AT_SEED_1, COINCIDENT], ids=["degenerate", "varies", "coincident"]
+    )
+    def test_loaded_moved_vertex_certificates(self, draws, moved):
+        P = with_moved_vertex(*moved).pair.polytope
+        for seed in range(10):
+            self.check(P, seed, draws)
+
+    def test_the_moved_vertex_cases_reach_both_errors(self):
+        P = with_moved_vertex(*DEGENERATE_AT_SEED_1).pair.polytope
+        zeta = fraction_separating_functional(P, 1)[0]
+        assert "index profile is degenerate" in outcome(fraction_vertex_indices, P, zeta)
+        P = with_moved_vertex(*COINCIDENT).pair.polytope
+        assert "coordinates are degenerate" in outcome(fraction_separating_functional, P, 0)
 
 
 class TestBettiBoundary:

@@ -307,6 +307,14 @@ class TestVertexIndices:
         with pytest.raises(ValueError, match="not injective"):
             vertex_indices(P, LinearFunctional((1, 1, 1)))
 
+    @pytest.mark.parametrize("coefficients", [(1, 2), (1, 2, 3, 4)])
+    def test_functional_of_another_ambient_dimension_rejected(self, coefficients):
+        zeta = LinearFunctional(coefficients)
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            vertex_indices(simplex(2), zeta)
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            h_vector(simplex(2), zeta)
+
 
 class TestHVector:
     @pytest.mark.parametrize("n", (2, 3, 5))

@@ -4,9 +4,12 @@ Every artifact is computed once per manifold: one cell structure per seed,
 one determinant per distinct vertex vector set, no Smith normal form on a
 valid datum, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
-gluing work in ``homology``, and nothing kept from one request to the next.
+gluing work in ``homology``, one integer coordinate table per polytope and no
+``Fraction`` functional evaluation, and nothing kept from one request to the
+next.
 """
 
+import functools
 import io
 import json
 import sys
@@ -121,3 +124,33 @@ def test_homology_validates_only_while_building(calls):
         count(cobordism, name)
     assert run(["homology", "--k", "2", "--seeds", "3", "--format", "json"], io.StringIO()) == 0
     assert counts == {"validate": 1}  # build_W certifies the datum it builds
+
+
+@pytest.mark.parametrize(
+    "argv,polytopes",
+    [
+        (("homology", "--k", "2", "--seeds", "5", "--format", "json"), 1),  # W, for all five seeds
+        (("boundary", "--n", "6", "--format", "json"), 3),  # one per component
+    ],
+)
+def test_functionals_run_on_one_integer_table_per_polytope(monkeypatch, argv, polytopes):
+    built, fraction_evals = [], []
+    build = polytope.SimplePolytope.__dict__["integer_coords"].func
+
+    def counting_build(P):
+        built.append(P)
+        return build(P)
+
+    table = functools.cached_property(counting_build)
+    table.__set_name__(polytope.SimplePolytope, "integer_coords")
+    monkeypatch.setattr(polytope.SimplePolytope, "integer_coords", table)
+    evaluate = polytope.LinearFunctional.__call__
+
+    def counting_call(zeta, point):
+        fraction_evals.append(point)
+        return evaluate(zeta, point)
+
+    monkeypatch.setattr(polytope.LinearFunctional, "__call__", counting_call)
+    assert run(list(argv), io.StringIO()) == 0
+    assert fraction_evals == []
+    assert len(built) == len({id(P) for P in built}) == polytopes
