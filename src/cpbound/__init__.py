@@ -13,7 +13,6 @@ from .zlinalg import (
     apply_matrix,
     determinant,
     is_direct_summand,
-    is_unimodular_basis,
     permutation_sign,
     smith_normal_form,
 )
@@ -49,7 +48,6 @@ from .charfn import (
 )
 from .cobordism import (
     WManifold,
-    betti_boundary,
     boundary_components,
     build_W,
     cell_stage,

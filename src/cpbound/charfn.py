@@ -8,11 +8,25 @@ mapped vectors must span a direct summand of Z^r (a unimodular basis when
 there are r of them).  Vertex-level checking suffices because every nonempty
 facet intersection contains a vertex and any subset of a basis that is a
 direct summand is again one.
+
+A vertex with r vectors is a set S of r rows of the m x r matrix M that
+stacks the vectors of all mapped facets, so its determinant is a maximal
+minor of M.  One exact elimination certifies all of them: pick r independent
+rows A, let D = det M_A, and write every other row as a rational combination
+M_R = X M_A.  Then M_S = C_S M_A, where C has the unit rows on A and X on the
+rest, and expanding C_S along its unit rows gives
+
+    |det M_S| = |D * det X[S - A, A - S]|,
+
+a minor of size at most m - r.  When rank M < r there is no anchor and no
+full-count vertex is unimodular.  Below full count a vertex is checked by its
+Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polytope import (
@@ -30,7 +44,6 @@ from .zlinalg import (
     determinant,
     inverse_unimodular,
     is_direct_summand,
-    is_unimodular_basis,
     matmul,
     permutation_sign,
     smith_normal_form,
@@ -135,19 +148,74 @@ class ValidationReport:
 Verdicts = dict[tuple[int, tuple[tuple[int, ...], ...]], str]
 
 
-def _summand_failure(vectors: tuple[tuple[int, ...], ...], rank: int) -> str:
-    """Why the vectors fail to span a direct summand of Z^rank of their own count, or "".
+def _abs_det(rows: list[list[Fraction]]) -> Fraction:
+    """|det| of a small square matrix (1 for the empty one), by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for t in range(len(a)):
+        p = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if p is None:
+            return Fraction(0)
+        a[t], a[p] = a[p], a[t]
+        det *= abs(a[t][t])
+        for i in range(t + 1, len(a)):
+            if a[i][t]:
+                f = a[i][t] / a[t][t]
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
 
-    At full count this is one determinant (|det| = 1); otherwise it is the
-    Smith normal form.  A failing set also gets its invariant factors, for
-    the reason text.
+
+class _FullCountCertificate:
+    """|det| of every set of r mapped vectors of one pair, from one elimination.
+
+    Reduces M^T (r x m, one column per mapped facet) to reduced row echelon
+    form in ``Fraction`` arithmetic.  Its pivot columns are the anchor facets
+    A; the column of any other facet holds that facet's coefficients over the
+    anchor vectors, a row of X.  The anchor determinant D is one Bareiss
+    determinant.  See the module docstring for the identity.
     """
-    if len(vectors) == rank:
-        ok = is_unimodular_basis(vectors, rank)
-    else:
-        ok = is_direct_summand(vectors, rank)
-    if ok:
-        return ""
+
+    def __init__(self, pair: CharPair) -> None:
+        r = pair.torus_rank
+        ids = tuple(pair.assignment)
+        columns = zip(*(pair.assignment[f].entries for f in ids))
+        work = [[Fraction(x) for x in column] for column in columns]
+        pivots: list[int] = []
+        for j in range(len(ids)):
+            t = len(pivots)
+            if t == r:
+                break
+            p = next((i for i in range(t, r) if work[i][j]), None)
+            if p is None:
+                continue
+            work[t], work[p] = work[p], work[t]
+            inverse = 1 / work[t][j]
+            work[t] = [x * inverse for x in work[t]]
+            for i in range(r):
+                if i != t and work[i][j]:
+                    f = work[i][j]
+                    work[i] = [x - f * y for x, y in zip(work[i], work[t])]
+            pivots.append(j)
+        # Anchor facet -> its place in X's columns; None when rank M < r.
+        self.anchor = {ids[j]: t for t, j in enumerate(pivots)} if len(pivots) == r else None
+        self.coefficients = {f: tuple(row[j] for row in work) for j, f in enumerate(ids)}
+        self.det = 0
+        if self.anchor is not None:
+            rows = [pair.assignment[f].entries for f in self.anchor]
+            self.det = determinant(IntMatrix.from_rows(rows))
+
+    def is_unimodular(self, facets: Sequence[str]) -> bool:
+        """Whether the vectors on these r facets form a basis of Z^r."""
+        if self.anchor is None:
+            return False
+        chosen = set(facets)
+        outside = [f for f in facets if f not in self.anchor]
+        dropped = [t for f, t in self.anchor.items() if f not in chosen]
+        minor = [[self.coefficients[f][t] for t in dropped] for f in outside]
+        return abs(self.det) * _abs_det(minor) == 1
+
+
+def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
     factors = smith_normal_form(IntMatrix.from_rows(vectors))
     return f"vectors do not span a direct summand (invariant factors {factors})"
 
@@ -155,11 +223,15 @@ def _summand_failure(vectors: tuple[tuple[int, ...], ...], rank: int) -> str:
 def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
     """Check the direct-summand condition at every vertex; never raises.
 
-    Each distinct vector set is certified once.  ``verdicts`` carries the
-    verdicts from call to call; a verdict depends on its key alone, so any
-    pairs may share one dict.
+    Each distinct vector set is certified once: at full count by the pair's
+    ``_FullCountCertificate``, built on the first such set not found in
+    ``verdicts``, and below it by the Smith normal form.  A failing set also
+    gets its invariant factors, for the reason text.  ``verdicts`` carries
+    the verdicts from call to call; a verdict depends on its key alone, so
+    any pairs may share one dict.
     """
     verdicts = {} if verdicts is None else verdicts
+    certificate: _FullCountCertificate | None = None
     failures = []
     for v in pair.polytope.vertices:
         mapped = sorted(fid for fid in v.facet_ids if fid in pair.assignment)
@@ -169,7 +241,13 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
         key = (pair.torus_rank, vectors)
         reason = verdicts.get(key)
         if reason is None:
-            reason = verdicts[key] = _summand_failure(vectors, pair.torus_rank)
+            if len(mapped) == pair.torus_rank:
+                if certificate is None:
+                    certificate = _FullCountCertificate(pair)
+                ok = certificate.is_unimodular(mapped)
+            else:
+                ok = is_direct_summand(vectors, pair.torus_rank)
+            reason = verdicts[key] = "" if ok else _failure_reason(vectors)
         if reason:
             failures.append(VertexCheck(v.id, tuple(mapped), vectors, False, reason))
     return ValidationReport(not failures, len(pair.polytope.vertices), tuple(failures))

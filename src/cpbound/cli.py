@@ -193,7 +193,7 @@ def _cmd_homology(args, out) -> int:
         stage = cell_stage(W, args.seed, extra_seeds=args.seeds - 1)
         if stage.stable and stage.extra_error is not None:
             raise stage.extra_error  # an extra seed failed before any disagreed
-    except AssertionError as exc:  # a ValueError (degenerate functional) is bad input
+    except (ValueError, AssertionError) as exc:
         out.write(f"cell structure failed: {exc}\n")
         return _EXIT_CHECK_FAILED
     if not stage.stable:

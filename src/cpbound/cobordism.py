@@ -36,8 +36,6 @@ from .charfn import (
 from .polytope import (
     SimplePolytope,
     format_fraction,
-    generate_functional,
-    h_vector,
     indices_from_values,
     parse_fraction,
     parse_int,
@@ -247,15 +245,8 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
-def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
-    """Even-degree Betti numbers of a closed pair: b_{2i} = h_i, odd degrees 0."""
-    if pair.boundary_facet_ids:
-        raise ValueError("Betti numbers need a closed pair")
-    return betti_from_h_vector(h_vector(pair.polytope, generate_functional(pair.polytope, seed)))
-
-
 def betti_from_h_vector(h: tuple[int, ...]) -> dict[int, int]:
-    """``betti_boundary`` for an h-vector already computed."""
+    """Even-degree Betti numbers of a closed pair from its h-vector: b_{2i} = h_i."""
     return {2 * i: h_i for i, h_i in enumerate(h)}
 
 

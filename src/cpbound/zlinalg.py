@@ -13,7 +13,6 @@ entry of the working submatrix, ties broken in row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -181,14 +180,6 @@ def _as_int_vectors(vectors: Sequence[Sequence[int]], k: int) -> list[tuple[int,
     return vecs
 
 
-def is_unimodular_basis(vectors: Sequence[Sequence[int]], k: int) -> bool:
-    """True iff the vectors are exactly k and form a Z-basis of Z^k."""
-    vecs = _as_int_vectors(vectors, k)
-    if len(vecs) != k:
-        return False
-    return abs(determinant(IntMatrix.from_rows(vecs))) == 1
-
-
 def is_direct_summand(vectors: Sequence[Sequence[int]], k: int) -> bool:
     """True iff the vectors span a direct summand of Z^k of their own count.
 
@@ -241,27 +232,40 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1, by integer row operations.
+
+    Column by column, Euclidean row reduction of [m | I] brings the gcd of
+    the entries on and below the diagonal to the diagonal and zeros below it.
+    The matrix is unimodular exactly when every such pivot is +-1; each
+    pivot, made +1, then clears its column above as well, and the right half
+    is the inverse B.  The result is checked: m B = I.
+    """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
-    if abs(determinant(m)) != 1:
-        raise ValueError("matrix is not unimodular")
     n = m.rows
-    work = [[Fraction(m.entry(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            x = work[i][n + j]
-            if x.denominator != 1:  # cannot happen for |det| = 1
-                raise ArithmeticError("non-integer inverse of a unimodular matrix")
-            entries.append(x.numerator)
-    return IntMatrix(n, n, tuple(entries))
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            rows = [i for i in range(t, n) if a[i][t]]
+            if not rows:
+                raise ValueError("matrix is not unimodular")
+            p = min(rows, key=lambda i: abs(a[i][t]))
+            a[t], a[p] = a[p], a[t]
+            if len(rows) == 1:
+                break
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        if abs(a[t][t]) != 1:
+            raise ValueError("matrix is not unimodular")
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        for i in range(t):
+            if a[i][t]:
+                q = a[i][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+    inverse = IntMatrix(n, n, tuple(x for row in a for x in row[n:]))
+    if matmul(m, inverse) != IntMatrix.identity(n):  # cannot happen after unit pivots
+        raise ArithmeticError("row reduction did not invert the matrix")
+    return inverse

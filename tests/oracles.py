@@ -5,8 +5,11 @@ fast paths it checks: determinants by cofactor expansion, ranks by rational
 Gaussian elimination, invariant factors by minor gcds, h-vectors of products
 by polynomial multiplication, and polytope labels by a backtracking search
 for a facet bijection onto model polytopes, and separating functionals by
-``Fraction`` arithmetic at the vertex coordinates.  The last section holds
-helpers over package types that only tests need.
+``Fraction`` arithmetic at the vertex coordinates.  Vertex validation has a
+second, per-vertex oracle: one Bareiss determinant for every distinct
+full-count vector set, the path ``validate`` took before it certified them
+all from one elimination per pair.  The last section holds helpers over
+package types that only tests need.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import math
 import random
 from fractions import Fraction
 
-from cpbound.charfn import TranslationWitness
+from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
+from cpbound.cobordism import betti_from_h_vector
 from cpbound.polytope import (
     FUNCTIONAL_COEFF_BOUND,
     FUNCTIONAL_RETRY_BUDGET,
@@ -24,10 +28,19 @@ from cpbound.polytope import (
     LinearFunctional,
     SimplePolytope,
     combinatorially_isomorphic,
+    generate_functional,
+    h_vector,
     product,
     simplex,
 )
-from cpbound.zlinalg import inverse_unimodular, matmul
+from cpbound.zlinalg import (
+    IntMatrix,
+    determinant,
+    inverse_unimodular,
+    is_direct_summand,
+    matmul,
+    smith_normal_form,
+)
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -90,6 +103,18 @@ def product_h_vector(h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
+def random_unimodular(rng, n: int) -> IntMatrix:
+    """A random n x n integer matrix of determinant +-1: row operations on the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows)
+
+
 def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square: bool = False):
     r = rng.randint(1, max_size)
     c = r if square else rng.randint(1, max_size)
@@ -142,7 +167,46 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
     return ind
 
 
+def is_unimodular_basis(vectors, k: int) -> bool:
+    """True iff the vectors are exactly k and form a Z-basis of Z^k: one Bareiss determinant."""
+    vecs = [tuple(int(x) for x in v) for v in vectors]
+    for v in vecs:
+        if len(v) != k:
+            raise ValueError(f"vector {v} has length {len(v)}, expected {k}")
+    return len(vecs) == k and abs(determinant(IntMatrix.from_rows(vecs))) == 1
+
+
+def per_vertex_validate(pair: CharPair) -> ValidationReport:
+    """``validate`` with one determinant per distinct full-count vector set, SNF below it."""
+    reasons: dict[tuple[tuple[int, ...], ...], str] = {}
+    failures = []
+    for v in pair.polytope.vertices:
+        mapped = sorted(f for f in v.facet_ids if f in pair.assignment)
+        if not mapped:
+            continue
+        vectors = tuple(pair.assignment[f].entries for f in mapped)
+        if vectors not in reasons:
+            if len(vectors) == pair.torus_rank:
+                ok = is_unimodular_basis(vectors, pair.torus_rank)
+            else:
+                ok = is_direct_summand(vectors, pair.torus_rank)
+            reasons[vectors] = ""
+            if not ok:
+                factors = smith_normal_form(IntMatrix.from_rows(vectors))
+                reasons[vectors] = f"vectors do not span a direct summand (invariant factors {factors})"
+        if reasons[vectors]:
+            failures.append(VertexCheck(v.id, tuple(mapped), vectors, False, reasons[vectors]))
+    return ValidationReport(not failures, len(pair.polytope.vertices), tuple(failures))
+
+
 # --- helpers over package types that only tests use ---------------------------
+
+
+def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
+    """Even-degree Betti numbers of a closed pair: b_{2i} = h_i, odd degrees 0."""
+    if pair.boundary_facet_ids:
+        raise ValueError("Betti numbers need a closed pair")
+    return betti_from_h_vector(h_vector(pair.polytope, generate_functional(pair.polytope, seed)))
 
 
 def edge_between(P: SimplePolytope, a: str, b: str) -> Edge:

@@ -21,11 +21,18 @@ from cpbound.charfn import (
     validate,
     verify_translation,
 )
-from cpbound.cobordism import WManifold, build_W, glue_report
-from cpbound.polytope import simplex, truncated_simplex
+from cpbound.cobordism import WManifold, boundary_components, build_W, glue_report
+from cpbound.polytope import product, simplex, truncated_simplex
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
 
-from oracles import cofactor_det, compose_witnesses, inverse_witness, minor_gcd_invariant_factors
+from oracles import (
+    cofactor_det,
+    compose_witnesses,
+    inverse_witness,
+    minor_gcd_invariant_factors,
+    per_vertex_validate,
+    random_unimodular,
+)
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -184,6 +191,7 @@ class TestValidateAgainstOracle:
         assert report.ok == (not expected)
         assert report.checked_vertices == len(pair.polytope.vertices)
         assert [(f.vertex, f.facets, f.reason) for f in report.failures] == expected
+        assert report == per_vertex_validate(pair)
         return report
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -231,6 +239,89 @@ class TestValidateAgainstOracle:
             assert glue_report(valid, 0).passed
             assert glue_report(mutated, 0).failed_checks() == ("w-validity",)
             assert self.assert_matches_oracle(valid.pair, valid.verdicts).ok
+
+
+def product_of_simplices(dims):
+    """Delta^d1 x Delta^d2 x ... with the product of the standard projective pairs."""
+    P = simplex(dims[0])
+    vectors = {f: v.entries for f, v in cp_pair(dims[0]).assignment.items()}
+    for d in dims[1:]:
+        rank = P.dim
+        P = product(P, simplex(d))
+        vectors = {f"L.{f}": v + (0,) * d for f, v in vectors.items()} | {
+            f"R.{f}": (0,) * rank + v.entries for f, v in cp_pair(d).assignment.items()
+        }
+    return P, vectors
+
+
+class TestValidateAgainstPerVertexOracle:
+    """validate() certifies full-count vertices from one elimination per pair;
+    its reports must equal those of one Bareiss determinant per vertex set."""
+
+    def assert_same(self, pair, verdicts=None):
+        report = validate(pair, verdicts)
+        assert report == per_vertex_validate(pair)
+        return report
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+    def test_built_w(self, k):
+        W = build_W(k)
+        assert self.assert_same(W.pair).ok
+        assert self.assert_same(W.pair, W.verdicts).ok
+        for component in boundary_components(W):
+            assert self.assert_same(component, {}).ok
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_single_vector_and_single_entry_mutations(self, k):
+        n = 2 * (k + 1)
+        rng = random.Random(2000 + k)
+        P = truncated_simplex(n, Fraction(1, 5))
+        outcomes = []
+        for trial in range(8):
+            table = {f: list(v.entries) for f, v in eta_facet_assignment(n).items()}
+            facet = rng.choice(sorted(table))
+            if trial % 2:
+                table[facet][rng.randrange(n - 1)] += rng.choice((-2, -1, 1, 2))
+            else:
+                table[facet] = [rng.randint(-2, 2) for _ in range(n - 1)]
+            if not any(table[facet]):
+                table[facet][0] = 1
+            W = WManifold(attach(P, table, n - 1), n, Fraction(1, 5))
+            report = self.assert_same(W.pair, W.verdicts)
+            outcomes.append(report.ok)
+            for fid in ("P1", "P2", "P3"):
+                self.assert_same(restrict_to_facet(W.pair, fid), {})
+        assert False in outcomes
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_rank_deficient_assignments(self, k):
+        n = 2 * (k + 1)
+        P = truncated_simplex(n, Fraction(1, 5))
+        eta = {f: v.entries for f, v in eta_facet_assignment(n).items()}
+        copied = dict(eta, d1=eta["d2"])  # two facets share a vector
+        assert not self.assert_same(attach(P, copied, n - 1)).ok
+        # every vector in the hyperplane x_last = 0: M has rank < n - 1, no anchor
+        flat = {f: v[:-1] + (0,) if any(v[:-1]) else (1,) + (0,) * (n - 2) for f, v in eta.items()}
+        report = self.assert_same(attach(P, flat, n - 1))
+        assert len(report.failures) == len(P.vertices)
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2)])
+    def test_random_pairs_by_corank(self, dims):
+        rng = random.Random(sum(d * 10**i for i, d in enumerate(dims)))
+        P, vectors = product_of_simplices(dims)
+        assert len(vectors) - P.dim == len(dims)  # the co-rank
+        outcomes = set()
+        for trial in range(12):
+            U = random_unimodular(rng, P.dim)
+            table = {f: apply_matrix(U, v) for f, v in vectors.items()}
+            if trial % 3:
+                facet = rng.choice(sorted(table))
+                vec = (0,) * P.dim
+                while not any(vec):
+                    vec = tuple(rng.randint(-2, 2) for _ in range(P.dim))
+                table[facet] = vec
+            outcomes.add(self.assert_same(attach(P, table, P.dim)).ok)
+        assert outcomes == {True, False}
 
 
 class TestRestrictToFacet:

@@ -326,8 +326,14 @@ def with_moved_vertex(index, coord):
 @pytest.mark.parametrize(
     "data,seeds,code,out",
     [
-        # seed 1 is degenerate: bad input for homology, a failed check for glue
-        (with_moved_vertex(4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"]), "2", 2, ""),
+        # seed 1 is degenerate: a failed cell-structure check for homology and for glue
+        (
+            with_moved_vertex(4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"]),
+            "2",
+            1,
+            "cell structure failed: index profile is degenerate: "
+            "expected a unique source and sink\n",
+        ),
         # seed 1 gives other counts; seed 2 is degenerate but is never reached first
         (
             with_moved_vertex(3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"]),
@@ -342,11 +348,7 @@ def test_homology_under_extra_seeds(tmp_path, capsys, data, seeds, code, out):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(data))
     assert invoke("homology", "--input", str(path), "--seeds", seeds) == (code, out)
-    err = capsys.readouterr().err
-    if code == 1:
-        assert err == ""
-    else:
-        assert err.startswith("error: index profile is degenerate") and err.count("\n") == 1
+    assert capsys.readouterr().err == ""
     glue_code, glue_out = invoke("glue", "--input", str(path), "--seeds", seeds)
     assert glue_code == 1 and "[FAIL] cell-structure" in glue_out
 

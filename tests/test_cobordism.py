@@ -11,7 +11,6 @@ from cpbound.cobordism import (
     BOUNDARY_FACETS,
     EulerCheck,
     WManifold,
-    betti_boundary,
     boundary_components,
     build_W,
     cell_stage,
@@ -42,6 +41,7 @@ from cpbound.polytope import (
 )
 
 from oracles import (
+    betti_boundary,
     cofactor_det,
     fraction_separating_functional,
     fraction_vertex_indices,

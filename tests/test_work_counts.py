@@ -1,8 +1,9 @@
 """How much work one certificate does, counted by wrapping cpbound's functions.
 
 Every artifact is computed once per manifold: one cell structure per seed,
-one determinant per distinct vertex vector set, no Smith normal form on a
-valid datum, no model polytope built to recognize the boundary, one
+one elimination and one anchor determinant for all the full-count vertex
+vector sets, no Smith normal form on a valid datum, no determinant to invert
+a unimodular matrix, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
 gluing work in ``homology``, one integer coordinate table per polytope and no
 ``Fraction`` functional evaluation, and nothing kept from one request to the
@@ -12,6 +13,7 @@ next.
 import functools
 import io
 import json
+import random
 import sys
 from collections import Counter
 
@@ -20,6 +22,8 @@ import pytest
 from cpbound import charfn, cobordism, polytope, zlinalg
 from cpbound.cli import run
 from cpbound.cobordism import build_W, glue_report, wmanifold_to_json
+
+from oracles import random_unimodular
 
 
 @pytest.fixture
@@ -62,23 +66,30 @@ def test_homology_builds_one_cell_structure_per_seed(calls, seeds):
     assert counts["cell_structure"] == seeds
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 8))
 def test_valid_w_certifies_each_vector_set_once(calls, k):
     counts, count = calls
     count(zlinalg, "determinant")
     count(zlinalg, "smith_normal_form")
-    n = 2 * (k + 1)
-    per_request = []
-    for _ in range(2):
-        before = counts["determinant"]
+    count(charfn, "_FullCountCertificate")
+    for _ in range(2):  # nothing is remembered across requests
+        counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
-        per_request.append(counts["determinant"] - before)
-    assert counts["smith_normal_form"] == 0
-    # n(n+4)/4 distinct vertex vector sets, plus four fixed determinants:
-    # the witness and orientation checks of delta' and the P3 basis change.
-    assert per_request[0] <= n * (n + 4) // 4 + 4
-    # Nothing is remembered across requests: the second one does the same work.
-    assert per_request[1] == per_request[0]
+        # W's one certificate serves the components through W.verdicts.  Its
+        # anchor is one determinant; the others are the witness and
+        # orientation checks of delta' and the P3 basis change.
+        assert counts == {"_FullCountCertificate": 1, "determinant": 4}
+
+
+def test_inverse_unimodular_computes_no_determinant(calls):
+    counts, count = calls
+    count(zlinalg, "determinant")
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        m = random_unimodular(rng, n)
+        assert zlinalg.matmul(m, zlinalg.inverse_unimodular(m)) == zlinalg.IntMatrix.identity(n)
+    assert counts == {}
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))

@@ -11,13 +11,18 @@ from cpbound.zlinalg import (
     determinant,
     inverse_unimodular,
     is_direct_summand,
-    is_unimodular_basis,
     matmul,
     permutation_sign,
     smith_normal_form,
 )
 
-from oracles import cofactor_det, fraction_rank, minor_gcd_invariant_factors, random_matrix_rows
+from oracles import (
+    cofactor_det,
+    fraction_rank,
+    is_unimodular_basis,
+    minor_gcd_invariant_factors,
+    random_matrix_rows,
+)
 
 
 @st.composite
@@ -228,5 +233,12 @@ class TestApplyAndInverse:
             assert matmul(m, inverse_unimodular(m)).entries == IntMatrix.identity(n).entries
 
     def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        singular_or_det_2 = (
+            [[2, 0], [0, 1]],
+            [[1, 1], [1, -1]],
+            [[0, 1], [0, 3]],
+            [[2, 3, 0], [4, 5, 0], [1, 1, 2]],
+        )
+        for rows in singular_or_det_2:
+            with pytest.raises(ValueError, match="not unimodular"):
+                inverse_unimodular(IntMatrix.from_rows(rows))
