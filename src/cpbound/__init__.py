@@ -21,13 +21,11 @@ from .polytope import (
     LinearFunctional,
     SimplePolytope,
     combinatorially_isomorphic,
-    cut_face,
     face_as_polytope,
     face_from_facets,
     generate_functional,
     h_vector,
     product,
-    simplex,
     truncated_simplex,
     vertex_indices,
 )

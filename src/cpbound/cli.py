@@ -66,6 +66,22 @@ def _manifold_from_args(args) -> WManifold:
     return build_W(n // 2 - 1, parse_fraction(args.r1))
 
 
+def _loaded_and_invalid(args, W: WManifold, out) -> bool:
+    """Whether W was loaded and fails vertex validation; if so, write one line naming the first failure.
+
+    A built W is valid by construction, and ``build_W`` has already validated it.
+    """
+    if not args.input:
+        return False
+    report = validate(W.pair, W.verdicts)
+    if report.ok:
+        return False
+    out.write(
+        f"validation failed: {len(report.failures)} failures, first at vertex {report.failures[0].vertex}\n"
+    )
+    return True
+
+
 def _add_size_options(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     p.add_argument("--k", type=int, help="boundary index: builds dimension n = 2(k+1)")
     p.add_argument("--n", type=int, help="even dimension n >= 4 (mutually exclusive with --k)")
@@ -160,6 +176,8 @@ def _cmd_validate(args, out) -> int:
 
 def _cmd_boundary(args, out) -> int:
     W = _manifold_from_args(args)
+    if _loaded_and_invalid(args, W, out):
+        return _EXIT_CHECK_FAILED
     components = boundary_components(W)
     rows = []
     for fid, comp in zip(BOUNDARY_FACETS, components):
@@ -189,6 +207,8 @@ def _cmd_boundary(args, out) -> int:
 
 def _cmd_homology(args, out) -> int:
     W = _manifold_from_args(args)
+    if _loaded_and_invalid(args, W, out):
+        return _EXIT_CHECK_FAILED
     try:
         stage = cell_stage(W, args.seed, extra_seeds=args.seeds - 1)
         if stage.stable and stage.extra_error is not None:
@@ -342,6 +362,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
     if getattr(args, "k", None) is not None and getattr(args, "n", None) is not None:
         sys.stderr.write("error: --k and --n are mutually exclusive\n")
         return _EXIT_BAD_INPUT
+    if getattr(args, "input", None) is not None:
+        for option in ("k", "n", "k_range"):
+            if getattr(args, option, None) is not None:
+                sys.stderr.write(f"error: --input and --{option.replace('_', '-')} are mutually exclusive\n")
+                return _EXIT_BAD_INPUT
     if getattr(args, "seeds", 1) < 1:
         sys.stderr.write(f"error: --seeds must be at least 1, got {args.seeds}\n")
         return _EXIT_BAD_INPUT

@@ -1,4 +1,4 @@
-"""Combinatorial simple polytopes with provenance-tracked face truncation.
+"""Combinatorial simple polytopes with provenance-tagged facets and edges.
 
 A polytope is stored by vertex-facet incidence: each vertex knows the set of
 facets containing it (exactly ``dim`` of them, simplicity).  Edges are
@@ -7,12 +7,19 @@ share ``dim - 1`` facets.  Each edge carries a provenance tag telling whether
 it is a remnant of an edge of the root polytope ("original", with the root
 endpoints recorded) or was created by a truncation ("cut").
 
+The one truncation the pipeline needs is built in closed form.  Cut the faces
+F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
+facets ``P1``, ``P2`` and ``P3``.  Its vertices are the pairs (i, m) with i in
+a cut face F and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on
+every root facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet
+of F, at (1-r1)*e_i + r1*e_m.
+
 Exact rational coordinates (``fractions.Fraction``, never floats) are
-attached for the built-in families: simplices, products of polytopes with
-coordinates, and iterated face truncations of those.  Integer functionals are
-evaluated on integer rows instead: each polytope scales its coordinates once
-by their common denominator q > 0, which keeps every equality and comparison
-between values exact.
+attached to the truncated simplex, to products of polytopes with
+coordinates, and to faces of those.  Integer functionals are evaluated on
+integer rows instead: each polytope scales its coordinates once by their
+common denominator q > 0, which keeps every equality and comparison between
+values exact.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -153,7 +161,6 @@ class SimplePolytope:
         facets: Sequence[FacetLabel],
         vertices: Sequence[Vertex],
         edge_tags: Mapping[tuple[str, str], EdgeProvenance],
-        ancestor_coords: Mapping[str, Point] | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("polytope dimension must be at least 1")
@@ -201,7 +208,6 @@ class SimplePolytope:
         self.edges = tuple(edges)
         self._check_connected()
 
-        self.ancestor_coords: dict[str, Point] = dict(ancestor_coords or {})
         self.vertex_by_id = {v.id: v for v in self.vertices}
         # dropped-facet navigation: at v, the edge leaving through "all facets
         # of v except fid" and its far endpoint
@@ -261,27 +267,6 @@ class SimplePolytope:
         }
 
 
-def simplex(n: int) -> SimplePolytope:
-    """The n-simplex: vertices are the standard basis of Q^(n+1).
-
-    Facet ``d{j}`` is the one not containing vertex ``A{j}``.
-    """
-    if n < 1:
-        raise ValueError("simplex dimension must be at least 1")
-    facets = [FacetLabel(f"d{j}", original_facet(j)) for j in range(n + 1)]
-    vertices = []
-    for j in range(n + 1):
-        fs = frozenset(f"d{m}" for m in range(n + 1) if m != j)
-        coord = tuple(Fraction(1 if i == j else 0) for i in range(n + 1))
-        vertices.append(Vertex(f"A{j}", fs, coord))
-    tags = {}
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            tags[_edge_key(f"A{a}", f"A{b}")] = original_edge(f"A{a}", f"A{b}")
-    anc = {v.id: v.coord for v in vertices}
-    return SimplePolytope(n, facets, vertices, tags, anc)
-
-
 def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
     """The face cut out by a set of facets (error if the intersection is empty)."""
     S = frozenset(facet_ids)
@@ -319,115 +304,21 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
         for e in P.edges
         if e.ends[0] in in_face and e.ends[1] in in_face
     }
-    return SimplePolytope(sub_dim, facets, vertices, tags, P.ancestor_coords)
-
-
-def cut_face(
-    P: SimplePolytope,
-    face: FaceRef,
-    r1: Fraction | None = None,
-    new_facet_id: str | None = None,
-) -> SimplePolytope:
-    """Truncate a proper face: remove its vertex neighborhood, add one facet.
-
-    The face of codimension l is defined by l facets.  Each face vertex v has
-    exactly l edges leaving the face (one per defining facet); cutting places
-    a new vertex on each, so the new facet is combinatorially the product of
-    the face with an (l-1)-simplex.  Edges inside the new facet are tagged
-    "cut"; the remnant of each leaving edge keeps its tag.
-
-    With coordinates present the new vertex on the leaving edge at v towards
-    root vertex w sits at (1-r1)*v + r1*w, which keeps all cut hyperplanes of
-    an iterated truncation in their nominal positions.  This requires the cut
-    to happen at root vertices, hence the "no previously cut vertex" rule.
-    """
-    S = face.facet_ids
-    face_verts = set(face.vertex_ids)
-    if not face_verts:
-        raise ValueError("face has no vertices")
-    if face_verts == {v.id for v in P.vertices}:
-        raise ValueError("cannot cut: the face is the whole polytope")
-    common = frozenset.intersection(*(P.vertex_by_id[v].facet_ids for v in face.vertex_ids))
-    if common != S:
-        raise ValueError(
-            f"facets {sorted(S)} do not define the face exactly; "
-            f"its vertices share {sorted(common)}"
-        )
-    if P.has_coords:
-        if r1 is None:
-            raise ValueError("r1 is required when the polytope carries coordinates")
-        if not Fraction(0) < r1 < Fraction(1, 4):
-            raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
-        for vid in face_verts:
-            if vid not in P.ancestor_coords:
-                raise ValueError(
-                    f"vertex {vid} was created by an earlier cut; "
-                    "cut faces must be disjoint from previous cuts"
-                )
-
-    new_id = new_facet_id if new_facet_id is not None else "cut(" + ",".join(sorted(S)) + ")"
-    if new_id in P.facet_ids:
-        raise ValueError(f"facet id {new_id} already in use")
-
-    new_vertices: list[Vertex] = []
-    tags: dict[tuple[str, str], EdgeProvenance] = {}
-    for vid in sorted(face_verts):
-        v = P.vertex_by_id[vid]
-        nav = P.neighbors(vid)
-        for fid in sorted(S):
-            far_id, edge = nav[fid]
-            if far_id in face_verts:
-                raise ValueError("face is not cuttable: a leaving edge stays inside it")
-            nv_id = f"{vid}|{fid}"
-            nv_facets = (v.facet_ids - {fid}) | {new_id}
-            nv_coord = None
-            if P.has_coords:
-                if edge.provenance.kind != "original":
-                    raise ValueError(
-                        f"edge {edge.ends} was created by an earlier cut; "
-                        "cannot place the new vertex exactly"
-                    )
-                a, b = edge.provenance.ancestors  # type: ignore[misc]
-                if vid not in (a, b):
-                    raise ValueError(f"vertex {vid} is not a root endpoint of edge {edge.ends}")
-                other = b if vid == a else a
-                root = P.ancestor_coords[other]
-                nv_coord = tuple((1 - r1) * x + r1 * y for x, y in zip(v.coord, root))
-            new_vertices.append(Vertex(nv_id, nv_facets, nv_coord))
-            tags[_edge_key(nv_id, far_id)] = edge.provenance
-
-    kept = [v for v in P.vertices if v.id not in face_verts]
-    for e in P.edges:
-        a, b = e.ends
-        if a not in face_verts and b not in face_verts:
-            tags[e.ends] = e.provenance
-
-    all_vertices = kept + new_vertices
-    new_ids = {v.id for v in new_vertices}
-    for a, b in _derive_edges(P.dim, all_vertices):
-        if (a, b) not in tags:
-            if a in new_ids and b in new_ids:
-                tags[(a, b)] = CUT_EDGE
-            else:  # would be a spurious adjacency; the constructor will flag it
-                raise ValueError(f"unexpected untagged edge {a}--{b} after cut")
-
-    labels = list(P.facets) + [FacetLabel(new_id, cut_facet(S))]
-    kept_facets = set()
-    for v in all_vertices:
-        kept_facets |= v.facet_ids
-    # A codimension-1 cut consumes the cut facet itself.
-    labels = [f for f in labels if f.id in kept_facets]
-    return SimplePolytope(P.dim, labels, all_vertices, tags, P.ancestor_coords)
+    return SimplePolytope(sub_dim, facets, vertices, tags)
 
 
 def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
-    """The n-simplex with two complementary faces and one vertex cut off.
+    """The n-simplex with two complementary faces and one vertex cut off, built directly.
 
-    Cuts, in order: the face spanned by the first n/2 vertices (new facet
-    ``P1``), the face spanned by the last n/2 vertices (``P2``), and the
-    middle vertex ``A{n/2}`` (``P3``).  Requires even n >= 4 and a rational
-    0 < r1 < 1/4; the result has n+4 facets and n(n+4)/2 vertices, none of
-    them original.
+    The cut faces are spanned by the root vertices ``A{i}``, i in F, for F1 =
+    {0..n/2-1} (new facet ``P1``), F2 = {n/2+1..n} (``P2``) and F3 = {n/2}
+    (``P3``).  Cutting F at depth r1 leaves one vertex ``A{i}|d{m}`` for each
+    i in F and m outside F: it lies on every root facet except ``d{i}`` and
+    ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m.  Two vertices of
+    one cut sharing i or sharing m span a cut edge; ``A{i}|d{m}`` and
+    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``.
+    Requires even n >= 4 and a rational 0 < r1 < 1/4; the result has n+4
+    facets and n(n+4)/2 vertices.
     """
     if n < 4 or n % 2:
         raise ValueError(f"dimension must be even and at least 4, got {n}")
@@ -435,28 +326,28 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     if not Fraction(0) < r1 < Fraction(1, 4):
         raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
     half = n // 2
-    P = simplex(n)
-
-    front = face_from_facets(P, [f"d{j}" for j in range(half, n + 1)])
-    if set(front.vertex_ids) != {f"A{j}" for j in range(half)}:
-        raise AssertionError("unexpected vertex set for the first cut face")
-    P = cut_face(P, front, r1, "P1")
-
-    back = face_from_facets(P, [f"d{j}" for j in range(half + 1)])
-    if set(back.vertex_ids) != {f"A{j}" for j in range(half + 1, n + 1)}:
-        raise AssertionError("the second cut face did not survive the first cut unchanged")
-    P = cut_face(P, back, r1, "P2")
-
-    mid = face_from_facets(P, [f"d{j}" for j in range(n + 1) if j != half])
-    if set(mid.vertex_ids) != {f"A{half}"}:
-        raise AssertionError("the middle vertex did not survive the earlier cuts unchanged")
-    P = cut_face(P, mid, r1, "P3")
-
-    if len(P.facets) != n + 4 or len(P.vertices) != n * (n + 4) // 2:
-        raise AssertionError("truncation produced unexpected face counts")
-    if any(v.id.startswith("A") and "|" not in v.id for v in P.vertices):
-        raise AssertionError("an original vertex survived the truncation")
-    return P
+    cuts = {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+    d = [f"d{j}" for j in range(n + 1)]
+    root_facets = frozenset(d)
+    facets = [FacetLabel(f, original_facet(j)) for j, f in enumerate(d)]
+    vertices: list[Vertex] = []
+    tags: dict[tuple[str, str], EdgeProvenance] = {}
+    for cut, face in cuts.items():
+        outside = [m for m in range(n + 1) if m not in face]
+        facets.append(FacetLabel(cut, cut_facet([d[m] for m in outside])))
+        for i in face:
+            for m in outside:
+                vid = f"A{i}|d{m}"
+                coord = [Fraction(0)] * (n + 1)
+                coord[i], coord[m] = 1 - r1, r1
+                vertices.append(Vertex(vid, root_facets - {d[i], d[m]} | {cut}, tuple(coord)))
+                tags[_edge_key(vid, f"A{m}|d{i}")] = original_edge(f"A{i}", f"A{m}")
+            for m, m2 in combinations(outside, 2):
+                tags[_edge_key(f"A{i}|d{m}", f"A{i}|d{m2}")] = CUT_EDGE
+        for m in outside:
+            for i, i2 in combinations(face, 2):
+                tags[_edge_key(f"A{i}|d{m}", f"A{i2}|d{m}")] = CUT_EDGE
+    return SimplePolytope(n, facets, vertices, tags)
 
 
 def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
@@ -489,8 +380,7 @@ def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
         for u in P.vertices:
             key = _edge_key(f"{u.id}*{a}", f"{u.id}*{b}")
             tags[key] = original_edge(*key)
-    anc = {v.id: v.coord for v in vertices} if both_coords else {}
-    return SimplePolytope(P.dim + Q.dim, facets, vertices, tags, anc)
+    return SimplePolytope(P.dim + Q.dim, facets, vertices, tags)
 
 
 def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str, str] | None:
@@ -701,13 +591,4 @@ def polytope_from_json(data: dict) -> SimplePolytope:
             tags[(a, b)] = original_edge(f"A{missing[0]}", f"A{missing[1]}")
         else:
             tags[(a, b)] = original_edge(a, b)
-
-    anc: dict[str, Point] = {}
-    if coords is not None:
-        ambient = len(coords[0]) if coords else 0
-        if simplex_root and ambient == dim + 1:
-            for j in range(dim + 1):
-                anc[f"A{j}"] = tuple(Fraction(1 if i == j else 0) for i in range(ambient))
-        else:
-            anc = {v.id: v.coord for v in vertices}
-    return SimplePolytope(dim, facets, vertices, tags, anc)
+    return SimplePolytope(dim, facets, vertices, tags)

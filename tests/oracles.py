@@ -5,7 +5,11 @@ fast paths it checks: determinants by cofactor expansion, ranks by rational
 Gaussian elimination, invariant factors by minor gcds, h-vectors of products
 by polynomial multiplication, and polytope labels by a backtracking search
 for a facet bijection onto model polytopes, and separating functionals by
-``Fraction`` arithmetic at the vertex coordinates.  Vertex validation has a
+``Fraction`` arithmetic at the vertex coordinates.  The truncated simplex has
+a face-truncation oracle: the n-simplex, a general ``cut_face`` that walks
+the edges leaving a face and places each new vertex from the root vertex
+coordinates, and the three cuts ``P1``, ``P2``, ``P3`` applied in turn, the
+path ``truncated_simplex`` took before it built its vertices directly.  Vertex validation has a
 second, per-vertex oracle: one Bareiss determinant for every distinct
 full-count vector set, the path ``validate`` took before it certified them
 all from one elimination per pair.  The last section holds helpers over
@@ -22,16 +26,25 @@ from fractions import Fraction
 from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
 from cpbound.cobordism import betti_from_h_vector
 from cpbound.polytope import (
+    CUT_EDGE,
     FUNCTIONAL_COEFF_BOUND,
     FUNCTIONAL_RETRY_BUDGET,
     Edge,
+    EdgeProvenance,
+    FaceRef,
+    FacetLabel,
     LinearFunctional,
+    Point,
     SimplePolytope,
+    Vertex,
     combinatorially_isomorphic,
+    cut_facet,
+    face_from_facets,
     generate_functional,
     h_vector,
+    original_edge,
+    original_facet,
     product,
-    simplex,
 )
 from cpbound.zlinalg import (
     IntMatrix,
@@ -119,6 +132,167 @@ def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square
     r = rng.randint(1, max_size)
     c = r if square else rng.randint(1, max_size)
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def _edge_key(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a < b else (b, a)
+
+
+def simplex(n: int) -> SimplePolytope:
+    """The n-simplex: vertices are the standard basis of Q^(n+1).
+
+    Facet ``d{j}`` is the one not containing vertex ``A{j}``.
+    """
+    if n < 1:
+        raise ValueError("simplex dimension must be at least 1")
+    facets = [FacetLabel(f"d{j}", original_facet(j)) for j in range(n + 1)]
+    vertices = []
+    for j in range(n + 1):
+        fs = frozenset(f"d{m}" for m in range(n + 1) if m != j)
+        coord = tuple(Fraction(1 if i == j else 0) for i in range(n + 1))
+        vertices.append(Vertex(f"A{j}", fs, coord))
+    tags = {}
+    for a in range(n + 1):
+        for b in range(a + 1, n + 1):
+            tags[_edge_key(f"A{a}", f"A{b}")] = original_edge(f"A{a}", f"A{b}")
+    return SimplePolytope(n, facets, vertices, tags)
+
+
+def root_coords(P: SimplePolytope) -> dict[str, Point]:
+    """The vertex coordinates of a root polytope, keyed by vertex id, for ``cut_face``."""
+    return {v.id: v.coord for v in P.vertices}
+
+
+def cut_face(
+    P: SimplePolytope,
+    face: FaceRef,
+    roots: dict[str, Point],
+    r1: Fraction | None = None,
+    new_facet_id: str | None = None,
+) -> SimplePolytope:
+    """Truncate a proper face: remove its vertex neighborhood, add one facet.
+
+    The face of codimension l is defined by l facets.  Each face vertex v has
+    exactly l edges leaving the face (one per defining facet); cutting places
+    a new vertex on each, so the new facet is combinatorially the product of
+    the face with an (l-1)-simplex.  Edges inside the new facet are tagged
+    "cut"; the remnant of each leaving edge keeps its tag.
+
+    ``roots`` maps each vertex of the root polytope to its coordinates.  With
+    coordinates present the new vertex on the leaving edge at v towards root
+    vertex w sits at (1-r1)*v + r1*w, which keeps all cut hyperplanes of an
+    iterated truncation in their nominal positions.  This requires the cut to
+    happen at root vertices, hence the "no previously cut vertex" rule.
+    """
+    S = face.facet_ids
+    face_verts = set(face.vertex_ids)
+    if not face_verts:
+        raise ValueError("face has no vertices")
+    if face_verts == {v.id for v in P.vertices}:
+        raise ValueError("cannot cut: the face is the whole polytope")
+    common = frozenset.intersection(*(P.vertex_by_id[v].facet_ids for v in face.vertex_ids))
+    if common != S:
+        raise ValueError(
+            f"facets {sorted(S)} do not define the face exactly; "
+            f"its vertices share {sorted(common)}"
+        )
+    if P.has_coords:
+        if r1 is None:
+            raise ValueError("r1 is required when the polytope carries coordinates")
+        if not Fraction(0) < r1 < Fraction(1, 4):
+            raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
+        for vid in face_verts:
+            if vid not in roots:
+                raise ValueError(
+                    f"vertex {vid} was created by an earlier cut; "
+                    "cut faces must be disjoint from previous cuts"
+                )
+
+    new_id = new_facet_id if new_facet_id is not None else "cut(" + ",".join(sorted(S)) + ")"
+    if new_id in P.facet_ids:
+        raise ValueError(f"facet id {new_id} already in use")
+
+    new_vertices: list[Vertex] = []
+    tags: dict[tuple[str, str], EdgeProvenance] = {}
+    for vid in sorted(face_verts):
+        v = P.vertex_by_id[vid]
+        nav = P.neighbors(vid)
+        for fid in sorted(S):
+            far_id, edge = nav[fid]
+            if far_id in face_verts:
+                raise ValueError("face is not cuttable: a leaving edge stays inside it")
+            nv_id = f"{vid}|{fid}"
+            nv_facets = (v.facet_ids - {fid}) | {new_id}
+            nv_coord = None
+            if P.has_coords:
+                if edge.provenance.kind != "original":
+                    raise ValueError(
+                        f"edge {edge.ends} was created by an earlier cut; "
+                        "cannot place the new vertex exactly"
+                    )
+                a, b = edge.provenance.ancestors
+                if vid not in (a, b):
+                    raise ValueError(f"vertex {vid} is not a root endpoint of edge {edge.ends}")
+                other = b if vid == a else a
+                nv_coord = tuple((1 - r1) * x + r1 * y for x, y in zip(v.coord, roots[other]))
+            new_vertices.append(Vertex(nv_id, nv_facets, nv_coord))
+            tags[_edge_key(nv_id, far_id)] = edge.provenance
+
+    kept = [v for v in P.vertices if v.id not in face_verts]
+    for e in P.edges:
+        a, b = e.ends
+        if a not in face_verts and b not in face_verts:
+            tags[e.ends] = e.provenance
+    # Two new vertices sharing dim-1 facets span an edge of the new facet; any
+    # other untagged adjacency is spurious, and the constructor rejects it.
+    for u, w in itertools.combinations(new_vertices, 2):
+        if len(u.facet_ids & w.facet_ids) == P.dim - 1:
+            tags[_edge_key(u.id, w.id)] = CUT_EDGE
+
+    all_vertices = kept + new_vertices
+    labels = list(P.facets) + [FacetLabel(new_id, cut_facet(S))]
+    kept_facets = set()
+    for v in all_vertices:
+        kept_facets |= v.facet_ids
+    # A codimension-1 cut consumes the cut facet itself.
+    labels = [f for f in labels if f.id in kept_facets]
+    return SimplePolytope(P.dim, labels, all_vertices, tags)
+
+
+def three_cut_truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
+    """``truncated_simplex`` by three ``cut_face`` calls on the n-simplex.
+
+    Cuts, in order: the face spanned by the first n/2 vertices (new facet
+    ``P1``), the face spanned by the last n/2 vertices (``P2``), and the
+    middle vertex ``A{n/2}`` (``P3``).
+    """
+    if n < 4 or n % 2:
+        raise ValueError(f"dimension must be even and at least 4, got {n}")
+    r1 = Fraction(r1)
+    half = n // 2
+    P = simplex(n)
+    roots = root_coords(P)
+
+    front = face_from_facets(P, [f"d{j}" for j in range(half, n + 1)])
+    if set(front.vertex_ids) != {f"A{j}" for j in range(half)}:
+        raise AssertionError("unexpected vertex set for the first cut face")
+    P = cut_face(P, front, roots, r1, "P1")
+
+    back = face_from_facets(P, [f"d{j}" for j in range(half + 1)])
+    if set(back.vertex_ids) != {f"A{j}" for j in range(half + 1, n + 1)}:
+        raise AssertionError("the second cut face did not survive the first cut unchanged")
+    P = cut_face(P, back, roots, r1, "P2")
+
+    mid = face_from_facets(P, [f"d{j}" for j in range(n + 1) if j != half])
+    if set(mid.vertex_ids) != {f"A{half}"}:
+        raise AssertionError("the middle vertex did not survive the earlier cuts unchanged")
+    P = cut_face(P, mid, roots, r1, "P3")
+
+    if len(P.facets) != n + 4 or len(P.vertices) != n * (n + 4) // 2:
+        raise AssertionError("truncation produced unexpected face counts")
+    if any(v.id.startswith("A") and "|" not in v.id for v in P.vertices):
+        raise AssertionError("an original vertex survived the truncation")
+    return P
 
 
 def label_by_isomorphism_search(P: SimplePolytope) -> str | None:

@@ -34,7 +34,7 @@ from cpbound.cobordism import (
     cell_structure,
     glue_report,
 )
-from cpbound.polytope import combinatorially_isomorphic, product, simplex, truncated_simplex
+from cpbound.polytope import combinatorially_isomorphic, product, truncated_simplex
 from cpbound.zlinalg import (
     IntMatrix,
     is_direct_summand,
@@ -42,7 +42,7 @@ from cpbound.zlinalg import (
     smith_normal_form,
 )
 
-from oracles import cofactor_det, fraction_rank, minor_gcd_invariant_factors, random_matrix_rows
+from oracles import cofactor_det, fraction_rank, minor_gcd_invariant_factors, random_matrix_rows, simplex
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 

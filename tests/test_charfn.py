@@ -22,7 +22,7 @@ from cpbound.charfn import (
     verify_translation,
 )
 from cpbound.cobordism import WManifold, boundary_components, build_W, glue_report
-from cpbound.polytope import product, simplex, truncated_simplex
+from cpbound.polytope import product, truncated_simplex
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     minor_gcd_invariant_factors,
     per_vertex_validate,
     random_unimodular,
+    simplex,
 )
 
 EVEN_RANGE = (4, 6, 8, 10, 12)

@@ -271,6 +271,10 @@ COERCED_NUMBERS = {
 }
 
 
+# The k = 1 certificate with d0's vector replaced by 2 e_0: ten vertices fail validation.
+doubled_d0 = set_at("pair", "vectors", "d0", [2, 0, 0])
+
+
 def p3_as_original_facet(data):
     """The certificate with P3's provenance relabelled as an original facet."""
     for facet in data["pair"]["polytope"]["facets"]:
@@ -286,6 +290,37 @@ def test_homology_names_the_vertex_where_the_cell_structure_fails(tmp_path, caps
     code, out = invoke("homology", "--input", str(path), "--format", fmt)
     assert (code, out) == (1, "cell structure failed: vertex v12 lies on 4 root edges, expected 1\n")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("command", ("homology", "boundary"))
+def test_invalid_loaded_certificate_fails_before_any_result(tmp_path, capsys, command, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doubled_d0(copy.deepcopy(CERTIFICATE))))
+    assert invoke("validate", "--input", str(path))[0] == 1
+    code, out = invoke(command, "--input", str(path), "--format", fmt)
+    assert (code, out) == (1, "validation failed: 10 failures, first at vertex v00\n")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("glue", ("--k", "3")),
+        ("glue", ("--n", "4")),
+        ("glue", ("--k-range", "2:2")),
+        ("validate", ("--k", "1")),
+        ("boundary", ("--n", "6")),
+        ("homology", ("--k", "2")),
+    ],
+)
+def test_input_excludes_a_size_option(tmp_path, capsys, command, option):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(CERTIFICATE))
+    code, out = invoke(command, *option, "--input", str(path))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == f"error: --input and {option[0]} are mutually exclusive\n"
 
 
 class TestMalformedCertificates:
@@ -393,6 +428,8 @@ def cert_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=mutated_certificates(), command=st.sampled_from(("validate", "boundary", "homology", "glue")))
 @example(data=p3_as_original_facet(copy.deepcopy(CERTIFICATE)), command="homology")
+@example(data=doubled_d0(copy.deepcopy(CERTIFICATE)), command="homology")
+@example(data=doubled_d0(copy.deepcopy(CERTIFICATE)), command="boundary")
 @example(data=COERCED_NUMBERS["r1-float"](copy.deepcopy(CERTIFICATE)), command="glue")
 @example(data=COERCED_NUMBERS["vector-floats"](copy.deepcopy(CERTIFICATE)), command="validate")
 @example(data=COERCED_NUMBERS["n-float"](copy.deepcopy(CERTIFICATE)), command="glue")

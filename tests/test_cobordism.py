@@ -27,7 +27,6 @@ from cpbound.polytope import (
     FacetLabel,
     SimplePolytope,
     Vertex,
-    cut_face,
     face_from_facets,
     generate_functional,
     h_vector,
@@ -35,7 +34,6 @@ from cpbound.polytope import (
     original_facet,
     product,
     separating_functional,
-    simplex,
     truncated_simplex,
     vertex_indices,
 )
@@ -43,9 +41,12 @@ from cpbound.polytope import (
 from oracles import (
     betti_boundary,
     cofactor_det,
+    cut_face,
     fraction_separating_functional,
     fraction_vertex_indices,
     label_by_isomorphism_search,
+    root_coords,
+    simplex,
 )
 
 
@@ -119,7 +120,6 @@ def relabel_facets(P, rng):
         [FacetLabel(rename[f.id], f.provenance) for f in P.facets],
         [Vertex(v.id, frozenset(rename[f] for f in v.facet_ids), v.coord) for v in P.vertices],
         {e.ends: e.provenance for e in P.edges},
-        P.ancestor_coords,
     )
 
 
@@ -162,7 +162,9 @@ class TestRecognizerAgainstOracle:
         cube = product(product(simplex(1), simplex(1)), simplex(1))
         square = product(simplex(1), simplex(1))
         corner = square.vertices[0]
-        pentagon = cut_face(square, face_from_facets(square, sorted(corner.facet_ids)), Fraction(1, 5))
+        pentagon = cut_face(
+            square, face_from_facets(square, sorted(corner.facet_ids)), root_coords(square), Fraction(1, 5)
+        )
         assert len(pentagon.facets) == 5
         assert self.agree(cube) is None
         assert self.agree(pentagon) is None

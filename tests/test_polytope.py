@@ -1,29 +1,38 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from cpbound.polytope import (
     FaceRef,
+    FacetLabel,
     LinearFunctional,
     SimplePolytope,
     Vertex,
     combinatorially_isomorphic,
-    cut_face,
     face_as_polytope,
     face_from_facets,
     generate_functional,
     h_vector,
     original_edge,
+    original_facet,
     polytope_from_json,
     polytope_to_json,
     product,
-    simplex,
     truncated_simplex,
     vertex_indices,
 )
 
-from oracles import check_geometry, edge_between, product_h_vector
+from oracles import (
+    check_geometry,
+    cut_face,
+    edge_between,
+    product_h_vector,
+    root_coords,
+    simplex,
+    three_cut_truncated_simplex,
+)
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -82,14 +91,14 @@ class TestCutFace:
     def test_triangle_vertex_cut_gives_quadrilateral(self):
         P = simplex(2)
         F = face_from_facets(P, ["d1", "d2"])  # the vertex A0
-        Q = cut_face(P, F, Fraction(1, 5))
+        Q = cut_face(P, F, root_coords(P), Fraction(1, 5))
         assert len(Q.facets) == 4 and len(Q.vertices) == 4 and len(Q.edges) == 4
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_vertex_cut_new_facet_is_simplex(self, n):
         P = simplex(n)
         F = face_from_facets(P, [f"d{j}" for j in range(n + 1) if j != 0])  # vertex A0
-        Q = cut_face(P, F, Fraction(1, 5), "new")
+        Q = cut_face(P, F, root_coords(P), Fraction(1, 5), "new")
         new_face = face_from_facets(Q, ["new"])
         assert len(new_face.vertex_ids) == n
         sub = face_as_polytope(Q, new_face)
@@ -97,7 +106,7 @@ class TestCutFace:
 
     def test_front_face_cut_of_4_simplex(self):
         P = simplex(4)
-        Q = cut_face(P, front_face(P, 4), Fraction(1, 5), "new")
+        Q = cut_face(P, front_face(P, 4), root_coords(P), Fraction(1, 5), "new")
         new_face = face_from_facets(Q, ["new"])
         assert len(new_face.vertex_ids) == 6  # |V(F)| * codim = 2 * 3
         sub = face_as_polytope(Q, new_face)
@@ -112,7 +121,7 @@ class TestCutFace:
         for codim in range(1, n + 1):
             for S in itertools.combinations(ids, codim):
                 F = face_from_facets(P, S)
-                Q = cut_face(P, F, Fraction(1, 5))
+                Q = cut_face(P, F, root_coords(P), Fraction(1, 5))
                 assert len(Q.vertices) == (n + 1) - len(F.vertex_ids) + len(F.vertex_ids) * codim
                 new_id = next(f.id for f in Q.facets if f.provenance.kind == "cut")
                 assert len(Q.facet_vertices(new_id)) == len(F.vertex_ids) * codim
@@ -122,14 +131,14 @@ class TestCutFace:
         P = simplex(5)
         F = face_from_facets(P, ["d3", "d4", "d5"])
         face_poly = face_as_polytope(P, F)
-        Q = cut_face(P, F, Fraction(1, 6), "new")
+        Q = cut_face(P, F, root_coords(P), Fraction(1, 6), "new")
         sub = face_as_polytope(Q, face_from_facets(Q, ["new"]))
         assert combinatorially_isomorphic(sub, product(face_poly, simplex(2))) is not None
 
     def test_codim_one_cut_keeps_combinatorics(self):
         P = simplex(3)
         F = face_from_facets(P, ["d0"])
-        Q = cut_face(P, F, Fraction(1, 5))
+        Q = cut_face(P, F, root_coords(P), Fraction(1, 5))
         assert combinatorially_isomorphic(P, Q) is not None
         assert "d0" not in Q.facet_ids  # consumed by the cut
 
@@ -137,22 +146,22 @@ class TestCutFace:
         P = simplex(2)
         fake = FaceRef(frozenset({"d0"}), tuple(v.id for v in P.vertices))
         with pytest.raises(ValueError, match="whole polytope"):
-            cut_face(P, fake, Fraction(1, 5))
+            cut_face(P, fake, root_coords(P), Fraction(1, 5))
 
     def test_r1_range(self):
         P = simplex(3)
         F = face_from_facets(P, ["d1", "d2", "d3"])
         for bad in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 5)):
             with pytest.raises(ValueError, match="r1"):
-                cut_face(P, F, bad)
+                cut_face(P, F, root_coords(P), bad)
 
     def test_previously_cut_vertex_rejected(self):
         P = simplex(2)
-        Q = cut_face(P, face_from_facets(P, ["d1", "d2"]), Fraction(1, 5), "c")
+        Q = cut_face(P, face_from_facets(P, ["d1", "d2"]), root_coords(P), Fraction(1, 5), "c")
         again = face_from_facets(Q, ["d2", "c"])
         assert again.vertex_ids == ("A0|d1",)
         with pytest.raises(ValueError, match="earlier cut"):
-            cut_face(Q, again, Fraction(1, 5))
+            cut_face(Q, again, root_coords(P), Fraction(1, 5))
 
 
 class TestTruncatedSimplex:
@@ -229,6 +238,17 @@ class TestTruncatedSimplex:
         for n in (4, 6):
             check_geometry(truncated_simplex(n, Fraction(1, 6)))
 
+    @pytest.mark.parametrize("r1", (Fraction(1, 5), Fraction(2, 9), Fraction(3, 13), Fraction(1, 7)))
+    @pytest.mark.parametrize("n", range(4, 22, 2))
+    def test_closed_form_matches_three_cuts(self, n, r1):
+        P, Q = truncated_simplex(n, r1), three_cut_truncated_simplex(n, r1)
+        blob = json.dumps(polytope_to_json(P), sort_keys=True)
+        assert blob == json.dumps(polytope_to_json(Q), sort_keys=True)
+        assert [(e.ends, e.provenance) for e in P.edges] == [(e.ends, e.provenance) for e in Q.edges]
+        assert P.facets == Q.facets
+        assert P.vertex_ids() == Q.vertex_ids() and P.vertices == Q.vertices
+        assert P.integer_coords == Q.integer_coords
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             truncated_simplex(5)
@@ -238,6 +258,53 @@ class TestTruncatedSimplex:
             truncated_simplex(4, Fraction(1, 4))
         with pytest.raises(ValueError):
             truncated_simplex(4, Fraction(0))
+
+
+class TestConstructorChecks:
+    """The constructor rejects data that is not a simple polytope, built in closed form or not."""
+
+    @staticmethod
+    def parts(n=4):
+        P = truncated_simplex(n)
+        return P.dim, list(P.facets), list(P.vertices), {e.ends: e.provenance for e in P.edges}
+
+    def test_closed_form_passes(self):
+        dim, facets, vertices, tags = self.parts()
+        assert len(SimplePolytope(dim, facets, vertices, tags).edges) == len(tags)
+
+    def test_untagged_edge_rejected(self):
+        dim, facets, vertices, tags = self.parts()
+        a, b = sorted(tags)[0]
+        del tags[(a, b)]
+        with pytest.raises(ValueError, match=f"edge {a}--{b} has no provenance tag"):
+            SimplePolytope(dim, facets, vertices, tags)
+
+    def test_non_simple_vertex_rejected(self):
+        dim, facets, vertices, tags = self.parts()
+        v = vertices[0]
+        vertices[0] = Vertex(v.id, v.facet_ids - {min(v.facet_ids)}, v.coord)
+        with pytest.raises(ValueError, match=f"vertex {v.id} lies on {dim - 1} facets"):
+            SimplePolytope(dim, facets, vertices, tags)
+
+    def test_identical_facet_sets_rejected(self):
+        dim, facets, vertices, tags = self.parts()
+        v = vertices[0]
+        vertices.append(Vertex("copy", v.facet_ids, v.coord))
+        with pytest.raises(ValueError, match="identical facet sets"):
+            SimplePolytope(dim, facets, vertices, tags)
+
+    def test_disconnected_graph_rejected(self):
+        # Two disjoint triangles: simple and of distinct facet sets, but not connected.
+        ids = ["a0", "a1", "a2", "b0", "b1", "b2"]
+        facets = [FacetLabel(f, original_facet(i)) for i, f in enumerate(ids)]
+        vertices = [
+            Vertex(f"{t}{i}{j}", frozenset({f"{t}{i}", f"{t}{j}"}))
+            for t in "ab"
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
+        tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
+        with pytest.raises(ValueError, match="disconnected"):
+            SimplePolytope(2, facets, vertices, tags)
 
 
 class TestProduct:

@@ -5,9 +5,10 @@ one elimination and one anchor determinant for all the full-count vertex
 vector sets, no Smith normal form on a valid datum, no determinant to invert
 a unimodular matrix, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
-gluing work in ``homology``, one integer coordinate table per polytope and no
-``Fraction`` functional evaluation, and nothing kept from one request to the
-next.
+gluing work in ``homology`` beyond validating a loaded datum, one polytope
+built for the truncated simplex, one integer coordinate table per polytope
+and no ``Fraction`` functional evaluation, and nothing kept from one request
+to the next.
 """
 
 import functools
@@ -98,9 +99,22 @@ def test_boundary_recognition_builds_no_model_polytopes(calls, k):
     W = build_W(k)
     count(polytope, "product")
     count(polytope, "combinatorially_isomorphic")
-    count(polytope, "simplex")
     assert glue_report(W, 0, extra_seeds=1).passed
     assert counts == {}
+
+
+@pytest.mark.parametrize("n", (4, 6, 12))
+def test_truncated_simplex_builds_one_polytope(monkeypatch, n):
+    built = []
+    init = polytope.SimplePolytope.__init__
+
+    def counting_init(P, *args, **kwargs):
+        built.append(P)
+        init(P, *args, **kwargs)
+
+    monkeypatch.setattr(polytope.SimplePolytope, "__init__", counting_init)
+    P = polytope.truncated_simplex(n)
+    assert built == [P]
 
 
 def test_boundary_draws_one_functional_per_component(calls):
@@ -126,7 +140,7 @@ def test_homology_does_no_gluing_work(calls, tmp_path):
         count(cobordism, name)
     code = run(["homology", "--input", str(path), "--seeds", "3", "--format", "json"], io.StringIO())
     assert code == 0
-    assert counts == {"cell_structure": 3}
+    assert counts == {"validate": 1, "cell_structure": 3}  # a loaded datum is checked, not trusted
 
 
 def test_homology_validates_only_while_building(calls):
