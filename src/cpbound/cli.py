@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .charfn import eta_standard, rho_permutation, validate
@@ -52,6 +53,14 @@ def _resolve_n(args) -> int:
     return args.n
 
 
+def _r1(args) -> Fraction:
+    """The cut depth to build with: ``--r1``, or 1/5 when it is not given.
+
+    ``--r1`` has no parser default, so that ``run`` can reject it next to ``--input``.
+    """
+    return parse_fraction(args.r1 if args.r1 is not None else "1/5")
+
+
 def _manifold_from_args(args) -> WManifold:
     if getattr(args, "input", None):
         try:
@@ -63,7 +72,7 @@ def _manifold_from_args(args) -> WManifold:
         except (TypeError, AttributeError, OverflowError) as exc:  # wrong JSON type, or Infinity
             raise ValueError(f"malformed certificate: {exc}") from None
     n = _resolve_n(args)
-    return build_W(n // 2 - 1, parse_fraction(args.r1))
+    return build_W(n // 2 - 1, _r1(args))
 
 
 def _loaded_and_invalid(args, W: WManifold, out) -> bool:
@@ -85,7 +94,7 @@ def _loaded_and_invalid(args, W: WManifold, out) -> bool:
 def _add_size_options(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     p.add_argument("--k", type=int, help="boundary index: builds dimension n = 2(k+1)")
     p.add_argument("--n", type=int, help="even dimension n >= 4 (mutually exclusive with --k)")
-    p.add_argument("--r1", default="1/5", help="cut depth, a rational p/q in (0, 1/4)")
+    p.add_argument("--r1", help="cut depth, a rational p/q in (0, 1/4); default 1/5")
     if with_input:
         p.add_argument("--input", help="read the manifold datum from a JSON file instead")
 
@@ -133,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args, out) -> int:
-    W = build_W(_resolve_n(args) // 2 - 1, parse_fraction(args.r1))
+    W = build_W(_resolve_n(args) // 2 - 1, _r1(args))
     data = wmanifold_to_json(W)
     if args.output:
         with open(args.output, "w") as fh:
@@ -278,7 +287,7 @@ def _cmd_glue(args, out) -> int:
         if k is None:
             W = _manifold_from_args(args)
         else:
-            W = build_W(k, parse_fraction(args.r1))
+            W = build_W(k, _r1(args))
         reports.append(glue_report(W, args.seed, extra_seeds=args.seeds - 1))
 
     payload = [glue_report_to_json(r) for r in reports]
@@ -363,7 +372,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         sys.stderr.write("error: --k and --n are mutually exclusive\n")
         return _EXIT_BAD_INPUT
     if getattr(args, "input", None) is not None:
-        for option in ("k", "n", "k_range"):
+        for option in ("k", "n", "k_range", "r1"):
             if getattr(args, option, None) is not None:
                 sys.stderr.write(f"error: --input and --{option.replace('_', '-')} are mutually exclusive\n")
                 return _EXIT_BAD_INPUT

@@ -1,11 +1,15 @@
 """Combinatorial simple polytopes with provenance-tagged facets and edges.
 
 A polytope is stored by vertex-facet incidence: each vertex knows the set of
-facets containing it (exactly ``dim`` of them, simplicity).  Edges are
-derived, never stored as primary data: two vertices are adjacent when they
-share ``dim - 1`` facets.  Each edge carries a provenance tag telling whether
-it is a remnant of an edge of the root polytope ("original", with the root
-endpoints recorded) or was created by a truncation ("cut").
+facets containing it (exactly ``dim`` of them, simplicity).  Facet and vertex
+ids are strings at the API and in the JSON; inside, each vertex's facet set is
+also an ``int`` bitmask over the sorted facet ids (``SimplePolytope.incidence``),
+on which the constructor's checks run.  Edges are derived, never stored as
+primary data: two vertices are adjacent when they share ``dim - 1`` facets,
+that is when one mask with a bit dropped equals the other with a bit dropped.
+Each edge carries a provenance tag telling whether it is a remnant of an edge
+of the root polytope ("original", with the root endpoints recorded) or was
+created by a truncation ("cut").
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -126,32 +130,62 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def _derive_edges(dim: int, vertices: Sequence[Vertex]) -> list[tuple[str, str]]:
-    """Pairs of vertices sharing exactly dim-1 facets.
+def _facet_list(mask: int, universe: Sequence[str]) -> list[str]:
+    """The ids of the set bits of a facet bitmask, in the (sorted) order of ``universe``."""
+    return [f for j, f in enumerate(universe) if mask >> j & 1]
 
-    Also enforces that no (dim-1)-subset of facets is shared by more than two
-    vertices, which is what makes the pairing an edge relation.
+
+def _derive_edges(masks: Sequence[int], universe: Sequence[str]) -> list[tuple[int, int]]:
+    """Index pairs (i < j, sorted) of vertices whose facet bitmasks share all but one bit.
+
+    Each vertex's mask is keyed once per bit dropped; the second vertex on a
+    key closes an edge.  Also enforces that no (dim-1)-subset of facets is
+    shared by more than two vertices, which is what makes the pairing an edge
+    relation; ``universe`` names the bits for that error.
     """
-    byface: dict[frozenset[str], list[str]] = {}
-    for v in vertices:
-        for fid in v.facet_ids:
-            key = v.facet_ids - {fid}
-            byface.setdefault(key, []).append(v.id)
-    edges = set()
-    for key, vids in byface.items():
-        if len(vids) > 2:
-            raise ValueError(
-                f"facet subset {sorted(key)} is shared by {len(vids)} vertices; "
-                "a simple polytope allows at most 2"
-            )
-        if len(vids) == 2:
-            edges.add(_edge_key(vids[0], vids[1]))
-    return sorted(edges)
+    partner: dict[int, int] = {}  # key -> the one vertex on it so far, or -1 once paired
+    pairs = []
+    for j, mask in enumerate(masks):
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            key = mask ^ bit
+            i = partner.setdefault(key, j)
+            if i == j:
+                continue
+            if i < 0:
+                on_key = sum(1 for m in masks if m & key == key and (m ^ key).bit_count() == 1)
+                raise ValueError(
+                    f"facet subset {_facet_list(key, universe)} is shared by {on_key} vertices; "
+                    "a simple polytope allows at most 2"
+                )
+            pairs.append((i, j))
+            partner[key] = -1
+    pairs.sort()
+    return pairs
+
+
+def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    adjacency: list[list[int]] = [[] for _ in range(count)]
+    for i, j in pairs:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == count
 
 
 class SimplePolytope:
     """A combinatorial simple polytope (vertex-facet incidence plus tags).
 
+    ``incidence`` holds each vertex's facet set as an int, aligned with
+    ``vertices``: bit j stands for ``facet_ids[j]``.
     Instances are immutable by convention; all operations build new objects.
     """
 
@@ -172,18 +206,23 @@ class SimplePolytope:
         self.vertices = tuple(sorted(vertices, key=lambda v: v.id))
         if len({v.id for v in self.vertices}) != len(self.vertices):
             raise ValueError("vertex ids are not unique")
-        facet_set = set(self.facet_ids)
-        seen_sets: dict[frozenset[str], str] = {}
+        bits = {fid: 1 << j for j, fid in enumerate(self.facet_ids)}
+        masks = []
+        seen_sets: dict[int, str] = {}
         for v in self.vertices:
             if len(v.facet_ids) != dim:
                 raise ValueError(f"vertex {v.id} lies on {len(v.facet_ids)} facets, expected {dim}")
-            if not v.facet_ids <= facet_set:
-                raise ValueError(f"vertex {v.id} references unknown facets")
-            if v.facet_ids in seen_sets:
-                raise ValueError(f"vertices {seen_sets[v.facet_ids]} and {v.id} have identical facet sets")
-            seen_sets[v.facet_ids] = v.id
+            try:
+                mask = sum(bits[fid] for fid in v.facet_ids)
+            except KeyError:
+                raise ValueError(f"vertex {v.id} references unknown facets") from None
+            if mask in seen_sets:
+                raise ValueError(f"vertices {seen_sets[mask]} and {v.id} have identical facet sets")
+            seen_sets[mask] = v.id
+            masks.append(mask)
         if not self.vertices:
             raise ValueError("polytope has no vertices")
+        self.incidence = tuple(masks)
 
         coords = [v.coord for v in self.vertices if v.coord is not None]
         if coords and len(coords) != len(self.vertices):
@@ -192,52 +231,27 @@ class SimplePolytope:
             raise ValueError("vertex coordinates live in different ambient spaces")
         self.has_coords = bool(coords)
 
-        used = set()
-        for v in self.vertices:
-            used |= v.facet_ids
-        for fid in facet_set - used:
+        used = 0
+        for mask in self.incidence:
+            used |= mask
+        for fid in _facet_list(~used, self.facet_ids):
             raise ValueError(f"facet {fid} contains no vertex")
 
-        pairs = _derive_edges(dim, self.vertices)
+        pairs = _derive_edges(self.incidence, self.facet_ids)
+        ids = [v.id for v in self.vertices]
         edges = []
-        for a, b in pairs:
+        for i, j in pairs:
+            a, b = ids[i], ids[j]
             tag = edge_tags.get((a, b))
             if tag is None:
                 raise ValueError(f"edge {a}--{b} has no provenance tag")
             edges.append(Edge((a, b), tag))
         self.edges = tuple(edges)
-        self._check_connected()
-
-        self.vertex_by_id = {v.id: v for v in self.vertices}
-        # dropped-facet navigation: at v, the edge leaving through "all facets
-        # of v except fid" and its far endpoint
-        nav: dict[str, dict[str, tuple[str, Edge]]] = {v.id: {} for v in self.vertices}
-        for e in self.edges:
-            a, b = e.ends
-            shared = self.vertex_by_id[a].facet_ids & self.vertex_by_id[b].facet_ids
-            (dropped_a,) = self.vertex_by_id[a].facet_ids - shared
-            (dropped_b,) = self.vertex_by_id[b].facet_ids - shared
-            nav[a][dropped_a] = (b, e)
-            nav[b][dropped_b] = (a, e)
-        self._nav = nav
-
-    def _check_connected(self) -> None:
         if not self.edges and len(self.vertices) > 1:
             raise ValueError("vertex-edge graph is disconnected (no edges)")
-        adjacency: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            a, b = e.ends
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if not _is_connected(len(self.vertices), pairs):
             raise ValueError("vertex-edge graph is disconnected")
+        self.vertex_by_id = {v.id: v for v in self.vertices}
 
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
@@ -246,10 +260,6 @@ class SimplePolytope:
         if facet_id not in self.facet_ids:
             raise ValueError(f"unknown facet {facet_id}")
         return tuple(v.id for v in self.vertices if facet_id in v.facet_ids)
-
-    def neighbors(self, vertex_id: str) -> Mapping[str, tuple[str, Edge]]:
-        """Map dropped-facet id -> (far endpoint, edge) for edges at a vertex."""
-        return self._nav[vertex_id]
 
     @cached_property
     def integer_coords(self) -> dict[str, tuple[int, ...]]:
@@ -284,21 +294,20 @@ def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
 def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     """A face of a simple polytope as a simple polytope in its own right.
 
-    Keeps the parent's facet labels (restricted), coordinates, and edge tags.
+    Keeps the parent's facet labels (restricted), coordinates, and edge tags;
+    the facets kept are read off the parent's incidence masks.
     """
     sub_dim = P.dim - len(face.facet_ids)
     if sub_dim < 1:
         raise ValueError("face is a vertex; it has no polytope structure")
     in_face = set(face.vertex_ids)
-    vertices = [
-        Vertex(v.id, v.facet_ids - face.facet_ids, v.coord)
-        for v in P.vertices
-        if v.id in in_face
-    ]
-    used: set[str] = set()
-    for v in vertices:
-        used |= v.facet_ids
-    facets = [f for f in P.facets if f.id in used]
+    vertices = []
+    used = 0
+    for v, mask in zip(P.vertices, P.incidence):
+        if v.id in in_face:
+            vertices.append(Vertex(v.id, v.facet_ids - face.facet_ids, v.coord))
+            used |= mask
+    facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
     tags = {
         e.ends: e.provenance
         for e in P.edges
@@ -485,15 +494,19 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
     common denominator q > 0 of ``P.integer_coords``: each draw is evaluated
     once per vertex on integer rows, and the caller reuses the accepted
     values, which compare exactly as the unscaled ones do.
+
+    Coefficients lie in [-B, B] for B the larger of ``FUNCTIONAL_COEFF_BOUND``
+    and the square of the vertex count: by the birthday bound a draw then
+    rarely puts two vertices at one value, however large the polytope.  Up to
+    1000 vertices B is ``FUNCTIONAL_COEFF_BOUND``.
     """
     if not P.has_coords:
         raise ValueError("polytope has no coordinates")
     rng = random.Random(seed)
     ambient = len(P.vertices[0].coord)
+    bound = max(FUNCTIONAL_COEFF_BOUND, len(P.vertices) ** 2)
     for _ in range(FUNCTIONAL_RETRY_BUDGET):
-        zeta = LinearFunctional(
-            tuple(rng.randint(-FUNCTIONAL_COEFF_BOUND, FUNCTIONAL_COEFF_BOUND) for _ in range(ambient))
-        )
+        zeta = LinearFunctional(tuple(rng.randint(-bound, bound) for _ in range(ambient)))
         values = _scaled_values(P, zeta)
         if len(set(values.values())) == len(P.vertices):
             return zeta, values
@@ -574,18 +587,25 @@ def polytope_from_json(data: dict) -> SimplePolytope:
         coord = tuple(parse_fraction(x) for x in coords[i]) if coords is not None else None
         vertices.append(Vertex(f"v{i:0{width}d}", frozenset(str(f) for f in fids), coord))
 
-    cut_ids = {f.id for f in facets if f.provenance.kind == "cut"}
-    orig_index = {f.id: f.provenance.index for f in facets if f.provenance.kind == "original"}
+    # Bits over every facet id the vertices name, so that an unknown one is
+    # reported by the constructor, as it would be for any other caller.
+    universe = sorted({f.id for f in facets}.union(*(v.facet_ids for v in vertices)))
+    bits = {fid: 1 << j for j, fid in enumerate(universe)}
+    masks = [sum(bits[fid] for fid in v.facet_ids) for v in vertices]
+    cut_mask = sum({bits[f.id] for f in facets if f.provenance.kind == "cut"})
+    orig_index = {bits[f.id]: f.provenance.index for f in facets if f.provenance.kind == "original"}
+    orig_mask = sum(orig_index)
     # A truncation of the n-simplex keeps the n+1 root facets, indexed 0..n.
     simplex_root = sorted(orig_index.values()) == list(range(dim + 1))
-    by_id = {v.id: v for v in vertices}
     tags: dict[tuple[str, str], EdgeProvenance] = {}
-    for a, b in _derive_edges(dim, vertices):
-        shared = by_id[a].facet_ids & by_id[b].facet_ids
-        if shared & cut_ids:
+    for i, j in _derive_edges(masks, universe):
+        a, b = vertices[i].id, vertices[j].id
+        shared = masks[i] & masks[j]
+        if shared & cut_mask:
             tags[(a, b)] = CUT_EDGE
-        elif simplex_root and not (shared - set(orig_index)):
-            missing = sorted(set(range(dim + 1)) - {orig_index[f] for f in shared})
+        elif simplex_root and not shared & ~orig_mask:
+            kept = {index for bit, index in orig_index.items() if shared & bit}
+            missing = sorted(set(range(dim + 1)) - kept)
             if len(missing) != 2:
                 raise ValueError(f"cannot reconstruct the root edge of {a}--{b}")
             tags[(a, b)] = original_edge(f"A{missing[0]}", f"A{missing[1]}")

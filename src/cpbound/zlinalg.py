@@ -13,6 +13,7 @@ entry of the working submatrix, ties broken in row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 
@@ -217,18 +218,15 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
     vec = tuple(int(x) for x in v)
-    return tuple(sum(m.entry(i, j) * vec[j] for j in range(m.cols)) for i in range(m.rows))
+    return tuple(sum(map(mul, m.row(i), vec)) for i in range(m.rows))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    entries = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            entries.append(sum(arow[t] * b.entry(t, j) for t in range(a.cols)))
-    return IntMatrix(a.rows, b.cols, tuple(entries))
+    bcols = list(zip(*(b.row(t) for t in range(b.rows))))
+    entries = tuple(sum(map(mul, a.row(i), col)) for i in range(a.rows) for col in bcols)
+    return IntMatrix(a.rows, b.cols, entries)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

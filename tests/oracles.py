@@ -9,7 +9,14 @@ for a facet bijection onto model polytopes, and separating functionals by
 a face-truncation oracle: the n-simplex, a general ``cut_face`` that walks
 the edges leaving a face and places each new vertex from the root vertex
 coordinates, and the three cuts ``P1``, ``P2``, ``P3`` applied in turn, the
-path ``truncated_simplex`` took before it built its vertices directly.  Vertex validation has a
+path ``truncated_simplex`` took before it built its vertices directly.  The
+``SimplePolytope`` constructor, which derives edges on facet bitmasks, has
+the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys each
+(dim-1)-subset as a frozenset of facet-id strings, and ``frozenset_edges``,
+which runs the constructor's checks on those sets.  The dropped-facet
+navigation table ``navigation`` (at each vertex, the edge leaving through
+all its facets but one), which only ``cut_face`` and
+``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
 second, per-vertex oracle: one Bareiss determinant for every distinct
 full-count vector set, the path ``validate`` took before it certified them
 all from one elimination per pair.  The last section holds helpers over
@@ -138,6 +145,88 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def frozenset_derive_edges(vertices) -> list[tuple[str, str]]:
+    """Pairs of vertices sharing exactly dim-1 facets, keyed on frozensets of facet ids.
+
+    Also enforces that no (dim-1)-subset of facets is shared by more than two
+    vertices, which is what makes the pairing an edge relation.
+    """
+    byface: dict[frozenset[str], list[str]] = {}
+    for v in vertices:
+        for fid in v.facet_ids:
+            key = v.facet_ids - {fid}
+            byface.setdefault(key, []).append(v.id)
+    edges = set()
+    for key, vids in byface.items():
+        if len(vids) > 2:
+            raise ValueError(
+                f"facet subset {sorted(key)} is shared by {len(vids)} vertices; "
+                "a simple polytope allows at most 2"
+            )
+        if len(vids) == 2:
+            edges.add(_edge_key(vids[0], vids[1]))
+    return sorted(edges)
+
+
+def frozenset_edges(dim: int, facets, vertices, edge_tags) -> tuple[Edge, ...]:
+    """The edges the ``SimplePolytope`` constructor derives, by its checks on frozensets.
+
+    Raises the constructor's ``ValueError`` text for the incidence checks:
+    facet count, unknown facets, repeated facet sets, unused facets, more
+    than two vertices on a (dim-1)-subset, untagged edges and connectivity.
+    """
+    facet_set = {f.id for f in facets}
+    vertices = sorted(vertices, key=lambda v: v.id)
+    seen_sets: dict[frozenset[str], str] = {}
+    for v in vertices:
+        if len(v.facet_ids) != dim:
+            raise ValueError(f"vertex {v.id} lies on {len(v.facet_ids)} facets, expected {dim}")
+        if not v.facet_ids <= facet_set:
+            raise ValueError(f"vertex {v.id} references unknown facets")
+        if v.facet_ids in seen_sets:
+            raise ValueError(f"vertices {seen_sets[v.facet_ids]} and {v.id} have identical facet sets")
+        seen_sets[v.facet_ids] = v.id
+    used = set().union(*(v.facet_ids for v in vertices))
+    for fid in sorted(facet_set - used):
+        raise ValueError(f"facet {fid} contains no vertex")
+    edges = []
+    for a, b in frozenset_derive_edges(vertices):
+        tag = edge_tags.get((a, b))
+        if tag is None:
+            raise ValueError(f"edge {a}--{b} has no provenance tag")
+        edges.append(Edge((a, b), tag))
+    if not edges and len(vertices) > 1:
+        raise ValueError("vertex-edge graph is disconnected (no edges)")
+    adjacency: dict[str, set[str]] = {v.id: set() for v in vertices}
+    for e in edges:
+        adjacency[e.ends[0]].add(e.ends[1])
+        adjacency[e.ends[1]].add(e.ends[0])
+    seen, frontier = {vertices[0].id}, [vertices[0].id]
+    while frontier:
+        frontier = [w for u in frontier for w in adjacency[u] if w not in seen]
+        seen.update(frontier)
+    if len(seen) != len(vertices):
+        raise ValueError("vertex-edge graph is disconnected")
+    return tuple(edges)
+
+
+def navigation(P: SimplePolytope) -> dict[str, dict[str, tuple[str, Edge]]]:
+    """At each vertex, dropped-facet id -> (far endpoint, edge) for the edges there.
+
+    The edge leaving v through "all facets of v except fid" ends at the far
+    endpoint.
+    """
+    nav: dict[str, dict[str, tuple[str, Edge]]] = {v.id: {} for v in P.vertices}
+    for e in P.edges:
+        a, b = e.ends
+        shared = P.vertex_by_id[a].facet_ids & P.vertex_by_id[b].facet_ids
+        (dropped_a,) = P.vertex_by_id[a].facet_ids - shared
+        (dropped_b,) = P.vertex_by_id[b].facet_ids - shared
+        nav[a][dropped_a] = (b, e)
+        nav[b][dropped_b] = (a, e)
+    return nav
+
+
 def simplex(n: int) -> SimplePolytope:
     """The n-simplex: vertices are the standard basis of Q^(n+1).
 
@@ -212,13 +301,13 @@ def cut_face(
     if new_id in P.facet_ids:
         raise ValueError(f"facet id {new_id} already in use")
 
+    nav = navigation(P)
     new_vertices: list[Vertex] = []
     tags: dict[tuple[str, str], EdgeProvenance] = {}
     for vid in sorted(face_verts):
         v = P.vertex_by_id[vid]
-        nav = P.neighbors(vid)
         for fid in sorted(S):
-            far_id, edge = nav[fid]
+            far_id, edge = nav[vid][fid]
             if far_id in face_verts:
                 raise ValueError("face is not cuttable: a leaving edge stays inside it")
             nv_id = f"{vid}|{fid}"
@@ -314,10 +403,9 @@ def fraction_separating_functional(P: SimplePolytope, seed: int):
     """
     rng = random.Random(seed)
     ambient = len(P.vertices[0].coord)
+    bound = max(FUNCTIONAL_COEFF_BOUND, len(P.vertices) ** 2)
     for draws in range(1, FUNCTIONAL_RETRY_BUDGET + 1):
-        zeta = LinearFunctional(
-            tuple(rng.randint(-FUNCTIONAL_COEFF_BOUND, FUNCTIONAL_COEFF_BOUND) for _ in range(ambient))
-        )
+        zeta = LinearFunctional(tuple(rng.randint(-bound, bound) for _ in range(ambient)))
         values = {v.id: zeta(v.coord) for v in P.vertices}
         if len(set(values.values())) == len(P.vertices):
             return zeta, values, draws
@@ -332,10 +420,8 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
     values = {v.id: zeta(v.coord) for v in P.vertices}
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
-    ind = {
-        vid: sum(values[far] < values[vid] for far, _ in P.neighbors(vid).values())
-        for vid in values
-    }
+    nav = navigation(P)
+    ind = {vid: sum(values[far] < values[vid] for far, _ in nav[vid].values()) for vid in values}
     if list(ind.values()).count(0) != 1 or list(ind.values()).count(P.dim) != 1:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     return ind

@@ -312,6 +312,9 @@ def test_invalid_loaded_certificate_fails_before_any_result(tmp_path, capsys, co
         ("validate", ("--k", "1")),
         ("boundary", ("--n", "6")),
         ("homology", ("--k", "2")),
+        # A loaded certificate carries its own r1; a given one would be ignored.
+        ("validate", ("--r1", "1/0")),
+        ("glue", ("--r1", "1/7")),
     ],
 )
 def test_input_excludes_a_size_option(tmp_path, capsys, command, option):

@@ -20,14 +20,18 @@ from cpbound.polytope import (
     polytope_from_json,
     polytope_to_json,
     product,
+    separating_functional,
     truncated_simplex,
     vertex_indices,
 )
+from cpbound.polytope import _derive_edges
 
 from oracles import (
     check_geometry,
     cut_face,
     edge_between,
+    frozenset_derive_edges,
+    frozenset_edges,
     product_h_vector,
     root_coords,
     simplex,
@@ -307,6 +311,82 @@ class TestConstructorChecks:
             SimplePolytope(2, facets, vertices, tags)
 
 
+class TestMaskIncidenceMatchesFrozensetOracle:
+    """Edges, tags and errors of the bitmask constructor equal those of the frozenset derivation."""
+
+    @staticmethod
+    def tags(P):
+        return {e.ends: e.provenance for e in P.edges}
+
+    @staticmethod
+    def assert_derivations_agree(P):
+        ids = [v.id for v in P.vertices]
+        pairs = [(ids[i], ids[j]) for i, j in _derive_edges(P.incidence, P.facet_ids)]
+        assert pairs == frozenset_derive_edges(P.vertices) == [e.ends for e in P.edges]
+
+    @pytest.mark.parametrize("n", range(4, 22, 2))
+    def test_truncated_simplex(self, n):
+        P = truncated_simplex(n)
+        self.assert_derivations_agree(P)
+        # Tags from the independent face-truncation engine.
+        tags = self.tags(three_cut_truncated_simplex(n))
+        assert P.edges == frozenset_edges(P.dim, P.facets, P.vertices, tags)
+
+    @pytest.mark.parametrize("n", range(4, 22, 2))
+    @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
+    def test_faces(self, n, facet):
+        P = truncated_simplex(n)
+        face = face_as_polytope(P, face_from_facets(P, [facet]))
+        self.assert_derivations_agree(face)
+        vertices = [Vertex(v.id, v.facet_ids - {facet}, v.coord) for v in P.vertices if facet in v.facet_ids]
+        used = frozenset().union(*(v.facet_ids for v in vertices))
+        facets = [f for f in P.facets if f.id in used]
+        inside = {v.id for v in vertices}
+        tags = {ends: tag for ends, tag in self.tags(P).items() if set(ends) <= inside}
+        assert face.vertices == tuple(vertices)
+        assert face.facets == tuple(facets)
+        assert face.edges == frozenset_edges(n - 1, facets, vertices, tags)
+
+    @pytest.mark.parametrize("n", range(4, 22, 2))
+    def test_json_round_trip(self, n):
+        P = truncated_simplex(n)
+        loaded = polytope_from_json(polytope_to_json(P))
+        self.assert_derivations_agree(loaded)
+        # polytope_to_json lists the vertices by sorted facet ids; they load as v0, v1, ...
+        order = sorted(P.vertices, key=lambda v: sorted(v.facet_ids))
+        name = {v.id: w.id for v, w in zip(order, loaded.vertices)}
+        tags = {tuple(sorted((name[a], name[b]))): tag for (a, b), tag in self.tags(P).items()}
+        assert loaded.edges == frozenset_edges(n, loaded.facets, loaded.vertices, tags)
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    @pytest.mark.parametrize("defect", ("three-on-a-ridge", "unknown-facet", "repeated-facet-set"))
+    def test_errors(self, n, defect):
+        P = truncated_simplex(n)
+        facets, vertices = list(P.facets), list(P.vertices)
+        v = vertices[n]
+        if defect == "three-on-a-ridge":
+            # A third vertex on the dim-1 facets of an edge; its other subsets
+            # all hold the new facet, so this is the only one shared by three.
+            a, b = (P.vertex_by_id[end].facet_ids for end in P.edges[n].ends)
+            facets.append(FacetLabel("zz", original_facet(n + 4)))
+            vertices.append(Vertex("new", a & b | {"zz"}, v.coord))
+        elif defect == "unknown-facet":
+            vertices[n] = Vertex(v.id, v.facet_ids - {min(v.facet_ids)} | {"zz"}, v.coord)
+        else:
+            vertices.append(Vertex("copy", v.facet_ids, v.coord))
+        with pytest.raises(ValueError) as oracle:
+            frozenset_edges(n, facets, vertices, self.tags(P))
+        with pytest.raises(ValueError) as built:
+            SimplePolytope(n, facets, vertices, self.tags(P))
+        assert str(built.value) == str(oracle.value)
+        expected = {
+            "three-on-a-ridge": "is shared by 3 vertices; a simple polytope allows at most 2",
+            "unknown-facet": f"vertex {v.id} references unknown facets",
+            "repeated-facet-set": f"vertices {v.id} and copy have identical facet sets",
+        }[defect]
+        assert str(built.value).endswith(expected)
+
+
 class TestProduct:
     def test_square(self):
         Q = product(simplex(1), simplex(1))
@@ -428,6 +508,27 @@ class TestGenerateFunctional:
         )
         with pytest.raises(ValueError, match="degenerate"):
             generate_functional(P, 0)
+
+    def test_draws_pinned_below_a_thousand_vertices(self):
+        # The coefficient bound grows with the vertex count only past 1000
+        # vertices, so these 240-vertex draws are the ones made before it did.
+        P = truncated_simplex(20)
+        head = (770880, -192083, 589545, 866976, -117998, -915099)
+        tail = (-559693, -803163, 23109, -940552, 873421, 752726)
+        assert generate_functional(P, 0).coefficients[:6] == head
+        assert generate_functional(P, 1).coefficients[-6:] == tail
+        assert generate_functional(P, 7).coefficients == (
+            -320874, 987817, -683647, -171996, 365108, -898737, -848091, 722337, 123826, -802595, -233095,
+            222195, -878368, 907787, 64169, -549746, -921366, -819756, -90580, -123030, -853503,
+        )  # fmt: skip
+
+    def test_separates_the_k64_truncated_simplex(self):
+        # 8710 vertices: coefficients within +-10**6 collide for seeds 0, 3 and 4.
+        P = truncated_simplex(130)
+        for seed in range(4):
+            zeta, values = separating_functional(P, seed)
+            assert len(set(values.values())) == len(P.vertices)
+            assert max(map(abs, zeta.coefficients)) > 10**6
 
 
 class TestJson:

@@ -6,9 +6,9 @@ vector sets, no Smith normal form on a valid datum, no determinant to invert
 a unimodular matrix, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
 gluing work in ``homology`` beyond validating a loaded datum, one polytope
-built for the truncated simplex, one integer coordinate table per polytope
-and no ``Fraction`` functional evaluation, and nothing kept from one request
-to the next.
+built for the truncated simplex, no navigation table in any polytope, one
+integer coordinate table per polytope and no ``Fraction`` functional
+evaluation, and nothing kept from one request to the next.
 """
 
 import functools
@@ -115,6 +115,17 @@ def test_truncated_simplex_builds_one_polytope(monkeypatch, n):
     monkeypatch.setattr(polytope.SimplePolytope, "__init__", counting_init)
     P = polytope.truncated_simplex(n)
     assert built == [P]
+
+
+def test_building_polytopes_calls_no_neighbors():
+    # The dropped-facet navigation table is a test oracle, ``oracles.navigation``.
+    W = build_W(3)
+    report = glue_report(W, 0, extra_seeds=1)
+    loaded = polytope.polytope_from_json(polytope.polytope_to_json(W.pair.polytope))
+    built = [W.pair.polytope, loaded, *(c.polytope for c in report.components)]
+    assert report.passed
+    assert not hasattr(polytope.SimplePolytope, "neighbors")
+    assert not any(hasattr(P, "_nav") for P in built)
 
 
 def test_boundary_draws_one_functional_per_component(calls):

@@ -218,6 +218,23 @@ class TestApplyAndInverse:
         with pytest.raises(ValueError):
             apply_matrix(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 2, 3))
 
+    def test_products_match_entrywise_sums(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            a = IntMatrix.from_rows(random_matrix_rows(rng, max_size=5, lo=-9, hi=9))
+            width = rng.randint(1, 5)
+            b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(width)] for _ in range(a.cols)])
+            expected = [
+                [sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)) for j in range(b.cols)]
+                for i in range(a.rows)
+            ]
+            assert matmul(a, b) == IntMatrix.from_rows(expected)
+            square = IntMatrix.from_rows(random_matrix_rows(rng, max_size=5, square=True))
+            v = [rng.randint(-9, 9) for _ in range(square.cols)]
+            assert apply_matrix(square, v) == tuple(
+                sum(square.entry(i, j) * v[j] for j in range(square.cols)) for i in range(square.rows)
+            )
+
     def test_inverse_unimodular(self):
         rng = random.Random(5)
         for _ in range(50):
