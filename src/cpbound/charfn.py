@@ -11,22 +11,25 @@ direct summand is again one.
 
 A vertex with r vectors is a set S of r rows of the m x r matrix M that
 stacks the vectors of all mapped facets, so its determinant is a maximal
-minor of M.  One exact elimination certifies all of them: pick r independent
-rows A, let D = det M_A, and write every other row as a rational combination
-M_R = X M_A.  Then M_S = C_S M_A, where C has the unit rows on A and X on the
-rest, and expanding C_S along its unit rows gives
+minor of M.  One exact integer elimination certifies all of them.
+Fraction-free Gauss-Jordan elimination of M^T picks r independent rows A,
+the anchor, and ends with d * I on their columns, where |d| = |det M_A|, and
+with an integer column Y_j on every other row j, such that d * M_j = Y_j M_A
+(Cramer's rule).  Stacking d * e_t for the anchor rows of S and Y_j for the
+others gives a matrix C with C M_A = d * M_S, and expanding det C along its
+d * e_t rows gives, with s = |S - A|,
 
-    |det M_S| = |D * det X[S - A, A - S]|,
+    |det Y[S - A, A - S]| = |d|^(s - 1) * |det M_S|.
 
-a minor of size at most m - r.  When rank M < r there is no anchor and no
-full-count vertex is unimodular.  Below full count a vertex is checked by its
-Smith normal form.
+So S is a basis of Z^r exactly when |det Y[S - A, A - S]| = |d|^(s - 1), an
+integer minor of size at most m - r; for s = 0, S = A and the condition is
+|d| = 1.  When rank M < r there is no anchor and no full-count vertex is
+unimodular.  Below full count a vertex is checked by its Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polytope import (
@@ -148,71 +151,73 @@ class ValidationReport:
 Verdicts = dict[tuple[int, tuple[tuple[int, ...], ...]], str]
 
 
-def _abs_det(rows: list[list[Fraction]]) -> Fraction:
-    """|det| of a small square matrix (1 for the empty one), by Gaussian elimination."""
+def _abs_det(rows: list[list[int]]) -> int:
+    """|det| of a small square integer matrix (1 for the empty one), by Bareiss elimination."""
     a = [list(r) for r in rows]
-    det = Fraction(1)
+    prev = 1
     for t in range(len(a)):
         p = next((i for i in range(t, len(a)) if a[i][t]), None)
         if p is None:
-            return Fraction(0)
+            return 0
         a[t], a[p] = a[p], a[t]
-        det *= abs(a[t][t])
+        piv = a[t][t]
         for i in range(t + 1, len(a)):
-            if a[i][t]:
-                f = a[i][t] / a[t][t]
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    return det
+            f = a[i][t]
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], a[t])]
+        prev = piv
+    return abs(prev)
 
 
 class _FullCountCertificate:
-    """|det| of every set of r mapped vectors of one pair, from one elimination.
+    """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
-    Reduces M^T (r x m, one column per mapped facet) to reduced row echelon
-    form in ``Fraction`` arithmetic.  Its pivot columns are the anchor facets
-    A; the column of any other facet holds that facet's coefficients over the
-    anchor vectors, a row of X.  The anchor determinant D is one Bareiss
-    determinant.  See the module docstring for the identity.
+    Reduces M^T (r x m, one column per row of M) by fraction-free
+    Gauss-Jordan elimination: each step brings the pivot into row t and sets
+    every other row i to (row_i * piv - row_i[j] * row_t) // prev, where prev
+    is the previous pivot; by Sylvester's identity every division is exact.
+    The pivot columns are the anchor rows A and end as d * I, where d, the
+    last pivot, is +-det M_A; the column of any other row j holds Y_j with
+    d * M_j = Y_j M_A.  Row sets are then judged by the integer identity of
+    the module docstring, with no determinant of M_A beyond d.
     """
 
-    def __init__(self, pair: CharPair) -> None:
-        r = pair.torus_rank
-        ids = tuple(pair.assignment)
-        columns = zip(*(pair.assignment[f].entries for f in ids))
-        work = [[Fraction(x) for x in column] for column in columns]
+    def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
+        work = [list(column) for column in zip(*rows)]
         pivots: list[int] = []
-        for j in range(len(ids)):
+        prev = 1
+        for j in range(len(rows)):
             t = len(pivots)
-            if t == r:
+            if t == rank:
                 break
-            p = next((i for i in range(t, r) if work[i][j]), None)
+            p = next((i for i in range(t, rank) if work[i][j]), None)
             if p is None:
                 continue
             work[t], work[p] = work[p], work[t]
-            inverse = 1 / work[t][j]
-            work[t] = [x * inverse for x in work[t]]
-            for i in range(r):
-                if i != t and work[i][j]:
-                    f = work[i][j]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[t])]
+            row_t = work[t]
+            piv = row_t[j]
+            for i in range(rank):
+                f = work[i][j]
+                if i == t or (not f and piv == prev):
+                    continue
+                work[i] = [(x * piv - f * y) // prev for x, y in zip(work[i], row_t)]
+            prev = piv
             pivots.append(j)
-        # Anchor facet -> its place in X's columns; None when rank M < r.
-        self.anchor = {ids[j]: t for t, j in enumerate(pivots)} if len(pivots) == r else None
-        self.coefficients = {f: tuple(row[j] for row in work) for j, f in enumerate(ids)}
-        self.det = 0
-        if self.anchor is not None:
-            rows = [pair.assignment[f].entries for f in self.anchor]
-            self.det = determinant(IntMatrix.from_rows(rows))
+        # Anchor row -> its place in Y's columns; None when rank M < r.
+        self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
+        self.det = prev if self.anchor is not None else 0
+        self.scaled = [tuple(row[j] for row in work) for j in range(len(rows))]
 
-    def is_unimodular(self, facets: Sequence[str]) -> bool:
-        """Whether the vectors on these r facets form a basis of Z^r."""
+    def is_unimodular(self, chosen: Sequence[int]) -> bool:
+        """Whether these r rows of M form a basis of Z^r."""
         if self.anchor is None:
             return False
-        chosen = set(facets)
-        outside = [f for f in facets if f not in self.anchor]
-        dropped = [t for f, t in self.anchor.items() if f not in chosen]
-        minor = [[self.coefficients[f][t] for t in dropped] for f in outside]
-        return abs(self.det) * _abs_det(minor) == 1
+        outside = [j for j in chosen if j not in self.anchor]
+        if not outside:
+            return abs(self.det) == 1
+        kept = set(chosen)
+        dropped = [t for j, t in self.anchor.items() if j not in kept]
+        minor = [[self.scaled[j][t] for t in dropped] for j in outside]
+        return _abs_det(minor) == abs(self.det) ** (len(outside) - 1)
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
@@ -223,7 +228,9 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
 def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
     """Check the direct-summand condition at every vertex; never raises.
 
-    Each distinct vector set is certified once: at full count by the pair's
+    A vertex's mapped facets are its incidence mask under the mask of the
+    assigned facets, and each distinct mapped mask is judged once per call.
+    Its vector set is certified once: at full count by the pair's
     ``_FullCountCertificate``, built on the first such set not found in
     ``verdicts``, and below it by the Smith normal form.  A failing set also
     gets its invariant factors, for the reason text.  ``verdicts`` carries
@@ -231,26 +238,41 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
     any pairs may share one dict.
     """
     verdicts = {} if verdicts is None else verdicts
+    P = pair.polytope
+    rank = pair.torus_rank
+    place = {f: j for j, f in enumerate(P.facet_ids)}
+    ids = tuple(pair.assignment)  # sorted, like facet_ids
+    entries = [pair.assignment[f].entries for f in ids]
+    bits = [1 << place[f] for f in ids]
+    assigned = sum(bits)
     certificate: _FullCountCertificate | None = None
+    # Mapped mask -> (facets, vectors, reason) of a failing set, None of a passing one.
+    # On W, vertices that differ only in unassigned cut facets share a mask:
+    # half of W's vertices repeat one.
+    judged: dict[int, tuple[tuple[str, ...], tuple[tuple[int, ...], ...], str] | None] = {}
     failures = []
-    for v in pair.polytope.vertices:
-        mapped = sorted(fid for fid in v.facet_ids if fid in pair.assignment)
+    for v, mask in zip(P.vertices, P.incidence):
+        mapped = mask & assigned
         if not mapped:
             continue
-        vectors = tuple(pair.assignment[f].entries for f in mapped)
-        key = (pair.torus_rank, vectors)
-        reason = verdicts.get(key)
-        if reason is None:
-            if len(mapped) == pair.torus_rank:
-                if certificate is None:
-                    certificate = _FullCountCertificate(pair)
-                ok = certificate.is_unimodular(mapped)
-            else:
-                ok = is_direct_summand(vectors, pair.torus_rank)
-            reason = verdicts[key] = "" if ok else _failure_reason(vectors)
-        if reason:
-            failures.append(VertexCheck(v.id, tuple(mapped), vectors, False, reason))
-    return ValidationReport(not failures, len(pair.polytope.vertices), tuple(failures))
+        if mapped not in judged:
+            rows = [row for row, bit in enumerate(bits) if mapped & bit]
+            vectors = tuple([entries[row] for row in rows])
+            key = (rank, vectors)
+            reason = verdicts.get(key)
+            if reason is None:
+                if len(rows) == rank:
+                    if certificate is None:
+                        certificate = _FullCountCertificate(entries, rank)
+                    ok = certificate.is_unimodular(rows)
+                else:
+                    ok = is_direct_summand(vectors, rank)
+                reason = verdicts[key] = "" if ok else _failure_reason(vectors)
+            judged[mapped] = (tuple([ids[row] for row in rows]), vectors, reason) if reason else None
+        failure = judged[mapped]
+        if failure is not None:
+            failures.append(VertexCheck(v.id, failure[0], failure[1], False, failure[2]))
+    return ValidationReport(not failures, len(P.vertices), tuple(failures))
 
 
 def restrict_to_facet(pair: CharPair, facet_id: str) -> CharPair:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .charfn import eta_standard, rho_permutation, validate
+from .charfn import eta_standard, rho_permutation
 from .cobordism import (
     BOUNDARY_FACETS,
     WManifold,
@@ -75,14 +75,12 @@ def _manifold_from_args(args) -> WManifold:
     return build_W(n // 2 - 1, _r1(args))
 
 
-def _loaded_and_invalid(args, W: WManifold, out) -> bool:
-    """Whether W was loaded and fails vertex validation; if so, write one line naming the first failure.
+def _invalid(W: WManifold, out) -> bool:
+    """Whether W fails vertex validation; if so, write one line naming the first failure.
 
-    A built W is valid by construction, and ``build_W`` has already validated it.
+    A built W has its report from ``build_W``; a loaded one is validated here.
     """
-    if not args.input:
-        return False
-    report = validate(W.pair, W.verdicts)
+    report = W.report
     if report.ok:
         return False
     out.write(
@@ -160,7 +158,7 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_validate(args, out) -> int:
     W = _manifold_from_args(args)
-    report = validate(W.pair, W.verdicts)
+    report = W.report
     if args.format == "json":
         _dump_json(
             {
@@ -185,7 +183,7 @@ def _cmd_validate(args, out) -> int:
 
 def _cmd_boundary(args, out) -> int:
     W = _manifold_from_args(args)
-    if _loaded_and_invalid(args, W, out):
+    if _invalid(W, out):
         return _EXIT_CHECK_FAILED
     components = boundary_components(W)
     rows = []
@@ -216,7 +214,7 @@ def _cmd_boundary(args, out) -> int:
 
 def _cmd_homology(args, out) -> int:
     W = _manifold_from_args(args)
-    if _loaded_and_invalid(args, W, out):
+    if _invalid(W, out):
         return _EXIT_CHECK_FAILED
     try:
         stage = cell_stage(W, args.seed, extra_seeds=args.seeds - 1)

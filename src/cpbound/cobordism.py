@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .charfn import (
     CharPair,
     OrientationRecord,
     TranslationWitness,
+    ValidationReport,
     Verdicts,
     attach,
     charpair_from_json,
@@ -53,8 +55,10 @@ class WManifold:
     Torus rank is one less than the dimension and exactly the three cut
     facets are boundary.  Validity of the pair is *not* assumed here so that
     deliberately broken inputs can still be loaded and reported on.
-    ``verdicts`` holds the vertex verdicts of this pair; its boundary
-    components carry the same vector sets and reuse them.
+    ``report`` is the vertex validation of the pair, computed on first use
+    and then read by every check that needs it.  ``verdicts`` holds the
+    vertex verdicts of this pair; its boundary components carry the same
+    vector sets and reuse them.
     """
 
     def __init__(self, pair: CharPair, n: int, r1: Fraction) -> None:
@@ -78,6 +82,10 @@ class WManifold:
     def k(self) -> int:
         return self.n // 2 - 1
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        return validate(self.pair, self.verdicts)
+
 
 def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
     """Construct and validate the bounding manifold datum for CP^(2k+1).
@@ -95,9 +103,8 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
     P = truncated_simplex(n, Fraction(r1))
     pair = attach(P, {f: v.entries for f, v in eta_facet_assignment(n).items()}, n - 1)
     W = WManifold(pair, n, Fraction(r1))
-    report = validate(pair, W.verdicts)
-    if not report.ok:  # would be a bug in the construction, not bad input
-        raise AssertionError(f"standard assignment failed validation at {report.failing_vertices()}")
+    if not W.report.ok:  # would be a bug in the construction, not bad input
+        raise AssertionError(f"standard assignment failed validation at {W.report.failing_vertices()}")
     return W
 
 
@@ -324,10 +331,10 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     """Run the full certification pipeline and aggregate the results.
 
     ``extra_seeds`` re-runs the cell count under that many further functionals
-    and requires identical counts.  Every artifact is computed once: vertex
-    verdicts come from ``W.verdicts`` and are shared with the boundary
-    components, and the cell stage (``cell_stage``) supplies both the
-    ``cell-structure`` and the ``euler-cross-check`` checks.
+    and requires identical counts.  Every artifact is computed once: W's
+    validation is ``W.report``, its vertex verdicts in ``W.verdicts`` are
+    shared with the boundary components, and the cell stage (``cell_stage``)
+    supplies both the ``cell-structure`` and the ``euler-cross-check`` checks.
     """
     n = W.n
     checks: list[CheckResult] = []
@@ -335,7 +342,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
-    report = validate(W.pair, W.verdicts)
+    report = W.report
     checks.append(
         CheckResult(
             "w-validity",
@@ -466,7 +473,10 @@ def wmanifold_to_json(W: WManifold) -> dict:
 
 
 def wmanifold_from_json(data: dict) -> WManifold:
+    """Load a W certificate; its polytope, a truncated simplex, must carry coordinates."""
     pair = charpair_from_json(data["pair"])
+    if not pair.polytope.has_coords:
+        raise ValueError("malformed certificate: the polytope carries no vertex coordinates")
     return WManifold(pair, parse_int(data["n"], "n"), parse_fraction(data["r1"]))
 
 

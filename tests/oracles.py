@@ -19,8 +19,12 @@ all its facets but one), which only ``cut_face`` and
 ``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
 second, per-vertex oracle: one Bareiss determinant for every distinct
 full-count vector set, the path ``validate`` took before it certified them
-all from one elimination per pair.  The last section holds helpers over
-package types that only tests need.
+all from one elimination per pair.  That elimination has the rational oracle
+it replaced: ``FractionFullCountCertificate``, a ``Fraction`` reduced row
+echelon form of M^T whose non-pivot columns hold the coefficients X of each
+row of M over the anchor rows, with the anchor determinant from one Bareiss
+determinant.  The last section holds helpers over package types that only
+tests need.
 """
 
 from __future__ import annotations
@@ -434,6 +438,68 @@ def is_unimodular_basis(vectors, k: int) -> bool:
         if len(v) != k:
             raise ValueError(f"vector {v} has length {len(v)}, expected {k}")
     return len(vecs) == k and abs(determinant(IntMatrix.from_rows(vecs))) == 1
+
+
+def _fraction_abs_det(rows: list[list[Fraction]]) -> Fraction:
+    """|det| of a small square matrix (1 for the empty one), by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for t in range(len(a)):
+        p = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if p is None:
+            return Fraction(0)
+        a[t], a[p] = a[p], a[t]
+        det *= abs(a[t][t])
+        for i in range(t + 1, len(a)):
+            if a[i][t]:
+                f = a[i][t] / a[t][t]
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
+
+
+class FractionFullCountCertificate:
+    """|det| of every set of r rows of an m x r integer matrix M, in ``Fraction`` arithmetic.
+
+    Reduces M^T to reduced row echelon form.  Its pivot columns are the
+    anchor rows A; the column of any other row holds that row's coefficients
+    X over the anchor rows, and D = det M_A is one Bareiss determinant.  A
+    set S of r rows is a basis when |D * det X[S - A, A - S]| = 1.
+    """
+
+    def __init__(self, rows, rank: int) -> None:
+        work = [[Fraction(x) for x in column] for column in zip(*rows)]
+        pivots: list[int] = []
+        for j in range(len(rows)):
+            t = len(pivots)
+            if t == rank:
+                break
+            p = next((i for i in range(t, rank) if work[i][j]), None)
+            if p is None:
+                continue
+            work[t], work[p] = work[p], work[t]
+            inverse = 1 / work[t][j]
+            work[t] = [x * inverse for x in work[t]]
+            for i in range(rank):
+                if i != t and work[i][j]:
+                    f = work[i][j]
+                    work[i] = [x - f * y for x, y in zip(work[i], work[t])]
+            pivots.append(j)
+        # Anchor row -> its place in X's columns; None when rank M < r.
+        self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
+        self.coefficients = [tuple(row[j] for row in work) for j in range(len(rows))]
+        self.det = 0
+        if self.anchor is not None:
+            self.det = determinant(IntMatrix.from_rows([rows[j] for j in self.anchor]))
+
+    def is_unimodular(self, chosen) -> bool:
+        """Whether these r rows of M form a basis of Z^r."""
+        if self.anchor is None:
+            return False
+        kept = set(chosen)
+        outside = [j for j in chosen if j not in self.anchor]
+        dropped = [t for j, t in self.anchor.items() if j not in kept]
+        minor = [[self.coefficients[j][t] for t in dropped] for j in outside]
+        return abs(self.det) * _fraction_abs_det(minor) == 1
 
 
 def per_vertex_validate(pair: CharPair) -> ValidationReport:

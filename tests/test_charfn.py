@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpbound.charfn import (
     CharPair,
+    _FullCountCertificate,
     CharVector,
     TranslationWitness,
     attach,
@@ -26,8 +30,10 @@ from cpbound.polytope import product, truncated_simplex
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
 
 from oracles import (
+    FractionFullCountCertificate,
     cofactor_det,
     compose_witnesses,
+    fraction_rank,
     inverse_witness,
     minor_gcd_invariant_factors,
     per_vertex_validate,
@@ -323,6 +329,63 @@ class TestValidateAgainstPerVertexOracle:
                 table[facet] = vec
             outcomes.add(self.assert_same(attach(P, table, P.dim)).ok)
         assert outcomes == {True, False}
+
+
+@st.composite
+def stacked_vectors(draw):
+    """(rows, r): an m x r integer matrix M with entries in [-6, 6], sometimes rank-deficient.
+
+    The entries are drawn from [-b, b] for b in {1, 2, 6}, so that bases and
+    pivots other than +-1 both occur; a zeroed or copied coordinate column,
+    or fewer rows than r, makes rank M < r.
+    """
+    rank = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from((1, 2, 6)))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(("free", "zero-column", "copied-column")))
+    c = draw(st.integers(0, rank - 1))
+    if shape == "zero-column":
+        rows = [row[:c] + [0] + row[c + 1 :] for row in rows]
+    elif shape == "copied-column" and rank > 1:
+        source = (c + 1) % rank
+        sign = draw(st.sampled_from((1, -1)))
+        rows = [row[:c] + [sign * row[source]] + row[c + 1 :] for row in rows]
+    return rows, rank
+
+
+class TestFullCountCertificate:
+    """The integer elimination against the ``Fraction`` RREF it replaced.
+
+    The eta vectors only ever give pivot 1, so these random matrices are what
+    exercise the exact divisions by earlier pivots.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_vectors())
+    @example(([[2, 1, 0], [1, 3, 1], [0, 1, 4], [1, 1, 1], [3, 0, 2]], 3))
+    @example(([[4, 2], [6, 3], [1, 1]], 2))
+    def test_matches_the_fraction_certificate(self, case):
+        rows, rank = case
+        certificate = _FullCountCertificate(rows, rank)
+        oracle = FractionFullCountCertificate(rows, rank)
+        assert certificate.anchor == oracle.anchor
+        if oracle.anchor is None:
+            assert fraction_rank(rows) < rank
+            assert certificate.det == 0
+        else:
+            d = certificate.det
+            assert abs(d) == abs(determinant(IntMatrix.from_rows([rows[j] for j in oracle.anchor]))) > 0
+            for j, coefficients in enumerate(oracle.coefficients):
+                if j in oracle.anchor:
+                    t = oracle.anchor[j]
+                    assert certificate.scaled[j] == tuple(d if s == t else 0 for s in range(rank))
+                else:
+                    assert certificate.scaled[j] == tuple(d * x for x in coefficients)
+        for chosen in itertools.combinations(range(len(rows)), rank):
+            expected = abs(cofactor_det([rows[j] for j in chosen])) == 1
+            assert certificate.is_unimodular(chosen) == oracle.is_unimodular(chosen) == expected
 
 
 class TestRestrictToFacet:

@@ -271,6 +271,15 @@ COERCED_NUMBERS = {
 }
 
 
+def without_coords(data):
+    del data["pair"]["polytope"]["coords"]
+    return data
+
+
+# A W certificate is a truncated simplex and always carries coordinates.
+NO_COORDS = {"coords-missing": without_coords, "coords-null": set_at("pair", "polytope", "coords", None)}
+
+
 # The k = 1 certificate with d0's vector replaced by 2 e_0: ten vertices fail validation.
 doubled_d0 = set_at("pair", "vectors", "d0", [2, 0, 0])
 
@@ -345,6 +354,16 @@ class TestMalformedCertificates:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    @pytest.mark.parametrize("edit", NO_COORDS.values(), ids=NO_COORDS.keys())
+    def test_missing_coordinates(self, tmp_path, capsys, command, edit):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err == "error: malformed certificate: the polytope carries no vertex coordinates\n"
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "w.json"

@@ -1,14 +1,15 @@
 """How much work one certificate does, counted by wrapping cpbound's functions.
 
-Every artifact is computed once per manifold: one cell structure per seed,
-one elimination and one anchor determinant for all the full-count vertex
-vector sets, no Smith normal form on a valid datum, no determinant to invert
-a unimodular matrix, no model polytope built to recognize the boundary, one
-functional per boundary component, one boundary extraction per ``demo``, no
-gluing work in ``homology`` beyond validating a loaded datum, one polytope
-built for the truncated simplex, no navigation table in any polytope, one
-integer coordinate table per polytope and no ``Fraction`` functional
-evaluation, and nothing kept from one request to the next.
+Every artifact is computed once per manifold: one validation of W per
+request, one cell structure per seed, one integer elimination and no
+determinant for all the full-count vertex vector sets, no Smith normal form
+on a valid datum, no determinant to invert a unimodular matrix, no model
+polytope built to recognize the boundary, one functional per boundary
+component, one boundary extraction per ``demo``, no gluing work in
+``homology`` beyond validating a loaded datum, one polytope built for the
+truncated simplex, no navigation table in any polytope, one integer
+coordinate table per polytope and no ``Fraction`` functional evaluation, and
+nothing kept from one request to the next.
 """
 
 import functools
@@ -27,26 +28,49 @@ from cpbound.cobordism import build_W, glue_report, wmanifold_to_json
 from oracles import random_unimodular
 
 
+def _patch_everywhere(monkeypatch, module, name, make_wrapper):
+    """Replace a cpbound function by ``make_wrapper(original)`` in every module that imported it by name."""
+    original = getattr(module, name)
+    wrapper = make_wrapper(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "cpbound" or mod_name.startswith("cpbound."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counter of calls, and a function that starts counting one cpbound function."""
     counts: Counter[str] = Counter()
 
     def count(module, name):
-        original = getattr(module, name)
+        def make_wrapper(original):
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+            return counting
 
-        # Patch every cpbound module that imported the function by name.
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "cpbound" or mod_name.startswith("cpbound."):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counting)
+        _patch_everywhere(monkeypatch, module, name, make_wrapper)
 
     return counts, count
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The pairs passed to ``charfn.validate``, in call order."""
+    pairs = []
+
+    def make_wrapper(original):
+        def recording(pair, *args, **kwargs):
+            pairs.append(pair)
+            return original(pair, *args, **kwargs)
+
+        return recording
+
+    _patch_everywhere(monkeypatch, charfn, "validate", make_wrapper)
+    return pairs
 
 
 @pytest.mark.parametrize("k,extra", [(1, 0), (2, 2), (3, 4)])
@@ -76,10 +100,23 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
     for _ in range(2):  # nothing is remembered across requests
         counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
-        # W's one certificate serves the components through W.verdicts.  Its
-        # anchor is one determinant; the others are the witness and
-        # orientation checks of delta' and the P3 basis change.
-        assert counts == {"_FullCountCertificate": 1, "determinant": 4}
+        # W's one certificate serves the components through W.verdicts and
+        # needs no determinant; the three are the witness and orientation
+        # checks of delta' and the P3 basis change.
+        assert counts == {"_FullCountCertificate": 1, "determinant": 3}
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_glue_request_validates_w_once(validated, k):
+    W = build_W(k)
+    assert glue_report(W, 0, extra_seeds=1).passed
+    assert sum(pair is W.pair for pair in validated) == 1  # in build_W; glue_report reads W.report
+
+
+def test_validate_command_validates_w_once(validated):
+    assert run(["validate", "--k", "3"], io.StringIO()) == 0
+    assert len(validated) == 1
+    assert validated[0].boundary_facet_ids == ("P1", "P2", "P3")
 
 
 def test_inverse_unimodular_computes_no_determinant(calls):
