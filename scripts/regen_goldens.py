@@ -20,6 +20,8 @@ TARGETS = {
     "demo_n4.txt": ["demo", "--n", "4"],
     "homology_k1_seeds3.txt": ["homology", "--k", "1", "--seeds", "3"],
     "homology_k1_seeds3.json": ["homology", "--k", "1", "--seeds", "3", "--format", "json"],
+    "glue_k1-6.json": ["glue", "--k-range", "1:6", "--format", "json"],
+    "boundary_n8.json": ["boundary", "--n", "8", "--format", "json"],
 }
 
 
