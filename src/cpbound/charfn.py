@@ -247,8 +247,10 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
     assigned = sum(bits)
     certificate: _FullCountCertificate | None = None
     # Mapped mask -> (facets, vectors, reason) of a failing set, None of a passing one.
-    # On W, vertices that differ only in unassigned cut facets share a mask:
-    # half of W's vertices repeat one.
+    # On W the two ends of a root edge differ only in their unassigned cut
+    # facets, and every mapped mask is shared by exactly such a pair: n(n+4)/4
+    # masks cover the n(n+4)/2 vertices, so this memo serves 50% of them.  On
+    # P1, P2 and P3 no mask repeats, and it serves none.
     judged: dict[int, tuple[tuple[str, ...], tuple[tuple[int, ...], ...], str] | None] = {}
     failures = []
     for v, mask in zip(P.vertices, P.incidence):
@@ -351,12 +353,18 @@ def rho_permutation(n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def delta_matrix(n: int) -> IntMatrix:
-    """The basis reversal of Z^(n-1): the anti-diagonal permutation matrix."""
+def _basis_reversal(n: int) -> Permutation:
+    """The reversal i -> n-2-i of the n-1 basis places of Z^(n-1)."""
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got {n}")
+    return Permutation(tuple(range(n - 2, -1, -1)))
+
+
+def delta_matrix(n: int) -> IntMatrix:
+    """The basis reversal of Z^(n-1): the anti-diagonal permutation matrix."""
+    p = _basis_reversal(n)
     k = n - 1
-    return IntMatrix(k, k, tuple(1 if j == k - 1 - i else 0 for i in range(k) for j in range(k)))
+    return IntMatrix(k, k, tuple(1 if j == p(i) else 0 for i in range(k) for j in range(k)))
 
 
 def rho_facet_bijection(n: int) -> dict[str, str]:
@@ -441,14 +449,15 @@ class SimplexNormalForm:
         return dict(self.normal_form)[facet_id]
 
 
-def normalize_simplex_pair(pair: CharPair, verdicts: Verdicts | None = None) -> SimplexNormalForm:
+def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = None) -> SimplexNormalForm:
     """Change basis so all facets but one carry the standard basis, the last all-ones.
 
     Works for every valid closed pair over a combinatorial simplex: the
     lexicographically largest facet is made residual, the others are mapped
     to the standard basis, and vertex unimodularity forces the residual
     vector's entries to +-1, so signs can be absorbed into the basis change.
-    ``verdicts`` is passed on to ``validate``.
+    ``report`` is the pair's ``validate`` result, for a caller that already
+    has it; without one the pair is validated here.
     """
     P = pair.polytope
     if pair.boundary_facet_ids:
@@ -462,7 +471,8 @@ def normalize_simplex_pair(pair: CharPair, verdicts: Verdicts | None = None) -> 
     )
     if not is_simplex:
         raise ValueError("polytope is not a combinatorial simplex")
-    report = validate(pair, verdicts)
+    if report is None:
+        report = validate(pair)
     if not report.ok:
         first = report.failures[0]
         raise ValueError(
@@ -508,7 +518,9 @@ def orientation_signs(n: int) -> OrientationRecord:
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got {n}")
     sign_rho = permutation_sign(rho_permutation(n))
-    det_delta = determinant(delta_matrix(n))
+    # delta_matrix(n) is the permutation matrix of the reversal: its
+    # determinant is the reversal's sign.
+    det_delta = permutation_sign(_basis_reversal(n))
     label = "CP" if n % 4 == 2 else "conjugate-CP"
     return OrientationRecord(sign_rho, det_delta, label)
 

@@ -36,6 +36,7 @@ from .charfn import (
     verify_translation,
 )
 from .polytope import (
+    EdgeProvenance,
     SimplePolytope,
     format_fraction,
     indices_from_values,
@@ -160,20 +161,20 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     poly = W.pair.polytope
     _, values = separating_functional(poly, seed)
     ind = indices_from_values(poly, values)
-    root_edges = [e for e in poly.edges if e.provenance.kind == "original"]
-    per_vertex: dict[str, list] = {v.id: [] for v in poly.vertices}
-    for e in root_edges:
-        per_vertex[e.ends[0]].append(e)
-        per_vertex[e.ends[1]].append(e)
+    # Per vertex, (other end, tag) of each root edge at it.
+    root_edges: list[list[tuple[int, EdgeProvenance]]] = [[] for _ in poly.vertices]
+    for (i, j), tag in zip(poly.edge_pairs, poly.edge_tags):
+        if tag.kind == "original":
+            root_edges[i].append((j, tag))
+            root_edges[j].append((i, tag))
+    ids = [v.id for v in poly.vertices]  # sorted
     gens = []
-    for vid in sorted(per_vertex):
-        edges = per_vertex[vid]
+    for vid, edges in zip(ids, root_edges):
         if len(edges) != 1:
             raise AssertionError(f"vertex {vid} lies on {len(edges)} root edges, expected 1")
-        e = edges[0]
-        other = e.ends[0] if e.ends[1] == vid else e.ends[1]
-        if values[vid] > values[other]:
-            gens.append(CellGenerator(ind[vid], vid, e.provenance.ancestors))
+        other, tag = edges[0]
+        if values[vid] > values[ids[other]]:
+            gens.append(CellGenerator(ind[vid], vid, tag.ancestors))
     structure = CellStructure(W.n, tuple(gens))
     if structure.index_counts().get(W.n, 0) != 1:
         raise AssertionError("expected exactly one top-dimensional cell")
@@ -333,7 +334,8 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     ``extra_seeds`` re-runs the cell count under that many further functionals
     and requires identical counts.  Every artifact is computed once: W's
     validation is ``W.report``, its vertex verdicts in ``W.verdicts`` are
-    shared with the boundary components, and the cell stage (``cell_stage``)
+    shared with the boundary components, each component is validated once
+    (P3's report also serves its normal form), and the cell stage (``cell_stage``)
     supplies both the ``cell-structure`` and the ``euler-cross-check`` checks.
     """
     n = W.n
@@ -399,7 +401,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         )
 
         try:
-            normal = normalize_simplex_pair(components[2], W.verdicts)
+            normal = normalize_simplex_pair(components[2], sub_reports[2])
             allones = normal.vector_of(normal.residual_facet) == (1,) * (n - 1)
             checks.append(
                 CheckResult(

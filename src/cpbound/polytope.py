@@ -4,12 +4,21 @@ A polytope is stored by vertex-facet incidence: each vertex knows the set of
 facets containing it (exactly ``dim`` of them, simplicity).  Facet and vertex
 ids are strings at the API and in the JSON; inside, each vertex's facet set is
 also an ``int`` bitmask over the sorted facet ids (``SimplePolytope.incidence``),
-on which the constructor's checks run.  Edges are derived, never stored as
-primary data: two vertices are adjacent when they share ``dim - 1`` facets,
-that is when one mask with a bit dropped equals the other with a bit dropped.
-Each edge carries a provenance tag telling whether it is a remnant of an edge
-of the root polytope ("original", with the root endpoints recorded) or was
-created by a truncation ("cut").
+on which the constructor's checks run.
+
+The edge graph is kept as index pairs into ``vertices`` (``edge_pairs``,
+sorted), with one provenance tag per pair (``edge_tags``): an edge is a
+remnant of an edge of the root polytope ("original", with the root endpoints
+recorded) or was created by a truncation ("cut").  Edges are derived once per
+polytope, never read from input: two vertices are adjacent when they share
+``dim - 1`` facets, that is when one mask with a bit dropped equals the other
+with a bit dropped.  ``truncated_simplex`` and ``polytope_from_json`` tag the
+derived pairs from the masks (``_mask_graph``): an edge inside a cut facet is
+a cut edge, and any other is the remnant of the root edge ``A{a}``--``A{b}``,
+where ``d{a}`` and ``d{b}`` are the two root facets both its ends miss.  A face of a simple polytope has as edges exactly the parent's edges
+with both ends in the face, so ``face_as_polytope`` restricts the parent's
+pairs and tags instead of deriving them again.  The string-ended ``edges``
+tuple is built from the pairs only when something reads it.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -32,10 +41,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 Point = tuple[Fraction, ...]
 
@@ -91,6 +99,10 @@ CUT_EDGE = EdgeProvenance("cut")
 
 def original_edge(a: str, b: str) -> EdgeProvenance:
     return EdgeProvenance("original", tuple(sorted((a, b))))
+
+
+# Edge index pairs into a polytope's vertices, sorted, and their tags, aligned.
+_EdgeGraph = tuple[Sequence[tuple[int, int]], Sequence[EdgeProvenance]]
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,43 @@ def _derive_edges(masks: Sequence[int], universe: Sequence[str]) -> list[tuple[i
     return pairs
 
 
+def _mask_graph(P: SimplePolytope) -> _EdgeGraph:
+    """The derived edge pairs of P, each tagged from the incidence masks of its ends.
+
+    An edge whose ends share a cut facet is a cut edge.  Any other edge is an
+    original one: when the original facets are the n+1 root facets of a
+    truncated n-simplex, indexed 0..n, it is the remnant of the root edge
+    ``A{a}``--``A{b}`` for a, b the two root facets both ends miss; otherwise
+    it is its own root edge.  The ends of an edge share n-1 facets, so when
+    none of them is cut they miss exactly two of the n+1 root facets.
+    """
+    pairs = _derive_edges(P.incidence, P.facet_ids)
+    cut_mask = 0
+    orig_index: dict[int, int] = {}  # bit -> root facet index
+    for j, f in enumerate(P.facets):
+        if f.provenance.kind == "cut":
+            cut_mask |= 1 << j
+        else:
+            orig_index[1 << j] = f.provenance.index
+    orig_mask = sum(orig_index)
+    # A truncation of the n-simplex keeps the n+1 root facets, indexed 0..n.
+    simplex_root = sorted(orig_index.values()) == list(range(P.dim + 1))
+    masks = P.incidence
+    ids = [v.id for v in P.vertices]
+    tags = []
+    for i, j in pairs:
+        shared = masks[i] & masks[j]
+        if shared & cut_mask:
+            tags.append(CUT_EDGE)
+        elif simplex_root:
+            missing = orig_mask & ~shared
+            low = missing & -missing
+            tags.append(original_edge(f"A{orig_index[low]}", f"A{orig_index[missing ^ low]}"))
+        else:
+            tags.append(original_edge(ids[i], ids[j]))
+    return pairs, tags
+
+
 def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
     adjacency: list[list[int]] = [[] for _ in range(count)]
     for i, j in pairs:
@@ -185,7 +234,13 @@ class SimplePolytope:
     """A combinatorial simple polytope (vertex-facet incidence plus tags).
 
     ``incidence`` holds each vertex's facet set as an int, aligned with
-    ``vertices``: bit j stands for ``facet_ids[j]``.
+    ``vertices``: bit j stands for ``facet_ids[j]``.  ``edge_pairs`` holds
+    the edges as sorted index pairs into ``vertices`` and ``edge_tags`` their
+    provenance, aligned with them.  A caller passes the tags keyed by sorted
+    vertex id pairs, and the constructor derives the edges.
+    ``truncated_simplex``, ``polytope_from_json`` and ``face_as_polytope``
+    pass ``_graph`` instead: it is called with the polytope once the masks
+    are checked, and returns its pairs and tags.
     Instances are immutable by convention; all operations build new objects.
     """
 
@@ -195,6 +250,8 @@ class SimplePolytope:
         facets: Sequence[FacetLabel],
         vertices: Sequence[Vertex],
         edge_tags: Mapping[tuple[str, str], EdgeProvenance],
+        *,
+        _graph: Callable[[SimplePolytope], _EdgeGraph] | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("polytope dimension must be at least 1")
@@ -237,21 +294,30 @@ class SimplePolytope:
         for fid in _facet_list(~used, self.facet_ids):
             raise ValueError(f"facet {fid} contains no vertex")
 
-        pairs = _derive_edges(self.incidence, self.facet_ids)
-        ids = [v.id for v in self.vertices]
-        edges = []
-        for i, j in pairs:
-            a, b = ids[i], ids[j]
-            tag = edge_tags.get((a, b))
-            if tag is None:
-                raise ValueError(f"edge {a}--{b} has no provenance tag")
-            edges.append(Edge((a, b), tag))
-        self.edges = tuple(edges)
-        if not self.edges and len(self.vertices) > 1:
+        if _graph is None:
+            pairs = _derive_edges(self.incidence, self.facet_ids)
+            tags = []
+            for i, j in pairs:
+                a, b = self.vertices[i].id, self.vertices[j].id
+                tag = edge_tags.get((a, b))
+                if tag is None:
+                    raise ValueError(f"edge {a}--{b} has no provenance tag")
+                tags.append(tag)
+        else:
+            pairs, tags = _graph(self)
+        self.edge_pairs = tuple(pairs)
+        self.edge_tags = tuple(tags)
+        if not self.edge_pairs and len(self.vertices) > 1:
             raise ValueError("vertex-edge graph is disconnected (no edges)")
-        if not _is_connected(len(self.vertices), pairs):
+        if not _is_connected(len(self.vertices), self.edge_pairs):
             raise ValueError("vertex-edge graph is disconnected")
         self.vertex_by_id = {v.id: v for v in self.vertices}
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges with their vertex ids, in ``edge_pairs`` order; built on first use."""
+        ids = [v.id for v in self.vertices]
+        return tuple(Edge((ids[i], ids[j]), tag) for (i, j), tag in zip(self.edge_pairs, self.edge_tags))
 
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
@@ -294,26 +360,32 @@ def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
 def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     """A face of a simple polytope as a simple polytope in its own right.
 
-    Keeps the parent's facet labels (restricted), coordinates, and edge tags;
-    the facets kept are read off the parent's incidence masks.
+    Keeps the parent's facet labels (restricted), coordinates, and edges with
+    their tags; the facets kept are read off the parent's incidence masks.
+    The face's edges are the parent's edges with both ends in the face, so
+    its graph is the parent's, renumbered: the face keeps the parent's
+    vertex order, and with it the order of the pairs.
     """
     sub_dim = P.dim - len(face.facet_ids)
     if sub_dim < 1:
         raise ValueError("face is a vertex; it has no polytope structure")
     in_face = set(face.vertex_ids)
+    position = [-1] * len(P.vertices)  # parent index -> face index, -1 outside the face
     vertices = []
     used = 0
-    for v, mask in zip(P.vertices, P.incidence):
+    for i, (v, mask) in enumerate(zip(P.vertices, P.incidence)):
         if v.id in in_face:
+            position[i] = len(vertices)
             vertices.append(Vertex(v.id, v.facet_ids - face.facet_ids, v.coord))
             used |= mask
     facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
-    tags = {
-        e.ends: e.provenance
-        for e in P.edges
-        if e.ends[0] in in_face and e.ends[1] in in_face
-    }
-    return SimplePolytope(sub_dim, facets, vertices, tags)
+    pairs, tags = [], []
+    for (i, j), tag in zip(P.edge_pairs, P.edge_tags):
+        a, b = position[i], position[j]
+        if a >= 0 and b >= 0:
+            pairs.append((a, b))
+            tags.append(tag)
+    return SimplePolytope(sub_dim, facets, vertices, {}, _graph=lambda _: (pairs, tags))
 
 
 def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
@@ -325,7 +397,8 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     i in F and m outside F: it lies on every root facet except ``d{i}`` and
     ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m.  Two vertices of
     one cut sharing i or sharing m span a cut edge; ``A{i}|d{m}`` and
-    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``.
+    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``; the
+    constructor derives these edges and ``_mask_graph`` tags them.
     Requires even n >= 4 and a rational 0 < r1 < 1/4; the result has n+4
     facets and n(n+4)/2 vertices.
     """
@@ -340,7 +413,6 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     root_facets = frozenset(d)
     facets = [FacetLabel(f, original_facet(j)) for j, f in enumerate(d)]
     vertices: list[Vertex] = []
-    tags: dict[tuple[str, str], EdgeProvenance] = {}
     for cut, face in cuts.items():
         outside = [m for m in range(n + 1) if m not in face]
         facets.append(FacetLabel(cut, cut_facet([d[m] for m in outside])))
@@ -350,13 +422,7 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
                 coord = [Fraction(0)] * (n + 1)
                 coord[i], coord[m] = 1 - r1, r1
                 vertices.append(Vertex(vid, root_facets - {d[i], d[m]} | {cut}, tuple(coord)))
-                tags[_edge_key(vid, f"A{m}|d{i}")] = original_edge(f"A{i}", f"A{m}")
-            for m, m2 in combinations(outside, 2):
-                tags[_edge_key(f"A{i}|d{m}", f"A{i}|d{m2}")] = CUT_EDGE
-        for m in outside:
-            for i, i2 in combinations(face, 2):
-                tags[_edge_key(f"A{i}|d{m}", f"A{i2}|d{m}")] = CUT_EDGE
-    return SimplePolytope(n, facets, vertices, tags)
+    return SimplePolytope(n, facets, vertices, {}, _graph=_mask_graph)
 
 
 def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
@@ -461,16 +527,13 @@ def indices_from_values(P: SimplePolytope, values: Mapping[str, int]) -> dict[st
     """
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
-    ind = {v.id: 0 for v in P.vertices}
-    for e in P.edges:
-        a, b = e.ends
-        head = a if values[a] > values[b] else b
-        ind[head] += 1
-    tops = [v for v, i in ind.items() if i == P.dim]
-    bottoms = [v for v, i in ind.items() if i == 0]
-    if len(tops) != 1 or len(bottoms) != 1:
+    at = [values[v.id] for v in P.vertices]
+    counts = [0] * len(at)
+    for i, j in P.edge_pairs:
+        counts[i if at[i] > at[j] else j] += 1
+    if counts.count(P.dim) != 1 or counts.count(0) != 1:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
-    return ind
+    return {v.id: c for v, c in zip(P.vertices, counts)}
 
 
 def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:
@@ -523,8 +586,9 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
 #           "vertices": [[facet ids, sorted], ...]              (sorted),
 #           "coords": [["p/q", ...], ...] }                     (optional, aligned)
 #
-# Edges are derived on load; an edge is a cut edge exactly when it lies inside
-# a cut facet, otherwise it is a remnant of a root edge.
+# Edges are derived on load and tagged by ``_mask_graph``: an edge is a cut
+# edge exactly when it lies inside a cut facet, otherwise it is a remnant of a
+# root edge.
 
 
 def format_fraction(x: Fraction) -> str:
@@ -586,29 +650,4 @@ def polytope_from_json(data: dict) -> SimplePolytope:
     for i, fids in enumerate(raw_vertices):
         coord = tuple(parse_fraction(x) for x in coords[i]) if coords is not None else None
         vertices.append(Vertex(f"v{i:0{width}d}", frozenset(str(f) for f in fids), coord))
-
-    # Bits over every facet id the vertices name, so that an unknown one is
-    # reported by the constructor, as it would be for any other caller.
-    universe = sorted({f.id for f in facets}.union(*(v.facet_ids for v in vertices)))
-    bits = {fid: 1 << j for j, fid in enumerate(universe)}
-    masks = [sum(bits[fid] for fid in v.facet_ids) for v in vertices]
-    cut_mask = sum({bits[f.id] for f in facets if f.provenance.kind == "cut"})
-    orig_index = {bits[f.id]: f.provenance.index for f in facets if f.provenance.kind == "original"}
-    orig_mask = sum(orig_index)
-    # A truncation of the n-simplex keeps the n+1 root facets, indexed 0..n.
-    simplex_root = sorted(orig_index.values()) == list(range(dim + 1))
-    tags: dict[tuple[str, str], EdgeProvenance] = {}
-    for i, j in _derive_edges(masks, universe):
-        a, b = vertices[i].id, vertices[j].id
-        shared = masks[i] & masks[j]
-        if shared & cut_mask:
-            tags[(a, b)] = CUT_EDGE
-        elif simplex_root and not shared & ~orig_mask:
-            kept = {index for bit, index in orig_index.items() if shared & bit}
-            missing = sorted(set(range(dim + 1)) - kept)
-            if len(missing) != 2:
-                raise ValueError(f"cannot reconstruct the root edge of {a}--{b}")
-            tags[(a, b)] = original_edge(f"A{missing[0]}", f"A{missing[1]}")
-        else:
-            tags[(a, b)] = original_edge(a, b)
-    return SimplePolytope(dim, facets, vertices, tags)
+    return SimplePolytope(dim, facets, vertices, {}, _graph=_mask_graph)

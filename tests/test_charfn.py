@@ -11,6 +11,8 @@ from cpbound.charfn import (
     _FullCountCertificate,
     CharVector,
     TranslationWitness,
+    ValidationReport,
+    VertexCheck,
     attach,
     charpair_from_json,
     charpair_to_json,
@@ -388,6 +390,35 @@ class TestFullCountCertificate:
             assert certificate.is_unimodular(chosen) == oracle.is_unimodular(chosen) == expected
 
 
+class TestValidateMaskMemo:
+    """Which vertices share a mapped mask, the traffic ``validate``'s memo serves."""
+
+    @staticmethod
+    def mapped_masks(pair):
+        P = pair.polytope
+        assigned = sum(1 << j for j, f in enumerate(P.facet_ids) if f in pair.assignment)
+        by_mask = {}
+        for i, mask in enumerate(P.incidence):
+            by_mask.setdefault(mask & assigned, []).append(i)
+        return by_mask
+
+    @pytest.mark.parametrize("k", (1, 2, 5, 12))
+    def test_w_masks_are_shared_by_the_ends_of_one_root_edge(self, k):
+        W = build_W(k)
+        n, P = W.n, W.pair.polytope
+        by_mask = self.mapped_masks(W.pair)
+        assert len(P.vertices) == n * (n + 4) // 2
+        assert len(by_mask) == n * (n + 4) // 4  # 195 of 390 at k = 12
+        root_edges = {e for e, tag in zip(P.edge_pairs, P.edge_tags) if tag.kind == "original"}
+        assert {tuple(ends) for ends in by_mask.values()} == root_edges
+
+    @pytest.mark.parametrize("k", (1, 2, 5))
+    def test_no_mask_repeats_on_the_boundary_components(self, k):
+        for component in boundary_components(build_W(k)):
+            by_mask = self.mapped_masks(component)
+            assert len(by_mask) == len(component.polytope.vertices)
+
+
 class TestRestrictToFacet:
     def test_p3_restriction_vectors(self):
         pair = w_pair(4)
@@ -588,6 +619,16 @@ class TestNormalizeSimplexPair:
     def test_open_pair_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             normalize_simplex_pair(w_pair(4))
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_given_report_is_read_not_recomputed(self, n):
+        pair = restrict_to_facet(w_pair(n), "P3")
+        report = validate(pair)
+        assert normalize_simplex_pair(pair, report) == normalize_simplex_pair(pair)
+        # A failing report is taken at its word: the pair is not validated again.
+        failing = ValidationReport(False, report.checked_vertices, (VertexCheck("v", (), (), False, "r"),))
+        with pytest.raises(ValueError, match=r"not a valid characteristic pair: vertex v \(r\)"):
+            normalize_simplex_pair(pair, failing)
 
     def test_random_valid_simplex_pairs_normalize(self):
         rng = random.Random(42)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
 from cpbound.polytope import (
     FaceRef,
     FacetLabel,
@@ -332,10 +333,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         tags = self.tags(three_cut_truncated_simplex(n))
         assert P.edges == frozenset_edges(P.dim, P.facets, P.vertices, tags)
 
-    @pytest.mark.parametrize("n", range(4, 22, 2))
-    @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
-    def test_faces(self, n, facet):
-        P = truncated_simplex(n)
+    def assert_face_matches_oracle(self, P, facet):
         face = face_as_polytope(P, face_from_facets(P, [facet]))
         self.assert_derivations_agree(face)
         vertices = [Vertex(v.id, v.facet_ids - {facet}, v.coord) for v in P.vertices if facet in v.facet_ids]
@@ -345,7 +343,19 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         tags = {ends: tag for ends, tag in self.tags(P).items() if set(ends) <= inside}
         assert face.vertices == tuple(vertices)
         assert face.facets == tuple(facets)
-        assert face.edges == frozenset_edges(n - 1, facets, vertices, tags)
+        assert face.edges == frozenset_edges(P.dim - 1, facets, vertices, tags)
+
+    @pytest.mark.parametrize("n", range(4, 22, 2))
+    @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
+    def test_faces(self, n, facet):
+        self.assert_face_matches_oracle(truncated_simplex(n), facet)
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
+    def test_faces_of_loaded_certificates(self, k, facet):
+        blob = json.loads(json.dumps(wmanifold_to_json(build_W(k))))
+        P = wmanifold_from_json(blob).pair.polytope
+        self.assert_face_matches_oracle(P, facet)
 
     @pytest.mark.parametrize("n", range(4, 22, 2))
     def test_json_round_trip(self, n):

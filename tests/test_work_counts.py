@@ -2,14 +2,17 @@
 
 Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, one integer elimination and no
-determinant for all the full-count vertex vector sets, no Smith normal form
-on a valid datum, no determinant to invert a unimodular matrix, no model
-polytope built to recognize the boundary, one functional per boundary
-component, one boundary extraction per ``demo``, no gluing work in
-``homology`` beyond validating a loaded datum, one polytope built for the
-truncated simplex, no navigation table in any polytope, one integer
-coordinate table per polytope and no ``Fraction`` functional evaluation, and
-nothing kept from one request to the next.
+determinant for all the full-count vertex vector sets, one validation per
+boundary component, two determinants per request (none for the orientation
+record), no Smith normal form on a valid datum, no determinant to invert a
+unimodular matrix, no model polytope built to recognize the boundary, one
+functional per boundary component, one boundary extraction per ``demo``, no
+gluing work in ``homology`` beyond validating a loaded datum, one polytope
+built for the truncated simplex, one edge derivation per built or loaded
+polytope and none per face, no string-ended edge tuple in a request, no
+navigation table in any polytope, one integer coordinate table per polytope
+and no ``Fraction`` functional evaluation, and nothing kept from one request
+to the next.
 """
 
 import functools
@@ -101,9 +104,10 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
         counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
         # W's one certificate serves the components through W.verdicts and
-        # needs no determinant; the three are the witness and orientation
-        # checks of delta' and the P3 basis change.
-        assert counts == {"_FullCountCertificate": 1, "determinant": 3}
+        # needs no determinant; the two are the witness check of delta' and
+        # the P3 basis change.  det delta' for the orientation record is the
+        # sign of the reversal delta' permutes by.
+        assert counts == {"_FullCountCertificate": 1, "determinant": 2}
 
 
 @pytest.mark.parametrize("k", (1, 3, 5))
@@ -111,6 +115,14 @@ def test_glue_request_validates_w_once(validated, k):
     W = build_W(k)
     assert glue_report(W, 0, extra_seeds=1).passed
     assert sum(pair is W.pair for pair in validated) == 1  # in build_W; glue_report reads W.report
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_glue_request_validates_each_component_once(validated, k):
+    report = glue_report(build_W(k), 0, extra_seeds=1)
+    assert report.passed
+    # P3's report from the component-validity check also serves its normal form.
+    assert [sum(pair is c for pair in validated) for c in report.components] == [1, 1, 1]
 
 
 def test_validate_command_validates_w_once(validated):
@@ -152,6 +164,63 @@ def test_truncated_simplex_builds_one_polytope(monkeypatch, n):
     monkeypatch.setattr(polytope.SimplePolytope, "__init__", counting_init)
     P = polytope.truncated_simplex(n)
     assert built == [P]
+
+
+@pytest.mark.parametrize("n", (4, 6, 12))
+def test_edges_are_derived_once_per_built_polytope(calls, n):
+    counts, count = calls
+    count(polytope, "_derive_edges")
+    P = polytope.truncated_simplex(n)
+    assert counts["_derive_edges"] == 1
+    polytope.polytope_from_json(polytope.polytope_to_json(P))
+    assert counts["_derive_edges"] == 2
+    for facet in ("P1", "P2", "P3"):  # a face restricts its parent's edges
+        polytope.face_as_polytope(P, polytope.face_from_facets(P, [facet]))
+    assert counts["_derive_edges"] == 2
+
+
+@pytest.mark.parametrize("k", (1, 3))
+def test_glue_request_derives_edges_once(calls, k):
+    counts, count = calls
+    count(polytope, "_derive_edges")
+    assert glue_report(build_W(k), 0, extra_seeds=1).passed
+    assert counts["_derive_edges"] == 1  # the truncated simplex; its faces restrict it
+
+
+@pytest.fixture
+def edge_tuples(monkeypatch):
+    """The polytopes whose string-ended ``edges`` tuple gets built."""
+    built = []
+    build = polytope.SimplePolytope.__dict__["edges"].func
+
+    def counting_build(P):
+        built.append(P)
+        return build(P)
+
+    edges = functools.cached_property(counting_build)
+    edges.__set_name__(polytope.SimplePolytope, "edges")
+    monkeypatch.setattr(polytope.SimplePolytope, "edges", edges)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("glue", "--k-range", "1:4", "--seeds", "3", "--format", "json"),
+        ("homology", "--k", "2", "--seeds", "3"),
+        ("boundary", "--n", "6", "--format", "json"),
+    ],
+)
+def test_commands_build_no_edge_tuples(edge_tuples, argv):
+    assert run(list(argv), io.StringIO()) == 0
+    assert edge_tuples == []
+
+
+def test_loaded_glue_builds_no_edge_tuples(edge_tuples, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(2))))
+    assert run(["glue", "--input", str(path), "--format", "json"], io.StringIO()) == 0
+    assert edge_tuples == []
 
 
 def test_building_polytopes_calls_no_neighbors():
