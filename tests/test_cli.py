@@ -140,6 +140,7 @@ class TestDeterminism:
             ("homology_k1_seeds3.json", ("homology", "--k", "1", "--seeds", "3", "--format", "json")),
             ("glue_k1-6.json", ("glue", "--k-range", "1:6", "--format", "json")),
             ("boundary_n8.json", ("boundary", "--n", "8", "--format", "json")),
+            ("glue_k24.txt", ("glue", "--k", "24")),
         ],
     )
     def test_output_matches_golden(self, golden, argv):
