@@ -25,6 +25,11 @@ So S is a basis of Z^r exactly when |det Y[S - A, A - S]| = |d|^(s - 1), an
 integer minor of size at most m - r; for s = 0, S = A and the condition is
 |d| = 1.  When rank M < r there is no anchor and no full-count vertex is
 unimodular.  Below full count a vertex is checked by its Smith normal form.
+
+The elimination is ``zlinalg.fraction_free_reduce``, and it is the one this
+module runs: it reduces M^T and each minor Y[S - A, A - S] for vertex
+validation, gives the determinant for the witness check of delta, and
+inverts the basis of a simplex pair in ``normalize_simplex_pair``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .zlinalg import (
     Permutation,
     apply_matrix,
     determinant,
+    fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
     matmul,
@@ -113,18 +119,9 @@ class CharPair:
             )
 
 
-def attach(
-    P: SimplePolytope,
-    assignment: Mapping[str, Sequence[int]],
-    torus_rank: int | None = None,
-) -> CharPair:
+def attach(P: SimplePolytope, assignment: Mapping[str, Sequence[int]], torus_rank: int) -> CharPair:
     """Build a CharPair, canonicalizing the vectors; unmapped facets are boundary."""
-    vectors = {fid: CharVector.canon(v) for fid, v in assignment.items()}
-    if torus_rank is None:
-        if not vectors:
-            raise ValueError("cannot infer the torus rank of an empty assignment")
-        torus_rank = len(next(iter(vectors.values())))
-    return CharPair(P, torus_rank, vectors)
+    return CharPair(P, torus_rank, {fid: CharVector.canon(v) for fid, v in assignment.items()})
 
 
 @dataclass(frozen=True)
@@ -151,60 +148,23 @@ class ValidationReport:
 Verdicts = dict[tuple[int, tuple[tuple[int, ...], ...]], str]
 
 
-def _abs_det(rows: list[list[int]]) -> int:
-    """|det| of a small square integer matrix (1 for the empty one), by Bareiss elimination."""
-    a = [list(r) for r in rows]
-    prev = 1
-    for t in range(len(a)):
-        p = next((i for i in range(t, len(a)) if a[i][t]), None)
-        if p is None:
-            return 0
-        a[t], a[p] = a[p], a[t]
-        piv = a[t][t]
-        for i in range(t + 1, len(a)):
-            f = a[i][t]
-            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], a[t])]
-        prev = piv
-    return abs(prev)
-
-
 class _FullCountCertificate:
     """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
-    Reduces M^T (r x m, one column per row of M) by fraction-free
-    Gauss-Jordan elimination: each step brings the pivot into row t and sets
-    every other row i to (row_i * piv - row_i[j] * row_t) // prev, where prev
-    is the previous pivot; by Sylvester's identity every division is exact.
+    Reduces M^T (r x m, one column per row of M) by ``fraction_free_reduce``.
     The pivot columns are the anchor rows A and end as d * I, where d, the
     last pivot, is +-det M_A; the column of any other row j holds Y_j with
     d * M_j = Y_j M_A.  Row sets are then judged by the integer identity of
-    the module docstring, with no determinant of M_A beyond d.
+    the module docstring, with no determinant of M_A beyond d; the minor
+    Y[S - A, A - S] is reduced by the same elimination.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
         work = [list(column) for column in zip(*rows)]
-        pivots: list[int] = []
-        prev = 1
-        for j in range(len(rows)):
-            t = len(pivots)
-            if t == rank:
-                break
-            p = next((i for i in range(t, rank) if work[i][j]), None)
-            if p is None:
-                continue
-            work[t], work[p] = work[p], work[t]
-            row_t = work[t]
-            piv = row_t[j]
-            for i in range(rank):
-                f = work[i][j]
-                if i == t or (not f and piv == prev):
-                    continue
-                work[i] = [(x * piv - f * y) // prev for x, y in zip(work[i], row_t)]
-            prev = piv
-            pivots.append(j)
+        pivots, d, _ = fraction_free_reduce(work)
         # Anchor row -> its place in Y's columns; None when rank M < r.
         self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
-        self.det = prev if self.anchor is not None else 0
+        self.det = d if self.anchor is not None else 0
         self.scaled = [tuple(row[j] for row in work) for j in range(len(rows))]
 
     def is_unimodular(self, chosen: Sequence[int]) -> bool:
@@ -217,7 +177,8 @@ class _FullCountCertificate:
         kept = set(chosen)
         dropped = [t for j, t in self.anchor.items() if j not in kept]
         minor = [[self.scaled[j][t] for t in dropped] for j in outside]
-        return _abs_det(minor) == abs(self.det) ** (len(outside) - 1)
+        pivots, d, _ = fraction_free_reduce(minor)
+        return len(pivots) == len(minor) and abs(d) == abs(self.det) ** (len(outside) - 1)
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:

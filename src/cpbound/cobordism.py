@@ -36,7 +36,6 @@ from .charfn import (
     verify_translation,
 )
 from .polytope import (
-    EdgeProvenance,
     SimplePolytope,
     format_fraction,
     indices_from_values,
@@ -127,7 +126,6 @@ class CellGenerator:
 
     index: int  # the vertex index j; the cell has dimension 2j-1
     vertex: str
-    root_edge: tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -161,20 +159,19 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     poly = W.pair.polytope
     _, values = separating_functional(poly, seed)
     ind = indices_from_values(poly, values)
-    # Per vertex, (other end, tag) of each root edge at it.
-    root_edges: list[list[tuple[int, EdgeProvenance]]] = [[] for _ in poly.vertices]
+    # Per vertex, the other end of each root edge at it.
+    root_edges: list[list[int]] = [[] for _ in poly.vertices]
     for (i, j), tag in zip(poly.edge_pairs, poly.edge_tags):
         if tag.kind == "original":
-            root_edges[i].append((j, tag))
-            root_edges[j].append((i, tag))
+            root_edges[i].append(j)
+            root_edges[j].append(i)
     ids = [v.id for v in poly.vertices]  # sorted
     gens = []
-    for vid, edges in zip(ids, root_edges):
-        if len(edges) != 1:
-            raise AssertionError(f"vertex {vid} lies on {len(edges)} root edges, expected 1")
-        other, tag = edges[0]
-        if values[vid] > values[ids[other]]:
-            gens.append(CellGenerator(ind[vid], vid, tag.ancestors))
+    for vid, others in zip(ids, root_edges):
+        if len(others) != 1:
+            raise AssertionError(f"vertex {vid} lies on {len(others)} root edges, expected 1")
+        if values[vid] > values[ids[others[0]]]:
+            gens.append(CellGenerator(ind[vid], vid))
     structure = CellStructure(W.n, tuple(gens))
     if structure.index_counts().get(W.n, 0) != 1:
         raise AssertionError("expected exactly one top-dimensional cell")

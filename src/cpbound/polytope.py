@@ -12,13 +12,17 @@ remnant of an edge of the root polytope ("original", with the root endpoints
 recorded) or was created by a truncation ("cut").  Edges are derived once per
 polytope, never read from input: two vertices are adjacent when they share
 ``dim - 1`` facets, that is when one mask with a bit dropped equals the other
-with a bit dropped.  ``truncated_simplex`` and ``polytope_from_json`` tag the
-derived pairs from the masks (``_mask_graph``): an edge inside a cut facet is
-a cut edge, and any other is the remnant of the root edge ``A{a}``--``A{b}``,
-where ``d{a}`` and ``d{b}`` are the two root facets both its ends miss.  A face of a simple polytope has as edges exactly the parent's edges
-with both ends in the face, so ``face_as_polytope`` restricts the parent's
-pairs and tags instead of deriving them again.  The string-ended ``edges``
-tuple is built from the pairs only when something reads it.
+with a bit dropped.  ``truncated_simplex``, ``polytope_from_json`` and
+``product`` tag the derived pairs from the masks (``_mask_graph``).  An edge
+inside a cut facet is a cut edge.  Any other edge of a truncated simplex is
+the remnant of the root edge ``A{a}``--``A{b}``, where ``d{a}`` and ``d{b}``
+are the two root facets both its ends miss; an edge of a product is its own
+root edge.
+
+A face of a simple polytope has as edges exactly the parent's edges with
+both ends in the face, so ``face_as_polytope`` restricts the parent's pairs
+and tags instead of deriving them again.  The string-ended ``edges`` tuple
+is built from the pairs only when something reads it.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -138,10 +142,6 @@ class LinearFunctional:
         return sum((c * x for c, x in zip(self.coefficients, point)), Fraction(0))
 
 
-def _edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 def _facet_list(mask: int, universe: Sequence[str]) -> list[str]:
     """The ids of the set bits of a facet bitmask, in the (sorted) order of ``universe``."""
     return [f for j, f in enumerate(universe) if mask >> j & 1]
@@ -238,9 +238,9 @@ class SimplePolytope:
     the edges as sorted index pairs into ``vertices`` and ``edge_tags`` their
     provenance, aligned with them.  A caller passes the tags keyed by sorted
     vertex id pairs, and the constructor derives the edges.
-    ``truncated_simplex``, ``polytope_from_json`` and ``face_as_polytope``
-    pass ``_graph`` instead: it is called with the polytope once the masks
-    are checked, and returns its pairs and tags.
+    ``truncated_simplex``, ``polytope_from_json``, ``product`` and
+    ``face_as_polytope`` pass ``_graph`` instead: it is called with the
+    polytope once the masks are checked, and returns its pairs and tags.
     Instances are immutable by convention; all operations build new objects.
     """
 
@@ -426,7 +426,12 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
 
 
 def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
-    """Combinatorial product: facets are the disjoint union, vertices pairs."""
+    """Combinatorial product: facets are the disjoint union, vertices pairs.
+
+    Every facet is original, P's and Q's indexed in turn, so there are more
+    than dim + 1 of them and ``_mask_graph`` tags each edge as its own root
+    edge.
+    """
     facets = []
     index = 0
     for f in P.facets:
@@ -444,18 +449,7 @@ def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
             )
             coord = u.coord + v.coord if both_coords else None
             vertices.append(Vertex(f"{u.id}*{v.id}", fs, coord))
-    tags: dict[tuple[str, str], EdgeProvenance] = {}
-    for e in P.edges:
-        a, b = e.ends
-        for v in Q.vertices:
-            key = _edge_key(f"{a}*{v.id}", f"{b}*{v.id}")
-            tags[key] = original_edge(*key)
-    for e in Q.edges:
-        a, b = e.ends
-        for u in P.vertices:
-            key = _edge_key(f"{u.id}*{a}", f"{u.id}*{b}")
-            tags[key] = original_edge(*key)
-    return SimplePolytope(P.dim + Q.dim, facets, vertices, tags)
+    return SimplePolytope(P.dim + Q.dim, facets, vertices, {}, _graph=_mask_graph)
 
 
 def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str, str] | None:

@@ -1,13 +1,16 @@
 """Exact integer linear algebra on Python's arbitrary-precision integers.
 
 Everything here is pure and allocation-light: matrices are immutable value
-types, determinants use fraction-free (Bareiss) elimination, and the Smith
-normal form is the classical pivot-and-reduce algorithm.  No floats, no
-machine-word arithmetic: intermediate determinant values overflow 64 bits
-already at modest sizes.
+types, one fraction-free (Bareiss) Gauss-Jordan elimination gives
+determinants, unimodular inverses and the vertex certificates of ``charfn``,
+and the Smith normal form is the classical pivot-and-reduce algorithm.  No
+floats, no machine-word arithmetic: intermediate determinant values overflow
+64 bits already at modest sizes.
 
-Pivot selection is deterministic everywhere: the smallest-magnitude nonzero
-entry of the working submatrix, ties broken in row-major order.
+Pivot selection is deterministic, with one rule per elimination: the
+fraction-free elimination takes the first nonzero entry of the pivot column
+at or below the pivot row, and the Smith normal form the smallest-magnitude
+nonzero entry of the working submatrix, ties broken in row-major order.
 """
 
 from __future__ import annotations
@@ -71,6 +74,51 @@ class Permutation:
         return self.images[j]
 
 
+def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """Reduce the rows of ``a`` in place by fraction-free Gauss-Jordan elimination.
+
+    Column by column, the first row at or below row t with a nonzero entry
+    is swapped into row t, and every other row i becomes
+    (row_i * piv - row_i[j] * row_t) // prev, where piv is the new pivot and
+    prev the one before it; by Sylvester's identity every division is exact.
+    A row already zero in the pivot column is skipped while piv == prev,
+    when the step leaves it as it is.  Returns the pivot columns, the last
+    pivot d and the sign of the row swaps.  When every row gets a pivot, the
+    pivot columns end as d * I, and d is sign times the determinant of the
+    original rows on those columns.
+    """
+    pivots: list[int] = []
+    prev = sign = 1
+    for j in range(len(a[0])):
+        t = len(pivots)
+        if t == len(a):
+            break
+        p = next((i for i in range(t, len(a)) if a[i][j]), None)
+        if p is None:
+            continue
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            sign = -sign
+        row_t = a[t]
+        piv = row_t[j]
+        for i in range(len(a)):
+            f = a[i][j]
+            if i == t or (not f and piv == prev):
+                continue
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], row_t)]
+        prev = piv
+        pivots.append(j)
+    return pivots, prev, sign
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant, by fraction-free elimination."""
+    if m.rows != m.cols:
+        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    pivots, d, sign = fraction_free_reduce(m.to_rows())
+    return sign * d if len(pivots) == m.rows else 0
+
+
 def _find_pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int] | None:
     """Smallest-magnitude nonzero entry of a[t:, t:], row-major tie break."""
     best: tuple[int, int] | None = None
@@ -80,35 +128,6 @@ def _find_pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int
             if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
                 best = (i, j)
     return best
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = _find_pivot(a, k, n, n)
-        if piv is None:
-            return 0
-        pi, pj = piv
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        # Bareiss step: every division below is exact.
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
@@ -230,40 +249,21 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, by integer row operations.
+    """Exact inverse of a matrix with determinant +-1, by fraction-free elimination.
 
-    Column by column, Euclidean row reduction of [m | I] brings the gcd of
-    the entries on and below the diagonal to the diagonal and zeros below it.
-    The matrix is unimodular exactly when every such pivot is +-1; each
-    pivot, made +1, then clears its column above as well, and the right half
-    is the inverse B.  The result is checked: m B = I.
+    Reducing [m | I] brings m to d * I exactly when m has full rank, and
+    then the right half is d * m^-1, where d = +-det m.  The matrix is
+    unimodular exactly when |d| = 1, and its inverse B is the right half
+    times d.  The result is checked: m B = I.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
     a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    for t in range(n):
-        while True:
-            rows = [i for i in range(t, n) if a[i][t]]
-            if not rows:
-                raise ValueError("matrix is not unimodular")
-            p = min(rows, key=lambda i: abs(a[i][t]))
-            a[t], a[p] = a[p], a[t]
-            if len(rows) == 1:
-                break
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-        if abs(a[t][t]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        for i in range(t):
-            if a[i][t]:
-                q = a[i][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-    inverse = IntMatrix(n, n, tuple(x for row in a for x in row[n:]))
+    pivots, d, _ = fraction_free_reduce(a)
+    if pivots != list(range(n)) or abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    inverse = IntMatrix(n, n, tuple(d * x for row in a for x in row[n:]))
     if matmul(m, inverse) != IntMatrix.identity(n):  # cannot happen after unit pivots
         raise ArithmeticError("row reduction did not invert the matrix")
     return inverse

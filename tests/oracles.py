@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive and shares no code path with the
-fast paths it checks: determinants by cofactor expansion, ranks by rational
-Gaussian elimination, invariant factors by minor gcds, h-vectors of products
+fast paths it checks: determinants by cofactor expansion and, at sizes
+cofactor expansion cannot reach, by ``bareiss_det``, the full-pivot forward
+Bareiss elimination ``zlinalg.determinant`` ran before the library's one
+fraction-free Gauss-Jordan routine replaced it; ranks by rational Gaussian
+elimination, invariant factors by minor gcds, h-vectors of products
 by polynomial multiplication, and polytope labels by a backtracking search
 for a facet bijection onto model polytopes, and separating functionals by
 ``Fraction`` arithmetic at the vertex coordinates.  The truncated simplex has
@@ -17,14 +20,16 @@ which runs the constructor's checks on those sets.  The dropped-facet
 navigation table ``navigation`` (at each vertex, the edge leaving through
 all its facets but one), which only ``cut_face`` and
 ``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
-second, per-vertex oracle: one Bareiss determinant for every distinct
+second, per-vertex oracle: one ``bareiss_det`` for every distinct
 full-count vector set, the path ``validate`` took before it certified them
 all from one elimination per pair.  That elimination has the rational oracle
 it replaced: ``FractionFullCountCertificate``, a ``Fraction`` reduced row
 echelon form of M^T whose non-pivot columns hold the coefficients X of each
-row of M over the anchor rows, with the anchor determinant from one Bareiss
-determinant.  The last section holds helpers over package types that only
-tests need.
+row of M over the anchor rows, with the anchor determinant from
+``bareiss_det``.  No oracle calls ``zlinalg.fraction_free_reduce``,
+directly or through ``determinant`` or ``inverse_unimodular``.  The last
+section holds helpers over package types that only tests need; they are not
+oracles, and ``inverse_witness`` does use the library's inverse.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from cpbound.polytope import (
 )
 from cpbound.zlinalg import (
     IntMatrix,
-    determinant,
     inverse_unimodular,
     is_direct_summand,
     matmul,
@@ -79,6 +83,39 @@ def cofactor_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant by forward Bareiss elimination with full pivoting.
+
+    The pivot is the smallest-magnitude nonzero entry of the working
+    submatrix, ties broken in row-major order; a row or column swap flips
+    the sign.  Unlike ``zlinalg.fraction_free_reduce`` it eliminates below
+    the pivot only and moves columns as well as rows.
+    """
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        candidates = [(abs(a[i][j]), i, j) for i in range(k, n) for j in range(k, n) if a[i][j]]
+        if not candidates:
+            return 0
+        _, pi, pj = min(candidates)
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            sign = -sign
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -433,11 +470,11 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
 
 def is_unimodular_basis(vectors, k: int) -> bool:
     """True iff the vectors are exactly k and form a Z-basis of Z^k: one Bareiss determinant."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    vecs = [[int(x) for x in v] for v in vectors]
     for v in vecs:
         if len(v) != k:
-            raise ValueError(f"vector {v} has length {len(v)}, expected {k}")
-    return len(vecs) == k and abs(determinant(IntMatrix.from_rows(vecs))) == 1
+            raise ValueError(f"vector {tuple(v)} has length {len(v)}, expected {k}")
+    return len(vecs) == k and abs(bareiss_det(vecs)) == 1
 
 
 def _fraction_abs_det(rows: list[list[Fraction]]) -> Fraction:
@@ -489,7 +526,7 @@ class FractionFullCountCertificate:
         self.coefficients = [tuple(row[j] for row in work) for j in range(len(rows))]
         self.det = 0
         if self.anchor is not None:
-            self.det = determinant(IntMatrix.from_rows([rows[j] for j in self.anchor]))
+            self.det = bareiss_det([list(rows[j]) for j in self.anchor])
 
     def is_unimodular(self, chosen) -> bool:
         """Whether these r rows of M form a basis of Z^r."""

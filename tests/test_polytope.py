@@ -415,6 +415,25 @@ class TestProduct:
         check_geometry(Q)
         assert len(Q.vertices[0].coord) == 5
 
+    @pytest.mark.parametrize(
+        "P,Q",
+        [
+            *((simplex(a), simplex(b)) for a, b in ((1, 1), (1, 2), (2, 3), (3, 3), (1, 5))),
+            (product(simplex(1), simplex(1)), simplex(2)),
+        ],
+    )
+    def test_every_edge_is_its_own_root_edge(self, P, Q):
+        """Each edge is an edge of one factor times a vertex of the other, tagged by its own ends."""
+        R = product(P, Q)
+        expected = set()
+        for e in P.edges:
+            expected |= {tuple(sorted(f"{end}*{v.id}" for end in e.ends)) for v in Q.vertices}
+        for e in Q.edges:
+            expected |= {tuple(sorted(f"{u.id}*{end}" for end in e.ends)) for u in P.vertices}
+        assert {e.ends for e in R.edges} == expected
+        for e in R.edges:
+            assert e.provenance == original_edge(*e.ends)
+
 
 class TestIsomorphism:
     def test_truncation_facets_recognized(self):

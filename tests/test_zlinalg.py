@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpbound.zlinalg import (
@@ -9,6 +9,7 @@ from cpbound.zlinalg import (
     Permutation,
     apply_matrix,
     determinant,
+    fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
     matmul,
@@ -17,6 +18,7 @@ from cpbound.zlinalg import (
 )
 
 from oracles import (
+    bareiss_det,
     cofactor_det,
     fraction_rank,
     is_unimodular_basis,
@@ -102,6 +104,57 @@ class TestDeterminant:
                 c = rng.randint(-3, 3)
                 rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         assert determinant(IntMatrix.from_rows(rows)) == expected
+
+
+@st.composite
+def signed_permutation_matrices(draw, max_size=40):
+    n = draw(st.integers(1, max_size))
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return Permutation(tuple(images)), signs
+
+
+class TestFractionFreeReduce:
+    """The elimination behind ``determinant`` and ``inverse_unimodular``, past cofactor sizes."""
+
+    @given(signed_permutation_matrices())
+    @settings(max_examples=150, deadline=None)
+    @example((Permutation(tuple(range(40))), [1] * 40))  # every pivot 1: zero rows are skipped
+    @example((Permutation(tuple(range(39, -1, -1))), [-1, 1] * 20))  # pivots alternate: piv != prev
+    def test_signed_permutations(self, case):
+        p, signs = case
+        n = len(signs)
+        m = IntMatrix(n, n, tuple(signs[i] if j == p(i) else 0 for i in range(n) for j in range(n)))
+        expected = permutation_sign(p)
+        for s in signs:
+            expected *= s
+        assert determinant(m) == expected
+        transpose = IntMatrix(n, n, tuple(m.entry(j, i) for i in range(n) for j in range(n)))
+        assert inverse_unimodular(m) == transpose
+
+    def test_against_bareiss_oracle_at_sizes_7_to_10(self):
+        rng = random.Random(710)
+        for trial in range(120):
+            n = rng.randint(7, 10)
+            rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 0:  # a dependent row: determinant 0
+                r, a, b = rng.sample(range(n), 3)
+                c = rng.randint(-3, 3)
+                rows[r] = [x + c * y for x, y in zip(rows[a], rows[b])]
+            expected = bareiss_det(rows)
+            assert determinant(IntMatrix.from_rows(rows)) == expected
+            assert (expected == 0) == (trial % 4 == 0)
+
+    def test_rank_and_pivot_block(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            rows = random_matrix_rows(rng, max_size=6, lo=-4, hi=4)
+            rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+            a = [list(r) for r in rows]
+            pivots, d, _ = fraction_free_reduce(a)
+            assert len(pivots) == fraction_rank(rows)
+            for t, j in enumerate(pivots):
+                assert [row[j] for row in a] == [d if s == t else 0 for s in range(len(a))]
 
 
 class TestSmithNormalForm:
