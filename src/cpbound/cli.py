@@ -3,7 +3,10 @@
 Subcommands: construct, validate, boundary, homology, glue, demo.  JSON is
 the machine contract (sorted keys, two-space indent, trailing newline); the
 text format is a fixed-width rendering of the same content.  Exit codes:
-0 all checks pass, 1 a mathematical check failed, 2 bad input or I/O.
+0 all checks pass, 1 a mathematical check failed, 2 bad input or I/O.  A
+loaded certificate whose polytope is not the truncated simplex it claims
+fails a check: every command prints one ``validation failed`` line for it,
+before any result, and exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
-from .polytope import format_fraction, generate_functional, h_vector, parse_fraction
+from .polytope import RealisationError, format_fraction, generate_functional, h_vector, parse_fraction
 from .zlinalg import apply_matrix
 
 _EXIT_OK = 0
@@ -379,6 +382,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return _EXIT_BAD_INPUT
     try:
         return _COMMANDS[args.command](args, out)
+    except RealisationError as exc:  # a loaded polytope that is not the truncated simplex
+        out.write(f"validation failed: {exc}\n")
+        return _EXIT_CHECK_FAILED
     except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_BAD_INPUT

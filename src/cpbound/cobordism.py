@@ -3,7 +3,8 @@
 ``build_W`` equips the truncated simplex with the standard vector family,
 leaving the three cut facets as boundary.  The remaining operations extract
 the boundary pieces, count the cells of the pair (W, boundary) coming from
-the surviving root edges, cross-check the counts against an Euler-type
+the surviving root edges, in closed form on the truncated simplex that every
+``WManifold`` is checked to be, cross-check the counts against an Euler-type
 identity, certify that the two product-facet components translate into each
 other under the basis reversal, and bring the simplex component to standard
 projective form.  ``glue_report`` runs the whole pipeline and aggregates one
@@ -37,11 +38,11 @@ from .charfn import (
 )
 from .polytope import (
     SimplePolytope,
+    decode_truncated_simplex,
     format_fraction,
-    indices_from_values,
+    functional_draws,
     parse_fraction,
     parse_int,
-    separating_functional,
     truncated_simplex,
 )
 from .zlinalg import determinant
@@ -53,7 +54,10 @@ class WManifold:
     """The bounding-manifold datum: a pair over the truncated simplex.
 
     Torus rank is one less than the dimension and exactly the three cut
-    facets are boundary.  Validity of the pair is *not* assumed here so that
+    facets are boundary.  The polytope must be ``truncated_simplex(n, r1)``,
+    built or loaded: ``labels`` holds each vertex's (i, m, cut) from
+    ``decode_truncated_simplex``, which raises ``RealisationError`` for any
+    other polytope.  Validity of the vectors is *not* assumed here so that
     deliberately broken inputs can still be loaded and reported on.
     ``report`` is the vertex validation of the pair, computed on first use
     and then read by every check that needs it.  ``verdicts`` holds the
@@ -65,6 +69,8 @@ class WManifold:
         r1 = Fraction(r1)
         if not Fraction(0) < r1 < Fraction(1, 4):
             raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
+        if n < 4 or n % 2:
+            raise ValueError(f"n must be even and at least 4, got {n}")
         if pair.polytope.dim != n:
             raise ValueError(f"pair polytope has dimension {pair.polytope.dim}, expected {n}")
         if pair.torus_rank != n - 1:
@@ -73,6 +79,7 @@ class WManifold:
             raise ValueError(
                 f"boundary facets must be {BOUNDARY_FACETS}, got {pair.boundary_facet_ids}"
             )
+        self.labels = decode_truncated_simplex(pair.polytope, r1)
         self.pair = pair
         self.n = n
         self.r1 = r1
@@ -155,25 +162,49 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     edge; orienting edges by a generic functional, the vertex contributes one
     cell of dimension 2*ind(v)-1 exactly when that edge points toward it.
     The top vertex always contributes the single (2n-1)-cell.
+
+    W's polytope is the truncated simplex (``W.labels``), so all of this has
+    a closed form.  For r1 = p/q, the functional c of ``functional_draws``
+    takes the value (q-p)*c_i + p*c_m at ``A{i}|d{m}``, q times its value at
+    the vertex.  The neighbours of ``A{i}|d{m}`` on its cut facet, that of
+    the face F containing i, are ``A{i'}|d{m}`` for the other i' in F and
+    ``A{i}|d{m'}`` for the other m' outside F; its one root edge goes to
+    ``A{m}|d{i}``.  So its index is the number of i' in F with c_i' < c_i,
+    plus the number of m' outside F with c_m' < c_m, plus 1 when
+    ``A{m}|d{i}`` is lower, which, as q - 2p > 0, is when c_m < c_i: then
+    the root edge points at the vertex, and it is a generator.
     """
-    poly = W.pair.polytope
-    _, values = separating_functional(poly, seed)
-    ind = indices_from_values(poly, values)
-    # Per vertex, the other end of each root edge at it.
-    root_edges: list[list[int]] = [[] for _ in poly.vertices]
-    for (i, j), tag in zip(poly.edge_pairs, poly.edge_tags):
-        if tag.kind == "original":
-            root_edges[i].append(j)
-            root_edges[j].append(i)
-    ids = [v.id for v in poly.vertices]  # sorted
+    n, labels = W.n, W.labels
+    p, q = W.r1.numerator, W.r1.denominator
+    for c in functional_draws(n + 1, len(labels), seed):
+        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
+            break
+    # Per face, how many of c's entries inside and outside it lie below each one.
+    below_inside = [0] * (n + 1)
+    below_outside = [[0] * (n + 1) for _ in BOUNDARY_FACETS]
+    seen = [0] * len(BOUNDARY_FACETS)
+    face_of = [0] * (n + 1)
+    for i, _, f in labels:
+        face_of[i] = f
+    for rank, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
+        f = face_of[j]
+        below_inside[j] = seen[f]
+        for g, below in enumerate(below_outside):
+            below[j] = rank - seen[g]
+        seen[f] += 1
     gens = []
-    for vid, others in zip(ids, root_edges):
-        if len(others) != 1:
-            raise AssertionError(f"vertex {vid} lies on {len(others)} root edges, expected 1")
-        if values[vid] > values[ids[others[0]]]:
-            gens.append(CellGenerator(ind[vid], vid))
-    structure = CellStructure(W.n, tuple(gens))
-    if structure.index_counts().get(W.n, 0) != 1:
+    extremes = [0, 0]  # vertices of index 0 and of index n
+    for v, (i, m, f) in zip(W.pair.polytope.vertices, labels):
+        up = c[i] > c[m]
+        index = below_inside[i] + below_outside[f][m] + up
+        if up:
+            gens.append(CellGenerator(index, v.id))
+        if index in (0, n):
+            extremes[index == n] += 1
+    if extremes != [1, 1]:
+        raise ValueError("index profile is degenerate: expected a unique source and sink")
+    structure = CellStructure(n, tuple(gens))
+    if structure.index_counts().get(n, 0) != 1:
         raise AssertionError("expected exactly one top-dimensional cell")
     return structure
 
@@ -210,7 +241,9 @@ class CellStage:
 
     ``stable`` says whether the counts held under every extra seed computed;
     ``extra_error`` is the first extra seed's failure, after which no further
-    seed is drawn.
+    seed is drawn.  On the truncated simplex, which every ``WManifold`` is,
+    no input makes the counts vary or an extra seed fail; these fields guard
+    the closed form of ``cell_structure``.
     """
 
     structure: CellStructure

@@ -9,19 +9,24 @@ on which the constructor's checks run.
 The edge graph is kept as index pairs into ``vertices`` (``edge_pairs``,
 sorted), with one provenance tag per pair (``edge_tags``): an edge is a
 remnant of an edge of the root polytope ("original", with the root endpoints
-recorded) or was created by a truncation ("cut").  Edges are derived once per
-polytope, never read from input: two vertices are adjacent when they share
-``dim - 1`` facets, that is when one mask with a bit dropped equals the other
-with a bit dropped.  ``truncated_simplex``, ``polytope_from_json`` and
-``product`` tag the derived pairs from the masks (``_mask_graph``).  An edge
-inside a cut facet is a cut edge.  Any other edge of a truncated simplex is
-the remnant of the root edge ``A{a}``--``A{b}``, where ``d{a}`` and ``d{b}``
-are the two root facets both its ends miss; an edge of a product is its own
-root edge.
+recorded) or was created by a truncation ("cut").  Edges are derived, never
+read from input: two vertices are adjacent when they share ``dim - 1``
+facets, that is when one mask with a bit dropped equals the other with a bit
+dropped.  ``truncated_simplex``, ``polytope_from_json`` and ``product`` tag
+the derived pairs from the masks (``_mask_graph``).  An edge inside a cut
+facet is a cut edge.  Any other edge of a truncated simplex is the remnant of
+the root edge ``A{a}``--``A{b}``, where ``d{a}`` and ``d{b}`` are the two root
+facets both its ends miss; an edge of a product is its own root edge.
 
-A face of a simple polytope has as edges exactly the parent's edges with
-both ends in the face, so ``face_as_polytope`` restricts the parent's pairs
-and tags instead of deriving them again.  The string-ended ``edges`` tuple
+The graph of a polytope built by this module is built on first read of
+``edge_pairs`` or ``edge_tags``, not by the constructor, and that is when its
+checks run: the derivation rejects a ridge (``dim - 1`` facets) shared by more
+than two vertices, and the graph must be connected.  The constructor keeps
+only the O(V) incidence checks.  A polytope built from caller-given tags
+derives and checks its graph at once.  A face of a simple polytope has as
+edges exactly the parent's edges with both ends in the face, so
+``face_as_polytope`` restricts the parent's pairs and tags, when they are
+first read, instead of deriving them again.  The string-ended ``edges`` tuple
 is built from the pairs only when something reads it.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
@@ -29,14 +34,17 @@ F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
 facets ``P1``, ``P2`` and ``P3``.  Its vertices are the pairs (i, m) with i in
 a cut face F and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on
 every root facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet
-of F, at (1-r1)*e_i + r1*e_m.
+of F, at (1-r1)*e_i + r1*e_m.  ``decode_truncated_simplex`` reads these
+(i, m, cut) triples back off any polytope, and checks on the way that it is
+that truncated simplex.
 
 Exact rational coordinates (``fractions.Fraction``, never floats) are
 attached to the truncated simplex, to products of polytopes with
 coordinates, and to faces of those.  Integer functionals are evaluated on
 integer rows instead: each polytope scales its coordinates once by their
 common denominator q > 0, which keeps every equality and comparison between
-values exact.
+values exact.  Every functional is drawn by ``functional_draws``, so the same
+seed gives the same coefficients on every path that evaluates them.
 """
 
 from __future__ import annotations
@@ -44,12 +52,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 Point = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 FUNCTIONAL_COEFF_BOUND = 10**6
 FUNCTIONAL_RETRY_BUDGET = 64
@@ -215,6 +225,19 @@ def _mask_graph(P: SimplePolytope) -> _EdgeGraph:
     return pairs, tags
 
 
+def _caller_tagged_graph(edge_tags: Mapping[tuple[str, str], EdgeProvenance], P: SimplePolytope) -> _EdgeGraph:
+    """The derived edge pairs of P, each tagged by the caller's tag for its sorted end ids."""
+    pairs = _derive_edges(P.incidence, P.facet_ids)
+    tags = []
+    for i, j in pairs:
+        a, b = P.vertices[i].id, P.vertices[j].id
+        tag = edge_tags.get((a, b))
+        if tag is None:
+            raise ValueError(f"edge {a}--{b} has no provenance tag")
+        tags.append(tag)
+    return pairs, tags
+
+
 def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
     adjacency: list[list[int]] = [[] for _ in range(count)]
     for i, j in pairs:
@@ -237,10 +260,11 @@ class SimplePolytope:
     ``vertices``: bit j stands for ``facet_ids[j]``.  ``edge_pairs`` holds
     the edges as sorted index pairs into ``vertices`` and ``edge_tags`` their
     provenance, aligned with them.  A caller passes the tags keyed by sorted
-    vertex id pairs, and the constructor derives the edges.
+    vertex id pairs, and the constructor derives the edges and checks them.
     ``truncated_simplex``, ``polytope_from_json``, ``product`` and
     ``face_as_polytope`` pass ``_graph`` instead: it is called with the
-    polytope once the masks are checked, and returns its pairs and tags.
+    polytope on the first read of ``edge_pairs`` or ``edge_tags``, returns
+    the pairs and tags, and the connectivity check runs then.
     Instances are immutable by convention; all operations build new objects.
     """
 
@@ -294,24 +318,30 @@ class SimplePolytope:
         for fid in _facet_list(~used, self.facet_ids):
             raise ValueError(f"facet {fid} contains no vertex")
 
-        if _graph is None:
-            pairs = _derive_edges(self.incidence, self.facet_ids)
-            tags = []
-            for i, j in pairs:
-                a, b = self.vertices[i].id, self.vertices[j].id
-                tag = edge_tags.get((a, b))
-                if tag is None:
-                    raise ValueError(f"edge {a}--{b} has no provenance tag")
-                tags.append(tag)
-        else:
-            pairs, tags = _graph(self)
-        self.edge_pairs = tuple(pairs)
-        self.edge_tags = tuple(tags)
-        if not self.edge_pairs and len(self.vertices) > 1:
-            raise ValueError("vertex-edge graph is disconnected (no edges)")
-        if not _is_connected(len(self.vertices), self.edge_pairs):
-            raise ValueError("vertex-edge graph is disconnected")
         self.vertex_by_id = {v.id: v for v in self.vertices}
+        if _graph is None:
+            self._graph = partial(_caller_tagged_graph, edge_tags)
+            self._edges  # caller-given tags are checked at once
+        else:
+            self._graph = _graph
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[tuple[int, int], ...], tuple[EdgeProvenance, ...]]:
+        """The edge pairs and their tags, from ``_graph`` on first read; the graph must be connected."""
+        pairs, tags = self._graph(self)
+        if not pairs and len(self.vertices) > 1:
+            raise ValueError("vertex-edge graph is disconnected (no edges)")
+        if not _is_connected(len(self.vertices), pairs):
+            raise ValueError("vertex-edge graph is disconnected")
+        return tuple(pairs), tuple(tags)
+
+    @property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        return self._edges[0]
+
+    @property
+    def edge_tags(self) -> tuple[EdgeProvenance, ...]:
+        return self._edges[1]
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -364,7 +394,8 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     their tags; the facets kept are read off the parent's incidence masks.
     The face's edges are the parent's edges with both ends in the face, so
     its graph is the parent's, renumbered: the face keeps the parent's
-    vertex order, and with it the order of the pairs.
+    vertex order, and with it the order of the pairs.  The restriction runs
+    on the first read of the face's graph, and reads the parent's then.
     """
     sub_dim = P.dim - len(face.facet_ids)
     if sub_dim < 1:
@@ -379,13 +410,31 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
             vertices.append(Vertex(v.id, v.facet_ids - face.facet_ids, v.coord))
             used |= mask
     facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
-    pairs, tags = [], []
-    for (i, j), tag in zip(P.edge_pairs, P.edge_tags):
-        a, b = position[i], position[j]
-        if a >= 0 and b >= 0:
-            pairs.append((a, b))
-            tags.append(tag)
-    return SimplePolytope(sub_dim, facets, vertices, {}, _graph=lambda _: (pairs, tags))
+
+    def restrict(_: SimplePolytope) -> _EdgeGraph:
+        pairs, tags = [], []
+        for (i, j), tag in zip(P.edge_pairs, P.edge_tags):
+            a, b = position[i], position[j]
+            if a >= 0 and b >= 0:
+                pairs.append((a, b))
+                tags.append(tag)
+        return pairs, tags
+
+    return SimplePolytope(sub_dim, facets, vertices, {}, _graph=restrict)
+
+
+class RealisationError(ValueError):
+    """A polytope is not the truncated simplex its certificate claims to be."""
+
+
+def _truncation_facets(n: int) -> tuple[dict[str, range], list[FacetLabel]]:
+    """The cut faces of the truncated n-simplex by cut facet id, and its facet labels."""
+    half = n // 2
+    cuts = {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+    facets = [FacetLabel(f"d{j}", original_facet(j)) for j in range(n + 1)]
+    for cut, face in cuts.items():
+        facets.append(FacetLabel(cut, cut_facet([f"d{m}" for m in range(n + 1) if m not in face])))
+    return cuts, facets
 
 
 def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
@@ -397,8 +446,8 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     i in F and m outside F: it lies on every root facet except ``d{i}`` and
     ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m.  Two vertices of
     one cut sharing i or sharing m span a cut edge; ``A{i}|d{m}`` and
-    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``; the
-    constructor derives these edges and ``_mask_graph`` tags them.
+    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``; these
+    edges are derived on first read and ``_mask_graph`` tags them.
     Requires even n >= 4 and a rational 0 < r1 < 1/4; the result has n+4
     facets and n(n+4)/2 vertices.
     """
@@ -407,22 +456,99 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     r1 = Fraction(r1)
     if not Fraction(0) < r1 < Fraction(1, 4):
         raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
-    half = n // 2
-    cuts = {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+    cuts, facets = _truncation_facets(n)
     d = [f"d{j}" for j in range(n + 1)]
     root_facets = frozenset(d)
-    facets = [FacetLabel(f, original_facet(j)) for j, f in enumerate(d)]
+    near = 1 - r1
     vertices: list[Vertex] = []
     for cut, face in cuts.items():
         outside = [m for m in range(n + 1) if m not in face]
-        facets.append(FacetLabel(cut, cut_facet([d[m] for m in outside])))
         for i in face:
             for m in outside:
-                vid = f"A{i}|d{m}"
-                coord = [Fraction(0)] * (n + 1)
-                coord[i], coord[m] = 1 - r1, r1
-                vertices.append(Vertex(vid, root_facets - {d[i], d[m]} | {cut}, tuple(coord)))
+                coord = [_ZERO] * (n + 1)
+                coord[i], coord[m] = near, r1
+                vertices.append(Vertex(f"A{i}|d{m}", root_facets - {d[i], d[m]} | {cut}, tuple(coord)))
     return SimplePolytope(n, facets, vertices, {}, _graph=_mask_graph)
+
+
+def _describe(p: FacetProvenance) -> str:
+    return f"original {p.index}" if p.kind == "original" else f"cut {{{', '.join(p.cut_face)}}}"
+
+
+def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int, int, int], ...]:
+    """Each vertex's (i, m, cut), in ``P.vertices`` order, when P is ``truncated_simplex(P.dim, r1)``.
+
+    The triple of ``A{i}|d{m}`` names its cut facet by its place ``cut`` in
+    (``P1``, ``P2``, ``P3``).  P must have the truncated simplex's facet ids
+    and provenance and n(n+4)/2 vertices; each vertex must lie on one cut
+    facet, miss one root facet ``d{i}`` with i in that cut face and one
+    ``d{m}`` with m outside it, and sit at exactly (1-r1)*e_i + r1*e_m.
+    The constructor keeps vertex masks distinct, so the (i, m) pairs are
+    distinct too, and n(n+4)/2 of them are all there are: P is then the
+    truncated simplex up to the names and order of its vertices, and its
+    graph is that of ``truncated_simplex``.  Costs O(V·n), almost all of it
+    in comparing coordinate tuples.  Otherwise raises ``RealisationError``
+    naming the first facet or vertex that differs.
+    """
+    n = P.dim
+    name = f"the truncated {n}-simplex"
+    cuts, facets = _truncation_facets(n)
+    model = {f.id: f for f in facets}
+    for f in P.facets:
+        want = model.get(f.id)
+        if want is None:
+            raise RealisationError(f"facet {f.id} is not a facet of {name}")
+        if f.provenance != want.provenance:
+            raise RealisationError(
+                f"facet {f.id} has provenance {_describe(f.provenance)}, expected {_describe(want.provenance)}"
+            )
+    if len(P.facets) != len(model):
+        missing = min(set(model) - set(P.facet_ids))
+        raise RealisationError(f"facet {missing} of {name} is missing")
+    if len(P.vertices) != n * (n + 4) // 2:
+        raise RealisationError(f"the polytope has {len(P.vertices)} vertices, {name} has {n * (n + 4) // 2}")
+    if not P.has_coords or len(P.vertices[0].coord) != n + 1:
+        raise RealisationError(f"vertex coordinates must have {n + 1} entries, as those of {name} do")
+    cut_ids = list(cuts)
+    cut_of: dict[int, int] = {}  # bit -> place of its cut facet
+    root_of: dict[int, int] = {}  # bit -> root facet index
+    for j, f in enumerate(P.facets):
+        if f.provenance.kind == "cut":
+            cut_of[1 << j] = cut_ids.index(f.id)
+        else:
+            root_of[1 << j] = f.provenance.index
+    cut_bits = sum(cut_of)
+    root_bits = sum(root_of)
+    face_of = [0] * (n + 1)
+    for c, face in enumerate(cuts.values()):
+        for i in face:
+            face_of[i] = c
+    near = 1 - r1
+    labels = []
+    for v, mask in zip(P.vertices, P.incidence):
+        on_cut = mask & cut_bits
+        if on_cut not in cut_of:
+            raise RealisationError(f"vertex {v.id} lies on {on_cut.bit_count()} cut facets, not one")
+        # On one cut facet, a vertex lies on n-1 of the n+1 root facets.
+        c = cut_of[on_cut]
+        off = root_bits & ~mask
+        low = off & -off
+        a, b = root_of[low], root_of[off ^ low]
+        i, m = (a, b) if face_of[a] == c else (b, a)
+        if face_of[i] != c or face_of[m] == c:
+            raise RealisationError(
+                f"vertex {v.id} lies on {cut_ids[c]} and misses d{a} and d{b}; no vertex of {name} does"
+            )
+        row = [_ZERO] * (n + 1)
+        row[i], row[m] = near, r1
+        if v.coord != tuple(row):
+            j = next(j for j, (x, y) in enumerate(zip(v.coord, row)) if x != y)
+            raise RealisationError(
+                f"vertex {v.id} is not A{i}|d{m} of {name} at r1 = {format_fraction(r1)}: "
+                f"coordinate {j} is {format_fraction(v.coord[j])}, expected {format_fraction(row[j])}"
+            )
+        labels.append((i, m, c))
+    return tuple(labels)
 
 
 def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
@@ -539,38 +665,47 @@ def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def functional_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """The integer coefficient vectors tried under ``seed``, in order, for a polytope of that size.
+
+    Coefficients lie in [-B, B] for B the larger of ``FUNCTIONAL_COEFF_BOUND``
+    and the square of the vertex count: by the birthday bound a draw then
+    rarely puts two vertices at one value, however large the polytope.  Up to
+    1000 vertices B is ``FUNCTIONAL_COEFF_BOUND``.  A caller takes the first
+    draw that separates its vertices; once ``FUNCTIONAL_RETRY_BUDGET`` draws
+    are spent, the next one raises ``ValueError``.
+    """
+    rng = random.Random(seed)
+    bound = max(FUNCTIONAL_COEFF_BOUND, vertex_count**2)
+    for _ in range(FUNCTIONAL_RETRY_BUDGET):
+        yield tuple(rng.randint(-bound, bound) for _ in range(ambient))
+    raise ValueError(
+        f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
+        "vertex coordinates are degenerate"
+    )
+
+
 def generate_functional(P: SimplePolytope, seed: int) -> LinearFunctional:
     """The functional drawn by ``separating_functional``, without its values."""
     return separating_functional(P, seed)[0]
 
 
 def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctional, dict[str, int]]:
-    """Draw integer functionals from a seeded PRNG until one separates the vertices.
+    """The first of ``functional_draws`` that separates the vertices of P.
 
     Returns that functional with its values at the vertices, scaled by the
     common denominator q > 0 of ``P.integer_coords``: each draw is evaluated
     once per vertex on integer rows, and the caller reuses the accepted
-    values, which compare exactly as the unscaled ones do.
-
-    Coefficients lie in [-B, B] for B the larger of ``FUNCTIONAL_COEFF_BOUND``
-    and the square of the vertex count: by the birthday bound a draw then
-    rarely puts two vertices at one value, however large the polytope.  Up to
-    1000 vertices B is ``FUNCTIONAL_COEFF_BOUND``.
+    values, which compare exactly as the unscaled ones do.  When no draw
+    separates them, ``functional_draws`` raises ``ValueError``.
     """
     if not P.has_coords:
         raise ValueError("polytope has no coordinates")
-    rng = random.Random(seed)
-    ambient = len(P.vertices[0].coord)
-    bound = max(FUNCTIONAL_COEFF_BOUND, len(P.vertices) ** 2)
-    for _ in range(FUNCTIONAL_RETRY_BUDGET):
-        zeta = LinearFunctional(tuple(rng.randint(-bound, bound) for _ in range(ambient)))
+    for coefficients in functional_draws(len(P.vertices[0].coord), len(P.vertices), seed):
+        zeta = LinearFunctional(coefficients)
         values = _scaled_values(P, zeta)
         if len(set(values.values())) == len(P.vertices):
             return zeta, values
-    raise ValueError(
-        f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
-        "vertex coordinates are degenerate"
-    )
 
 
 # --- JSON serialization ------------------------------------------------------
@@ -580,9 +715,9 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
 #           "vertices": [[facet ids, sorted], ...]              (sorted),
 #           "coords": [["p/q", ...], ...] }                     (optional, aligned)
 #
-# Edges are derived on load and tagged by ``_mask_graph``: an edge is a cut
-# edge exactly when it lies inside a cut facet, otherwise it is a remnant of a
-# root edge.
+# Edges are derived on first read after a load and tagged by ``_mask_graph``:
+# an edge is a cut edge exactly when it lies inside a cut facet, otherwise it
+# is a remnant of a root edge.
 
 
 def format_fraction(x: Fraction) -> str:

@@ -26,7 +26,12 @@ all from one elimination per pair.  That elimination has the rational oracle
 it replaced: ``FractionFullCountCertificate``, a ``Fraction`` reduced row
 echelon form of M^T whose non-pivot columns hold the coefficients X of each
 row of M over the anchor rows, with the anchor determinant from
-``bareiss_det``.  No oracle calls ``zlinalg.fraction_free_reduce``,
+``bareiss_det``.  The cells of (W, boundary) have the graph walk that
+``cobordism.cell_structure`` ran before its closed form,
+``graph_walk_cell_structure``: it orients W's derived edge graph by
+``separating_functional``, counts each vertex's index with
+``indices_from_values`` and follows each vertex's root edge by its tag.
+No oracle calls ``zlinalg.fraction_free_reduce``,
 directly or through ``determinant`` or ``inverse_unimodular``.  The last
 section holds helpers over package types that only tests need; they are not
 oracles, and ``inverse_witness`` does use the library's inverse.
@@ -40,7 +45,7 @@ import random
 from fractions import Fraction
 
 from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
-from cpbound.cobordism import betti_from_h_vector
+from cpbound.cobordism import CellGenerator, CellStructure, WManifold, betti_from_h_vector
 from cpbound.polytope import (
     CUT_EDGE,
     FUNCTIONAL_COEFF_BOUND,
@@ -58,9 +63,11 @@ from cpbound.polytope import (
     face_from_facets,
     generate_functional,
     h_vector,
+    indices_from_values,
     original_edge,
     original_facet,
     product,
+    separating_functional,
 )
 from cpbound.zlinalg import (
     IntMatrix,
@@ -466,6 +473,34 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
     if list(ind.values()).count(0) != 1 or list(ind.values()).count(P.dim) != 1:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     return ind
+
+
+def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
+    """``cell_structure`` by walking the edge graph of W's polytope.
+
+    Orients the derived edges by ``separating_functional``'s values, takes
+    each vertex's index from ``indices_from_values``, and makes a vertex a
+    generator when the one root edge its tags give it points at it.
+    """
+    poly = W.pair.polytope
+    _, values = separating_functional(poly, seed)
+    ind = indices_from_values(poly, values)
+    root_edges: list[list[int]] = [[] for _ in poly.vertices]
+    for (i, j), tag in zip(poly.edge_pairs, poly.edge_tags):
+        if tag.kind == "original":
+            root_edges[i].append(j)
+            root_edges[j].append(i)
+    ids = [v.id for v in poly.vertices]
+    gens = []
+    for vid, others in zip(ids, root_edges):
+        if len(others) != 1:
+            raise AssertionError(f"vertex {vid} lies on {len(others)} root edges, expected 1")
+        if values[vid] > values[ids[others[0]]]:
+            gens.append(CellGenerator(ind[vid], vid))
+    structure = CellStructure(W.n, tuple(gens))
+    if structure.index_counts().get(W.n, 0) != 1:
+        raise AssertionError("expected exactly one top-dimensional cell")
+    return structure
 
 
 def is_unimodular_basis(vectors, k: int) -> bool:

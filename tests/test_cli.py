@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpbound import cobordism
 from cpbound.charfn import validate
 from cpbound.cli import run
-from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
+from cpbound.cobordism import CellStructure, build_W, wmanifold_from_json, wmanifold_to_json
 
 GOLDENS = Path(__file__).parent / "goldens"
 CERTIFICATE = wmanifold_to_json(build_W(1))
@@ -297,10 +298,15 @@ def p3_as_original_facet(data):
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_homology_names_the_vertex_where_the_cell_structure_fails(tmp_path, capsys, fmt):
+    # Relabelling P3 once put four root edges at vertex v12; now the polytope
+    # is not the truncated simplex, and it is rejected before any cell.
     path = tmp_path / "w.json"
     path.write_text(json.dumps(p3_as_original_facet(copy.deepcopy(CERTIFICATE))))
     code, out = invoke("homology", "--input", str(path), "--format", fmt)
-    assert (code, out) == (1, "cell structure failed: vertex v12 lies on 4 root edges, expected 1\n")
+    assert (code, out) == (
+        1,
+        "validation failed: facet P3 has provenance original 99, expected cut {d0, d1, d3, d4}\n",
+    )
     assert capsys.readouterr().err == ""
 
 
@@ -383,34 +389,87 @@ def with_moved_vertex(index, coord):
     return data
 
 
+# The certificate whose glue --input once passed with wrong odd cells {1: 2, 3: 2, 5: 3, 7: 1}.
+MOVED_VERTEX_3 = with_moved_vertex(3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"])
+
+
 @pytest.mark.parametrize(
-    "data,seeds,code,out",
+    "data,seeds,out",
     [
-        # seed 1 is degenerate: a failed cell-structure check for homology and for glue
+        # seed 1 once drew a degenerate functional on this certificate
         (
             with_moved_vertex(4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"]),
             "2",
-            1,
-            "cell structure failed: index profile is degenerate: "
-            "expected a unique source and sink\n",
+            "validation failed: vertex v04 is not A0|d3 of the truncated 4-simplex at r1 = 1/5: "
+            "coordinate 0 is 7/2, expected 4/5\n",
         ),
-        # seed 1 gives other counts; seed 2 is degenerate but is never reached first
+        # seed 1 once gave other counts on this one
         (
-            with_moved_vertex(3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"]),
+            MOVED_VERTEX_3,
             "3",
-            1,
-            "cell counts varied across functionals; construction is broken\n",
+            "validation failed: vertex v03 is not A0|d4 of the truncated 4-simplex at r1 = 1/5: "
+            "coordinate 0 is -2/1, expected 4/5\n",
         ),
     ],
     ids=["degenerate-extra-seed", "varying-counts"],
 )
-def test_homology_under_extra_seeds(tmp_path, capsys, data, seeds, code, out):
+def test_homology_under_extra_seeds(tmp_path, capsys, data, seeds, out):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(data))
-    assert invoke("homology", "--input", str(path), "--seeds", seeds) == (code, out)
+    assert invoke("homology", "--input", str(path), "--seeds", seeds) == (1, out)
+    assert invoke("glue", "--input", str(path), "--seeds", seeds) == (1, out)
     assert capsys.readouterr().err == ""
-    glue_code, glue_out = invoke("glue", "--input", str(path), "--seeds", seeds)
-    assert glue_code == 1 and "[FAIL] cell-structure" in glue_out
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("command", ("validate", "boundary", "homology", "glue"))
+def test_unrealised_certificate_fails_before_any_result(tmp_path, capsys, command, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(MOVED_VERTEX_3))
+    code, out = invoke(command, "--input", str(path), "--format", fmt)
+    assert (code, out) == (
+        1,
+        "validation failed: vertex v03 is not A0|d4 of the truncated 4-simplex at r1 = 1/5: "
+        "coordinate 0 is -2/1, expected 4/5\n",
+    )
+    assert capsys.readouterr().err == ""
+
+
+def fewer_cells(structure):
+    return CellStructure(structure.n, structure.generators[:-1])
+
+
+@pytest.mark.parametrize(
+    "outcome,out",
+    [
+        (
+            ValueError("index profile is degenerate: expected a unique source and sink"),
+            "cell structure failed: index profile is degenerate: expected a unique source and sink\n",
+        ),
+        (fewer_cells, "cell counts varied across functionals; construction is broken\n"),
+    ],
+    ids=["degenerate-extra-seed", "varying-counts"],
+)
+def test_cell_stage_failures_exit_1_from_homology_and_glue(monkeypatch, tmp_path, capsys, outcome, out):
+    # No input reaches these: the closed-form cells of the truncated simplex
+    # neither fail nor vary.  A patched cell_structure fails under seed 1.
+    real = cobordism.cell_structure
+
+    def patched(W, seed=0):
+        if seed != 1:
+            return real(W, seed)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome(real(W, seed))
+
+    monkeypatch.setattr(cobordism, "cell_structure", patched)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(CERTIFICATE))
+    for source in (("--k", "1"), ("--input", str(path))):
+        assert invoke("homology", *source, "--seeds", "2") == (1, out)
+        code, glue_out = invoke("glue", *source, "--seeds", "2")
+        assert code == 1 and "[FAIL] cell-structure" in glue_out and "[PASS] euler-cross-check" in glue_out
+    assert capsys.readouterr().err == ""
 
 
 JSON_VALUES = st.recursive(
@@ -453,6 +512,7 @@ def cert_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=mutated_certificates(), command=st.sampled_from(("validate", "boundary", "homology", "glue")))
 @example(data=p3_as_original_facet(copy.deepcopy(CERTIFICATE)), command="homology")
+@example(data=MOVED_VERTEX_3, command="glue")
 @example(data=doubled_d0(copy.deepcopy(CERTIFICATE)), command="homology")
 @example(data=doubled_d0(copy.deepcopy(CERTIFICATE)), command="boundary")
 @example(data=COERCED_NUMBERS["r1-float"](copy.deepcopy(CERTIFICATE)), command="glue")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -7,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from cpbound.charfn import attach, charpair_from_json, charpair_to_json, eta_facet_assignment, validate
+from cpbound import cobordism
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
+    CellStructure,
     EulerCheck,
     WManifold,
     boundary_components,
@@ -25,6 +28,7 @@ from cpbound import polytope
 from cpbound.polytope import (
     FUNCTIONAL_RETRY_BUDGET,
     FacetLabel,
+    RealisationError,
     SimplePolytope,
     Vertex,
     face_from_facets,
@@ -44,6 +48,7 @@ from oracles import (
     cut_face,
     fraction_separating_functional,
     fraction_vertex_indices,
+    graph_walk_cell_structure,
     label_by_isomorphism_search,
     root_coords,
     simplex,
@@ -267,6 +272,45 @@ class TestCellStructure:
         # Euler identity and by seed/depth invariance above.
         assert cell_structure(build_W(1), 0).cell_counts() == {1: 2, 3: 3, 5: 2, 7: 1}
 
+    @pytest.mark.parametrize("r1", [Fraction(1, 5), Fraction(2, 9), Fraction(3, 13), Fraction(1, 7)])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_closed_form_matches_the_graph_walk(self, k, r1):
+        built = build_W(k, r1)
+        loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(built))))
+        for W in (built, loaded):
+            for seed in range(12):
+                # Generators by index and vertex id, in vertex order.
+                assert cell_structure(W, seed) == graph_walk_cell_structure(W, seed)
+
+    def test_takes_the_draw_separating_functional_takes(self, monkeypatch):
+        # With coefficients only in [-V^2, V^2], seed 2 rejects its first draw at k = 1 and 2.
+        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
+        drawn = []
+        real = cobordism.functional_draws
+
+        def recording(*args):
+            for coefficients in real(*args):
+                drawn.append(coefficients)
+                yield coefficients
+
+        monkeypatch.setattr(cobordism, "functional_draws", recording)
+        counts = []
+        for k in (1, 2):
+            W = build_W(k)
+            for seed in range(6):
+                drawn.clear()
+                structure = cell_structure(W, seed)
+                counts.append(len(drawn))
+                assert drawn[-1] == separating_functional(W.pair.polytope, seed)[0].coefficients
+                assert structure == graph_walk_cell_structure(W, seed)
+        assert counts == [1, 1, 2, 1, 1, 1] * 2
+
+    def test_no_separating_draw_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
+        monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", 1)
+        with pytest.raises(ValueError, match="^no injective functional after 1 attempts"):
+            cell_structure(build_W(1), 2)
+
 
 class TestHomology:
     def test_n4_table(self):
@@ -300,17 +344,44 @@ class TestEulerCheck:
         assert expected == n * (n + 4) // 4
 
 
-def with_moved_vertex(index, coord):
-    """The k = 1 datum with one vertex moved, so its coordinates no longer realise it."""
+def moved_vertex_polytope(index, coord):
+    """The polytope of the k = 1 certificate with one vertex moved, which no ``WManifold`` accepts."""
     data = wmanifold_to_json(build_W(1))
     data["pair"]["polytope"]["coords"][index] = coord
-    return wmanifold_from_json(data)
+    return charpair_from_json(data["pair"]).polytope
 
 
 # Seed 0 draws a clean structure on both; seed 1 is degenerate on the first
 # and gives other counts on the second, whose seed 2 is then degenerate.
 DEGENERATE_AT_SEED_1 = (4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"])
 VARIES_AT_SEED_1 = (3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"])
+
+
+def with_cells(monkeypatch, outcomes):
+    """Make ``cell_structure`` under seed s return or raise ``outcomes[s]``, and run as it does otherwise.
+
+    No input reaches these outcomes: every ``WManifold`` is the truncated
+    simplex, on which the closed form never fails and never varies.
+    """
+    real = cobordism.cell_structure
+
+    def patched(W, seed=0):
+        outcome = outcomes.get(seed)
+        if outcome is None:
+            return real(W, seed)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cobordism, "cell_structure", patched)
+
+
+DEGENERATE = ValueError("index profile is degenerate: expected a unique source and sink")
+
+
+def fewer_cells(W, seed=0):
+    """A cell structure whose counts differ from those under ``seed``."""
+    return CellStructure(W.n, cell_structure(W, seed).generators[:-1])
 
 
 class TestCellStage:
@@ -325,36 +396,87 @@ class TestCellStage:
         assert stage.homology.ranks == ((0, 0),) + tuple(sorted(structure.cell_counts().items()))
         assert stage.euler == EulerCheck(structure.total(), W.n * (W.n + 4) // 4)
 
-    def test_seed_failure_is_raised(self):
-        data = wmanifold_to_json(build_W(1))
-        for facet in data["pair"]["polytope"]["facets"]:
-            if facet["id"] == "P3":
-                facet["provenance"] = {"kind": "original", "index": 99}
-        with pytest.raises(AssertionError, match="vertex v12 lies on 4 root edges"):
-            cell_stage(wmanifold_from_json(data), 0, 2)
+    def test_seed_failure_is_raised(self, monkeypatch):
+        W = build_W(1)
+        with_cells(monkeypatch, {0: AssertionError("expected exactly one top-dimensional cell")})
+        with pytest.raises(AssertionError, match="expected exactly one top-dimensional cell"):
+            cell_stage(W, 0, 2)
 
-    def test_extra_seed_failure_is_kept(self):
-        W = with_moved_vertex(*DEGENERATE_AT_SEED_1)
+    def test_extra_seed_failure_is_kept(self, monkeypatch):
+        W = build_W(1)
+        with_cells(monkeypatch, {2: DEGENERATE})
         stage = cell_stage(W, 0, 3)
         assert stage.stable
-        assert isinstance(stage.extra_error, ValueError)
-        assert "degenerate" in str(stage.extra_error)
+        assert stage.extra_error is DEGENERATE
         assert stage.counts == cell_structure(W, 0).cell_counts()
 
         report = glue_report(W, 0, extra_seeds=3)
         checks = {c.name: c for c in report.checks}
         assert not checks["cell-structure"].passed
-        assert checks["cell-structure"].details == str(stage.extra_error)
+        assert checks["cell-structure"].details == str(DEGENERATE)
         assert checks["euler-cross-check"].passed
         assert report.cell_counts == stage.counts and report.homology is None
 
-    def test_disagreement_comes_before_a_later_failure(self):
-        W = with_moved_vertex(*VARIES_AT_SEED_1)
+    def test_disagreement_comes_before_a_later_failure(self, monkeypatch):
+        W = build_W(1)
+        with_cells(monkeypatch, {1: fewer_cells(W, 1), 2: DEGENERATE})
         stage = cell_stage(W, 0, 1)
         assert not stage.stable and stage.extra_error is None
         stage = cell_stage(W, 0, 3)
-        assert not stage.stable and isinstance(stage.extra_error, ValueError)
+        assert not stage.stable and stage.extra_error is DEGENERATE
         assert cell_stage(W, 1, 0).stable  # one seed alone never disagrees
+
+        report = glue_report(W, 0, extra_seeds=1)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["cell-structure"].passed
+        assert checks["cell-structure"].details.endswith("; counts varied across seeds")
+
+
+class TestRealisation:
+    """Every W is the truncated simplex: moved vertices and relabelled facets are not loaded."""
+
+    @pytest.mark.parametrize(
+        "moved,message",
+        [
+            (DEGENERATE_AT_SEED_1, "vertex v04 is not A0|d3 of the truncated 4-simplex at r1 = 1/5: "
+             "coordinate 0 is 7/2, expected 4/5"),
+            (VARIES_AT_SEED_1, "vertex v03 is not A0|d4 of the truncated 4-simplex at r1 = 1/5: "
+             "coordinate 0 is -2/1, expected 4/5"),
+        ],
+        ids=["degenerate", "varies"],
+    )
+    def test_moved_vertex_is_rejected(self, moved, message):
+        index, coord = moved
+        data = wmanifold_to_json(build_W(1))
+        data["pair"]["polytope"]["coords"][index] = coord
+        with pytest.raises(RealisationError) as error:
+            wmanifold_from_json(data)
+        assert str(error.value) == message
+
+    def test_p3_as_original_facet_is_rejected(self):
+        data = wmanifold_to_json(build_W(1))
+        for facet in data["pair"]["polytope"]["facets"]:
+            if facet["id"] == "P3":
+                facet["provenance"] = {"kind": "original", "index": 99}
+        with pytest.raises(RealisationError) as error:
+            wmanifold_from_json(data)
+        assert str(error.value) == "facet P3 has provenance original 99, expected cut {d0, d1, d3, d4}"
+
+    def test_built_w_at_another_depth_is_rejected(self):
+        W = build_W(1, Fraction(1, 6))
+        with pytest.raises(RealisationError, match="at r1 = 1/5: coordinate 0 is 5/6, expected 4/5"):
+            WManifold(W.pair, 4, Fraction(1, 5))
+
+    @pytest.mark.parametrize("k", (1, 2, 5))
+    def test_labels_of_built_and_loaded_w(self, k):
+        W = build_W(k)
+        assert [f"A{i}|d{m}" for i, m, _ in W.labels] == [v.id for v in W.pair.polytope.vertices]
+        for v, (_, _, cut) in zip(W.pair.polytope.vertices, W.labels):
+            assert BOUNDARY_FACETS[cut] in v.facet_ids
+        loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(W))))
+        # The loaded vertices are the built ones in order of their sorted facet ids.
+        order = sorted(W.pair.polytope.vertices, key=lambda v: sorted(v.facet_ids))
+        assert loaded.labels == tuple(W.labels[W.pair.polytope.vertices.index(v)] for v in order)
 
 
 # Vertex 3 moved onto vertex 4: no functional separates the vertices.
@@ -417,15 +539,15 @@ class TestIntegerFunctionals:
         "moved", [DEGENERATE_AT_SEED_1, VARIES_AT_SEED_1, COINCIDENT], ids=["degenerate", "varies", "coincident"]
     )
     def test_loaded_moved_vertex_certificates(self, draws, moved):
-        P = with_moved_vertex(*moved).pair.polytope
+        P = moved_vertex_polytope(*moved)
         for seed in range(10):
             self.check(P, seed, draws)
 
     def test_the_moved_vertex_cases_reach_both_errors(self):
-        P = with_moved_vertex(*DEGENERATE_AT_SEED_1).pair.polytope
+        P = moved_vertex_polytope(*DEGENERATE_AT_SEED_1)
         zeta = fraction_separating_functional(P, 1)[0]
         assert "index profile is degenerate" in outcome(fraction_vertex_indices, P, zeta)
-        P = with_moved_vertex(*COINCIDENT).pair.polytope
+        P = moved_vertex_polytope(*COINCIDENT)
         assert "coordinates are degenerate" in outcome(fraction_separating_functional, P, 0)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from cpbound.polytope import (
     FaceRef,
     FacetLabel,
     LinearFunctional,
+    RealisationError,
     SimplePolytope,
     Vertex,
     combinatorially_isomorphic,
+    decode_truncated_simplex,
     face_as_polytope,
     face_from_facets,
     generate_functional,
@@ -25,7 +28,7 @@ from cpbound.polytope import (
     truncated_simplex,
     vertex_indices,
 )
-from cpbound.polytope import _derive_edges
+from cpbound.polytope import _derive_edges, _is_connected
 
 from oracles import (
     check_geometry,
@@ -263,6 +266,145 @@ class TestTruncatedSimplex:
             truncated_simplex(4, Fraction(1, 4))
         with pytest.raises(ValueError):
             truncated_simplex(4, Fraction(0))
+
+
+class TestClosedFormGraph:
+    """What the closed-form cells assume about the derived graph of ``truncated_simplex(n)``."""
+
+    @pytest.mark.parametrize("n", range(4, 42, 2))
+    def test_root_partner_and_cut_neighbours(self, n):
+        P = truncated_simplex(n)
+        labels = decode_truncated_simplex(P, Fraction(1, 5))
+        V = len(P.vertices)
+        assert len(P.edge_pairs) == V * n // 2
+        assert _is_connected(V, P.edge_pairs)
+        root = [[] for _ in range(V)]
+        cut = [[] for _ in range(V)]
+        for (a, b), tag in zip(P.edge_pairs, P.edge_tags):
+            (root if tag.kind == "original" else cut)[a].append(b)
+            (root if tag.kind == "original" else cut)[b].append(a)
+        for v, (i, m, f), partners, neighbours in zip(P.vertices, labels, root, cut):
+            assert v.id == f"A{i}|d{m}"
+            assert [P.vertices[w].id for w in partners] == [f"A{m}|d{i}"]
+            # The other n - 1 neighbours share the cut face and one of i, m.
+            others = {labels[w] for w in neighbours}
+            assert len(others) == n - 1
+            assert all(g == f and (j == i) != (l == m) for j, l, g in others)
+
+
+def truncated_simplex_json(n=4, r1=Fraction(1, 5)):
+    return json.loads(json.dumps(polytope_to_json(truncated_simplex(n, r1))))
+
+
+class TestDecodeTruncatedSimplex:
+    """The realisation check every ``WManifold`` runs, built or loaded."""
+
+    @pytest.mark.parametrize("n", (4, 6, 12))
+    def test_built_and_loaded(self, n):
+        P = truncated_simplex(n, Fraction(2, 9))
+        labels = decode_truncated_simplex(P, Fraction(2, 9))
+        assert [f"A{i}|d{m}" for i, m, _ in labels] == list(P.vertex_ids())
+        assert all(("P1", "P2", "P3")[f] in v.facet_ids for v, (_, _, f) in zip(P.vertices, labels))
+        loaded = polytope_from_json(polytope_to_json(P))
+        order = sorted(P.vertices, key=lambda v: sorted(v.facet_ids))
+        assert decode_truncated_simplex(loaded, Fraction(2, 9)) == tuple(
+            labels[P.vertices.index(v)] for v in order
+        )
+
+    def test_other_depth(self):
+        message = "vertex A0|d2 is not A0|d2 of the truncated 4-simplex at r1 = 1/7: coordinate 0 is 4/5, expected 6/7"
+        with pytest.raises(RealisationError, match=f"^{re.escape(message)}$"):
+            decode_truncated_simplex(truncated_simplex(4, Fraction(1, 5)), Fraction(1, 7))
+
+    def test_product_of_simplices(self):
+        with pytest.raises(RealisationError, match="^facet L.d0 is not a facet of the truncated 4-simplex$"):
+            decode_truncated_simplex(product(simplex(2), simplex(2)), Fraction(1, 5))
+
+    @pytest.mark.parametrize(
+        "facet,provenance,message",
+        [
+            ("d3", {"kind": "original", "index": 7}, "facet d3 has provenance original 7, expected original 3"),
+            (
+                "P1",
+                {"kind": "cut", "face": ["d2", "d3"]},
+                "facet P1 has provenance cut {d2, d3}, expected cut {d2, d3, d4}",
+            ),
+        ],
+    )
+    def test_facet_of_other_provenance(self, facet, provenance, message):
+        data = truncated_simplex_json()
+        (entry,) = [f for f in data["facets"] if f["id"] == facet]
+        entry["provenance"] = provenance
+        with pytest.raises(RealisationError, match=f"^{re.escape(message)}$"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_missing_facet(self):
+        # Sixteen vertices on the facets of the truncated 4-simplex without d4.
+        ids = ["P1", "P2", "P3", "d0", "d1", "d2", "d3"]
+        data = truncated_simplex_json()
+        data["facets"] = [f for f in data["facets"] if f["id"] != "d4"]
+        data["vertices"] = [list(c) for c in itertools.combinations(ids, 4)][:16]
+        with pytest.raises(RealisationError, match="^facet d4 of the truncated 4-simplex is missing$"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_missing_vertex(self):
+        data = truncated_simplex_json()
+        del data["vertices"][5], data["coords"][5]
+        with pytest.raises(RealisationError, match="^the polytope has 15 vertices, the truncated 4-simplex has 16$"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_coordinates_of_another_length(self):
+        data = truncated_simplex_json()
+        data["coords"] = [row[:-1] for row in data["coords"]]
+        with pytest.raises(RealisationError, match="^vertex coordinates must have 5 entries"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_vertex_on_two_cut_facets(self):
+        data = truncated_simplex_json()
+        vertex = data["vertices"][0]
+        assert vertex == ["P1", "d0", "d2", "d3"]
+        data["vertices"][0] = ["P1", "P2", "d2", "d3"]
+        with pytest.raises(RealisationError, match="^vertex v00 lies on 2 cut facets, not one$"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_vertex_missing_two_facets_of_its_face(self):
+        data = truncated_simplex_json()
+        data["vertices"][0] = ["P1", "d2", "d3", "d4"]
+        with pytest.raises(RealisationError, match="^vertex v00 lies on P1 and misses d0 and d1; no vertex"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+    def test_swapped_coordinates(self):
+        data = truncated_simplex_json()
+        data["coords"][0], data["coords"][1] = data["coords"][1], data["coords"][0]
+        message = "vertex v00 is not A1|d4 of the truncated 4-simplex at r1 = 1/5: coordinate 3 is 1/5, expected 0/1"
+        with pytest.raises(RealisationError, match=f"^{re.escape(message)}$"):
+            decode_truncated_simplex(polytope_from_json(data), Fraction(1, 5))
+
+
+class TestGraphOnFirstRead:
+    """A library-built polytope checks its graph when it is first read, with the constructor's errors."""
+
+    def test_three_vertices_on_a_ridge(self):
+        data = truncated_simplex_json()
+        a, b = data["vertices"][0], data["vertices"][1]
+        shared = sorted(set(a) & set(b))
+        assert len(shared) == 3
+        data["facets"].append({"id": "zz", "provenance": {"kind": "original", "index": 9}})
+        data["vertices"].append(shared + ["zz"])
+        data["coords"].append(data["coords"][0])
+        P = polytope_from_json(data)
+        for _ in range(2):  # a failed read is not remembered
+            with pytest.raises(ValueError, match="is shared by 3 vertices; a simple polytope allows at most 2"):
+                P.edge_pairs
+
+    def test_disconnected(self):
+        # Two disjoint triangles, as in TestConstructorChecks.
+        ids = ["a0", "a1", "a2", "b0", "b1", "b2"]
+        facets = [{"id": f, "provenance": {"kind": "original", "index": i}} for i, f in enumerate(ids)]
+        vertices = [[f"{t}{i}", f"{t}{j}"] for t in "ab" for i, j in ((0, 1), (0, 2), (1, 2))]
+        P = polytope_from_json({"dim": 2, "facets": facets, "vertices": vertices})
+        with pytest.raises(ValueError, match="^vertex-edge graph is disconnected$"):
+            P.edge_tags
 
 
 class TestConstructorChecks:

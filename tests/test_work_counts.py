@@ -8,11 +8,13 @@ record), no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
 gluing work in ``homology`` beyond validating a loaded datum, one polytope
-built for the truncated simplex, one edge derivation per built or loaded
-polytope and none per face, no string-ended edge tuple in a request, no
-navigation table in any polytope, one integer coordinate table per polytope
-and no ``Fraction`` functional evaluation, and nothing kept from one request
-to the next.
+built for the truncated simplex, edges derived only when read and then once
+per built or loaded polytope and never per face, no edge derivation,
+connectivity check or integer coordinate table in a ``glue``, ``homology``
+or ``validate`` request, one edge derivation per W and one integer
+coordinate table per component in ``boundary``, no string-ended edge tuple
+in a request, no navigation table in any polytope, no ``Fraction``
+functional evaluation, and nothing kept from one request to the next.
 """
 
 import functools
@@ -170,21 +172,75 @@ def test_truncated_simplex_builds_one_polytope(monkeypatch, n):
 def test_edges_are_derived_once_per_built_polytope(calls, n):
     counts, count = calls
     count(polytope, "_derive_edges")
+    count(polytope, "_is_connected")
     P = polytope.truncated_simplex(n)
-    assert counts["_derive_edges"] == 1
-    polytope.polytope_from_json(polytope.polytope_to_json(P))
-    assert counts["_derive_edges"] == 2
-    for facet in ("P1", "P2", "P3"):  # a face restricts its parent's edges
-        polytope.face_as_polytope(P, polytope.face_from_facets(P, [facet]))
-    assert counts["_derive_edges"] == 2
+    faces = [polytope.face_as_polytope(P, polytope.face_from_facets(P, [f])) for f in ("P1", "P2", "P3")]
+    loaded = polytope.polytope_from_json(polytope.polytope_to_json(P))
+    assert counts == {}  # graphs are built on first read
+    assert P.edge_pairs and P.edge_tags and P.edge_pairs
+    assert counts == {"_derive_edges": 1, "_is_connected": 1}
+    assert all(face.edge_pairs for face in faces)  # a face restricts its parent's edges
+    assert counts == {"_derive_edges": 1, "_is_connected": 4}
+    assert loaded.edge_tags
+    assert counts == {"_derive_edges": 2, "_is_connected": 5}
 
 
 @pytest.mark.parametrize("k", (1, 3))
-def test_glue_request_derives_edges_once(calls, k):
+def test_glue_request_derives_no_edges(calls, k):
     counts, count = calls
     count(polytope, "_derive_edges")
+    count(polytope, "_is_connected")
     assert glue_report(build_W(k), 0, extra_seeds=1).passed
-    assert counts["_derive_edges"] == 1  # the truncated simplex; its faces restrict it
+    assert counts == {}  # the cells are counted in closed form; nothing reads a graph
+
+
+@pytest.fixture
+def integer_tables(monkeypatch):
+    """The polytopes whose ``integer_coords`` table gets built."""
+    built = []
+    build = polytope.SimplePolytope.__dict__["integer_coords"].func
+
+    def counting_build(P):
+        built.append(P)
+        return build(P)
+
+    table = functools.cached_property(counting_build)
+    table.__set_name__(polytope.SimplePolytope, "integer_coords")
+    monkeypatch.setattr(polytope.SimplePolytope, "integer_coords", table)
+    return built
+
+
+@pytest.mark.parametrize("source", ("built", "input"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("glue", "--seeds", "3", "--format", "json"),
+        ("homology", "--seeds", "3", "--format", "json"),
+        ("validate", "--format", "json"),
+    ],
+    ids=("glue", "homology", "validate"),
+)
+def test_requests_derive_no_edges_and_build_no_integer_rows(calls, integer_tables, tmp_path, argv, source):
+    counts, count = calls
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(3))))
+    count(polytope, "_derive_edges")
+    count(polytope, "_is_connected")
+    given = ("--k", "3") if source == "built" else ("--input", str(path))
+    assert run([*argv, *given], io.StringIO()) == 0
+    assert counts == {}
+    assert integer_tables == []
+
+
+@pytest.mark.parametrize("source", ("built", "input"))
+def test_boundary_derives_edges_once_per_w(calls, tmp_path, source):
+    counts, count = calls
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(2))))
+    count(polytope, "_derive_edges")
+    given = ("--n", "6") if source == "built" else ("--input", str(path))
+    assert run(["boundary", *given, "--format", "json"], io.StringIO()) == 0
+    assert counts == {"_derive_edges": 1}  # W's graph, which each component restricts
 
 
 @pytest.fixture
@@ -271,21 +327,12 @@ def test_homology_validates_only_while_building(calls):
 @pytest.mark.parametrize(
     "argv,polytopes",
     [
-        (("homology", "--k", "2", "--seeds", "5", "--format", "json"), 1),  # W, for all five seeds
+        (("homology", "--k", "2", "--seeds", "5", "--format", "json"), 0),  # closed form on W
         (("boundary", "--n", "6", "--format", "json"), 3),  # one per component
     ],
 )
-def test_functionals_run_on_one_integer_table_per_polytope(monkeypatch, argv, polytopes):
-    built, fraction_evals = [], []
-    build = polytope.SimplePolytope.__dict__["integer_coords"].func
-
-    def counting_build(P):
-        built.append(P)
-        return build(P)
-
-    table = functools.cached_property(counting_build)
-    table.__set_name__(polytope.SimplePolytope, "integer_coords")
-    monkeypatch.setattr(polytope.SimplePolytope, "integer_coords", table)
+def test_functionals_run_on_one_integer_table_per_polytope(monkeypatch, integer_tables, argv, polytopes):
+    built, fraction_evals = integer_tables, []
     evaluate = polytope.LinearFunctional.__call__
 
     def counting_call(zeta, point):
