@@ -34,7 +34,6 @@ inverts the basis of a simplex pair in ``normalize_simplex_pair``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .polytope import (
@@ -45,6 +44,7 @@ from .polytope import (
     polytope_from_json,
     polytope_to_json,
 )
+from .record import Record
 from .zlinalg import (
     IntMatrix,
     Permutation,
@@ -59,18 +59,18 @@ from .zlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class CharVector:
+class CharVector(Record):
     """A nonzero integer vector in canonical sign form (first nonzero > 0)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        first = next((e for e in self.entries if e != 0), None)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        first = next((e for e in entries if e != 0), None)
         if first is None:
             raise ValueError("characteristic vector must be nonzero")
         if first < 0:
-            raise ValueError(f"{self.entries} is not canonical; use CharVector.canon")
+            raise ValueError(f"{entries} is not canonical; use CharVector.canon")
+        self._setters[0](self, entries)
 
     @classmethod
     def canon(cls, entries: Sequence[int]) -> "CharVector":
@@ -124,20 +124,20 @@ def attach(P: SimplePolytope, assignment: Mapping[str, Sequence[int]], torus_ran
     return CharPair(P, torus_rank, {fid: CharVector.canon(v) for fid, v in assignment.items()})
 
 
-@dataclass(frozen=True)
-class VertexCheck:
-    vertex: str
-    facets: tuple[str, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    ok: bool
-    reason: str
+class VertexCheck(Record):
+    __slots__ = ("vertex", "facets", "vectors", "ok", "reason")
+
+    def __init__(
+        self, vertex: str, facets: tuple[str, ...], vectors: tuple[tuple[int, ...], ...], ok: bool, reason: str
+    ) -> None:
+        self._fill(vertex, facets, vectors, ok, reason)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checked_vertices: int
-    failures: tuple[VertexCheck, ...]
+class ValidationReport(Record):
+    __slots__ = ("ok", "checked_vertices", "failures")
+
+    def __init__(self, ok: bool, checked_vertices: int, failures: tuple[VertexCheck, ...]) -> None:
+        self._fill(ok, checked_vertices, failures)
 
     def failing_vertices(self) -> tuple[str, ...]:
         return tuple(f.vertex for f in self.failures)
@@ -340,27 +340,28 @@ def rho_facet_bijection(n: int) -> dict[str, str]:
     return {f"d{j}": f"d{n - rho(n - j)}" for j in range(n + 1)}
 
 
-@dataclass(frozen=True)
-class TranslationWitness:
+class TranslationWitness(Record):
     """A facet bijection plus a GL(Z) matrix relating two pairs."""
 
-    phi: Mapping[str, str]
-    delta: IntMatrix
+    __slots__ = ("phi", "delta")
 
-    def __post_init__(self) -> None:
-        if self.delta.rows != self.delta.cols:
+    def __init__(self, phi: Mapping[str, str], delta: IntMatrix) -> None:
+        if delta.rows != delta.cols:
             raise ValueError("delta must be square")
-        if abs(determinant(self.delta)) != 1:
+        if abs(determinant(delta)) != 1:
             raise ValueError("delta must have determinant +-1")
-        if len(set(self.phi.values())) != len(self.phi):
+        if len(set(phi.values())) != len(phi):
             raise ValueError("phi is not injective")
+        self._fill(phi, delta)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
-    ok: bool
-    phi_is_isomorphism: bool
-    vector_mismatches: tuple[tuple[str, str], ...]
+class TranslationReport(Record):
+    __slots__ = ("ok", "phi_is_isomorphism", "vector_mismatches")
+
+    def __init__(
+        self, ok: bool, phi_is_isomorphism: bool, vector_mismatches: tuple[tuple[str, str], ...]
+    ) -> None:
+        self._fill(ok, phi_is_isomorphism, vector_mismatches)
 
 
 def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) -> TranslationReport:
@@ -394,17 +395,16 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class SimplexNormalForm:
+class SimplexNormalForm(Record):
     """Result of normalizing a valid pair over a combinatorial simplex."""
 
-    basis_change: IntMatrix
-    signs: tuple[tuple[str, int], ...]
-    normal_form: tuple[tuple[str, tuple[int, ...]], ...]
-    residual_facet: str
+    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet")
 
-    def sign_of(self, facet_id: str) -> int:
-        return dict(self.signs)[facet_id]
+    def __init__(
+        self, basis_change: IntMatrix, signs: tuple[tuple[str, int], ...],
+        normal_form: tuple[tuple[str, tuple[int, ...]], ...], residual_facet: str,
+    ) -> None:
+        self._fill(basis_change, signs, normal_form, residual_facet)
 
     def vector_of(self, facet_id: str) -> tuple[int, ...]:
         return dict(self.normal_form)[facet_id]
@@ -461,11 +461,11 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     return SimplexNormalForm(A, tuple(signs), tuple(normal), residual)
 
 
-@dataclass(frozen=True)
-class OrientationRecord:
-    sign_rho: int
-    det_delta: int
-    boundary_label: str
+class OrientationRecord(Record):
+    __slots__ = ("sign_rho", "det_delta", "boundary_label")
+
+    def __init__(self, sign_rho: int, det_delta: int, boundary_label: str) -> None:
+        self._fill(sign_rho, det_delta, boundary_label)
 
 
 def orientation_signs(n: int) -> OrientationRecord:

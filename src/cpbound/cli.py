@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .charfn import eta_standard, rho_permutation
@@ -100,6 +101,7 @@ def _add_size_options(p: argparse.ArgumentParser, with_input: bool = True) -> No
         p.add_argument("--input", help="read the manifold datum from a JSON file instead")
 
 
+@cache  # built on first use, then shared by every call of ``run``
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpbound",

@@ -13,7 +13,6 @@ pass/fail record per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -45,6 +44,7 @@ from .polytope import (
     parse_int,
     truncated_simplex,
 )
+from .record import Record
 from .zlinalg import determinant
 
 BOUNDARY_FACETS = ("P1", "P2", "P3")
@@ -127,19 +127,22 @@ def boundary_components(W: WManifold) -> tuple[CharPair, CharPair, CharPair]:
     return tuple(restrict_to_facet(W.pair, f) for f in BOUNDARY_FACETS)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class CellGenerator:
+class CellGenerator(Record):
     """One odd cell: a vertex whose surviving root edge points at it."""
 
-    index: int  # the vertex index j; the cell has dimension 2j-1
-    vertex: str
+    __slots__ = ("index", "vertex")
+
+    def __init__(self, index: int, vertex: str) -> None:
+        set_index, set_vertex = self._setters
+        set_index(self, index)  # the vertex index j; the cell has dimension 2j-1
+        set_vertex(self, vertex)
 
 
-@dataclass(frozen=True)
-class CellStructure:
-    n: int
-    generators: tuple[CellGenerator, ...]
-    zero_cells: int = 1
+class CellStructure(Record):
+    __slots__ = ("n", "generators", "zero_cells")
+
+    def __init__(self, n: int, generators: tuple[CellGenerator, ...], zero_cells: int = 1) -> None:
+        self._fill(n, generators, zero_cells)
 
     def index_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -150,9 +153,6 @@ class CellStructure:
     def cell_counts(self) -> dict[int, int]:
         """Counts keyed by cell dimension 2j-1."""
         return {2 * j - 1: c for j, c in self.index_counts().items()}
-
-    def total(self) -> int:
-        return len(self.generators)
 
 
 def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
@@ -209,34 +209,35 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     return structure
 
 
-@dataclass(frozen=True)
-class HomologyTable:
-    """Ranks of H_*(W, boundary); absent degrees have rank zero.
+class HomologyTable(Record):
+    """Ranks of H_*(W, boundary) as sorted (degree, rank) pairs; absent degrees have rank zero.
 
     The one 0-cell of the quotient contributes to unreduced homology only,
     so degree 0 is reported as rank 0 and the discrepancy flag records that
     the naive cell count would instead give 1 there.
     """
 
-    ranks: tuple[tuple[int, int], ...]  # (degree, rank), sorted
-    paper_h0_discrepancy: bool = True
+    __slots__ = ("ranks", "paper_h0_discrepancy")
+
+    def __init__(self, ranks: tuple[tuple[int, int], ...], paper_h0_discrepancy: bool = True) -> None:
+        self._fill(ranks, paper_h0_discrepancy)
 
     def rank(self, degree: int) -> int:
         return dict(self.ranks).get(degree, 0)
 
 
-@dataclass(frozen=True)
-class EulerCheck:
-    cell_total: int
-    half_boundary_vertices: int
+class EulerCheck(Record):
+    __slots__ = ("cell_total", "half_boundary_vertices")
+
+    def __init__(self, cell_total: int, half_boundary_vertices: int) -> None:
+        self._fill(cell_total, half_boundary_vertices)
 
     @property
     def ok(self) -> bool:
         return self.cell_total == self.half_boundary_vertices
 
 
-@dataclass(frozen=True)
-class CellStage:
+class CellStage(Record):
     """The cells of (W, boundary) under one seed, checked under further seeds.
 
     ``stable`` says whether the counts held under every extra seed computed;
@@ -246,12 +247,13 @@ class CellStage:
     the closed form of ``cell_structure``.
     """
 
-    structure: CellStructure
-    counts: dict[int, int]
-    stable: bool
-    extra_error: ValueError | AssertionError | None
-    homology: HomologyTable
-    euler: EulerCheck
+    __slots__ = ("structure", "counts", "stable", "extra_error", "homology", "euler")
+
+    def __init__(
+        self, structure: CellStructure, counts: dict[int, int], stable: bool,
+        extra_error: ValueError | AssertionError | None, homology: HomologyTable, euler: EulerCheck,
+    ) -> None:
+        self._fill(structure, counts, stable, extra_error, homology, euler)
 
 
 def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
@@ -279,7 +281,7 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
     poly = W.pair.polytope
     boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
-    euler = EulerCheck(structure.total(), boundary_vertices // 2)
+    euler = EulerCheck(len(structure.generators), boundary_vertices // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
@@ -332,27 +334,25 @@ def identify_simplex_or_product(P: SimplePolytope) -> str | None:
     return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    details: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: str) -> None:
+        self._fill(name, passed, details)
 
 
-@dataclass(frozen=True)
-class GluingReport:
-    n: int
-    k: int
-    r1: Fraction
-    seed: int
-    checks: tuple[CheckResult, ...]
-    components: tuple[CharPair, ...]
-    cell_counts: Mapping[int, int]
-    homology: HomologyTable | None
-    orientation: OrientationRecord
-    boundary_label: str
-    witness: TranslationWitness | None
-    passed: bool
+class GluingReport(Record):
+    __slots__ = ("n", "k", "r1", "seed", "checks", "components", "cell_counts", "homology", "orientation",
+                 "boundary_label", "witness", "passed")
+
+    def __init__(
+        self, n: int, k: int, r1: Fraction, seed: int, checks: tuple[CheckResult, ...],
+        components: tuple[CharPair, ...], cell_counts: Mapping[int, int], homology: HomologyTable | None,
+        orientation: OrientationRecord, boundary_label: str, witness: TranslationWitness | None, passed: bool,
+    ) -> None:
+        self._fill(
+            n, k, r1, seed, checks, components, cell_counts, homology, orientation, boundary_label, witness, passed
+        )
 
     def failed_checks(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)

@@ -26,8 +26,7 @@ only the O(V) incidence checks.  A polytope built from caller-given tags
 derives and checks its graph at once.  A face of a simple polytope has as
 edges exactly the parent's edges with both ends in the face, so
 ``face_as_polytope`` restricts the parent's pairs and tags, when they are
-first read, instead of deriving them again.  The string-ended ``edges`` tuple
-is built from the pairs only when something reads it.
+first read, instead of deriving them again.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -50,12 +49,13 @@ seed gives the same coefficients on every path that evaluates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
 from operator import mul
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+from .record import Record
 
 Point = tuple[Fraction, ...]
 
@@ -65,21 +65,22 @@ FUNCTIONAL_COEFF_BOUND = 10**6
 FUNCTIONAL_RETRY_BUDGET = 64
 
 
-@dataclass(frozen=True)
-class FacetProvenance:
+class FacetProvenance(Record):
     """Where a facet came from: part of the root polytope, or a truncation."""
 
-    kind: str  # "original" | "cut"
-    index: Optional[int] = None  # original: position in the root facet list
-    cut_face: Optional[tuple[str, ...]] = None  # cut: facet ids of the face that was cut
+    __slots__ = ("kind", "index", "cut_face")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("original", "cut"):
-            raise ValueError(f"unknown facet provenance kind {self.kind!r}")
-        if self.kind == "original" and self.index is None:
+    def __init__(self, kind: str, index: int | None = None, cut_face: tuple[str, ...] | None = None) -> None:
+        if kind not in ("original", "cut"):
+            raise ValueError(f"unknown facet provenance kind {kind!r}")
+        if kind == "original" and index is None:
             raise ValueError("original facet provenance needs an index")
-        if self.kind == "cut" and not self.cut_face:
+        if kind == "cut" and not cut_face:
             raise ValueError("cut facet provenance needs the defining facet ids")
+        set_kind, set_index, set_cut_face = self._setters
+        set_kind(self, kind)  # "original" | "cut"
+        set_index(self, index)  # original: position in the root facet list
+        set_cut_face(self, cut_face)  # cut: facet ids of the face that was cut
 
 
 def original_facet(index: int) -> FacetProvenance:
@@ -90,22 +91,26 @@ def cut_facet(face_ids: Sequence[str]) -> FacetProvenance:
     return FacetProvenance("cut", cut_face=tuple(sorted(face_ids)))
 
 
-@dataclass(frozen=True)
-class FacetLabel:
-    id: str
-    provenance: FacetProvenance
+class FacetLabel(Record):
+    __slots__ = ("id", "provenance")
+
+    def __init__(self, id: str, provenance: FacetProvenance) -> None:
+        set_id, set_provenance = self._setters
+        set_id(self, id)
+        set_provenance(self, provenance)
 
 
-@dataclass(frozen=True)
-class EdgeProvenance:
-    kind: str  # "original" | "cut"
-    ancestors: Optional[tuple[str, str]] = None  # root vertex ids, original edges only
+class EdgeProvenance(Record):
+    __slots__ = ("kind", "ancestors")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("original", "cut"):
-            raise ValueError(f"unknown edge provenance kind {self.kind!r}")
-        if self.kind == "original" and self.ancestors is None:
+    def __init__(self, kind: str, ancestors: tuple[str, str] | None = None) -> None:
+        if kind not in ("original", "cut"):
+            raise ValueError(f"unknown edge provenance kind {kind!r}")
+        if kind == "original" and ancestors is None:
             raise ValueError("original edge provenance needs its root endpoints")
+        set_kind, set_ancestors = self._setters
+        set_kind(self, kind)  # "original" | "cut"
+        set_ancestors(self, ancestors)  # root vertex ids, original edges only
 
 
 CUT_EDGE = EdgeProvenance("cut")
@@ -119,32 +124,32 @@ def original_edge(a: str, b: str) -> EdgeProvenance:
 _EdgeGraph = tuple[Sequence[tuple[int, int]], Sequence[EdgeProvenance]]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    facet_ids: frozenset[str]
-    coord: Optional[Point] = None
+class Vertex(Record):
+    __slots__ = ("id", "facet_ids", "coord")
+
+    def __init__(self, id: str, facet_ids: frozenset[str], coord: Point | None = None) -> None:
+        set_id, set_facet_ids, set_coord = self._setters
+        set_id(self, id)
+        set_facet_ids(self, facet_ids)
+        set_coord(self, coord)
 
 
-@dataclass(frozen=True)
-class Edge:
-    ends: tuple[str, str]  # sorted vertex ids
-    provenance: EdgeProvenance
-
-
-@dataclass(frozen=True)
-class FaceRef:
+class FaceRef(Record):
     """A face given by facet ids, with the vertices realizing it."""
 
-    facet_ids: frozenset[str]
-    vertex_ids: tuple[str, ...]
+    __slots__ = ("facet_ids", "vertex_ids")
+
+    def __init__(self, facet_ids: frozenset[str], vertex_ids: tuple[str, ...]) -> None:
+        self._fill(facet_ids, vertex_ids)
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(Record):
     """An integer linear functional on the ambient coordinate space."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        self._fill(coefficients)
 
     def __call__(self, point: Point) -> Fraction:
         if len(point) != len(self.coefficients):
@@ -342,15 +347,6 @@ class SimplePolytope:
     @property
     def edge_tags(self) -> tuple[EdgeProvenance, ...]:
         return self._edges[1]
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges with their vertex ids, in ``edge_pairs`` order; built on first use."""
-        ids = [v.id for v in self.vertices]
-        return tuple(Edge((ids[i], ids[j]), tag) for (i, j), tag in zip(self.edge_pairs, self.edge_tags))
-
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
 
     def facet_vertices(self, facet_id: str) -> tuple[str, ...]:
         if facet_id not in self.facet_ids:
@@ -775,8 +771,15 @@ def polytope_from_json(data: dict) -> SimplePolytope:
     if coords is not None and len(coords) != len(raw_vertices):
         raise ValueError("coords and vertices have different lengths")
     width = len(str(len(raw_vertices)))
+    parsed: dict[str, Fraction] = {}  # each distinct string once; a zero is the one truncated_simplex shares
+
+    def parse(x: object) -> Fraction:
+        if not (isinstance(x, str) and x in parsed):
+            parsed[x] = parse_fraction(x) or _ZERO
+        return parsed[x]
+
     vertices = []
     for i, fids in enumerate(raw_vertices):
-        coord = tuple(parse_fraction(x) for x in coords[i]) if coords is not None else None
+        coord = tuple(map(parse, coords[i])) if coords is not None else None
         vertices.append(Vertex(f"v{i:0{width}d}", frozenset(str(f) for f in fids), coord))
     return SimplePolytope(dim, facets, vertices, {}, _graph=_mask_graph)

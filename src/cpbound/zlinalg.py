@@ -15,27 +15,23 @@ nonzero entry of the working submatrix, ties broken in row-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
+from .record import Record
 
-@dataclass(frozen=True)
-class IntMatrix:
+
+class IntMatrix(Record):
     """Immutable integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and one column")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self._fill(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -50,9 +46,6 @@ class IntMatrix:
     def identity(cls, k: int) -> "IntMatrix":
         return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -60,15 +53,15 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {0, ..., m} given by its image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
+        self._fill(images)
 
     def __call__(self, j: int) -> int:
         return self.images[j]

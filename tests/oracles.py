@@ -16,7 +16,9 @@ path ``truncated_simplex`` took before it built its vertices directly.  The
 ``SimplePolytope`` constructor, which derives edges on facet bitmasks, has
 the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys each
 (dim-1)-subset as a frozenset of facet-id strings, and ``frozenset_edges``,
-which runs the constructor's checks on those sets.  The dropped-facet
+which runs the constructor's checks on those sets and returns ``Edge``
+records of sorted vertex ids.  ``edges_of`` gives any polytope's
+``edge_pairs`` in that form, which no request reads.  The dropped-facet
 navigation table ``navigation`` (at each vertex, the edge leaving through
 all its facets but one), which only ``cut_face`` and
 ``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
@@ -42,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
@@ -50,7 +53,6 @@ from cpbound.polytope import (
     CUT_EDGE,
     FUNCTIONAL_COEFF_BOUND,
     FUNCTIONAL_RETRY_BUDGET,
-    Edge,
     EdgeProvenance,
     FaceRef,
     FacetLabel,
@@ -189,6 +191,18 @@ def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
 
 
+@dataclass(frozen=True)
+class Edge:
+    ends: tuple[str, str]  # sorted vertex ids
+    provenance: EdgeProvenance
+
+
+def edges_of(P: SimplePolytope) -> tuple[Edge, ...]:
+    """P's edges with their vertex ids, in ``edge_pairs`` order."""
+    ids = [v.id for v in P.vertices]
+    return tuple(Edge((ids[i], ids[j]), tag) for (i, j), tag in zip(P.edge_pairs, P.edge_tags))
+
+
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
@@ -265,7 +279,7 @@ def navigation(P: SimplePolytope) -> dict[str, dict[str, tuple[str, Edge]]]:
     endpoint.
     """
     nav: dict[str, dict[str, tuple[str, Edge]]] = {v.id: {} for v in P.vertices}
-    for e in P.edges:
+    for e in edges_of(P):
         a, b = e.ends
         shared = P.vertex_by_id[a].facet_ids & P.vertex_by_id[b].facet_ids
         (dropped_a,) = P.vertex_by_id[a].facet_ids - shared
@@ -376,7 +390,7 @@ def cut_face(
             tags[_edge_key(nv_id, far_id)] = edge.provenance
 
     kept = [v for v in P.vertices if v.id not in face_verts]
-    for e in P.edges:
+    for e in edges_of(P):
         a, b = e.ends
         if a not in face_verts and b not in face_verts:
             tags[e.ends] = e.provenance
@@ -610,7 +624,7 @@ def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
 def edge_between(P: SimplePolytope, a: str, b: str) -> Edge:
     """The edge of P joining vertices a and b."""
     key = (a, b) if a < b else (b, a)
-    for e in P.edges:
+    for e in edges_of(P):
         if e.ends == key:
             return e
     raise ValueError(f"{a} and {b} are not adjacent")

@@ -585,7 +585,7 @@ class TestNormalizeSimplexPair:
         form = normalize_simplex_pair(pair)
         for fid, vec in pair.assignment.items():
             image = apply_matrix(form.basis_change, vec.entries)
-            assert image == tuple(form.sign_of(fid) * x for x in form.vector_of(fid))
+            assert image == tuple(dict(form.signs)[fid] * x for x in form.vector_of(fid))
 
     def test_invalid_pair_rejected(self):
         rows = [[0, 1], [2, 1]]
@@ -650,7 +650,7 @@ class TestNormalizeSimplexPair:
             form = normalize_simplex_pair(pair)
             for fid, vec in pair.assignment.items():
                 image = apply_matrix(form.basis_change, vec.entries)
-                assert image == tuple(form.sign_of(fid) * x for x in form.vector_of(fid))
+                assert image == tuple(dict(form.signs)[fid] * x for x in form.vector_of(fid))
 
 
 class TestOrientationSigns:

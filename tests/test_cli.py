@@ -108,6 +108,23 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["boundary_label"] == "conjugate-CP"
 
 
+    def test_consecutive_runs_print_what_fresh_processes_print(self, capsys):
+        # ``run`` builds its argument parser once per process and reuses it.
+        argvs = [
+            ["glue", "--k", "1"],
+            ["glue", "--k", "x"],
+            ["validate", "--n", "6", "--format", "json"],
+            ["homology", "--k", "1", "--seeds", "2"],
+            ["glue", "--k", "1", "--n", "4"],
+            ["boundary", "--n", "6", "--format", "json"],
+        ]
+        for argv in argvs:
+            fresh = subprocess.run([sys.executable, "-m", "cpbound", *argv], capture_output=True, text=True)
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -373,6 +390,26 @@ class TestMalformedCertificates:
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
         assert err == "error: malformed certificate: the polytope carries no vertex coordinates\n"
+
+    @pytest.mark.parametrize("command", ("glue", "validate"))
+    @pytest.mark.parametrize(
+        "place,value,err",
+        [
+            ((0, 1), "1/0", "error: '1/0' has a zero denominator"),
+            ((13, 4), "3/0", "error: '3/0' has a zero denominator"),
+            ((2, 0), "abc", "error: Invalid literal for Fraction: 'abc'"),
+            ((13, 0), "0/1x", "error: Invalid literal for Fraction: '0/1x'"),
+            ((0, 0), [1], "error: malformed certificate: expected a fraction string 'p/q', got [1]"),
+            ((5, 2), 0.5, "error: malformed certificate: expected a fraction string 'p/q', got 0.5"),
+            ((1, 1), None, "error: malformed certificate: expected a fraction string 'p/q', got None"),
+        ],
+    )
+    def test_bad_coordinate(self, tmp_path, capsys, command, place, value, err):
+        # Coordinate strings are parsed once each; a bad one still fails where it stands.
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(set_at("pair", "polytope", "coords", *place, value)(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
+        assert (code, out, capsys.readouterr().err) == (2, "", err + "\n")
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "w.json"

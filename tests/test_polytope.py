@@ -34,6 +34,7 @@ from oracles import (
     check_geometry,
     cut_face,
     edge_between,
+    edges_of,
     frozenset_derive_edges,
     frozenset_edges,
     product_h_vector,
@@ -53,7 +54,7 @@ class TestSimplex:
     @pytest.mark.parametrize("n,facets,vertices,edges", [(1, 2, 2, 1), (2, 3, 3, 3), (4, 5, 5, 10)])
     def test_counts(self, n, facets, vertices, edges):
         P = simplex(n)
-        assert (len(P.facets), len(P.vertices), len(P.edges)) == (facets, vertices, edges)
+        assert (len(P.facets), len(P.vertices), len(edges_of(P))) == (facets, vertices, edges)
 
     def test_coordinates_are_standard_basis(self):
         P = simplex(3)
@@ -62,7 +63,7 @@ class TestSimplex:
 
     def test_all_edges_original(self):
         P = simplex(4)
-        assert all(e.provenance.kind == "original" for e in P.edges)
+        assert all(e.provenance.kind == "original" for e in edges_of(P))
         assert edge_between(P, "A0", "A3").provenance.ancestors == ("A0", "A3")
 
     def test_dimension_validation(self):
@@ -100,7 +101,7 @@ class TestCutFace:
         P = simplex(2)
         F = face_from_facets(P, ["d1", "d2"])  # the vertex A0
         Q = cut_face(P, F, root_coords(P), Fraction(1, 5))
-        assert len(Q.facets) == 4 and len(Q.vertices) == 4 and len(Q.edges) == 4
+        assert len(Q.facets) == 4 and len(Q.vertices) == 4 and len(edges_of(Q)) == 4
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_vertex_cut_new_facet_is_simplex(self, n):
@@ -211,7 +212,7 @@ class TestTruncatedSimplex:
         P = truncated_simplex(n, Fraction(1, 5))
         count = {v.id: 0 for v in P.vertices}
         ancestors = []
-        for e in P.edges:
+        for e in edges_of(P):
             if e.provenance.kind == "original":
                 count[e.ends[0]] += 1
                 count[e.ends[1]] += 1
@@ -252,9 +253,9 @@ class TestTruncatedSimplex:
         P, Q = truncated_simplex(n, r1), three_cut_truncated_simplex(n, r1)
         blob = json.dumps(polytope_to_json(P), sort_keys=True)
         assert blob == json.dumps(polytope_to_json(Q), sort_keys=True)
-        assert [(e.ends, e.provenance) for e in P.edges] == [(e.ends, e.provenance) for e in Q.edges]
+        assert [(e.ends, e.provenance) for e in edges_of(P)] == [(e.ends, e.provenance) for e in edges_of(Q)]
         assert P.facets == Q.facets
-        assert P.vertex_ids() == Q.vertex_ids() and P.vertices == Q.vertices
+        assert [v.id for v in P.vertices] == [v.id for v in Q.vertices] and P.vertices == Q.vertices
         assert P.integer_coords == Q.integer_coords
 
     def test_input_validation(self):
@@ -296,6 +297,17 @@ def truncated_simplex_json(n=4, r1=Fraction(1, 5)):
     return json.loads(json.dumps(polytope_to_json(truncated_simplex(n, r1))))
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_loaded_certificate_has_the_built_coordinates(k):
+    built = build_W(k).pair.polytope
+    loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(build_W(k))))).pair.polytope
+    assert {v.facet_ids: v.coord for v in loaded.vertices} == {v.facet_ids: v.coord for v in built.vertices}
+    # Each distinct coordinate string is parsed once, and every zero is the built polytope's zero.
+    assert len({id(x) for v in loaded.vertices for x in v.coord}) == 3
+    zero = next(x for x in built.vertices[0].coord if not x)
+    assert {id(x) for v in loaded.vertices for x in v.coord if not x} == {id(zero)}
+
+
 class TestDecodeTruncatedSimplex:
     """The realisation check every ``WManifold`` runs, built or loaded."""
 
@@ -303,7 +315,7 @@ class TestDecodeTruncatedSimplex:
     def test_built_and_loaded(self, n):
         P = truncated_simplex(n, Fraction(2, 9))
         labels = decode_truncated_simplex(P, Fraction(2, 9))
-        assert [f"A{i}|d{m}" for i, m, _ in labels] == list(P.vertex_ids())
+        assert [f"A{i}|d{m}" for i, m, _ in labels] == [v.id for v in P.vertices]
         assert all(("P1", "P2", "P3")[f] in v.facet_ids for v, (_, _, f) in zip(P.vertices, labels))
         loaded = polytope_from_json(polytope_to_json(P))
         order = sorted(P.vertices, key=lambda v: sorted(v.facet_ids))
@@ -413,11 +425,11 @@ class TestConstructorChecks:
     @staticmethod
     def parts(n=4):
         P = truncated_simplex(n)
-        return P.dim, list(P.facets), list(P.vertices), {e.ends: e.provenance for e in P.edges}
+        return P.dim, list(P.facets), list(P.vertices), {e.ends: e.provenance for e in edges_of(P)}
 
     def test_closed_form_passes(self):
         dim, facets, vertices, tags = self.parts()
-        assert len(SimplePolytope(dim, facets, vertices, tags).edges) == len(tags)
+        assert len(edges_of(SimplePolytope(dim, facets, vertices, tags))) == len(tags)
 
     def test_untagged_edge_rejected(self):
         dim, facets, vertices, tags = self.parts()
@@ -459,13 +471,13 @@ class TestMaskIncidenceMatchesFrozensetOracle:
 
     @staticmethod
     def tags(P):
-        return {e.ends: e.provenance for e in P.edges}
+        return {e.ends: e.provenance for e in edges_of(P)}
 
     @staticmethod
     def assert_derivations_agree(P):
         ids = [v.id for v in P.vertices]
         pairs = [(ids[i], ids[j]) for i, j in _derive_edges(P.incidence, P.facet_ids)]
-        assert pairs == frozenset_derive_edges(P.vertices) == [e.ends for e in P.edges]
+        assert pairs == frozenset_derive_edges(P.vertices) == [e.ends for e in edges_of(P)]
 
     @pytest.mark.parametrize("n", range(4, 22, 2))
     def test_truncated_simplex(self, n):
@@ -473,7 +485,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         self.assert_derivations_agree(P)
         # Tags from the independent face-truncation engine.
         tags = self.tags(three_cut_truncated_simplex(n))
-        assert P.edges == frozenset_edges(P.dim, P.facets, P.vertices, tags)
+        assert edges_of(P) == frozenset_edges(P.dim, P.facets, P.vertices, tags)
 
     def assert_face_matches_oracle(self, P, facet):
         face = face_as_polytope(P, face_from_facets(P, [facet]))
@@ -485,7 +497,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         tags = {ends: tag for ends, tag in self.tags(P).items() if set(ends) <= inside}
         assert face.vertices == tuple(vertices)
         assert face.facets == tuple(facets)
-        assert face.edges == frozenset_edges(P.dim - 1, facets, vertices, tags)
+        assert edges_of(face) == frozenset_edges(P.dim - 1, facets, vertices, tags)
 
     @pytest.mark.parametrize("n", range(4, 22, 2))
     @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
@@ -508,7 +520,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         order = sorted(P.vertices, key=lambda v: sorted(v.facet_ids))
         name = {v.id: w.id for v, w in zip(order, loaded.vertices)}
         tags = {tuple(sorted((name[a], name[b]))): tag for (a, b), tag in self.tags(P).items()}
-        assert loaded.edges == frozenset_edges(n, loaded.facets, loaded.vertices, tags)
+        assert edges_of(loaded) == frozenset_edges(n, loaded.facets, loaded.vertices, tags)
 
     @pytest.mark.parametrize("n", (4, 6, 8))
     @pytest.mark.parametrize("defect", ("three-on-a-ridge", "unknown-facet", "repeated-facet-set"))
@@ -519,7 +531,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         if defect == "three-on-a-ridge":
             # A third vertex on the dim-1 facets of an edge; its other subsets
             # all hold the new facet, so this is the only one shared by three.
-            a, b = (P.vertex_by_id[end].facet_ids for end in P.edges[n].ends)
+            a, b = (P.vertex_by_id[end].facet_ids for end in edges_of(P)[n].ends)
             facets.append(FacetLabel("zz", original_facet(n + 4)))
             vertices.append(Vertex("new", a & b | {"zz"}, v.coord))
         elif defect == "unknown-facet":
@@ -542,7 +554,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
 class TestProduct:
     def test_square(self):
         Q = product(simplex(1), simplex(1))
-        assert len(Q.facets) == 4 and len(Q.vertices) == 4 and len(Q.edges) == 4
+        assert len(Q.facets) == 4 and len(Q.vertices) == 4 and len(edges_of(Q)) == 4
 
     def test_prism(self):
         Q = product(simplex(1), simplex(2))
@@ -568,12 +580,12 @@ class TestProduct:
         """Each edge is an edge of one factor times a vertex of the other, tagged by its own ends."""
         R = product(P, Q)
         expected = set()
-        for e in P.edges:
+        for e in edges_of(P):
             expected |= {tuple(sorted(f"{end}*{v.id}" for end in e.ends)) for v in Q.vertices}
-        for e in Q.edges:
+        for e in edges_of(Q):
             expected |= {tuple(sorted(f"{u.id}*{end}" for end in e.ends)) for u in P.vertices}
-        assert {e.ends for e in R.edges} == expected
-        for e in R.edges:
+        assert {e.ends for e in edges_of(R)} == expected
+        for e in edges_of(R):
             assert e.provenance == original_edge(*e.ends)
 
 
@@ -612,7 +624,7 @@ class TestVertexIndices:
     def test_index_sum_is_edge_count(self, n, seed):
         P = truncated_simplex(n, Fraction(1, 5))
         ind = vertex_indices(P, generate_functional(P, seed))
-        assert sum(ind.values()) == len(P.edges)
+        assert sum(ind.values()) == len(edges_of(P))
 
     def test_unique_extremes(self):
         P = truncated_simplex(4, Fraction(1, 5))
@@ -712,10 +724,10 @@ class TestJson:
     def test_edge_tags_reconstructed(self):
         P = truncated_simplex(4, Fraction(1, 5))
         loaded = polytope_from_json(polytope_to_json(P))
-        originals = [e for e in loaded.edges if e.provenance.kind == "original"]
+        originals = [e for e in edges_of(loaded) if e.provenance.kind == "original"]
         assert len(originals) == 8
         ancestors = {e.provenance.ancestors for e in originals}
-        built = {e.provenance.ancestors for e in P.edges if e.provenance.kind == "original"}
+        built = {e.provenance.ancestors for e in edges_of(P) if e.provenance.kind == "original"}
         assert ancestors == built
 
     def test_incidence_preserved(self):

@@ -1,0 +1,246 @@
+"""The library's value records: fields, defaults, equality, hashing, repr and read-only fields.
+
+Every record derives from ``cpbound.record.Record``.  Each row of ``RECORDS``
+builds one record of each type by keyword and names a second value for one
+field; the checks are the behaviour of the frozen dataclasses the records
+replaced.  Importing the command line loads no ``dataclasses``.
+"""
+
+import copy
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cpbound import charfn, cobordism, polytope, zlinalg
+from cpbound.charfn import (
+    CharVector,
+    OrientationRecord,
+    SimplexNormalForm,
+    TranslationReport,
+    TranslationWitness,
+    ValidationReport,
+    VertexCheck,
+)
+from cpbound.cobordism import (
+    CellGenerator,
+    CellStage,
+    CellStructure,
+    CheckResult,
+    EulerCheck,
+    GluingReport,
+    HomologyTable,
+)
+from cpbound.polytope import (
+    EdgeProvenance,
+    FaceRef,
+    FacetLabel,
+    FacetProvenance,
+    LinearFunctional,
+    Vertex,
+    original_facet,
+)
+from cpbound.record import Record
+from cpbound.zlinalg import IntMatrix, Permutation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SWAP = IntMatrix(2, 2, (0, 1, 1, 0))
+CELLS = CellStructure(4, (CellGenerator(1, "A0|d3"), CellGenerator(4, "A1|d2")))
+HOMOLOGY = HomologyTable(((0, 0), (1, 2)))
+EULER = EulerCheck(2, 2)
+WITNESS = TranslationWitness({"d0": "d1", "d1": "d0"}, SWAP)
+
+# (record type, its fields by keyword in slot order, (field, another value))
+RECORDS = [
+    (IntMatrix, {"rows": 1, "cols": 2, "entries": (3, -4)}, ("entries", (3, 4))),
+    (Permutation, {"images": (1, 0, 2)}, ("images", (0, 1, 2))),
+    (FacetProvenance, {"kind": "cut", "index": None, "cut_face": ("d0", "d1")}, ("cut_face", ("d0", "d2"))),
+    (FacetLabel, {"id": "d0", "provenance": original_facet(0)}, ("provenance", original_facet(1))),
+    (EdgeProvenance, {"kind": "original", "ancestors": ("A0", "A1")}, ("kind", "cut")),
+    (
+        Vertex,
+        {"id": "A0|d2", "facet_ids": frozenset({"d1", "P1"}), "coord": (Fraction(4, 5), Fraction(0), Fraction(1, 5))},
+        ("coord", None),
+    ),
+    (FaceRef, {"facet_ids": frozenset({"d0"}), "vertex_ids": ("v0", "v1")}, ("vertex_ids", ("v0",))),
+    (LinearFunctional, {"coefficients": (5, -2, 7)}, ("coefficients", (5, -2, 8))),
+    (CharVector, {"entries": (0, 1, -1)}, ("entries", (0, 1, 1))),
+    (
+        VertexCheck,
+        {"vertex": "v0", "facets": ("d0", "d1"), "vectors": ((2, 0), (0, 1)), "ok": False, "reason": "r"},
+        ("ok", True),
+    ),
+    (ValidationReport, {"ok": True, "checked_vertices": 16, "failures": ()}, ("checked_vertices", 15)),
+    (TranslationWitness, {"phi": {"d0": "d1", "d1": "d0"}, "delta": SWAP}, ("phi", {"d0": "d0", "d1": "d1"})),
+    (
+        TranslationReport,
+        {"ok": False, "phi_is_isomorphism": True, "vector_mismatches": (("d0", "d1"),)},
+        ("vector_mismatches", ()),
+    ),
+    (
+        SimplexNormalForm,
+        {"basis_change": SWAP, "signs": (("d0", 1), ("d1", -1)), "normal_form": (("d0", (1, 0)),), "residual_facet": "d2"},
+        ("residual_facet", "d1"),
+    ),
+    (OrientationRecord, {"sign_rho": -1, "det_delta": 1, "boundary_label": "CP"}, ("boundary_label", "conjugate-CP")),
+    (CellGenerator, {"index": 2, "vertex": "A0|d3"}, ("index", 3)),
+    (CellStructure, {"n": 4, "generators": CELLS.generators, "zero_cells": 1}, ("zero_cells", 0)),
+    (HomologyTable, {"ranks": ((0, 0), (1, 2)), "paper_h0_discrepancy": True}, ("paper_h0_discrepancy", False)),
+    (EulerCheck, {"cell_total": 8, "half_boundary_vertices": 8}, ("cell_total", 7)),
+    (
+        CellStage,
+        {
+            "structure": CELLS,
+            "counts": {1: 1, 7: 1},
+            "stable": True,
+            "extra_error": None,
+            "homology": HOMOLOGY,
+            "euler": EULER,
+        },
+        ("stable", False),
+    ),
+    (CheckResult, {"name": "w-validity", "passed": True, "details": "16 vertices checked"}, ("passed", False)),
+    (
+        GluingReport,
+        {
+            "n": 4,
+            "k": 1,
+            "r1": Fraction(1, 5),
+            "seed": 0,
+            "checks": (CheckResult("w-validity", True, "ok"),),
+            "components": (),
+            "cell_counts": {1: 1, 7: 1},
+            "homology": HOMOLOGY,
+            "orientation": OrientationRecord(-1, 1, "conjugate-CP"),
+            "boundary_label": "conjugate-CP",
+            "witness": WITNESS,
+            "passed": True,
+        },
+        ("seed", 1),
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def hashable(values):
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_record_type_is_in_the_table():
+    library = {
+        value
+        for module in (zlinalg, polytope, charfn, cobordism)
+        for value in vars(module).values()
+        if inspect.isclass(value) and issubclass(value, Record) and value is not Record
+    }
+    assert library == {cls for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls,fields,change", RECORDS, ids=IDS)
+class TestRecord:
+    def test_fields_in_slot_order(self, cls, fields, change):
+        record = cls(**fields)
+        assert cls.__slots__ == tuple(fields)
+        assert cls(*fields.values()) == record
+        assert all(getattr(record, name) is value for name, value in fields.items())
+        assert not hasattr(record, "__dict__")
+
+    def test_equality(self, cls, fields, change):
+        record = cls(**fields)
+        name, value = change
+        assert record == cls(**fields) and not record != cls(**fields)
+        assert record != cls(**{**fields, name: value})
+        values = tuple(fields.values())
+        assert record != values and values != record
+        assert record != object()
+
+    def test_hash(self, cls, fields, change):
+        values = tuple(fields.values())
+        if hashable(values):
+            assert hash(cls(**fields)) == hash(cls(**fields)) == hash(values)
+        else:
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(cls(**fields))
+
+    def test_repr(self, cls, fields, change):
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+    def test_fields_are_read_only(self, cls, fields, change):
+        record = cls(**fields)
+        name, value = change
+        with pytest.raises(AttributeError, match=f"^{cls.__name__}.{name} is read-only$"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is fields[name]
+
+    def test_copy_and_pickle(self, cls, fields, change):
+        record = cls(**fields)
+        assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+
+def test_reprs_are_the_dataclass_text():
+    assert repr(CellGenerator(2, "A0|d3")) == "CellGenerator(index=2, vertex='A0|d3')"
+    assert repr(original_facet(3)) == "FacetProvenance(kind='original', index=3, cut_face=None)"
+    assert repr(HOMOLOGY) == "HomologyTable(ranks=((0, 0), (1, 2)), paper_h0_discrepancy=True)"
+
+
+@pytest.mark.parametrize(
+    "build,fields",
+    [
+        (lambda: Vertex("v0", frozenset({"d0"})), {"coord": None}),
+        (lambda: FacetProvenance("original", 2), {"index": 2, "cut_face": None}),
+        (lambda: FacetProvenance("cut", cut_face=("d0",)), {"index": None, "cut_face": ("d0",)}),
+        (lambda: EdgeProvenance("cut"), {"ancestors": None}),
+        (lambda: CellStructure(4, ()), {"zero_cells": 1}),
+        (lambda: HomologyTable(((0, 0),)), {"paper_h0_discrepancy": True}),
+    ],
+)
+def test_defaults(build, fields):
+    record = build()
+    assert {name: getattr(record, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: CharVector((0, 0)), "characteristic vector must be nonzero"),
+        (lambda: CharVector((0, -1, 2)), "(0, -1, 2) is not canonical; use CharVector.canon"),
+        (lambda: IntMatrix(0, 1, ()), "matrix needs at least one row and one column"),
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "2x2 matrix needs 4 entries, got 3"),
+        (lambda: Permutation((0, 2)), "not a bijection of 0..1: (0, 2)"),
+        (lambda: FacetProvenance("root"), "unknown facet provenance kind 'root'"),
+        (lambda: FacetProvenance("original"), "original facet provenance needs an index"),
+        (lambda: FacetProvenance("cut", cut_face=()), "cut facet provenance needs the defining facet ids"),
+        (lambda: EdgeProvenance("root"), "unknown edge provenance kind 'root'"),
+        (lambda: EdgeProvenance("original"), "original edge provenance needs its root endpoints"),
+        (lambda: TranslationWitness({}, IntMatrix(1, 2, (1, 0))), "delta must be square"),
+        (lambda: TranslationWitness({}, IntMatrix(2, 2, (2, 0, 0, 1))), "delta must have determinant +-1"),
+        (lambda: TranslationWitness({"d0": "d1", "d1": "d1"}, SWAP), "phi is not injective"),
+    ],
+)
+def test_argument_checks(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # -S keeps site-packages out, so every module loaded is the standard library's or cpbound's.
+    probe = "import sys, cpbound.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -243,44 +243,9 @@ def test_boundary_derives_edges_once_per_w(calls, tmp_path, source):
     assert counts == {"_derive_edges": 1}  # W's graph, which each component restricts
 
 
-@pytest.fixture
-def edge_tuples(monkeypatch):
-    """The polytopes whose string-ended ``edges`` tuple gets built."""
-    built = []
-    build = polytope.SimplePolytope.__dict__["edges"].func
-
-    def counting_build(P):
-        built.append(P)
-        return build(P)
-
-    edges = functools.cached_property(counting_build)
-    edges.__set_name__(polytope.SimplePolytope, "edges")
-    monkeypatch.setattr(polytope.SimplePolytope, "edges", edges)
-    return built
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("glue", "--k-range", "1:4", "--seeds", "3", "--format", "json"),
-        ("homology", "--k", "2", "--seeds", "3"),
-        ("boundary", "--n", "6", "--format", "json"),
-    ],
-)
-def test_commands_build_no_edge_tuples(edge_tuples, argv):
-    assert run(list(argv), io.StringIO()) == 0
-    assert edge_tuples == []
-
-
-def test_loaded_glue_builds_no_edge_tuples(edge_tuples, tmp_path):
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(wmanifold_to_json(build_W(2))))
-    assert run(["glue", "--input", str(path), "--format", "json"], io.StringIO()) == 0
-    assert edge_tuples == []
-
-
 def test_building_polytopes_calls_no_neighbors():
-    # The dropped-facet navigation table is a test oracle, ``oracles.navigation``.
+    # The dropped-facet navigation table and the string-ended edge tuples are
+    # test helpers, ``oracles.navigation`` and ``oracles.edges_of``.
     W = build_W(3)
     report = glue_report(W, 0, extra_seeds=1)
     loaded = polytope.polytope_from_json(polytope.polytope_to_json(W.pair.polytope))
@@ -288,6 +253,7 @@ def test_building_polytopes_calls_no_neighbors():
     assert report.passed
     assert not hasattr(polytope.SimplePolytope, "neighbors")
     assert not any(hasattr(P, "_nav") for P in built)
+    assert not hasattr(polytope.SimplePolytope, "edges") and not hasattr(polytope, "Edge")
 
 
 def test_boundary_draws_one_functional_per_component(calls):

@@ -54,7 +54,7 @@ class TestIntMatrix:
 
     def test_accessors(self):
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.entry(1, 0) == 3
+        assert m.row(1)[0] == 3
         assert m.row(0) == (1, 2)
 
 
@@ -129,7 +129,7 @@ class TestFractionFreeReduce:
         for s in signs:
             expected *= s
         assert determinant(m) == expected
-        transpose = IntMatrix(n, n, tuple(m.entry(j, i) for i in range(n) for j in range(n)))
+        transpose = IntMatrix(n, n, tuple(m.row(j)[i] for i in range(n) for j in range(n)))
         assert inverse_unimodular(m) == transpose
 
     def test_against_bareiss_oracle_at_sizes_7_to_10(self):
@@ -278,14 +278,14 @@ class TestApplyAndInverse:
             width = rng.randint(1, 5)
             b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(width)] for _ in range(a.cols)])
             expected = [
-                [sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)) for j in range(b.cols)]
+                [sum(a.row(i)[t] * b.row(t)[j] for t in range(a.cols)) for j in range(b.cols)]
                 for i in range(a.rows)
             ]
             assert matmul(a, b) == IntMatrix.from_rows(expected)
             square = IntMatrix.from_rows(random_matrix_rows(rng, max_size=5, square=True))
             v = [rng.randint(-9, 9) for _ in range(square.cols)]
             assert apply_matrix(square, v) == tuple(
-                sum(square.entry(i, j) * v[j] for j in range(square.cols)) for i in range(square.rows)
+                sum(square.row(i)[j] * v[j] for j in range(square.cols)) for i in range(square.rows)
             )
 
     def test_inverse_unimodular(self):
