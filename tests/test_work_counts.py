@@ -30,6 +30,7 @@ from cpbound import charfn, cobordism, polytope, zlinalg
 from cpbound.cli import run
 from cpbound.cobordism import build_W, glue_report, wmanifold_to_json
 
+import oracles
 from oracles import random_unimodular
 
 
@@ -241,6 +242,51 @@ def test_boundary_derives_edges_once_per_w(calls, tmp_path, source):
     given = ("--n", "6") if source == "built" else ("--input", str(path))
     assert run(["boundary", *given, "--format", "json"], io.StringIO()) == 0
     assert counts == {"_derive_edges": 1}  # W's graph, which each component restricts
+
+
+@pytest.fixture
+def edge_tuples(monkeypatch):
+    """After a run: the string-ended edge records made and the built polytopes with ``edges``."""
+    made, built = [], []
+    make_edge = oracles.Edge.__init__
+    build = polytope.SimplePolytope.__init__
+
+    def counting_edge(self, *args, **kwargs):
+        made.append(args)
+        make_edge(self, *args, **kwargs)
+
+    def recording_build(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracles.Edge, "__init__", counting_edge)
+    monkeypatch.setattr(polytope.SimplePolytope, "__init__", recording_build)
+
+    def found():
+        assert built, "the run built no polytope"
+        return made + [P for P in built if hasattr(P, "edges")]
+
+    return found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("glue", "--k-range", "1:4", "--seeds", "3", "--format", "json"),
+        ("homology", "--k", "2", "--seeds", "3"),
+        ("boundary", "--n", "6", "--format", "json"),
+    ],
+)
+def test_commands_build_no_edge_tuples(edge_tuples, argv):
+    assert run(list(argv), io.StringIO()) == 0
+    assert edge_tuples() == []
+
+
+def test_loaded_glue_builds_no_edge_tuples(edge_tuples, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(2))))
+    assert run(["glue", "--input", str(path), "--format", "json"], io.StringIO()) == 0
+    assert edge_tuples() == []
 
 
 def test_building_polytopes_calls_no_neighbors():
