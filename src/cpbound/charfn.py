@@ -29,20 +29,24 @@ unimodular.  Below full count a vertex is checked by its Smith normal form.
 The elimination is ``zlinalg.fraction_free_reduce``, and it is the one this
 module runs: it reduces M^T and each minor Y[S - A, A - S] for vertex
 validation, gives the determinant for the witness check of delta, and
-inverts the basis of a simplex pair in ``normalize_simplex_pair``.
+inverts the basis of a simplex pair, with its determinant, in
+``normalize_simplex_pair``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from math import prod
 
 from .polytope import (
     SimplePolytope,
+    check_keys,
     face_as_polytope,
     face_from_facets,
     parse_int,
     polytope_from_json,
     polytope_to_json,
+    renumbering,
 )
 from .record import Record
 from .zlinalg import (
@@ -53,7 +57,6 @@ from .zlinalg import (
     fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
-    matmul,
     permutation_sign,
     smith_normal_form,
 )
@@ -143,9 +146,19 @@ class ValidationReport(Record):
         return tuple(f.vertex for f in self.failures)
 
 
-# Vertex verdicts keyed by (torus rank, vector tuple): "" for a direct summand,
-# otherwise the failure reason.
-Verdicts = dict[tuple[int, tuple[tuple[int, ...], ...]], str]
+class Verdicts:
+    """Vertex verdicts of one ``WManifold`` and its boundary components, and of no other pair.
+
+    ``reasons`` maps a mapped-facet mask over W's facet ids ``facet_ids`` to
+    "" for a direct summand, otherwise to the failure reason.  A mask names
+    one vector set only where each facet keeps one vector: within one W.
+    """
+
+    __slots__ = ("facet_ids", "reasons")
+
+    def __init__(self, facet_ids: Sequence[str]) -> None:
+        self.facet_ids = tuple(facet_ids)
+        self.reasons: dict[int, str] = {}
 
 
 class _FullCountCertificate:
@@ -187,54 +200,51 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
 
 
 def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
-    """Check the direct-summand condition at every vertex; never raises.
+    """Check the direct-summand condition at every vertex; never raises on a vector set.
 
     A vertex's mapped facets are its incidence mask under the mask of the
-    assigned facets, and each distinct mapped mask is judged once per call.
-    Its vector set is certified once: at full count by the pair's
-    ``_FullCountCertificate``, built on the first such set not found in
-    ``verdicts``, and below it by the Smith normal form.  A failing set also
-    gets its invariant factors, for the reason text.  ``verdicts`` carries
-    the verdicts from call to call; a verdict depends on its key alone, so
-    any pairs may share one dict.
+    assigned facets.  Its verdict is looked up in ``verdicts`` by that mask
+    mapped back to ``verdicts.facet_ids``, W's; only a vertex whose mask is
+    not there, or fails, has its vectors built.  A new set is certified at
+    full count by the pair's ``_FullCountCertificate``, built on the first
+    such set, and below it by the Smith normal form, which also gives a
+    failing set's invariant factors.  On W n(n+4)/4 masks cover the
+    n(n+4)/2 vertices; a component's masks are all W's.
     """
-    verdicts = {} if verdicts is None else verdicts
     P = pair.polytope
     rank = pair.torus_rank
+    verdicts = Verdicts(P.facet_ids) if verdicts is None else verdicts
+    if not set(pair.assignment) <= set(verdicts.facet_ids):
+        raise ValueError("the verdicts are kept over the facets of another manifold")
+    reasons = verdicts.reasons
+    key_of = None if verdicts.facet_ids == P.facet_ids else renumbering(P.facet_ids, verdicts.facet_ids)
     place = {f: j for j, f in enumerate(P.facet_ids)}
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     entries = [pair.assignment[f].entries for f in ids]
     bits = [1 << place[f] for f in ids]
     assigned = sum(bits)
     certificate: _FullCountCertificate | None = None
-    # Mapped mask -> (facets, vectors, reason) of a failing set, None of a passing one.
-    # On W the two ends of a root edge differ only in their unassigned cut
-    # facets, and every mapped mask is shared by exactly such a pair: n(n+4)/4
-    # masks cover the n(n+4)/2 vertices, so this memo serves 50% of them.  On
-    # P1, P2 and P3 no mask repeats, and it serves none.
-    judged: dict[int, tuple[tuple[str, ...], tuple[tuple[int, ...], ...], str] | None] = {}
     failures = []
     for v, mask in zip(P.vertices, P.incidence):
         mapped = mask & assigned
         if not mapped:
             continue
-        if mapped not in judged:
-            rows = [row for row, bit in enumerate(bits) if mapped & bit]
-            vectors = tuple([entries[row] for row in rows])
-            key = (rank, vectors)
-            reason = verdicts.get(key)
-            if reason is None:
-                if len(rows) == rank:
-                    if certificate is None:
-                        certificate = _FullCountCertificate(entries, rank)
-                    ok = certificate.is_unimodular(rows)
-                else:
-                    ok = is_direct_summand(vectors, rank)
-                reason = verdicts[key] = "" if ok else _failure_reason(vectors)
-            judged[mapped] = (tuple([ids[row] for row in rows]), vectors, reason) if reason else None
-        failure = judged[mapped]
-        if failure is not None:
-            failures.append(VertexCheck(v.id, failure[0], failure[1], False, failure[2]))
+        key = mapped if key_of is None else key_of(mapped)
+        reason = reasons.get(key)
+        if reason == "":
+            continue
+        rows = [row for row, bit in enumerate(bits) if mapped & bit]
+        vectors = tuple([entries[row] for row in rows])
+        if reason is None:
+            if len(rows) == rank:
+                if certificate is None:
+                    certificate = _FullCountCertificate(entries, rank)
+                ok = certificate.is_unimodular(rows)
+            else:
+                ok = is_direct_summand(vectors, rank)
+            reason = reasons[key] = "" if ok else _failure_reason(vectors)
+        if reason:
+            failures.append(VertexCheck(v.id, tuple([ids[row] for row in rows]), vectors, False, reason))
     return ValidationReport(not failures, len(P.vertices), tuple(failures))
 
 
@@ -371,16 +381,21 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
+    P1, P2 = pair1.polytope, pair2.polytope
     phi = dict(w.phi)
-    if sorted(phi) != sorted(pair1.polytope.facet_ids) or sorted(phi.values()) != sorted(
-        pair2.polytope.facet_ids
-    ):
+    if sorted(phi) != sorted(P1.facet_ids) or sorted(phi.values()) != sorted(P2.facet_ids):
         raise ValueError("phi is not a bijection between the facet sets")
-    target_sets = {v.facet_ids for v in pair2.polytope.vertices}
-    image_sets = {
-        frozenset(phi[f] for f in v.facet_ids) for v in pair1.polytope.vertices
-    }
-    iso = image_sets == target_sets and len(pair1.polytope.vertices) == len(pair2.polytope.vertices)
+    place = {f: j for j, f in enumerate(P2.facet_ids)}
+    image = [1 << place[phi[f]] for f in P1.facet_ids]
+    full = (1 << len(image)) - 1
+    images = set()
+    for mask in P1.incidence:  # phi is a bijection: the image misses the images of the facets missed
+        out, missed = full, full ^ mask
+        while missed:
+            out ^= image[(missed & -missed).bit_length() - 1]
+            missed &= missed - 1
+        images.add(out)
+    iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
     mismatches = []
     for fid in sorted(pair1.assignment):
         target = phi[fid]
@@ -398,13 +413,13 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
 class SimplexNormalForm(Record):
     """Result of normalizing a valid pair over a combinatorial simplex."""
 
-    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet")
+    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")
 
     def __init__(
         self, basis_change: IntMatrix, signs: tuple[tuple[str, int], ...],
-        normal_form: tuple[tuple[str, tuple[int, ...]], ...], residual_facet: str,
+        normal_form: tuple[tuple[str, tuple[int, ...]], ...], residual_facet: str, det: int,
     ) -> None:
-        self._fill(basis_change, signs, normal_form, residual_facet)
+        self._fill(basis_change, signs, normal_form, residual_facet, det)  # det: of basis_change
 
     def vector_of(self, facet_id: str) -> tuple[int, ...]:
         return dict(self.normal_form)[facet_id]
@@ -416,21 +431,18 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     Works for every valid closed pair over a combinatorial simplex: the
     lexicographically largest facet is made residual, the others are mapped
     to the standard basis, and vertex unimodularity forces the residual
-    vector's entries to +-1, so signs can be absorbed into the basis change.
-    ``report`` is the pair's ``validate`` result, for a caller that already
-    has it; without one the pair is validated here.
+    vector's entries to +-1, so signs can be absorbed into the basis change:
+    D * B for B = M^-1 and D = diag(u), of determinant prod(u) * det M, det M
+    from the reduction that inverts M.  ``report`` is the pair's ``validate``
+    result, for a caller that already has it; without one it is computed.
     """
     P = pair.polytope
     if pair.boundary_facet_ids:
         raise ValueError("pair has boundary facets; normalization needs a closed pair")
     d = P.dim
-    vertex_sets = {v.facet_ids for v in P.vertices}
-    is_simplex = (
-        len(P.facets) == d + 1
-        and len(P.vertices) == d + 1
-        and all(frozenset(set(P.facet_ids) - {f}) in vertex_sets for f in P.facet_ids)
-    )
-    if not is_simplex:
+    # The constructor keeps the masks distinct, each with d bits: d + 1 of
+    # them over d + 1 facets are every facet's complement, a simplex.
+    if len(P.facets) != d + 1 or len(P.vertices) != d + 1:
         raise ValueError("polytope is not a combinatorial simplex")
     if report is None:
         report = validate(pair)
@@ -445,12 +457,11 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     basis_ids = ids[:-1]
     columns = [pair.assignment[f].entries for f in basis_ids]
     M = IntMatrix(d, d, tuple(columns[c][r] for r in range(d) for c in range(d)))
-    B = inverse_unimodular(M)
+    B, det_m = inverse_unimodular(M)
     u = apply_matrix(B, pair.assignment[residual].entries)
     if any(abs(x) != 1 for x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {u} is not a sign vector")
-    D = IntMatrix(d, d, tuple(u[i] if i == j else 0 for i in range(d) for j in range(d)))
-    A = matmul(D, B)
+    A = IntMatrix(d, d, tuple(x * u[i] for i in range(d) for x in B.row(i)))
     normal = []
     signs = []
     for fid in ids:
@@ -458,7 +469,7 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
         cv = CharVector.canon(w)
         normal.append((fid, cv.entries))
         signs.append((fid, 1 if w == cv.entries else -1))
-    return SimplexNormalForm(A, tuple(signs), tuple(normal), residual)
+    return SimplexNormalForm(A, tuple(signs), tuple(normal), residual, prod(u) * det_m)
 
 
 class OrientationRecord(Record):
@@ -498,6 +509,7 @@ def charpair_to_json(pair: CharPair) -> dict:
 
 
 def charpair_from_json(data: dict) -> CharPair:
+    check_keys(data, ("torus_rank", "polytope", "vectors"), "pair")
     P = polytope_from_json(data["polytope"])
     rank = parse_int(data["torus_rank"], "torus_rank")
     assignment = {

@@ -16,7 +16,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from .charfn import eta_standard, rho_permutation
 from .cobordism import (
@@ -68,7 +67,8 @@ def _r1(args) -> Fraction:
 def _manifold_from_args(args) -> WManifold:
     if getattr(args, "input", None):
         try:
-            data = json.loads(Path(args.input).read_text())
+            with open(args.input) as fh:
+                data = json.load(fh)
         except RecursionError:
             raise ValueError("malformed certificate: JSON nested too deeply") from None
         try:

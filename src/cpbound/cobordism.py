@@ -13,9 +13,10 @@ pass/fail record per check.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, reduce
+from operator import or_
 
 from .charfn import (
     CharPair,
@@ -37,6 +38,7 @@ from .charfn import (
 )
 from .polytope import (
     SimplePolytope,
+    check_keys,
     decode_truncated_simplex,
     format_fraction,
     functional_draws,
@@ -45,7 +47,6 @@ from .polytope import (
     truncated_simplex,
 )
 from .record import Record
-from .zlinalg import determinant
 
 BOUNDARY_FACETS = ("P1", "P2", "P3")
 
@@ -61,8 +62,9 @@ class WManifold:
     deliberately broken inputs can still be loaded and reported on.
     ``report`` is the vertex validation of the pair, computed on first use
     and then read by every check that needs it.  ``verdicts`` holds the
-    vertex verdicts of this pair; its boundary components carry the same
-    vector sets and reuse them.
+    vertex verdicts of this pair, keyed by mapped-facet mask over its facet
+    ids; its boundary components carry the same vector sets, and
+    ``validate`` maps their masks back to reuse them.
     """
 
     def __init__(self, pair: CharPair, n: int, r1: Fraction) -> None:
@@ -83,7 +85,7 @@ class WManifold:
         self.pair = pair
         self.n = n
         self.r1 = r1
-        self.verdicts: Verdicts = {}
+        self.verdicts = Verdicts(pair.polytope.facet_ids)
 
     @property
     def k(self) -> int:
@@ -294,42 +296,28 @@ def identify_simplex_or_product(P: SimplePolytope) -> str | None:
     """Recognize a simplex or a product of two simplices from the facet-vertex incidence.
 
     A simple d-polytope with d+1 facets is Delta^d exactly when it has d+1
-    vertices, each missing a different facet.  With d+2 facets every vertex
-    misses two, and the polytope is Delta^a x Delta^b exactly when these
-    missing pairs, taken as edges on the facets, form the complete bipartite
-    graph K_(a+1, b+1): the two colour classes are then the facet bijection
-    onto the model.  Vertex facet sets are distinct, so a connected bipartite
-    graph with parts A and B is complete when it has |A|*|B| edges.
+    vertices: their masks are distinct, so each misses a different facet.
+    With d+2 facets every vertex misses two, and the polytope is
+    Delta^a x Delta^b exactly when these missing pairs, taken as edges on the
+    facets, form the complete bipartite graph K_(a+1, b+1): the two colour
+    classes are then the facet bijection onto the model.  There the facets
+    missed together with facet 0 are one class, B, and the rest the other, A;
+    as the pairs are distinct, they are all of A x B exactly when each has
+    one facet in B and there are |A|*|B| of them.
     """
     d = P.dim
-    facets = set(P.facet_ids)
-    missing = [tuple(facets - v.facet_ids) for v in P.vertices]
-    if len(facets) == d + 1:
-        if len(P.vertices) == d + 1 and len(set(missing)) == d + 1:
-            return f"Delta^{d}"
+    count = len(P.facet_ids)
+    if count == d + 1:
+        return f"Delta^{d}" if len(P.vertices) == d + 1 else None
+    if count != d + 2:
         return None
-    if len(facets) != d + 2:
+    missing = [(1 << count) - 1 ^ mask for mask in P.incidence]  # two bits each
+    other = reduce(or_, [m for m in missing if m & 1], 0) & ~1
+    size = other.bit_count()
+    smaller = min(size, count - size)
+    if smaller < 2 or len(P.vertices) != size * (count - size):
         return None
-    neighbours: dict[str, list[str]] = {f: [] for f in facets}
-    for f, g in missing:
-        neighbours[f].append(g)
-        neighbours[g].append(f)
-    start = P.facet_ids[0]
-    side = {start: 0}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        for g in neighbours[f]:
-            if g not in side:
-                side[g] = 1 - side[f]
-                stack.append(g)
-            elif side[g] == side[f]:
-                return None
-    if len(side) != len(facets):
-        return None
-    ones = sum(side.values())
-    smaller = min(ones, len(facets) - ones)
-    if smaller < 2 or len(P.vertices) != smaller * (len(facets) - smaller):
+    if any((m & other).bit_count() != 1 for m in missing):
         return None
     return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
 
@@ -438,7 +426,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
                     "p3-normal-form",
                     allones,
                     f"residual facet {normal.residual_facet} carries the all-ones vector; "
-                    f"basis change determinant {determinant(normal.basis_change)}",
+                    f"basis change determinant {normal.det}",
                 )
             )
         except ValueError as exc:
@@ -506,6 +494,7 @@ def wmanifold_to_json(W: WManifold) -> dict:
 
 def wmanifold_from_json(data: dict) -> WManifold:
     """Load a W certificate; its polytope, a truncated simplex, must carry coordinates."""
+    check_keys(data, ("n", "r1", "pair"), "the certificate")
     pair = charpair_from_json(data["pair"])
     if not pair.polytope.has_coords:
         raise ValueError("malformed certificate: the polytope carries no vertex coordinates")

@@ -1,10 +1,12 @@
 """Combinatorial simple polytopes with provenance-tagged facets and edges.
 
-A polytope is stored by vertex-facet incidence: each vertex knows the set of
-facets containing it (exactly ``dim`` of them, simplicity).  Facet and vertex
-ids are strings at the API and in the JSON; inside, each vertex's facet set is
-also an ``int`` bitmask over the sorted facet ids (``SimplePolytope.incidence``),
-on which the constructor's checks run.
+A polytope is stored by vertex-facet incidence: each vertex lies on exactly
+``dim`` facets (simplicity).  Facet and vertex ids are strings at the API and
+in the JSON; inside, a vertex's facet set is only an ``int`` bitmask over the
+sorted facet ids (``Vertex.mask``, ``SimplePolytope.incidence``), from which
+``Vertex.facet_ids`` is derived when read.  The masks are written directly:
+the truncated simplex's in closed form, a face's by deleting the parent's bits
+of the facets it drops (``renumbering``), a load's from each facet-id list.
 
 The edge graph is kept as index pairs into ``vertices`` (``edge_pairs``,
 sorted), with one provenance tag per pair (``edge_tags``): an edge is a
@@ -18,15 +20,13 @@ facet is a cut edge.  Any other edge of a truncated simplex is the remnant of
 the root edge ``A{a}``--``A{b}``, where ``d{a}`` and ``d{b}`` are the two root
 facets both its ends miss; an edge of a product is its own root edge.
 
-The graph of a polytope built by this module is built on first read of
-``edge_pairs`` or ``edge_tags``, not by the constructor, and that is when its
-checks run: the derivation rejects a ridge (``dim - 1`` facets) shared by more
-than two vertices, and the graph must be connected.  The constructor keeps
-only the O(V) incidence checks.  A polytope built from caller-given tags
-derives and checks its graph at once.  A face of a simple polytope has as
-edges exactly the parent's edges with both ends in the face, so
-``face_as_polytope`` restricts the parent's pairs and tags, when they are
-first read, instead of deriving them again.
+The graph is built on first read of ``edge_pairs`` or ``edge_tags``, not by
+the constructor, and that is when its checks run: the derivation rejects a
+ridge (``dim - 1`` facets) shared by more than two vertices, and the graph
+must be connected.  The constructor keeps only the O(V) incidence checks.  A
+face of a simple polytope has as edges exactly the parent's edges with both
+ends in the face, so ``face_as_polytope`` restricts the parent's pairs and
+tags, when they are first read, instead of deriving them again.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -49,11 +49,11 @@ seed gives the same coefficients on every path that evaluates them.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import mul, or_
 
 from .record import Record
 
@@ -125,13 +125,22 @@ _EdgeGraph = tuple[Sequence[tuple[int, int]], Sequence[EdgeProvenance]]
 
 
 class Vertex(Record):
-    __slots__ = ("id", "facet_ids", "coord")
+    """A vertex on the facets ``universe[j]`` for the bits j of ``mask``; a polytope's sorted
+    ``facet_ids`` are its vertices' universe."""
 
-    def __init__(self, id: str, facet_ids: frozenset[str], coord: Point | None = None) -> None:
-        set_id, set_facet_ids, set_coord = self._setters
+    __slots__ = ("id", "mask", "universe", "coord")
+
+    def __init__(self, id: str, mask: int, universe: tuple[str, ...], coord: Point | None = None) -> None:
+        set_id, set_mask, set_universe, set_coord = self._setters
         set_id(self, id)
-        set_facet_ids(self, facet_ids)
+        set_mask(self, mask)
+        set_universe(self, universe)
         set_coord(self, coord)
+
+    @property
+    def facet_ids(self) -> frozenset[str]:
+        """The ids of the facets the vertex lies on, derived from the mask."""
+        return frozenset(_facet_list(self.mask, self.universe))
 
 
 class FaceRef(Record):
@@ -160,6 +169,22 @@ class LinearFunctional(Record):
 def _facet_list(mask: int, universe: Sequence[str]) -> list[str]:
     """The ids of the set bits of a facet bitmask, in the (sorted) order of ``universe``."""
     return [f for j, f in enumerate(universe) if mask >> j & 1]
+
+
+def renumbering(source: Sequence[str], target: Sequence[str]) -> Callable[[int], int]:
+    """The map of facet masks over the ids ``source`` to masks over the ids ``target``.
+
+    Bit j moves to the place of ``source[j]`` in ``target``, and is dropped
+    when that id is not there.  Bits that move by one shift move together, so
+    between a polytope's sorted ids and a face's, a subset in the same order,
+    a mask moves in one shift per run of ids in only one of them.
+    """
+    place = {f: t for t, f in enumerate(target)}
+    moves: dict[int, int] = {}
+    for j, f in enumerate(source):
+        if f in place:
+            moves[place[f] - j] = moves.get(place[f] - j, 0) | 1 << j
+    return lambda mask: sum([(mask & bits) << s if s >= 0 else (mask & bits) >> -s for s, bits in moves.items()])
 
 
 def _derive_edges(masks: Sequence[int], universe: Sequence[str]) -> list[tuple[int, int]]:
@@ -230,19 +255,6 @@ def _mask_graph(P: SimplePolytope) -> _EdgeGraph:
     return pairs, tags
 
 
-def _caller_tagged_graph(edge_tags: Mapping[tuple[str, str], EdgeProvenance], P: SimplePolytope) -> _EdgeGraph:
-    """The derived edge pairs of P, each tagged by the caller's tag for its sorted end ids."""
-    pairs = _derive_edges(P.incidence, P.facet_ids)
-    tags = []
-    for i, j in pairs:
-        a, b = P.vertices[i].id, P.vertices[j].id
-        tag = edge_tags.get((a, b))
-        if tag is None:
-            raise ValueError(f"edge {a}--{b} has no provenance tag")
-        tags.append(tag)
-    return pairs, tags
-
-
 def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
     adjacency: list[list[int]] = [[] for _ in range(count)]
     for i, j in pairs:
@@ -261,16 +273,14 @@ def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
 class SimplePolytope:
     """A combinatorial simple polytope (vertex-facet incidence plus tags).
 
-    ``incidence`` holds each vertex's facet set as an int, aligned with
-    ``vertices``: bit j stands for ``facet_ids[j]``.  ``edge_pairs`` holds
-    the edges as sorted index pairs into ``vertices`` and ``edge_tags`` their
-    provenance, aligned with them.  A caller passes the tags keyed by sorted
-    vertex id pairs, and the constructor derives the edges and checks them.
-    ``truncated_simplex``, ``polytope_from_json``, ``product`` and
-    ``face_as_polytope`` pass ``_graph`` instead: it is called with the
-    polytope on the first read of ``edge_pairs`` or ``edge_tags``, returns
-    the pairs and tags, and the connectivity check runs then.
-    Instances are immutable by convention; all operations build new objects.
+    ``incidence`` holds each vertex's mask, aligned with ``vertices``: bit j
+    stands for ``facet_ids[j]``, the universe every vertex must share.  A bit
+    past the universe stands for a facet id that is not one of the polytope's.
+    ``edge_pairs`` holds the edges as sorted index pairs into ``vertices`` and
+    ``edge_tags`` their provenance, aligned with them: ``graph`` is called
+    with the polytope on the first read of either and returns both; the
+    connectivity check runs then.  Instances are immutable by convention;
+    all operations build new objects.
     """
 
     def __init__(
@@ -278,37 +288,35 @@ class SimplePolytope:
         dim: int,
         facets: Sequence[FacetLabel],
         vertices: Sequence[Vertex],
-        edge_tags: Mapping[tuple[str, str], EdgeProvenance],
-        *,
-        _graph: Callable[[SimplePolytope], _EdgeGraph] | None = None,
+        graph: Callable[[SimplePolytope], _EdgeGraph],
     ) -> None:
         if dim < 1:
             raise ValueError("polytope dimension must be at least 1")
         self.dim = dim
         self.facets = tuple(sorted(facets, key=lambda f: f.id))
-        self.facet_ids = tuple(f.id for f in self.facets)
-        if len(set(self.facet_ids)) != len(self.facet_ids):
+        ids = tuple(f.id for f in self.facets)
+        if len(set(ids)) != len(ids):
             raise ValueError("facet ids are not unique")
         self.vertices = tuple(sorted(vertices, key=lambda v: v.id))
         if len({v.id for v in self.vertices}) != len(self.vertices):
             raise ValueError("vertex ids are not unique")
-        bits = {fid: 1 << j for j, fid in enumerate(self.facet_ids)}
-        masks = []
-        seen_sets: dict[int, str] = {}
-        for v in self.vertices:
-            if len(v.facet_ids) != dim:
-                raise ValueError(f"vertex {v.id} lies on {len(v.facet_ids)} facets, expected {dim}")
-            try:
-                mask = sum(bits[fid] for fid in v.facet_ids)
-            except KeyError:
-                raise ValueError(f"vertex {v.id} references unknown facets") from None
-            if mask in seen_sets:
-                raise ValueError(f"vertices {seen_sets[mask]} and {v.id} have identical facet sets")
-            seen_sets[mask] = v.id
-            masks.append(mask)
         if not self.vertices:
             raise ValueError("polytope has no vertices")
-        self.incidence = tuple(masks)
+        self.facet_ids = universe = self.vertices[0].universe
+        if universe != ids:
+            raise ValueError("the vertices are not over the polytope's facet ids")
+        seen_sets: dict[int, str] = {}
+        for v in self.vertices:
+            if v.mask.bit_count() != dim:
+                raise ValueError(f"vertex {v.id} lies on {v.mask.bit_count()} facets, expected {dim}")
+            if v.mask >> len(universe):
+                raise ValueError(f"vertex {v.id} references unknown facets")
+            if v.universe is not universe and v.universe != universe:
+                raise ValueError(f"vertex {v.id} is not over the polytope's facet ids")
+            if v.mask in seen_sets:
+                raise ValueError(f"vertices {seen_sets[v.mask]} and {v.id} have identical facet sets")
+            seen_sets[v.mask] = v.id
+        self.incidence = tuple(v.mask for v in self.vertices)
 
         coords = [v.coord for v in self.vertices if v.coord is not None]
         if coords and len(coords) != len(self.vertices):
@@ -324,15 +332,11 @@ class SimplePolytope:
             raise ValueError(f"facet {fid} contains no vertex")
 
         self.vertex_by_id = {v.id: v for v in self.vertices}
-        if _graph is None:
-            self._graph = partial(_caller_tagged_graph, edge_tags)
-            self._edges  # caller-given tags are checked at once
-        else:
-            self._graph = _graph
+        self._graph = graph
 
     @cached_property
     def _edges(self) -> tuple[tuple[tuple[int, int], ...], tuple[EdgeProvenance, ...]]:
-        """The edge pairs and their tags, from ``_graph`` on first read; the graph must be connected."""
+        """The edge pairs and their tags, from ``graph`` on first read; the graph must be connected."""
         pairs, tags = self._graph(self)
         if not pairs and len(self.vertices) > 1:
             raise ValueError("vertex-edge graph is disconnected (no edges)")
@@ -351,7 +355,8 @@ class SimplePolytope:
     def facet_vertices(self, facet_id: str) -> tuple[str, ...]:
         if facet_id not in self.facet_ids:
             raise ValueError(f"unknown facet {facet_id}")
-        return tuple(v.id for v in self.vertices if facet_id in v.facet_ids)
+        bit = 1 << self.facet_ids.index(facet_id)
+        return tuple([v.id for v, mask in zip(self.vertices, self.incidence) if mask & bit])
 
     @cached_property
     def integer_coords(self) -> dict[str, tuple[int, ...]]:
@@ -377,7 +382,8 @@ def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
     unknown = S - set(P.facet_ids)
     if unknown:
         raise ValueError(f"unknown facet ids {sorted(unknown)}")
-    verts = tuple(sorted(v.id for v in P.vertices if S <= v.facet_ids))
+    want = sum(1 << j for j, f in enumerate(P.facet_ids) if f in S)
+    verts = tuple([v.id for v, mask in zip(P.vertices, P.incidence) if mask & want == want])
     if not verts:
         raise ValueError(f"facets {sorted(S)} have empty intersection")
     return FaceRef(S, verts)
@@ -387,7 +393,8 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     """A face of a simple polytope as a simple polytope in its own right.
 
     Keeps the parent's facet labels (restricted), coordinates, and edges with
-    their tags; the facets kept are read off the parent's incidence masks.
+    their tags; the facets kept are read off the parent's incidence masks,
+    and a vertex's mask is the parent's with the other facets' bits deleted.
     The face's edges are the parent's edges with both ends in the face, so
     its graph is the parent's, renumbered: the face keeps the parent's
     vertex order, and with it the order of the pairs.  The restriction runs
@@ -398,14 +405,17 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
         raise ValueError("face is a vertex; it has no polytope structure")
     in_face = set(face.vertex_ids)
     position = [-1] * len(P.vertices)  # parent index -> face index, -1 outside the face
-    vertices = []
+    kept = []
     used = 0
-    for i, (v, mask) in enumerate(zip(P.vertices, P.incidence)):
+    for i, v in enumerate(P.vertices):
         if v.id in in_face:
-            position[i] = len(vertices)
-            vertices.append(Vertex(v.id, v.facet_ids - face.facet_ids, v.coord))
-            used |= mask
+            position[i] = len(kept)
+            kept.append(v)
+            used |= v.mask
     facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
+    universe = tuple(f.id for f in facets)
+    squeeze = renumbering(P.facet_ids, universe)
+    vertices = [Vertex(v.id, squeeze(v.mask), universe, v.coord) for v in kept]
 
     def restrict(_: SimplePolytope) -> _EdgeGraph:
         pairs, tags = [], []
@@ -416,7 +426,7 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
                 tags.append(tag)
         return pairs, tags
 
-    return SimplePolytope(sub_dim, facets, vertices, {}, _graph=restrict)
+    return SimplePolytope(sub_dim, facets, vertices, restrict)
 
 
 class RealisationError(ValueError):
@@ -453,8 +463,10 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     if not Fraction(0) < r1 < Fraction(1, 4):
         raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
     cuts, facets = _truncation_facets(n)
-    d = [f"d{j}" for j in range(n + 1)]
-    root_facets = frozenset(d)
+    ids = tuple(sorted(f.id for f in facets))
+    bit = {f: 1 << j for j, f in enumerate(ids)}
+    d = [bit[f"d{j}"] for j in range(n + 1)]
+    root = sum(d)
     near = 1 - r1
     vertices: list[Vertex] = []
     for cut, face in cuts.items():
@@ -463,8 +475,8 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
             for m in outside:
                 coord = [_ZERO] * (n + 1)
                 coord[i], coord[m] = near, r1
-                vertices.append(Vertex(f"A{i}|d{m}", root_facets - {d[i], d[m]} | {cut}, tuple(coord)))
-    return SimplePolytope(n, facets, vertices, {}, _graph=_mask_graph)
+                vertices.append(Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | bit[cut], ids, tuple(coord)))
+    return SimplePolytope(n, facets, vertices, _mask_graph)
 
 
 def _describe(p: FacetProvenance) -> str:
@@ -552,26 +564,19 @@ def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
 
     Every facet is original, P's and Q's indexed in turn, so there are more
     than dim + 1 of them and ``_mask_graph`` tags each edge as its own root
-    edge.
+    edge.  The ids ``L.*`` sort before ``R.*``, each in the order of P's or
+    Q's ids, so a vertex's mask is u's with v's shifted past P's facets.
     """
-    facets = []
-    index = 0
-    for f in P.facets:
-        facets.append(FacetLabel(f"L.{f.id}", original_facet(index)))
-        index += 1
-    for f in Q.facets:
-        facets.append(FacetLabel(f"R.{f.id}", original_facet(index)))
-        index += 1
+    ids = tuple(f"L.{f}" for f in P.facet_ids) + tuple(f"R.{f}" for f in Q.facet_ids)
+    facets = [FacetLabel(f, original_facet(index)) for index, f in enumerate(ids)]
     both_coords = P.has_coords and Q.has_coords
+    shift = len(P.facet_ids)
     vertices = []
     for u in P.vertices:
         for v in Q.vertices:
-            fs = frozenset(f"L.{fid}" for fid in u.facet_ids) | frozenset(
-                f"R.{fid}" for fid in v.facet_ids
-            )
             coord = u.coord + v.coord if both_coords else None
-            vertices.append(Vertex(f"{u.id}*{v.id}", fs, coord))
-    return SimplePolytope(P.dim + Q.dim, facets, vertices, {}, _graph=_mask_graph)
+            vertices.append(Vertex(f"{u.id}*{v.id}", u.mask | v.mask << shift, ids, coord))
+    return SimplePolytope(P.dim + Q.dim, facets, vertices, _mask_graph)
 
 
 def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str, str] | None:
@@ -743,29 +748,48 @@ def _provenance_to_json(p: FacetProvenance) -> dict:
     return {"kind": "cut", "face": list(p.cut_face)}
 
 
-def _provenance_from_json(d: dict) -> FacetProvenance:
+def check_keys(data: object, allowed: tuple[str, ...], where: str) -> None:
+    """Reject a JSON object holding a key outside ``allowed``: a certificate carries nothing unread."""
+    for key in data if isinstance(data, dict) else ():
+        if key not in allowed:
+            raise ValueError(f"malformed certificate: unknown key {key!r} in {where}")
+
+
+def _provenance_from_json(d: dict, j: int) -> FacetProvenance:
     if d["kind"] == "original":
+        check_keys(d, ("kind", "index"), f"the provenance of facet entry {j}")
         return original_facet(parse_int(d["index"], "facet index"))
     if d["kind"] == "cut":
+        check_keys(d, ("kind", "face"), f"the provenance of facet entry {j}")
         return cut_facet([str(x) for x in d["face"]])
     raise ValueError(f"unknown facet provenance {d!r}")
 
 
 def polytope_to_json(P: SimplePolytope) -> dict:
-    order = sorted(P.vertices, key=lambda v: sorted(v.facet_ids))
+    # Vertices by sorted facet-id list: two lists first differ at the lowest bit their
+    # masks differ in, and the one holding it comes first, so bits read from bit 0 sort in reverse.
+    width = len(P.facet_ids)
+    order = sorted(zip(P.incidence, P.vertices), key=lambda mv: format(mv[0], f"0{width}b")[::-1], reverse=True)
     out = {
         "dim": P.dim,
         "facets": [{"id": f.id, "provenance": _provenance_to_json(f.provenance)} for f in P.facets],
-        "vertices": [sorted(v.facet_ids) for v in order],
+        "vertices": [_facet_list(mask, P.facet_ids) for mask, _ in order],
     }
     if P.has_coords:
-        out["coords"] = [[format_fraction(x) for x in v.coord] for v in order]
+        out["coords"] = [[format_fraction(x) for x in v.coord] for _, v in order]
     return out
 
 
 def polytope_from_json(data: dict) -> SimplePolytope:
+    """The polytope of ``polytope_to_json``; each vertex's facet-id list is read once, into its mask."""
+    check_keys(data, ("dim", "facets", "vertices", "coords"), "polytope")
     dim = parse_int(data["dim"], "dim")
-    facets = [FacetLabel(str(f["id"]), _provenance_from_json(f["provenance"])) for f in data["facets"]]
+    facets = []
+    for j, f in enumerate(data["facets"]):
+        check_keys(f, ("id", "provenance"), f"facet entry {j}")
+        facets.append(FacetLabel(str(f["id"]), _provenance_from_json(f["provenance"], j)))
+    ids = tuple(sorted(f.id for f in facets))
+    bit = {f: 1 << j for j, f in enumerate(ids)}
     coords = data.get("coords")
     raw_vertices = data["vertices"]
     if coords is not None and len(coords) != len(raw_vertices):
@@ -780,6 +804,12 @@ def polytope_from_json(data: dict) -> SimplePolytope:
 
     vertices = []
     for i, fids in enumerate(raw_vertices):
+        check_keys(fids, (), f"vertex entry {i}")
         coord = tuple(map(parse, coords[i])) if coords is not None else None
-        vertices.append(Vertex(f"v{i:0{width}d}", frozenset(str(f) for f in fids), coord))
-    return SimplePolytope(dim, facets, vertices, {}, _graph=_mask_graph)
+        try:
+            mask = reduce(or_, map(bit.__getitem__, fids), 0)
+        except (KeyError, TypeError):  # a non-string id, or one of no facet: that one takes a bit past ids
+            names = {str(f) for f in fids}
+            mask = sum([bit.get(f, 0) for f in names]) | ((1 << len(names - bit.keys())) - 1) << len(ids)
+        vertices.append(Vertex(f"v{i:0{width}d}", mask, ids, coord))
+    return SimplePolytope(dim, facets, vertices, _mask_graph)

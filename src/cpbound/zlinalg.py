@@ -15,8 +15,8 @@ nonzero entry of the working submatrix, ties broken in row-major order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import mul
-from typing import Sequence
 
 from .record import Record
 
@@ -241,22 +241,23 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, b.cols, entries)
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, by fraction-free elimination.
+def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """Exact inverse of a matrix with determinant +-1, and that determinant, by fraction-free elimination.
 
     Reducing [m | I] brings m to d * I exactly when m has full rank, and
-    then the right half is d * m^-1, where d = +-det m.  The matrix is
-    unimodular exactly when |d| = 1, and its inverse B is the right half
-    times d.  The result is checked: m B = I.
+    then the right half is d * m^-1, where d = +-det m: det m is d times the
+    sign of the row swaps.  The matrix is unimodular exactly when |d| = 1,
+    and its inverse B is the right half times d.  The result is checked:
+    m B = I.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
     a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    pivots, d, _ = fraction_free_reduce(a)
+    pivots, d, sign = fraction_free_reduce(a)
     if pivots != list(range(n)) or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
     inverse = IntMatrix(n, n, tuple(d * x for row in a for x in row[n:]))
     if matmul(m, inverse) != IntMatrix.identity(n):  # cannot happen after unit pivots
         raise ArithmeticError("row reduction did not invert the matrix")
-    return inverse
+    return inverse, sign * d

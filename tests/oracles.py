@@ -18,7 +18,14 @@ the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys each
 (dim-1)-subset as a frozenset of facet-id strings, and ``frozenset_edges``,
 which runs the constructor's checks on those sets and returns ``Edge``
 records of sorted vertex ids.  ``edges_of`` gives any polytope's
-``edge_pairs`` in that form, which no request reads.  The dropped-facet
+``edge_pairs`` in that form, which no request reads, and ``tagged_polytope``
+builds a polytope whose edges take caller-given tags, a path only tests use,
+from vertices given by their facet-id sets (``SetVertex``).
+The per-vertex facet sets, which the library now keeps only as masks, have
+the frozenset build they replaced: ``frozenset_truncated_simplex_sets``,
+``frozenset_face_sets``, ``frozenset_simplex_sets`` and
+``frozenset_product_sets``, and ``frozenset_polytope_to_json``, which orders
+a polytope's JSON vertices by those sets.  The dropped-facet
 navigation table ``navigation`` (at each vertex, the edge leaving through
 all its facets but one), which only ``cut_face`` and
 ``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
@@ -60,6 +67,7 @@ from cpbound.polytope import (
     Point,
     SimplePolytope,
     Vertex,
+    _derive_edges,
     combinatorially_isomorphic,
     cut_facet,
     face_from_facets,
@@ -68,6 +76,7 @@ from cpbound.polytope import (
     indices_from_values,
     original_edge,
     original_facet,
+    polytope_to_json,
     product,
     separating_functional,
 )
@@ -207,6 +216,48 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+@dataclass(frozen=True)
+class SetVertex:
+    """A vertex given by its set of facet ids, as vertices were held before masks."""
+
+    id: str
+    facet_ids: frozenset[str]
+    coord: tuple | None = None
+
+
+def tagged_polytope(dim: int, facets, vertices, edge_tags) -> SimplePolytope:
+    """A polytope whose derived edges take the caller's tags, keyed by sorted vertex ids.
+
+    Each vertex, a ``Vertex`` or a ``SetVertex``, is read by its
+    ``facet_ids`` and encoded as a mask over the sorted ids of ``facets``; an
+    id that is no facet's takes a bit past them, as in ``polytope_from_json``,
+    and the constructor rejects it.  The graph is derived and checked at
+    once, so a missing tag, a shared ridge or a disconnected graph raises here.
+    """
+    ids = tuple(sorted(f.id for f in facets))
+    bit = {f: 1 << j for j, f in enumerate(ids)}
+
+    def encode(v) -> Vertex:
+        known = set(v.facet_ids) & bit.keys()
+        unknown = len(set(v.facet_ids) - known)
+        return Vertex(v.id, sum(bit[f] for f in known) | ((1 << unknown) - 1) << len(ids), ids, v.coord)
+
+    def tagged_graph(P: SimplePolytope):
+        pairs = _derive_edges(P.incidence, P.facet_ids)
+        tags = []
+        for i, j in pairs:
+            a, b = P.vertices[i].id, P.vertices[j].id
+            tag = edge_tags.get((a, b))
+            if tag is None:
+                raise ValueError(f"edge {a}--{b} has no provenance tag")
+            tags.append(tag)
+        return pairs, tags
+
+    P = SimplePolytope(dim, facets, [encode(v) for v in vertices], tagged_graph)
+    P.edge_pairs
+    return P
+
+
 def frozenset_derive_edges(vertices) -> list[tuple[str, str]]:
     """Pairs of vertices sharing exactly dim-1 facets, keyed on frozensets of facet ids.
 
@@ -272,6 +323,52 @@ def frozenset_edges(dim: int, facets, vertices, edge_tags) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+def frozenset_simplex_sets(d: int) -> dict[str, frozenset[str]]:
+    """The facet set of each vertex ``A{j}`` of the d-simplex: every ``d{m}`` but ``d{j}``."""
+    return {f"A{j}": frozenset(f"d{m}" for m in range(d + 1) if m != j) for j in range(d + 1)}
+
+
+def frozenset_truncated_simplex_sets(n: int) -> dict[str, frozenset[str]]:
+    """The facet set of each vertex of ``truncated_simplex(n)``, built as it was before it wrote masks.
+
+    Vertex ``A{i}|d{m}`` of the cut on face F lies on every root facet but
+    ``d{i}`` and ``d{m}``, and on the cut facet.
+    """
+    half = n // 2
+    cuts = {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+    root = frozenset(f"d{j}" for j in range(n + 1))
+    return {
+        f"A{i}|d{m}": root - {f"d{i}", f"d{m}"} | {cut}
+        for cut, face in cuts.items()
+        for i in face
+        for m in range(n + 1)
+        if m not in face
+    }
+
+
+def frozenset_face_sets(sets: dict[str, frozenset[str]], facet: str) -> dict[str, frozenset[str]]:
+    """The facet sets of the face on ``facet``: each vertex on it, less that facet."""
+    return {vid: s - {facet} for vid, s in sets.items() if facet in s}
+
+
+def frozenset_product_sets(left: dict[str, frozenset[str]], right: dict[str, frozenset[str]]):
+    """The facet sets of a product's vertices ``u*v``: u's facets as ``L.*``, v's as ``R.*``."""
+    return {
+        f"{u}*{v}": frozenset(f"L.{f}" for f in a) | frozenset(f"R.{f}" for f in b)
+        for u, a in left.items()
+        for v, b in right.items()
+    }
+
+
+def frozenset_polytope_to_json(P: SimplePolytope, sets: dict[str, frozenset[str]]) -> dict:
+    """``polytope_to_json`` with the vertices ordered by their sorted facet-id sets ``sets[v.id]``."""
+    order = sorted(P.vertices, key=lambda v: sorted(sets[v.id]))
+    out = {"dim": P.dim, "facets": polytope_to_json(P)["facets"], "vertices": [sorted(sets[v.id]) for v in order]}
+    if P.has_coords:
+        out["coords"] = [[f"{x.numerator}/{x.denominator}" for x in v.coord] for v in order]
+    return out
+
+
 def navigation(P: SimplePolytope) -> dict[str, dict[str, tuple[str, Edge]]]:
     """At each vertex, dropped-facet id -> (far endpoint, edge) for the edges there.
 
@@ -301,12 +398,12 @@ def simplex(n: int) -> SimplePolytope:
     for j in range(n + 1):
         fs = frozenset(f"d{m}" for m in range(n + 1) if m != j)
         coord = tuple(Fraction(1 if i == j else 0) for i in range(n + 1))
-        vertices.append(Vertex(f"A{j}", fs, coord))
+        vertices.append(SetVertex(f"A{j}", fs, coord))
     tags = {}
     for a in range(n + 1):
         for b in range(a + 1, n + 1):
             tags[_edge_key(f"A{a}", f"A{b}")] = original_edge(f"A{a}", f"A{b}")
-    return SimplePolytope(n, facets, vertices, tags)
+    return tagged_polytope(n, facets, vertices, tags)
 
 
 def root_coords(P: SimplePolytope) -> dict[str, Point]:
@@ -386,7 +483,7 @@ def cut_face(
                     raise ValueError(f"vertex {vid} is not a root endpoint of edge {edge.ends}")
                 other = b if vid == a else a
                 nv_coord = tuple((1 - r1) * x + r1 * y for x, y in zip(v.coord, roots[other]))
-            new_vertices.append(Vertex(nv_id, nv_facets, nv_coord))
+            new_vertices.append(SetVertex(nv_id, nv_facets, nv_coord))
             tags[_edge_key(nv_id, far_id)] = edge.provenance
 
     kept = [v for v in P.vertices if v.id not in face_verts]
@@ -407,7 +504,7 @@ def cut_face(
         kept_facets |= v.facet_ids
     # A codimension-1 cut consumes the cut facet itself.
     labels = [f for f in labels if f.id in kept_facets]
-    return SimplePolytope(P.dim, labels, all_vertices, tags)
+    return tagged_polytope(P.dim, labels, all_vertices, tags)
 
 
 def three_cut_truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
@@ -632,7 +729,7 @@ def edge_between(P: SimplePolytope, a: str, b: str) -> Edge:
 
 def inverse_witness(w: TranslationWitness) -> TranslationWitness:
     """Witness for pair2 -> pair1 given w: pair1 -> pair2."""
-    return TranslationWitness({v: k for k, v in w.phi.items()}, inverse_unimodular(w.delta))
+    return TranslationWitness({v: k for k, v in w.phi.items()}, inverse_unimodular(w.delta)[0])
 
 
 def compose_witnesses(second: TranslationWitness, first: TranslationWitness) -> TranslationWitness:

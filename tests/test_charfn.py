@@ -279,7 +279,8 @@ class TestValidateAgainstPerVertexOracle:
         assert self.assert_same(W.pair).ok
         assert self.assert_same(W.pair, W.verdicts).ok
         for component in boundary_components(W):
-            assert self.assert_same(component, {}).ok
+            assert self.assert_same(component).ok
+            assert self.assert_same(component, W.verdicts).ok
 
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_single_vector_and_single_entry_mutations(self, k):
@@ -300,7 +301,8 @@ class TestValidateAgainstPerVertexOracle:
             report = self.assert_same(W.pair, W.verdicts)
             outcomes.append(report.ok)
             for fid in ("P1", "P2", "P3"):
-                self.assert_same(restrict_to_facet(W.pair, fid), {})
+                self.assert_same(restrict_to_facet(W.pair, fid))
+                self.assert_same(restrict_to_facet(W.pair, fid), W.verdicts)
         assert False in outcomes
 
     @pytest.mark.parametrize("k", (1, 2, 3))

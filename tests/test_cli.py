@@ -411,6 +411,41 @@ class TestMalformedCertificates:
         code, out = invoke(command, "--input", str(path))
         assert (code, out, capsys.readouterr().err) == (2, "", err + "\n")
 
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    @pytest.mark.parametrize(
+        "place,where",
+        [
+            ((), "the certificate"),
+            (("pair",), "pair"),
+            (("pair", "polytope"), "polytope"),
+            (("pair", "polytope", "facets", 4), "facet entry 4"),
+            (("pair", "polytope", "facets", 0, "provenance"), "the provenance of facet entry 0"),  # P1, a cut
+            (("pair", "polytope", "facets", 3, "provenance"), "the provenance of facet entry 3"),  # d0, original
+        ],
+    )
+    def test_unknown_key(self, tmp_path, capsys, command, place, where):
+        data = copy.deepcopy(CERTIFICATE)
+        node = data
+        for key in place:
+            node = node[key]
+        node["note"] = "ignored?"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: unknown key 'note' in {where}\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    def test_vertex_entry_with_keys(self, tmp_path, capsys, command):
+        data = copy.deepcopy(CERTIFICATE)
+        vertices = data["pair"]["polytope"]["vertices"]
+        vertices[3] = {"facets": vertices[3]}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(command, "--input", str(path))
+        err = "error: malformed certificate: unknown key 'facets' in vertex entry 3\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

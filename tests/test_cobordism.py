@@ -29,8 +29,6 @@ from cpbound.polytope import (
     FUNCTIONAL_RETRY_BUDGET,
     FacetLabel,
     RealisationError,
-    SimplePolytope,
-    Vertex,
     face_from_facets,
     generate_functional,
     h_vector,
@@ -51,8 +49,10 @@ from oracles import (
     fraction_vertex_indices,
     graph_walk_cell_structure,
     label_by_isomorphism_search,
+    SetVertex,
     root_coords,
     simplex,
+    tagged_polytope,
 )
 
 
@@ -121,10 +121,10 @@ def relabel_facets(P, rng):
     order = list(range(len(P.facet_ids)))
     rng.shuffle(order)
     rename = {f: f"x{i:02d}" for f, i in zip(P.facet_ids, order)}
-    return SimplePolytope(
+    return tagged_polytope(
         P.dim,
         [FacetLabel(rename[f.id], f.provenance) for f in P.facets],
-        [Vertex(v.id, frozenset(rename[f] for f in v.facet_ids), v.coord) for v in P.vertices],
+        [SetVertex(v.id, frozenset(rename[f] for f in v.facet_ids), v.coord) for v in P.vertices],
         {e.ends: e.provenance for e in edges_of(P)},
     )
 
@@ -133,12 +133,12 @@ def incidence_polytope(dim, facet_count, missing_sets):
     """A combinatorial polytope whose vertices miss the given facet sets, or None."""
     facets = [f"f{i}" for i in range(facet_count)]
     vertices = [
-        Vertex(f"v{i:02d}", frozenset(facets) - {facets[j] for j in miss})
+        SetVertex(f"v{i:02d}", frozenset(facets) - {facets[j] for j in miss})
         for i, miss in enumerate(missing_sets)
     ]
     tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
     try:
-        return SimplePolytope(dim, [FacetLabel(f, original_facet(i)) for i, f in enumerate(facets)], vertices, tags)
+        return tagged_polytope(dim, [FacetLabel(f, original_facet(i)) for i, f in enumerate(facets)], vertices, tags)
     except ValueError:
         return None
 
@@ -182,7 +182,7 @@ class TestRecognizerAgainstOracle:
     def test_product_missing_a_vertex_unrecognized(self):
         P = product(simplex(2), simplex(2))
         kept = P.vertices[1:]
-        Q = SimplePolytope(P.dim, P.facets, kept, {e.ends: e.provenance for e in edges_of(P)})
+        Q = tagged_polytope(P.dim, P.facets, kept, {e.ends: e.provenance for e in edges_of(P)})
         assert self.agree(Q) is None
 
     def test_odd_cycle_with_product_edge_count_unrecognized(self):

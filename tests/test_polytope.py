@@ -28,7 +28,7 @@ from cpbound.polytope import (
     truncated_simplex,
     vertex_indices,
 )
-from cpbound.polytope import _derive_edges, _is_connected
+from cpbound.polytope import _derive_edges, _is_connected, _mask_graph
 
 from oracles import (
     check_geometry,
@@ -38,8 +38,10 @@ from oracles import (
     frozenset_derive_edges,
     frozenset_edges,
     product_h_vector,
+    SetVertex,
     root_coords,
     simplex,
+    tagged_polytope,
     three_cut_truncated_simplex,
 )
 
@@ -429,41 +431,92 @@ class TestConstructorChecks:
 
     def test_closed_form_passes(self):
         dim, facets, vertices, tags = self.parts()
-        assert len(edges_of(SimplePolytope(dim, facets, vertices, tags))) == len(tags)
+        assert len(edges_of(tagged_polytope(dim, facets, vertices, tags))) == len(tags)
 
     def test_untagged_edge_rejected(self):
         dim, facets, vertices, tags = self.parts()
         a, b = sorted(tags)[0]
         del tags[(a, b)]
         with pytest.raises(ValueError, match=f"edge {a}--{b} has no provenance tag"):
-            SimplePolytope(dim, facets, vertices, tags)
+            tagged_polytope(dim, facets, vertices, tags)
 
     def test_non_simple_vertex_rejected(self):
         dim, facets, vertices, tags = self.parts()
         v = vertices[0]
-        vertices[0] = Vertex(v.id, v.facet_ids - {min(v.facet_ids)}, v.coord)
+        vertices[0] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)}, v.coord)
         with pytest.raises(ValueError, match=f"vertex {v.id} lies on {dim - 1} facets"):
-            SimplePolytope(dim, facets, vertices, tags)
+            tagged_polytope(dim, facets, vertices, tags)
 
     def test_identical_facet_sets_rejected(self):
         dim, facets, vertices, tags = self.parts()
         v = vertices[0]
-        vertices.append(Vertex("copy", v.facet_ids, v.coord))
+        vertices.append(SetVertex("copy", v.facet_ids, v.coord))
         with pytest.raises(ValueError, match="identical facet sets"):
-            SimplePolytope(dim, facets, vertices, tags)
+            tagged_polytope(dim, facets, vertices, tags)
+
+    @pytest.mark.parametrize("index,message", [(0, "the vertices"), (3, "vertex A1|d2")])
+    def test_vertex_over_other_facet_ids_rejected(self, index, message):
+        P = truncated_simplex(4)
+        vertices = list(P.vertices)
+        v = vertices[index]
+        vertices[index] = Vertex(v.id, v.mask, P.facet_ids[::-1], v.coord)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} (is|are) not over the polytope's facet ids$"):
+            SimplePolytope(P.dim, P.facets, vertices, _mask_graph)
 
     def test_disconnected_graph_rejected(self):
         # Two disjoint triangles: simple and of distinct facet sets, but not connected.
         ids = ["a0", "a1", "a2", "b0", "b1", "b2"]
         facets = [FacetLabel(f, original_facet(i)) for i, f in enumerate(ids)]
         vertices = [
-            Vertex(f"{t}{i}{j}", frozenset({f"{t}{i}", f"{t}{j}"}))
+            SetVertex(f"{t}{i}{j}", frozenset({f"{t}{i}", f"{t}{j}"}))
             for t in "ab"
             for i, j in ((0, 1), (0, 2), (1, 2))
         ]
         tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
         with pytest.raises(ValueError, match="disconnected"):
-            SimplePolytope(2, facets, vertices, tags)
+            tagged_polytope(2, facets, vertices, tags)
+
+
+def _unknown_at_5(vertices):
+    vertices[5][0] = "zz"
+
+
+def _unknown_at_5_after_a_repeat_at_2(vertices):
+    vertices[5][0] = "zz"
+    vertices[2] = list(vertices[1])
+
+
+def _unknown_twice_at_5(vertices):
+    vertices[5][0] = vertices[5][1] = "zz"
+
+
+def _non_string_id_at_5(vertices):
+    vertices[5][-1] = 7
+
+
+def _repeat_at_5_before_unknown_at_9(vertices):
+    vertices[5] = list(vertices[4])
+    vertices[9][0] = "zz"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_unknown_at_5, _unknown_at_5_after_a_repeat_at_2, _unknown_twice_at_5, _non_string_id_at_5,
+     _repeat_at_5_before_unknown_at_9],
+)
+def test_loaded_vertex_lists_fail_as_frozensets_did(edit):
+    """A loaded vertex list naming ids that are no facet's fails with the frozenset constructor's
+    message, and the first vertex at fault is the one named."""
+    P = truncated_simplex(4)
+    data = json.loads(json.dumps(polytope_to_json(P)))
+    edit(data["vertices"])
+    sets = [SetVertex(f"v{i:02d}", frozenset(map(str, fids))) for i, fids in enumerate(data["vertices"])]
+    with pytest.raises(ValueError) as oracle:
+        frozenset_edges(P.dim, P.facets, sets, {})
+    with pytest.raises(ValueError) as loaded:
+        polytope_from_json(data)
+    assert str(loaded.value) == str(oracle.value)
+    assert "facet" in str(loaded.value)
 
 
 class TestMaskIncidenceMatchesFrozensetOracle:
@@ -490,12 +543,15 @@ class TestMaskIncidenceMatchesFrozensetOracle:
     def assert_face_matches_oracle(self, P, facet):
         face = face_as_polytope(P, face_from_facets(P, [facet]))
         self.assert_derivations_agree(face)
-        vertices = [Vertex(v.id, v.facet_ids - {facet}, v.coord) for v in P.vertices if facet in v.facet_ids]
+        vertices = [SetVertex(v.id, v.facet_ids - {facet}, v.coord) for v in P.vertices if facet in v.facet_ids]
         used = frozenset().union(*(v.facet_ids for v in vertices))
         facets = [f for f in P.facets if f.id in used]
         inside = {v.id for v in vertices}
         tags = {ends: tag for ends, tag in self.tags(P).items() if set(ends) <= inside}
-        assert face.vertices == tuple(vertices)
+        # Vertices over different universes are different records: compare what they say.
+        assert [(v.id, v.facet_ids, v.coord) for v in face.vertices] == [
+            (v.id, v.facet_ids, v.coord) for v in vertices
+        ]
         assert face.facets == tuple(facets)
         assert edges_of(face) == frozenset_edges(P.dim - 1, facets, vertices, tags)
 
@@ -533,15 +589,15 @@ class TestMaskIncidenceMatchesFrozensetOracle:
             # all hold the new facet, so this is the only one shared by three.
             a, b = (P.vertex_by_id[end].facet_ids for end in edges_of(P)[n].ends)
             facets.append(FacetLabel("zz", original_facet(n + 4)))
-            vertices.append(Vertex("new", a & b | {"zz"}, v.coord))
+            vertices.append(SetVertex("new", a & b | {"zz"}, v.coord))
         elif defect == "unknown-facet":
-            vertices[n] = Vertex(v.id, v.facet_ids - {min(v.facet_ids)} | {"zz"}, v.coord)
+            vertices[n] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)} | {"zz"}, v.coord)
         else:
-            vertices.append(Vertex("copy", v.facet_ids, v.coord))
+            vertices.append(SetVertex("copy", v.facet_ids, v.coord))
         with pytest.raises(ValueError) as oracle:
             frozenset_edges(n, facets, vertices, self.tags(P))
         with pytest.raises(ValueError) as built:
-            SimplePolytope(n, facets, vertices, self.tags(P))
+            tagged_polytope(n, facets, vertices, self.tags(P))
         assert str(built.value) == str(oracle.value)
         expected = {
             "three-on-a-ridge": "is shared by 3 vertices; a simple polytope allows at most 2",
@@ -679,11 +735,11 @@ class TestGenerateFunctional:
         assert len(values) == len(P.vertices)
 
     def test_degenerate_coordinates_fail(self):
-        left = Vertex("x", frozenset({"f0"}), (Fraction(0),))
-        right = Vertex("y", frozenset({"f1"}), (Fraction(0),))
+        left = SetVertex("x", frozenset({"f0"}), (Fraction(0),))
+        right = SetVertex("y", frozenset({"f1"}), (Fraction(0),))
         from cpbound.polytope import FacetLabel, original_facet
 
-        P = SimplePolytope(
+        P = tagged_polytope(
             1,
             [FacetLabel("f0", original_facet(0)), FacetLabel("f1", original_facet(1))],
             [left, right],

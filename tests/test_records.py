@@ -3,7 +3,8 @@
 Every record derives from ``cpbound.record.Record``.  Each row of ``RECORDS``
 builds one record of each type by keyword and names a second value for one
 field; the checks are the behaviour of the frozen dataclasses the records
-replaced.  Importing the command line loads no ``dataclasses``.
+replaced.  Importing the command line loads no ``dataclasses``, ``inspect``,
+``typing`` or ``pathlib``.
 """
 
 import copy
@@ -65,8 +66,13 @@ RECORDS = [
     (EdgeProvenance, {"kind": "original", "ancestors": ("A0", "A1")}, ("kind", "cut")),
     (
         Vertex,
-        {"id": "A0|d2", "facet_ids": frozenset({"d1", "P1"}), "coord": (Fraction(4, 5), Fraction(0), Fraction(1, 5))},
-        ("coord", None),
+        {
+            "id": "A0|d2",
+            "mask": 0b101,
+            "universe": ("P1", "P2", "d1"),
+            "coord": (Fraction(4, 5), Fraction(0), Fraction(1, 5)),
+        },
+        ("mask", 0b011),
     ),
     (FaceRef, {"facet_ids": frozenset({"d0"}), "vertex_ids": ("v0", "v1")}, ("vertex_ids", ("v0",))),
     (LinearFunctional, {"coefficients": (5, -2, 7)}, ("coefficients", (5, -2, 8))),
@@ -85,7 +91,13 @@ RECORDS = [
     ),
     (
         SimplexNormalForm,
-        {"basis_change": SWAP, "signs": (("d0", 1), ("d1", -1)), "normal_form": (("d0", (1, 0)),), "residual_facet": "d2"},
+        {
+            "basis_change": SWAP,
+            "signs": (("d0", 1), ("d1", -1)),
+            "normal_form": (("d0", (1, 0)),),
+            "residual_facet": "d2",
+            "det": -1,
+        },
         ("residual_facet", "d1"),
     ),
     (OrientationRecord, {"sign_rho": -1, "det_delta": 1, "boundary_label": "CP"}, ("boundary_label", "conjugate-CP")),
@@ -201,7 +213,7 @@ def test_reprs_are_the_dataclass_text():
 @pytest.mark.parametrize(
     "build,fields",
     [
-        (lambda: Vertex("v0", frozenset({"d0"})), {"coord": None}),
+        (lambda: Vertex("v0", 1, ("d0",)), {"coord": None}),
         (lambda: FacetProvenance("original", 2), {"index": 2, "cut_face": None}),
         (lambda: FacetProvenance("cut", cut_face=("d0",)), {"index": None, "cut_face": ("d0",)}),
         (lambda: EdgeProvenance("cut"), {"ancestors": None}),
@@ -212,6 +224,13 @@ def test_reprs_are_the_dataclass_text():
 def test_defaults(build, fields):
     record = build()
     assert {name: getattr(record, name) for name in fields} == fields
+
+
+def test_vertex_facet_ids_are_read_off_the_mask():
+    v = Vertex("A0|d2", 0b1011, ("P1", "P2", "d0", "d1"))
+    assert v.facet_ids == frozenset({"P1", "P2", "d1"})
+    with pytest.raises(AttributeError, match="^Vertex.facet_ids is read-only$"):
+        v.facet_ids = frozenset()
 
 
 @pytest.mark.parametrize(
@@ -240,7 +259,9 @@ def test_argument_checks(build, message):
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # -S keeps site-packages out, so every module loaded is the standard library's or cpbound's.
-    probe = "import sys, cpbound.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Nor typing or pathlib: annotations read collections.abc, and --input is read with open().
+    unwanted = "{'dataclasses', 'inspect', 'typing', 'pathlib'}"
+    probe = f"import sys, cpbound.cli; print(sorted({unwanted} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

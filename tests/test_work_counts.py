@@ -3,8 +3,8 @@
 Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, one integer elimination and no
 determinant for all the full-count vertex vector sets, one validation per
-boundary component, two determinants per request (none for the orientation
-record), no Smith normal form on a valid datum, no determinant to invert a
+boundary component, one determinant per request (none for the orientation
+record or the P3 basis change), no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no model polytope built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
 gluing work in ``homology`` beyond validating a loaded datum, one polytope
@@ -107,10 +107,11 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
         counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
         # W's one certificate serves the components through W.verdicts and
-        # needs no determinant; the two are the witness check of delta' and
-        # the P3 basis change.  det delta' for the orientation record is the
-        # sign of the reversal delta' permutes by.
-        assert counts == {"_FullCountCertificate": 1, "determinant": 2}
+        # needs no determinant; the one is the witness check of delta'.  The
+        # P3 basis change takes its determinant from the reduction that
+        # inverts it, and det delta' for the orientation record is the sign
+        # of the reversal delta' permutes by.
+        assert counts == {"_FullCountCertificate": 1, "determinant": 1}
 
 
 @pytest.mark.parametrize("k", (1, 3, 5))
@@ -141,7 +142,9 @@ def test_inverse_unimodular_computes_no_determinant(calls):
     for _ in range(40):
         n = rng.randint(1, 9)
         m = random_unimodular(rng, n)
-        assert zlinalg.matmul(m, zlinalg.inverse_unimodular(m)) == zlinalg.IntMatrix.identity(n)
+        inverse, det = zlinalg.inverse_unimodular(m)
+        assert zlinalg.matmul(m, inverse) == zlinalg.IntMatrix.identity(n)
+        assert det == oracles.bareiss_det(m.to_rows())
     assert counts == {}
 
 

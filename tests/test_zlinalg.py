@@ -130,7 +130,7 @@ class TestFractionFreeReduce:
             expected *= s
         assert determinant(m) == expected
         transpose = IntMatrix(n, n, tuple(m.row(j)[i] for i in range(n) for j in range(n)))
-        assert inverse_unimodular(m) == transpose
+        assert inverse_unimodular(m) == (transpose, expected)
 
     def test_against_bareiss_oracle_at_sizes_7_to_10(self):
         rng = random.Random(710)
@@ -300,7 +300,9 @@ class TestApplyAndInverse:
                     c = rng.randint(-2, 2)
                     rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
             m = IntMatrix.from_rows(rows)
-            assert matmul(m, inverse_unimodular(m)).entries == IntMatrix.identity(n).entries
+            inverse, det = inverse_unimodular(m)
+            assert matmul(m, inverse).entries == IntMatrix.identity(n).entries
+            assert det == cofactor_det(rows)
 
     def test_inverse_rejects_non_unimodular(self):
         singular_or_det_2 = (
