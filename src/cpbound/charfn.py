@@ -26,11 +26,14 @@ integer minor of size at most m - r; for s = 0, S = A and the condition is
 |d| = 1.  When rank M < r there is no anchor and no full-count vertex is
 unimodular.  Below full count a vertex is checked by its Smith normal form.
 
-The elimination is ``zlinalg.fraction_free_reduce``, and it is the one this
-module runs: it reduces M^T and each minor Y[S - A, A - S] for vertex
-validation, gives the determinant for the witness check of delta, and
-inverts the basis of a simplex pair, with its determinant, in
-``normalize_simplex_pair``.
+The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
+is the one this module runs: it reduces M^T and each minor Y[S - A, A - S]
+for vertex validation, gives the determinant for the witness check of
+delta, and inverts the basis of a simplex pair, with its determinant, in
+``normalize_simplex_pair``.  A new full-count set is judged from the m - r
+assigned rows it misses; on W m - r = 2, so that is O(1) lookups and a minor
+of at most 2 x 2.  Delta and the basis change are applied by their nonzero
+entries, collected once per call: O(n) per vector for delta.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ from .record import Record
 from .zlinalg import (
     IntMatrix,
     Permutation,
-    apply_matrix,
+    apply_rows,
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
+    nonzero_rows,
     permutation_sign,
     smith_normal_form,
 )
@@ -78,15 +82,9 @@ class CharVector(Record):
     @classmethod
     def canon(cls, entries: Sequence[int]) -> "CharVector":
         t = tuple(int(x) for x in entries)
-        first = next((e for e in t if e != 0), None)
-        if first is None:
-            raise ValueError("characteristic vector must be nonzero")
-        if first < 0:
+        if next((e for e in t if e != 0), 0) < 0:
             t = tuple(-x for x in t)
-        return cls(t)
-
-    def transformed(self, m: IntMatrix) -> "CharVector":
-        return CharVector.canon(apply_matrix(m, self.entries))
+        return cls(t)  # which rejects the zero vector
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -167,31 +165,42 @@ class _FullCountCertificate:
     Reduces M^T (r x m, one column per row of M) by ``fraction_free_reduce``.
     The pivot columns are the anchor rows A and end as d * I, where d, the
     last pivot, is +-det M_A; the column of any other row j holds Y_j with
-    d * M_j = Y_j M_A.  Row sets are then judged by the integer identity of
-    the module docstring, with no determinant of M_A beyond d; the minor
+    d * M_j = Y_j M_A, so ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.
+    Row sets are then judged by the integer identity of the module
+    docstring, with no determinant of M_A beyond d; the minor
     Y[S - A, A - S] is reduced by the same elimination.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
-        work = [list(column) for column in zip(*rows)]
+        work = [{j: x for j, x in enumerate(column) if x} for column in zip(*rows)]
         pivots, d, _ = fraction_free_reduce(work)
         # Anchor row -> its place in Y's columns; None when rank M < r.
         self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
         self.det = d if self.anchor is not None else 0
-        self.scaled = [tuple(row[j] for row in work) for j in range(len(rows))]
+        self.reduced = work
+        self.free = [j for j in range(len(rows)) if j not in (self.anchor or ())]
 
-    def is_unimodular(self, chosen: Sequence[int]) -> bool:
-        """Whether these r rows of M form a basis of Z^r."""
+    def is_unimodular(self, missed: Sequence[int]) -> bool:
+        """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
         if self.anchor is None:
             return False
-        outside = [j for j in chosen if j not in self.anchor]
+        outside = [j for j in self.free if j not in missed]
         if not outside:
             return abs(self.det) == 1
-        kept = set(chosen)
-        dropped = [t for j, t in self.anchor.items() if j not in kept]
-        minor = [[self.scaled[j][t] for t in dropped] for j in outside]
+        dropped = [self.anchor[j] for j in missed if j in self.anchor]
+        minor = [{c: self.reduced[t][j] for c, t in enumerate(dropped) if j in self.reduced[t]} for j in outside]
         pivots, d, _ = fraction_free_reduce(minor)
         return len(pivots) == len(minor) and abs(d) == abs(self.det) ** (len(outside) - 1)
+
+
+def _rows(mask: int, row_at: Sequence[int]) -> list[int]:
+    """The rows of M at the set bits of ``mask``, in order, one step per set bit."""
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(row_at[low.bit_length() - 1])
+        mask ^= low
+    return rows
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
@@ -207,9 +216,9 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
     mapped back to ``verdicts.facet_ids``, W's; only a vertex whose mask is
     not there, or fails, has its vectors built.  A new set is certified at
     full count by the pair's ``_FullCountCertificate``, built on the first
-    such set, and below it by the Smith normal form, which also gives a
-    failing set's invariant factors.  On W n(n+4)/4 masks cover the
-    n(n+4)/2 vertices; a component's masks are all W's.
+    such set, from the rows the vertex misses, and otherwise by the Smith
+    normal form, which also gives a failing set's invariant factors.  On W
+    n(n+4)/4 masks cover the n(n+4)/2 vertices; a component's masks are all W's.
     """
     P = pair.polytope
     rank = pair.torus_rank
@@ -218,11 +227,11 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
         raise ValueError("the verdicts are kept over the facets of another manifold")
     reasons = verdicts.reasons
     key_of = None if verdicts.facet_ids == P.facet_ids else renumbering(P.facet_ids, verdicts.facet_ids)
-    place = {f: j for j, f in enumerate(P.facet_ids)}
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     entries = [pair.assignment[f].entries for f in ids]
-    bits = [1 << place[f] for f in ids]
-    assigned = sum(bits)
+    row_of = {f: row for row, f in enumerate(ids)}
+    row_at = [row_of.get(f) for f in P.facet_ids]  # bit place -> row of M
+    assigned = sum(1 << j for j, row in enumerate(row_at) if row is not None)
     certificate: _FullCountCertificate | None = None
     failures = []
     for v, mask in zip(P.vertices, P.incidence):
@@ -233,15 +242,17 @@ def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationRepo
         reason = reasons.get(key)
         if reason == "":
             continue
-        rows = [row for row, bit in enumerate(bits) if mapped & bit]
+        full = mapped.bit_count() == rank
+        if reason is None and full:
+            if certificate is None:
+                certificate = _FullCountCertificate(entries, rank)
+            if certificate.is_unimodular(_rows(assigned ^ mapped, row_at)):
+                reasons[key] = ""
+                continue
+        rows = _rows(mapped, row_at)
         vectors = tuple([entries[row] for row in rows])
         if reason is None:
-            if len(rows) == rank:
-                if certificate is None:
-                    certificate = _FullCountCertificate(entries, rank)
-                ok = certificate.is_unimodular(rows)
-            else:
-                ok = is_direct_summand(vectors, rank)
+            ok = not full and is_direct_summand(vectors, rank)
             reason = reasons[key] = "" if ok else _failure_reason(vectors)
         if reason:
             failures.append(VertexCheck(v.id, tuple([ids[row] for row in rows]), vectors, False, reason))
@@ -381,6 +392,8 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
+    if w.delta.cols != pair1.torus_rank:
+        raise ValueError(f"cannot apply {w.delta.rows}x{w.delta.cols} matrix to a vector of length {pair1.torus_rank}")
     P1, P2 = pair1.polytope, pair2.polytope
     phi = dict(w.phi)
     if sorted(phi) != sorted(P1.facet_ids) or sorted(phi.values()) != sorted(P2.facet_ids):
@@ -396,13 +409,14 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
             missed &= missed - 1
         images.add(out)
     iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
+    delta = nonzero_rows(w.delta)
     mismatches = []
     for fid in sorted(pair1.assignment):
         target = phi[fid]
         if target not in pair2.assignment:
             mismatches.append((fid, target))
             continue
-        if pair1.assignment[fid].transformed(w.delta) != pair2.assignment[target]:
+        if CharVector.canon(apply_rows(delta, pair1.assignment[fid].entries)) != pair2.assignment[target]:
             mismatches.append((fid, target))
     for fid in pair1.boundary_facet_ids:
         if phi[fid] in pair2.assignment:
@@ -458,14 +472,16 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     columns = [pair.assignment[f].entries for f in basis_ids]
     M = IntMatrix(d, d, tuple(columns[c][r] for r in range(d) for c in range(d)))
     B, det_m = inverse_unimodular(M)
-    u = apply_matrix(B, pair.assignment[residual].entries)
+    rows = nonzero_rows(B)
+    u = apply_rows(rows, pair.assignment[residual].entries)
     if any(abs(x) != 1 for x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {u} is not a sign vector")
     A = IntMatrix(d, d, tuple(x * u[i] for i in range(d) for x in B.row(i)))
+    rows = [{j: x * s for j, x in row.items()} for row, s in zip(rows, u)]
     normal = []
     signs = []
     for fid in ids:
-        w = apply_matrix(A, pair.assignment[fid].entries)
+        w = apply_rows(rows, pair.assignment[fid].entries)
         cv = CharVector.canon(w)
         normal.append((fid, cv.entries))
         signs.append((fid, 1 if w == cv.entries else -1))

@@ -1,11 +1,17 @@
 """Exact integer linear algebra on Python's arbitrary-precision integers.
 
-Everything here is pure and allocation-light: matrices are immutable value
-types, one fraction-free (Bareiss) Gauss-Jordan elimination gives
-determinants, unimodular inverses and the vertex certificates of ``charfn``,
-and the Smith normal form is the classical pivot-and-reduce algorithm.  No
-floats, no machine-word arithmetic: intermediate determinant values overflow
-64 bits already at modest sizes.
+Matrices are immutable value types, stored dense.  The one fraction-free
+(Bareiss) Gauss-Jordan elimination, which gives determinants, unimodular
+inverses and the vertex certificates of ``charfn``, and the matrix-vector
+products run on sparse rows, dicts from column to nonzero entry, and touch
+only those.  Every matrix on W's glue path has O(n) of them: the determinant
+of the permutation delta' takes O(n^2) membership tests and no row update,
+inverting P3's basis change updates O(n) entries, and applying delta' to a
+vector takes O(n) steps; reading a dense matrix into sparse rows is O(n^2).
+The Smith normal form is the classical dense pivot-and-reduce algorithm, run
+only on a failing or below-full-count vertex set.  No floats, no
+machine-word arithmetic: intermediate determinant values overflow 64 bits
+already at modest sizes.
 
 Pivot selection is deterministic, with one rule per elimination: the
 fraction-free elimination takes the first nonzero entry of the pivot column
@@ -42,15 +48,8 @@ class IntMatrix(Record):
             raise ValueError("rows have unequal lengths")
         return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 class Permutation(Record):
@@ -67,14 +66,21 @@ class Permutation(Record):
         return self.images[j]
 
 
-def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
-    """Reduce the rows of ``a`` in place by fraction-free Gauss-Jordan elimination.
+def nonzero_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """The rows of ``m`` as sparse rows: dicts from column to nonzero entry."""
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
-    Column by column, the first row at or below row t with a nonzero entry
-    is swapped into row t, and every other row i becomes
+
+def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
+    """Reduce the sparse rows of ``a`` in place by fraction-free Gauss-Jordan elimination.
+
+    A row maps columns to nonzero entries; no zero is stored.  Column by
+    column, over the columns holding an entry (no step fills an empty one),
+    the first row at or below row t with an entry there is swapped into row
+    t, and every other row i becomes
     (row_i * piv - row_i[j] * row_t) // prev, where piv is the new pivot and
     prev the one before it; by Sylvester's identity every division is exact.
-    A row already zero in the pivot column is skipped while piv == prev,
+    A row without an entry in the pivot column is skipped while piv == prev,
     when the step leaves it as it is.  Returns the pivot columns, the last
     pivot d and the sign of the row swaps.  When every row gets a pivot, the
     pivot columns end as d * I, and d is sign times the determinant of the
@@ -82,11 +88,11 @@ def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
     """
     pivots: list[int] = []
     prev = sign = 1
-    for j in range(len(a[0])):
+    for j in sorted(set().union(*a)):
         t = len(pivots)
         if t == len(a):
             break
-        p = next((i for i in range(t, len(a)) if a[i][j]), None)
+        p = next((i for i in range(t, len(a)) if j in a[i]), None)
         if p is None:
             continue
         if p != t:
@@ -94,11 +100,14 @@ def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
             sign = -sign
         row_t = a[t]
         piv = row_t[j]
-        for i in range(len(a)):
-            f = a[i][j]
+        for i, row in enumerate(a):
+            f = row.get(j, 0)
             if i == t or (not f and piv == prev):
                 continue
-            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], row_t)]
+            new = {c: x * piv for c, x in row.items()}
+            for c, y in row_t.items():
+                new[c] = new.get(c, 0) - f * y
+            a[i] = {c: x // prev for c, x in new.items() if x}
         prev = piv
         pivots.append(j)
     return pivots, prev, sign
@@ -108,7 +117,7 @@ def determinant(m: IntMatrix) -> int:
     """Exact determinant, by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    pivots, d, sign = fraction_free_reduce(m.to_rows())
+    pivots, d, sign = fraction_free_reduce(nonzero_rows(m))
     return sign * d if len(pivots) == m.rows else 0
 
 
@@ -129,7 +138,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     Returns the positive diagonal of the Smith normal form with trailing
     zeros dropped, so the length of the result is the rank.
     """
-    a = m.to_rows()
+    a = [list(m.row(i)) for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
     factors: list[int] = []
     t = 0
@@ -225,12 +234,16 @@ def permutation_sign(p: Permutation) -> int:
     return sign
 
 
+def apply_rows(rows: Sequence[dict[int, int]], v: Sequence[int]) -> tuple[int, ...]:
+    """The product of the matrix with these sparse rows and v, one step per nonzero entry."""
+    return tuple([sum([x * v[j] for j, x in row.items()]) for row in rows])
+
+
 def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     """Matrix-vector product over Z; m must be square of the vector's size."""
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
-    vec = tuple(int(x) for x in v)
-    return tuple(sum(map(mul, m.row(i), vec)) for i in range(m.rows))
+    return apply_rows(nonzero_rows(m), tuple(int(x) for x in v))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -244,20 +257,26 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Exact inverse of a matrix with determinant +-1, and that determinant, by fraction-free elimination.
 
-    Reducing [m | I] brings m to d * I exactly when m has full rank, and
-    then the right half is d * m^-1, where d = +-det m: det m is d times the
-    sign of the row swaps.  The matrix is unimodular exactly when |d| = 1,
-    and its inverse B is the right half times d.  The result is checked:
-    m B = I.
+    Reducing the sparse rows of [m | I] brings m to d * I exactly when m has
+    full rank, and then the right half is d * m^-1, where d = +-det m: det m
+    is d times the sign of the row swaps.  The matrix is unimodular exactly
+    when |d| = 1, and its inverse B is the right half times d.  The result is
+    checked on the sparse rows: m B = I.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows = nonzero_rows(m)
+    a = [row | {n + i: 1} for i, row in enumerate(rows)]
     pivots, d, sign = fraction_free_reduce(a)
     if pivots != list(range(n)) or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    inverse = IntMatrix(n, n, tuple(d * x for row in a for x in row[n:]))
-    if matmul(m, inverse) != IntMatrix.identity(n):  # cannot happen after unit pivots
-        raise ArithmeticError("row reduction did not invert the matrix")
-    return inverse, sign * d
+    inverse = [{c - n: d * x for c, x in row.items() if c >= n} for row in a]
+    for i, row in enumerate(rows):  # cannot fail after unit pivots
+        product: dict[int, int] = {}
+        for c, x in row.items():
+            for j, y in inverse[c].items():
+                product[j] = product.get(j, 0) + x * y
+        if {j: x for j, x in product.items() if x} != {i: 1}:
+            raise ArithmeticError("row reduction did not invert the matrix")
+    return IntMatrix(n, n, tuple([row.get(j, 0) for row in inverse for j in range(n)])), sign * d

@@ -40,10 +40,16 @@ row of M over the anchor rows, with the anchor determinant from
 ``graph_walk_cell_structure``: it orients W's derived edge graph by
 ``separating_functional``, counts each vertex's index with
 ``indices_from_values`` and follows each vertex's root edge by its tag.
-No oracle calls ``zlinalg.fraction_free_reduce``,
-directly or through ``determinant`` or ``inverse_unimodular``.  The last
-section holds helpers over package types that only tests need; they are not
-oracles, and ``inverse_witness`` does use the library's inverse.
+The library's one elimination, ``zlinalg.fraction_free_reduce``, and its
+matrix-vector products run on sparse rows, dicts from column to nonzero
+entry.  Their dense forms, which they replaced, are the oracles here:
+``dense_fraction_free_reduce`` (the same pivot rule and updates on every
+entry of every row), ``dense_inverse_unimodular`` (it reduces the dense
+[m | I] and checks m B = I by entrywise sums) and ``dense_apply_matrix``.
+No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
+``determinant`` or ``inverse_unimodular``.  The last section holds helpers
+over package types that only tests need; they are not oracles, and
+``inverse_witness`` does use the library's inverse.
 """
 
 from __future__ import annotations
@@ -134,6 +140,70 @@ def bareiss_det(rows: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def dense_fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """``zlinalg.fraction_free_reduce`` on dense rows, in place: the same pivots, d and sign.
+
+    Column by column, the first row at or below row t with a nonzero entry
+    is swapped into row t, and every other row i becomes
+    (row_i * piv - row_i[j] * row_t) // prev, entry by entry; a row already
+    zero in the pivot column is skipped while piv == prev.
+    """
+    pivots: list[int] = []
+    prev = sign = 1
+    for j in range(len(a[0])):
+        t = len(pivots)
+        if t == len(a):
+            break
+        p = next((i for i in range(t, len(a)) if a[i][j]), None)
+        if p is None:
+            continue
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            sign = -sign
+        row_t = a[t]
+        piv = row_t[j]
+        for i in range(len(a)):
+            f = a[i][j]
+            if i == t or (not f and piv == prev):
+                continue
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], row_t)]
+        prev = piv
+        pivots.append(j)
+    return pivots, prev, sign
+
+
+def dense_apply_matrix(m: IntMatrix, v) -> tuple[int, ...]:
+    """m v by entrywise sums over every entry of m."""
+    return tuple(sum(m.row(i)[j] * v[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+def dense_inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """``zlinalg.inverse_unimodular`` on dense rows: reduce [m | I], then check m B = I entry by entry."""
+    n = m.rows
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    pivots, d, sign = dense_fraction_free_reduce(a)
+    if pivots != list(range(n)) or abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    inverse = IntMatrix(n, n, tuple(d * x for row in a for x in row[n:]))
+    for i in range(n):
+        for j in range(n):
+            assert sum(m.row(i)[t] * inverse.row(t)[j] for t in range(n)) == int(i == j)
+    return inverse, sign * d
+
+
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """Dense rows as the sparse rows ``zlinalg.fraction_free_reduce`` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def identity(k: int) -> IntMatrix:
+    return IntMatrix(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
+
+
+def matrix_rows(m: IntMatrix) -> list[list[int]]:
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

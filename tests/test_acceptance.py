@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from cpbound.charfn import (
+    CharVector,
     TranslationWitness,
     attach,
     delta_matrix,
@@ -37,12 +38,13 @@ from cpbound.cobordism import (
 from cpbound.polytope import combinatorially_isomorphic, product, truncated_simplex
 from cpbound.zlinalg import (
     IntMatrix,
+    apply_matrix,
     is_direct_summand,
     permutation_sign,
     smith_normal_form,
 )
 
-from oracles import cofactor_det, fraction_rank, minor_gcd_invariant_factors, random_matrix_rows, simplex
+from oracles import cofactor_det, fraction_rank, identity, minor_gcd_invariant_factors, random_matrix_rows, simplex
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 
@@ -155,11 +157,11 @@ def test_criterion_07_delta_translation():
             eta = eta_standard(n)
             rho = rho_permutation(n)
             for i in range(n + 1):
-                assert eta[i].transformed(delta_matrix(n)) == eta[rho(i)]
+                assert CharVector.canon(apply_matrix(delta_matrix(n), eta[i].entries)) == eta[rho(i)]
         pair = w_pair(4)
         p1 = restrict_to_facet(pair, "P1")
         p2 = restrict_to_facet(pair, "P2")
-        bad = TranslationWitness(rho_facet_bijection(4), IntMatrix.identity(3))
+        bad = TranslationWitness(rho_facet_bijection(4), identity(3))
         assert not verify_translation(p1, p2, bad).ok
 
 

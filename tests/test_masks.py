@@ -33,6 +33,7 @@ from oracles import (
     frozenset_product_sets,
     frozenset_simplex_sets,
     frozenset_truncated_simplex_sets,
+    matrix_rows,
     per_vertex_validate,
     simplex,
 )
@@ -168,10 +169,91 @@ class TestReportsWithOneMemo:
             validate(other, W.verdicts)
 
 
+def oracle_reasons(pair, report, facet_ids):
+    """The verdict memo ``validate`` must leave for ``pair``, from the per-vertex oracle's ``report``.
+
+    Each vertex's mapped-facet mask over ``facet_ids`` maps to "" or to the
+    oracle's failure reason there.
+    """
+    failed = {f.vertex: f.reason for f in report.failures}
+    place = {f: j for j, f in enumerate(facet_ids)}
+    reasons = {}
+    for v in pair.polytope.vertices:
+        mapped = [f for f in v.facet_ids if f in pair.assignment]
+        if mapped:
+            reasons[sum(1 << place[f] for f in mapped)] = failed.get(v.id, "")
+    return reasons
+
+
+def mutated_tables(k, rng):
+    """W's vectors with one kind of change each: a vector set to 2*e_j, or to 3*e_j, a
+    duplicated vector, one random 0/+-1 vector, and every vector random in 0/+-1."""
+    n = 2 * (k + 1)
+    eta = {f: v.entries for f, v in eta_facet_assignment(n).items()}
+    facets = sorted(eta)
+
+    def unit_times(c):
+        vec = [0] * (n - 1)
+        vec[rng.randrange(n - 1)] = c
+        return tuple(vec)
+
+    def signs():
+        vec = (0,) * (n - 1)
+        while not any(vec):
+            vec = tuple(rng.choice((-1, 0, 1)) for _ in range(n - 1))
+        return vec
+
+    a, b = rng.sample(facets, 2)
+    return [
+        eta | {rng.choice(facets): unit_times(2)},
+        eta | {rng.choice(facets): unit_times(3)},
+        eta | {a: eta[b]},
+        eta | {rng.choice(facets): signs()},
+        {f: signs() for f in facets},
+    ]
+
+
+class TestMissedRowsAgainstPerVertexOracle:
+    """``validate`` judges a new full-count vector set from the assigned rows it misses.
+
+    Its reports, and the verdicts it leaves in both memo forms, W's numbering
+    and a component's own, must be those of one Bareiss determinant per
+    vertex set (``oracles.per_vertex_validate``).
+    """
+
+    @staticmethod
+    def assert_matches_oracle(W):
+        report = per_vertex_validate(W.pair)
+        assert W.report == report
+        expected = oracle_reasons(W.pair, report, W.verdicts.facet_ids)
+        for component in boundary_components(W):
+            report = per_vertex_validate(component)
+            assert validate(component, W.verdicts) == report  # masks renumbered into W's
+            own = Verdicts(component.polytope.facet_ids)
+            assert validate(component, own) == report
+            assert own.reasons == oracle_reasons(component, report, component.polytope.facet_ids)
+            for key, reason in oracle_reasons(component, report, W.verdicts.facet_ids).items():
+                assert expected.setdefault(key, reason) == reason
+        assert W.verdicts.reasons == expected
+        return W.report
+
+    @pytest.mark.parametrize("k", KS)
+    def test_valid_w(self, k):
+        assert self.assert_matches_oracle(build_W(k)).ok
+
+    @pytest.mark.parametrize("k", KS)
+    def test_mutated_w(self, k):
+        n = 2 * (k + 1)
+        P = truncated_simplex(n)
+        for table in mutated_tables(k, random.Random(600 + k)):
+            W = WManifold(attach(P, table, n - 1), n, Fraction(1, 5))
+            assert not self.assert_matches_oracle(W).ok
+
+
 @pytest.mark.parametrize("k", KS)
 def test_printed_basis_change_determinant_is_the_bareiss_determinant(k):
     report = glue_report(build_W(k), 0)
     (details,) = [c.details for c in report.checks if c.name == "p3-normal-form"]
     printed = int(re.fullmatch(r".*basis change determinant (-?\d+)", details).group(1))
     form = normalize_simplex_pair(report.components[2])
-    assert printed == form.det == bareiss_det(form.basis_change.to_rows())
+    assert printed == form.det == bareiss_det(matrix_rows(form.basis_change))

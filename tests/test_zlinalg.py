@@ -20,10 +20,16 @@ from cpbound.zlinalg import (
 from oracles import (
     bareiss_det,
     cofactor_det,
+    dense_apply_matrix,
+    dense_fraction_free_reduce,
+    dense_inverse_unimodular,
     fraction_rank,
+    identity,
     is_unimodular_basis,
+    matrix_rows,
     minor_gcd_invariant_factors,
     random_matrix_rows,
+    sparse_rows,
 )
 
 
@@ -60,7 +66,7 @@ class TestIntMatrix:
 
 class TestDeterminant:
     def test_identity(self):
-        assert determinant(IntMatrix.identity(3)) == 1
+        assert determinant(identity(3)) == 1
 
     def test_example_minus_one(self):
         rows = [[0, 0, 1], [1, 1, 0], [1, 0, 0]]
@@ -150,11 +156,120 @@ class TestFractionFreeReduce:
         for _ in range(200):
             rows = random_matrix_rows(rng, max_size=6, lo=-4, hi=4)
             rows[rng.randrange(len(rows))] = [0] * len(rows[0])
-            a = [list(r) for r in rows]
+            a = sparse_rows(rows)
             pivots, d, _ = fraction_free_reduce(a)
             assert len(pivots) == fraction_rank(rows)
             for t, j in enumerate(pivots):
-                assert [row[j] for row in a] == [d if s == t else 0 for s in range(len(a))]
+                assert [row.get(j, 0) for row in a] == [d if s == t else 0 for s in range(len(a))]
+
+
+@st.composite
+def dense_rows(draw, max_size=8):
+    """Random integer rows, some rank-deficient: a zero row, a zero column or a combination of two rows."""
+    r = draw(st.integers(1, max_size))
+    c = draw(st.integers(1, max_size))
+    bound = draw(st.sampled_from((1, 3, 50)))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c), min_size=r, max_size=r))
+    shape = draw(st.sampled_from(("free", "zero-row", "zero-column", "combined-rows")))
+    if shape == "zero-row":
+        rows[draw(st.integers(0, r - 1))] = [0] * c
+    elif shape == "zero-column":
+        j = draw(st.integers(0, c - 1))
+        rows = [row[:j] + [0] + row[j + 1 :] for row in rows]
+    elif shape == "combined-rows" and r > 2:
+        t, a, b = draw(st.permutations(range(r)))[:3]
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[t] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return rows
+
+
+@st.composite
+def unimodular_rows(draw, max_size=40):
+    """A random n x n matrix of determinant +-1, n <= 40: a product of elementary matrices.
+
+    Each step adds a multiple of one row to another or negates a row; the
+    rows are then permuted.
+    """
+    n = draw(st.integers(1, max_size))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(steps, max_size=3 * n)):
+        rows[i] = [-x for x in rows[i]] if i == j else [x + c * y for x, y in zip(rows[i], rows[j])]
+    return [rows[p] for p in draw(st.permutations(range(n)))]
+
+
+def signed_permutation_rows(case):
+    p, signs = case
+    n = len(signs)
+    return [[signs[i] if j == p(i) else 0 for j in range(n)] for i in range(n)]
+
+
+class TestSparseEliminationAgainstDense:
+    """``fraction_free_reduce`` on sparse rows against the dense elimination it replaced.
+
+    Both apply the same pivot rule and the same exact updates, so besides the
+    pivots, d and sign, every reduced entry must agree, the pivot block
+    included.  ``inverse_unimodular`` and ``apply_matrix``, which run on
+    sparse rows, must equal their dense forms.
+    """
+
+    @staticmethod
+    def assert_same_reduction(rows):
+        width = len(rows[0])
+        sparse, dense = sparse_rows(rows), [list(row) for row in rows]
+        result = fraction_free_reduce(sparse)
+        assert result == dense_fraction_free_reduce(dense)
+        assert [[row.get(j, 0) for j in range(width)] for row in sparse] == dense
+        assert all(all(row.values()) for row in sparse)  # no zero is stored
+        pivots, d, _ = result
+        for t, j in enumerate(pivots):
+            assert [row[j] for row in dense] == [d if s == t else 0 for s in range(len(dense))]
+        return result
+
+    @given(dense_rows())
+    @settings(max_examples=300, deadline=None)
+    @example([[0, 0], [0, 0]])
+    @example([[0, 2, 4], [0, 1, 2], [3, 0, 1]])
+    def test_random_dense_matrices(self, rows):
+        pivots, _, _ = self.assert_same_reduction(rows)
+        assert len(pivots) == fraction_rank(rows)
+
+    @given(signed_permutation_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_signed_permutations(self, case):
+        rows = signed_permutation_rows(case)
+        pivots, d, _ = self.assert_same_reduction(rows)
+        assert pivots == list(range(len(rows))) and abs(d) == 1
+        m = IntMatrix.from_rows(rows)
+        assert inverse_unimodular(m) == dense_inverse_unimodular(m)
+
+    @given(unimodular_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_matrices(self, rows, data):
+        pivots, d, _ = self.assert_same_reduction(rows)
+        assert pivots == list(range(len(rows))) and abs(d) == 1
+        m = IntMatrix.from_rows(rows)
+        inverse, det = inverse_unimodular(m)
+        assert (inverse, det) == dense_inverse_unimodular(m)
+        assert matmul(m, inverse) == identity(len(rows))
+        v = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+        assert apply_matrix(m, v) == dense_apply_matrix(m, v)
+        assert apply_matrix(inverse, apply_matrix(m, v)) == tuple(v)
+
+    @given(dense_rows(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_products_on_dense_matrices(self, rows, data):
+        n = len(rows)
+        m = IntMatrix.from_rows([row[:n] + [0] * (n - len(row)) for row in rows])  # square
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        assert apply_matrix(m, v) == dense_apply_matrix(m, v)
+        try:
+            expected = dense_inverse_unimodular(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="not unimodular"):
+                inverse_unimodular(m)
+        else:
+            assert inverse_unimodular(m) == expected
 
 
 class TestSmithNormalForm:
@@ -165,7 +280,7 @@ class TestSmithNormalForm:
 
     def test_identity(self):
         for k in (1, 2, 5):
-            assert smith_normal_form(IntMatrix.identity(k)) == (1,) * k
+            assert smith_normal_form(identity(k)) == (1,) * k
 
     def test_dependent_standard_vectors(self):
         rows = [[1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -197,7 +312,7 @@ class TestSmithNormalForm:
     @settings(max_examples=150)
     def test_rank_and_divisibility(self, m):
         factors = smith_normal_form(m)
-        assert len(factors) == fraction_rank(m.to_rows())
+        assert len(factors) == fraction_rank(matrix_rows(m))
         assert all(f > 0 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
@@ -258,7 +373,7 @@ class TestPermutations:
 
 class TestApplyAndInverse:
     def test_identity_application(self):
-        assert apply_matrix(IntMatrix.identity(4), (5, -1, 2, 0)) == (5, -1, 2, 0)
+        assert apply_matrix(identity(4), (5, -1, 2, 0)) == (5, -1, 2, 0)
 
     def test_antidiagonal_action(self):
         d = IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
@@ -267,7 +382,7 @@ class TestApplyAndInverse:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_matrix(IntMatrix.identity(3), (1, 2))
+            apply_matrix(identity(3), (1, 2))
         with pytest.raises(ValueError):
             apply_matrix(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 2, 3))
 
@@ -301,7 +416,7 @@ class TestApplyAndInverse:
                     rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
             m = IntMatrix.from_rows(rows)
             inverse, det = inverse_unimodular(m)
-            assert matmul(m, inverse).entries == IntMatrix.identity(n).entries
+            assert matmul(m, inverse).entries == identity(n).entries
             assert det == cofactor_det(rows)
 
     def test_inverse_rejects_non_unimodular(self):
