@@ -75,6 +75,8 @@ def _manifold_from_args(args) -> WManifold:
             return wmanifold_from_json(data)
         except (TypeError, AttributeError, OverflowError) as exc:  # wrong JSON type, or Infinity
             raise ValueError(f"malformed certificate: {exc}") from None
+        except KeyError as exc:  # every key the loaders read is one the format requires
+            raise ValueError(f"malformed certificate: missing key {exc}") from None
     n = _resolve_n(args)
     return build_W(n // 2 - 1, _r1(args))
 
@@ -276,10 +278,10 @@ def _render_glue_text(report, out) -> None:
 
 def _cmd_glue(args, out) -> int:
     if args.k_range:
-        lo, _, hi = args.k_range.partition(":")
+        lo, sep, hi = args.k_range.partition(":")
+        if not (sep and lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
+            raise ValueError(f"bad k range {args.k_range!r}: expected LO:HI with 1 <= LO <= HI")
         ks = list(range(int(lo), int(hi) + 1))
-        if not ks or ks[0] < 1:
-            raise ValueError(f"bad k range {args.k_range}")
     elif getattr(args, "input", None):
         ks = [None]
     else:

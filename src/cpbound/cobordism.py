@@ -3,12 +3,18 @@
 ``build_W`` equips the truncated simplex with the standard vector family,
 leaving the three cut facets as boundary.  The remaining operations extract
 the boundary pieces, count the cells of the pair (W, boundary) coming from
-the surviving root edges, in closed form on the truncated simplex that every
-``WManifold`` is checked to be, cross-check the counts against an Euler-type
+the surviving root edges, cross-check the counts against an Euler-type
 identity, certify that the two product-facet components translate into each
 other under the basis reversal, and bring the simplex component to standard
 projective form.  ``glue_report`` runs the whole pipeline and aggregates one
 pass/fail record per check.
+
+The cells are counted, never listed.  A generic functional c on the root
+vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
+simplex that every ``WManifold`` is checked to be, the generators at a root
+vertex i of a cut face F have the indices b_i+1, ..., b_i+t_i, one each,
+where b_i and t_i count the entries of c below c_i inside and outside F.
+``cell_structure`` sums these intervals from one sorted order of c.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import or_
 
 from .charfn import (
@@ -39,6 +46,7 @@ from .charfn import (
 from .polytope import (
     SimplePolytope,
     check_keys,
+    cut_faces,
     decode_truncated_simplex,
     format_fraction,
     functional_draws,
@@ -129,83 +137,66 @@ def boundary_components(W: WManifold) -> tuple[CharPair, CharPair, CharPair]:
     return tuple(restrict_to_facet(W.pair, f) for f in BOUNDARY_FACETS)  # type: ignore[return-value]
 
 
-class CellGenerator(Record):
-    """One odd cell: a vertex whose surviving root edge points at it."""
-
-    __slots__ = ("index", "vertex")
-
-    def __init__(self, index: int, vertex: str) -> None:
-        set_index, set_vertex = self._setters
-        set_index(self, index)  # the vertex index j; the cell has dimension 2j-1
-        set_vertex(self, vertex)
-
-
 class CellStructure(Record):
-    __slots__ = ("n", "generators", "zero_cells")
+    """``zero_cells`` 0-cells and, for each (j, count) in ``counts``, sorted by j, count (2j-1)-cells."""
 
-    def __init__(self, n: int, generators: tuple[CellGenerator, ...], zero_cells: int = 1) -> None:
-        self._fill(n, generators, zero_cells)
+    __slots__ = ("n", "counts", "zero_cells")
+
+    def __init__(self, n: int, counts: tuple[tuple[int, int], ...], zero_cells: int = 1) -> None:
+        self._fill(n, counts, zero_cells)
 
     def index_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for g in self.generators:
-            counts[g.index] = counts.get(g.index, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(self.counts)
 
     def cell_counts(self) -> dict[int, int]:
         """Counts keyed by cell dimension 2j-1."""
-        return {2 * j - 1: c for j, c in self.index_counts().items()}
+        return {2 * j - 1: c for j, c in self.counts}
 
 
 def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
-    """Cells of (W, boundary): vertices whose unique root edge points inward.
+    """Cells of (W, boundary), counted by index: vertices whose unique root edge points inward.
 
-    Each vertex of the truncated simplex lies on exactly one surviving root
-    edge; orienting edges by a generic functional, the vertex contributes one
-    cell of dimension 2*ind(v)-1 exactly when that edge points toward it.
-    The top vertex always contributes the single (2n-1)-cell.
-
-    W's polytope is the truncated simplex (``W.labels``), so all of this has
-    a closed form.  For r1 = p/q, the functional c of ``functional_draws``
-    takes the value (q-p)*c_i + p*c_m at ``A{i}|d{m}``, q times its value at
-    the vertex.  The neighbours of ``A{i}|d{m}`` on its cut facet, that of
-    the face F containing i, are ``A{i'}|d{m}`` for the other i' in F and
-    ``A{i}|d{m'}`` for the other m' outside F; its one root edge goes to
-    ``A{m}|d{i}``.  So its index is the number of i' in F with c_i' < c_i,
-    plus the number of m' outside F with c_m' < c_m, plus 1 when
-    ``A{m}|d{i}`` is lower, which, as q - 2p > 0, is when c_m < c_i: then
-    the root edge points at the vertex, and it is a generator.
+    Each vertex of the truncated simplex (``W.labels``) lies on exactly one
+    surviving root edge; orienting edges by a generic functional, the vertex
+    contributes one cell of dimension 2*ind(v)-1 exactly when that edge
+    points toward it.  For r1 = p/q, the first draw c of ``functional_draws``
+    that separates the vertices takes q times its value, (q-p)*c_i + p*c_m,
+    at ``A{i}|d{m}``, for i in a cut face F and m outside it.  That vertex's
+    neighbours on its cut facet are ``A{i'}|d{m}`` and ``A{i}|d{m'}`` for the
+    other i' in F and m' outside F; its root edge goes to ``A{m}|d{i}``.  So
+    its index is the number b_i of i' with c_i' < c_i, plus the number of m'
+    with c_m' < c_m, plus 1 when c_m < c_i (as q - 2p > 0): then the root
+    edge points at it, and it is a generator.  With t_i the number of m
+    outside F with c_m < c_i, the t_i generators at i thus have the indices
+    b_i+1, ..., b_i+t_i, one each.  One walk of c's sorted order per face
+    gives every b_i and t_i, and a difference array sums the intervals:
+    O(n log n) after the draw.  The vertex of index 0 is (i, lowest m) for
+    b_i = t_i = 0; one of index n is a generator with b_i + t_i = n.
     """
-    n, labels = W.n, W.labels
+    n = W.n
     p, q = W.r1.numerator, W.r1.denominator
-    for c in functional_draws(n + 1, len(labels), seed):
-        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
+    faces = [(face, [m for m in range(n + 1) if m not in face]) for face in cut_faces(n).values()]
+    for c in functional_draws(n + 1, len(W.labels), seed):
+        scaled = [([(q - p) * c[i] for i in face], [p * c[m] for m in rest]) for face, rest in faces]
+        if len({x + y for inside, outside in scaled for x in inside for y in outside}) == len(W.labels):
             break
-    # Per face, how many of c's entries inside and outside it lie below each one.
-    below_inside = [0] * (n + 1)
-    below_outside = [[0] * (n + 1) for _ in BOUNDARY_FACETS]
-    seen = [0] * len(BOUNDARY_FACETS)
-    face_of = [0] * (n + 1)
-    for i, _, f in labels:
-        face_of[i] = f
-    for rank, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
-        f = face_of[j]
-        below_inside[j] = seen[f]
-        for g, below in enumerate(below_outside):
-            below[j] = rank - seen[g]
-        seen[f] += 1
-    gens = []
+    order = sorted(range(n + 1), key=c.__getitem__)
+    steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
     extremes = [0, 0]  # vertices of index 0 and of index n
-    for v, (i, m, f) in zip(W.pair.polytope.vertices, labels):
-        up = c[i] > c[m]
-        index = below_inside[i] + below_outside[f][m] + up
-        if up:
-            gens.append(CellGenerator(index, v.id))
-        if index in (0, n):
-            extremes[index == n] += 1
+    for face, _ in faces:
+        b = t = 0  # entries of c inside and outside the face below the current one
+        for j in order:
+            if j not in face:
+                t += 1
+                continue
+            steps[b + 1] += 1
+            steps[b + t + 1] -= 1
+            if b + t in (0, n):
+                extremes[b + t == n] += 1
+            b += 1
     if extremes != [1, 1]:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
-    structure = CellStructure(n, tuple(gens))
+    structure = CellStructure(n, tuple((j, count) for j, count in enumerate(accumulate(steps)) if count))
     if structure.index_counts().get(n, 0) != 1:
         raise AssertionError("expected exactly one top-dimensional cell")
     return structure
@@ -283,7 +274,7 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
     poly = W.pair.polytope
     boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
-    euler = EulerCheck(len(structure.generators), boundary_vertices // 2)
+    euler = EulerCheck(sum(structure.index_counts().values()), boundary_vertices // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 

@@ -433,10 +433,15 @@ class RealisationError(ValueError):
     """A polytope is not the truncated simplex its certificate claims to be."""
 
 
+def cut_faces(n: int) -> dict[str, range]:
+    """The faces the truncated n-simplex cuts off, as root vertex indices, by cut facet id."""
+    half = n // 2
+    return {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+
+
 def _truncation_facets(n: int) -> tuple[dict[str, range], list[FacetLabel]]:
     """The cut faces of the truncated n-simplex by cut facet id, and its facet labels."""
-    half = n // 2
-    cuts = {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+    cuts = cut_faces(n)
     facets = [FacetLabel(f"d{j}", original_facet(j)) for j in range(n + 1)]
     for cut, face in cuts.items():
         facets.append(FacetLabel(cut, cut_facet([f"d{m}" for m in range(n + 1) if m not in face])))

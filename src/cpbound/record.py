@@ -2,7 +2,7 @@
 
 A record names its fields in ``__slots__``.  Its ``__init__`` checks the
 arguments and stores them in slot order with ``self._fill``, or, for a record
-built once per vertex or cell, by calling the setters in ``_setters``, which
+built once per vertex, by calling the setters in ``_setters``, which
 takes half the time.  Fields are read-only.  Records of one type are equal
 when their fields are, hash as the tuple of their fields and print as
 ``Name(field=value, ...)``, and copy and pickle rebuild them through

@@ -35,11 +35,15 @@ all from one elimination per pair.  That elimination has the rational oracle
 it replaced: ``FractionFullCountCertificate``, a ``Fraction`` reduced row
 echelon form of M^T whose non-pivot columns hold the coefficients X of each
 row of M over the anchor rows, with the anchor determinant from
-``bareiss_det``.  The cells of (W, boundary) have the graph walk that
-``cobordism.cell_structure`` ran before its closed form,
-``graph_walk_cell_structure``: it orients W's derived edge graph by
-``separating_functional``, counts each vertex's index with
-``indices_from_values`` and follows each vertex's root edge by its tag.
+``bareiss_det``.  The cells of (W, boundary), which ``cobordism.cell_structure``
+counts by index from intervals of ranks, have two oracles that list one
+``CellGenerator`` record per generator, which the library no longer builds.
+``graph_walk_cell_structure`` is the graph walk it ran first: it orients W's
+derived edge graph by ``separating_functional``, counts each vertex's index
+with ``indices_from_values`` and follows each vertex's root edge by its tag.
+``closed_form_cell_structure`` is the per-vertex closed form it ran next,
+which reads each index off the vertex's (i, m, cut) label; ``generator_counts``
+counts either list by index.
 The library's one elimination, ``zlinalg.fraction_free_reduce``, and its
 matrix-vector products run on sparse rows, dicts from column to nonzero
 entry.  Their dense forms, which they replaced, are the oracles here:
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
-from cpbound.cobordism import CellGenerator, CellStructure, WManifold, betti_from_h_vector
+from cpbound.cobordism import WManifold, betti_from_h_vector
 from cpbound.polytope import (
     CUT_EDGE,
     FUNCTIONAL_COEFF_BOUND,
@@ -77,6 +81,7 @@ from cpbound.polytope import (
     combinatorially_isomorphic,
     cut_facet,
     face_from_facets,
+    functional_draws,
     generate_functional,
     h_vector,
     indices_from_values,
@@ -86,6 +91,7 @@ from cpbound.polytope import (
     product,
     separating_functional,
 )
+from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
     inverse_unimodular,
@@ -656,8 +662,31 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
     return ind
 
 
-def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
-    """``cell_structure`` by walking the edge graph of W's polytope.
+class CellGenerator(Record):
+    """One odd cell: a vertex whose surviving root edge points at it."""
+
+    __slots__ = ("index", "vertex")
+
+    def __init__(self, index: int, vertex: str) -> None:
+        self._fill(index, vertex)  # index j: the cell has dimension 2j-1
+
+
+def generator_counts(generators: tuple[CellGenerator, ...]) -> dict[int, int]:
+    """``CellStructure.index_counts`` of a list of generators: how many have each index, by index."""
+    counts: dict[int, int] = {}
+    for g in generators:
+        counts[g.index] = counts.get(g.index, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def _checked_top_cell(n: int, generators: list[CellGenerator]) -> tuple[CellGenerator, ...]:
+    if generator_counts(generators).get(n, 0) != 1:
+        raise AssertionError("expected exactly one top-dimensional cell")
+    return tuple(generators)
+
+
+def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerator, ...]:
+    """The generators of ``cell_structure`` by walking the edge graph of W's polytope, in vertex order.
 
     Orients the derived edges by ``separating_functional``'s values, takes
     each vertex's index from ``indices_from_values``, and makes a vertex a
@@ -678,10 +707,49 @@ def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
             raise AssertionError(f"vertex {vid} lies on {len(others)} root edges, expected 1")
         if values[vid] > values[ids[others[0]]]:
             gens.append(CellGenerator(ind[vid], vid))
-    structure = CellStructure(W.n, tuple(gens))
-    if structure.index_counts().get(W.n, 0) != 1:
-        raise AssertionError("expected exactly one top-dimensional cell")
-    return structure
+    return _checked_top_cell(W.n, gens)
+
+
+def closed_form_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerator, ...]:
+    """The generators of ``cell_structure`` from each vertex's closed-form index, in vertex order.
+
+    The per-vertex form ``cell_structure`` took before it summed index
+    intervals.  For r1 = p/q the functional c takes q times its value,
+    (q-p)*c_i + p*c_m, at ``A{i}|d{m}`` (``W.labels``); the index there is
+    the number of i' in its cut face F with c_i' < c_i, plus the number of
+    m' outside F with c_m' < c_m, plus 1 when c_m < c_i, which is when its
+    root edge points at it and it is a generator.
+    """
+    n, labels = W.n, W.labels
+    p, q = W.r1.numerator, W.r1.denominator
+    for c in functional_draws(n + 1, len(labels), seed):
+        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
+            break
+    # Per face, how many of c's entries inside and outside it lie below each one.
+    below_inside = [0] * (n + 1)
+    below_outside = [[0] * (n + 1) for _ in range(3)]
+    seen = [0] * 3
+    face_of = [0] * (n + 1)
+    for i, _, f in labels:
+        face_of[i] = f
+    for rank, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
+        f = face_of[j]
+        below_inside[j] = seen[f]
+        for g, below in enumerate(below_outside):
+            below[j] = rank - seen[g]
+        seen[f] += 1
+    gens = []
+    extremes = [0, 0]  # vertices of index 0 and of index n
+    for v, (i, m, f) in zip(W.pair.polytope.vertices, labels):
+        up = c[i] > c[m]
+        index = below_inside[i] + below_outside[f][m] + up
+        if up:
+            gens.append(CellGenerator(index, v.id))
+        if index in (0, n):
+            extremes[index == n] += 1
+    if extremes != [1, 1]:
+        raise ValueError("index profile is degenerate: expected a unique source and sink")
+    return _checked_top_cell(n, gens)
 
 
 def is_unimodular_basis(vectors, k: int) -> bool:

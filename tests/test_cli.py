@@ -199,6 +199,12 @@ class TestBatchAndFormats:
         assert [r["n"] for r in reports] == [4, 6, 8]
         assert [r["boundary_label"] for r in reports] == ["conjugate-CP", "CP", "conjugate-CP"]
 
+    @pytest.mark.parametrize("k_range", ("1", "1:", ":3", "a:b", "3:1", "0:2"))
+    def test_bad_k_range(self, capsys, k_range):
+        code, out = invoke("glue", "--k-range", k_range)
+        err = f"error: bad k range {k_range!r}: expected LO:HI with 1 <= LO <= HI\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
     def test_seeds_agreement_flag(self):
         code, out = invoke("homology", "--k", "1", "--seeds", "5")
         assert code == 0
@@ -436,6 +442,29 @@ class TestMalformedCertificates:
         assert (code, out, capsys.readouterr().err) == (2, "", err)
 
     @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    @pytest.mark.parametrize(
+        "place,key",
+        [
+            ((), "pair"),
+            (("pair",), "vectors"),
+            (("pair", "polytope"), "dim"),
+            (("pair", "polytope", "facets", 4), "id"),
+            (("pair", "polytope", "facets", 3, "provenance"), "index"),  # d0, original
+        ],
+    )
+    def test_missing_key(self, tmp_path, capsys, command, place, key):
+        data = copy.deepcopy(CERTIFICATE)
+        node = data
+        for step in place:
+            node = node[step]
+        del node[key]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: missing key {key!r}\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
     def test_vertex_entry_with_keys(self, tmp_path, capsys, command):
         data = copy.deepcopy(CERTIFICATE)
         vertices = data["pair"]["polytope"]["vertices"]
@@ -508,7 +537,7 @@ def test_unrealised_certificate_fails_before_any_result(tmp_path, capsys, comman
 
 
 def fewer_cells(structure):
-    return CellStructure(structure.n, structure.generators[:-1])
+    return CellStructure(structure.n, structure.counts[:-1])
 
 
 @pytest.mark.parametrize(

@@ -42,11 +42,13 @@ from cpbound.polytope import (
 
 from oracles import (
     betti_boundary,
+    closed_form_cell_structure,
     cofactor_det,
     cut_face,
     edges_of,
     fraction_separating_functional,
     fraction_vertex_indices,
+    generator_counts,
     graph_walk_cell_structure,
     label_by_isomorphism_search,
     SetVertex,
@@ -242,7 +244,7 @@ class TestCellStructure:
     @pytest.mark.parametrize("n", (4, 6, 8, 10, 12))
     def test_total_matches_formula(self, n):
         W = build_W(n // 2 - 1)
-        assert len(cell_structure(W, 0).generators) == n * (n + 4) // 4
+        assert sum(cell_structure(W, 0).index_counts().values()) == n * (n + 4) // 4
 
     def test_counts_stable_across_seeds_and_depths(self):
         for n in (4, 6):
@@ -258,14 +260,20 @@ class TestCellStructure:
     def test_minimum_vertex_contributes_nothing(self):
         W = build_W(1)
         seed = 3
-        cs = cell_structure(W, seed)
         ind = vertex_indices(W.pair.polytope, generate_functional(W.pair.polytope, seed))
         (bottom,) = [v for v, i in ind.items() if i == 0]
-        assert bottom not in {g.vertex for g in cs.generators}
+        for oracle in (graph_walk_cell_structure, closed_form_cell_structure):
+            assert bottom not in {g.vertex for g in oracle(W, seed)}
+        assert 0 not in cell_structure(W, seed).index_counts()
 
     def test_generators_have_positive_index(self):
-        cs = cell_structure(build_W(2), 1)
-        assert all(g.index >= 1 for g in cs.generators)
+        W = build_W(2)
+        ind = vertex_indices(W.pair.polytope, generate_functional(W.pair.polytope, 1))
+        for oracle in (graph_walk_cell_structure, closed_form_cell_structure):
+            assert all(g.index == ind[g.vertex] >= 1 for g in oracle(W, 1))
+        cs = cell_structure(W, 1)
+        assert cs.counts == tuple(sorted(cs.counts))
+        assert all(j >= 1 and count >= 1 for j, count in cs.counts)
         assert cs.zero_cells == 1
 
     def test_frozen_n4_counts(self):
@@ -280,8 +288,17 @@ class TestCellStructure:
         loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(built))))
         for W in (built, loaded):
             for seed in range(12):
-                # Generators by index and vertex id, in vertex order.
-                assert cell_structure(W, seed) == graph_walk_cell_structure(W, seed)
+                walked = graph_walk_cell_structure(W, seed)
+                # The oracles agree generator by generator, by index and vertex id, in vertex order.
+                assert closed_form_cell_structure(W, seed) == walked
+                assert cell_structure(W, seed).index_counts() == generator_counts(walked)
+
+    @pytest.mark.parametrize("k", (32, 64))
+    def test_interval_counts_match_the_closed_form_at_large_k(self, k):
+        W = build_W(k)
+        for seed in range(4):
+            expected = generator_counts(closed_form_cell_structure(W, seed))
+            assert cell_structure(W, seed).index_counts() == expected
 
     def test_takes_the_draw_separating_functional_takes(self, monkeypatch):
         # With coefficients only in [-V^2, V^2], seed 2 rejects its first draw at k = 1 and 2.
@@ -303,7 +320,7 @@ class TestCellStructure:
                 structure = cell_structure(W, seed)
                 counts.append(len(drawn))
                 assert drawn[-1] == separating_functional(W.pair.polytope, seed)[0].coefficients
-                assert structure == graph_walk_cell_structure(W, seed)
+                assert structure.index_counts() == generator_counts(graph_walk_cell_structure(W, seed))
         assert counts == [1, 1, 2, 1, 1, 1] * 2
 
     def test_no_separating_draw_is_an_error(self, monkeypatch):
@@ -381,8 +398,8 @@ DEGENERATE = ValueError("index profile is degenerate: expected a unique source a
 
 
 def fewer_cells(W, seed=0):
-    """A cell structure whose counts differ from those under ``seed``."""
-    return CellStructure(W.n, cell_structure(W, seed).generators[:-1])
+    """A cell structure whose counts differ from those under ``seed``: its top index is dropped."""
+    return CellStructure(W.n, cell_structure(W, seed).counts[:-1])
 
 
 class TestCellStage:
@@ -395,7 +412,7 @@ class TestCellStage:
         assert stage.counts == structure.cell_counts()
         assert stage.stable and stage.extra_error is None
         assert stage.homology.ranks == ((0, 0),) + tuple(sorted(structure.cell_counts().items()))
-        assert stage.euler == EulerCheck(len(structure.generators), W.n * (W.n + 4) // 4)
+        assert stage.euler == EulerCheck(sum(structure.index_counts().values()), W.n * (W.n + 4) // 4)
 
     def test_seed_failure_is_raised(self, monkeypatch):
         W = build_W(1)

@@ -1,7 +1,8 @@
 """How much work one certificate does, counted by wrapping cpbound's functions.
 
 Every artifact is computed once per manifold: one validation of W per
-request, one cell structure per seed, one integer elimination and no
+request, one cell structure per seed, read off the functional's entries
+without a vertex or its label, one integer elimination and no
 determinant for all the full-count vertex vector sets, one validation per
 boundary component, one determinant per request (none for the orientation
 record or the P3 basis change), no Smith normal form on a valid datum, no determinant to invert a
@@ -24,6 +25,7 @@ import io
 import json
 import random
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -97,6 +99,24 @@ def test_homology_builds_one_cell_structure_per_seed(calls, seeds):
     code = run(["homology", "--k", "2", "--seeds", str(seeds), "--format", "json"], io.StringIO())
     assert code == 0
     assert counts["cell_structure"] == seeds
+
+
+class VertexCount:
+    """Stands in for ``W.labels``: it has a length and nothing to iterate or index."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+
+@pytest.mark.parametrize("k", (1, 4, 10))
+def test_cell_structure_reads_no_vertex(k):
+    W = build_W(k)
+    bare = types.SimpleNamespace(n=W.n, r1=W.r1, labels=VertexCount(len(W.labels)))
+    for seed in range(4):
+        assert cobordism.cell_structure(bare, seed) == cobordism.cell_structure(W, seed)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 8))
