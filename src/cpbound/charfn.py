@@ -27,13 +27,15 @@ integer minor of size at most m - r; for s = 0, S = A and the condition is
 unimodular.  Below full count a vertex is checked by its Smith normal form.
 
 The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
-is the one this module runs: it reduces M^T and each minor Y[S - A, A - S]
-for vertex validation, gives the determinant for the witness check of
-delta, and inverts the basis of a simplex pair, with its determinant, in
-``normalize_simplex_pair``.  A new full-count set is judged from the m - r
-assigned rows it misses; on W m - r = 2, so that is O(1) lookups and a minor
-of at most 2 x 2.  Delta and the basis change are applied by their nonzero
-entries, collected once per call: O(n) per vector for delta.
+is the one this module runs: it reduces M^T for vertex validation, and each
+minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
+witness check of delta, and inverts the basis of a simplex pair, with its
+determinant, in ``normalize_simplex_pair``.  A minor of size 1 or 2 is
+evaluated directly, as the entry or as ad - bc.  A new full-count set is
+judged from the m - r assigned rows it misses; on W, and on its boundary
+components, m - r <= 2, so that is O(1) lookups and a minor of at most
+2 x 2, with no elimination.  Delta and the basis change are applied by
+their nonzero entries, collected once per call: O(n) per vector for delta.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ class _FullCountCertificate:
     d * M_j = Y_j M_A, so ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.
     Row sets are then judged by the integer identity of the module
     docstring, with no determinant of M_A beyond d; the minor
-    Y[S - A, A - S] is reduced by the same elimination.
+    Y[S - A, A - S] is evaluated directly when it is 1 x 1 or 2 x 2, and
+    reduced by the same elimination when it is larger.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
@@ -187,10 +190,13 @@ class _FullCountCertificate:
         outside = [j for j in self.free if j not in missed]
         if not outside:
             return abs(self.det) == 1
-        dropped = [self.anchor[j] for j in missed if j in self.anchor]
-        minor = [{c: self.reduced[t][j] for c, t in enumerate(dropped) if j in self.reduced[t]} for j in outside]
-        pivots, d, _ = fraction_free_reduce(minor)
-        return len(pivots) == len(minor) and abs(d) == abs(self.det) ** (len(outside) - 1)
+        dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]
+        y = [[row.get(j, 0) for row in dropped] for j in outside]  # Y[S - A, A - S], s x s
+        if len(y) > 2:
+            pivots, d, _ = fraction_free_reduce([{c: x for c, x in enumerate(row) if x} for row in y])
+            return len(pivots) == len(y) and abs(d) == abs(self.det) ** (len(y) - 1)
+        minor = y[0][0] if len(y) == 1 else y[0][0] * y[1][1] - y[0][1] * y[1][0]
+        return abs(minor) == abs(self.det) ** (len(y) - 1)
 
 
 def _rows(mask: int, row_at: Sequence[int]) -> list[int]:

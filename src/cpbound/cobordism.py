@@ -484,11 +484,14 @@ def wmanifold_to_json(W: WManifold) -> dict:
 
 
 def wmanifold_from_json(data: dict) -> WManifold:
-    """Load a W certificate; its polytope, a truncated simplex, must carry coordinates."""
+    """Load a W certificate; its polytope, a truncated simplex, must carry coordinates, and each root facet a vector."""
     check_keys(data, ("n", "r1", "pair"), "the certificate")
     pair = charpair_from_json(data["pair"])
     if not pair.polytope.has_coords:
         raise ValueError("malformed certificate: the polytope carries no vertex coordinates")
+    for f in pair.polytope.facets:
+        if f.provenance.kind == "original" and f.id not in pair.assignment and f.id not in BOUNDARY_FACETS:
+            raise ValueError(f"malformed certificate: root facet {f.id} carries no vector")
     return WManifold(pair, parse_int(data["n"], "n"), parse_fraction(data["r1"]))
 
 

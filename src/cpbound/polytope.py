@@ -37,10 +37,12 @@ of F, at (1-r1)*e_i + r1*e_m.  ``decode_truncated_simplex`` reads these
 (i, m, cut) triples back off any polytope, and checks on the way that it is
 that truncated simplex.
 
-Exact rational coordinates (``fractions.Fraction``, never floats) are
-attached to the truncated simplex, to products of polytopes with
-coordinates, and to faces of those.  Integer functionals are evaluated on
-integer rows instead: each polytope scales its coordinates once by their
+Exact rational coordinates (``fractions.Fraction``, never floats) belong to
+the polytope, made by its source when read (``SimplePolytope.coords``): a
+load's parsed rows, the truncated simplex's closed form from each label
+(i, m), a product's factors' rows, or a face's parent's.  A built truncated
+simplex holds no coordinate tuple.  Integer functionals are evaluated on
+integer rows: each polytope scales its coordinates once by their
 common denominator q > 0, which keeps every equality and comparison between
 values exact.  Every functional is drawn by ``functional_draws``, so the same
 seed gives the same coefficients on every path that evaluates them.
@@ -128,14 +130,13 @@ class Vertex(Record):
     """A vertex on the facets ``universe[j]`` for the bits j of ``mask``; a polytope's sorted
     ``facet_ids`` are its vertices' universe."""
 
-    __slots__ = ("id", "mask", "universe", "coord")
+    __slots__ = ("id", "mask", "universe")
 
-    def __init__(self, id: str, mask: int, universe: tuple[str, ...], coord: Point | None = None) -> None:
-        set_id, set_mask, set_universe, set_coord = self._setters
+    def __init__(self, id: str, mask: int, universe: tuple[str, ...]) -> None:
+        set_id, set_mask, set_universe = self._setters
         set_id(self, id)
         set_mask(self, mask)
         set_universe(self, universe)
-        set_coord(self, coord)
 
     @property
     def facet_ids(self) -> frozenset[str]:
@@ -279,8 +280,9 @@ class SimplePolytope:
     ``edge_pairs`` holds the edges as sorted index pairs into ``vertices`` and
     ``edge_tags`` their provenance, aligned with them: ``graph`` is called
     with the polytope on the first read of either and returns both; the
-    connectivity check runs then.  Instances are immutable by convention;
-    all operations build new objects.
+    connectivity check runs then.  ``coords``, if given, makes the
+    coordinates, aligned with ``vertices``, from the polytope on each read
+    of ``coords()``.  Instances are immutable by convention.
     """
 
     def __init__(
@@ -289,6 +291,7 @@ class SimplePolytope:
         facets: Sequence[FacetLabel],
         vertices: Sequence[Vertex],
         graph: Callable[[SimplePolytope], _EdgeGraph],
+        coords: Callable[[SimplePolytope], Sequence[Point]] | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("polytope dimension must be at least 1")
@@ -306,6 +309,7 @@ class SimplePolytope:
         if universe != ids:
             raise ValueError("the vertices are not over the polytope's facet ids")
         seen_sets: dict[int, str] = {}
+        used = 0
         for v in self.vertices:
             if v.mask.bit_count() != dim:
                 raise ValueError(f"vertex {v.id} lies on {v.mask.bit_count()} facets, expected {dim}")
@@ -316,22 +320,12 @@ class SimplePolytope:
             if v.mask in seen_sets:
                 raise ValueError(f"vertices {seen_sets[v.mask]} and {v.id} have identical facet sets")
             seen_sets[v.mask] = v.id
+            used |= v.mask
         self.incidence = tuple(v.mask for v in self.vertices)
-
-        coords = [v.coord for v in self.vertices if v.coord is not None]
-        if coords and len(coords) != len(self.vertices):
-            raise ValueError("either all vertices carry coordinates or none")
-        if coords and len({len(c) for c in coords}) != 1:
-            raise ValueError("vertex coordinates live in different ambient spaces")
-        self.has_coords = bool(coords)
-
-        used = 0
-        for mask in self.incidence:
-            used |= mask
+        self._coords = coords
+        self.has_coords = coords is not None
         for fid in _facet_list(~used, self.facet_ids):
             raise ValueError(f"facet {fid} contains no vertex")
-
-        self.vertex_by_id = {v.id: v for v in self.vertices}
         self._graph = graph
 
     @cached_property
@@ -358,6 +352,12 @@ class SimplePolytope:
         bit = 1 << self.facet_ids.index(facet_id)
         return tuple([v.id for v, mask in zip(self.vertices, self.incidence) if mask & bit])
 
+    def coords(self) -> Sequence[Point]:
+        """The vertices' coordinates, aligned with ``vertices``, made by the polytope's source on each call."""
+        if self._coords is None:
+            raise ValueError("polytope has no coordinates")
+        return self._coords(self)
+
     @cached_property
     def integer_coords(self) -> dict[str, tuple[int, ...]]:
         """Each vertex's coordinates times q, the lcm of all their denominators.
@@ -366,11 +366,10 @@ class SimplePolytope:
         values on these rows are q times its values at the vertices, so they
         are equal, and ordered, exactly when those are.
         """
-        if not self.has_coords:
-            raise ValueError("polytope has no coordinates")
-        q = lcm(*(x.denominator for v in self.vertices for x in v.coord))
+        rows = self.coords()
+        q = lcm(*(x.denominator for row in rows for x in row))
         return {
-            v.id: tuple(x.numerator * (q // x.denominator) for x in v.coord) for v in self.vertices
+            v.id: tuple(x.numerator * (q // x.denominator) for x in row) for v, row in zip(self.vertices, rows)
         }
 
 
@@ -392,9 +391,10 @@ def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
 def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     """A face of a simple polytope as a simple polytope in its own right.
 
-    Keeps the parent's facet labels (restricted), coordinates, and edges with
-    their tags; the facets kept are read off the parent's incidence masks,
-    and a vertex's mask is the parent's with the other facets' bits deleted.
+    Keeps the parent's facet labels (restricted), coordinates (read from the
+    parent when read), and edges with their tags; the facets kept are read
+    off the parent's incidence masks, and a vertex's mask is the parent's
+    with the other facets' bits deleted.
     The face's edges are the parent's edges with both ends in the face, so
     its graph is the parent's, renumbered: the face keeps the parent's
     vertex order, and with it the order of the pairs.  The restriction runs
@@ -405,17 +405,21 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
         raise ValueError("face is a vertex; it has no polytope structure")
     in_face = set(face.vertex_ids)
     position = [-1] * len(P.vertices)  # parent index -> face index, -1 outside the face
-    kept = []
+    kept = []  # parent indices of the face's vertices
     used = 0
     for i, v in enumerate(P.vertices):
         if v.id in in_face:
             position[i] = len(kept)
-            kept.append(v)
+            kept.append(i)
             used |= v.mask
     facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
     universe = tuple(f.id for f in facets)
     squeeze = renumbering(P.facet_ids, universe)
-    vertices = [Vertex(v.id, squeeze(v.mask), universe, v.coord) for v in kept]
+    vertices = [Vertex(P.vertices[i].id, squeeze(P.incidence[i]), universe) for i in kept]
+
+    def coords(_: SimplePolytope) -> list[Point]:
+        rows = P.coords()
+        return [rows[i] for i in kept]
 
     def restrict(_: SimplePolytope) -> _EdgeGraph:
         pairs, tags = [], []
@@ -426,7 +430,7 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
                 tags.append(tag)
         return pairs, tags
 
-    return SimplePolytope(sub_dim, facets, vertices, restrict)
+    return SimplePolytope(sub_dim, facets, vertices, restrict, coords if P.has_coords else None)
 
 
 class RealisationError(ValueError):
@@ -455,12 +459,12 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     {0..n/2-1} (new facet ``P1``), F2 = {n/2+1..n} (``P2``) and F3 = {n/2}
     (``P3``).  Cutting F at depth r1 leaves one vertex ``A{i}|d{m}`` for each
     i in F and m outside F: it lies on every root facet except ``d{i}`` and
-    ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m.  Two vertices of
-    one cut sharing i or sharing m span a cut edge; ``A{i}|d{m}`` and
-    ``A{m}|d{i}`` span the remnant of the root edge ``A{i}``--``A{m}``; these
-    edges are derived on first read and ``_mask_graph`` tags them.
-    Requires even n >= 4 and a rational 0 < r1 < 1/4; the result has n+4
-    facets and n(n+4)/2 vertices.
+    ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m (``_ClosedForm``,
+    when read).  Two vertices of one cut sharing i or sharing m span a cut
+    edge; ``A{i}|d{m}`` and ``A{m}|d{i}`` span the remnant of the root edge
+    ``A{i}``--``A{m}``; these edges are derived on first read and
+    ``_mask_graph`` tags them.  Requires even n >= 4 and a rational
+    0 < r1 < 1/4; the result has n+4 facets and n(n+4)/2 vertices.
     """
     if n < 4 or n % 2:
         raise ValueError(f"dimension must be even and at least 4, got {n}")
@@ -472,16 +476,35 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     bit = {f: 1 << j for j, f in enumerate(ids)}
     d = [bit[f"d{j}"] for j in range(n + 1)]
     root = sum(d)
-    near = 1 - r1
     vertices: list[Vertex] = []
     for cut, face in cuts.items():
         outside = [m for m in range(n + 1) if m not in face]
         for i in face:
             for m in outside:
-                coord = [_ZERO] * (n + 1)
-                coord[i], coord[m] = near, r1
-                vertices.append(Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | bit[cut], ids, tuple(coord)))
-    return SimplePolytope(n, facets, vertices, _mask_graph)
+                vertices.append(Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | bit[cut], ids))
+    return SimplePolytope(n, facets, vertices, _mask_graph, _ClosedForm(r1))
+
+
+class _ClosedForm:
+    """The coordinates of ``truncated_simplex(n, r1)``: ``A{i}|d{m}`` at (1-r1)*e_i + r1*e_m.
+
+    Made from the (i, m) that ``decode_truncated_simplex`` reads off the
+    masks, so a polytope with this source sits where the truncated simplex
+    at ``r1`` does exactly when its masks decode: that check needs no row.
+    """
+
+    __slots__ = ("r1", "near")
+
+    def __init__(self, r1: Fraction) -> None:
+        self.r1, self.near = r1, 1 - r1
+
+    def point(self, n: int, i: int, m: int) -> Point:
+        row = [_ZERO] * (n + 1)
+        row[i], row[m] = self.near, self.r1
+        return tuple(row)
+
+    def __call__(self, P: SimplePolytope) -> list[Point]:
+        return [self.point(P.dim, i, m) for i, m, _ in decode_truncated_simplex(P, self.r1)]
 
 
 def _describe(p: FacetProvenance) -> str:
@@ -499,9 +522,11 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
     The constructor keeps vertex masks distinct, so the (i, m) pairs are
     distinct too, and n(n+4)/2 of them are all there are: P is then the
     truncated simplex up to the names and order of its vertices, and its
-    graph is that of ``truncated_simplex``.  Costs O(V·n), almost all of it
-    in comparing coordinate tuples.  Otherwise raises ``RealisationError``
-    naming the first facet or vertex that differs.
+    graph is that of ``truncated_simplex``.  The masks are read in O(V); the
+    rows of a polytope that ``truncated_simplex`` built at this r1 are made
+    from the same labels (``_ClosedForm``) and are not compared, while any
+    other's, a load's among them, are, in O(V·n).  Otherwise raises
+    ``RealisationError`` naming the first facet or vertex that differs.
     """
     n = P.dim
     name = f"the truncated {n}-simplex"
@@ -520,7 +545,9 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
         raise RealisationError(f"facet {missing} of {name} is missing")
     if len(P.vertices) != n * (n + 4) // 2:
         raise RealisationError(f"the polytope has {len(P.vertices)} vertices, {name} has {n * (n + 4) // 2}")
-    if not P.has_coords or len(P.vertices[0].coord) != n + 1:
+    built = isinstance(P._coords, _ClosedForm) and P._coords.r1 == r1
+    rows = None if built or not P.has_coords else P.coords()
+    if not built and (rows is None or len(rows[0]) != n + 1):
         raise RealisationError(f"vertex coordinates must have {n + 1} entries, as those of {name} do")
     cut_ids = list(cuts)
     cut_of: dict[int, int] = {}  # bit -> place of its cut facet
@@ -536,9 +563,9 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
     for c, face in enumerate(cuts.values()):
         for i in face:
             face_of[i] = c
-    near = 1 - r1
+    closed = _ClosedForm(r1)
     labels = []
-    for v, mask in zip(P.vertices, P.incidence):
+    for v, mask, coord in zip(P.vertices, P.incidence, rows or [None] * len(P.vertices)):
         on_cut = mask & cut_bits
         if on_cut not in cut_of:
             raise RealisationError(f"vertex {v.id} lies on {on_cut.bit_count()} cut facets, not one")
@@ -552,13 +579,11 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
             raise RealisationError(
                 f"vertex {v.id} lies on {cut_ids[c]} and misses d{a} and d{b}; no vertex of {name} does"
             )
-        row = [_ZERO] * (n + 1)
-        row[i], row[m] = near, r1
-        if v.coord != tuple(row):
-            j = next(j for j, (x, y) in enumerate(zip(v.coord, row)) if x != y)
+        if rows is not None and coord != (row := closed.point(n, i, m)):
+            j = next(j for j, (x, y) in enumerate(zip(coord, row)) if x != y)
             raise RealisationError(
                 f"vertex {v.id} is not A{i}|d{m} of {name} at r1 = {format_fraction(r1)}: "
-                f"coordinate {j} is {format_fraction(v.coord[j])}, expected {format_fraction(row[j])}"
+                f"coordinate {j} is {format_fraction(coord[j])}, expected {format_fraction(row[j])}"
             )
         labels.append((i, m, c))
     return tuple(labels)
@@ -574,14 +599,16 @@ def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
     """
     ids = tuple(f"L.{f}" for f in P.facet_ids) + tuple(f"R.{f}" for f in Q.facet_ids)
     facets = [FacetLabel(f, original_facet(index)) for index, f in enumerate(ids)]
-    both_coords = P.has_coords and Q.has_coords
     shift = len(P.facet_ids)
-    vertices = []
-    for u in P.vertices:
-        for v in Q.vertices:
-            coord = u.coord + v.coord if both_coords else None
-            vertices.append(Vertex(f"{u.id}*{v.id}", u.mask | v.mask << shift, ids, coord))
-    return SimplePolytope(P.dim + Q.dim, facets, vertices, _mask_graph)
+    vertices = [Vertex(f"{u.id}*{v.id}", u.mask | v.mask << shift, ids) for u in P.vertices for v in Q.vertices]
+
+    def coords(R: SimplePolytope) -> list[Point]:
+        right = list(zip(Q.vertices, Q.coords()))
+        at = {f"{u.id}*{v.id}": a + b for u, a in zip(P.vertices, P.coords()) for v, b in right}
+        return [at[w.id] for w in R.vertices]
+
+    both = P.has_coords and Q.has_coords
+    return SimplePolytope(P.dim + Q.dim, facets, vertices, _mask_graph, coords if both else None)
 
 
 def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str, str] | None:
@@ -632,7 +659,7 @@ def _scaled_values(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
     """q times zeta at each vertex, evaluated on ``P.integer_coords``."""
     rows = P.integer_coords
     c = zeta.coefficients
-    if len(c) != len(P.vertices[0].coord):
+    if len(c) != len(rows[P.vertices[0].id]):
         raise ValueError("functional and point have different ambient dimensions")
     return {vid: sum(map(mul, c, row)) for vid, row in rows.items()}
 
@@ -705,9 +732,8 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
     values, which compare exactly as the unscaled ones do.  When no draw
     separates them, ``functional_draws`` raises ``ValueError``.
     """
-    if not P.has_coords:
-        raise ValueError("polytope has no coordinates")
-    for coefficients in functional_draws(len(P.vertices[0].coord), len(P.vertices), seed):
+    ambient = len(P.integer_coords[P.vertices[0].id])
+    for coefficients in functional_draws(ambient, len(P.vertices), seed):
         zeta = LinearFunctional(coefficients)
         values = _scaled_values(P, zeta)
         if len(set(values.values())) == len(P.vertices):
@@ -774,14 +800,16 @@ def polytope_to_json(P: SimplePolytope) -> dict:
     # Vertices by sorted facet-id list: two lists first differ at the lowest bit their
     # masks differ in, and the one holding it comes first, so bits read from bit 0 sort in reverse.
     width = len(P.facet_ids)
-    order = sorted(zip(P.incidence, P.vertices), key=lambda mv: format(mv[0], f"0{width}b")[::-1], reverse=True)
+    masks = P.incidence
+    order = sorted(range(len(masks)), key=lambda j: format(masks[j], f"0{width}b")[::-1], reverse=True)
     out = {
         "dim": P.dim,
         "facets": [{"id": f.id, "provenance": _provenance_to_json(f.provenance)} for f in P.facets],
-        "vertices": [_facet_list(mask, P.facet_ids) for mask, _ in order],
+        "vertices": [_facet_list(masks[j], P.facet_ids) for j in order],
     }
     if P.has_coords:
-        out["coords"] = [[format_fraction(x) for x in v.coord] for _, v in order]
+        rows = P.coords()
+        out["coords"] = [[format_fraction(x) for x in rows[j]] for j in order]
     return out
 
 
@@ -807,14 +835,18 @@ def polytope_from_json(data: dict) -> SimplePolytope:
             parsed[x] = parse_fraction(x) or _ZERO
         return parsed[x]
 
+    # Aligned with the vertices, whose ids keep the input order.
+    rows = None if coords is None else [tuple(map(parse, row)) for row in coords]
     vertices = []
     for i, fids in enumerate(raw_vertices):
         check_keys(fids, (), f"vertex entry {i}")
-        coord = tuple(map(parse, coords[i])) if coords is not None else None
         try:
             mask = reduce(or_, map(bit.__getitem__, fids), 0)
         except (KeyError, TypeError):  # a non-string id, or one of no facet: that one takes a bit past ids
             names = {str(f) for f in fids}
             mask = sum([bit.get(f, 0) for f in names]) | ((1 << len(names - bit.keys())) - 1) << len(ids)
-        vertices.append(Vertex(f"v{i:0{width}d}", mask, ids, coord))
-    return SimplePolytope(dim, facets, vertices, _mask_graph)
+        vertices.append(Vertex(f"v{i:0{width}d}", mask, ids))
+    P = SimplePolytope(dim, facets, vertices, _mask_graph, None if rows is None else lambda _: rows)
+    if rows and len(set(map(len, rows))) != 1:
+        raise ValueError("vertex coordinates live in different ambient spaces")
+    return P

@@ -22,7 +22,6 @@ nonzero entry of the working submatrix, ties broken in row-major order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import mul
 
 from .record import Record
 
@@ -244,14 +243,6 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
     return apply_rows(nonzero_rows(m), tuple(int(x) for x in v))
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bcols = list(zip(*(b.row(t) for t in range(b.rows))))
-    entries = tuple(sum(map(mul, a.row(i), col)) for i in range(a.rows) for col in bcols)
-    return IntMatrix(a.rows, b.cols, entries)
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:

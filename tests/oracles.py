@@ -12,7 +12,10 @@ for a facet bijection onto model polytopes, and separating functionals by
 a face-truncation oracle: the n-simplex, a general ``cut_face`` that walks
 the edges leaving a face and places each new vertex from the root vertex
 coordinates, and the three cuts ``P1``, ``P2``, ``P3`` applied in turn, the
-path ``truncated_simplex`` took before it built its vertices directly.  The
+path ``truncated_simplex`` took before it built its vertices directly, and
+``closed_form_coords`` writes its coordinates entry by entry, which the library
+makes from each vertex's label only when they are read (``coords_by_id`` reads
+any polytope's, keyed by vertex id; ``facet_sets`` its vertices' facet ids).  The
 ``SimplePolytope`` constructor, which derives edges on facet bitmasks, has
 the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys each
 (dim-1)-subset as a frozenset of facet-id strings, and ``frozenset_edges``,
@@ -49,7 +52,8 @@ matrix-vector products run on sparse rows, dicts from column to nonzero
 entry.  Their dense forms, which they replaced, are the oracles here:
 ``dense_fraction_free_reduce`` (the same pivot rule and updates on every
 entry of every row), ``dense_inverse_unimodular`` (it reduces the dense
-[m | I] and checks m B = I by entrywise sums) and ``dense_apply_matrix``.
+[m | I] and checks m B = I by entrywise sums) and ``dense_apply_matrix``;
+``matmul``, the dense matrix product that only tests use, moved here too.
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
 ``determinant`` or ``inverse_unimodular``.  The last section holds helpers
 over package types that only tests need; they are not oracles, and
@@ -96,7 +100,6 @@ from cpbound.zlinalg import (
     IntMatrix,
     inverse_unimodular,
     is_direct_summand,
-    matmul,
     smith_normal_form,
 )
 
@@ -178,6 +181,15 @@ def dense_fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]
         prev = piv
         pivots.append(j)
     return pivots, prev, sign
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b, each entry a sum over a row of a and a column of b."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bcols = list(zip(*(b.row(t) for t in range(b.rows))))
+    entries = tuple(sum(x * y for x, y in zip(a.row(i), col)) for i in range(a.rows) for col in bcols)
+    return IntMatrix(a.rows, b.cols, entries)
 
 
 def dense_apply_matrix(m: IntMatrix, v) -> tuple[int, ...]:
@@ -316,7 +328,7 @@ def tagged_polytope(dim: int, facets, vertices, edge_tags) -> SimplePolytope:
     def encode(v) -> Vertex:
         known = set(v.facet_ids) & bit.keys()
         unknown = len(set(v.facet_ids) - known)
-        return Vertex(v.id, sum(bit[f] for f in known) | ((1 << unknown) - 1) << len(ids), ids, v.coord)
+        return Vertex(v.id, sum(bit[f] for f in known) | ((1 << unknown) - 1) << len(ids), ids)
 
     def tagged_graph(P: SimplePolytope):
         pairs = _derive_edges(P.incidence, P.facet_ids)
@@ -329,7 +341,11 @@ def tagged_polytope(dim: int, facets, vertices, edge_tags) -> SimplePolytope:
             tags.append(tag)
         return pairs, tags
 
-    P = SimplePolytope(dim, facets, [encode(v) for v in vertices], tagged_graph)
+    given = {v.id: getattr(v, "coord", None) for v in vertices}
+    if None in given.values() and any(given.values()):
+        raise ValueError("either all vertices carry coordinates or none")
+    coords = None if None in given.values() else lambda P: [given[v.id] for v in P.vertices]
+    P = SimplePolytope(dim, facets, [encode(v) for v in vertices], tagged_graph, coords)
     P.edge_pairs
     return P
 
@@ -441,7 +457,8 @@ def frozenset_polytope_to_json(P: SimplePolytope, sets: dict[str, frozenset[str]
     order = sorted(P.vertices, key=lambda v: sorted(sets[v.id]))
     out = {"dim": P.dim, "facets": polytope_to_json(P)["facets"], "vertices": [sorted(sets[v.id]) for v in order]}
     if P.has_coords:
-        out["coords"] = [[f"{x.numerator}/{x.denominator}" for x in v.coord] for v in order]
+        coord = coords_by_id(P)
+        out["coords"] = [[f"{x.numerator}/{x.denominator}" for x in coord[v.id]] for v in order]
     return out
 
 
@@ -452,11 +469,12 @@ def navigation(P: SimplePolytope) -> dict[str, dict[str, tuple[str, Edge]]]:
     endpoint.
     """
     nav: dict[str, dict[str, tuple[str, Edge]]] = {v.id: {} for v in P.vertices}
+    facets = facet_sets(P)
     for e in edges_of(P):
         a, b = e.ends
-        shared = P.vertex_by_id[a].facet_ids & P.vertex_by_id[b].facet_ids
-        (dropped_a,) = P.vertex_by_id[a].facet_ids - shared
-        (dropped_b,) = P.vertex_by_id[b].facet_ids - shared
+        shared = facets[a] & facets[b]
+        (dropped_a,) = facets[a] - shared
+        (dropped_b,) = facets[b] - shared
         nav[a][dropped_a] = (b, e)
         nav[b][dropped_b] = (a, e)
     return nav
@@ -482,9 +500,36 @@ def simplex(n: int) -> SimplePolytope:
     return tagged_polytope(n, facets, vertices, tags)
 
 
+def facet_sets(P: SimplePolytope) -> dict[str, frozenset[str]]:
+    """Each vertex's facet ids, keyed by vertex id."""
+    return {v.id: v.facet_ids for v in P.vertices}
+
+
+def coords_by_id(P: SimplePolytope) -> dict[str, Point]:
+    """P's vertex coordinates, read once through ``P.coords()``, keyed by vertex id."""
+    return dict(zip([v.id for v in P.vertices], P.coords()))
+
+
 def root_coords(P: SimplePolytope) -> dict[str, Point]:
     """The vertex coordinates of a root polytope, keyed by vertex id, for ``cut_face``."""
-    return {v.id: v.coord for v in P.vertices}
+    return coords_by_id(P)
+
+
+def closed_form_coords(n: int, r1: Fraction) -> dict[str, Point]:
+    """The coordinates of ``truncated_simplex(n, r1)`` by vertex id: ``A{i}|d{m}`` at (1-r1)*e_i + r1*e_m.
+
+    Written from the cut faces F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 =
+    {n/2}, one ``Fraction`` entry at a time.
+    """
+    half = n // 2
+    faces = (range(half), range(half + 1, n + 1), range(half, half + 1))
+    return {
+        f"A{i}|d{m}": tuple(Fraction(1) - r1 if j == i else r1 if j == m else Fraction(0) for j in range(n + 1))
+        for face in faces
+        for i in face
+        for m in range(n + 1)
+        if m not in face
+    }
 
 
 def cut_face(
@@ -514,7 +559,8 @@ def cut_face(
         raise ValueError("face has no vertices")
     if face_verts == {v.id for v in P.vertices}:
         raise ValueError("cannot cut: the face is the whole polytope")
-    common = frozenset.intersection(*(P.vertex_by_id[v].facet_ids for v in face.vertex_ids))
+    facets = facet_sets(P)
+    common = frozenset.intersection(*(facets[v] for v in face.vertex_ids))
     if common != S:
         raise ValueError(
             f"facets {sorted(S)} do not define the face exactly; "
@@ -537,10 +583,11 @@ def cut_face(
         raise ValueError(f"facet id {new_id} already in use")
 
     nav = navigation(P)
+    here = coords_by_id(P) if P.has_coords else {}
     new_vertices: list[Vertex] = []
     tags: dict[tuple[str, str], EdgeProvenance] = {}
     for vid in sorted(face_verts):
-        v = P.vertex_by_id[vid]
+        v = SetVertex(vid, facets[vid])
         for fid in sorted(S):
             far_id, edge = nav[vid][fid]
             if far_id in face_verts:
@@ -558,11 +605,11 @@ def cut_face(
                 if vid not in (a, b):
                     raise ValueError(f"vertex {vid} is not a root endpoint of edge {edge.ends}")
                 other = b if vid == a else a
-                nv_coord = tuple((1 - r1) * x + r1 * y for x, y in zip(v.coord, roots[other]))
+                nv_coord = tuple((1 - r1) * x + r1 * y for x, y in zip(here[vid], roots[other]))
             new_vertices.append(SetVertex(nv_id, nv_facets, nv_coord))
             tags[_edge_key(nv_id, far_id)] = edge.provenance
 
-    kept = [v for v in P.vertices if v.id not in face_verts]
+    kept = [SetVertex(v.id, v.facet_ids, here.get(v.id)) for v in P.vertices if v.id not in face_verts]
     for e in edges_of(P):
         a, b = e.ends
         if a not in face_verts and b not in face_verts:
@@ -631,17 +678,18 @@ def label_by_isomorphism_search(P: SimplePolytope) -> str | None:
 
 
 def fraction_separating_functional(P: SimplePolytope, seed: int):
-    """``separating_functional`` evaluated in ``Fraction`` arithmetic at ``v.coord``.
+    """``separating_functional`` evaluated in ``Fraction`` arithmetic at the vertex coordinates.
 
     Returns the accepted functional, its unscaled values at the vertices and
     the number of draws it took.
     """
     rng = random.Random(seed)
-    ambient = len(P.vertices[0].coord)
+    coord = coords_by_id(P)
+    ambient = len(coord[P.vertices[0].id])
     bound = max(FUNCTIONAL_COEFF_BOUND, len(P.vertices) ** 2)
     for draws in range(1, FUNCTIONAL_RETRY_BUDGET + 1):
         zeta = LinearFunctional(tuple(rng.randint(-bound, bound) for _ in range(ambient)))
-        values = {v.id: zeta(v.coord) for v in P.vertices}
+        values = {vid: zeta(x) for vid, x in coord.items()}
         if len(set(values.values())) == len(P.vertices):
             return zeta, values, draws
     raise ValueError(
@@ -652,7 +700,7 @@ def fraction_separating_functional(P: SimplePolytope, seed: int):
 
 def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
     """``vertex_indices`` from ``Fraction`` values: neighbours below each vertex."""
-    values = {v.id: zeta(v.coord) for v in P.vertices}
+    values = {vid: zeta(x) for vid, x in coords_by_id(P).items()}
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
     nav = navigation(P)
@@ -884,15 +932,14 @@ def check_geometry(P: SimplePolytope) -> None:
     All vertices must be distinct exact points and every facet's vertex set
     must affinely span exactly dim-1 dimensions.
     """
-    if not P.has_coords:
-        raise ValueError("polytope has no coordinates")
+    coord = coords_by_id(P)
     seen: dict[tuple[Fraction, ...], str] = {}
-    for v in P.vertices:
-        if v.coord in seen:
-            raise ValueError(f"vertices {seen[v.coord]} and {v.id} share coordinates")
-        seen[v.coord] = v.id
+    for vid, x in coord.items():
+        if x in seen:
+            raise ValueError(f"vertices {seen[x]} and {vid} share coordinates")
+        seen[x] = vid
     for fid in P.facet_ids:
-        pts = [P.vertex_by_id[v].coord for v in P.facet_vertices(fid)]
+        pts = [coord[v] for v in P.facet_vertices(fid)]
         base = pts[0]
         diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
         rank = fraction_rank(diffs) if diffs else 0

@@ -29,7 +29,7 @@ from cpbound.charfn import (
 )
 from cpbound.cobordism import WManifold, boundary_components, build_W, glue_report
 from cpbound.polytope import product, truncated_simplex
-from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, matmul, permutation_sign
+from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, permutation_sign
 
 from oracles import (
     FractionFullCountCertificate,
@@ -39,6 +39,7 @@ from oracles import (
     fraction_rank,
     identity,
     inverse_witness,
+    matmul,
     minor_gcd_invariant_factors,
     per_vertex_validate,
     random_unimodular,
@@ -394,6 +395,50 @@ class TestFullCountCertificate:
             expected = abs(cofactor_det([rows[j] for j in chosen])) == 1
             missed = [j for j in range(len(rows)) if j not in chosen]
             assert certificate.is_unimodular(missed) == oracle.is_unimodular(chosen) == expected
+
+
+@st.composite
+def missed_rows(draw):
+    """(rows, r, missed): an m x r integer matrix M with m - r in {1, 2, 3}, and m - r rows of M to leave out.
+
+    Entries lie in [-b, b] for b in {1, 2, 6}, so 0/+-1 matrices and pivots
+    other than +-1 both occur; a repeated row, a zeroed or copied column
+    makes the kept rows, or all of M, rank-deficient.
+    """
+    rank = draw(st.integers(1, 5))
+    m = rank + draw(st.integers(1, 3))
+    bound = draw(st.sampled_from((1, 2, 6)))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(("free", "repeated-row", "zero-column", "copied-column")))
+    c = draw(st.integers(0, rank - 1))
+    if shape == "repeated-row":
+        rows[draw(st.integers(0, m - 1))] = list(rows[draw(st.integers(0, m - 1))])
+    elif shape == "zero-column":
+        rows = [row[:c] + [0] + row[c + 1 :] for row in rows]
+    elif shape == "copied-column" and rank > 1:
+        rows = [row[:c] + [row[(c + 1) % rank]] + row[c + 1 :] for row in rows]
+    missed = draw(st.lists(st.integers(0, m - 1), min_size=m - rank, max_size=m - rank, unique=True))
+    return rows, rank, sorted(missed)
+
+
+class TestMinorsAgainstBareiss:
+    """``is_unimodular`` evaluates a minor of size 1 or 2 directly and reduces a larger one.
+
+    Its verdict on the rows kept must be that of one Bareiss determinant of
+    those rows; m - r = 3 reaches minors of size 3, the elimination path.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(missed_rows())
+    @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]], 3, [0, 1, 2]))  # size 3, det 2
+    @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 1]], 3, [0, 1, 2]))  # size 3, det 1
+    @example(([[1, 0], [0, 1], [1, 1], [1, -1]], 2, [0, 1]))  # size 2, det -2
+    @example(([[1, 0], [0, 1], [1, 1], [1, 1]], 2, [0, 1]))  # size 2, repeated row
+    def test_verdict_is_the_kept_rows_determinant(self, case):
+        rows, rank, missed = case
+        kept = [rows[j] for j in range(len(rows)) if j not in missed]
+        assert _FullCountCertificate(rows, rank).is_unimodular(missed) == (abs(bareiss_det(kept)) == 1)
 
 
 class TestValidateMaskMemo:

@@ -465,6 +465,18 @@ class TestMalformedCertificates:
         assert (code, out, capsys.readouterr().err) == (2, "", err)
 
     @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    @pytest.mark.parametrize("facet", ("d0", "d2", "d4"))
+    def test_root_facet_without_a_vector(self, tmp_path, capsys, command, facet):
+        # Named as the facet without a vector, not as a fourth boundary facet.
+        data = copy.deepcopy(CERTIFICATE)
+        del data["pair"]["vectors"][facet]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: root facet {facet} carries no vector\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
     def test_vertex_entry_with_keys(self, tmp_path, capsys, command):
         data = copy.deepcopy(CERTIFICATE)
         vertices = data["pair"]["polytope"]["vertices"]

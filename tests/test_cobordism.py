@@ -43,6 +43,7 @@ from cpbound.polytope import (
 from oracles import (
     betti_boundary,
     closed_form_cell_structure,
+    coords_by_id,
     cofactor_det,
     cut_face,
     edges_of,
@@ -123,10 +124,11 @@ def relabel_facets(P, rng):
     order = list(range(len(P.facet_ids)))
     rng.shuffle(order)
     rename = {f: f"x{i:02d}" for f, i in zip(P.facet_ids, order)}
+    coord = coords_by_id(P)
     return tagged_polytope(
         P.dim,
         [FacetLabel(rename[f.id], f.provenance) for f in P.facets],
-        [SetVertex(v.id, frozenset(rename[f] for f in v.facet_ids), v.coord) for v in P.vertices],
+        [SetVertex(v.id, frozenset(rename[f] for f in v.facet_ids), coord[v.id]) for v in P.vertices],
         {e.ends: e.provenance for e in edges_of(P)},
     )
 
@@ -526,8 +528,9 @@ class TestIntegerFunctionals:
 
     @staticmethod
     def check(P, seed, draws):
-        q = math.lcm(*(x.denominator for v in P.vertices for x in v.coord))
-        assert P.integer_coords == {v.id: tuple(q * x for x in v.coord) for v in P.vertices}
+        coord = coords_by_id(P)
+        q = math.lcm(*(x.denominator for row in coord.values() for x in row))
+        assert P.integer_coords == {vid: tuple(q * x for x in row) for vid, row in coord.items()}
         draws.clear()
         try:
             zeta, values, n_draws = fraction_separating_functional(P, seed)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
+from cpbound.cobordism import boundary_components, build_W, wmanifold_from_json, wmanifold_to_json
 from cpbound.polytope import (
     FaceRef,
     FacetLabel,
@@ -39,6 +39,9 @@ from oracles import (
     frozenset_edges,
     product_h_vector,
     SetVertex,
+    closed_form_coords,
+    coords_by_id,
+    facet_sets,
     root_coords,
     simplex,
     tagged_polytope,
@@ -60,7 +63,7 @@ class TestSimplex:
 
     def test_coordinates_are_standard_basis(self):
         P = simplex(3)
-        assert P.vertex_by_id["A2"].coord == (0, 0, 1, 0)
+        assert coords_by_id(P)["A2"] == (0, 0, 1, 0)
         check_geometry(P)
 
     def test_all_edges_original(self):
@@ -198,10 +201,9 @@ class TestTruncatedSimplex:
     def test_known_coordinate(self):
         # The vertex cut from A2 towards A0 sits on the third hyperplane.
         P = truncated_simplex(4, Fraction(1, 5))
-        coords = {v.coord for v in P.vertices}
         expected = (Fraction(1, 5), Fraction(0), Fraction(4, 5), Fraction(0), Fraction(0))
-        assert expected in coords
-        assert P.vertex_by_id["A2|d0"].coord == expected
+        assert expected in P.coords()
+        assert coords_by_id(P)["A2|d0"] == expected
 
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_each_vertex_on_exactly_one_cut_facet(self, n):
@@ -242,8 +244,8 @@ class TestTruncatedSimplex:
                 out.add("P3")
             return out
 
-        for v in P.vertices:
-            assert satisfied(v.coord) == set(v.facet_ids)
+        for v, coord in zip(P.vertices, P.coords()):
+            assert satisfied(coord) == set(v.facet_ids)
 
     def test_geometry_checks_pass(self):
         for n in (4, 6):
@@ -303,11 +305,25 @@ def truncated_simplex_json(n=4, r1=Fraction(1, 5)):
 def test_loaded_certificate_has_the_built_coordinates(k):
     built = build_W(k).pair.polytope
     loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(build_W(k))))).pair.polytope
-    assert {v.facet_ids: v.coord for v in loaded.vertices} == {v.facet_ids: v.coord for v in built.vertices}
+    assert dict(zip([v.facet_ids for v in loaded.vertices], loaded.coords())) == dict(
+        zip([v.facet_ids for v in built.vertices], built.coords())
+    )
     # Each distinct coordinate string is parsed once, and every zero is the built polytope's zero.
-    assert len({id(x) for v in loaded.vertices for x in v.coord}) == 3
-    zero = next(x for x in built.vertices[0].coord if not x)
-    assert {id(x) for v in loaded.vertices for x in v.coord if not x} == {id(zero)}
+    assert len({id(x) for row in loaded.coords() for x in row}) == 3
+    zero = next(x for x in built.coords()[0] if not x)
+    assert {id(x) for row in loaded.coords() for x in row if not x} == {id(zero)}
+
+
+@pytest.mark.parametrize("r1", (Fraction(1, 5), Fraction(2, 9), Fraction(3, 13), Fraction(1, 7)))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_coordinates_are_made_from_the_labels(k, r1):
+    # The built polytope and its boundary faces read the closed form, written here entry by entry.
+    n = 2 * (k + 1)
+    expected = closed_form_coords(n, r1)
+    W = build_W(k, r1)
+    assert coords_by_id(W.pair.polytope) == expected
+    for component in boundary_components(W):
+        assert coords_by_id(component.polytope) == {v.id: expected[v.id] for v in component.polytope.vertices}
 
 
 class TestDecodeTruncatedSimplex:
@@ -443,14 +459,14 @@ class TestConstructorChecks:
     def test_non_simple_vertex_rejected(self):
         dim, facets, vertices, tags = self.parts()
         v = vertices[0]
-        vertices[0] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)}, v.coord)
+        vertices[0] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)})
         with pytest.raises(ValueError, match=f"vertex {v.id} lies on {dim - 1} facets"):
             tagged_polytope(dim, facets, vertices, tags)
 
     def test_identical_facet_sets_rejected(self):
         dim, facets, vertices, tags = self.parts()
         v = vertices[0]
-        vertices.append(SetVertex("copy", v.facet_ids, v.coord))
+        vertices.append(SetVertex("copy", v.facet_ids))
         with pytest.raises(ValueError, match="identical facet sets"):
             tagged_polytope(dim, facets, vertices, tags)
 
@@ -459,7 +475,7 @@ class TestConstructorChecks:
         P = truncated_simplex(4)
         vertices = list(P.vertices)
         v = vertices[index]
-        vertices[index] = Vertex(v.id, v.mask, P.facet_ids[::-1], v.coord)
+        vertices[index] = Vertex(v.id, v.mask, P.facet_ids[::-1])
         with pytest.raises(ValueError, match=f"^{re.escape(message)} (is|are) not over the polytope's facet ids$"):
             SimplePolytope(P.dim, P.facets, vertices, _mask_graph)
 
@@ -543,13 +559,14 @@ class TestMaskIncidenceMatchesFrozensetOracle:
     def assert_face_matches_oracle(self, P, facet):
         face = face_as_polytope(P, face_from_facets(P, [facet]))
         self.assert_derivations_agree(face)
-        vertices = [SetVertex(v.id, v.facet_ids - {facet}, v.coord) for v in P.vertices if facet in v.facet_ids]
+        coord = coords_by_id(P)
+        vertices = [SetVertex(v.id, v.facet_ids - {facet}, coord[v.id]) for v in P.vertices if facet in v.facet_ids]
         used = frozenset().union(*(v.facet_ids for v in vertices))
         facets = [f for f in P.facets if f.id in used]
         inside = {v.id for v in vertices}
         tags = {ends: tag for ends, tag in self.tags(P).items() if set(ends) <= inside}
         # Vertices over different universes are different records: compare what they say.
-        assert [(v.id, v.facet_ids, v.coord) for v in face.vertices] == [
+        assert [(v.id, v.facet_ids, x) for v, x in zip(face.vertices, face.coords())] == [
             (v.id, v.facet_ids, v.coord) for v in vertices
         ]
         assert face.facets == tuple(facets)
@@ -587,13 +604,13 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         if defect == "three-on-a-ridge":
             # A third vertex on the dim-1 facets of an edge; its other subsets
             # all hold the new facet, so this is the only one shared by three.
-            a, b = (P.vertex_by_id[end].facet_ids for end in edges_of(P)[n].ends)
+            a, b = (facet_sets(P)[end] for end in edges_of(P)[n].ends)
             facets.append(FacetLabel("zz", original_facet(n + 4)))
-            vertices.append(SetVertex("new", a & b | {"zz"}, v.coord))
+            vertices.append(SetVertex("new", a & b | {"zz"}))
         elif defect == "unknown-facet":
-            vertices[n] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)} | {"zz"}, v.coord)
+            vertices[n] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)} | {"zz"})
         else:
-            vertices.append(SetVertex("copy", v.facet_ids, v.coord))
+            vertices.append(SetVertex("copy", v.facet_ids))
         with pytest.raises(ValueError) as oracle:
             frozenset_edges(n, facets, vertices, self.tags(P))
         with pytest.raises(ValueError) as built:
@@ -623,7 +640,7 @@ class TestProduct:
     def test_coordinates_concatenate(self):
         Q = product(simplex(1), simplex(2))
         check_geometry(Q)
-        assert len(Q.vertices[0].coord) == 5
+        assert len(Q.coords()[0]) == 5
 
     @pytest.mark.parametrize(
         "P,Q",
@@ -731,7 +748,7 @@ class TestGenerateFunctional:
     def test_injective_on_vertices(self):
         P = truncated_simplex(6, Fraction(1, 8))
         zeta = generate_functional(P, 3)
-        values = {zeta(v.coord) for v in P.vertices}
+        values = {zeta(x) for x in P.coords()}
         assert len(values) == len(P.vertices)
 
     def test_degenerate_coordinates_fail(self):
@@ -790,4 +807,4 @@ class TestJson:
         P = truncated_simplex(6, Fraction(1, 6))
         loaded = polytope_from_json(polytope_to_json(P))
         assert combinatorially_isomorphic(P, loaded) is not None
-        assert {v.coord for v in loaded.vertices} == {v.coord for v in P.vertices}
+        assert set(loaded.coords()) == set(P.coords())

@@ -72,7 +72,6 @@ RECORDS = [
             "id": "A0|d2",
             "mask": 0b101,
             "universe": ("P1", "P2", "d1"),
-            "coord": (Fraction(4, 5), Fraction(0), Fraction(1, 5)),
         },
         ("mask", 0b011),
     ),
@@ -217,7 +216,6 @@ def test_reprs_are_the_dataclass_text():
 @pytest.mark.parametrize(
     "build,fields",
     [
-        (lambda: Vertex("v0", 1, ("d0",)), {"coord": None}),
         (lambda: FacetProvenance("original", 2), {"index": 2, "cut_face": None}),
         (lambda: FacetProvenance("cut", cut_face=("d0",)), {"index": None, "cut_face": ("d0",)}),
         (lambda: EdgeProvenance("cut"), {"ancestors": None}),

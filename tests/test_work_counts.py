@@ -3,7 +3,10 @@
 Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, read off the functional's entries
 without a vertex or its label, one integer elimination and no
-determinant for all the full-count vertex vector sets, one validation per
+determinant for all the full-count vertex vector sets (each a minor of
+size at most 2 on W and its components, with no elimination of its
+own), no coordinate made for a built W by ``glue_report``, ``cell_stage``
+or ``validate``, one validation per
 boundary component, one determinant per request (none for the orientation
 record or the P3 basis change), no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no dense matrix product in a ``glue`` request (delta' and
@@ -136,12 +139,44 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
         assert counts == {"_FullCountCertificate": 1, "determinant": 1}
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 8))
+def test_vertex_sets_of_w_run_no_elimination(calls, k):
+    """W and its components miss at most two assigned rows per vertex: after the
+    one reduction of M^T per pair, every vertex set is a minor of size <= 2."""
+    counts, count = calls
+    count(zlinalg, "fraction_free_reduce")
+    W = build_W(k)
+    assert counts == {"fraction_free_reduce": 1}
+    for component in cobordism.boundary_components(W):
+        counts.clear()
+        assert charfn.validate(component).ok
+        assert counts == {"fraction_free_reduce": 1}
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 10))
+def test_built_w_makes_no_coordinates(monkeypatch, k):
+    """A built truncated simplex makes its coordinates only when they are read, and these requests read none."""
+
+    def refuse(source, P):
+        raise AssertionError("a coordinate was made")
+
+    monkeypatch.setattr(polytope._ClosedForm, "__call__", refuse)
+    W = build_W(k)
+    assert glue_report(W, 0, extra_seeds=2).passed
+    assert cobordism.cell_stage(W, 3, extra_seeds=2).euler.ok
+    assert charfn.validate(W.pair).ok
+    assert W.pair.polytope.has_coords
+    with pytest.raises(AssertionError, match="^a coordinate was made$"):
+        W.pair.polytope.coords()
+    with pytest.raises(AssertionError, match="^a coordinate was made$"):
+        cobordism.boundary_components(W)[0].polytope.coords()
+
+
 def test_glue_request_runs_no_dense_product(calls):
     counts, count = calls
-    count(zlinalg, "matmul")
     count(zlinalg, "apply_matrix")
     assert run(["glue", "--k", "3"], io.StringIO()) == 0
-    # The dense products serve ``demo``'s printout and the tests only.
+    # The dense product serves ``demo``'s printout and the tests only; ``matmul`` is the tests' own.
     assert counts == {}
 
 
@@ -174,7 +209,7 @@ def test_inverse_unimodular_computes_no_determinant(calls):
         n = rng.randint(1, 9)
         m = random_unimodular(rng, n)
         inverse, det = zlinalg.inverse_unimodular(m)
-        assert zlinalg.matmul(m, inverse) == oracles.identity(n)
+        assert oracles.matmul(m, inverse) == oracles.identity(n)
         assert det == oracles.bareiss_det(oracles.matrix_rows(m))
     assert counts == {}
 

@@ -12,7 +12,6 @@ from cpbound.zlinalg import (
     fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
-    matmul,
     permutation_sign,
     smith_normal_form,
 )
@@ -26,6 +25,7 @@ from oracles import (
     fraction_rank,
     identity,
     is_unimodular_basis,
+    matmul,
     matrix_rows,
     minor_gcd_invariant_factors,
     random_matrix_rows,
