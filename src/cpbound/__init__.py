@@ -33,7 +33,6 @@ from .charfn import (
     CharPair,
     CharVector,
     TranslationWitness,
-    attach,
     delta_matrix,
     eta_standard,
     normalize_simplex_pair,

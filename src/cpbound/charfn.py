@@ -29,18 +29,22 @@ unimodular.  Below full count a vertex is checked by its Smith normal form.
 The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
 is the one this module runs: it reduces M^T for vertex validation, and each
 minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
-witness check of delta, and inverts the basis of a simplex pair, with its
-determinant, in ``normalize_simplex_pair``.  A minor of size 1 or 2 is
-evaluated directly, as the entry or as ad - bc.  A new full-count set is
-judged from the m - r assigned rows it misses; on W, and on its boundary
-components, m - r <= 2, so that is O(1) lookups and a minor of at most
-2 x 2, with no elimination.  Delta and the basis change are applied by
-their nonzero entries, collected once per call: O(n) per vector for delta.
+witness check of a delta that is no signed permutation (delta' is one, and
+its determinant is read off its rows), and inverts the basis of a simplex
+pair, with its determinant, in ``normalize_simplex_pair``.  A minor of size
+1 or 2 is evaluated directly, as the entry or as ad - bc.  A new full-count
+set is judged from the m - r assigned rows it misses; on W, and on its
+boundary components, m - r <= 2, so that is O(1) lookups and a minor of at
+most 2 x 2, with no elimination.  Delta and the basis change are applied by
+their nonzero columns, collected once per call, to each vector's nonzero
+entries; an image is matched to its canonical target up to sign, or signed
+by its first nonzero entry, without building a ``CharVector``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import chain, compress
 from math import prod
 
 from .polytope import (
@@ -57,12 +61,11 @@ from .record import Record
 from .zlinalg import (
     IntMatrix,
     Permutation,
-    apply_rows,
+    column_product,
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
     is_direct_summand,
-    nonzero_rows,
     permutation_sign,
     smith_normal_form,
 )
@@ -120,11 +123,6 @@ class CharPair:
                 f"a closed pair over a {polytope.dim}-polytope needs torus rank "
                 f"{polytope.dim}, got {torus_rank}"
             )
-
-
-def attach(P: SimplePolytope, assignment: Mapping[str, Sequence[int]], torus_rank: int) -> CharPair:
-    """Build a CharPair, canonicalizing the vectors; unmapped facets are boundary."""
-    return CharPair(P, torus_rank, {fid: CharVector.canon(v) for fid, v in assignment.items()})
 
 
 class VertexCheck(Record):
@@ -350,9 +348,11 @@ def _basis_reversal(n: int) -> Permutation:
 
 def delta_matrix(n: int) -> IntMatrix:
     """The basis reversal of Z^(n-1): the anti-diagonal permutation matrix."""
-    p = _basis_reversal(n)
     k = n - 1
-    return IntMatrix(k, k, tuple(1 if j == p(i) else 0 for i in range(k) for j in range(k)))
+    entries = [0] * (k * k)
+    for i, j in enumerate(_basis_reversal(n).images):
+        entries[i * k + j] = 1
+    return IntMatrix(k, k, tuple(entries))
 
 
 def rho_facet_bijection(n: int) -> dict[str, str]:
@@ -394,7 +394,8 @@ class TranslationReport(Record):
 def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) -> TranslationReport:
     """Check that phi is a combinatorial isomorphism and delta carries the vectors across.
 
-    Vector equality is up to global sign, i.e. on canonical representatives.
+    Vector equality is up to global sign: delta v must be the canonical
+    target t or -t.  Delta is applied by its nonzero columns, collected once.
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
@@ -415,14 +416,15 @@ def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) 
             missed &= missed - 1
         images.add(out)
     iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
-    delta = nonzero_rows(w.delta)
+    delta = column_product(w.delta)
     mismatches = []
     for fid in sorted(pair1.assignment):
         target = phi[fid]
         if target not in pair2.assignment:
             mismatches.append((fid, target))
             continue
-        if CharVector.canon(apply_rows(delta, pair1.assignment[fid].entries)) != pair2.assignment[target]:
+        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[target].entries
+        if image != t and tuple([-x for x in image]) != t:
             mismatches.append((fid, target))
     for fid in pair1.boundary_facet_ids:
         if phi[fid] in pair2.assignment:
@@ -476,21 +478,21 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     residual = ids[-1]
     basis_ids = ids[:-1]
     columns = [pair.assignment[f].entries for f in basis_ids]
-    M = IntMatrix(d, d, tuple(columns[c][r] for r in range(d) for c in range(d)))
+    M = IntMatrix(d, d, tuple(chain.from_iterable(zip(*columns))))
     B, det_m = inverse_unimodular(M)
-    rows = nonzero_rows(B)
-    u = apply_rows(rows, pair.assignment[residual].entries)
+    u = column_product(B)(pair.assignment[residual].entries)
     if any(abs(x) != 1 for x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {u} is not a sign vector")
-    A = IntMatrix(d, d, tuple(x * u[i] for i in range(d) for x in B.row(i)))
-    rows = [{j: x * s for j, x in row.items()} for row, s in zip(rows, u)]
+    scaled = (B.row(i) if s == 1 else [-x for x in B.row(i)] for i, s in enumerate(u))  # the rows of D B
+    A = IntMatrix(d, d, tuple(chain.from_iterable(scaled)))
+    apply = column_product(A)
     normal = []
     signs = []
-    for fid in ids:
-        w = apply_rows(rows, pair.assignment[fid].entries)
-        cv = CharVector.canon(w)
-        normal.append((fid, cv.entries))
-        signs.append((fid, 1 if w == cv.entries else -1))
+    for fid in ids:  # D B is unimodular: no image is zero
+        w = apply(pair.assignment[fid].entries)
+        sign = 1 if next(compress(w, w)) > 0 else -1
+        normal.append((fid, w if sign == 1 else tuple([-x for x in w])))
+        signs.append((fid, sign))
     return SimplexNormalForm(A, tuple(signs), tuple(normal), residual, prod(u) * det_m)
 
 
@@ -534,6 +536,7 @@ def charpair_from_json(data: dict) -> CharPair:
     check_keys(data, ("torus_rank", "polytope", "vectors"), "pair")
     P = polytope_from_json(data["polytope"])
     rank = parse_int(data["torus_rank"], "torus_rank")
+    check_keys(data["vectors"], None, "vectors")
     assignment = {
         str(fid): CharVector.canon([parse_int(x, "vector entry") for x in vec])
         for fid, vec in data["vectors"].items()

@@ -31,7 +31,6 @@ from .charfn import (
     TranslationWitness,
     ValidationReport,
     Verdicts,
-    attach,
     charpair_from_json,
     charpair_to_json,
     delta_matrix,
@@ -118,7 +117,7 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
         )
     n = 2 * (k + 1)
     P = truncated_simplex(n, Fraction(r1))
-    pair = attach(P, {f: v.entries for f, v in eta_facet_assignment(n).items()}, n - 1)
+    pair = CharPair(P, n - 1, eta_facet_assignment(n))
     W = WManifold(pair, n, Fraction(r1))
     if not W.report.ok:  # would be a bug in the construction, not bad input
         raise AssertionError(f"standard assignment failed validation at {W.report.failing_vertices()}")

@@ -178,13 +178,17 @@ def renumbering(source: Sequence[str], target: Sequence[str]) -> Callable[[int],
     Bit j moves to the place of ``source[j]`` in ``target``, and is dropped
     when that id is not there.  Bits that move by one shift move together, so
     between a polytope's sorted ids and a face's, a subset in the same order,
-    a mask moves in one shift per run of ids in only one of them.
+    a mask moves in one shift per run of ids in only one of them: one
+    and-shift between W and P1 or P2, whose facets are all W's ``d...`` ids.
     """
     place = {f: t for t, f in enumerate(target)}
     moves: dict[int, int] = {}
     for j, f in enumerate(source):
         if f in place:
             moves[place[f] - j] = moves.get(place[f] - j, 0) | 1 << j
+    if len(moves) == 1:
+        [(s, bits)] = moves.items()
+        return (lambda mask: (mask & bits) << s) if s >= 0 else (lambda mask: (mask & bits) >> -s)
     return lambda mask: sum([(mask & bits) << s if s >= 0 else (mask & bits) >> -s for s, bits in moves.items()])
 
 
@@ -779,14 +783,18 @@ def _provenance_to_json(p: FacetProvenance) -> dict:
     return {"kind": "cut", "face": list(p.cut_face)}
 
 
-def check_keys(data: object, allowed: tuple[str, ...], where: str) -> None:
-    """Reject a JSON object holding a key outside ``allowed``: a certificate carries nothing unread."""
-    for key in data if isinstance(data, dict) else ():
+def check_keys(data: object, allowed: tuple[str, ...] | None, where: str) -> None:
+    """Reject a non-object, and a key outside ``allowed`` when given: a certificate carries nothing unread."""
+    if not isinstance(data, dict):
+        kind = "null" if data is None else type(data).__name__
+        raise ValueError(f"malformed certificate: {where} must be a JSON object, got {kind}")
+    for key in data if allowed is not None else ():
         if key not in allowed:
             raise ValueError(f"malformed certificate: unknown key {key!r} in {where}")
 
 
 def _provenance_from_json(d: dict, j: int) -> FacetProvenance:
+    check_keys(d, None, f"the provenance of facet entry {j}")
     if d["kind"] == "original":
         check_keys(d, ("kind", "index"), f"the provenance of facet entry {j}")
         return original_facet(parse_int(d["index"], "facet index"))
@@ -839,7 +847,8 @@ def polytope_from_json(data: dict) -> SimplePolytope:
     rows = None if coords is None else [tuple(map(parse, row)) for row in coords]
     vertices = []
     for i, fids in enumerate(raw_vertices):
-        check_keys(fids, (), f"vertex entry {i}")
+        if isinstance(fids, dict):  # an entry is a list of facet ids
+            check_keys(fids, (), f"vertex entry {i}")
         try:
             mask = reduce(or_, map(bit.__getitem__, fids), 0)
         except (KeyError, TypeError):  # a non-string id, or one of no facet: that one takes a bit past ids

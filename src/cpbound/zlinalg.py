@@ -1,13 +1,14 @@
 """Exact integer linear algebra on Python's arbitrary-precision integers.
 
-Matrices are immutable value types, stored dense.  The one fraction-free
+Matrices are immutable value types, stored dense and read by their nonzero
+entries, which one scan in C (``compress``) finds.  The one fraction-free
 (Bareiss) Gauss-Jordan elimination, which gives determinants, unimodular
-inverses and the vertex certificates of ``charfn``, and the matrix-vector
-products run on sparse rows, dicts from column to nonzero entry, and touch
-only those.  Every matrix on W's glue path has O(n) of them: the determinant
-of the permutation delta' takes O(n^2) membership tests and no row update,
-inverting P3's basis change updates O(n) entries, and applying delta' to a
-vector takes O(n) steps; reading a dense matrix into sparse rows is O(n^2).
+inverses and the vertex certificates of ``charfn``, runs on sparse rows,
+dicts from column to nonzero entry, and ``column_product`` adds x * column j
+over a vector's nonzero entries x = v_j.  On W's glue path the determinant
+of the signed permutation delta' is its permutation's sign, inverting P3's
+basis change updates O(n) entries, and applying delta' to one of W's
+vectors, with one or two nonzero entries, takes O(1) steps beyond the scan.
 The Smith normal form is the classical dense pivot-and-reduce algorithm, run
 only on a failing or below-full-count vertex set.  No floats, no
 machine-word arithmetic: intermediate determinant values overflow 64 bits
@@ -21,7 +22,8 @@ nonzero entry of the working submatrix, ties broken in row-major order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import compress
 
 from .record import Record
 
@@ -67,7 +69,10 @@ class Permutation(Record):
 
 def nonzero_rows(m: IntMatrix) -> list[dict[int, int]]:
     """The rows of ``m`` as sparse rows: dicts from column to nonzero entry."""
-    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    for p in compress(range(len(m.entries)), m.entries):
+        rows[p // m.cols][p % m.cols] = m.entries[p]
+    return rows
 
 
 def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
@@ -113,10 +118,15 @@ def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant, by fraction-free elimination."""
+    """Exact determinant: a signed permutation's sign times its entries, any other by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    pivots, d, sign = fraction_free_reduce(nonzero_rows(m))
+    rows = nonzero_rows(m)
+    if all(len(row) == 1 for row in rows):
+        images, entries = zip(*[item for row in rows for item in row.items()])
+        if len(set(images)) == m.rows and set(entries) <= {1, -1}:
+            return permutation_sign(Permutation(images)) * (-1) ** entries.count(-1)
+    pivots, d, sign = fraction_free_reduce(rows)
     return sign * d if len(pivots) == m.rows else 0
 
 
@@ -233,16 +243,27 @@ def permutation_sign(p: Permutation) -> int:
     return sign
 
 
-def apply_rows(rows: Sequence[dict[int, int]], v: Sequence[int]) -> tuple[int, ...]:
-    """The product of the matrix with these sparse rows and v, one step per nonzero entry."""
-    return tuple([sum([x * v[j] for j, x in row.items()]) for row in rows])
+def column_product(m: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map v -> m v on integer vectors of length ``m.cols``: x * column j of m, summed over v's nonzero x = v_j."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
+    for p in compress(range(len(m.entries)), m.entries):  # each column's nonzero entries, collected once
+        columns[p % m.cols].append((p // m.cols, m.entries[p]))
+
+    def product(v: Sequence[int]) -> tuple[int, ...]:
+        out = [0] * m.rows
+        for j in compress(range(len(v)), v):
+            for i, y in columns[j]:
+                out[i] += v[j] * y
+        return tuple(out)
+
+    return product
 
 
 def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     """Matrix-vector product over Z; m must be square of the vector's size."""
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
-    return apply_rows(nonzero_rows(m), tuple(int(x) for x in v))
+    return column_product(m)(tuple(int(x) for x in v))
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:

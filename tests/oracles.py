@@ -47,17 +47,20 @@ with ``indices_from_values`` and follows each vertex's root edge by its tag.
 ``closed_form_cell_structure`` is the per-vertex closed form it ran next,
 which reads each index off the vertex's (i, m, cut) label; ``generator_counts``
 counts either list by index.
-The library's one elimination, ``zlinalg.fraction_free_reduce``, and its
-matrix-vector products run on sparse rows, dicts from column to nonzero
-entry.  Their dense forms, which they replaced, are the oracles here:
-``dense_fraction_free_reduce`` (the same pivot rule and updates on every
-entry of every row), ``dense_inverse_unimodular`` (it reduces the dense
-[m | I] and checks m B = I by entrywise sums) and ``dense_apply_matrix``;
-``matmul``, the dense matrix product that only tests use, moved here too.
+The library's one elimination, ``zlinalg.fraction_free_reduce``, runs on
+sparse rows, dicts from column to nonzero entry, and its matrix-vector
+product, ``zlinalg.column_product``, over a vector's nonzero entries and the
+matrix's nonzero columns.  Their dense forms, which they replaced, are the
+oracles here: ``dense_fraction_free_reduce`` (the same pivot rule and
+updates on every entry of every row), ``dense_inverse_unimodular`` (it
+reduces the dense [m | I] and checks m B = I by entrywise sums) and
+``dense_apply_matrix``; ``matmul``, the dense matrix product that only tests
+use, moved here too.
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
 ``determinant`` or ``inverse_unimodular``.  The last section holds helpers
 over package types that only tests need; they are not oracles, and
-``inverse_witness`` does use the library's inverse.
+``inverse_witness`` does use the library's inverse.  ``attach``, which builds
+a pair from plain integer vectors, canonicalizing each, is one of them.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cpbound.charfn import CharPair, TranslationWitness, ValidationReport, VertexCheck
+from cpbound.charfn import CharPair, CharVector, TranslationWitness, ValidationReport, VertexCheck
 from cpbound.cobordism import WManifold, betti_from_h_vector
 from cpbound.polytope import (
     CUT_EDGE,
@@ -911,6 +914,11 @@ def edge_between(P: SimplePolytope, a: str, b: str) -> Edge:
         if e.ends == key:
             return e
     raise ValueError(f"{a} and {b} are not adjacent")
+
+
+def attach(P: SimplePolytope, assignment, torus_rank: int) -> CharPair:
+    """Build a CharPair, canonicalizing the vectors; unmapped facets are boundary."""
+    return CharPair(P, torus_rank, {fid: CharVector.canon(v) for fid, v in assignment.items()})
 
 
 def inverse_witness(w: TranslationWitness) -> TranslationWitness:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from cpbound.charfn import (
     CharVector,
     TranslationWitness,
-    attach,
     delta_matrix,
     eta_facet_assignment,
     eta_standard,
@@ -44,7 +43,15 @@ from cpbound.zlinalg import (
     smith_normal_form,
 )
 
-from oracles import cofactor_det, fraction_rank, identity, minor_gcd_invariant_factors, random_matrix_rows, simplex
+from oracles import (
+    attach,
+    cofactor_det,
+    fraction_rank,
+    identity,
+    minor_gcd_invariant_factors,
+    random_matrix_rows,
+    simplex,
+)
 
 EVEN_RANGE = (4, 6, 8, 10, 12)
 

@@ -13,7 +13,6 @@ from cpbound.charfn import (
     TranslationWitness,
     ValidationReport,
     VertexCheck,
-    attach,
     charpair_from_json,
     charpair_to_json,
     delta_matrix,
@@ -33,9 +32,11 @@ from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, permutation_si
 
 from oracles import (
     FractionFullCountCertificate,
+    attach,
     bareiss_det,
     cofactor_det,
     compose_witnesses,
+    dense_apply_matrix,
     fraction_rank,
     identity,
     inverse_witness,
@@ -611,6 +612,76 @@ class TestVerifyTranslation:
     def test_witness_requires_unimodular_delta(self):
         with pytest.raises(ValueError, match="determinant"):
             TranslationWitness({}, IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("n", EVEN_RANGE)
+    def test_witness_rejects_delta_prime_with_an_entry_2(self, n):
+        # Each row keeps a single entry in its own column, but not +-1: no signed permutation.
+        k = n - 1
+        entries = list(delta_matrix(n).entries)
+        entries[(k // 2) * k + k - 1 - k // 2] = 2
+        with pytest.raises(ValueError, match=r"^delta must have determinant \+-1$"):
+            TranslationWitness(rho_facet_bijection(n), IntMatrix(k, k, tuple(entries)))
+
+    @staticmethod
+    def components(n):
+        pair = w_pair(n)
+        return restrict_to_facet(pair, "P1"), restrict_to_facet(pair, "P2")
+
+    @staticmethod
+    def with_vector(pair, fid, entries):
+        return CharPair(pair.polytope, pair.torus_rank, {**pair.assignment, fid: CharVector.canon(entries)})
+
+    @staticmethod
+    def oracle_mismatches(pair1, pair2, w):
+        """The mismatches on canonical representatives of the dense products."""
+        out = []
+        for fid in sorted(pair1.assignment):
+            target = w.phi[fid]
+            image = CharVector.canon(dense_apply_matrix(w.delta, pair1.assignment[fid].entries))
+            if target not in pair2.assignment or image != pair2.assignment[target]:
+                out.append((fid, target))
+        out += [(fid, w.phi[fid]) for fid in pair1.boundary_facet_ids if w.phi[fid] in pair2.assignment]
+        return tuple(out)
+
+    @pytest.mark.parametrize("n", EVEN_RANGE)
+    def test_a_negated_image_still_matches(self, n):
+        """delta' v = -t for a canonical target t is a match: vectors are equal up to sign."""
+        p1, p2 = self.components(n)
+        witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
+        v = (1,) + (0,) * (n - 3) + (-1,)
+        image = apply_matrix(witness.delta, v)
+        assert image == tuple(-x for x in v)
+        for fid in sorted(p1.assignment):
+            p1v, p2v = self.with_vector(p1, fid, v), self.with_vector(p2, witness.phi[fid], image)
+            assert p2v.assignment[witness.phi[fid]].entries == v
+            report = verify_translation(p1v, p2v, witness)
+            assert report.ok and report == verify_translation(p1, p2, witness)
+
+    @pytest.mark.parametrize("n", EVEN_RANGE)
+    def test_negated_delta_carries_every_vector_across(self, n):
+        p1, p2 = self.components(n)
+        d = delta_matrix(n)
+        witness = TranslationWitness(rho_facet_bijection(n), IntMatrix(d.rows, d.cols, tuple(-x for x in d.entries)))
+        assert verify_translation(p1, p2, witness).ok
+
+    @pytest.mark.parametrize("n", EVEN_RANGE)
+    def test_mismatches_of_a_changed_vector_match_the_dense_oracle(self, n):
+        rng = random.Random(n)
+        p1, p2 = self.components(n)
+        witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
+        mismatched = 0
+        for fid in sorted(p1.assignment):
+            entries = [0] * (n - 1)
+            while not any(entries):
+                entries = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n - 1)]
+            changed = self.with_vector(p1, fid, entries), self.with_vector(p2, witness.phi[fid], entries)
+            for pair1, pair2 in ((changed[0], p2), (p1, changed[1])):
+                report = verify_translation(pair1, pair2, witness)
+                expected = self.oracle_mismatches(pair1, pair2, witness)
+                assert report.vector_mismatches == expected
+                assert report.ok == (not expected)
+                mismatched += bool(expected)
+        assert mismatched > len(p1.assignment)
 
 
 class TestNormalizeSimplexPair:

@@ -377,6 +377,33 @@ class TestMalformedCertificates:
         assert code == 2 and out == ""
         assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ("glue", "validate"))
+    @pytest.mark.parametrize(
+        "edit,where,kind",
+        [
+            (lambda data: [data], "the certificate", "list"),
+            (lambda data: "w.json", "the certificate", "str"),
+            (set_at("pair", None), "pair", "null"),
+            (set_at("pair", []), "pair", "list"),
+            (set_at("pair", "polytope", [1, 2]), "polytope", "list"),
+            (set_at("pair", "vectors", []), "vectors", "list"),
+            (set_at("pair", "vectors", 7), "vectors", "int"),
+            (set_at("pair", "polytope", "facets", 4, ["d1", {"kind": "original"}]), "facet entry 4", "list"),
+            (set_at("pair", "polytope", "facets", 0, "provenance", "cut"), "the provenance of facet entry 0", "str"),
+            (set_at("pair", "polytope", "facets", 3, "provenance", None), "the provenance of facet entry 3", "null"),
+        ],
+        ids=[
+            "top-level-list", "top-level-string", "pair-null", "pair-list", "polytope-list", "vectors-list",
+            "vectors-int", "facet-entry-list", "provenance-string", "provenance-null",
+        ],
+    )
+    def test_not_an_object(self, tmp_path, capsys, command, edit, where, kind):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: {where} must be a JSON object, got {kind}\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
     @pytest.mark.parametrize("command", ("validate", "glue"))
     @pytest.mark.parametrize("edit", COERCED_NUMBERS.values(), ids=COERCED_NUMBERS.keys())
     def test_json_number_of_the_wrong_kind(self, tmp_path, capsys, command, edit):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpbound.charfn import attach, charpair_from_json, charpair_to_json, eta_facet_assignment, validate
+from cpbound.charfn import charpair_from_json, charpair_to_json, eta_facet_assignment, validate
 from cpbound import cobordism
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
@@ -41,6 +41,7 @@ from cpbound.polytope import (
 )
 
 from oracles import (
+    attach,
     betti_boundary,
     closed_form_cell_structure,
     coords_by_id,

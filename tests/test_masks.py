@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpbound.charfn import Verdicts, attach, eta_facet_assignment, normalize_simplex_pair, validate
+from cpbound.charfn import Verdicts, eta_facet_assignment, normalize_simplex_pair, validate
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
     WManifold,
@@ -24,9 +24,17 @@ from cpbound.cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
-from cpbound.polytope import face_as_polytope, face_from_facets, polytope_to_json, product, truncated_simplex
+from cpbound.polytope import (
+    face_as_polytope,
+    face_from_facets,
+    polytope_to_json,
+    product,
+    renumbering,
+    truncated_simplex,
+)
 
 from oracles import (
+    attach,
     bareiss_det,
     frozenset_face_sets,
     frozenset_polytope_to_json,
@@ -257,3 +265,50 @@ def test_printed_basis_change_determinant_is_the_bareiss_determinant(k):
     printed = int(re.fullmatch(r".*basis change determinant (-?\d+)", details).group(1))
     form = normalize_simplex_pair(report.components[2])
     assert printed == form.det == bareiss_det(matrix_rows(form.basis_change))
+
+
+def bitwise_renumbering(source, target, mask):
+    """``renumbering`` bit by bit: each set bit j goes to the place of ``source[j]`` in ``target``, if it is there."""
+    out = 0
+    for j, f in enumerate(source):
+        if mask >> j & 1 and f in target:
+            out |= 1 << target.index(f)
+    return out
+
+
+class TestRenumberingAgainstBitwiseOracle:
+    """``renumbering`` moves a mask by one shift per run of ids, by one and-shift when there is one run."""
+
+    @staticmethod
+    def assert_matches(source, target, masks):
+        forward, back = renumbering(source, target), renumbering(target, source)
+        for mask in masks:
+            image = forward(mask)
+            assert image == bitwise_renumbering(source, target, mask)
+            assert back(image) == bitwise_renumbering(target, source, image)
+
+    @staticmethod
+    def random_masks(rng, width, count=40):
+        return [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_subsets(self, seed):
+        rng = random.Random(seed)
+        ids = sorted(f"f{i}" for i in range(rng.randint(1, 30)))
+        runs = rng.choice(("one", "several"))
+        if runs == "one":  # a contiguous run of the sorted ids
+            lo = rng.randrange(len(ids))
+            subset = ids[lo : rng.randint(lo + 1, len(ids))]
+        else:
+            subset = [f for f in ids if rng.random() < 0.5]
+        self.assert_matches(ids, subset, self.random_masks(rng, len(ids)))
+        self.assert_matches(subset, ids, self.random_masks(rng, len(subset)))
+
+    @pytest.mark.parametrize("k", KS)
+    def test_w_and_its_components(self, k):
+        W = build_W(k)
+        P = W.pair.polytope
+        for component in boundary_components(W):
+            masks = list(P.incidence) + self.random_masks(random.Random(k), len(P.facet_ids))
+            self.assert_matches(P.facet_ids, component.polytope.facet_ids, masks)
+            self.assert_matches(component.polytope.facet_ids, P.facet_ids, component.polytope.incidence)

@@ -8,7 +8,8 @@ size at most 2 on W and its components, with no elimination of its
 own), no coordinate made for a built W by ``glue_report``, ``cell_stage``
 or ``validate``, one validation per
 boundary component, one determinant per request (none for the orientation
-record or the P3 basis change), no Smith normal form on a valid datum, no determinant to invert a
+record or the P3 basis change), read off delta' as a signed permutation,
+and two eliminations per request, no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no dense matrix product in a ``glue`` request (delta' and
 P3's basis change are applied by their nonzero entries), no model polytope
 built to recognize the boundary, one
@@ -127,16 +128,18 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
     counts, count = calls
     count(zlinalg, "determinant")
     count(zlinalg, "smith_normal_form")
+    count(zlinalg, "fraction_free_reduce")
     count(charfn, "_FullCountCertificate")
     for _ in range(2):  # nothing is remembered across requests
         counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
         # W's one certificate serves the components through W.verdicts and
-        # needs no determinant; the one is the witness check of delta'.  The
-        # P3 basis change takes its determinant from the reduction that
-        # inverts it, and det delta' for the orientation record is the sign
-        # of the reversal delta' permutes by.
-        assert counts == {"_FullCountCertificate": 1, "determinant": 1}
+        # needs no determinant; the one is the witness check of delta',
+        # read off its rows as a signed permutation, with no elimination.
+        # The two eliminations reduce W's M^T and invert the P3 basis
+        # change, which gives that change's determinant too; det delta' for
+        # the orientation record is the sign of the reversal delta' permutes by.
+        assert counts == {"_FullCountCertificate": 1, "determinant": 1, "fraction_free_reduce": 2}
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 8))

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpbound import zlinalg
 from cpbound.zlinalg import (
     IntMatrix,
     Permutation,
     apply_matrix,
+    column_product,
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
@@ -209,8 +211,10 @@ class TestSparseEliminationAgainstDense:
 
     Both apply the same pivot rule and the same exact updates, so besides the
     pivots, d and sign, every reduced entry must agree, the pivot block
-    included.  ``inverse_unimodular`` and ``apply_matrix``, which run on
-    sparse rows, must equal their dense forms.
+    included.  ``inverse_unimodular``, which runs on sparse rows, and
+    ``column_product`` (behind ``apply_matrix``), which runs on a matrix's
+    nonzero columns and a vector's nonzero entries, must equal their dense
+    forms.
     """
 
     @staticmethod
@@ -255,6 +259,31 @@ class TestSparseEliminationAgainstDense:
         v = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
         assert apply_matrix(m, v) == dense_apply_matrix(m, v)
         assert apply_matrix(inverse, apply_matrix(m, v)) == tuple(v)
+        self.assert_products_match(m, data)
+        self.assert_products_match(inverse, data)
+
+    @staticmethod
+    def assert_products_match(m, data):
+        """One ``column_product`` of m, applied to several vectors, each with zero entries or none."""
+        product = column_product(m)
+        for bound in (1, 4, 50):
+            v = data.draw(st.lists(st.integers(-bound, bound), min_size=m.cols, max_size=m.cols))
+            assert product(v) == dense_apply_matrix(m, v)
+        unit = [0] * m.cols
+        unit[data.draw(st.integers(0, m.cols - 1))] = -3
+        assert product(unit) == dense_apply_matrix(m, unit)
+        assert product([0] * m.cols) == (0,) * m.rows
+
+    @given(dense_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_product_on_dense_matrices(self, rows, data):
+        # Any shape, with zero rows and zero columns among the drawn matrices.
+        self.assert_products_match(IntMatrix.from_rows(rows), data)
+
+    @given(signed_permutation_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_column_product_on_signed_permutations(self, case, data):
+        self.assert_products_match(IntMatrix.from_rows(signed_permutation_rows(case)), data)
 
     @given(dense_rows(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -429,3 +458,65 @@ class TestApplyAndInverse:
         for rows in singular_or_det_2:
             with pytest.raises(ValueError, match="not unimodular"):
                 inverse_unimodular(IntMatrix.from_rows(rows))
+
+
+NEAR_MISSES = ("entry-2", "repeated-column", "zero-row", "extra-entry")
+
+
+@st.composite
+def near_signed_permutations(draw, max_size=40):
+    """A signed permutation matrix, as rows, and one change that makes it none: its kind and the rows."""
+    p, signs = draw(signed_permutation_matrices(max_size))
+    rows = signed_permutation_rows((p, signs))
+    n = len(rows)
+    kind = draw(st.sampled_from(NEAR_MISSES if n > 1 else NEAR_MISSES[::2]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "entry-2":
+        rows[i][p(i)] *= 2
+    elif kind == "zero-row":
+        rows[i] = [0] * n
+    else:  # another row's column, for a repeated column or for an extra entry
+        j = p(draw(st.sampled_from([r for r in range(n) if r != i])))
+        if kind == "repeated-column":
+            rows[i][p(i)] = 0
+        rows[i][j] = draw(st.sampled_from((1, -1, 2, -5)))
+    return kind, rows
+
+
+class TestSignedPermutationDeterminant:
+    """``determinant`` reads a signed permutation matrix's determinant off its rows, with no elimination.
+
+    Any other matrix, however close, takes the fraction-free elimination, and
+    both paths must equal the Bareiss oracle.
+    """
+
+    @staticmethod
+    def determinant_and_eliminations(rows):
+        calls = []
+        reduce = zlinalg.fraction_free_reduce
+
+        def counting(a):
+            calls.append(len(a))
+            return reduce(a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zlinalg, "fraction_free_reduce", counting)
+            return determinant(IntMatrix.from_rows(rows)), len(calls)
+
+    @given(signed_permutation_matrices())
+    @settings(max_examples=150, deadline=None)
+    @example((Permutation(tuple(range(39, -1, -1))), [1] * 40))  # delta' at n = 41
+    def test_signed_permutations(self, case):
+        rows = signed_permutation_rows(case)
+        assert self.determinant_and_eliminations(rows) == (bareiss_det(rows), 0)
+
+    @given(near_signed_permutations())
+    @settings(max_examples=300, deadline=None)
+    def test_near_misses(self, case):
+        kind, rows = case
+        det, eliminations = self.determinant_and_eliminations(rows)
+        assert (det, eliminations) == (bareiss_det(rows), 1)
+        if kind == "entry-2":
+            assert abs(det) == 2
+        elif kind in ("repeated-column", "zero-row"):
+            assert det == 0
