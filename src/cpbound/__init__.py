@@ -24,7 +24,6 @@ from .polytope import (
     face_as_polytope,
     face_from_facets,
     generate_functional,
-    h_vector,
     product,
     truncated_simplex,
     vertex_indices,
@@ -46,6 +45,7 @@ from .charfn import (
 from .cobordism import (
     WManifold,
     boundary_components,
+    boundary_h_vectors,
     build_W,
     cell_stage,
     cell_structure,

@@ -50,6 +50,7 @@ from math import prod
 from .polytope import (
     SimplePolytope,
     check_keys,
+    check_list,
     face_as_polytope,
     face_from_facets,
     parse_int,
@@ -538,7 +539,7 @@ def charpair_from_json(data: dict) -> CharPair:
     rank = parse_int(data["torus_rank"], "torus_rank")
     check_keys(data["vectors"], None, "vectors")
     assignment = {
-        str(fid): CharVector.canon([parse_int(x, "vector entry") for x in vec])
+        str(fid): CharVector.canon([parse_int(x, "vector entry") for x in check_list(vec, f"vector {fid}")])
         for fid, vec in data["vectors"].items()
     }
     return CharPair(P, rank, assignment)

@@ -23,6 +23,7 @@ from .cobordism import (
     WManifold,
     betti_from_h_vector,
     boundary_components,
+    boundary_h_vectors,
     build_W,
     cell_stage,
     glue_report,
@@ -31,7 +32,7 @@ from .cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
-from .polytope import RealisationError, format_fraction, generate_functional, h_vector, parse_fraction
+from .polytope import RealisationError, format_fraction, parse_fraction
 from .zlinalg import apply_matrix
 
 _EXIT_OK = 0
@@ -194,9 +195,8 @@ def _cmd_boundary(args, out) -> int:
         return _EXIT_CHECK_FAILED
     components = boundary_components(W)
     rows = []
-    for fid, comp in zip(BOUNDARY_FACETS, components):
+    for fid, comp, h in zip(BOUNDARY_FACETS, components, boundary_h_vectors(W, args.seed)):
         label = identify_simplex_or_product(comp.polytope) or "unrecognized"
-        h = h_vector(comp.polytope, generate_functional(comp.polytope, args.seed))
         betti = betti_from_h_vector(h)
         rows.append(
             {

@@ -14,7 +14,10 @@ vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
 simplex that every ``WManifold`` is checked to be, the generators at a root
 vertex i of a cut face F have the indices b_i+1, ..., b_i+t_i, one each,
 where b_i and t_i count the entries of c below c_i inside and outside F.
-``cell_structure`` sums these intervals from one sorted order of c.
+``cell_structure`` sums these intervals from one sorted order of c.  The
+boundary component on the cut facet of F is Delta^(|F|-1) x Delta^(|R|-1),
+R the root vertices outside F, and ``boundary_h_vectors`` writes its h-vector
+from |F| and |R| alone.
 """
 
 from __future__ import annotations
@@ -152,6 +155,26 @@ class CellStructure(Record):
         return {2 * j - 1: c for j, c in self.counts}
 
 
+def _separating_draw(W: WManifold, faces: list[range], seed: int) -> tuple[int, ...]:
+    """The first draw c of ``functional_draws`` that separates the vertices on the cut faces ``faces``.
+
+    The vertices on a cut face F are the ``A{i}|d{m}`` with i in F and m
+    outside it.  For r1 = p/q, c takes q times its value, (q-p)*c_i + p*c_m,
+    at each; a draw separates the vertices when these values are distinct
+    over all the faces given.  The draws are those ``generate_functional``
+    takes on a polytope of these vertices and their coordinates, and so is
+    the error when none separates them.
+    """
+    n = W.n
+    p, q = W.r1.numerator, W.r1.denominator
+    pairs = [(face, [m for m in range(n + 1) if m not in face]) for face in faces]
+    count = sum(len(face) * len(rest) for face, rest in pairs)
+    for c in functional_draws(n + 1, count, seed):
+        scaled = [([(q - p) * c[i] for i in face], [p * c[m] for m in rest]) for face, rest in pairs]
+        if len({x + y for inside, outside in scaled for x in inside for y in outside}) == count:
+            return c
+
+
 def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     """Cells of (W, boundary), counted by index: vertices whose unique root edge points inward.
 
@@ -173,16 +196,12 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     b_i = t_i = 0; one of index n is a generator with b_i + t_i = n.
     """
     n = W.n
-    p, q = W.r1.numerator, W.r1.denominator
-    faces = [(face, [m for m in range(n + 1) if m not in face]) for face in cut_faces(n).values()]
-    for c in functional_draws(n + 1, len(W.labels), seed):
-        scaled = [([(q - p) * c[i] for i in face], [p * c[m] for m in rest]) for face, rest in faces]
-        if len({x + y for inside, outside in scaled for x in inside for y in outside}) == len(W.labels):
-            break
+    faces = list(cut_faces(n).values())
+    c = _separating_draw(W, faces, seed)
     order = sorted(range(n + 1), key=c.__getitem__)
     steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
     extremes = [0, 0]  # vertices of index 0 and of index n
-    for face, _ in faces:
+    for face in faces:
         b = t = 0  # entries of c inside and outside the face below the current one
         for j in order:
             if j not in face:
@@ -275,6 +294,27 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
     euler = EulerCheck(sum(structure.index_counts().values()), boundary_vertices // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
+
+
+def boundary_h_vectors(W: WManifold, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The h-vectors of the boundary components on P1, P2 and P3, aligned with ``BOUNDARY_FACETS``.
+
+    The component on the cut facet of F has the vertices ``A{i}|d{m}`` of
+    ``W.labels`` with i in F and m in R, the root indices outside F; two are
+    adjacent when they share i or share m.  Under a functional c that
+    separates them, its index at ``A{i}|d{m}`` is the rank of c_i within F
+    plus the rank of c_m within R, so h_j = #{(a, b) in [0,|F|) x [0,|R|) :
+    a + b = j} = min(j+1, |F|, |R|, |F|+|R|-1-j), whatever c is.  Each
+    component still takes its draw under ``seed`` (``_separating_draw`` on
+    that face alone), so a component that no draw separates raises the
+    ``ValueError`` of ``functional_draws``.
+    """
+    h_vectors = []
+    for face in cut_faces(W.n).values():
+        _separating_draw(W, [face], seed)
+        a, b = len(face), W.n + 1 - len(face)
+        h_vectors.append(tuple(min(j + 1, a, b, a + b - 1 - j) for j in range(a + b - 1)))
+    return tuple(h_vectors)
 
 
 def betti_from_h_vector(h: tuple[int, ...]) -> dict[int, int]:

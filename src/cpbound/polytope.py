@@ -1,4 +1,4 @@
-"""Combinatorial simple polytopes with provenance-tagged facets and edges.
+"""Combinatorial simple polytopes with provenance-tagged facets.
 
 A polytope is stored by vertex-facet incidence: each vertex lies on exactly
 ``dim`` facets (simplicity).  Facet and vertex ids are strings at the API and
@@ -8,25 +8,13 @@ sorted facet ids (``Vertex.mask``, ``SimplePolytope.incidence``), from which
 the truncated simplex's in closed form, a face's by deleting the parent's bits
 of the facets it drops (``renumbering``), a load's from each facet-id list.
 
-The edge graph is kept as index pairs into ``vertices`` (``edge_pairs``,
-sorted), with one provenance tag per pair (``edge_tags``): an edge is a
-remnant of an edge of the root polytope ("original", with the root endpoints
-recorded) or was created by a truncation ("cut").  Edges are derived, never
-read from input: two vertices are adjacent when they share ``dim - 1``
-facets, that is when one mask with a bit dropped equals the other with a bit
-dropped.  ``truncated_simplex``, ``polytope_from_json`` and ``product`` tag
-the derived pairs from the masks (``_mask_graph``).  An edge inside a cut
-facet is a cut edge.  Any other edge of a truncated simplex is the remnant of
-the root edge ``A{a}``--``A{b}``, where ``d{a}`` and ``d{b}`` are the two root
-facets both its ends miss; an edge of a product is its own root edge.
-
-The graph is built on first read of ``edge_pairs`` or ``edge_tags``, not by
-the constructor, and that is when its checks run: the derivation rejects a
-ridge (``dim - 1`` facets) shared by more than two vertices, and the graph
-must be connected.  The constructor keeps only the O(V) incidence checks.  A
-face of a simple polytope has as edges exactly the parent's edges with both
-ends in the face, so ``face_as_polytope`` restricts the parent's pairs and
-tags, when they are first read, instead of deriving them again.
+A polytope stores no edges.  Two vertices are adjacent when they share
+``dim - 1`` facets, that is when one mask with a bit dropped equals the other
+with a bit dropped; ``vertex_indices`` derives the pairs from the masks
+(``_derive_edges``, which also rejects a ridge shared by more than two
+vertices) each time it is called, and no request calls it.  The pipeline
+reads the truncated simplex through each vertex's (i, m, cut) label instead,
+whose graph, cells and boundary h-vectors have closed forms.
 
 The one truncation the pipeline needs is built in closed form.  Cut the faces
 F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
@@ -51,7 +39,7 @@ seed gives the same coefficients on every path that evaluates them.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -100,30 +88,6 @@ class FacetLabel(Record):
         set_id, set_provenance = self._setters
         set_id(self, id)
         set_provenance(self, provenance)
-
-
-class EdgeProvenance(Record):
-    __slots__ = ("kind", "ancestors")
-
-    def __init__(self, kind: str, ancestors: tuple[str, str] | None = None) -> None:
-        if kind not in ("original", "cut"):
-            raise ValueError(f"unknown edge provenance kind {kind!r}")
-        if kind == "original" and ancestors is None:
-            raise ValueError("original edge provenance needs its root endpoints")
-        set_kind, set_ancestors = self._setters
-        set_kind(self, kind)  # "original" | "cut"
-        set_ancestors(self, ancestors)  # root vertex ids, original edges only
-
-
-CUT_EDGE = EdgeProvenance("cut")
-
-
-def original_edge(a: str, b: str) -> EdgeProvenance:
-    return EdgeProvenance("original", tuple(sorted((a, b))))
-
-
-# Edge index pairs into a polytope's vertices, sorted, and their tags, aligned.
-_EdgeGraph = tuple[Sequence[tuple[int, int]], Sequence[EdgeProvenance]]
 
 
 class Vertex(Record):
@@ -223,70 +187,15 @@ def _derive_edges(masks: Sequence[int], universe: Sequence[str]) -> list[tuple[i
     return pairs
 
 
-def _mask_graph(P: SimplePolytope) -> _EdgeGraph:
-    """The derived edge pairs of P, each tagged from the incidence masks of its ends.
-
-    An edge whose ends share a cut facet is a cut edge.  Any other edge is an
-    original one: when the original facets are the n+1 root facets of a
-    truncated n-simplex, indexed 0..n, it is the remnant of the root edge
-    ``A{a}``--``A{b}`` for a, b the two root facets both ends miss; otherwise
-    it is its own root edge.  The ends of an edge share n-1 facets, so when
-    none of them is cut they miss exactly two of the n+1 root facets.
-    """
-    pairs = _derive_edges(P.incidence, P.facet_ids)
-    cut_mask = 0
-    orig_index: dict[int, int] = {}  # bit -> root facet index
-    for j, f in enumerate(P.facets):
-        if f.provenance.kind == "cut":
-            cut_mask |= 1 << j
-        else:
-            orig_index[1 << j] = f.provenance.index
-    orig_mask = sum(orig_index)
-    # A truncation of the n-simplex keeps the n+1 root facets, indexed 0..n.
-    simplex_root = sorted(orig_index.values()) == list(range(P.dim + 1))
-    masks = P.incidence
-    ids = [v.id for v in P.vertices]
-    tags = []
-    for i, j in pairs:
-        shared = masks[i] & masks[j]
-        if shared & cut_mask:
-            tags.append(CUT_EDGE)
-        elif simplex_root:
-            missing = orig_mask & ~shared
-            low = missing & -missing
-            tags.append(original_edge(f"A{orig_index[low]}", f"A{orig_index[missing ^ low]}"))
-        else:
-            tags.append(original_edge(ids[i], ids[j]))
-    return pairs, tags
-
-
-def _is_connected(count: int, pairs: Sequence[tuple[int, int]]) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(count)]
-    for i, j in pairs:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == count
-
-
 class SimplePolytope:
-    """A combinatorial simple polytope (vertex-facet incidence plus tags).
+    """A combinatorial simple polytope (vertex-facet incidence plus facet tags).
 
     ``incidence`` holds each vertex's mask, aligned with ``vertices``: bit j
     stands for ``facet_ids[j]``, the universe every vertex must share.  A bit
     past the universe stands for a facet id that is not one of the polytope's.
-    ``edge_pairs`` holds the edges as sorted index pairs into ``vertices`` and
-    ``edge_tags`` their provenance, aligned with them: ``graph`` is called
-    with the polytope on the first read of either and returns both; the
-    connectivity check runs then.  ``coords``, if given, makes the
-    coordinates, aligned with ``vertices``, from the polytope on each read
-    of ``coords()``.  Instances are immutable by convention.
+    ``coords``, if given, makes the coordinates, aligned with ``vertices``,
+    from the polytope on each read of ``coords()``.  Instances are immutable
+    by convention.
     """
 
     def __init__(
@@ -294,7 +203,6 @@ class SimplePolytope:
         dim: int,
         facets: Sequence[FacetLabel],
         vertices: Sequence[Vertex],
-        graph: Callable[[SimplePolytope], _EdgeGraph],
         coords: Callable[[SimplePolytope], Sequence[Point]] | None = None,
     ) -> None:
         if dim < 1:
@@ -330,25 +238,6 @@ class SimplePolytope:
         self.has_coords = coords is not None
         for fid in _facet_list(~used, self.facet_ids):
             raise ValueError(f"facet {fid} contains no vertex")
-        self._graph = graph
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[tuple[int, int], ...], tuple[EdgeProvenance, ...]]:
-        """The edge pairs and their tags, from ``graph`` on first read; the graph must be connected."""
-        pairs, tags = self._graph(self)
-        if not pairs and len(self.vertices) > 1:
-            raise ValueError("vertex-edge graph is disconnected (no edges)")
-        if not _is_connected(len(self.vertices), pairs):
-            raise ValueError("vertex-edge graph is disconnected")
-        return tuple(pairs), tuple(tags)
-
-    @property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._edges[0]
-
-    @property
-    def edge_tags(self) -> tuple[EdgeProvenance, ...]:
-        return self._edges[1]
 
     def facet_vertices(self, facet_id: str) -> tuple[str, ...]:
         if facet_id not in self.facet_ids:
@@ -395,25 +284,19 @@ def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
 def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
     """A face of a simple polytope as a simple polytope in its own right.
 
-    Keeps the parent's facet labels (restricted), coordinates (read from the
-    parent when read), and edges with their tags; the facets kept are read
-    off the parent's incidence masks, and a vertex's mask is the parent's
-    with the other facets' bits deleted.
-    The face's edges are the parent's edges with both ends in the face, so
-    its graph is the parent's, renumbered: the face keeps the parent's
-    vertex order, and with it the order of the pairs.  The restriction runs
-    on the first read of the face's graph, and reads the parent's then.
+    Keeps the parent's facet labels (restricted) and coordinates (read from
+    the parent when read); the facets kept are read off the parent's
+    incidence masks, and a vertex's mask is the parent's with the other
+    facets' bits deleted.
     """
     sub_dim = P.dim - len(face.facet_ids)
     if sub_dim < 1:
         raise ValueError("face is a vertex; it has no polytope structure")
     in_face = set(face.vertex_ids)
-    position = [-1] * len(P.vertices)  # parent index -> face index, -1 outside the face
     kept = []  # parent indices of the face's vertices
     used = 0
     for i, v in enumerate(P.vertices):
         if v.id in in_face:
-            position[i] = len(kept)
             kept.append(i)
             used |= v.mask
     facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
@@ -425,16 +308,7 @@ def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
         rows = P.coords()
         return [rows[i] for i in kept]
 
-    def restrict(_: SimplePolytope) -> _EdgeGraph:
-        pairs, tags = [], []
-        for (i, j), tag in zip(P.edge_pairs, P.edge_tags):
-            a, b = position[i], position[j]
-            if a >= 0 and b >= 0:
-                pairs.append((a, b))
-                tags.append(tag)
-        return pairs, tags
-
-    return SimplePolytope(sub_dim, facets, vertices, restrict, coords if P.has_coords else None)
+    return SimplePolytope(sub_dim, facets, vertices, coords if P.has_coords else None)
 
 
 class RealisationError(ValueError):
@@ -464,10 +338,9 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     (``P3``).  Cutting F at depth r1 leaves one vertex ``A{i}|d{m}`` for each
     i in F and m outside F: it lies on every root facet except ``d{i}`` and
     ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m (``_ClosedForm``,
-    when read).  Two vertices of one cut sharing i or sharing m span a cut
-    edge; ``A{i}|d{m}`` and ``A{m}|d{i}`` span the remnant of the root edge
-    ``A{i}``--``A{m}``; these edges are derived on first read and
-    ``_mask_graph`` tags them.  Requires even n >= 4 and a rational
+    when read).  Two vertices of one cut sharing i or sharing m span an edge
+    inside the cut facet; ``A{i}|d{m}`` and ``A{m}|d{i}`` span the remnant
+    of the root edge ``A{i}``--``A{m}``.  Requires even n >= 4 and a rational
     0 < r1 < 1/4; the result has n+4 facets and n(n+4)/2 vertices.
     """
     if n < 4 or n % 2:
@@ -486,7 +359,7 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
         for i in face:
             for m in outside:
                 vertices.append(Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | bit[cut], ids))
-    return SimplePolytope(n, facets, vertices, _mask_graph, _ClosedForm(r1))
+    return SimplePolytope(n, facets, vertices, _ClosedForm(r1))
 
 
 class _ClosedForm:
@@ -525,12 +398,12 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
     ``d{m}`` with m outside it, and sit at exactly (1-r1)*e_i + r1*e_m.
     The constructor keeps vertex masks distinct, so the (i, m) pairs are
     distinct too, and n(n+4)/2 of them are all there are: P is then the
-    truncated simplex up to the names and order of its vertices, and its
-    graph is that of ``truncated_simplex``.  The masks are read in O(V); the
-    rows of a polytope that ``truncated_simplex`` built at this r1 are made
-    from the same labels (``_ClosedForm``) and are not compared, while any
-    other's, a load's among them, are, in O(V·n).  Otherwise raises
-    ``RealisationError`` naming the first facet or vertex that differs.
+    truncated simplex up to the names and order of its vertices.  The masks
+    are read in O(V); the rows of a polytope that ``truncated_simplex`` built
+    at this r1 are made from the same labels (``_ClosedForm``) and are not
+    compared, while any other's, a load's among them, are, in O(V·n).
+    Otherwise raises ``RealisationError`` naming the first facet or vertex
+    that differs.
     """
     n = P.dim
     name = f"the truncated {n}-simplex"
@@ -596,10 +469,9 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
 def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
     """Combinatorial product: facets are the disjoint union, vertices pairs.
 
-    Every facet is original, P's and Q's indexed in turn, so there are more
-    than dim + 1 of them and ``_mask_graph`` tags each edge as its own root
-    edge.  The ids ``L.*`` sort before ``R.*``, each in the order of P's or
-    Q's ids, so a vertex's mask is u's with v's shifted past P's facets.
+    Every facet is original, P's and Q's indexed in turn.  The ids ``L.*``
+    sort before ``R.*``, each in the order of P's or Q's ids, so a vertex's
+    mask is u's with v's shifted past P's facets.
     """
     ids = tuple(f"L.{f}" for f in P.facet_ids) + tuple(f"R.{f}" for f in Q.facet_ids)
     facets = [FacetLabel(f, original_facet(index)) for index, f in enumerate(ids)]
@@ -612,7 +484,7 @@ def product(P: SimplePolytope, Q: SimplePolytope) -> SimplePolytope:
         return [at[w.id] for w in R.vertices]
 
     both = P.has_coords and Q.has_coords
-    return SimplePolytope(P.dim + Q.dim, facets, vertices, _mask_graph, coords if both else None)
+    return SimplePolytope(P.dim + Q.dim, facets, vertices, coords if both else None)
 
 
 def combinatorially_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> dict[str, str] | None:
@@ -672,34 +544,18 @@ def vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[str, int]:
     """Per-vertex count of incident edges pointing toward the vertex.
 
     Edges are oriented toward the larger zeta value; zeta must be injective
-    on the vertex set.
+    on the vertex set.  The edges are derived from the masks on each call.
     """
-    return indices_from_values(P, _scaled_values(P, zeta))
-
-
-def indices_from_values(P: SimplePolytope, values: Mapping[str, int]) -> dict[str, int]:
-    """``vertex_indices`` for a functional given by its values at the vertices.
-
-    The values may be scaled by any q > 0, as those of ``separating_functional`` are.
-    """
+    values = _scaled_values(P, zeta)
     if len(set(values.values())) != len(values):
         raise ValueError("functional is not injective on the vertices")
     at = [values[v.id] for v in P.vertices]
     counts = [0] * len(at)
-    for i, j in P.edge_pairs:
+    for i, j in _derive_edges(P.incidence, P.facet_ids):
         counts[i if at[i] > at[j] else j] += 1
     if counts.count(P.dim) != 1 or counts.count(0) != 1:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     return {v.id: c for v, c in zip(P.vertices, counts)}
-
-
-def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:
-    """(h_0, ..., h_dim) where h_i counts vertices of index i."""
-    ind = vertex_indices(P, zeta)
-    counts = [0] * (P.dim + 1)
-    for i in ind.values():
-        counts[i] += 1
-    return tuple(counts)
 
 
 def functional_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tuple[int, ...]]:
@@ -750,10 +606,6 @@ def separating_functional(P: SimplePolytope, seed: int) -> tuple[LinearFunctiona
 #           "facets": [{"id": str, "provenance": {...}}, ...]   (sorted by id),
 #           "vertices": [[facet ids, sorted], ...]              (sorted),
 #           "coords": [["p/q", ...], ...] }                     (optional, aligned)
-#
-# Edges are derived on first read after a load and tagged by ``_mask_graph``:
-# an edge is a cut edge exactly when it lies inside a cut facet, otherwise it
-# is a remnant of a root edge.
 
 
 def format_fraction(x: Fraction) -> str:
@@ -783,14 +635,24 @@ def _provenance_to_json(p: FacetProvenance) -> dict:
     return {"kind": "cut", "face": list(p.cut_face)}
 
 
+def _json_kind(data: object) -> str:
+    return "null" if data is None else type(data).__name__
+
+
 def check_keys(data: object, allowed: tuple[str, ...] | None, where: str) -> None:
     """Reject a non-object, and a key outside ``allowed`` when given: a certificate carries nothing unread."""
     if not isinstance(data, dict):
-        kind = "null" if data is None else type(data).__name__
-        raise ValueError(f"malformed certificate: {where} must be a JSON object, got {kind}")
+        raise ValueError(f"malformed certificate: {where} must be a JSON object, got {_json_kind(data)}")
     for key in data if allowed is not None else ():
         if key not in allowed:
             raise ValueError(f"malformed certificate: unknown key {key!r} in {where}")
+
+
+def check_list(data: object, where: str) -> list:
+    """``data`` when it is a JSON array; otherwise the error names ``where``, as ``check_keys`` does."""
+    if not isinstance(data, list):
+        raise ValueError(f"malformed certificate: {where} must be a JSON array, got {_json_kind(data)}")
+    return data
 
 
 def _provenance_from_json(d: dict, j: int) -> FacetProvenance:
@@ -800,7 +662,7 @@ def _provenance_from_json(d: dict, j: int) -> FacetProvenance:
         return original_facet(parse_int(d["index"], "facet index"))
     if d["kind"] == "cut":
         check_keys(d, ("kind", "face"), f"the provenance of facet entry {j}")
-        return cut_facet([str(x) for x in d["face"]])
+        return cut_facet([str(x) for x in check_list(d["face"], f"the cut face of facet entry {j}")])
     raise ValueError(f"unknown facet provenance {d!r}")
 
 
@@ -826,13 +688,15 @@ def polytope_from_json(data: dict) -> SimplePolytope:
     check_keys(data, ("dim", "facets", "vertices", "coords"), "polytope")
     dim = parse_int(data["dim"], "dim")
     facets = []
-    for j, f in enumerate(data["facets"]):
+    for j, f in enumerate(check_list(data["facets"], "facets")):
         check_keys(f, ("id", "provenance"), f"facet entry {j}")
         facets.append(FacetLabel(str(f["id"]), _provenance_from_json(f["provenance"], j)))
     ids = tuple(sorted(f.id for f in facets))
     bit = {f: 1 << j for j, f in enumerate(ids)}
     coords = data.get("coords")
-    raw_vertices = data["vertices"]
+    raw_vertices = check_list(data["vertices"], "vertices")
+    if coords is not None:
+        check_list(coords, "coords")
     if coords is not None and len(coords) != len(raw_vertices):
         raise ValueError("coords and vertices have different lengths")
     width = len(str(len(raw_vertices)))
@@ -844,18 +708,21 @@ def polytope_from_json(data: dict) -> SimplePolytope:
         return parsed[x]
 
     # Aligned with the vertices, whose ids keep the input order.
-    rows = None if coords is None else [tuple(map(parse, row)) for row in coords]
+    rows = None if coords is None else [
+        tuple(map(parse, check_list(row, f"coordinate row {i}"))) for i, row in enumerate(coords)
+    ]
     vertices = []
     for i, fids in enumerate(raw_vertices):
         if isinstance(fids, dict):  # an entry is a list of facet ids
             check_keys(fids, (), f"vertex entry {i}")
+        check_list(fids, f"vertex entry {i}")
         try:
             mask = reduce(or_, map(bit.__getitem__, fids), 0)
         except (KeyError, TypeError):  # a non-string id, or one of no facet: that one takes a bit past ids
             names = {str(f) for f in fids}
             mask = sum([bit.get(f, 0) for f in names]) | ((1 << len(names - bit.keys())) - 1) << len(ids)
         vertices.append(Vertex(f"v{i:0{width}d}", mask, ids))
-    P = SimplePolytope(dim, facets, vertices, _mask_graph, None if rows is None else lambda _: rows)
+    P = SimplePolytope(dim, facets, vertices, None if rows is None else lambda _: rows)
     if rows and len(set(map(len, rows))) != 1:
         raise ValueError("vertex coordinates live in different ambient spaces")
     return P

@@ -15,15 +15,20 @@ coordinates, and the three cuts ``P1``, ``P2``, ``P3`` applied in turn, the
 path ``truncated_simplex`` took before it built its vertices directly, and
 ``closed_form_coords`` writes its coordinates entry by entry, which the library
 makes from each vertex's label only when they are read (``coords_by_id`` reads
-any polytope's, keyed by vertex id; ``facet_sets`` its vertices' facet ids).  The
-``SimplePolytope`` constructor, which derives edges on facet bitmasks, has
-the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys each
-(dim-1)-subset as a frozenset of facet-id strings, and ``frozenset_edges``,
-which runs the constructor's checks on those sets and returns ``Edge``
-records of sorted vertex ids.  ``edges_of`` gives any polytope's
-``edge_pairs`` in that form, which no request reads, and ``tagged_polytope``
-builds a polytope whose edges take caller-given tags, a path only tests use,
-from vertices given by their facet-id sets (``SetVertex``).
+any polytope's, keyed by vertex id; ``facet_sets`` its vertices' facet ids).
+A polytope stores no edges.  ``edges_of`` derives any polytope's from its
+masks (``polytope._derive_edges``, which rejects a ridge on three vertices),
+checks that they connect it, and tags each as the library did before it
+stopped keeping edges (``EdgeProvenance``): an edge whose ends share a cut
+facet is a cut edge; any other is the remnant of the root edge
+``A{a}``--``A{b}`` when the original facets are the dim+1 facets ``d{a}`` of
+a simplex, a and b the two both ends miss, and otherwise its own root edge.
+``checked_polytope`` builds a polytope from vertices given by their facet-id
+sets (``SetVertex``) and runs those graph checks at once.  The derivation
+has the frozenset oracle it replaced: ``frozenset_derive_edges``, which keys
+each (dim-1)-subset as a frozenset of facet-id strings, and
+``frozenset_edges``, which runs the constructor's and the graph checks on
+those sets and returns ``Edge`` records of sorted vertex ids.
 The per-vertex facet sets, which the library now keeps only as masks, have
 the frozenset build they replaced: ``frozenset_truncated_simplex_sets``,
 ``frozenset_face_sets``, ``frozenset_simplex_sets`` and
@@ -43,7 +48,11 @@ counts by index from intervals of ranks, have two oracles that list one
 ``CellGenerator`` record per generator, which the library no longer builds.
 ``graph_walk_cell_structure`` is the graph walk it ran first: it orients W's
 derived edge graph by ``separating_functional``, counts each vertex's index
-with ``indices_from_values`` and follows each vertex's root edge by its tag.
+with ``vertex_indices`` and follows each vertex's root edge, the one edge
+whose ends share no cut facet.  ``cobordism.boundary_h_vectors`` writes each
+boundary component's h-vector from its cut face; ``h_vector`` is the graph
+walk ``cpbound boundary`` ran before, the count of vertices of each index
+under ``vertex_indices``.
 ``closed_form_cell_structure`` is the per-vertex closed form it ran next,
 which reads each index off the vertex's (i, m, cut) label; ``generator_counts``
 counts either list by index.
@@ -74,10 +83,8 @@ from fractions import Fraction
 from cpbound.charfn import CharPair, CharVector, TranslationWitness, ValidationReport, VertexCheck
 from cpbound.cobordism import WManifold, betti_from_h_vector
 from cpbound.polytope import (
-    CUT_EDGE,
     FUNCTIONAL_COEFF_BOUND,
     FUNCTIONAL_RETRY_BUDGET,
-    EdgeProvenance,
     FaceRef,
     FacetLabel,
     LinearFunctional,
@@ -90,13 +97,11 @@ from cpbound.polytope import (
     face_from_facets,
     functional_draws,
     generate_functional,
-    h_vector,
-    indices_from_values,
-    original_edge,
     original_facet,
     polytope_to_json,
     product,
     separating_functional,
+    vertex_indices,
 )
 from cpbound.record import Record
 from cpbound.zlinalg import (
@@ -291,16 +296,77 @@ def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
 
 
+class EdgeProvenance(Record):
+    """Where an edge came from: a remnant of an edge of the root polytope, or a truncation."""
+
+    __slots__ = ("kind", "ancestors")
+
+    def __init__(self, kind: str, ancestors: tuple[str, str] | None = None) -> None:
+        if kind not in ("original", "cut"):
+            raise ValueError(f"unknown edge provenance kind {kind!r}")
+        if kind == "original" and ancestors is None:
+            raise ValueError("original edge provenance needs its root endpoints")
+        self._fill(kind, ancestors)  # ancestors: root vertex ids, original edges only
+
+
+CUT_EDGE = EdgeProvenance("cut")
+
+
+def original_edge(a: str, b: str) -> EdgeProvenance:
+    return EdgeProvenance("original", tuple(sorted((a, b))))
+
+
 @dataclass(frozen=True)
 class Edge:
     ends: tuple[str, str]  # sorted vertex ids
     provenance: EdgeProvenance
 
 
+def _is_connected(count: int, pairs) -> bool:
+    adjacency: list[list[int]] = [[] for _ in range(count)]
+    for i, j in pairs:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == count
+
+
 def edges_of(P: SimplePolytope) -> tuple[Edge, ...]:
-    """P's edges with their vertex ids, in ``edge_pairs`` order."""
+    """P's edges, derived from its masks and tagged, with their vertex ids, in ``_derive_edges`` order.
+
+    The graph must be connected.  An edge whose ends share a cut facet is a
+    cut edge.  Any other is an original one: when the original facets are
+    the dim+1 root facets of a truncated simplex, indexed 0..dim, it is the
+    remnant of the root edge ``A{a}``--``A{b}`` for a, b the two root facets
+    both ends miss (the ends share dim-1 facets, none of them cut); otherwise
+    it is its own root edge.
+    """
+    masks = P.incidence
+    pairs = _derive_edges(masks, P.facet_ids)
+    if not _is_connected(len(masks), pairs):
+        raise ValueError("vertex-edge graph is disconnected")
+    cut = sum(1 << j for j, f in enumerate(P.facets) if f.provenance.kind == "cut")
+    root = {1 << j: f.provenance.index for j, f in enumerate(P.facets) if f.provenance.kind == "original"}
+    simplex_root = sorted(root.values()) == list(range(P.dim + 1))
     ids = [v.id for v in P.vertices]
-    return tuple(Edge((ids[i], ids[j]), tag) for (i, j), tag in zip(P.edge_pairs, P.edge_tags))
+    edges = []
+    for i, j in pairs:
+        shared = masks[i] & masks[j]
+        if shared & cut:
+            tag = CUT_EDGE
+        elif simplex_root:
+            a, b = (f"A{index}" for bit, index in root.items() if not shared & bit)
+            tag = original_edge(a, b)
+        else:
+            tag = original_edge(ids[i], ids[j])
+        edges.append(Edge((ids[i], ids[j]), tag))
+    return tuple(edges)
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -316,14 +382,14 @@ class SetVertex:
     coord: tuple | None = None
 
 
-def tagged_polytope(dim: int, facets, vertices, edge_tags) -> SimplePolytope:
-    """A polytope whose derived edges take the caller's tags, keyed by sorted vertex ids.
+def checked_polytope(dim: int, facets, vertices) -> SimplePolytope:
+    """A polytope from vertices given by their facet ids, whose graph is checked at once.
 
     Each vertex, a ``Vertex`` or a ``SetVertex``, is read by its
     ``facet_ids`` and encoded as a mask over the sorted ids of ``facets``; an
     id that is no facet's takes a bit past them, as in ``polytope_from_json``,
-    and the constructor rejects it.  The graph is derived and checked at
-    once, so a missing tag, a shared ridge or a disconnected graph raises here.
+    and the constructor rejects it.  ``edges_of`` then derives the graph, so
+    a shared ridge or a disconnected graph raises here.
     """
     ids = tuple(sorted(f.id for f in facets))
     bit = {f: 1 << j for j, f in enumerate(ids)}
@@ -333,23 +399,12 @@ def tagged_polytope(dim: int, facets, vertices, edge_tags) -> SimplePolytope:
         unknown = len(set(v.facet_ids) - known)
         return Vertex(v.id, sum(bit[f] for f in known) | ((1 << unknown) - 1) << len(ids), ids)
 
-    def tagged_graph(P: SimplePolytope):
-        pairs = _derive_edges(P.incidence, P.facet_ids)
-        tags = []
-        for i, j in pairs:
-            a, b = P.vertices[i].id, P.vertices[j].id
-            tag = edge_tags.get((a, b))
-            if tag is None:
-                raise ValueError(f"edge {a}--{b} has no provenance tag")
-            tags.append(tag)
-        return pairs, tags
-
     given = {v.id: getattr(v, "coord", None) for v in vertices}
     if None in given.values() and any(given.values()):
         raise ValueError("either all vertices carry coordinates or none")
     coords = None if None in given.values() else lambda P: [given[v.id] for v in P.vertices]
-    P = SimplePolytope(dim, facets, [encode(v) for v in vertices], tagged_graph, coords)
-    P.edge_pairs
+    P = SimplePolytope(dim, facets, [encode(v) for v in vertices], coords)
+    edges_of(P)
     return P
 
 
@@ -496,11 +551,7 @@ def simplex(n: int) -> SimplePolytope:
         fs = frozenset(f"d{m}" for m in range(n + 1) if m != j)
         coord = tuple(Fraction(1 if i == j else 0) for i in range(n + 1))
         vertices.append(SetVertex(f"A{j}", fs, coord))
-    tags = {}
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            tags[_edge_key(f"A{a}", f"A{b}")] = original_edge(f"A{a}", f"A{b}")
-    return tagged_polytope(n, facets, vertices, tags)
+    return checked_polytope(n, facets, vertices)
 
 
 def facet_sets(P: SimplePolytope) -> dict[str, frozenset[str]]:
@@ -548,7 +599,8 @@ def cut_face(
     exactly l edges leaving the face (one per defining facet); cutting places
     a new vertex on each, so the new facet is combinatorially the product of
     the face with an (l-1)-simplex.  Edges inside the new facet are tagged
-    "cut"; the remnant of each leaving edge keeps its tag.
+    "cut"; the remnant of each leaving edge keeps its tag.  Every edge
+    ``edges_of`` derives on the result must be one of these.
 
     ``roots`` maps each vertex of the root polytope to its coordinates.  With
     coordinates present the new vertex on the leaving edge at v towards root
@@ -630,7 +682,11 @@ def cut_face(
         kept_facets |= v.facet_ids
     # A codimension-1 cut consumes the cut facet itself.
     labels = [f for f in labels if f.id in kept_facets]
-    return tagged_polytope(P.dim, labels, all_vertices, tags)
+    Q = checked_polytope(P.dim, labels, all_vertices)
+    for e in edges_of(Q):
+        if e.ends not in tags:
+            raise ValueError(f"edge {e.ends[0]}--{e.ends[1]} has no provenance tag")
+    return Q
 
 
 def three_cut_truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
@@ -740,15 +796,18 @@ def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerato
     """The generators of ``cell_structure`` by walking the edge graph of W's polytope, in vertex order.
 
     Orients the derived edges by ``separating_functional``'s values, takes
-    each vertex's index from ``indices_from_values``, and makes a vertex a
-    generator when the one root edge its tags give it points at it.
+    each vertex's index from ``vertex_indices``, and makes a vertex a
+    generator when its one root edge, the edge whose ends share no cut
+    facet, points at it.
     """
     poly = W.pair.polytope
-    _, values = separating_functional(poly, seed)
-    ind = indices_from_values(poly, values)
+    zeta, values = separating_functional(poly, seed)
+    ind = vertex_indices(poly, zeta)
+    masks = poly.incidence
+    cut = sum(1 << j for j, f in enumerate(poly.facets) if f.provenance.kind == "cut")
     root_edges: list[list[int]] = [[] for _ in poly.vertices]
-    for (i, j), tag in zip(poly.edge_pairs, poly.edge_tags):
-        if tag.kind == "original":
+    for i, j in _derive_edges(masks, poly.facet_ids):
+        if not masks[i] & masks[j] & cut:
             root_edges[i].append(j)
             root_edges[j].append(i)
     ids = [v.id for v in poly.vertices]
@@ -801,6 +860,14 @@ def closed_form_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerat
     if extremes != [1, 1]:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     return _checked_top_cell(n, gens)
+
+
+def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:
+    """(h_0, ..., h_dim) where h_i counts the vertices of index i under zeta (``vertex_indices``)."""
+    counts = [0] * (P.dim + 1)
+    for i in vertex_indices(P, zeta).values():
+        counts[i] += 1
+    return tuple(counts)
 
 
 def is_unimodular_basis(vectors, k: int) -> bool:

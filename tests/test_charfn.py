@@ -37,6 +37,7 @@ from oracles import (
     cofactor_det,
     compose_witnesses,
     dense_apply_matrix,
+    edges_of,
     fraction_rank,
     identity,
     inverse_witness,
@@ -461,7 +462,8 @@ class TestValidateMaskMemo:
         by_mask = self.mapped_masks(W.pair)
         assert len(P.vertices) == n * (n + 4) // 2
         assert len(by_mask) == n * (n + 4) // 4  # 195 of 390 at k = 12
-        root_edges = {e for e, tag in zip(P.edge_pairs, P.edge_tags) if tag.kind == "original"}
+        index = {v.id: j for j, v in enumerate(P.vertices)}
+        root_edges = {tuple(index[end] for end in e.ends) for e in edges_of(P) if e.provenance.kind == "original"}
         assert {tuple(ends) for ends in by_mask.values()} == root_edges
 
     @pytest.mark.parametrize("k", (1, 2, 5))

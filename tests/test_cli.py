@@ -404,6 +404,27 @@ class TestMalformedCertificates:
         err = f"error: malformed certificate: {where} must be a JSON object, got {kind}\n"
         assert (code, out, capsys.readouterr().err) == (2, "", err)
 
+    @pytest.mark.parametrize("command", ("glue", "validate"))
+    @pytest.mark.parametrize(
+        "edit,where",
+        [
+            (set_at("pair", "vectors", "d0", 7), "vector d0"),
+            (set_at("pair", "polytope", "facets", 5), "facets"),
+            (set_at("pair", "polytope", "facets", 0, "provenance", "face", 5), "the cut face of facet entry 0"),
+            (set_at("pair", "polytope", "vertices", 5), "vertices"),
+            (set_at("pair", "polytope", "vertices", 3, 5), "vertex entry 3"),
+            (set_at("pair", "polytope", "coords", 5), "coords"),
+            (set_at("pair", "polytope", "coords", 2, 5), "coordinate row 2"),
+        ],
+        ids=["vector", "facets", "cut-face", "vertices", "vertex-entry", "coords", "coordinate-row"],
+    )
+    def test_not_an_array(self, tmp_path, capsys, command, edit, where):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: {where} must be a JSON array, got int\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
     @pytest.mark.parametrize("command", ("validate", "glue"))
     @pytest.mark.parametrize("edit", COERCED_NUMBERS.values(), ids=COERCED_NUMBERS.keys())
     def test_json_number_of_the_wrong_kind(self, tmp_path, capsys, command, edit):

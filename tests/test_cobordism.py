@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpbound.charfn import charpair_from_json, charpair_to_json, eta_facet_assignment, validate
 from cpbound import cobordism
@@ -15,6 +17,7 @@ from cpbound.cobordism import (
     EulerCheck,
     WManifold,
     boundary_components,
+    boundary_h_vectors,
     build_W,
     cell_stage,
     cell_structure,
@@ -31,8 +34,6 @@ from cpbound.polytope import (
     RealisationError,
     face_from_facets,
     generate_functional,
-    h_vector,
-    original_edge,
     original_facet,
     product,
     separating_functional,
@@ -43,20 +44,20 @@ from cpbound.polytope import (
 from oracles import (
     attach,
     betti_boundary,
+    checked_polytope,
     closed_form_cell_structure,
     coords_by_id,
     cofactor_det,
     cut_face,
-    edges_of,
     fraction_separating_functional,
     fraction_vertex_indices,
     generator_counts,
     graph_walk_cell_structure,
+    h_vector,
     label_by_isomorphism_search,
     SetVertex,
     root_coords,
     simplex,
-    tagged_polytope,
 )
 
 
@@ -126,11 +127,10 @@ def relabel_facets(P, rng):
     rng.shuffle(order)
     rename = {f: f"x{i:02d}" for f, i in zip(P.facet_ids, order)}
     coord = coords_by_id(P)
-    return tagged_polytope(
+    return checked_polytope(
         P.dim,
         [FacetLabel(rename[f.id], f.provenance) for f in P.facets],
         [SetVertex(v.id, frozenset(rename[f] for f in v.facet_ids), coord[v.id]) for v in P.vertices],
-        {e.ends: e.provenance for e in edges_of(P)},
     )
 
 
@@ -141,9 +141,8 @@ def incidence_polytope(dim, facet_count, missing_sets):
         SetVertex(f"v{i:02d}", frozenset(facets) - {facets[j] for j in miss})
         for i, miss in enumerate(missing_sets)
     ]
-    tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
     try:
-        return tagged_polytope(dim, [FacetLabel(f, original_facet(i)) for i, f in enumerate(facets)], vertices, tags)
+        return checked_polytope(dim, [FacetLabel(f, original_facet(i)) for i, f in enumerate(facets)], vertices)
     except ValueError:
         return None
 
@@ -187,7 +186,7 @@ class TestRecognizerAgainstOracle:
     def test_product_missing_a_vertex_unrecognized(self):
         P = product(simplex(2), simplex(2))
         kept = P.vertices[1:]
-        Q = tagged_polytope(P.dim, P.facets, kept, {e.ends: e.provenance for e in edges_of(P)})
+        Q = checked_polytope(P.dim, P.facets, kept)
         assert self.agree(Q) is None
 
     def test_odd_cycle_with_product_edge_count_unrecognized(self):
@@ -571,6 +570,49 @@ class TestIntegerFunctionals:
         assert "index profile is degenerate" in outcome(fraction_vertex_indices, P, zeta)
         P = moved_vertex_polytope(*COINCIDENT)
         assert "coordinates are degenerate" in outcome(fraction_separating_functional, P, 0)
+
+
+def graph_walk_h_vectors(W, seed):
+    """The h-vectors ``cpbound boundary`` printed before: each component's indices under its own functional."""
+    return tuple(h_vector(c.polytope, generate_functional(c.polytope, seed)) for c in boundary_components(W))
+
+
+class TestBoundaryHVectors:
+    """The h-vectors written from the cut faces equal the graph walk on each component's edges and coordinates."""
+
+    @pytest.mark.parametrize("n", range(4, 42, 2))
+    def test_every_even_n_at_seed_0(self, n):
+        W = build_W(n // 2 - 1)
+        assert boundary_h_vectors(W, 0) == graph_walk_h_vectors(W, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        half=st.integers(2, 20),
+        r1=st.sampled_from((Fraction(1, 5), Fraction(1, 7), Fraction(2, 9))),
+        seed=st.integers(0, 11),
+        loaded=st.booleans(),
+    )
+    def test_sampled_sizes_depths_seeds_and_loads(self, half, r1, seed, loaded):
+        W = build_W(half - 1, r1)
+        if loaded:
+            W = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(W))))
+        assert boundary_h_vectors(W, seed) == graph_walk_h_vectors(W, seed)
+
+    @pytest.mark.parametrize("budget,failures", [(1, 4), (2, 0)])
+    def test_no_separating_draw_fails_as_the_graph_walk_does(self, monkeypatch, budget, failures):
+        # With coefficients only in [-V^2, V^2], some components reject their first draw.
+        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
+        monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", budget)
+        errors = []
+        for k in (1, 2, 3):
+            W = build_W(k)
+            for seed in range(12):
+                expected = outcome(graph_walk_h_vectors, W, seed)
+                assert outcome(boundary_h_vectors, W, seed) == expected
+                if isinstance(expected, str):
+                    errors.append(expected)
+        message = f"no injective functional after {budget} attempts; vertex coordinates are degenerate"
+        assert errors == [message] * failures
 
 
 class TestBettiBoundary:

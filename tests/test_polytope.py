@@ -18,8 +18,6 @@ from cpbound.polytope import (
     face_as_polytope,
     face_from_facets,
     generate_functional,
-    h_vector,
-    original_edge,
     original_facet,
     polytope_from_json,
     polytope_to_json,
@@ -28,15 +26,19 @@ from cpbound.polytope import (
     truncated_simplex,
     vertex_indices,
 )
-from cpbound.polytope import _derive_edges, _is_connected, _mask_graph
+from cpbound.polytope import _derive_edges
 
 from oracles import (
+    _is_connected,
     check_geometry,
+    checked_polytope,
     cut_face,
     edge_between,
     edges_of,
     frozenset_derive_edges,
     frozenset_edges,
+    h_vector,
+    original_edge,
     product_h_vector,
     SetVertex,
     closed_form_coords,
@@ -44,7 +46,6 @@ from oracles import (
     facet_sets,
     root_coords,
     simplex,
-    tagged_polytope,
     three_cut_truncated_simplex,
 )
 
@@ -274,20 +275,26 @@ class TestTruncatedSimplex:
 
 
 class TestClosedFormGraph:
-    """What the closed-form cells assume about the derived graph of ``truncated_simplex(n)``."""
+    """What the closed-form cells and h-vectors assume about the derived graph of ``truncated_simplex(n)``.
+
+    No request derives this graph, so its ridge and connectivity checks run here.
+    """
 
     @pytest.mark.parametrize("n", range(4, 42, 2))
     def test_root_partner_and_cut_neighbours(self, n):
         P = truncated_simplex(n)
         labels = decode_truncated_simplex(P, Fraction(1, 5))
         V = len(P.vertices)
-        assert len(P.edge_pairs) == V * n // 2
-        assert _is_connected(V, P.edge_pairs)
+        pairs = _derive_edges(P.incidence, P.facet_ids)  # raises on a ridge shared by three vertices
+        assert len(pairs) == V * n // 2
+        assert _is_connected(V, pairs)
+        index = {v.id: j for j, v in enumerate(P.vertices)}
         root = [[] for _ in range(V)]
         cut = [[] for _ in range(V)]
-        for (a, b), tag in zip(P.edge_pairs, P.edge_tags):
-            (root if tag.kind == "original" else cut)[a].append(b)
-            (root if tag.kind == "original" else cut)[b].append(a)
+        for e in edges_of(P):
+            a, b = index[e.ends[0]], index[e.ends[1]]
+            (root if e.provenance.kind == "original" else cut)[a].append(b)
+            (root if e.provenance.kind == "original" else cut)[b].append(a)
         for v, (i, m, f), partners, neighbours in zip(P.vertices, labels, root, cut):
             assert v.id == f"A{i}|d{m}"
             assert [P.vertices[w].id for w in partners] == [f"A{m}|d{i}"]
@@ -412,7 +419,11 @@ class TestDecodeTruncatedSimplex:
 
 
 class TestGraphOnFirstRead:
-    """A library-built polytope checks its graph when it is first read, with the constructor's errors."""
+    """A loaded polytope's graph is checked when a test derives it, not by the constructor.
+
+    ``_derive_edges`` rejects a ridge on three vertices; ``edges_of`` adds the
+    connectivity check.
+    """
 
     def test_three_vertices_on_a_ridge(self):
         data = truncated_simplex_json()
@@ -423,9 +434,8 @@ class TestGraphOnFirstRead:
         data["vertices"].append(shared + ["zz"])
         data["coords"].append(data["coords"][0])
         P = polytope_from_json(data)
-        for _ in range(2):  # a failed read is not remembered
-            with pytest.raises(ValueError, match="is shared by 3 vertices; a simple polytope allows at most 2"):
-                P.edge_pairs
+        with pytest.raises(ValueError, match="is shared by 3 vertices; a simple polytope allows at most 2"):
+            edges_of(P)
 
     def test_disconnected(self):
         # Two disjoint triangles, as in TestConstructorChecks.
@@ -434,7 +444,7 @@ class TestGraphOnFirstRead:
         vertices = [[f"{t}{i}", f"{t}{j}"] for t in "ab" for i, j in ((0, 1), (0, 2), (1, 2))]
         P = polytope_from_json({"dim": 2, "facets": facets, "vertices": vertices})
         with pytest.raises(ValueError, match="^vertex-edge graph is disconnected$"):
-            P.edge_tags
+            edges_of(P)
 
 
 class TestConstructorChecks:
@@ -447,28 +457,21 @@ class TestConstructorChecks:
 
     def test_closed_form_passes(self):
         dim, facets, vertices, tags = self.parts()
-        assert len(edges_of(tagged_polytope(dim, facets, vertices, tags))) == len(tags)
-
-    def test_untagged_edge_rejected(self):
-        dim, facets, vertices, tags = self.parts()
-        a, b = sorted(tags)[0]
-        del tags[(a, b)]
-        with pytest.raises(ValueError, match=f"edge {a}--{b} has no provenance tag"):
-            tagged_polytope(dim, facets, vertices, tags)
+        assert {e.ends: e.provenance for e in edges_of(checked_polytope(dim, facets, vertices))} == tags
 
     def test_non_simple_vertex_rejected(self):
-        dim, facets, vertices, tags = self.parts()
+        dim, facets, vertices, _ = self.parts()
         v = vertices[0]
         vertices[0] = SetVertex(v.id, v.facet_ids - {min(v.facet_ids)})
         with pytest.raises(ValueError, match=f"vertex {v.id} lies on {dim - 1} facets"):
-            tagged_polytope(dim, facets, vertices, tags)
+            checked_polytope(dim, facets, vertices)
 
     def test_identical_facet_sets_rejected(self):
-        dim, facets, vertices, tags = self.parts()
+        dim, facets, vertices, _ = self.parts()
         v = vertices[0]
         vertices.append(SetVertex("copy", v.facet_ids))
         with pytest.raises(ValueError, match="identical facet sets"):
-            tagged_polytope(dim, facets, vertices, tags)
+            checked_polytope(dim, facets, vertices)
 
     @pytest.mark.parametrize("index,message", [(0, "the vertices"), (3, "vertex A1|d2")])
     def test_vertex_over_other_facet_ids_rejected(self, index, message):
@@ -477,10 +480,11 @@ class TestConstructorChecks:
         v = vertices[index]
         vertices[index] = Vertex(v.id, v.mask, P.facet_ids[::-1])
         with pytest.raises(ValueError, match=f"^{re.escape(message)} (is|are) not over the polytope's facet ids$"):
-            SimplePolytope(P.dim, P.facets, vertices, _mask_graph)
+            SimplePolytope(P.dim, P.facets, vertices)
 
     def test_disconnected_graph_rejected(self):
-        # Two disjoint triangles: simple and of distinct facet sets, but not connected.
+        # Two disjoint triangles: simple and of distinct facet sets, but not connected.  The
+        # constructor accepts them; the graph check, which no request runs, is the oracles'.
         ids = ["a0", "a1", "a2", "b0", "b1", "b2"]
         facets = [FacetLabel(f, original_facet(i)) for i, f in enumerate(ids)]
         vertices = [
@@ -488,9 +492,8 @@ class TestConstructorChecks:
             for t in "ab"
             for i, j in ((0, 1), (0, 2), (1, 2))
         ]
-        tags = {(a.id, b.id): original_edge(a.id, b.id) for a, b in itertools.combinations(vertices, 2)}
         with pytest.raises(ValueError, match="disconnected"):
-            tagged_polytope(2, facets, vertices, tags)
+            checked_polytope(2, facets, vertices)
 
 
 def _unknown_at_5(vertices):
@@ -570,7 +573,9 @@ class TestMaskIncidenceMatchesFrozensetOracle:
             (v.id, v.facet_ids, v.coord) for v in vertices
         ]
         assert face.facets == tuple(facets)
-        assert edges_of(face) == frozenset_edges(P.dim - 1, facets, vertices, tags)
+        # A face keeps no tags of its parent's: compare the edges by their ends.
+        expected = frozenset_edges(P.dim - 1, facets, vertices, tags)
+        assert [e.ends for e in edges_of(face)] == [e.ends for e in expected]
 
     @pytest.mark.parametrize("n", range(4, 22, 2))
     @pytest.mark.parametrize("facet", ("P1", "P2", "P3"))
@@ -614,7 +619,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         with pytest.raises(ValueError) as oracle:
             frozenset_edges(n, facets, vertices, self.tags(P))
         with pytest.raises(ValueError) as built:
-            tagged_polytope(n, facets, vertices, self.tags(P))
+            checked_polytope(n, facets, vertices)
         assert str(built.value) == str(oracle.value)
         expected = {
             "three-on-a-ridge": "is shared by 3 vertices; a simple polytope allows at most 2",
@@ -715,8 +720,6 @@ class TestVertexIndices:
         zeta = LinearFunctional(coefficients)
         with pytest.raises(ValueError, match="different ambient dimensions"):
             vertex_indices(simplex(2), zeta)
-        with pytest.raises(ValueError, match="different ambient dimensions"):
-            h_vector(simplex(2), zeta)
 
 
 class TestHVector:
@@ -756,11 +759,8 @@ class TestGenerateFunctional:
         right = SetVertex("y", frozenset({"f1"}), (Fraction(0),))
         from cpbound.polytope import FacetLabel, original_facet
 
-        P = tagged_polytope(
-            1,
-            [FacetLabel("f0", original_facet(0)), FacetLabel("f1", original_facet(1))],
-            [left, right],
-            {("x", "y"): original_edge("x", "y")},
+        P = checked_polytope(
+            1, [FacetLabel("f0", original_facet(0)), FacetLabel("f1", original_facet(1))], [left, right]
         )
         with pytest.raises(ValueError, match="degenerate"):
             generate_functional(P, 0)

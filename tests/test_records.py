@@ -1,7 +1,7 @@
 """Value records: fields, defaults, equality, hashing, repr and read-only fields.
 
-Every record of the library, and the oracles' ``CellGenerator``, derives from
-``cpbound.record.Record``.  Each row of ``RECORDS`` builds one record of each
+Every record of the library, and the oracles' ``CellGenerator`` and
+``EdgeProvenance``, derives from ``cpbound.record.Record``.  Each row of ``RECORDS`` builds one record of each
 type by keyword and names a second value for one field; the checks are the
 behaviour of the frozen dataclasses the records replaced.  Importing the
 command line loads no ``dataclasses``, ``inspect``, ``typing`` or ``pathlib``.
@@ -37,7 +37,6 @@ from cpbound.cobordism import (
     HomologyTable,
 )
 from cpbound.polytope import (
-    EdgeProvenance,
     FaceRef,
     FacetLabel,
     FacetProvenance,
@@ -49,7 +48,7 @@ from cpbound.record import Record
 from cpbound.zlinalg import IntMatrix, Permutation
 
 import oracles
-from oracles import CellGenerator
+from oracles import CellGenerator, EdgeProvenance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -150,7 +149,7 @@ def hashable(values):
 
 
 def test_every_record_type_is_in_the_table():
-    # The oracles' generator records are held to the library's record contract too.
+    # The oracles' generator and edge records are held to the library's record contract too.
     library = {
         value
         for module in (zlinalg, polytope, charfn, cobordism, oracles)

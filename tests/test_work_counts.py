@@ -5,8 +5,8 @@ request, one cell structure per seed, read off the functional's entries
 without a vertex or its label, one integer elimination and no
 determinant for all the full-count vertex vector sets (each a minor of
 size at most 2 on W and its components, with no elimination of its
-own), no coordinate made for a built W by ``glue_report``, ``cell_stage``
-or ``validate``, one validation per
+own), no coordinate made for a built W by ``glue_report``, ``cell_stage``,
+``validate`` or ``boundary_h_vectors``, one validation per
 boundary component, one determinant per request (none for the orientation
 record or the P3 basis change), read off delta' as a signed permutation,
 and two eliminations per request, no Smith normal form on a valid datum, no determinant to invert a
@@ -15,13 +15,11 @@ P3's basis change are applied by their nonzero entries), no model polytope
 built to recognize the boundary, one
 functional per boundary component, one boundary extraction per ``demo``, no
 gluing work in ``homology`` beyond validating a loaded datum, one polytope
-built for the truncated simplex, edges derived only when read and then once
-per built or loaded polytope and never per face, no edge derivation,
-connectivity check or integer coordinate table in a ``glue``, ``homology``
-or ``validate`` request, one edge derivation per W and one integer
-coordinate table per component in ``boundary``, no string-ended edge tuple
-in a request, no navigation table in any polytope, no ``Fraction``
-functional evaluation, and nothing kept from one request to the next.
+built for the truncated simplex, no edge derivation or integer coordinate
+table in any request (``boundary`` writes its h-vectors from the cut faces
+and draws one functional per component), no string-ended edge tuple in a
+request, no navigation table in any polytope, no ``Fraction`` functional
+evaluation, and nothing kept from one request to the next.
 """
 
 import functools
@@ -121,6 +119,7 @@ def test_cell_structure_reads_no_vertex(k):
     bare = types.SimpleNamespace(n=W.n, r1=W.r1, labels=VertexCount(len(W.labels)))
     for seed in range(4):
         assert cobordism.cell_structure(bare, seed) == cobordism.cell_structure(W, seed)
+        assert cobordism.boundary_h_vectors(bare, seed) == cobordism.boundary_h_vectors(W, seed)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 8))
@@ -168,6 +167,7 @@ def test_built_w_makes_no_coordinates(monkeypatch, k):
     assert glue_report(W, 0, extra_seeds=2).passed
     assert cobordism.cell_stage(W, 3, extra_seeds=2).euler.ok
     assert charfn.validate(W.pair).ok
+    assert cobordism.boundary_h_vectors(W, 1)
     assert W.pair.polytope.has_coords
     with pytest.raises(AssertionError, match="^a coordinate was made$"):
         W.pair.polytope.coords()
@@ -241,30 +241,12 @@ def test_truncated_simplex_builds_one_polytope(monkeypatch, n):
     assert built == [P]
 
 
-@pytest.mark.parametrize("n", (4, 6, 12))
-def test_edges_are_derived_once_per_built_polytope(calls, n):
-    counts, count = calls
-    count(polytope, "_derive_edges")
-    count(polytope, "_is_connected")
-    P = polytope.truncated_simplex(n)
-    faces = [polytope.face_as_polytope(P, polytope.face_from_facets(P, [f])) for f in ("P1", "P2", "P3")]
-    loaded = polytope.polytope_from_json(polytope.polytope_to_json(P))
-    assert counts == {}  # graphs are built on first read
-    assert P.edge_pairs and P.edge_tags and P.edge_pairs
-    assert counts == {"_derive_edges": 1, "_is_connected": 1}
-    assert all(face.edge_pairs for face in faces)  # a face restricts its parent's edges
-    assert counts == {"_derive_edges": 1, "_is_connected": 4}
-    assert loaded.edge_tags
-    assert counts == {"_derive_edges": 2, "_is_connected": 5}
-
-
 @pytest.mark.parametrize("k", (1, 3))
 def test_glue_request_derives_no_edges(calls, k):
     counts, count = calls
     count(polytope, "_derive_edges")
-    count(polytope, "_is_connected")
     assert glue_report(build_W(k), 0, extra_seeds=1).passed
-    assert counts == {}  # the cells are counted in closed form; nothing reads a graph
+    assert counts == {}  # the cells are counted in closed form; nothing derives a graph
 
 
 @pytest.fixture
@@ -298,7 +280,6 @@ def test_requests_derive_no_edges_and_build_no_integer_rows(calls, integer_table
     path = tmp_path / "w.json"
     path.write_text(json.dumps(wmanifold_to_json(build_W(3))))
     count(polytope, "_derive_edges")
-    count(polytope, "_is_connected")
     given = ("--k", "3") if source == "built" else ("--input", str(path))
     assert run([*argv, *given], io.StringIO()) == 0
     assert counts == {}
@@ -313,7 +294,16 @@ def test_boundary_derives_edges_once_per_w(calls, tmp_path, source):
     count(polytope, "_derive_edges")
     given = ("--n", "6") if source == "built" else ("--input", str(path))
     assert run(["boundary", *given, "--format", "json"], io.StringIO()) == 0
-    assert counts == {"_derive_edges": 1}  # W's graph, which each component restricts
+    assert counts == {}  # the h-vectors are written from the cut faces; no polytope keeps a graph
+
+
+@pytest.mark.parametrize("argv", [("construct", "--k", "3"), ("demo", "--n", "8")])
+def test_construct_and_demo_derive_no_edges_and_build_no_integer_rows(calls, integer_tables, argv):
+    counts, count = calls
+    count(polytope, "_derive_edges")
+    assert run(list(argv), io.StringIO()) == 0
+    assert counts == {}
+    assert integer_tables == []
 
 
 @pytest.fixture
@@ -376,9 +366,10 @@ def test_building_polytopes_calls_no_neighbors():
 
 def test_boundary_draws_one_functional_per_component(calls):
     counts, count = calls
+    count(polytope, "functional_draws")
     count(polytope, "separating_functional")
     assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
-    assert counts["separating_functional"] == 3
+    assert counts == {"functional_draws": 3}
 
 
 def test_demo_extracts_the_boundary_once(calls):
@@ -412,7 +403,7 @@ def test_homology_validates_only_while_building(calls):
     "argv,polytopes",
     [
         (("homology", "--k", "2", "--seeds", "5", "--format", "json"), 0),  # closed form on W
-        (("boundary", "--n", "6", "--format", "json"), 3),  # one per component
+        (("boundary", "--n", "6", "--format", "json"), 0),  # h-vectors from the cut faces
     ],
 )
 def test_functionals_run_on_one_integer_table_per_polytope(monkeypatch, integer_tables, argv, polytopes):
