@@ -17,12 +17,10 @@ from .zlinalg import (
     smith_normal_form,
 )
 from .polytope import (
-    FaceRef,
     LinearFunctional,
     SimplePolytope,
     combinatorially_isomorphic,
     face_as_polytope,
-    face_from_facets,
     generate_functional,
     product,
     truncated_simplex,

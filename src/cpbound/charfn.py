@@ -32,13 +32,19 @@ minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
 witness check of a delta that is no signed permutation (delta' is one, and
 its determinant is read off its rows), and inverts the basis of a simplex
 pair, with its determinant, in ``normalize_simplex_pair``.  A minor of size
-1 or 2 is evaluated directly, as the entry or as ad - bc.  A new full-count
-set is judged from the m - r assigned rows it misses; on W, and on its
-boundary components, m - r <= 2, so that is O(1) lookups and a minor of at
-most 2 x 2, with no elimination.  Delta and the basis change are applied by
-their nonzero columns, collected once per call, to each vector's nonzero
-entries; an image is matched to its canonical target up to sign, or signed
-by its first nonzero entry, without building a ``CharVector``.
+1 or 2 is evaluated directly, as the entry or as ad - bc.
+
+``validate`` judges a vertex by the assigned rows it misses, the key of its
+verdict memo.  Over the truncated simplex it reads them from each vertex's
+label (i, m, cut), with no mask: the rows of d{i} and d{m}, so n(n+4)/4
+keys, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices.  A
+boundary component there is a ``CutPair``, a view of the labels on one cut
+facet, whose validity is the pair's report on its vertices and whose
+translations ``verify_translation`` checks on the pairs (i, m) they miss.
+Delta and the basis change are applied by their nonzero columns, collected
+once per call, to each vector's nonzero entries; an image is matched to its
+canonical target up to sign, or signed by its first nonzero entry, without
+building a ``CharVector``.
 """
 
 from __future__ import annotations
@@ -52,11 +58,9 @@ from .polytope import (
     check_keys,
     check_list,
     face_as_polytope,
-    face_from_facets,
     parse_int,
     polytope_from_json,
     polytope_to_json,
-    renumbering,
 )
 from .record import Record
 from .zlinalg import (
@@ -145,21 +149,6 @@ class ValidationReport(Record):
         return tuple(f.vertex for f in self.failures)
 
 
-class Verdicts:
-    """Vertex verdicts of one ``WManifold`` and its boundary components, and of no other pair.
-
-    ``reasons`` maps a mapped-facet mask over W's facet ids ``facet_ids`` to
-    "" for a direct summand, otherwise to the failure reason.  A mask names
-    one vector set only where each facet keeps one vector: within one W.
-    """
-
-    __slots__ = ("facet_ids", "reasons")
-
-    def __init__(self, facet_ids: Sequence[str]) -> None:
-        self.facet_ids = tuple(facet_ids)
-        self.reasons: dict[int, str] = {}
-
-
 class _FullCountCertificate:
     """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
@@ -198,70 +187,60 @@ class _FullCountCertificate:
         return abs(minor) == abs(self.det) ** (len(y) - 1)
 
 
-def _rows(mask: int, row_at: Sequence[int]) -> list[int]:
-    """The rows of M at the set bits of ``mask``, in order, one step per set bit."""
-    rows = []
-    while mask:
-        low = mask & -mask
-        rows.append(row_at[low.bit_length() - 1])
-        mask ^= low
-    return rows
-
-
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
     factors = smith_normal_form(IntMatrix.from_rows(vectors))
     return f"vectors do not span a direct summand (invariant factors {factors})"
 
 
-def validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
+def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = None) -> ValidationReport:
     """Check the direct-summand condition at every vertex; never raises on a vector set.
 
-    A vertex's mapped facets are its incidence mask under the mask of the
-    assigned facets.  Its verdict is looked up in ``verdicts`` by that mask
-    mapped back to ``verdicts.facet_ids``, W's; only a vertex whose mask is
-    not there, or fails, has its vectors built.  A new set is certified at
-    full count by the pair's ``_FullCountCertificate``, built on the first
-    such set, from the rows the vertex misses, and otherwise by the Smith
-    normal form, which also gives a failing set's invariant factors.  On W
-    n(n+4)/4 masks cover the n(n+4)/2 vertices; a component's masks are all W's.
+    A vertex is judged by the assigned rows of M it misses, in ascending
+    order, the key of the verdict memo; only a vertex whose key is new, or
+    fails, has its vectors built.  With ``labels`` the pair is over the
+    truncated simplex and vertex j, labels[j] = (i, m, cut), misses the rows
+    of d{i} and d{m}; only a failing vertex's id is read off the polytope.
+    Without, the misses are read off the incidence masks.  A new set is
+    certified at full count by the pair's ``_FullCountCertificate``, built on
+    the first such set, and otherwise by the Smith normal form, which also
+    gives a failing set's invariant factors.
     """
-    P = pair.polytope
     rank = pair.torus_rank
-    verdicts = Verdicts(P.facet_ids) if verdicts is None else verdicts
-    if not set(pair.assignment) <= set(verdicts.facet_ids):
-        raise ValueError("the verdicts are kept over the facets of another manifold")
-    reasons = verdicts.reasons
-    key_of = None if verdicts.facet_ids == P.facet_ids else renumbering(P.facet_ids, verdicts.facet_ids)
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     entries = [pair.assignment[f].entries for f in ids]
     row_of = {f: row for row, f in enumerate(ids)}
-    row_at = [row_of.get(f) for f in P.facet_ids]  # bit place -> row of M
-    assigned = sum(1 << j for j, row in enumerate(row_at) if row is not None)
+    if labels is None:
+        P = pair.polytope
+        rows_at = [(j, row_of[f]) for j, f in enumerate(P.facet_ids) if f in row_of]  # (bit place, row of M)
+        misses = (tuple([row for j, row in rows_at if not mask >> j & 1]) for mask in P.incidence)
+        count = len(P.vertices)
+    else:  # every root facet d0..dn carries a vector
+        root = [row_of[f"d{j}"] for j in range(len(ids))]
+        misses = ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels)
+        count = len(labels)
+    reasons: dict[tuple[int, ...], str] = {}
     certificate: _FullCountCertificate | None = None
     failures = []
-    for v, mask in zip(P.vertices, P.incidence):
-        mapped = mask & assigned
-        if not mapped:
+    for j, missed in enumerate(misses):
+        reason = reasons.get(missed)
+        if reason == "" or len(missed) == len(ids):
             continue
-        key = mapped if key_of is None else key_of(mapped)
-        reason = reasons.get(key)
-        if reason == "":
-            continue
-        full = mapped.bit_count() == rank
+        full = len(ids) - len(missed) == rank
         if reason is None and full:
             if certificate is None:
                 certificate = _FullCountCertificate(entries, rank)
-            if certificate.is_unimodular(_rows(assigned ^ mapped, row_at)):
-                reasons[key] = ""
+            if certificate.is_unimodular(missed):
+                reasons[missed] = ""
                 continue
-        rows = _rows(mapped, row_at)
+        rows = [row for row in range(len(ids)) if row not in missed]
         vectors = tuple([entries[row] for row in rows])
         if reason is None:
             ok = not full and is_direct_summand(vectors, rank)
-            reason = reasons[key] = "" if ok else _failure_reason(vectors)
+            reason = reasons[missed] = "" if ok else _failure_reason(vectors)
         if reason:
-            failures.append(VertexCheck(v.id, tuple([ids[row] for row in rows]), vectors, False, reason))
-    return ValidationReport(not failures, len(P.vertices), tuple(failures))
+            vertex = pair.polytope.vertices[j].id
+            failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), vectors, False, reason))
+    return ValidationReport(not failures, count, tuple(failures))
 
 
 def restrict_to_facet(pair: CharPair, facet_id: str) -> CharPair:
@@ -275,13 +254,35 @@ def restrict_to_facet(pair: CharPair, facet_id: str) -> CharPair:
         raise ValueError(f"unknown facet {facet_id}")
     if facet_id in pair.assignment:
         raise ValueError(f"facet {facet_id} carries a vector; only boundary facets restrict")
-    face = face_from_facets(pair.polytope, [facet_id])
-    sub = face_as_polytope(pair.polytope, face)
+    sub = face_as_polytope(pair.polytope, [facet_id])
     missing = [f for f in sub.facet_ids if f not in pair.assignment]
     if missing:
         raise ValueError(f"facets {missing} meet {facet_id} but carry no vector")
     assignment = {f: pair.assignment[f] for f in sub.facet_ids}
     return CharPair(sub, pair.torus_rank, assignment)
+
+
+class CutPair:
+    """The closed pair that a pair over the truncated simplex induces on one cut facet, a view of its labels.
+
+    ``labels`` are the (i, m, cut) of the vertices on the cut facet, in the
+    pair's vertex order.  Vertex (i, m) lies on every root facet but d{i} and
+    d{m}: the component's facets are the d{j} for the ``roots`` j some vertex
+    lies on, and its vertices carry the vector sets they carry in the pair,
+    so its validation ``report`` is the pair's on them.
+    """
+
+    def __init__(
+        self, labels: Sequence[tuple], assignment: Mapping[str, CharVector], rank: int, report: ValidationReport
+    ) -> None:
+        always = [j for j in labels[0][:2] if all(j in label[:2] for label in labels)]  # missed by every vertex
+        self.labels = labels
+        self.roots = tuple(j for j in range(rank + 2) if j not in always)  # of the n + 1 root facets
+        self.assignment = {f: assignment[f] for f in sorted(f"d{j}" for j in self.roots)}
+        self.facet_ids = tuple(self.assignment)
+        self.torus_rank = self.dim = rank  # a closed pair's rank is its dimension
+        self.boundary_facet_ids = ()
+        self.report = report
 
 
 def eta_standard(n: int) -> dict[int, CharVector]:
@@ -392,31 +393,34 @@ class TranslationReport(Record):
         self._fill(ok, phi_is_isomorphism, vector_mismatches)
 
 
-def verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) -> TranslationReport:
+def _missed_pairs(pair: CutPair, name: Mapping[int, int]) -> set[tuple[int, int]]:
+    """The facets each vertex of ``pair`` misses, renamed by ``name``, as sorted pairs; -1 for a facet outside it."""
+    out = set()
+    for i, m, _ in pair.labels:
+        a, b = name.get(i, -1), name.get(m, -1)
+        out.add((a, b) if a < b else (b, a))
+    return out
+
+
+def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) -> TranslationReport:
     """Check that phi is a combinatorial isomorphism and delta carries the vectors across.
 
-    Vector equality is up to global sign: delta v must be the canonical
-    target t or -t.  Delta is applied by its nonzero columns, collected once.
+    phi, a facet bijection, is an isomorphism exactly when it carries the
+    facets each vertex of ``pair1`` misses, d{i} and d{m}, onto those a
+    vertex of ``pair2`` misses.  Vector equality is up to global sign: delta
+    v must be the canonical target t or -t.  Delta is applied by its nonzero
+    columns, collected once.
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
     if w.delta.cols != pair1.torus_rank:
         raise ValueError(f"cannot apply {w.delta.rows}x{w.delta.cols} matrix to a vector of length {pair1.torus_rank}")
-    P1, P2 = pair1.polytope, pair2.polytope
     phi = dict(w.phi)
-    if sorted(phi) != sorted(P1.facet_ids) or sorted(phi.values()) != sorted(P2.facet_ids):
+    if sorted(phi) != sorted(pair1.facet_ids) or sorted(phi.values()) != sorted(pair2.facet_ids):
         raise ValueError("phi is not a bijection between the facet sets")
-    place = {f: j for j, f in enumerate(P2.facet_ids)}
-    image = [1 << place[phi[f]] for f in P1.facet_ids]
-    full = (1 << len(image)) - 1
-    images = set()
-    for mask in P1.incidence:  # phi is a bijection: the image misses the images of the facets missed
-        out, missed = full, full ^ mask
-        while missed:
-            out ^= image[(missed & -missed).bit_length() - 1]
-            missed &= missed - 1
-        images.add(out)
-    iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
+    root = {f"d{j}": j for j in pair2.roots}
+    images = _missed_pairs(pair1, {j: root[phi[f"d{j}"]] for j in pair1.roots})
+    iso = len(pair1.labels) == len(pair2.labels) and images == _missed_pairs(pair2, {j: j for j in pair2.roots})
     delta = column_product(w.delta)
     mismatches = []
     for fid in sorted(pair1.assignment):
@@ -448,7 +452,7 @@ class SimplexNormalForm(Record):
         return dict(self.normal_form)[facet_id]
 
 
-def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = None) -> SimplexNormalForm:
+def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | None = None) -> SimplexNormalForm:
     """Change basis so all facets but one carry the standard basis, the last all-ones.
 
     Works for every valid closed pair over a combinatorial simplex: the
@@ -456,26 +460,28 @@ def normalize_simplex_pair(pair: CharPair, report: ValidationReport | None = Non
     to the standard basis, and vertex unimodularity forces the residual
     vector's entries to +-1, so signs can be absorbed into the basis change:
     D * B for B = M^-1 and D = diag(u), of determinant prod(u) * det M, det M
-    from the reduction that inverts M.  ``report`` is the pair's ``validate``
-    result, for a caller that already has it; without one it is computed.
+    from the reduction that inverts M.  ``report`` is the pair's validation,
+    for a caller that has it; without one it is computed, or a ``CutPair``'s
+    read.  The polytope itself is not read.
     """
-    P = pair.polytope
     if pair.boundary_facet_ids:
         raise ValueError("pair has boundary facets; normalization needs a closed pair")
-    d = P.dim
-    # The constructor keeps the masks distinct, each with d bits: d + 1 of
-    # them over d + 1 facets are every facet's complement, a simplex.
-    if len(P.facets) != d + 1 or len(P.vertices) != d + 1:
+    d = pair.torus_rank  # a closed pair's rank is its dimension, and every facet carries a vector
+    if len(pair.assignment) != d + 1:
         raise ValueError("polytope is not a combinatorial simplex")
     if report is None:
-        report = validate(pair)
+        report = pair.report if isinstance(pair, CutPair) else validate(pair)
+    # A simple polytope's vertex masks are distinct, each with d bits: d + 1
+    # of them over d + 1 facets are every facet's complement, a simplex.
+    if report.checked_vertices != d + 1:
+        raise ValueError("polytope is not a combinatorial simplex")
     if not report.ok:
         first = report.failures[0]
         raise ValueError(
             f"pair is not a valid characteristic pair: vertex {first.vertex} "
             f"({first.reason})"
         )
-    ids = sorted(P.facet_ids)
+    ids = sorted(pair.assignment)
     residual = ids[-1]
     basis_ids = ids[:-1]
     columns = [pair.assignment[f].entries for f in basis_ids]

@@ -3,7 +3,8 @@
 Subcommands: construct, validate, boundary, homology, glue, demo.  JSON is
 the machine contract (sorted keys, two-space indent, trailing newline); the
 text format is a fixed-width rendering of the same content.  Exit codes:
-0 all checks pass, 1 a mathematical check failed, 2 bad input or I/O.  A
+0 all checks pass, 1 a mathematical check failed, 2 bad input, I/O or a
+request too large for the memory available.  A
 loaded certificate whose polytope is not the truncated simplex it claims
 fails a check: every command prints one ``validation failed`` line for it,
 before any result, and exits 1.
@@ -196,13 +197,13 @@ def _cmd_boundary(args, out) -> int:
     components = boundary_components(W)
     rows = []
     for fid, comp, h in zip(BOUNDARY_FACETS, components, boundary_h_vectors(W, args.seed)):
-        label = identify_simplex_or_product(comp.polytope) or "unrecognized"
+        label = identify_simplex_or_product(comp) or "unrecognized"
         betti = betti_from_h_vector(h)
         rows.append(
             {
                 "facet": fid,
                 "polytope": label,
-                "vertices": len(comp.polytope.vertices),
+                "vertices": len(comp.labels),
                 "h_vector": list(h),
                 "betti_even": {str(d): b for d, b in sorted(betti.items())},
             }
@@ -329,7 +330,7 @@ def _cmd_demo(args, out) -> int:
     )
 
     for fid, comp in zip(BOUNDARY_FACETS, report.components):
-        label = identify_simplex_or_product(comp.polytope) or "unrecognized"
+        label = identify_simplex_or_product(comp) or "unrecognized"
         out.write(f"\n{fid} ({label}) carries:\n")
         for facet, vec in sorted(comp.assignment.items()):
             out.write(f"  {facet} /\\ {fid} -> {vec.entries}\n")
@@ -391,6 +392,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return _EXIT_CHECK_FAILED
     except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
+        return _EXIT_BAD_INPUT
+    except MemoryError:  # no check failed: the request did not fit
+        sys.stderr.write(f"error: out of memory running {args.command}; try a smaller --k or --n\n")
         return _EXIT_BAD_INPUT
 
 

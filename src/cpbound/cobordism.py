@@ -9,6 +9,13 @@ other under the basis reversal, and bring the simplex component to standard
 projective form.  ``glue_report`` runs the whole pipeline and aggregates one
 pass/fail record per check.
 
+Every check reads W through its vertex labels (i, m, cut), ``W.n``,
+``W.r1`` and ``W.pair.assignment``, with no vertex record or incidence mask:
+a built W builds its polytope only when read (for JSON), and a loaded one
+is decoded into labels once.  A boundary component is a ``CutPair``, the
+labels of one cut: its validity is W's report there, its type comes from
+the facet pairs its vertices miss, and the Euler check counts labels by cut.
+
 The cells are counted, never listed.  A generic functional c on the root
 vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
 simplex that every ``WManifold`` is checked to be, the generators at a root
@@ -22,25 +29,23 @@ from |F| and |R| alone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import or_
 
 from .charfn import (
     CharPair,
+    CutPair,
     OrientationRecord,
     TranslationWitness,
     ValidationReport,
-    Verdicts,
     charpair_from_json,
     charpair_to_json,
     delta_matrix,
     eta_facet_assignment,
     normalize_simplex_pair,
     orientation_signs,
-    restrict_to_facet,
     rho_facet_bijection,
     validate,
     verify_translation,
@@ -55,6 +60,7 @@ from .polytope import (
     parse_fraction,
     parse_int,
     truncated_simplex,
+    truncation_labels,
 )
 from .record import Record
 
@@ -62,28 +68,27 @@ BOUNDARY_FACETS = ("P1", "P2", "P3")
 
 
 class WManifold:
-    """The bounding-manifold datum: a pair over the truncated simplex.
+    """The bounding-manifold datum: a pair over the truncated simplex, read through its labels.
 
     Torus rank is one less than the dimension and exactly the three cut
-    facets are boundary.  The polytope must be ``truncated_simplex(n, r1)``,
-    built or loaded: ``labels`` holds each vertex's (i, m, cut) from
+    facets are boundary.  The polytope must be ``truncated_simplex(n, r1)``:
+    ``labels`` holds each vertex's (i, m, cut), in the polytope's vertex
+    order, given by ``build_W`` or else decoded by
     ``decode_truncated_simplex``, which raises ``RealisationError`` for any
     other polytope.  Validity of the vectors is *not* assumed here so that
     deliberately broken inputs can still be loaded and reported on.
     ``report`` is the vertex validation of the pair, computed on first use
-    and then read by every check that needs it.  ``verdicts`` holds the
-    vertex verdicts of this pair, keyed by mapped-facet mask over its facet
-    ids; its boundary components carry the same vector sets, and
-    ``validate`` maps their masks back to reuse them.
+    from the labels and then read by every check that needs it, the
+    boundary components' among them.
     """
 
-    def __init__(self, pair: CharPair, n: int, r1: Fraction) -> None:
+    def __init__(self, pair: CharPair, n: int, r1: Fraction, labels: Sequence[tuple] | None = None) -> None:
         r1 = Fraction(r1)
         if not Fraction(0) < r1 < Fraction(1, 4):
             raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
         if n < 4 or n % 2:
             raise ValueError(f"n must be even and at least 4, got {n}")
-        if pair.polytope.dim != n:
+        if labels is None and pair.polytope.dim != n:
             raise ValueError(f"pair polytope has dimension {pair.polytope.dim}, expected {n}")
         if pair.torus_rank != n - 1:
             raise ValueError(f"torus rank must be {n - 1}, got {pair.torus_rank}")
@@ -91,11 +96,10 @@ class WManifold:
             raise ValueError(
                 f"boundary facets must be {BOUNDARY_FACETS}, got {pair.boundary_facet_ids}"
             )
-        self.labels = decode_truncated_simplex(pair.polytope, r1)
+        self.labels = decode_truncated_simplex(pair.polytope, r1) if labels is None else labels
         self.pair = pair
         self.n = n
         self.r1 = r1
-        self.verdicts = Verdicts(pair.polytope.facet_ids)
 
     @property
     def k(self) -> int:
@@ -103,7 +107,21 @@ class WManifold:
 
     @cached_property
     def report(self) -> ValidationReport:
-        return validate(self.pair, self.verdicts)
+        return validate(self.pair, self.labels)
+
+
+class _StandardPair(CharPair):
+    """The standard vectors over ``truncated_simplex(n, r1)``, a polytope built only when read."""
+
+    def __init__(self, n: int, r1: Fraction) -> None:  # CharPair's checks would read the polytope
+        self.torus_rank = n - 1
+        self.assignment = dict(sorted(eta_facet_assignment(n).items()))
+        self.boundary_facet_ids = BOUNDARY_FACETS
+        self._size = (n, r1)
+
+    @cached_property
+    def polytope(self) -> SimplePolytope:
+        return truncated_simplex(*self._size)
 
 
 def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
@@ -111,7 +129,7 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
 
     Sets n = 2(k+1).  k = 0 is rejected: with n = 2 the two faces to cut
     would be single vertices, not positive-dimensional faces (CP^1 = S^2
-    bounds a ball anyway).
+    bounds a ball anyway).  ``W.pair.polytope`` is built only when read.
     """
     if k < 1:
         raise ValueError(
@@ -119,24 +137,26 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
             "the two cut faces have positive dimension"
         )
     n = 2 * (k + 1)
-    P = truncated_simplex(n, Fraction(r1))
-    pair = CharPair(P, n - 1, eta_facet_assignment(n))
-    W = WManifold(pair, n, Fraction(r1))
+    W = WManifold(_StandardPair(n, Fraction(r1)), n, Fraction(r1), truncation_labels(n))
     if not W.report.ok:  # would be a bug in the construction, not bad input
         raise AssertionError(f"standard assignment failed validation at {W.report.failing_vertices()}")
     return W
 
 
-def boundary_components(W: WManifold) -> tuple[CharPair, CharPair, CharPair]:
-    """The three closed pairs on P1, P2, P3; checks they share no vertices."""
-    poly = W.pair.polytope
-    vsets = {f: set(poly.facet_vertices(f)) for f in BOUNDARY_FACETS}
-    for i, a in enumerate(BOUNDARY_FACETS):
-        for b in BOUNDARY_FACETS[i + 1 :]:
-            overlap = vsets[a] & vsets[b]
-            if overlap:
-                raise ValueError(f"boundary facets {a} and {b} share vertices {sorted(overlap)}")
-    return tuple(restrict_to_facet(W.pair, f) for f in BOUNDARY_FACETS)  # type: ignore[return-value]
+def boundary_components(W: WManifold) -> tuple[CutPair, CutPair, CutPair]:
+    """The closed pairs on P1, P2, P3: W's labels split by their cut, so no two share a vertex.
+
+    A component's validation is W's report on its vertices.
+    """
+    failures = W.report.failures
+    cut_of = {v.id: c for v, (*_, c) in zip(W.pair.polytope.vertices, W.labels)} if failures else {}
+    components = []
+    for c in range(len(BOUNDARY_FACETS)):
+        part = [label for label in W.labels if label[2] == c]
+        failing = tuple(f for f in failures if cut_of[f.vertex] == c)
+        report = ValidationReport(not failing, len(part), failing)
+        components.append(CutPair(part, W.pair.assignment, W.pair.torus_rank, report))
+    return tuple(components)  # type: ignore[return-value]
 
 
 class CellStructure(Record):
@@ -290,9 +310,10 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
             extra_error = exc
             break
     homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
-    poly = W.pair.polytope
-    boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
-    euler = EulerCheck(sum(structure.index_counts().values()), boundary_vertices // 2)
+    on_cut = [0] * len(BOUNDARY_FACETS)  # the vertices of each boundary facet, by the cut of their labels
+    for *_, c in W.labels:
+        on_cut[c] += 1
+    euler = EulerCheck(sum(structure.index_counts().values()), sum(on_cut) // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
@@ -322,32 +343,37 @@ def betti_from_h_vector(h: tuple[int, ...]) -> dict[int, int]:
     return {2 * i: h_i for i, h_i in enumerate(h)}
 
 
-def identify_simplex_or_product(P: SimplePolytope) -> str | None:
-    """Recognize a simplex or a product of two simplices from the facet-vertex incidence.
+def identify_simplex_or_product(P: SimplePolytope | CutPair) -> str | None:
+    """Recognize a simplex or a product of two simplices from the facets each vertex misses.
 
-    A simple d-polytope with d+1 facets is Delta^d exactly when it has d+1
-    vertices: their masks are distinct, so each misses a different facet.
-    With d+2 facets every vertex misses two, and the polytope is
-    Delta^a x Delta^b exactly when these missing pairs, taken as edges on the
-    facets, form the complete bipartite graph K_(a+1, b+1): the two colour
-    classes are then the facet bijection onto the model.  There the facets
-    missed together with facet 0 are one class, B, and the rest the other, A;
-    as the pairs are distinct, they are all of A x B exactly when each has
-    one facet in B and there are |A|*|B| of them.
+    A polytope's misses are read off its incidence masks, a boundary
+    component's off its labels: vertex (i, m) misses d{i} and d{m}.  A simple
+    d-polytope with d+1 facets is Delta^d exactly when it has d+1 vertices:
+    their facet sets are distinct, so each misses a different facet.  With
+    d+2 facets every vertex misses two, and the polytope is Delta^a x Delta^b
+    exactly when these missing pairs, as edges on the facets, form the
+    complete bipartite graph K_(a+1, b+1).  The facets missed together with
+    any one facet are then one class, B; as the pairs are distinct, they are
+    all of B x (the rest) exactly when each has one facet in B and there are
+    |B| * (count - |B|) of them.
     """
     d = P.dim
-    count = len(P.facet_ids)
+    if isinstance(P, CutPair):
+        count, missing = len(P.roots), [(i, m) for i, m, _ in P.labels]
+    else:
+        count = len(P.facet_ids)
+        missing = [tuple(j for j in range(count) if not mask >> j & 1) for mask in P.incidence]
     if count == d + 1:
-        return f"Delta^{d}" if len(P.vertices) == d + 1 else None
+        return f"Delta^{d}" if len(missing) == d + 1 else None
     if count != d + 2:
         return None
-    missing = [(1 << count) - 1 ^ mask for mask in P.incidence]  # two bits each
-    other = reduce(or_, [m for m in missing if m & 1], 0) & ~1
-    size = other.bit_count()
+    f = missing[0][0]
+    other = {b if a == f else a for a, b in missing if f in (a, b)}
+    size = len(other)
     smaller = min(size, count - size)
-    if smaller < 2 or len(P.vertices) != size * (count - size):
+    if smaller < 2 or len(missing) != size * (count - size):
         return None
-    if any((m & other).bit_count() != 1 for m in missing):
+    if any((a in other) == (b in other) for a, b in missing):
         return None
     return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
 
@@ -365,7 +391,7 @@ class GluingReport(Record):
 
     def __init__(
         self, n: int, k: int, r1: Fraction, seed: int, checks: tuple[CheckResult, ...],
-        components: tuple[CharPair, ...], cell_counts: Mapping[int, int], homology: HomologyTable | None,
+        components: tuple[CutPair, ...], cell_counts: Mapping[int, int], homology: HomologyTable | None,
         orientation: OrientationRecord, boundary_label: str, witness: TranslationWitness | None, passed: bool,
     ) -> None:
         self._fill(
@@ -381,9 +407,8 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
 
     ``extra_seeds`` re-runs the cell count under that many further functionals
     and requires identical counts.  Every artifact is computed once: W's
-    validation is ``W.report``, its vertex verdicts in ``W.verdicts`` are
-    shared with the boundary components, each component is validated once
-    (P3's report also serves its normal form), and the cell stage (``cell_stage``)
+    validation is ``W.report``, each boundary component's is read from it
+    (P3's also serves its normal form), and the cell stage (``cell_stage``)
     supplies both the ``cell-structure`` and the ``euler-cross-check`` checks.
     """
     n = W.n
@@ -402,18 +427,13 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         )
     )
 
-    components: tuple[CharPair, ...] = ()
+    components: tuple[CutPair, ...] = ()
     if report.ok:
-        try:
-            components = boundary_components(W)
-            checks.append(CheckResult("boundary-disjointness", True, "P1, P2, P3 share no vertices"))
-        except ValueError as exc:
-            checks.append(CheckResult("boundary-disjointness", False, str(exc)))
-
-    if components:
+        components = boundary_components(W)
+        checks.append(CheckResult("boundary-disjointness", True, "P1, P2, P3 share no vertices"))
         half = n // 2
         expected = [f"Delta^{half - 1} x Delta^{half}", f"Delta^{half - 1} x Delta^{half}", f"Delta^{n - 1}"]
-        found = [identify_simplex_or_product(c.polytope) for c in components]
+        found = [identify_simplex_or_product(c) for c in components]
         ok = found == expected
         checks.append(
             CheckResult(
@@ -423,7 +443,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
             )
         )
 
-        sub_reports = [validate(c, W.verdicts) for c in components]
+        sub_reports = [c.report for c in components]
         ok = all(r.ok for r in sub_reports)
         checks.append(
             CheckResult(

@@ -1,29 +1,29 @@
-"""Combinatorial simple polytopes with provenance-tagged facets.
+"""Combinatorial simple polytopes with provenance-tagged facets, and the truncated simplex by its labels.
 
-A polytope is stored by vertex-facet incidence: each vertex lies on exactly
-``dim`` facets (simplicity).  Facet and vertex ids are strings at the API and
-in the JSON; inside, a vertex's facet set is only an ``int`` bitmask over the
-sorted facet ids (``Vertex.mask``, ``SimplePolytope.incidence``), from which
-``Vertex.facet_ids`` is derived when read.  The masks are written directly:
-the truncated simplex's in closed form, a face's by deleting the parent's bits
-of the facets it drops (``renumbering``), a load's from each facet-id list.
+The one polytope the pipeline needs is the n-simplex with the faces F1 =
+{0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} cut off, adding the facets ``P1``,
+``P2`` and ``P3``.  Its vertices are the pairs (i, m) with i in a cut face F
+and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on every root
+facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet of F, at
+(1-r1)*e_i + r1*e_m.  Requests read it through these (i, m, cut) labels
+only, which ``truncation_labels`` writes in closed form in the order of the
+vertex ids: its cells, boundary h-vectors, boundary components and vertex
+vector sets all have closed forms in them, so no check builds a vertex
+record or an incidence mask of a built truncated simplex; its JSON does.
 
-A polytope stores no edges.  Two vertices are adjacent when they share
-``dim - 1`` facets, that is when one mask with a bit dropped equals the other
-with a bit dropped; ``vertex_indices`` derives the pairs from the masks
-(``_derive_edges``, which also rejects a ridge shared by more than two
-vertices) each time it is called, and no request calls it.  The pipeline
-reads the truncated simplex through each vertex's (i, m, cut) label instead,
-whose graph, cells and boundary h-vectors have closed forms.
-
-The one truncation the pipeline needs is built in closed form.  Cut the faces
-F1 = {0..n/2-1}, F2 = {n/2+1..n} and F3 = {n/2} off the n-simplex, adding the
-facets ``P1``, ``P2`` and ``P3``.  Its vertices are the pairs (i, m) with i in
-a cut face F and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on
-every root facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet
-of F, at (1-r1)*e_i + r1*e_m.  ``decode_truncated_simplex`` reads these
-(i, m, cut) triples back off any polytope, and checks on the way that it is
-that truncated simplex.
+A ``SimplePolytope`` is the general form, stored by vertex-facet incidence:
+each vertex lies on exactly ``dim`` facets (simplicity), and its facet set
+is an ``int`` bitmask over the sorted facet ids (``Vertex.mask``,
+``SimplePolytope.incidence``), from which ``Vertex.facet_ids`` is derived
+when read.  It is what a certificate loads into (``polytope_from_json``),
+and ``decode_truncated_simplex`` reads the labels back off its masks,
+checking on the way that it is the truncated simplex; ``truncated_simplex``
+writes the masks of a built one from its labels, for its JSON and for
+tests, as do products and faces (``face_as_polytope``).  A polytope stores
+no edges.  Two vertices are adjacent when they share ``dim - 1`` facets;
+``vertex_indices`` derives the pairs from the masks (``_derive_edges``,
+which also rejects a ridge shared by more than two vertices) each time it is
+called, and no request calls it.
 
 Exact rational coordinates (``fractions.Fraction``, never floats) belong to
 the polytope, made by its source when read (``SimplePolytope.coords``): a
@@ -39,7 +39,7 @@ seed gives the same coefficients on every path that evaluates them.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -108,15 +108,6 @@ class Vertex(Record):
         return frozenset(_facet_list(self.mask, self.universe))
 
 
-class FaceRef(Record):
-    """A face given by facet ids, with the vertices realizing it."""
-
-    __slots__ = ("facet_ids", "vertex_ids")
-
-    def __init__(self, facet_ids: frozenset[str], vertex_ids: tuple[str, ...]) -> None:
-        self._fill(facet_ids, vertex_ids)
-
-
 class LinearFunctional(Record):
     """An integer linear functional on the ambient coordinate space."""
 
@@ -134,26 +125,6 @@ class LinearFunctional(Record):
 def _facet_list(mask: int, universe: Sequence[str]) -> list[str]:
     """The ids of the set bits of a facet bitmask, in the (sorted) order of ``universe``."""
     return [f for j, f in enumerate(universe) if mask >> j & 1]
-
-
-def renumbering(source: Sequence[str], target: Sequence[str]) -> Callable[[int], int]:
-    """The map of facet masks over the ids ``source`` to masks over the ids ``target``.
-
-    Bit j moves to the place of ``source[j]`` in ``target``, and is dropped
-    when that id is not there.  Bits that move by one shift move together, so
-    between a polytope's sorted ids and a face's, a subset in the same order,
-    a mask moves in one shift per run of ids in only one of them: one
-    and-shift between W and P1 or P2, whose facets are all W's ``d...`` ids.
-    """
-    place = {f: t for t, f in enumerate(target)}
-    moves: dict[int, int] = {}
-    for j, f in enumerate(source):
-        if f in place:
-            moves[place[f] - j] = moves.get(place[f] - j, 0) | 1 << j
-    if len(moves) == 1:
-        [(s, bits)] = moves.items()
-        return (lambda mask: (mask & bits) << s) if s >= 0 else (lambda mask: (mask & bits) >> -s)
-    return lambda mask: sum([(mask & bits) << s if s >= 0 else (mask & bits) >> -s for s, bits in moves.items()])
 
 
 def _derive_edges(masks: Sequence[int], universe: Sequence[str]) -> list[tuple[int, int]]:
@@ -220,7 +191,9 @@ class SimplePolytope:
         self.facet_ids = universe = self.vertices[0].universe
         if universe != ids:
             raise ValueError("the vertices are not over the polytope's facet ids")
-        seen_sets: dict[int, str] = {}
+        # Keyed by bytes: an int hashes modulo 2^61 - 1, so the masks of bits j and j + 61 would collide.
+        width = (len(universe) + 7) // 8
+        seen_sets: dict[bytes, str] = {}
         used = 0
         for v in self.vertices:
             if v.mask.bit_count() != dim:
@@ -229,9 +202,10 @@ class SimplePolytope:
                 raise ValueError(f"vertex {v.id} references unknown facets")
             if v.universe is not universe and v.universe != universe:
                 raise ValueError(f"vertex {v.id} is not over the polytope's facet ids")
-            if v.mask in seen_sets:
-                raise ValueError(f"vertices {seen_sets[v.mask]} and {v.id} have identical facet sets")
-            seen_sets[v.mask] = v.id
+            key = v.mask.to_bytes(width, "little")
+            if key in seen_sets:
+                raise ValueError(f"vertices {seen_sets[key]} and {v.id} have identical facet sets")
+            seen_sets[key] = v.id
             used |= v.mask
         self.incidence = tuple(v.mask for v in self.vertices)
         self._coords = coords
@@ -266,49 +240,38 @@ class SimplePolytope:
         }
 
 
-def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
-    """The face cut out by a set of facets (error if the intersection is empty)."""
-    S = frozenset(facet_ids)
-    if not S:
-        raise ValueError("need at least one facet id")
-    unknown = S - set(P.facet_ids)
-    if unknown:
-        raise ValueError(f"unknown facet ids {sorted(unknown)}")
-    want = sum(1 << j for j, f in enumerate(P.facet_ids) if f in S)
-    verts = tuple([v.id for v, mask in zip(P.vertices, P.incidence) if mask & want == want])
-    if not verts:
-        raise ValueError(f"facets {sorted(S)} have empty intersection")
-    return FaceRef(S, verts)
+def face_as_polytope(P: SimplePolytope, facet_ids: Collection[str]) -> SimplePolytope:
+    """The face of a simple polytope on the facets ``facet_ids``, as a simple polytope in its own right.
 
-
-def face_as_polytope(P: SimplePolytope, face: FaceRef) -> SimplePolytope:
-    """A face of a simple polytope as a simple polytope in its own right.
-
-    Keeps the parent's facet labels (restricted) and coordinates (read from
-    the parent when read); the facets kept are read off the parent's
-    incidence masks, and a vertex's mask is the parent's with the other
-    facets' bits deleted.
+    Its vertices are the parent's whose masks hold every given facet's bit,
+    and its facets, with the parent's labels, the others they lie on;
+    coordinates are read from the parent when read.  A vertex's mask is the
+    parent's with the other facets' bits deleted, one bit at a time.
     """
-    sub_dim = P.dim - len(face.facet_ids)
-    if sub_dim < 1:
+    S = frozenset(facet_ids)
+    unknown = S - set(P.facet_ids)
+    if unknown or not S:
+        raise ValueError(f"unknown facet ids {sorted(unknown)}" if unknown else "need at least one facet id")
+    if P.dim - len(S) < 1:
         raise ValueError("face is a vertex; it has no polytope structure")
-    in_face = set(face.vertex_ids)
-    kept = []  # parent indices of the face's vertices
-    used = 0
-    for i, v in enumerate(P.vertices):
-        if v.id in in_face:
-            kept.append(i)
-            used |= v.mask
-    facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in face.facet_ids]
+    want = sum(1 << j for j, f in enumerate(P.facet_ids) if f in S)
+    kept = [i for i, mask in enumerate(P.incidence) if mask & want == want]  # parent indices of the face's vertices
+    if not kept:
+        raise ValueError(f"facets {sorted(S)} have empty intersection")
+    used = reduce(or_, [P.incidence[i] for i in kept])
+    facets = [f for j, f in enumerate(P.facets) if used >> j & 1 and f.id not in S]
     universe = tuple(f.id for f in facets)
-    squeeze = renumbering(P.facet_ids, universe)
-    vertices = [Vertex(P.vertices[i].id, squeeze(P.incidence[i]), universe) for i in kept]
+    bits = [P.facet_ids.index(f) for f in universe]  # the parent's bit of each kept facet
+    vertices = [
+        Vertex(P.vertices[i].id, sum(1 << t for t, j in enumerate(bits) if P.incidence[i] >> j & 1), universe)
+        for i in kept
+    ]
 
     def coords(_: SimplePolytope) -> list[Point]:
         rows = P.coords()
         return [rows[i] for i in kept]
 
-    return SimplePolytope(sub_dim, facets, vertices, coords if P.has_coords else None)
+    return SimplePolytope(P.dim - len(S), facets, vertices, coords if P.has_coords else None)
 
 
 class RealisationError(ValueError):
@@ -319,6 +282,29 @@ def cut_faces(n: int) -> dict[str, range]:
     """The faces the truncated n-simplex cuts off, as root vertex indices, by cut facet id."""
     half = n // 2
     return {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
+
+
+def _cut_of(n: int) -> list[int]:
+    """The place in (``P1``, ``P2``, ``P3``) of the cut face holding each root vertex 0..n."""
+    cut_of = [0] * (n + 1)
+    for c, face in enumerate(cut_faces(n).values()):
+        for i in face:
+            cut_of[i] = c
+    return cut_of
+
+
+def truncation_labels(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The (i, m, cut) of each vertex ``A{i}|d{m}`` of the truncated n-simplex, in the order of the ids.
+
+    ``cut``, the place in (``P1``, ``P2``, ``P3``) of the face holding i; m is
+    outside it.  Ids sort by i's digits then "|", after every digit, then m's.
+    """
+    cut_of = _cut_of(n)
+    by_digits = sorted(range(n + 1), key=str)
+    outside = [[m for m in by_digits if cut_of[m] != c] for c in range(3)]
+    return tuple(
+        (i, m, cut_of[i]) for i in sorted(range(n + 1), key=lambda i: f"{i}|") for m in outside[cut_of[i]]
+    )
 
 
 def _truncation_facets(n: int) -> tuple[dict[str, range], list[FacetLabel]]:
@@ -340,8 +326,10 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     ``d{m}``, and on the cut facet, at (1-r1)*e_i + r1*e_m (``_ClosedForm``,
     when read).  Two vertices of one cut sharing i or sharing m span an edge
     inside the cut facet; ``A{i}|d{m}`` and ``A{m}|d{i}`` span the remnant
-    of the root edge ``A{i}``--``A{m}``.  Requires even n >= 4 and a rational
-    0 < r1 < 1/4; the result has n+4 facets and n(n+4)/2 vertices.
+    of the root edge ``A{i}``--``A{m}``.  The vertices are those of
+    ``truncation_labels``, with masks written from their labels.  Requires
+    even n >= 4 and a rational 0 < r1 < 1/4; the result has n+4 facets and
+    n(n+4)/2 vertices.
     """
     if n < 4 or n % 2:
         raise ValueError(f"dimension must be even and at least 4, got {n}")
@@ -352,22 +340,17 @@ def truncated_simplex(n: int, r1: Fraction = Fraction(1, 5)) -> SimplePolytope:
     ids = tuple(sorted(f.id for f in facets))
     bit = {f: 1 << j for j, f in enumerate(ids)}
     d = [bit[f"d{j}"] for j in range(n + 1)]
+    on_cut = [bit[cut] for cut in cuts]
     root = sum(d)
-    vertices: list[Vertex] = []
-    for cut, face in cuts.items():
-        outside = [m for m in range(n + 1) if m not in face]
-        for i in face:
-            for m in outside:
-                vertices.append(Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | bit[cut], ids))
+    vertices = [Vertex(f"A{i}|d{m}", root ^ d[i] ^ d[m] | on_cut[c], ids) for i, m, c in truncation_labels(n)]
     return SimplePolytope(n, facets, vertices, _ClosedForm(r1))
 
 
 class _ClosedForm:
     """The coordinates of ``truncated_simplex(n, r1)``: ``A{i}|d{m}`` at (1-r1)*e_i + r1*e_m.
 
-    Made from the (i, m) that ``decode_truncated_simplex`` reads off the
-    masks, so a polytope with this source sits where the truncated simplex
-    at ``r1`` does exactly when its masks decode: that check needs no row.
+    Made from ``truncation_labels``, which list the vertices in the order of
+    their ids, the order of ``truncated_simplex``'s vertices.
     """
 
     __slots__ = ("r1", "near")
@@ -381,7 +364,7 @@ class _ClosedForm:
         return tuple(row)
 
     def __call__(self, P: SimplePolytope) -> list[Point]:
-        return [self.point(P.dim, i, m) for i, m, _ in decode_truncated_simplex(P, self.r1)]
+        return [self.point(P.dim, i, m) for i, m, _ in truncation_labels(P.dim)]
 
 
 def _describe(p: FacetProvenance) -> str:
@@ -399,11 +382,8 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
     The constructor keeps vertex masks distinct, so the (i, m) pairs are
     distinct too, and n(n+4)/2 of them are all there are: P is then the
     truncated simplex up to the names and order of its vertices.  The masks
-    are read in O(V); the rows of a polytope that ``truncated_simplex`` built
-    at this r1 are made from the same labels (``_ClosedForm``) and are not
-    compared, while any other's, a load's among them, are, in O(V·n).
-    Otherwise raises ``RealisationError`` naming the first facet or vertex
-    that differs.
+    are read in O(V) and the rows compared in O(V·n).  Otherwise raises
+    ``RealisationError`` naming the first facet or vertex that differs.
     """
     n = P.dim
     name = f"the truncated {n}-simplex"
@@ -422,41 +402,33 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
         raise RealisationError(f"facet {missing} of {name} is missing")
     if len(P.vertices) != n * (n + 4) // 2:
         raise RealisationError(f"the polytope has {len(P.vertices)} vertices, {name} has {n * (n + 4) // 2}")
-    built = isinstance(P._coords, _ClosedForm) and P._coords.r1 == r1
-    rows = None if built or not P.has_coords else P.coords()
-    if not built and (rows is None or len(rows[0]) != n + 1):
+    rows = P.coords() if P.has_coords else None
+    if rows is None or len(rows[0]) != n + 1:
         raise RealisationError(f"vertex coordinates must have {n + 1} entries, as those of {name} do")
     cut_ids = list(cuts)
-    cut_of: dict[int, int] = {}  # bit -> place of its cut facet
-    root_of: dict[int, int] = {}  # bit -> root facet index
-    for j, f in enumerate(P.facets):
-        if f.provenance.kind == "cut":
-            cut_of[1 << j] = cut_ids.index(f.id)
-        else:
-            root_of[1 << j] = f.provenance.index
-    cut_bits = sum(cut_of)
-    root_bits = sum(root_of)
-    face_of = [0] * (n + 1)
-    for c, face in enumerate(cuts.values()):
-        for i in face:
-            face_of[i] = c
+    # By bit position, not by single bits, which as int keys take only 61 hash values:
+    # a cut facet's place in (P1, P2, P3), a root facet's index.
+    place = [cut_ids.index(f.id) if f.provenance.kind == "cut" else f.provenance.index for f in P.facets]
+    cut_bits = sum(1 << j for j, f in enumerate(P.facets) if f.provenance.kind == "cut")
+    root_bits = (1 << len(P.facets)) - 1 ^ cut_bits
+    face_of = _cut_of(n)
     closed = _ClosedForm(r1)
     labels = []
-    for v, mask, coord in zip(P.vertices, P.incidence, rows or [None] * len(P.vertices)):
+    for v, mask, coord in zip(P.vertices, P.incidence, rows):
         on_cut = mask & cut_bits
-        if on_cut not in cut_of:
+        if on_cut.bit_count() != 1:
             raise RealisationError(f"vertex {v.id} lies on {on_cut.bit_count()} cut facets, not one")
         # On one cut facet, a vertex lies on n-1 of the n+1 root facets.
-        c = cut_of[on_cut]
+        c = place[on_cut.bit_length() - 1]
         off = root_bits & ~mask
         low = off & -off
-        a, b = root_of[low], root_of[off ^ low]
+        a, b = place[low.bit_length() - 1], place[(off ^ low).bit_length() - 1]
         i, m = (a, b) if face_of[a] == c else (b, a)
         if face_of[i] != c or face_of[m] == c:
             raise RealisationError(
                 f"vertex {v.id} lies on {cut_ids[c]} and misses d{a} and d{b}; no vertex of {name} does"
             )
-        if rows is not None and coord != (row := closed.point(n, i, m)):
+        if coord != (row := closed.point(n, i, m)):
             j = next(j for j, (x, y) in enumerate(zip(coord, row)) if x != y)
             raise RealisationError(
                 f"vertex {v.id} is not A{i}|d{m} of {name} at r1 = {format_fraction(r1)}: "

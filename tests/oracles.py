@@ -65,8 +65,17 @@ updates on every entry of every row), ``dense_inverse_unimodular`` (it
 reduces the dense [m | I] and checks m B = I by entrywise sums) and
 ``dense_apply_matrix``; ``matmul``, the dense matrix product that only tests
 use, moved here too.
+The library reads W and its boundary through W's vertex labels (i, m, cut);
+the mask path it read them through before is the last oracle section:
+``mask_validate`` with its mask-keyed memo ``Verdicts`` and ``renumbering``,
+``mask_components`` (faces built by ``face_as_polytope``),
+``mask_identify_simplex_or_product``, ``mask_verify_translation`` (XOR over
+masks) and ``mask_glue_report``, which assembles them into a report.
+``FaceRef`` and ``face_from_facets``, which only ``cut_face`` and tests
+read, live here too.
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
-``determinant`` or ``inverse_unimodular``.  The last section holds helpers
+``determinant`` or ``inverse_unimodular``, save the mask path, which reuses
+``charfn._FullCountCertificate`` as the library did.  The last section holds helpers
 over package types that only tests need; they are not oracles, and
 ``inverse_witness`` does use the library's inverse.  ``attach``, which builds
 a pair from plain integer vectors, canonicalizing each, is one of them.
@@ -77,15 +86,40 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from cpbound.charfn import CharPair, CharVector, TranslationWitness, ValidationReport, VertexCheck
-from cpbound.cobordism import WManifold, betti_from_h_vector
+from cpbound.charfn import (
+    CharPair,
+    CharVector,
+    TranslationReport,
+    TranslationWitness,
+    ValidationReport,
+    VertexCheck,
+    _failure_reason,
+    _FullCountCertificate,
+    delta_matrix,
+    normalize_simplex_pair,
+    orientation_signs,
+    restrict_to_facet,
+    rho_facet_bijection,
+)
+from cpbound.cobordism import (
+    BOUNDARY_FACETS,
+    CheckResult,
+    EulerCheck,
+    GluingReport,
+    HomologyTable,
+    WManifold,
+    betti_from_h_vector,
+    cell_stage,
+)
 from cpbound.polytope import (
     FUNCTIONAL_COEFF_BOUND,
     FUNCTIONAL_RETRY_BUDGET,
-    FaceRef,
     FacetLabel,
     LinearFunctional,
     Point,
@@ -94,7 +128,6 @@ from cpbound.polytope import (
     _derive_edges,
     combinatorially_isomorphic,
     cut_facet,
-    face_from_facets,
     functional_draws,
     generate_functional,
     original_facet,
@@ -106,6 +139,7 @@ from cpbound.polytope import (
 from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
+    column_product,
     inverse_unimodular,
     is_direct_summand,
     smith_normal_form,
@@ -536,6 +570,30 @@ def navigation(P: SimplePolytope) -> dict[str, dict[str, tuple[str, Edge]]]:
         nav[a][dropped_a] = (b, e)
         nav[b][dropped_b] = (a, e)
     return nav
+
+
+class FaceRef(Record):
+    """A face given by facet ids, with the vertices realizing it."""
+
+    __slots__ = ("facet_ids", "vertex_ids")
+
+    def __init__(self, facet_ids: frozenset[str], vertex_ids: tuple[str, ...]) -> None:
+        self._fill(facet_ids, vertex_ids)
+
+
+def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
+    """The face cut out by a set of facets (error if the intersection is empty), for ``cut_face``."""
+    S = frozenset(facet_ids)
+    if not S:
+        raise ValueError("need at least one facet id")
+    unknown = S - set(P.facet_ids)
+    if unknown:
+        raise ValueError(f"unknown facet ids {sorted(unknown)}")
+    want = sum(1 << j for j, f in enumerate(P.facet_ids) if f in S)
+    verts = tuple([v.id for v, mask in zip(P.vertices, P.incidence) if mask & want == want])
+    if not verts:
+        raise ValueError(f"facets {sorted(S)} have empty intersection")
+    return FaceRef(S, verts)
 
 
 def simplex(n: int) -> SimplePolytope:
@@ -1020,3 +1078,324 @@ def check_geometry(P: SimplePolytope) -> None:
         rank = fraction_rank(diffs) if diffs else 0
         if rank != P.dim - 1:
             raise ValueError(f"facet {fid} spans affine dimension {rank}, expected {P.dim - 1}")
+
+
+# --- the mask path ----------------------------------------------------------------
+#
+# How the library read W's boundary before it read W through its labels: one
+# mask-keyed verdict memo shared by W and its faces, faces built as polytopes
+# by ``restrict_to_facet``, masks renumbered between them, and the translation
+# checked by XORing masks.
+
+
+def renumbering(source: Sequence[str], target: Sequence[str]) -> Callable[[int], int]:
+    """The map of facet masks over the ids ``source`` to masks over the ids ``target``.
+
+    Bit j moves to the place of ``source[j]`` in ``target``, and is dropped
+    when that id is not there.  Bits that move by one shift move together, so
+    between a polytope's sorted ids and a face's, a subset in the same order,
+    a mask moves in one shift per run of ids in only one of them: one
+    and-shift between W and P1 or P2, whose facets are all W's ``d...`` ids.
+    """
+    place = {f: t for t, f in enumerate(target)}
+    moves: dict[int, int] = {}
+    for j, f in enumerate(source):
+        if f in place:
+            moves[place[f] - j] = moves.get(place[f] - j, 0) | 1 << j
+    if len(moves) == 1:
+        [(s, bits)] = moves.items()
+        return (lambda mask: (mask & bits) << s) if s >= 0 else (lambda mask: (mask & bits) >> -s)
+    return lambda mask: sum([(mask & bits) << s if s >= 0 else (mask & bits) >> -s for s, bits in moves.items()])
+
+
+def _rows(mask: int, row_at: Sequence[int]) -> list[int]:
+    """The rows of M at the set bits of ``mask``, in order, one step per set bit."""
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(row_at[low.bit_length() - 1])
+        mask ^= low
+    return rows
+
+
+class Verdicts:
+    """The memo of ``mask_validate``: vertex verdicts of one W and its boundary components, and of no other pair.
+
+    ``reasons`` maps a mapped-facet mask over W's facet ids ``facet_ids`` to
+    "" for a direct summand, otherwise to the failure reason.  A mask names
+    one vector set only where each facet keeps one vector: within one W.
+    """
+
+    __slots__ = ("facet_ids", "reasons")
+
+    def __init__(self, facet_ids: Sequence[str]) -> None:
+        self.facet_ids = tuple(facet_ids)
+        self.reasons: dict[int, str] = {}
+
+
+def mask_validate(pair: CharPair, verdicts: Verdicts | None = None) -> ValidationReport:
+    """``validate`` as it read every pair, W and its components among them, off the incidence masks.
+
+    A vertex's mapped facets are its incidence mask under the mask of the
+    assigned facets.  Its verdict is looked up in ``verdicts`` by that mask
+    mapped back to ``verdicts.facet_ids``, W's; only a vertex whose mask is
+    not there, or fails, has its vectors built.  A new set is certified at
+    full count by the pair's ``_FullCountCertificate``, built on the first
+    such set, from the rows the vertex misses, and otherwise by the Smith
+    normal form, which also gives a failing set's invariant factors.  On W
+    n(n+4)/4 masks cover the n(n+4)/2 vertices; a component's masks are all W's.
+    """
+    P = pair.polytope
+    rank = pair.torus_rank
+    verdicts = Verdicts(P.facet_ids) if verdicts is None else verdicts
+    if not set(pair.assignment) <= set(verdicts.facet_ids):
+        raise ValueError("the verdicts are kept over the facets of another manifold")
+    reasons = verdicts.reasons
+    key_of = None if verdicts.facet_ids == P.facet_ids else renumbering(P.facet_ids, verdicts.facet_ids)
+    ids = tuple(pair.assignment)  # sorted, like facet_ids
+    entries = [pair.assignment[f].entries for f in ids]
+    row_of = {f: row for row, f in enumerate(ids)}
+    row_at = [row_of.get(f) for f in P.facet_ids]  # bit place -> row of M
+    assigned = sum(1 << j for j, row in enumerate(row_at) if row is not None)
+    certificate: _FullCountCertificate | None = None
+    failures = []
+    for v, mask in zip(P.vertices, P.incidence):
+        mapped = mask & assigned
+        if not mapped:
+            continue
+        key = mapped if key_of is None else key_of(mapped)
+        reason = reasons.get(key)
+        if reason == "":
+            continue
+        full = mapped.bit_count() == rank
+        if reason is None and full:
+            if certificate is None:
+                certificate = _FullCountCertificate(entries, rank)
+            if certificate.is_unimodular(_rows(assigned ^ mapped, row_at)):
+                reasons[key] = ""
+                continue
+        rows = _rows(mapped, row_at)
+        vectors = tuple([entries[row] for row in rows])
+        if reason is None:
+            ok = not full and is_direct_summand(vectors, rank)
+            reason = reasons[key] = "" if ok else _failure_reason(vectors)
+        if reason:
+            failures.append(VertexCheck(v.id, tuple([ids[row] for row in rows]), vectors, False, reason))
+    return ValidationReport(not failures, len(P.vertices), tuple(failures))
+
+
+def mask_components(W: WManifold) -> tuple[CharPair, CharPair, CharPair]:
+    """The three closed pairs on P1, P2, P3, each a face polytope of W's; checks they share no vertices."""
+    poly = W.pair.polytope
+    vsets = {f: set(poly.facet_vertices(f)) for f in BOUNDARY_FACETS}
+    for i, a in enumerate(BOUNDARY_FACETS):
+        for b in BOUNDARY_FACETS[i + 1 :]:
+            overlap = vsets[a] & vsets[b]
+            if overlap:
+                raise ValueError(f"boundary facets {a} and {b} share vertices {sorted(overlap)}")
+    return tuple(restrict_to_facet(W.pair, f) for f in BOUNDARY_FACETS)
+
+
+def mask_identify_simplex_or_product(P: SimplePolytope) -> str | None:
+    """``identify_simplex_or_product`` on a polytope, by the bits of its incidence masks.
+
+    A simple d-polytope with d+1 facets is Delta^d exactly when it has d+1
+    vertices: their masks are distinct, so each misses a different facet.
+    With d+2 facets every vertex misses two, and the polytope is
+    Delta^a x Delta^b exactly when these missing pairs, taken as edges on the
+    facets, form the complete bipartite graph K_(a+1, b+1): the two colour
+    classes are then the facet bijection onto the model.  There the facets
+    missed together with facet 0 are one class, B, and the rest the other, A;
+    as the pairs are distinct, they are all of A x B exactly when each has
+    one facet in B and there are |A|*|B| of them.
+    """
+    d = P.dim
+    count = len(P.facet_ids)
+    if count == d + 1:
+        return f"Delta^{d}" if len(P.vertices) == d + 1 else None
+    if count != d + 2:
+        return None
+    missing = [(1 << count) - 1 ^ mask for mask in P.incidence]  # two bits each
+    other = reduce(or_, [m for m in missing if m & 1], 0) & ~1
+    size = other.bit_count()
+    smaller = min(size, count - size)
+    if smaller < 2 or len(P.vertices) != size * (count - size):
+        return None
+    if any((m & other).bit_count() != 1 for m in missing):
+        return None
+    return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
+
+
+def mask_verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitness) -> TranslationReport:
+    """``verify_translation`` on two pairs with polytopes, by XORing the images of each vertex's missed facets.
+
+    Vector equality is up to global sign: delta v must be the canonical
+    target t or -t.  Delta is applied by its nonzero columns, collected once.
+    """
+    if pair1.torus_rank != pair2.torus_rank:
+        raise ValueError("pairs have different torus ranks")
+    if w.delta.cols != pair1.torus_rank:
+        raise ValueError(f"cannot apply {w.delta.rows}x{w.delta.cols} matrix to a vector of length {pair1.torus_rank}")
+    P1, P2 = pair1.polytope, pair2.polytope
+    phi = dict(w.phi)
+    if sorted(phi) != sorted(P1.facet_ids) or sorted(phi.values()) != sorted(P2.facet_ids):
+        raise ValueError("phi is not a bijection between the facet sets")
+    place = {f: j for j, f in enumerate(P2.facet_ids)}
+    image = [1 << place[phi[f]] for f in P1.facet_ids]
+    full = (1 << len(image)) - 1
+    images = set()
+    for mask in P1.incidence:  # phi is a bijection: the image misses the images of the facets missed
+        out, missed = full, full ^ mask
+        while missed:
+            out ^= image[(missed & -missed).bit_length() - 1]
+            missed &= missed - 1
+        images.add(out)
+    iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
+    delta = column_product(w.delta)
+    mismatches = []
+    for fid in sorted(pair1.assignment):
+        target = phi[fid]
+        if target not in pair2.assignment:
+            mismatches.append((fid, target))
+            continue
+        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[target].entries
+        if image != t and tuple([-x for x in image]) != t:
+            mismatches.append((fid, target))
+    for fid in pair1.boundary_facet_ids:
+        if phi[fid] in pair2.assignment:
+            mismatches.append((fid, phi[fid]))
+    return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
+
+
+def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingReport:
+    """``glue_report`` on the mask path: W validated by ``mask_validate`` into one mask-keyed memo
+    shared with ``mask_components``, whose types, validity and translation are read off their
+    masks, and the Euler count from the boundary facets' vertex lists.  The cells are
+    ``cell_stage``'s.
+    """
+    verdicts = Verdicts(W.pair.polytope.facet_ids)
+    n = W.n
+    checks: list[CheckResult] = []
+    witness: TranslationWitness | None = None
+    cells: dict[int, int] = {}
+    homology: HomologyTable | None = None
+
+    report = mask_validate(W.pair, verdicts)
+    checks.append(
+        CheckResult(
+            "w-validity",
+            report.ok,
+            f"{report.checked_vertices} vertices checked, {len(report.failures)} failures"
+            + ("" if report.ok else f" (first at {report.failures[0].vertex})"),
+        )
+    )
+
+    components: tuple[CharPair, ...] = ()
+    if report.ok:
+        try:
+            components = mask_components(W)
+            checks.append(CheckResult("boundary-disjointness", True, "P1, P2, P3 share no vertices"))
+        except ValueError as exc:
+            checks.append(CheckResult("boundary-disjointness", False, str(exc)))
+
+    if components:
+        half = n // 2
+        expected = [f"Delta^{half - 1} x Delta^{half}", f"Delta^{half - 1} x Delta^{half}", f"Delta^{n - 1}"]
+        found = [mask_identify_simplex_or_product(c.polytope) for c in components]
+        ok = found == expected
+        checks.append(
+            CheckResult(
+                "boundary-polytope-types",
+                ok,
+                "; ".join(f"{f}: {t}" for f, t in zip(BOUNDARY_FACETS, found)),
+            )
+        )
+
+        sub_reports = [mask_validate(c, verdicts) for c in components]
+        ok = all(r.ok for r in sub_reports)
+        checks.append(
+            CheckResult(
+                "component-validity",
+                ok,
+                ", ".join(
+                    f"{f}: {len(r.failures)} failures" for f, r in zip(BOUNDARY_FACETS, sub_reports)
+                ),
+            )
+        )
+
+        witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
+        translation = mask_verify_translation(components[0], components[1], witness)
+        checks.append(
+            CheckResult(
+                "translation-p1-p2",
+                translation.ok,
+                "facet bijection is an isomorphism and the basis reversal carries "
+                "every vector across"
+                if translation.ok
+                else f"mismatches at {translation.vector_mismatches}",
+            )
+        )
+
+        try:
+            normal = normalize_simplex_pair(components[2], sub_reports[2])
+            allones = normal.vector_of(normal.residual_facet) == (1,) * (n - 1)
+            checks.append(
+                CheckResult(
+                    "p3-normal-form",
+                    allones,
+                    f"residual facet {normal.residual_facet} carries the all-ones vector; "
+                    f"basis change determinant {normal.det}",
+                )
+            )
+        except ValueError as exc:
+            checks.append(CheckResult("p3-normal-form", False, str(exc)))
+
+    if report.ok:
+        try:
+            stage = cell_stage(W, seed, extra_seeds)
+        except (ValueError, AssertionError) as exc:
+            # Both checks rest on this structure, so both report its failure.
+            checks.append(CheckResult("cell-structure", False, str(exc)))
+            checks.append(CheckResult("euler-cross-check", False, str(exc)))
+        else:
+            cells = stage.counts
+            if stage.extra_error is None:
+                homology = stage.homology
+                details = (
+                    f"one 0-cell plus odd cells {cells}; top count "
+                    f"{stage.structure.index_counts()[n]}"
+                    + ("" if stage.stable else "; counts varied across seeds")
+                )
+            else:
+                details = str(stage.extra_error)
+            checks.append(
+                CheckResult("cell-structure", stage.stable and stage.extra_error is None, details)
+            )
+            poly = W.pair.polytope
+            boundary_vertices = sum(len(poly.facet_vertices(f)) for f in BOUNDARY_FACETS)
+            euler = EulerCheck(stage.euler.cell_total, boundary_vertices // 2)
+            checks.append(
+                CheckResult(
+                    "euler-cross-check",
+                    euler.ok,
+                    f"cell total {euler.cell_total} vs half boundary vertex count "
+                    f"{euler.half_boundary_vertices}",
+                )
+            )
+
+    orient = orientation_signs(n)
+    passed = all(c.passed for c in checks)
+    return GluingReport(
+        n=n,
+        k=W.k,
+        r1=W.r1,
+        seed=seed,
+        checks=tuple(checks),
+        components=components,
+        cell_counts=cells,
+        homology=homology,
+        orientation=orient,
+        boundary_label=orient.boundary_label,
+        witness=witness,
+        passed=passed,
+    )

@@ -48,6 +48,8 @@ from oracles import (
     cofactor_det,
     fraction_rank,
     identity,
+    mask_components,
+    mask_verify_translation,
     minor_gcd_invariant_factors,
     random_matrix_rows,
     simplex,
@@ -119,7 +121,9 @@ def test_criterion_04_boundary_structure():
             assert not (vsets["P1"] & vsets["P2"])
             assert not (vsets["P2"] & vsets["P3"])
             assert not (vsets["P1"] & vsets["P3"])
-            comps = boundary_components(W)
+            comps = mask_components(W)
+            views = boundary_components(W)
+            assert [len(c.polytope.vertices) for c in comps] == [len(v.labels) for v in views]
             model = product(simplex(n // 2 - 1), simplex(n // 2))
             assert combinatorially_isomorphic(comps[0].polytope, model) is not None
             assert combinatorially_isomorphic(comps[1].polytope, model) is not None
@@ -160,7 +164,9 @@ def test_criterion_07_delta_translation():
             p1 = restrict_to_facet(pair, "P1")
             p2 = restrict_to_facet(pair, "P2")
             witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
-            assert verify_translation(p1, p2, witness).ok, f"translation failed for n={n}"
+            assert mask_verify_translation(p1, p2, witness).ok, f"translation failed for n={n}"
+            views = boundary_components(build_W(n // 2 - 1))
+            assert verify_translation(views[0], views[1], witness).ok, f"translation failed for n={n}"
             eta = eta_standard(n)
             rho = rho_permutation(n)
             for i in range(n + 1):
@@ -169,7 +175,9 @@ def test_criterion_07_delta_translation():
         p1 = restrict_to_facet(pair, "P1")
         p2 = restrict_to_facet(pair, "P2")
         bad = TranslationWitness(rho_facet_bijection(4), identity(3))
-        assert not verify_translation(p1, p2, bad).ok
+        assert not mask_verify_translation(p1, p2, bad).ok
+        views = boundary_components(build_W(1))
+        assert not verify_translation(views[0], views[1], bad).ok
 
 
 def test_criterion_08_orientation_parities():

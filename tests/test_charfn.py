@@ -10,6 +10,7 @@ from cpbound.charfn import (
     CharPair,
     _FullCountCertificate,
     CharVector,
+    CutPair,
     TranslationWitness,
     ValidationReport,
     VertexCheck,
@@ -41,6 +42,7 @@ from oracles import (
     fraction_rank,
     identity,
     inverse_witness,
+    mask_components,
     matmul,
     minor_gcd_invariant_factors,
     per_vertex_validate,
@@ -199,8 +201,8 @@ def mutated_w_table(n, rng):
 class TestValidateAgainstOracle:
     """validate() must give the oracle's verdicts, failing vertices and reasons."""
 
-    def assert_matches_oracle(self, pair, verdicts=None):
-        report = validate(pair, verdicts)
+    def assert_matches_oracle(self, pair, labels=None):
+        report = validate(pair, labels)
         expected = reference_failures(pair)
         assert report.ok == (not expected)
         assert report.checked_vertices == len(pair.polytope.vertices)
@@ -247,12 +249,12 @@ class TestValidateAgainstOracle:
         for _ in range(2):
             valid = build_W(k)
             mutated = WManifold(attach(P, table, n - 1), n, Fraction(1, 5))
-            assert valid.verdicts is not mutated.verdicts
-            assert self.assert_matches_oracle(valid.pair, valid.verdicts).ok
-            assert not self.assert_matches_oracle(mutated.pair, mutated.verdicts).ok
+            assert valid.report is not mutated.report
+            assert self.assert_matches_oracle(valid.pair, valid.labels).ok
+            assert not self.assert_matches_oracle(mutated.pair, mutated.labels).ok
             assert glue_report(valid, 0).passed
             assert glue_report(mutated, 0).failed_checks() == ("w-validity",)
-            assert self.assert_matches_oracle(valid.pair, valid.verdicts).ok
+            assert self.assert_matches_oracle(valid.pair, valid.labels).ok
 
 
 def product_of_simplices(dims):
@@ -272,8 +274,8 @@ class TestValidateAgainstPerVertexOracle:
     """validate() certifies full-count vertices from one elimination per pair;
     its reports must equal those of one Bareiss determinant per vertex set."""
 
-    def assert_same(self, pair, verdicts=None):
-        report = validate(pair, verdicts)
+    def assert_same(self, pair, labels=None):
+        report = validate(pair, labels)
         assert report == per_vertex_validate(pair)
         return report
 
@@ -281,10 +283,10 @@ class TestValidateAgainstPerVertexOracle:
     def test_built_w(self, k):
         W = build_W(k)
         assert self.assert_same(W.pair).ok
-        assert self.assert_same(W.pair, W.verdicts).ok
-        for component in boundary_components(W):
+        assert self.assert_same(W.pair, W.labels).ok
+        for view, component in zip(boundary_components(W), mask_components(W)):
             assert self.assert_same(component).ok
-            assert self.assert_same(component, W.verdicts).ok
+            assert view.report == per_vertex_validate(component)
 
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_single_vector_and_single_entry_mutations(self, k):
@@ -302,11 +304,11 @@ class TestValidateAgainstPerVertexOracle:
             if not any(table[facet]):
                 table[facet][0] = 1
             W = WManifold(attach(P, table, n - 1), n, Fraction(1, 5))
-            report = self.assert_same(W.pair, W.verdicts)
+            report = self.assert_same(W.pair, W.labels)
             outcomes.append(report.ok)
-            for fid in ("P1", "P2", "P3"):
+            for fid, view in zip(("P1", "P2", "P3"), boundary_components(W)):
                 self.assert_same(restrict_to_facet(W.pair, fid))
-                self.assert_same(restrict_to_facet(W.pair, fid), W.verdicts)
+                assert view.report == per_vertex_validate(restrict_to_facet(W.pair, fid))
         assert False in outcomes
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -468,7 +470,7 @@ class TestValidateMaskMemo:
 
     @pytest.mark.parametrize("k", (1, 2, 5))
     def test_no_mask_repeats_on_the_boundary_components(self, k):
-        for component in boundary_components(build_W(k)):
+        for component in mask_components(build_W(k)):
             by_mask = self.mapped_masks(component)
             assert len(by_mask) == len(component.polytope.vertices)
 
@@ -567,19 +569,20 @@ class TestDependenceDichotomy:
             assert is_direct_summand(subset, n - 1)
 
 
+def views(n):
+    """The boundary components of the standard W of dimension n, as views of its labels."""
+    return boundary_components(build_W(n // 2 - 1))
+
+
 class TestVerifyTranslation:
     @pytest.mark.parametrize("n", EVEN_RANGE)
     def test_translation_holds(self, n):
-        pair = w_pair(n)
-        p1 = restrict_to_facet(pair, "P1")
-        p2 = restrict_to_facet(pair, "P2")
+        p1, p2, _ = views(n)
         witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
         assert verify_translation(p1, p2, witness).ok
 
     def test_identity_delta_fails_n4(self):
-        pair = w_pair(4)
-        p1 = restrict_to_facet(pair, "P1")
-        p2 = restrict_to_facet(pair, "P2")
+        p1, p2, _ = views(4)
         witness = TranslationWitness(rho_facet_bijection(4), identity(3))
         report = verify_translation(p1, p2, witness)
         assert not report.ok
@@ -588,24 +591,22 @@ class TestVerifyTranslation:
         assert ("d4", "d1") in report.vector_mismatches
 
     def test_reflexive_with_identity_witness(self):
-        p1 = restrict_to_facet(w_pair(4), "P1")
-        witness = TranslationWitness({f: f for f in p1.polytope.facet_ids}, identity(3))
+        p1 = views(4)[0]
+        witness = TranslationWitness({f: f for f in p1.facet_ids}, identity(3))
         assert verify_translation(p1, p1, witness).ok
 
     def test_symmetric_and_transitive(self):
-        pair = w_pair(6)
-        p1 = restrict_to_facet(pair, "P1")
-        p2 = restrict_to_facet(pair, "P2")
+        p1, p2, _ = views(6)
         witness = TranslationWitness(rho_facet_bijection(6), delta_matrix(6))
         assert verify_translation(p2, p1, inverse_witness(witness)).ok
         round_trip = compose_witnesses(inverse_witness(witness), witness)
         assert verify_translation(p1, p1, round_trip).ok
 
     def test_rank_mismatch_raises(self):
-        p1 = restrict_to_facet(w_pair(4), "P1")
+        p1 = views(4)[0]
         other = cp_pair(4)
         witness = TranslationWitness(
-            dict(zip(sorted(p1.polytope.facet_ids), sorted(other.polytope.facet_ids))),
+            dict(zip(sorted(p1.facet_ids), sorted(other.polytope.facet_ids))),
             identity(3),
         )
         with pytest.raises(ValueError, match="rank"):
@@ -626,12 +627,11 @@ class TestVerifyTranslation:
 
     @staticmethod
     def components(n):
-        pair = w_pair(n)
-        return restrict_to_facet(pair, "P1"), restrict_to_facet(pair, "P2")
+        return views(n)[:2]
 
     @staticmethod
     def with_vector(pair, fid, entries):
-        return CharPair(pair.polytope, pair.torus_rank, {**pair.assignment, fid: CharVector.canon(entries)})
+        return CutPair(pair.labels, {**pair.assignment, fid: CharVector.canon(entries)}, pair.torus_rank, pair.report)
 
     @staticmethod
     def oracle_mismatches(pair1, pair2, w):

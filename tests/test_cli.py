@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpbound import cobordism
+from cpbound import cli, cobordism
 from cpbound.charfn import validate
 from cpbound.cli import run
 from cpbound.cobordism import CellStructure, build_W, wmanifold_from_json, wmanifold_to_json
@@ -686,3 +686,16 @@ def test_mutated_certificates_keep_the_exit_contract(cert_dir, data, command):
     path.write_text(json.dumps(data))
     code, _ = invoke(command, "--input", str(path))
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ("glue", "homology", "validate", "boundary", "construct"))
+def test_out_of_memory_exits_2_with_an_error_line(monkeypatch, capsys, command):
+    # A request too large for the memory available is no failed check: it exits 2, not with a traceback.
+    def exhausted(k, r1=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_W", exhausted)
+    out = io.StringIO()
+    assert run([command, "--k", "3"], out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: out of memory running {command}; try a smaller --k or --n\n"

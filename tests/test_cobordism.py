@@ -32,7 +32,6 @@ from cpbound.polytope import (
     FUNCTIONAL_RETRY_BUDGET,
     FacetLabel,
     RealisationError,
-    face_from_facets,
     generate_functional,
     original_facet,
     product,
@@ -42,6 +41,8 @@ from cpbound.polytope import (
 )
 
 from oracles import (
+    face_from_facets,
+    mask_components,
     attach,
     betti_boundary,
     checked_polytope,
@@ -95,13 +96,13 @@ class TestBuildW:
 class TestBoundaryComponents:
     def test_n4_shapes(self):
         comps = boundary_components(build_W(1))
-        labels = [identify_simplex_or_product(c.polytope) for c in comps]
+        labels = [identify_simplex_or_product(c) for c in comps]
         assert labels == ["Delta^1 x Delta^2", "Delta^1 x Delta^2", "Delta^3"]
-        assert [len(c.polytope.vertices) for c in comps] == [6, 6, 4]
+        assert [len(c.labels) for c in comps] == [6, 6, 4]
 
     def test_n6_shapes(self):
         comps = boundary_components(build_W(2))
-        labels = [identify_simplex_or_product(c.polytope) for c in comps]
+        labels = [identify_simplex_or_product(c) for c in comps]
         assert labels == ["Delta^2 x Delta^3", "Delta^2 x Delta^3", "Delta^5"]
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -118,7 +119,7 @@ class TestBoundaryComponents:
     def test_components_are_closed_and_valid(self):
         for comp in boundary_components(build_W(2)):
             assert comp.boundary_facet_ids == ()
-            assert validate(comp).ok
+            assert comp.report.ok
 
 
 def relabel_facets(P, rng):
@@ -201,7 +202,7 @@ class TestRecognizerAgainstOracle:
     def test_round_tripped_boundary_components(self, k):
         n = 2 * (k + 1)
         expected = [f"Delta^{n // 2 - 1} x Delta^{n // 2}"] * 2 + [f"Delta^{n - 1}"]
-        components = [charpair_from_json(charpair_to_json(c)) for c in boundary_components(build_W(k))]
+        components = [charpair_from_json(charpair_to_json(c)) for c in mask_components(build_W(k))]
         assert [self.agree(c.polytope) for c in components] == expected
 
     def test_random_simplex_incidences(self):
@@ -574,7 +575,7 @@ class TestIntegerFunctionals:
 
 def graph_walk_h_vectors(W, seed):
     """The h-vectors ``cpbound boundary`` printed before: each component's indices under its own functional."""
-    return tuple(h_vector(c.polytope, generate_functional(c.polytope, seed)) for c in boundary_components(W))
+    return tuple(h_vector(c.polytope, generate_functional(c.polytope, seed)) for c in mask_components(W))
 
 
 class TestBoundaryHVectors:
@@ -617,17 +618,17 @@ class TestBoundaryHVectors:
 
 class TestBettiBoundary:
     def test_projective_component(self):
-        comps = boundary_components(build_W(1))
+        comps = mask_components(build_W(1))
         betti = betti_boundary(comps[2], 0)
         assert betti == {0: 1, 2: 1, 4: 1, 6: 1}
 
     def test_prism_component(self):
-        comps = boundary_components(build_W(1))
+        comps = mask_components(build_W(1))
         betti = betti_boundary(comps[0], 0)
         assert betti == {0: 1, 2: 2, 4: 2, 6: 1}
 
     def test_total_is_vertex_count(self):
-        for comp in boundary_components(build_W(2)):
+        for comp in mask_components(build_W(2)):
             betti = betti_boundary(comp, 0)
             assert sum(betti.values()) == len(comp.polytope.vertices)
 

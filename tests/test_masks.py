@@ -1,10 +1,15 @@
-"""Incidence masks against the per-vertex frozensets the library built before it kept masks only.
+"""Incidence masks against the per-vertex frozensets the library built before it kept masks only,
+and W's labels against the masks the library read W's boundary through before.
 
 Covers k = 1..8, built and loaded from JSON: W, its three boundary faces and
 products of simplices.  Each vertex's derived ``facet_ids`` must equal the
 oracle's set, ``polytope_to_json`` must give the oracle's bytes, and every
-validation report, with one verdict memo shared by W and its components
-and with a fresh memo per component, must equal ``oracles.per_vertex_validate``, reasons included.
+validation report, the label path's and the mask path's (``oracles.mask_validate``,
+with one verdict memo shared by W and its faces and with a fresh memo per
+face), must equal ``oracles.per_vertex_validate``, reasons included.  Over
+k <= 12, several r1 and seeds, built, loaded and mutated, the label path's
+validation, boundary components, types, translation and JSON report must be
+the mask path's (``oracles.mask_glue_report`` and its parts).
 """
 
 import json
@@ -14,26 +19,46 @@ from fractions import Fraction
 
 import pytest
 
-from cpbound.charfn import Verdicts, eta_facet_assignment, normalize_simplex_pair, validate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cpbound.charfn import (
+    CharVector,
+    TranslationWitness,
+    delta_matrix,
+    eta_facet_assignment,
+    normalize_simplex_pair,
+    rho_facet_bijection,
+    validate,
+    verify_translation,
+)
 from cpbound.cobordism import (
     BOUNDARY_FACETS,
     WManifold,
     boundary_components,
     build_W,
     glue_report,
+    glue_report_to_json,
+    identify_simplex_or_product,
     wmanifold_from_json,
     wmanifold_to_json,
 )
 from cpbound.polytope import (
+    FacetLabel,
+    SimplePolytope,
+    Vertex,
+    decode_truncated_simplex,
     face_as_polytope,
-    face_from_facets,
+    original_facet,
+    polytope_from_json,
     polytope_to_json,
     product,
-    renumbering,
     truncated_simplex,
+    truncation_labels,
 )
 
 from oracles import (
+    Verdicts,
     attach,
     bareiss_det,
     frozenset_face_sets,
@@ -41,8 +66,15 @@ from oracles import (
     frozenset_product_sets,
     frozenset_simplex_sets,
     frozenset_truncated_simplex_sets,
+    mask_components,
+    mask_glue_report,
+    mask_identify_simplex_or_product,
+    mask_validate,
+    mask_verify_translation,
+    identity,
     matrix_rows,
     per_vertex_validate,
+    renumbering,
     simplex,
 )
 
@@ -78,14 +110,17 @@ def mutated_W(k, rng):
 
 
 def assert_reports_match_oracle(W):
-    """W and its components, validated with one memo and each with a fresh one, report what the
-    per-vertex oracle does."""
+    """W and its components, on the label path and on the mask path with one memo and each with a
+    fresh one, report what the per-vertex oracle does."""
     assert W.report == per_vertex_validate(W.pair)
-    components = boundary_components(W)
-    for component in components:
+    verdicts = Verdicts(W.pair.polytope.facet_ids)
+    assert mask_validate(W.pair, verdicts) == W.report
+    components = mask_components(W)
+    for view, component in zip(boundary_components(W), components):
         expected = per_vertex_validate(component)
-        assert validate(component) == expected
-        assert validate(component, W.verdicts) == expected
+        assert view.report == expected
+        assert mask_validate(component) == expected
+        assert mask_validate(component, verdicts) == expected
     return W.report, components
 
 
@@ -97,7 +132,7 @@ class TestFacetSets:
         sets = frozenset_truncated_simplex_sets(n)
         assert_masks_match(P, sets)
         for facet in BOUNDARY_FACETS:
-            assert_masks_match(face_as_polytope(P, face_from_facets(P, [facet])), frozenset_face_sets(sets, facet))
+            assert_masks_match(face_as_polytope(P, [facet]), frozenset_face_sets(sets, facet))
 
     @pytest.mark.parametrize("k", KS)
     def test_loaded_w_and_its_faces(self, k):
@@ -109,7 +144,7 @@ class TestFacetSets:
         sets = loaded_sets(data)
         assert_masks_match(P, sets)
         for facet in BOUNDARY_FACETS:
-            assert_masks_match(face_as_polytope(P, face_from_facets(P, [facet])), frozenset_face_sets(sets, facet))
+            assert_masks_match(face_as_polytope(P, [facet]), frozenset_face_sets(sets, facet))
 
     @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1)])
     def test_products_of_simplices(self, dims):
@@ -138,7 +173,7 @@ class TestReportsWithOneMemo:
         for _ in range(2):
             report, components = assert_reports_match_oracle(mutated_W(k, rng))
             assert not report.ok
-            assert not all(validate(c, Verdicts(c.polytope.facet_ids)).ok for c in components)
+            assert not all(mask_validate(c, Verdicts(c.polytope.facet_ids)).ok for c in components)
 
     @pytest.mark.parametrize("k", KS)
     def test_mutated_loaded_w(self, k):
@@ -161,20 +196,17 @@ class TestReportsWithOneMemo:
         valid, mutated = build_W(k), mutated_W(k, random.Random(500 + k))
         for _ in range(2):  # in either order, each W's answers stay its own
             for W in (valid, mutated):
-                before = dict(W.verdicts.reasons)
                 report, _ = assert_reports_match_oracle(W)
                 assert report.ok == (W is valid)
-                assert W.verdicts.reasons.items() >= before.items()
-        assert valid.verdicts is not mutated.verdicts
-        assert set(valid.verdicts.reasons.values()) == {""}
-        assert set(mutated.verdicts.reasons.values()) != {""}
+                assert W.report is report
+        assert valid.report != mutated.report
 
     def test_verdicts_refuse_a_pair_of_other_facets(self):
         W = build_W(1)
         square = product(simplex(1), simplex(1))
         other = attach(square, {f: (1, 0) if f.startswith("L.") else (0, 1) for f in square.facet_ids}, 2)
         with pytest.raises(ValueError, match="another manifold"):
-            validate(other, W.verdicts)
+            mask_validate(other, Verdicts(W.pair.polytope.facet_ids))
 
 
 def oracle_reasons(pair, report, facet_ids):
@@ -224,25 +256,29 @@ def mutated_tables(k, rng):
 class TestMissedRowsAgainstPerVertexOracle:
     """``validate`` judges a new full-count vector set from the assigned rows it misses.
 
-    Its reports, and the verdicts it leaves in both memo forms, W's numbering
-    and a component's own, must be those of one Bareiss determinant per
-    vertex set (``oracles.per_vertex_validate``).
+    Its reports, on the label path and on the mask path, and the verdicts the
+    mask path leaves in both memo forms, W's numbering and a component's own,
+    must be those of one Bareiss determinant per vertex set
+    (``oracles.per_vertex_validate``).
     """
 
     @staticmethod
     def assert_matches_oracle(W):
         report = per_vertex_validate(W.pair)
         assert W.report == report
-        expected = oracle_reasons(W.pair, report, W.verdicts.facet_ids)
-        for component in boundary_components(W):
+        verdicts = Verdicts(W.pair.polytope.facet_ids)
+        assert mask_validate(W.pair, verdicts) == report
+        expected = oracle_reasons(W.pair, report, verdicts.facet_ids)
+        for view, component in zip(boundary_components(W), mask_components(W)):
             report = per_vertex_validate(component)
-            assert validate(component, W.verdicts) == report  # masks renumbered into W's
+            assert view.report == report
+            assert mask_validate(component, verdicts) == report  # masks renumbered into W's
             own = Verdicts(component.polytope.facet_ids)
-            assert validate(component, own) == report
+            assert mask_validate(component, own) == report
             assert own.reasons == oracle_reasons(component, report, component.polytope.facet_ids)
-            for key, reason in oracle_reasons(component, report, W.verdicts.facet_ids).items():
+            for key, reason in oracle_reasons(component, report, verdicts.facet_ids).items():
                 assert expected.setdefault(key, reason) == reason
-        assert W.verdicts.reasons == expected
+        assert verdicts.reasons == expected
         return W.report
 
     @pytest.mark.parametrize("k", KS)
@@ -264,6 +300,7 @@ def test_printed_basis_change_determinant_is_the_bareiss_determinant(k):
     (details,) = [c.details for c in report.checks if c.name == "p3-normal-form"]
     printed = int(re.fullmatch(r".*basis change determinant (-?\d+)", details).group(1))
     form = normalize_simplex_pair(report.components[2])
+    assert form == normalize_simplex_pair(mask_components(build_W(k))[2])
     assert printed == form.det == bareiss_det(matrix_rows(form.basis_change))
 
 
@@ -308,7 +345,122 @@ class TestRenumberingAgainstBitwiseOracle:
     def test_w_and_its_components(self, k):
         W = build_W(k)
         P = W.pair.polytope
-        for component in boundary_components(W):
+        for component in mask_components(W):
             masks = list(P.incidence) + self.random_masks(random.Random(k), len(P.facet_ids))
             self.assert_matches(P.facet_ids, component.polytope.facet_ids, masks)
             self.assert_matches(component.polytope.facet_ids, P.facet_ids, component.polytope.incidence)
+
+
+R1S = (Fraction(1, 5), Fraction(1, 7), Fraction(2, 9))
+
+
+def loaded(W):
+    return wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(W))))
+
+
+def with_vector(view, fid, entries):
+    """A boundary component with the vector on ``fid`` replaced."""
+    return type(view)(view.labels, {**view.assignment, fid: CharVector.canon(entries)}, view.torus_rank, view.report)
+
+
+def assert_label_path_is_mask_path(W, seeds=(0,)):
+    """W's validation, boundary components, their types and translations, and W's JSON report are
+    the mask path's."""
+    n = W.n
+    assert validate(W.pair, W.labels) == W.report == mask_validate(W.pair)
+    views, faces = boundary_components(W), mask_components(W)
+    verdicts = Verdicts(W.pair.polytope.facet_ids)
+    mask_validate(W.pair, verdicts)
+    assert [v.report for v in views] == [mask_validate(f, verdicts) for f in faces]
+    assert [v.facet_ids for v in views] == [f.polytope.facet_ids for f in faces]
+    assert [v.assignment for v in views] == [f.assignment for f in faces]
+    assert [len(v.labels) for v in views] == [len(f.polytope.vertices) for f in faces]
+    types = [identify_simplex_or_product(v) for v in views]
+    assert types == [mask_identify_simplex_or_product(f.polytope) for f in faces]
+    assert types == [identify_simplex_or_product(f.polytope) for f in faces]
+    witnesses = [
+        TranslationWitness(rho_facet_bijection(n), delta_matrix(n)),
+        TranslationWitness(rho_facet_bijection(n), identity(n - 1)),
+        TranslationWitness({f: f for f in views[0].facet_ids}, identity(n - 1)),
+    ]
+    for w in witnesses:  # P1 and P2 both have every root facet d0..dn
+        for a, b in ((0, 1), (1, 0)):
+            assert verify_translation(views[a], views[b], w) == mask_verify_translation(faces[a], faces[b], w)
+    ids = views[2].facet_ids  # P3 misses d{n/2} at every vertex: that facet is not one of its own
+    for phi in (dict(zip(ids, ids)), dict(zip(ids, ids[1:] + ids[:1]))):
+        w = TranslationWitness(phi, identity(n - 1))
+        assert verify_translation(views[2], views[2], w) == mask_verify_translation(faces[2], faces[2], w)
+    changed = with_vector(views[0], "d0", (1,) * (n - 1))
+    face = type(faces[0])(faces[0].polytope, faces[0].torus_rank, changed.assignment)
+    assert verify_translation(changed, views[1], witnesses[0]) == mask_verify_translation(face, faces[1], witnesses[0])
+    for seed in seeds:
+        assert glue_report_to_json(glue_report(W, seed, 1)) == glue_report_to_json(mask_glue_report(W, seed, 1))
+
+
+class TestLabelPathAgainstMaskPath:
+    """The label path of ``validate``, ``boundary_components``, ``identify_simplex_or_product``,
+    ``verify_translation`` and ``glue_report`` against the mask path it replaced."""
+
+    @pytest.mark.parametrize("r1", R1S, ids=str)
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_built_and_loaded_w(self, k, r1):
+        W = build_W(k, r1)
+        assert W.labels == decode_truncated_simplex(W.pair.polytope, r1)
+        for w in (W, loaded(W)):
+            assert_label_path_is_mask_path(w, seeds=(0, k))
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 5))
+    def test_mutated_corpus(self, k):
+        n = 2 * (k + 1)
+        rng = random.Random(700 + k)
+        for r1 in R1S:
+            P = truncated_simplex(n, r1)
+            for table in mutated_tables(k, rng):
+                W = WManifold(attach(P, table, n - 1), n, r1)
+                for w in (W, loaded(W)):
+                    assert_label_path_is_mask_path(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), data=st.data())
+    def test_one_changed_entry_of_a_loaded_certificate(self, k, data):
+        blob = json.loads(json.dumps(wmanifold_to_json(build_W(k, data.draw(st.sampled_from(R1S))))))
+        vectors = blob["pair"]["vectors"]
+        vector = vectors[data.draw(st.sampled_from(sorted(vectors)))]
+        j = data.draw(st.integers(0, len(vector) - 1))
+        vector[j] = data.draw(st.integers(-3, 3))
+        if not any(vector):
+            vector[j] = 1
+        assert_label_path_is_mask_path(wmanifold_from_json(blob))
+
+
+class TestMasksThatCollideUnderHash:
+    """An int hashes modulo 2^61 - 1, so the masks of bits j and j + 61 hash alike; the constructor
+    must still tell them apart, and still refuse a real duplicate."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.integers(62, 140), data=st.data())
+    def test_distinct_colliding_masks_are_accepted_and_duplicates_refused(self, width, data):
+        ids = tuple(f"f{j:03d}" for j in range(width))
+        facets = [FacetLabel(f, original_facet(j)) for j, f in enumerate(ids)]
+        masks = [1 << j for j in range(width)]  # dim 1: each vertex on one facet
+        assert hash(masks[0]) == hash(masks[61])
+        P = SimplePolytope(1, facets, [Vertex(f"v{j:03d}", mask, ids) for j, mask in enumerate(masks)])
+        assert list(P.incidence) == masks
+        first = data.draw(st.integers(0, width - 1))
+        copy_at = data.draw(st.integers(0, width))
+        named = [(f"v{j:03d}", mask) for j, mask in enumerate(masks)]
+        named.insert(copy_at, ("w", masks[first]))
+        vertices = [Vertex(name, mask, ids) for name, mask in named]
+        earlier = min(f"v{first:03d}", "w")
+        later = max(f"v{first:03d}", "w")
+        with pytest.raises(ValueError, match=f"^vertices {earlier} and {later} have identical facet sets$"):
+            SimplePolytope(1, facets, vertices)
+
+    def test_truncated_simplex_past_61_facets_decodes(self):
+        n = 64  # 68 facets: bit positions past 61
+        P = truncated_simplex(n)
+        blob = json.loads(json.dumps(polytope_to_json(P)))
+        assert decode_truncated_simplex(P, Fraction(1, 5)) == truncation_labels(n)
+        load = polytope_from_json(blob)
+        labels = decode_truncated_simplex(load, Fraction(1, 5))
+        assert sorted(labels) == sorted(truncation_labels(n))

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cpbound.cobordism import boundary_components, build_W, wmanifold_from_json, wmanifold_to_json
+from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
 from cpbound.polytope import (
-    FaceRef,
     FacetLabel,
     LinearFunctional,
     RealisationError,
@@ -16,7 +15,6 @@ from cpbound.polytope import (
     combinatorially_isomorphic,
     decode_truncated_simplex,
     face_as_polytope,
-    face_from_facets,
     generate_functional,
     original_facet,
     polytope_from_json,
@@ -29,6 +27,9 @@ from cpbound.polytope import (
 from cpbound.polytope import _derive_edges
 
 from oracles import (
+    FaceRef,
+    face_from_facets,
+    mask_components,
     _is_connected,
     check_geometry,
     checked_polytope,
@@ -116,7 +117,7 @@ class TestCutFace:
         Q = cut_face(P, F, root_coords(P), Fraction(1, 5), "new")
         new_face = face_from_facets(Q, ["new"])
         assert len(new_face.vertex_ids) == n
-        sub = face_as_polytope(Q, new_face)
+        sub = face_as_polytope(Q, new_face.facet_ids)
         assert combinatorially_isomorphic(sub, simplex(n - 1)) is not None
 
     def test_front_face_cut_of_4_simplex(self):
@@ -124,7 +125,7 @@ class TestCutFace:
         Q = cut_face(P, front_face(P, 4), root_coords(P), Fraction(1, 5), "new")
         new_face = face_from_facets(Q, ["new"])
         assert len(new_face.vertex_ids) == 6  # |V(F)| * codim = 2 * 3
-        sub = face_as_polytope(Q, new_face)
+        sub = face_as_polytope(Q, new_face.facet_ids)
         assert combinatorially_isomorphic(sub, product(simplex(1), simplex(2))) is not None
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -145,9 +146,9 @@ class TestCutFace:
         # codim >= 2 and positive-dimensional face
         P = simplex(5)
         F = face_from_facets(P, ["d3", "d4", "d5"])
-        face_poly = face_as_polytope(P, F)
+        face_poly = face_as_polytope(P, F.facet_ids)
         Q = cut_face(P, F, root_coords(P), Fraction(1, 6), "new")
-        sub = face_as_polytope(Q, face_from_facets(Q, ["new"]))
+        sub = face_as_polytope(Q, ["new"])
         assert combinatorially_isomorphic(sub, product(face_poly, simplex(2))) is not None
 
     def test_codim_one_cut_keeps_combinatorics(self):
@@ -329,7 +330,7 @@ def test_coordinates_are_made_from_the_labels(k, r1):
     expected = closed_form_coords(n, r1)
     W = build_W(k, r1)
     assert coords_by_id(W.pair.polytope) == expected
-    for component in boundary_components(W):
+    for component in mask_components(W):
         assert coords_by_id(component.polytope) == {v.id: expected[v.id] for v in component.polytope.vertices}
 
 
@@ -560,7 +561,7 @@ class TestMaskIncidenceMatchesFrozensetOracle:
         assert edges_of(P) == frozenset_edges(P.dim, P.facets, P.vertices, tags)
 
     def assert_face_matches_oracle(self, P, facet):
-        face = face_as_polytope(P, face_from_facets(P, [facet]))
+        face = face_as_polytope(P, [facet])
         self.assert_derivations_agree(face)
         coord = coords_by_id(P)
         vertices = [SetVertex(v.id, v.facet_ids - {facet}, coord[v.id]) for v in P.vertices if facet in v.facet_ids]
@@ -670,9 +671,9 @@ class TestProduct:
 class TestIsomorphism:
     def test_truncation_facets_recognized(self):
         P = truncated_simplex(4, Fraction(1, 5))
-        p1 = face_as_polytope(P, face_from_facets(P, ["P1"]))
+        p1 = face_as_polytope(P, ["P1"])
         assert combinatorially_isomorphic(p1, product(simplex(1), simplex(2))) is not None
-        p3 = face_as_polytope(P, face_from_facets(P, ["P3"]))
+        p3 = face_as_polytope(P, ["P3"])
         assert combinatorially_isomorphic(p3, simplex(3)) is not None
 
     def test_non_isomorphic(self):

@@ -37,7 +37,6 @@ from cpbound.cobordism import (
     HomologyTable,
 )
 from cpbound.polytope import (
-    FaceRef,
     FacetLabel,
     FacetProvenance,
     LinearFunctional,
@@ -74,7 +73,7 @@ RECORDS = [
         },
         ("mask", 0b011),
     ),
-    (FaceRef, {"facet_ids": frozenset({"d0"}), "vertex_ids": ("v0", "v1")}, ("vertex_ids", ("v0",))),
+    (oracles.FaceRef, {"facet_ids": frozenset({"d0"}), "vertex_ids": ("v0", "v1")}, ("vertex_ids", ("v0",))),
     (LinearFunctional, {"coefficients": (5, -2, 7)}, ("coefficients", (5, -2, 8))),
     (CharVector, {"entries": (0, 1, -1)}, ("entries", (0, 1, 1))),
     (

@@ -4,22 +4,27 @@ Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, read off the functional's entries
 without a vertex or its label, one integer elimination and no
 determinant for all the full-count vertex vector sets (each a minor of
-size at most 2 on W and its components, with no elimination of its
-own), no coordinate made for a built W by ``glue_report``, ``cell_stage``,
-``validate`` or ``boundary_h_vectors``, one validation per
-boundary component, one determinant per request (none for the orientation
-record or the P3 basis change), read off delta' as a signed permutation,
-and two eliminations per request, no Smith normal form on a valid datum, no determinant to invert a
+size at most 2, one per missed root pair {i, m}, n(n+4)/4 in all, with no
+elimination of its own), no coordinate made for a built W by
+``glue_report``, ``cell_stage``, ``validate`` or ``boundary_h_vectors``, no
+validation of a boundary component (each reads W's report), one
+determinant per request (none for the orientation record or the P3 basis
+change), read off delta' as a signed permutation, and two eliminations per
+request, no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no dense matrix product in a ``glue`` request (delta' and
 P3's basis change are applied by their nonzero entries), no model polytope
-built to recognize the boundary, one
-functional per boundary component, one boundary extraction per ``demo``, no
-gluing work in ``homology`` beyond validating a loaded datum, one polytope
-built for the truncated simplex, no edge derivation or integer coordinate
-table in any request (``boundary`` writes its h-vectors from the cut faces
-and draws one functional per component), no string-ended edge tuple in a
-request, no navigation table in any polytope, no ``Fraction`` functional
-evaluation, and nothing kept from one request to the next.
+built to recognize the boundary, one functional per boundary component, one
+boundary extraction per ``demo``, no gluing work in ``homology`` beyond
+validating a loaded datum, no ``Vertex`` record and no ``SimplePolytope`` in
+``glue_report`` on a built W or in a ``glue``, ``homology``, ``validate`` or
+``boundary`` request on one (W is read through its labels), one polytope
+built for the truncated simplex when its JSON is written (``construct``)
+and only the loader's one for a loaded certificate, no edge derivation or
+integer coordinate table in any request (``boundary`` writes its h-vectors
+from the cut faces and draws one functional per component), no
+string-ended edge tuple in a request, no navigation table in any polytope,
+no ``Fraction`` functional evaluation, and nothing kept from one request to
+the next.
 """
 
 import functools
@@ -149,10 +154,31 @@ def test_vertex_sets_of_w_run_no_elimination(calls, k):
     count(zlinalg, "fraction_free_reduce")
     W = build_W(k)
     assert counts == {"fraction_free_reduce": 1}
-    for component in cobordism.boundary_components(W):
+    counts.clear()
+    assert all(component.report.ok for component in cobordism.boundary_components(W))
+    assert counts == {}  # a component's report is W's on its vertices
+    for component in oracles.mask_components(W):
         counts.clear()
-        assert charfn.validate(component).ok
+        assert oracles.mask_validate(component).ok
         assert counts == {"fraction_free_reduce": 1}
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12))
+def test_w_memo_holds_one_key_per_missed_root_pair(monkeypatch, k):
+    """Vertices (i, m) and (m, i) miss the same rows d_i, d_m: n(n+4)/4 minors for n(n+4)/2 vertices."""
+    judged = []
+    is_unimodular = charfn._FullCountCertificate.is_unimodular
+
+    def recording(certificate, missed):
+        judged.append(tuple(missed))
+        return is_unimodular(certificate, missed)
+
+    monkeypatch.setattr(charfn._FullCountCertificate, "is_unimodular", recording)
+    W = build_W(k)
+    n = W.n
+    assert W.report.ok and W.report.checked_vertices == len(W.labels) == n * (n + 4) // 2
+    assert len(judged) == len(set(judged)) == n * (n + 4) // 4
+    assert all(len(missed) == 2 for missed in judged)
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))
@@ -172,7 +198,7 @@ def test_built_w_makes_no_coordinates(monkeypatch, k):
     with pytest.raises(AssertionError, match="^a coordinate was made$"):
         W.pair.polytope.coords()
     with pytest.raises(AssertionError, match="^a coordinate was made$"):
-        cobordism.boundary_components(W)[0].polytope.coords()
+        oracles.mask_components(W)[0].polytope.coords()
 
 
 def test_glue_request_runs_no_dense_product(calls):
@@ -192,10 +218,14 @@ def test_glue_request_validates_w_once(validated, k):
 
 @pytest.mark.parametrize("k", (1, 3, 5))
 def test_glue_request_validates_each_component_once(validated, k):
-    report = glue_report(build_W(k), 0, extra_seeds=1)
+    W = build_W(k)
+    report = glue_report(W, 0, extra_seeds=1)
     assert report.passed
-    # P3's report from the component-validity check also serves its normal form.
-    assert [sum(pair is c for pair in validated) for c in report.components] == [1, 1, 1]
+    # Each component's one validation is W's report on its vertices, with no
+    # call of its own; P3's also serves its normal form.
+    assert validated == [W.pair]
+    assert [c.report.checked_vertices for c in report.components] == [len(c.labels) for c in report.components]
+    assert sum(c.report.checked_vertices for c in report.components) == W.report.checked_vertices
 
 
 def test_validate_command_validates_w_once(validated):
@@ -325,7 +355,6 @@ def edge_tuples(monkeypatch):
     monkeypatch.setattr(polytope.SimplePolytope, "__init__", recording_build)
 
     def found():
-        assert built, "the run built no polytope"
         return made + [P for P in built if hasattr(P, "edges")]
 
     return found
@@ -357,7 +386,7 @@ def test_building_polytopes_calls_no_neighbors():
     W = build_W(3)
     report = glue_report(W, 0, extra_seeds=1)
     loaded = polytope.polytope_from_json(polytope.polytope_to_json(W.pair.polytope))
-    built = [W.pair.polytope, loaded, *(c.polytope for c in report.components)]
+    built = [W.pair.polytope, loaded, *(c.polytope for c in oracles.mask_components(W))]
     assert report.passed
     assert not hasattr(polytope.SimplePolytope, "neighbors")
     assert not any(hasattr(P, "_nav") for P in built)
@@ -418,3 +447,58 @@ def test_functionals_run_on_one_integer_table_per_polytope(monkeypatch, integer_
     assert run(list(argv), io.StringIO()) == 0
     assert fraction_evals == []
     assert len(built) == len({id(P) for P in built}) == polytopes
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Counter of the ``Vertex`` records and ``SimplePolytope``s made."""
+    made: Counter[str] = Counter()
+    vertex, polytope_init = polytope.Vertex.__init__, polytope.SimplePolytope.__init__
+
+    def counting_vertex(v, *args, **kwargs):
+        made["Vertex"] += 1
+        vertex(v, *args, **kwargs)
+
+    def counting_polytope(P, *args, **kwargs):
+        made["SimplePolytope"] += 1
+        polytope_init(P, *args, **kwargs)
+
+    monkeypatch.setattr(polytope.Vertex, "__init__", counting_vertex)
+    monkeypatch.setattr(polytope.SimplePolytope, "__init__", counting_polytope)
+    return made
+
+
+@pytest.mark.parametrize("k", (1, 3, 12))
+def test_glue_report_on_a_built_w_makes_no_vertex_or_polytope(records, k):
+    assert glue_report(build_W(k), 0, extra_seeds=2).passed
+    assert records == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("glue", "--k", "3", "--seeds", "2"),
+        ("glue", "--k-range", "1:3", "--format", "json"),
+        ("homology", "--k", "3", "--seeds", "3", "--format", "json"),
+        ("validate", "--k", "3", "--format", "json"),
+        ("boundary", "--k", "3"),
+        ("boundary", "--n", "8", "--format", "json"),
+    ],
+)
+def test_requests_on_a_built_w_make_no_vertex_or_polytope(records, argv):
+    assert run(list(argv), io.StringIO()) == 0
+    assert records == {}
+
+
+def test_construct_builds_one_polytope_for_its_json(records):
+    assert run(["construct", "--k", "3"], io.StringIO()) == 0
+    assert records == {"SimplePolytope": 1, "Vertex": 8 * 12 // 2}
+
+
+@pytest.mark.parametrize("command", ("glue", "homology", "validate", "boundary"))
+def test_a_loaded_certificate_makes_only_the_loaders_polytope(records, tmp_path, command):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(wmanifold_to_json(build_W(3))))
+    records.clear()
+    assert run([command, "--input", str(path)], io.StringIO()) == 0
+    assert records == {"SimplePolytope": 1, "Vertex": 8 * 12 // 2}
