@@ -87,7 +87,7 @@ class CharVector(Record):
             raise ValueError("characteristic vector must be nonzero")
         if first < 0:
             raise ValueError(f"{entries} is not canonical; use CharVector.canon")
-        self._setters[0](self, entries)
+        super().__init__(entries)
 
     @classmethod
     def canon(cls, entries: Sequence[int]) -> "CharVector":
@@ -133,17 +133,9 @@ class CharPair:
 class VertexCheck(Record):
     __slots__ = ("vertex", "facets", "vectors", "ok", "reason")
 
-    def __init__(
-        self, vertex: str, facets: tuple[str, ...], vectors: tuple[tuple[int, ...], ...], ok: bool, reason: str
-    ) -> None:
-        self._fill(vertex, facets, vectors, ok, reason)
-
 
 class ValidationReport(Record):
     __slots__ = ("ok", "checked_vertices", "failures")
-
-    def __init__(self, ok: bool, checked_vertices: int, failures: tuple[VertexCheck, ...]) -> None:
-        self._fill(ok, checked_vertices, failures)
 
     def failing_vertices(self) -> tuple[str, ...]:
         return tuple(f.vertex for f in self.failures)
@@ -381,16 +373,11 @@ class TranslationWitness(Record):
             raise ValueError("delta must have determinant +-1")
         if len(set(phi.values())) != len(phi):
             raise ValueError("phi is not injective")
-        self._fill(phi, delta)
+        super().__init__(phi, delta)
 
 
 class TranslationReport(Record):
     __slots__ = ("ok", "phi_is_isomorphism", "vector_mismatches")
-
-    def __init__(
-        self, ok: bool, phi_is_isomorphism: bool, vector_mismatches: tuple[tuple[str, str], ...]
-    ) -> None:
-        self._fill(ok, phi_is_isomorphism, vector_mismatches)
 
 
 def _missed_pairs(pair: CutPair, name: Mapping[int, int]) -> set[tuple[int, int]]:
@@ -440,13 +427,7 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
 class SimplexNormalForm(Record):
     """Result of normalizing a valid pair over a combinatorial simplex."""
 
-    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")
-
-    def __init__(
-        self, basis_change: IntMatrix, signs: tuple[tuple[str, int], ...],
-        normal_form: tuple[tuple[str, tuple[int, ...]], ...], residual_facet: str, det: int,
-    ) -> None:
-        self._fill(basis_change, signs, normal_form, residual_facet, det)  # det: of basis_change
+    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")  # det: of basis_change
 
     def vector_of(self, facet_id: str) -> tuple[int, ...]:
         return dict(self.normal_form)[facet_id]
@@ -505,9 +486,6 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
 
 class OrientationRecord(Record):
     __slots__ = ("sign_rho", "det_delta", "boundary_label")
-
-    def __init__(self, sign_rho: int, det_delta: int, boundary_label: str) -> None:
-        self._fill(sign_rho, det_delta, boundary_label)
 
 
 def orientation_signs(n: int) -> OrientationRecord:

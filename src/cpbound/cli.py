@@ -150,17 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_construct(args, out) -> int:
     W = build_W(_resolve_n(args) // 2 - 1, _r1(args))
-    data = wmanifold_to_json(W)
-    if args.output:
+    if args.output:  # only the JSON builds the polytope
         with open(args.output, "w") as fh:
-            _dump_json(data, fh)
+            _dump_json(wmanifold_to_json(W), fh)
         out.write(f"wrote {args.output}\n")
     elif args.format == "json":
-        _dump_json(data, out)
+        _dump_json(wmanifold_to_json(W), out)
     if args.format == "text":
-        poly = W.pair.polytope
         out.write(f"n = {W.n}, k = {W.k}, r1 = {format_fraction(W.r1)}\n")
-        out.write(f"facets: {len(poly.facets)}, vertices: {len(poly.vertices)}\n")
+        out.write(f"facets: {len(W.pair.assignment) + len(W.pair.boundary_facet_ids)}, vertices: {len(W.labels)}\n")
         out.write(f"boundary facets: {', '.join(W.pair.boundary_facet_ids)}\n")
     return _EXIT_OK
 
@@ -323,10 +321,9 @@ def _cmd_demo(args, out) -> int:
     out.write(f"Standard vectors on the {n}-simplex facets (facet d_m carries eta_(n-m)):\n")
     for j in range(n + 1):
         out.write(f"  eta_{j} = {eta[j].entries}   on facet d{n - j}\n")
-    poly = W.pair.polytope
     out.write(
         f"\nTruncated simplex (r1 = {format_fraction(r1)}): "
-        f"{len(poly.facets)} facets, {len(poly.vertices)} vertices\n"
+        f"{len(W.pair.assignment) + len(W.pair.boundary_facet_ids)} facets, {len(W.labels)} vertices\n"
     )
 
     for fid, comp in zip(BOUNDARY_FACETS, report.components):

@@ -29,7 +29,7 @@ from |F| and |R| alone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -37,7 +37,6 @@ from itertools import accumulate
 from .charfn import (
     CharPair,
     CutPair,
-    OrientationRecord,
     TranslationWitness,
     ValidationReport,
     charpair_from_json,
@@ -165,7 +164,7 @@ class CellStructure(Record):
     __slots__ = ("n", "counts", "zero_cells")
 
     def __init__(self, n: int, counts: tuple[tuple[int, int], ...], zero_cells: int = 1) -> None:
-        self._fill(n, counts, zero_cells)
+        super().__init__(n, counts, zero_cells)
 
     def index_counts(self) -> dict[int, int]:
         return dict(self.counts)
@@ -251,7 +250,7 @@ class HomologyTable(Record):
     __slots__ = ("ranks", "paper_h0_discrepancy")
 
     def __init__(self, ranks: tuple[tuple[int, int], ...], paper_h0_discrepancy: bool = True) -> None:
-        self._fill(ranks, paper_h0_discrepancy)
+        super().__init__(ranks, paper_h0_discrepancy)
 
     def rank(self, degree: int) -> int:
         return dict(self.ranks).get(degree, 0)
@@ -259,9 +258,6 @@ class HomologyTable(Record):
 
 class EulerCheck(Record):
     __slots__ = ("cell_total", "half_boundary_vertices")
-
-    def __init__(self, cell_total: int, half_boundary_vertices: int) -> None:
-        self._fill(cell_total, half_boundary_vertices)
 
     @property
     def ok(self) -> bool:
@@ -279,12 +275,6 @@ class CellStage(Record):
     """
 
     __slots__ = ("structure", "counts", "stable", "extra_error", "homology", "euler")
-
-    def __init__(
-        self, structure: CellStructure, counts: dict[int, int], stable: bool,
-        extra_error: ValueError | AssertionError | None, homology: HomologyTable, euler: EulerCheck,
-    ) -> None:
-        self._fill(structure, counts, stable, extra_error, homology, euler)
 
 
 def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
@@ -381,22 +371,10 @@ def identify_simplex_or_product(P: SimplePolytope | CutPair) -> str | None:
 class CheckResult(Record):
     __slots__ = ("name", "passed", "details")
 
-    def __init__(self, name: str, passed: bool, details: str) -> None:
-        self._fill(name, passed, details)
-
 
 class GluingReport(Record):
     __slots__ = ("n", "k", "r1", "seed", "checks", "components", "cell_counts", "homology", "orientation",
                  "boundary_label", "witness", "passed")
-
-    def __init__(
-        self, n: int, k: int, r1: Fraction, seed: int, checks: tuple[CheckResult, ...],
-        components: tuple[CutPair, ...], cell_counts: Mapping[int, int], homology: HomologyTable | None,
-        orientation: OrientationRecord, boundary_label: str, witness: TranslationWitness | None, passed: bool,
-    ) -> None:
-        self._fill(
-            n, k, r1, seed, checks, components, cell_counts, homology, orientation, boundary_label, witness, passed
-        )
 
     def failed_checks(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)

@@ -56,7 +56,8 @@ FUNCTIONAL_RETRY_BUDGET = 64
 
 
 class FacetProvenance(Record):
-    """Where a facet came from: part of the root polytope, or a truncation."""
+    """Where a facet came from: the root polytope's facet ``index`` (kind "original"),
+    or the truncation of the face on the facets ``cut_face`` (kind "cut")."""
 
     __slots__ = ("kind", "index", "cut_face")
 
@@ -67,10 +68,7 @@ class FacetProvenance(Record):
             raise ValueError("original facet provenance needs an index")
         if kind == "cut" and not cut_face:
             raise ValueError("cut facet provenance needs the defining facet ids")
-        set_kind, set_index, set_cut_face = self._setters
-        set_kind(self, kind)  # "original" | "cut"
-        set_index(self, index)  # original: position in the root facet list
-        set_cut_face(self, cut_face)  # cut: facet ids of the face that was cut
+        super().__init__(kind, index, cut_face)
 
 
 def original_facet(index: int) -> FacetProvenance:
@@ -83,11 +81,6 @@ def cut_facet(face_ids: Sequence[str]) -> FacetProvenance:
 
 class FacetLabel(Record):
     __slots__ = ("id", "provenance")
-
-    def __init__(self, id: str, provenance: FacetProvenance) -> None:
-        set_id, set_provenance = self._setters
-        set_id(self, id)
-        set_provenance(self, provenance)
 
 
 class Vertex(Record):
@@ -112,9 +105,6 @@ class LinearFunctional(Record):
     """An integer linear functional on the ambient coordinate space."""
 
     __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
-        self._fill(coefficients)
 
     def __call__(self, point: Point) -> Fraction:
         if len(point) != len(self.coefficients):
@@ -635,7 +625,7 @@ def _provenance_from_json(d: dict, j: int) -> FacetProvenance:
     if d["kind"] == "cut":
         check_keys(d, ("kind", "face"), f"the provenance of facet entry {j}")
         return cut_facet([str(x) for x in check_list(d["face"], f"the cut face of facet entry {j}")])
-    raise ValueError(f"unknown facet provenance {d!r}")
+    raise ValueError(f"malformed certificate: unknown provenance kind {d['kind']!r} in facet entry {j}")
 
 
 def polytope_to_json(P: SimplePolytope) -> dict:

@@ -38,7 +38,7 @@ class IntMatrix(Record):
             raise ValueError("matrix needs at least one row and one column")
         if len(entries) != rows * cols:
             raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        self._fill(rows, cols, entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -61,7 +61,7 @@ class Permutation(Record):
     def __init__(self, images: tuple[int, ...]) -> None:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        self._fill(images)
+        super().__init__(images)
 
     def __call__(self, j: int) -> int:
         return self.images[j]

@@ -340,7 +340,7 @@ class EdgeProvenance(Record):
             raise ValueError(f"unknown edge provenance kind {kind!r}")
         if kind == "original" and ancestors is None:
             raise ValueError("original edge provenance needs its root endpoints")
-        self._fill(kind, ancestors)  # ancestors: root vertex ids, original edges only
+        super().__init__(kind, ancestors)  # ancestors: root vertex ids, original edges only
 
 
 CUT_EDGE = EdgeProvenance("cut")
@@ -576,9 +576,6 @@ class FaceRef(Record):
     """A face given by facet ids, with the vertices realizing it."""
 
     __slots__ = ("facet_ids", "vertex_ids")
-
-    def __init__(self, facet_ids: frozenset[str], vertex_ids: tuple[str, ...]) -> None:
-        self._fill(facet_ids, vertex_ids)
 
 
 def face_from_facets(P: SimplePolytope, facet_ids: Sequence[str]) -> FaceRef:
@@ -830,10 +827,7 @@ def fraction_vertex_indices(P: SimplePolytope, zeta: LinearFunctional) -> dict[s
 class CellGenerator(Record):
     """One odd cell: a vertex whose surviving root edge points at it."""
 
-    __slots__ = ("index", "vertex")
-
-    def __init__(self, index: int, vertex: str) -> None:
-        self._fill(index, vertex)  # index j: the cell has dimension 2j-1
+    __slots__ = ("index", "vertex")  # index j: the cell has dimension 2j-1
 
 
 def generator_counts(generators: tuple[CellGenerator, ...]) -> dict[int, int]:

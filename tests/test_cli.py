@@ -525,6 +525,16 @@ class TestMalformedCertificates:
         assert (code, out, capsys.readouterr().err) == (2, "", err)
 
     @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
+    @pytest.mark.parametrize("entry,kind", [(1, "x"), (3, None), (4, "Original")])  # P2, a cut; d0 and d1, originals
+    def test_unknown_provenance_kind(self, tmp_path, capsys, command, entry, kind):
+        edit = set_at("pair", "polytope", "facets", entry, "provenance", "kind", kind)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(copy.deepcopy(CERTIFICATE))))
+        code, out = invoke(command, "--input", str(path))
+        err = f"error: malformed certificate: unknown provenance kind {kind!r} in facet entry {entry}\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary"))
     def test_vertex_entry_with_keys(self, tmp_path, capsys, command):
         data = copy.deepcopy(CERTIFICATE)
         vertices = data["pair"]["polytope"]["vertices"]

@@ -226,6 +226,39 @@ def test_defaults(build, fields):
     assert {name: getattr(record, name) for name in fields} == fields
 
 
+def test_only_checking_and_per_vertex_records_define_a_constructor():
+    own = {cls for cls, _, _ in RECORDS if "__init__" in vars(cls)}
+    checking = {CharVector, IntMatrix, Permutation, FacetProvenance, TranslationWitness, CellStructure, HomologyTable}
+    assert own == checking | {EdgeProvenance, Vertex}
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: CheckResult("w-validity", True), "CheckResult: field(s) missing: 'details'"),
+        (lambda: CheckResult(details="ok"), "CheckResult: field(s) missing: 'name', 'passed'"),
+        (lambda: CheckResult("w-validity", True, "ok", note=1), "CheckResult: field(s) unknown: 'note'"),
+        (lambda: CheckResult("w-validity", True, "ok", name="w"), "CheckResult: field(s) given twice: 'name'"),
+        (
+            lambda: CheckResult("w-validity", True, "ok", False),
+            "CheckResult takes the fields ('name', 'passed', 'details'), got 4 values",
+        ),
+        (lambda: EulerCheck(8, cell_total=8), "EulerCheck: field(s) given twice: 'cell_total'"),
+        (lambda: LinearFunctional(), "LinearFunctional: field(s) missing: 'coefficients'"),
+        (lambda: LinearFunctional((1,), (2,)), "LinearFunctional takes the fields ('coefficients',), got 2 values"),
+    ],
+)
+def test_the_shared_constructor_names_a_wrong_field(build, message):
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_the_shared_constructor_takes_fields_by_position_then_by_name():
+    assert CheckResult("w-validity", details="ok", passed=True) == CheckResult("w-validity", True, "ok")
+    assert FacetLabel(provenance=original_facet(0), id="d0") == FacetLabel("d0", original_facet(0))
+
+
 def test_vertex_facet_ids_are_read_off_the_mask():
     v = Vertex("A0|d2", 0b1011, ("P1", "P2", "d0", "d1"))
     assert v.facet_ids == frozenset({"P1", "P2", "d1"})

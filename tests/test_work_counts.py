@@ -483,6 +483,8 @@ def test_glue_report_on_a_built_w_makes_no_vertex_or_polytope(records, k):
         ("validate", "--k", "3", "--format", "json"),
         ("boundary", "--k", "3"),
         ("boundary", "--n", "8", "--format", "json"),
+        ("construct", "--k", "3", "--format", "text"),
+        ("demo", "--n", "8"),
     ],
 )
 def test_requests_on_a_built_w_make_no_vertex_or_polytope(records, argv):
