@@ -32,12 +32,18 @@ minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
 witness check of a delta that is no signed permutation (delta' is one, and
 its determinant is read off its rows), and inverts the basis of a simplex
 pair, with its determinant, in ``normalize_simplex_pair``.  A minor of size
-1 or 2 is evaluated directly, as the entry or as ad - bc.
+1 or 2 is evaluated directly, as the entry or as ad - bc.  It pivots on its
+columns in the order given, so ``validate`` gives it the rows of M in
+``zlinalg.sparsest_first`` order, by (number of nonzero entries, row), and
+``inverse_unimodular`` the basis's columns the same way.  On W the anchor
+is then the n - 1 unit eta vectors, d = 1 and the reduction of M^T updates
+no row; only the dense columns of P3's basis fill.
 
-``validate`` judges a vertex by the assigned rows it misses, the key of its
-verdict memo.  Over the truncated simplex it reads them from each vertex's
-label (i, m, cut), with no mask: the rows of d{i} and d{m}, so n(n+4)/4
-keys, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices.  A
+``validate`` judges a vertex by the assigned rows it misses, its key, and
+each distinct key once, collected in one set; it walks the vertices again
+only when a key fails.  Over the truncated simplex it reads them from each
+vertex's label (i, m, cut), with no mask: the rows of d{i} and d{m}, so
+n(n+4)/4 keys, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices.  A
 boundary component there is a ``CutPair``, a view of the labels on one cut
 facet, whose validity is the pair's report on its vertices and whose
 translations ``verify_translation`` checks on the pairs (i, m) they miss.
@@ -49,7 +55,7 @@ building a ``CharVector``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, compress
 from math import prod
 
@@ -73,6 +79,7 @@ from .zlinalg import (
     is_direct_summand,
     permutation_sign,
     smith_normal_form,
+    sparsest_first,
 )
 
 
@@ -145,8 +152,9 @@ class _FullCountCertificate:
     """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
     Reduces M^T (r x m, one column per row of M) by ``fraction_free_reduce``.
-    The pivot columns are the anchor rows A and end as d * I, where d, the
-    last pivot, is +-det M_A; the column of any other row j holds Y_j with
+    The pivot columns are the anchor rows A, the first independent rows in
+    the order given (``validate`` gives them sparsest first), and end as
+    d * I, where d, the last pivot, is +-det M_A; the column of any other row j holds Y_j with
     d * M_j = Y_j M_A, so ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.
     Row sets are then judged by the integer identity of the module
     docstring, with no determinant of M_A beyond d; the minor
@@ -170,13 +178,16 @@ class _FullCountCertificate:
         outside = [j for j in self.free if j not in missed]
         if not outside:
             return abs(self.det) == 1
-        dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]
-        y = [[row.get(j, 0) for row in dropped] for j in outside]  # Y[S - A, A - S], s x s
-        if len(y) > 2:
-            pivots, d, _ = fraction_free_reduce([{c: x for c, x in enumerate(row) if x} for row in y])
-            return len(pivots) == len(y) and abs(d) == abs(self.det) ** (len(y) - 1)
-        minor = y[0][0] if len(y) == 1 else y[0][0] * y[1][1] - y[0][1] * y[1][0]
-        return abs(minor) == abs(self.det) ** (len(y) - 1)
+        dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]  # Y's columns A - S
+        power = abs(self.det) ** (len(outside) - 1)
+        if len(outside) == 1:
+            return abs(dropped[0].get(outside[0], 0)) == power
+        if len(outside) == 2:  # Y[S - A, A - S] has rows Y_i, Y_j and columns left, right
+            (i, j), (left, right) = outside, dropped
+            return abs(left.get(i, 0) * right.get(j, 0) - right.get(i, 0) * left.get(j, 0)) == power
+        y = [{c: x for c, row in enumerate(dropped) if (x := row.get(j, 0))} for j in outside]
+        pivots, d, _ = fraction_free_reduce(y)
+        return len(pivots) == len(y) and abs(d) == power
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
@@ -187,51 +198,60 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
 def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = None) -> ValidationReport:
     """Check the direct-summand condition at every vertex; never raises on a vector set.
 
-    A vertex is judged by the assigned rows of M it misses, in ascending
-    order, the key of the verdict memo; only a vertex whose key is new, or
-    fails, has its vectors built.  With ``labels`` the pair is over the
-    truncated simplex and vertex j, labels[j] = (i, m, cut), misses the rows
-    of d{i} and d{m}; only a failing vertex's id is read off the polytope.
-    Without, the misses are read off the incidence masks.  A new set is
-    certified at full count by the pair's ``_FullCountCertificate``, built on
-    the first such set, and otherwise by the Smith normal form, which also
-    gives a failing set's invariant factors.
+    A vertex is judged by the assigned rows of M it misses, its key, and
+    each distinct key once.  The rows are numbered in ``sparsest_first``
+    order, by (number of nonzero entries, row), the order in which the
+    pair's ``_FullCountCertificate`` takes them, so that its anchor is the
+    sparsest independent rows: on W the n - 1 unit vectors, with d = 1.
+    With ``labels`` the pair is over the truncated simplex and vertex j,
+    labels[j] = (i, m, cut), misses the rows of d{i} and d{m}; without, the
+    misses are read off the incidence masks.  A key at full count is
+    certified by the certificate, built on the first such key, and any
+    other by the Smith normal form, which also gives a failing set's
+    invariant factors.  Only when a key fails are the vertices walked again,
+    in order, and only a failing vertex's id is read off the polytope.
     """
     rank = pair.torus_rank
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     entries = [pair.assignment[f].entries for f in ids]
-    row_of = {f: row for row, f in enumerate(ids)}
+    order = sparsest_first([len(v) - v.count(0) for v in entries])
+    place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in the certificate's order
     if labels is None:
         P = pair.polytope
-        rows_at = [(j, row_of[f]) for j, f in enumerate(P.facet_ids) if f in row_of]  # (bit place, row of M)
-        misses = (tuple([row for j, row in rows_at if not mask >> j & 1]) for mask in P.incidence)
+        rows_at = [(j, place[f]) for j, f in enumerate(P.facet_ids) if f in place]  # (bit place, row)
         count = len(P.vertices)
+
+        def misses() -> Iterator[tuple[int, ...]]:
+            return (tuple([row for j, row in rows_at if not mask >> j & 1]) for mask in P.incidence)
+
     else:  # every root facet d0..dn carries a vector
-        root = [row_of[f"d{j}"] for j in range(len(ids))]
-        misses = ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels)
+        root = [place[f"d{j}"] for j in range(len(ids))]
         count = len(labels)
-    reasons: dict[tuple[int, ...], str] = {}
+
+        def misses() -> Iterator[tuple[int, ...]]:
+            return ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels)
+
     certificate: _FullCountCertificate | None = None
-    failures = []
-    for j, missed in enumerate(misses):
-        reason = reasons.get(missed)
-        if reason == "" or len(missed) == len(ids):
+    reasons: dict[tuple[int, ...], str] = {}  # the failing keys
+    for missed in set(misses()):
+        if len(missed) == len(ids):
             continue
         full = len(ids) - len(missed) == rank
-        if reason is None and full:
+        if full:
             if certificate is None:
-                certificate = _FullCountCertificate(entries, rank)
+                certificate = _FullCountCertificate([entries[row] for row in order], rank)
             if certificate.is_unimodular(missed):
-                reasons[missed] = ""
                 continue
-        rows = [row for row in range(len(ids)) if row not in missed]
-        vectors = tuple([entries[row] for row in rows])
-        if reason is None:
-            ok = not full and is_direct_summand(vectors, rank)
-            reason = reasons[missed] = "" if ok else _failure_reason(vectors)
-        if reason:
+        vectors = tuple([entries[row] for row, f in enumerate(ids) if place[f] not in missed])
+        if full or not is_direct_summand(vectors, rank):
+            reasons[missed] = _failure_reason(vectors)
+    failures = []
+    for j, missed in enumerate(misses() if reasons else ()):
+        if missed in reasons:
+            rows = [row for row, f in enumerate(ids) if place[f] not in missed]
             vertex = pair.polytope.vertices[j].id
-            failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), vectors, False, reason))
+            vectors = tuple([entries[row] for row in rows])
+            failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), vectors, False, reasons[missed]))
     return ValidationReport(not failures, count, tuple(failures))
 
 

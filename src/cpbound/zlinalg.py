@@ -15,15 +15,20 @@ machine-word arithmetic: intermediate determinant values overflow 64 bits
 already at modest sizes.
 
 Pivot selection is deterministic, with one rule per elimination: the
-fraction-free elimination takes the first nonzero entry of the pivot column
-at or below the pivot row, and the Smith normal form the smallest-magnitude
-nonzero entry of the working submatrix, ties broken in row-major order.
+fraction-free elimination takes the columns in index order and the first
+nonzero entry of the pivot column at or below the pivot row, and the Smith
+normal form the smallest-magnitude nonzero entry of the working submatrix,
+ties broken in row-major order.  The callers of the fraction-free
+elimination order its columns by ``sparsest_first``, by (number of nonzero
+entries, index), Markowitz's rule: a unit column then pivots before a dense
+one, and its step updates no other row.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Sequence
-from itertools import compress
+from itertools import chain, compress
 
 from .record import Record
 
@@ -75,6 +80,11 @@ def nonzero_rows(m: IntMatrix) -> list[dict[int, int]]:
     return rows
 
 
+def sparsest_first(counts: Sequence[int]) -> list[int]:
+    """The places of ``counts``, each row's or column's nonzero entries, by (count, place): Markowitz's rule."""
+    return sorted(range(len(counts)), key=counts.__getitem__)  # a stable sort keeps ties in place order
+
+
 def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
     """Reduce the sparse rows of ``a`` in place by fraction-free Gauss-Jordan elimination.
 
@@ -104,10 +114,11 @@ def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
             sign = -sign
         row_t = a[t]
         piv = row_t[j]
-        for i, row in enumerate(a):
-            f = row.get(j, 0)
-            if i == t or (not f and piv == prev):
+        for i in range(len(a)) if piv != prev else [i for i, row in enumerate(a) if j in row]:
+            if i == t:
                 continue
+            row = a[i]
+            f = row.get(j, 0)
             new = {c: x * piv for c, x in row.items()}
             for c, y in row_t.items():
                 new[c] = new.get(c, 0) - f * y
@@ -269,21 +280,29 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Exact inverse of a matrix with determinant +-1, and that determinant, by fraction-free elimination.
 
-    Reducing the sparse rows of [m | I] brings m to d * I exactly when m has
-    full rank, and then the right half is d * m^-1, where d = +-det m: det m
-    is d times the sign of the row swaps.  The matrix is unimodular exactly
-    when |d| = 1, and its inverse B is the right half times d.  The result is
-    checked on the sparse rows: m B = I.
+    The columns of m are taken sparsest first: m P, for the permutation P
+    of ``sparsest_first``, so that a unit column pivots before a dense one
+    and its step updates no other row.
+    Reducing the sparse rows of [m P | I] brings m P to d * I exactly when m
+    has full rank, and then the right half is d * (m P)^-1, where
+    d = +-det m: det m is d times the sign of the row swaps times sign(P).
+    The matrix is unimodular exactly when |d| = 1, and (m P)^-1 = P^-1 m^-1
+    is the right half times d, whose rows put back in place are the inverse
+    B.  The result is checked on the sparse rows: m B = I.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
     rows = nonzero_rows(m)
-    a = [row | {n + i: 1} for i, row in enumerate(rows)]
+    filled = Counter(chain.from_iterable(rows))  # nonzero entries per column
+    order = sparsest_first([filled[j] for j in range(n)])  # column c of m P is column order[c] of m
+    place = {j: c for c, j in enumerate(order)}
+    a = [{place[j]: x for j, x in row.items()} | {n + i: 1} for i, row in enumerate(rows)]
     pivots, d, sign = fraction_free_reduce(a)
     if pivots != list(range(n)) or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    inverse = [{c - n: d * x for c, x in row.items() if c >= n} for row in a]
+    right = [{j - n: d * x for j, x in row.items() if j >= n} for row in a]  # the rows of (m P)^-1
+    inverse = [right[place[i]] for i in range(n)]  # row i of m^-1 is row place[i] of (m P)^-1
     for i, row in enumerate(rows):  # cannot fail after unit pivots
         product: dict[int, int] = {}
         for c, x in row.items():
@@ -291,4 +310,8 @@ def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
                 product[j] = product.get(j, 0) + x * y
         if {j: x for j, x in product.items() if x} != {i: 1}:
             raise ArithmeticError("row reduction did not invert the matrix")
-    return IntMatrix(n, n, tuple([row.get(j, 0) for row in inverse for j in range(n)])), sign * d
+    entries = [0] * (n * n)
+    for i, row in enumerate(inverse):
+        for j, x in row.items():
+            entries[i * n + j] = x
+    return IntMatrix(n, n, tuple(entries)), sign * d * permutation_sign(Permutation(tuple(order)))

@@ -62,8 +62,10 @@ product, ``zlinalg.column_product``, over a vector's nonzero entries and the
 matrix's nonzero columns.  Their dense forms, which they replaced, are the
 oracles here: ``dense_fraction_free_reduce`` (the same pivot rule and
 updates on every entry of every row), ``dense_inverse_unimodular`` (it
-reduces the dense [m | I] and checks m B = I by entrywise sums) and
-``dense_apply_matrix``; ``matmul``, the dense matrix product that only tests
+reduces the dense [m | I], columns in their natural order, and checks
+m B = I by entrywise sums) and ``dense_apply_matrix``, and
+``dense_normalize_simplex_pair``, the normal form of a simplex pair from
+those two; ``matmul``, the dense matrix product that only tests
 use, moved here too.
 The library reads W and its boundary through W's vertex labels (i, m, cut);
 the mask path it read them through before is the last oracle section:
@@ -97,6 +99,7 @@ from cpbound.charfn import (
     CharVector,
     TranslationReport,
     TranslationWitness,
+    SimplexNormalForm,
     ValidationReport,
     VertexCheck,
     _failure_reason,
@@ -251,6 +254,25 @@ def dense_inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
         for j in range(n):
             assert sum(m.row(i)[t] * inverse.row(t)[j] for t in range(n)) == int(i == j)
     return inverse, sign * d
+
+
+def dense_normalize_simplex_pair(pair) -> SimplexNormalForm:
+    """``charfn.normalize_simplex_pair`` with M, the basis facets' vectors as columns in facet order,
+    inverted by ``dense_inverse_unimodular`` in that natural column order, and every product dense."""
+    ids = sorted(pair.assignment)
+    d = pair.torus_rank
+    columns = [pair.assignment[f].entries for f in ids[:-1]]
+    B, det_m = dense_inverse_unimodular(IntMatrix(d, d, tuple(x for row in zip(*columns) for x in row)))
+    u = dense_apply_matrix(B, pair.assignment[ids[-1]].entries)
+    assert all(abs(x) == 1 for x in u)
+    A = IntMatrix(d, d, tuple(u[i] * x for i in range(d) for x in B.row(i)))
+    normal, signs = [], []
+    for fid in ids:
+        w = dense_apply_matrix(A, pair.assignment[fid].entries)
+        sign = 1 if next(x for x in w if x) > 0 else -1
+        normal.append((fid, tuple(sign * x for x in w)))
+        signs.append((fid, sign))
+    return SimplexNormalForm(A, tuple(signs), tuple(normal), ids[-1], math.prod(u) * det_m)
 
 
 def sparse_rows(rows) -> list[dict[int, int]]:

@@ -9,7 +9,8 @@ with one verdict memo shared by W and its faces and with a fresh memo per
 face), must equal ``oracles.per_vertex_validate``, reasons included.  Over
 k <= 12, several r1 and seeds, built, loaded and mutated, the label path's
 validation, boundary components, types, translation and JSON report must be
-the mask path's (``oracles.mask_glue_report`` and its parts).
+the mask path's (``oracles.mask_glue_report`` and its parts), and on the
+mutated corpus ``validate`` judges each distinct full-count key once.
 """
 
 import json
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from cpbound.charfn import (
     CharVector,
     TranslationWitness,
+    _FullCountCertificate,
     delta_matrix,
     eta_facet_assignment,
     normalize_simplex_pair,
@@ -431,6 +433,45 @@ class TestLabelPathAgainstMaskPath:
         if not any(vector):
             vector[j] = 1
         assert_label_path_is_mask_path(wmanifold_from_json(blob))
+
+
+class TestFailingKeysJudgedOnce:
+    """``validate`` judges each distinct missed-row key once and walks the vertices again only when a key
+    fails.  On the mutated corpus, built and loaded, its failures on the label path and on the mask path
+    are the mask path's and the per-vertex oracle's, in the same order, and ``is_unimodular`` runs once
+    per distinct full-count key."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 5))
+    def test_mutated_corpus(self, monkeypatch, k):
+        judged = []
+        is_unimodular = _FullCountCertificate.is_unimodular
+
+        def recording(certificate, missed):
+            judged.append(tuple(missed))
+            return is_unimodular(certificate, missed)
+
+        monkeypatch.setattr(_FullCountCertificate, "is_unimodular", recording)
+        n = 2 * (k + 1)
+        rng = random.Random(800 + k)
+        P = truncated_simplex(n)
+        corpus = [mutated_W(k, rng) for _ in range(2)]
+        corpus += [WManifold(attach(P, table, n - 1), n, Fraction(1, 5)) for table in mutated_tables(k, rng)]
+        for W in corpus:
+            for w in (W, loaded(W)):
+                pair = w.pair
+                full = {
+                    frozenset(f for f in v.facet_ids if f in pair.assignment)
+                    for v in pair.polytope.vertices
+                    if sum(f in pair.assignment for f in v.facet_ids) == pair.torus_rank
+                }
+                expected = per_vertex_validate(pair)
+                assert not expected.ok
+                for labels in (w.labels, None):
+                    judged.clear()
+                    report = validate(pair, labels)
+                    assert len(judged) == len(set(judged)) == len(full)
+                    assert report == expected
+                    assert report.failures == mask_validate(pair).failures
 
 
 class TestMasksThatCollideUnderHash:

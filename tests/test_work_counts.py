@@ -3,7 +3,8 @@
 Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, read off the functional's entries
 without a vertex or its label, one integer elimination and no
-determinant for all the full-count vertex vector sets (each a minor of
+determinant for all the full-count vertex vector sets (anchored on the
+n - 1 unit vectors, with d = 1 and no row updated; each set a minor of
 size at most 2, one per missed root pair {i, m}, n(n+4)/4 in all, with no
 elimination of its own), no coordinate made for a built W by
 ``glue_report``, ``cell_stage``, ``validate`` or ``boundary_h_vectors``, no
@@ -179,6 +180,31 @@ def test_w_memo_holds_one_key_per_missed_root_pair(monkeypatch, k):
     assert W.report.ok and W.report.checked_vertices == len(W.labels) == n * (n + 4) // 2
     assert len(judged) == len(set(judged)) == n * (n + 4) // 4
     assert all(len(missed) == 2 for missed in judged)
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12))
+def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
+    """``validate`` hands W's certificate the rows of M sparsest first, so its anchor is the n - 1 unit eta
+    vectors, with d = 1, and the reduction of M^T swaps rows and updates none."""
+    made = []
+    init = charfn._FullCountCertificate.__init__
+
+    def recording(certificate, rows, rank):
+        init(certificate, rows, rank)
+        made.append((certificate, [tuple(row) for row in rows]))
+
+    monkeypatch.setattr(charfn._FullCountCertificate, "__init__", recording)
+    W = build_W(k)
+    n = W.n
+    assert W.report.ok
+    ((certificate, rows),) = made
+    assert certificate.det == 1
+    units = {tuple(int(p == q) for q in range(n - 1)) for p in range(n - 1)}
+    assert units <= {v.entries for v in charfn.eta_standard(n).values()}
+    anchor = [rows[j] for j in certificate.anchor]
+    assert len(anchor) == n - 1 and set(anchor) == units
+    transposed = [sorted((j, x) for j, x in enumerate(column) if x) for column in zip(*rows)]
+    assert sorted(sorted(row.items()) for row in certificate.reduced) == sorted(transposed)  # swapped, not updated
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))

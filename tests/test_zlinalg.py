@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpbound import zlinalg
+from cpbound.charfn import normalize_simplex_pair
+from cpbound.cobordism import boundary_components, build_W
 from cpbound.zlinalg import (
     IntMatrix,
     Permutation,
@@ -24,6 +26,7 @@ from oracles import (
     dense_apply_matrix,
     dense_fraction_free_reduce,
     dense_inverse_unimodular,
+    dense_normalize_simplex_pair,
     fraction_rank,
     identity,
     is_unimodular_basis,
@@ -299,6 +302,56 @@ class TestSparseEliminationAgainstDense:
                 inverse_unimodular(m)
         else:
             assert inverse_unimodular(m) == expected
+
+
+@st.composite
+def unit_and_dense_columns(draw, max_size=40):
+    """A d x d matrix of determinant +-1 shaped like P3's basis, d <= 40: shuffled unit columns and 1 to 3 dense ones.
+
+    The dense columns, at places c_1..c_s of the identity, have entries in
+    -2..2 on the other rows; on rows c_1..c_s they form a lower triangular
+    block with +-1 on its diagonal, so the determinant is the product of
+    those signs.  Rows and columns are then shuffled.
+    """
+    d = draw(st.integers(1, max_size))
+    dense = draw(st.permutations(range(d)))[: draw(st.integers(1, min(3, d)))]
+    columns = [[int(i == j) for i in range(d)] for j in range(d)]
+    for t, c in enumerate(dense):
+        column = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        for u, r in enumerate(dense):
+            if u == t:
+                column[r] = draw(st.sampled_from((1, -1)))
+            elif u < t:
+                column[r] = 0
+        columns[c] = column
+    row_order, column_order = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    return [[columns[j][i] for j in column_order] for i in row_order]
+
+
+class TestSparsestColumnsFirst:
+    """``inverse_unimodular`` pivots on m's columns sparsest first; the inverse and the determinant are unique,
+    so they equal the dense elimination's in the natural column order, the determinant's sign included."""
+
+    @given(unit_and_dense_columns())
+    @settings(max_examples=150, deadline=None)
+    @example([[1, 1], [0, 1]])
+    @example([[1, 2, 1], [1, 0, 0], [0, 1, 0]])
+    def test_unit_and_dense_columns(self, rows):
+        m = IntMatrix.from_rows(rows)
+        inverse, det = inverse_unimodular(m)
+        assert (inverse, det) == dense_inverse_unimodular(m)
+        assert det == bareiss_det(rows)
+        assert matmul(m, inverse) == identity(len(rows))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_p3_normal_form_is_the_natural_order_dense_one(self, k):
+        P3 = boundary_components(build_W(k))[2]
+        form, expected = normalize_simplex_pair(P3), dense_normalize_simplex_pair(P3)
+        assert form.basis_change == expected.basis_change
+        assert form.signs == expected.signs
+        assert form.normal_form == expected.normal_form
+        assert form.det == expected.det
+        assert form == expected
 
 
 class TestSmithNormalForm:
