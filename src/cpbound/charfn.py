@@ -40,10 +40,16 @@ is then the n - 1 unit eta vectors, d = 1 and the reduction of M^T updates
 no row; only the dense columns of P3's basis fill.
 
 ``validate`` judges a vertex by the assigned rows it misses, its key, and
-each distinct key once, collected in one set; it walks the vertices again
-only when a key fails.  Over the truncated simplex it reads them from each
-vertex's label (i, m, cut), with no mask: the rows of d{i} and d{m}, so
-n(n+4)/4 keys, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices.  A
+each distinct class of key once; it walks the vertices again only when a
+class fails.  A full-count key's class is the multiset of its rows' classes
+in the certificate: a free row, outside A, is its own class, and an anchor
+row's class is its column of Y at the free rows, since the minor
+Y[S - A, A - S] reads nothing else.  Over the truncated simplex it reads the
+keys from each vertex's label (i, m, cut), with no mask: the rows of d{i}
+and d{m}.  On W the two dense eta vectors are the free rows and the n - 1
+unit vectors fall into three classes, by which dense vector holds their 1,
+so 8 classes, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices at
+every k.  A
 boundary component there is a ``CutPair``, a view of the labels on one cut
 facet, whose validity is the pair's report on its vertices and whose
 translations ``verify_translation`` checks on the pairs (i, m) they miss.
@@ -76,9 +82,9 @@ from .zlinalg import (
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
+    invariant_factors,
     is_direct_summand,
     permutation_sign,
-    smith_normal_form,
     sparsest_first,
 )
 
@@ -151,25 +157,53 @@ class ValidationReport(Record):
 class _FullCountCertificate:
     """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
-    Reduces M^T (r x m, one column per row of M) by ``fraction_free_reduce``.
-    The pivot columns are the anchor rows A, the first independent rows in
-    the order given (``validate`` gives them sparsest first), and end as
-    d * I, where d, the last pivot, is +-det M_A; the column of any other row j holds Y_j with
+    Reduces M^T (r x m, one column per row of M, built from each row's
+    nonzero entries) by ``fraction_free_reduce``.  The pivot columns are the
+    anchor rows A, the first independent rows in the order given
+    (``validate`` gives them sparsest first), and end as d * I, where d, the
+    last pivot, is +-det M_A; the column of any other row j holds Y_j with
     d * M_j = Y_j M_A, so ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.
     Row sets are then judged by the integer identity of the module
     docstring, with no determinant of M_A beyond d; the minor
     Y[S - A, A - S] is evaluated directly when it is 1 x 1 or 2 x 2, and
     reduced by the same elimination when it is larger.
+
+    ``classes`` names each row's class by its first row: a free row, outside
+    A, is a class of its own, and an anchor row's class is its column of Y
+    at the free rows.  ``is_unimodular(missed)`` reads only which free rows
+    are outside ``missed``, the rows of Y[S - A, A - S], and the columns of
+    Y of the anchor rows in ``missed`` at those rows, the minor's columns.
+    So two sets of missed rows with the same multiset of classes leave out
+    the same free rows and give the same minor up to the order of its
+    columns: the same |det|, and the same verdict.  When rank M < r there is
+    no anchor, every row is its own class and no full-count set is a basis.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
-        work = [{j: x for j, x in enumerate(column) if x} for column in zip(*rows)]
+        work: list[dict[int, int]] = [{} for _ in range(rank)]
+        places = range(rank)
+        for j, row in enumerate(rows):
+            for t in compress(places, row):
+                work[t][j] = row[t]
         pivots, d, _ = fraction_free_reduce(work)
         # Anchor row -> its place in Y's columns; None when rank M < r.
         self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
         self.det = d if self.anchor is not None else 0
         self.reduced = work
-        self.free = [j for j in range(len(rows)) if j not in (self.anchor or ())]
+        anchor = self.anchor or {}
+        self.free = [j for j in range(len(rows)) if j not in anchor]
+        first: dict[tuple[int, ...], int] = {}  # an anchor row's column of Y at the free rows -> its first row
+        self.classes = [
+            first.setdefault(tuple([work[anchor[j]].get(f, 0) for f in self.free]), j) if j in anchor else j
+            for j in range(len(rows))
+        ]
+        self.members: dict[int, list[int]] = {}  # a class -> its rows, in order
+        for j, c in enumerate(self.classes):
+            self.members.setdefault(c, []).append(j)
+
+    def first_rows(self, key: Sequence[int]) -> list[int]:
+        """Rows whose classes are ``key``, a sorted multiset of classes: the first rows of each class."""
+        return [self.members[c][t - key.index(c)] for t, c in enumerate(key)]
 
     def is_unimodular(self, missed: Sequence[int]) -> bool:
         """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
@@ -191,7 +225,7 @@ class _FullCountCertificate:
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
-    factors = smith_normal_form(IntMatrix.from_rows(vectors))
+    factors = invariant_factors(vectors)
     return f"vectors do not span a direct summand (invariant factors {factors})"
 
 
@@ -199,23 +233,30 @@ def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = Non
     """Check the direct-summand condition at every vertex; never raises on a vector set.
 
     A vertex is judged by the assigned rows of M it misses, its key, and
-    each distinct key once.  The rows are numbered in ``sparsest_first``
-    order, by (number of nonzero entries, row), the order in which the
-    pair's ``_FullCountCertificate`` takes them, so that its anchor is the
-    sparsest independent rows: on W the n - 1 unit vectors, with d = 1.
-    With ``labels`` the pair is over the truncated simplex and vertex j,
-    labels[j] = (i, m, cut), misses the rows of d{i} and d{m}; without, the
-    misses are read off the incidence masks.  A key at full count is
-    certified by the certificate, built on the first such key, and any
-    other by the Smith normal form, which also gives a failing set's
-    invariant factors.  Only when a key fails are the vertices walked again,
-    in order, and only a failing vertex's id is read off the polytope.
+    each distinct class of key once.  The rows are numbered in
+    ``sparsest_first`` order, by (number of nonzero entries, row), the order
+    in which the pair's ``_FullCountCertificate`` takes them, so that its
+    anchor is the sparsest independent rows: on W the n - 1 unit vectors,
+    with d = 1.  With ``labels`` the pair is over the truncated simplex and
+    vertex j, labels[j] = (i, m, cut), misses the rows of d{i} and d{m};
+    without, the misses are read off the incidence masks.
+
+    A key at full count, m - r rows, is certified by the certificate, built
+    when such a key occurs.  Its class is the multiset of its rows'
+    certificate ``classes``, whose keys share one verdict, and each class is
+    judged once, by ``is_unimodular`` on its ``first_rows``.  A key of any
+    other count is a class of its own, judged by the Smith normal form.
+    Only when a class fails are the vertices walked again, in order: each
+    distinct failing key gets its own Smith normal form, whose invariant
+    factors, not always shared by its class, give its reason, and only a
+    failing vertex's id is read off the polytope.
     """
     rank = pair.torus_rank
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     entries = [pair.assignment[f].entries for f in ids]
     order = sparsest_first([len(v) - v.count(0) for v in entries])
     place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in the certificate's order
+    width = len(ids) - rank  # the rows a vertex misses at full count
     if labels is None:
         P = pair.polytope
         rows_at = [(j, place[f]) for j, f in enumerate(P.facet_ids) if f in place]  # (bit place, row)
@@ -224,33 +265,46 @@ def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = Non
         def misses() -> Iterator[tuple[int, ...]]:
             return (tuple([row for j, row in rows_at if not mask >> j & 1]) for mask in P.incidence)
 
+        keys = set(misses())
+        full = any(len(missed) == width for missed in keys)
     else:  # every root facet d0..dn carries a vector
         root = [place[f"d{j}"] for j in range(len(ids))]
         count = len(labels)
+        full = width == 2 and count > 0
 
         def misses() -> Iterator[tuple[int, ...]]:
             return ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels)
 
-    certificate: _FullCountCertificate | None = None
-    reasons: dict[tuple[int, ...], str] = {}  # the failing keys
-    for missed in set(misses()):
-        if len(missed) == len(ids):
+    certificate = _FullCountCertificate([entries[row] for row in order], rank) if full else None
+    classes = certificate.classes if certificate else range(len(ids))
+
+    def class_of(missed: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted([classes[row] for row in missed])) if len(missed) == width else missed
+
+    if labels is None:
+        found = {class_of(missed) for missed in keys}
+    else:  # one pass over the labels, by the class of each root row
+        of_root = [classes[row] for row in root]
+        found = {(a, b) if a < b else (b, a) for a, b in {(of_root[i], of_root[m]) for i, m, _ in labels}}
+    failed = set()
+    for key in found:
+        if len(key) == len(ids):
             continue
-        full = len(ids) - len(missed) == rank
-        if full:
-            if certificate is None:
-                certificate = _FullCountCertificate([entries[row] for row in order], rank)
-            if certificate.is_unimodular(missed):
-                continue
-        vectors = tuple([entries[row] for row, f in enumerate(ids) if place[f] not in missed])
-        if full or not is_direct_summand(vectors, rank):
-            reasons[missed] = _failure_reason(vectors)
+        if len(key) == width:
+            ok = certificate.is_unimodular(certificate.first_rows(key))
+        else:
+            ok = is_direct_summand(tuple([entries[row] for row, f in enumerate(ids) if place[f] not in key]), rank)
+        if not ok:
+            failed.add(key)
+    reasons: dict[tuple[int, ...], str] = {}  # the failing keys
     failures = []
-    for j, missed in enumerate(misses() if reasons else ()):
-        if missed in reasons:
+    for j, missed in enumerate(misses() if failed else ()):
+        if class_of(missed) in failed:
             rows = [row for row, f in enumerate(ids) if place[f] not in missed]
             vertex = pair.polytope.vertices[j].id
             vectors = tuple([entries[row] for row in rows])
+            if missed not in reasons:
+                reasons[missed] = _failure_reason(vectors)
             failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), vectors, False, reasons[missed]))
     return ValidationReport(not failures, count, tuple(failures))
 

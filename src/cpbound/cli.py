@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_size_options(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--k-range", dest="k_range", help="run for a range of k, e.g. 1:5")
+    p.add_argument("--k-range", dest="k_range", help="run for a range of k, e.g. 1:5 (excludes --k and --n)")
     p.add_argument("--output", help="write the JSON report(s) here")
     p.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -371,14 +371,14 @@ def run(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_BAD_INPUT if exc.code else _EXIT_OK
-    if getattr(args, "k", None) is not None and getattr(args, "n", None) is not None:
-        sys.stderr.write("error: --k and --n are mutually exclusive\n")
-        return _EXIT_BAD_INPUT
-    if getattr(args, "input", None) is not None:
-        for option in ("k", "n", "k_range", "r1"):
-            if getattr(args, option, None) is not None:
-                sys.stderr.write(f"error: --input and --{option.replace('_', '-')} are mutually exclusive\n")
-                return _EXIT_BAD_INPUT
+    for given, excluded in (("k", ("n",)), ("input", ("k", "n", "k_range", "r1")), ("k_range", ("k", "n"))):
+        if getattr(args, given, None) is not None:
+            for option in excluded:
+                if getattr(args, option, None) is not None:
+                    sys.stderr.write(
+                        f"error: --{given.replace('_', '-')} and --{option.replace('_', '-')} are mutually exclusive\n"
+                    )
+                    return _EXIT_BAD_INPUT
     if getattr(args, "seeds", 1) < 1:
         sys.stderr.write(f"error: --seeds must be at least 1, got {args.seeds}\n")
         return _EXIT_BAD_INPUT

@@ -10,9 +10,10 @@ of the signed permutation delta' is its permutation's sign, inverting P3's
 basis change updates O(n) entries, and applying delta' to one of W's
 vectors, with one or two nonzero entries, takes O(1) steps beyond the scan.
 The Smith normal form is the classical dense pivot-and-reduce algorithm, run
-only on a failing or below-full-count vertex set.  No floats, no
-machine-word arithmetic: intermediate determinant values overflow 64 bits
-already at modest sizes.
+only on a failing or below-full-count vertex set, and ``invariant_factors``
+hands it what is left of such a set once every row with a single entry +-1
+is split off.  No floats, no machine-word arithmetic: intermediate
+determinant values overflow 64 bits already at modest sizes.
 
 Pivot selection is deterministic, with one rule per elimination: the
 fraction-free elimination takes the columns in index order and the first
@@ -214,6 +215,36 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """``smith_normal_form`` of the stacked rows, with every row whose one nonzero entry is +-1 split off first.
+
+    Subtracting multiples of such a row, at column c, from the others clears
+    column c and changes nothing else, which leaves a 1 x 1 block: an
+    invariant factor 1, and the matrix without that row and column.  Rows
+    that become such a row are split off in turn, and zero rows and columns
+    are dropped, so a vector set of W, all but a few of them unit vectors,
+    leaves a few rows for the dense algorithm.
+    """
+    places = range(len(rows[0]) if rows else 0)
+    rest = [dict(zip(compress(places, row), compress(row, row))) for row in rows]
+    ones = 0
+    while True:
+        rest = [row for row in rest if row]  # a zero row adds no factor
+        split: dict[int, int] = {}  # column -> its first row with one entry, +-1, there
+        for i, row in enumerate(rest):
+            if len(row) == 1 and abs(next(iter(row.values()))) == 1:
+                split.setdefault(next(iter(row)), i)
+        if not split:
+            break
+        ones += len(split)
+        taken = set(split.values())
+        rest = [{j: x for j, x in row.items() if j not in split} for i, row in enumerate(rest) if i not in taken]
+    if not rest:
+        return (1,) * ones
+    columns = sorted(set().union(*rest))
+    return (1,) * ones + smith_normal_form(IntMatrix.from_rows([[row.get(j, 0) for j in columns] for row in rest]))
+
+
 def _as_int_vectors(vectors: Sequence[Sequence[int]], k: int) -> list[tuple[int, ...]]:
     vecs = [tuple(int(x) for x in v) for v in vectors]
     for v in vecs:
@@ -232,7 +263,7 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], k: int) -> bool:
     vecs = _as_int_vectors(vectors, k)
     if not vecs:
         raise ValueError("need at least one vector")
-    factors = smith_normal_form(IntMatrix.from_rows(vecs))
+    factors = invariant_factors(vecs)
     return len(factors) == len(vecs) and all(f == 1 for f in factors)
 
 

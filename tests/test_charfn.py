@@ -401,6 +401,32 @@ class TestFullCountCertificate:
             assert certificate.is_unimodular(missed) == oracle.is_unimodular(chosen) == expected
 
 
+class TestKeyClasses:
+    """A full-count key's class, the sorted certificate classes of its rows, carries the key's verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_vectors())
+    @example(([[1, 0], [0, 1], [1, 1], [2, 2]], 2))  # scaled free rows: both unit rows in one class
+    @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0]], 3))  # a repeated free row
+    @example(([[int(p == q) for q in range(5)] for p in range(5)] + [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], 5))  # W, n = 6
+    @example(([[2, 0], [0, 2], [1, 1], [3, 3]], 2))  # |d| = 4, merged
+    @example(([[1, 2], [2, 4], [3, 6], [1, 2]], 2))  # rank M < r: every row its own class
+    def test_a_class_shares_the_cofactor_verdict(self, case):
+        rows, rank = case
+        certificate = _FullCountCertificate(rows, rank)
+        classes = certificate.classes
+        if certificate.anchor is None:
+            assert classes == list(range(len(rows)))
+        verdicts: dict[tuple[int, ...], bool] = {}
+        for chosen in itertools.combinations(range(len(rows)), rank):
+            expected = abs(cofactor_det([rows[j] for j in chosen])) == 1
+            key = tuple(sorted(classes[j] for j in range(len(rows)) if j not in chosen))
+            first = certificate.first_rows(key)
+            assert len(set(first)) == len(first) and sorted(classes[j] for j in first) == list(key)
+            assert certificate.is_unimodular(first) == expected
+            assert verdicts.setdefault(key, expected) == expected
+
+
 @st.composite
 def missed_rows(draw):
     """(rows, r, missed): an m x r integer matrix M with m - r in {1, 2, 3}, and m - r rows of M to leave out.

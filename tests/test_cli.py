@@ -205,6 +205,20 @@ class TestBatchAndFormats:
         err = f"error: bad k range {k_range!r}: expected LO:HI with 1 <= LO <= HI\n"
         assert (code, out, capsys.readouterr().err) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "option", (("--n", "8"), ("--k", "1"), ("--k", "3"), ("--n", "4"), ("--r1", "1/7", "--k", "2"))
+    )
+    @pytest.mark.parametrize("k_range", ("1:1", "2:3"))
+    def test_k_range_excludes_k_and_n(self, capsys, option, k_range):
+        code, out = invoke("glue", *option, "--k-range", k_range)
+        err = f"error: --k-range and {option[-2]} are mutually exclusive\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    def test_k_range_takes_r1(self):
+        code, out = invoke("glue", "--k-range", "1:2", "--r1", "1/7", "--format", "json")
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["reports"]] == [4, 6]
+
     def test_seeds_agreement_flag(self):
         code, out = invoke("homology", "--k", "1", "--seeds", "5")
         assert code == 0

@@ -10,7 +10,7 @@ face), must equal ``oracles.per_vertex_validate``, reasons included.  Over
 k <= 12, several r1 and seeds, built, loaded and mutated, the label path's
 validation, boundary components, types, translation and JSON report must be
 the mask path's (``oracles.mask_glue_report`` and its parts), and on the
-mutated corpus ``validate`` judges each distinct full-count key once.
+mutated corpus ``validate`` judges each distinct class of full-count key once.
 """
 
 import json
@@ -60,6 +60,7 @@ from cpbound.polytope import (
 )
 
 from oracles import (
+    FractionFullCountCertificate,
     Verdicts,
     attach,
     bareiss_det,
@@ -435,11 +436,25 @@ class TestLabelPathAgainstMaskPath:
         assert_label_path_is_mask_path(wmanifold_from_json(blob))
 
 
+def key_classes(pair):
+    """The rows of M in the certificate's order, by (nonzero entries, facet id), and a function from a set
+    of missed rows to its class: the sorted classes of its rows.  A row outside the anchor of
+    ``FractionFullCountCertificate`` is its own class; an anchor row's class is the column of the other
+    rows' coefficients over the anchor that belongs to it."""
+    rank = pair.torus_rank
+    ids = sorted(pair.assignment, key=lambda f: (sum(x != 0 for x in pair.assignment[f].entries), f))
+    oracle = FractionFullCountCertificate([pair.assignment[f].entries for f in ids], rank)
+    anchor = oracle.anchor or {}
+    free = [j for j in range(len(ids)) if j not in anchor]
+    cls = [(0, tuple(oracle.coefficients[f][anchor[j]] for f in free)) if j in anchor else (1, j) for j in range(len(ids))]
+    return ids, lambda missed: tuple(sorted(cls[j] for j in missed))
+
+
 class TestFailingKeysJudgedOnce:
-    """``validate`` judges each distinct missed-row key once and walks the vertices again only when a key
-    fails.  On the mutated corpus, built and loaded, its failures on the label path and on the mask path
-    are the mask path's and the per-vertex oracle's, in the same order, and ``is_unimodular`` runs once
-    per distinct full-count key."""
+    """``validate`` judges each distinct class of missed-row key once and walks the vertices again only
+    when a class fails.  On the mutated corpus, built and loaded, its failures on the label path and on
+    the mask path are the mask path's and the per-vertex oracle's, in the same order, and
+    ``is_unimodular`` runs once per distinct class of full-count key, on a key of each."""
 
     @pytest.mark.parametrize("k", (1, 2, 3, 5))
     def test_mutated_corpus(self, monkeypatch, k):
@@ -456,22 +471,51 @@ class TestFailingKeysJudgedOnce:
         P = truncated_simplex(n)
         corpus = [mutated_W(k, rng) for _ in range(2)]
         corpus += [WManifold(attach(P, table, n - 1), n, Fraction(1, 5)) for table in mutated_tables(k, rng)]
+        merged = 0
         for W in corpus:
             for w in (W, loaded(W)):
                 pair = w.pair
+                ids, class_of = key_classes(pair)
                 full = {
                     frozenset(f for f in v.facet_ids if f in pair.assignment)
                     for v in pair.polytope.vertices
                     if sum(f in pair.assignment for f in v.facet_ids) == pair.torus_rank
                 }
+                classes = {class_of([j for j, f in enumerate(ids) if f not in kept]) for kept in full}
+                merged += len(classes) < len(full)
                 expected = per_vertex_validate(pair)
                 assert not expected.ok
                 for labels in (w.labels, None):
                     judged.clear()
                     report = validate(pair, labels)
-                    assert len(judged) == len(set(judged)) == len(full)
+                    assert len(judged) == len(classes)
+                    assert {class_of(missed) for missed in judged} == classes
                     assert report == expected
                     assert report.failures == mask_validate(pair).failures
+        assert merged  # some classes hold more than one key
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_rank_deficient_m(self, monkeypatch, k):
+        """When rank M < r there is no anchor: every full-count key is its own class, and every one fails."""
+        judged = []
+        is_unimodular = _FullCountCertificate.is_unimodular
+
+        def recording(certificate, missed):
+            judged.append(tuple(missed))
+            return is_unimodular(certificate, missed)
+
+        monkeypatch.setattr(_FullCountCertificate, "is_unimodular", recording)
+        n = 2 * (k + 1)
+        units = [tuple(int(p == q) for q in range(n - 1)) for p in range(2)]
+        table = {f"d{m}": units[m % 2] if m < 2 else tuple(a + b for a, b in zip(*units)) for m in range(n + 1)}
+        W = WManifold(attach(truncated_simplex(n), table, n - 1), n, Fraction(1, 5))
+        for w in (W, loaded(W)):
+            expected = per_vertex_validate(w.pair)
+            assert len(expected.failures) == expected.checked_vertices
+            for labels in (w.labels, None):
+                judged.clear()
+                assert validate(w.pair, labels) == expected
+                assert len(judged) == len(set(judged)) == len({tuple(sorted(f.facets)) for f in expected.failures})
 
 
 class TestMasksThatCollideUnderHash:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpbound import zlinalg
-from cpbound.charfn import normalize_simplex_pair
+from cpbound.charfn import eta_standard, normalize_simplex_pair
 from cpbound.cobordism import boundary_components, build_W
 from cpbound.zlinalg import (
     IntMatrix,
@@ -15,6 +16,7 @@ from cpbound.zlinalg import (
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
+    invariant_factors,
     is_direct_summand,
     permutation_sign,
     smith_normal_form,
@@ -397,6 +399,45 @@ class TestSmithNormalForm:
         assert len(factors) == fraction_rank(matrix_rows(m))
         assert all(f > 0 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@st.composite
+def rows_with_unit_rows(draw):
+    """An r x c integer matrix, r, c <= 5, some of whose rows are set to +-e_j: repeated, sharing a column
+    with other rows, or becoming +-e_j only once another is split off."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    bound = draw(st.sampled_from((1, 2, 6)))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c), min_size=r, max_size=r))
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=r)):
+        j, sign = draw(st.integers(0, c - 1)), draw(st.sampled_from((1, -1)))
+        rows[i] = [sign if q == j else 0 for q in range(c)]
+    return rows
+
+
+class TestInvariantFactors:
+    """Splitting off the rows with one entry +-1 gives the dense Smith normal form's factors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_with_unit_rows())
+    @example([[0, 0], [0, 0]])
+    @example([[1, 0], [1, 0], [3, 5]])  # a repeated unit row
+    @example([[1, 1, 0], [0, -1, 0], [2, 0, 4]])  # [1, 1, 0] is a unit row once e_1 is split off
+    @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    def test_matches_the_dense_form_and_the_minor_gcds(self, rows):
+        factors = invariant_factors(rows)
+        assert factors == smith_normal_form(IntMatrix.from_rows(rows)) == minor_gcd_invariant_factors(rows)
+
+    @pytest.mark.parametrize("k", (1, 2, 5))
+    def test_vector_sets_of_a_mutated_w(self, k):
+        """W's vectors with d0's set to 2 e_0: every set of n - 1 of them, as the failure reasons read them."""
+        n = 2 * (k + 1)
+        vectors = [v.entries for v in eta_standard(n).values()]
+        vectors[0] = (2,) + (0,) * (n - 2)
+        for kept in itertools.combinations(vectors, n - 1):
+            assert invariant_factors(kept) == smith_normal_form(IntMatrix.from_rows(kept))
+
+    def test_no_rows(self):
+        assert invariant_factors([]) == ()
 
 
 class TestLatticeChecks:
