@@ -30,14 +30,16 @@ The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
 is the one this module runs: it reduces M^T for vertex validation, and each
 minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
 witness check of a delta that is no signed permutation (delta' is one, and
-its determinant is read off its rows), and inverts the basis of a simplex
-pair, with its determinant, in ``normalize_simplex_pair``.  A minor of size
-1 or 2 is evaluated directly, as the entry or as ad - bc.  It pivots on its
-columns in the order given, so ``validate`` gives it the rows of M in
-``zlinalg.sparsest_first`` order, by (number of nonzero entries, row), and
-``inverse_unimodular`` the basis's columns the same way.  On W the anchor
-is then the n - 1 unit eta vectors, d = 1 and the reduction of M^T updates
-no row; only the dense columns of P3's basis fill.
+its determinant is read off its rows), and inverts the core of the basis of
+a simplex pair in ``normalize_simplex_pair``.  A minor of size 1 or 2 is
+evaluated directly, as the entry or as ad - bc.  It pivots on its columns
+in the order given, so ``validate`` gives it the rows of M in
+``zlinalg.sparsest_first`` order, by (number of nonzero entries, row).  On W
+the anchor is then the n - 1 unit eta vectors, d = 1 and the reduction of
+M^T updates no row.  ``zlinalg.inverse_unimodular`` peels the basis's unit
+columns, reading their rows of the inverse off by back-substitution, and
+eliminates only the rest: on W's P3 the two dense eta columns on the rows
+no unit column took, at most 2 x 2.
 
 ``validate`` judges a vertex by the assigned rows it misses, its key, and
 each distinct class of key once; it walks the vertices again only when a
@@ -53,16 +55,17 @@ every k.  A
 boundary component there is a ``CutPair``, a view of the labels on one cut
 facet, whose validity is the pair's report on its vertices and whose
 translations ``verify_translation`` checks on the pairs (i, m) they miss.
-Delta and the basis change are applied by their nonzero columns, collected
-once per call, to each vector's nonzero entries; an image is matched to its
-canonical target up to sign, or signed by its first nonzero entry, without
-building a ``CharVector``.
+Delta, the basis M, its inverse and the basis change are stored by their
+nonzero entries, built in O(n), and applied by their nonzero columns,
+collected once per call, to each vector's nonzero entries; an image is
+matched to its canonical target up to sign, or signed by its first nonzero
+entry, without building a ``CharVector``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain, compress
+from itertools import compress
 from math import prod
 
 from .polytope import (
@@ -76,6 +79,7 @@ from .polytope import (
 )
 from .record import Record
 from .zlinalg import (
+    Entries,
     IntMatrix,
     Permutation,
     column_product,
@@ -416,11 +420,7 @@ def _basis_reversal(n: int) -> Permutation:
 
 def delta_matrix(n: int) -> IntMatrix:
     """The basis reversal of Z^(n-1): the anti-diagonal permutation matrix."""
-    k = n - 1
-    entries = [0] * (k * k)
-    for i, j in enumerate(_basis_reversal(n).images):
-        entries[i * k + j] = 1
-    return IntMatrix(k, k, tuple(entries))
+    return IntMatrix(n - 1, n - 1, Entries(n - 1, tuple([((j, 1),) for j in _basis_reversal(n).images])))
 
 
 def rho_facet_bijection(n: int) -> dict[str, str]:
@@ -515,7 +515,8 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
     to the standard basis, and vertex unimodularity forces the residual
     vector's entries to +-1, so signs can be absorbed into the basis change:
     D * B for B = M^-1 and D = diag(u), of determinant prod(u) * det M, det M
-    from the reduction that inverts M.  ``report`` is the pair's validation,
+    from ``inverse_unimodular``.  M, B and D * B are built from their
+    nonzero entries, never densely.  ``report`` is the pair's validation,
     for a caller that has it; without one it is computed, or a ``CutPair``'s
     read.  The polytope itself is not read.
     """
@@ -539,14 +540,16 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
     ids = sorted(pair.assignment)
     residual = ids[-1]
     basis_ids = ids[:-1]
-    columns = [pair.assignment[f].entries for f in basis_ids]
-    M = IntMatrix(d, d, tuple(chain.from_iterable(zip(*columns))))
-    B, det_m = inverse_unimodular(M)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # M's nonzero entries, the basis vectors its columns
+    for c, v in enumerate(pair.assignment[f].entries for f in basis_ids):
+        for i in compress(range(d), v):
+            rows[i].append((c, v[i]))
+    B, det_m = inverse_unimodular(IntMatrix(d, d, Entries(d, tuple(map(tuple, rows)))))
     u = column_product(B)(pair.assignment[residual].entries)
     if any(abs(x) != 1 for x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {u} is not a sign vector")
-    scaled = (B.row(i) if s == 1 else [-x for x in B.row(i)] for i, s in enumerate(u))  # the rows of D B
-    A = IntMatrix(d, d, tuple(chain.from_iterable(scaled)))
+    scaled = (row if s == 1 else tuple([(j, -x) for j, x in row]) for s, row in zip(u, B.entries.nonzero))
+    A = IntMatrix(d, d, Entries(d, tuple(scaled)))  # D B
     apply = column_product(A)
     normal = []
     signs = []

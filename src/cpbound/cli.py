@@ -46,16 +46,23 @@ def _dump_json(data: dict, stream) -> None:
     stream.write("\n")
 
 
+def _indexable(n: int, option: str) -> int:
+    """n, if W's vertex count n(n+4)/2, its largest size, fits an index; else an error naming ``option``."""
+    if n * (n + 4) // 2 > sys.maxsize:
+        raise ValueError(f"{option} is too large: W would have more vertices than an index can count")
+    return n
+
+
 def _resolve_n(args) -> int:
     if args.k is not None:
         if args.k < 1:
             raise ValueError("k must be at least 1")
-        return 2 * (args.k + 1)
+        return _indexable(2 * (args.k + 1), f"--k {args.k}")
     if args.n is None:
         raise ValueError("one of --k or --n is required")
     if args.n < 4 or args.n % 2:
         raise ValueError(f"n must be even and at least 4, got {args.n}")
-    return args.n
+    return _indexable(args.n, f"--n {args.n}")
 
 
 def _r1(args) -> Fraction:
@@ -280,7 +287,8 @@ def _cmd_glue(args, out) -> int:
         lo, sep, hi = args.k_range.partition(":")
         if not (sep and lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
             raise ValueError(f"bad k range {args.k_range!r}: expected LO:HI with 1 <= LO <= HI")
-        ks = list(range(int(lo), int(hi) + 1))
+        _indexable(2 * (int(hi) + 1), f"--k-range {args.k_range}")
+        ks = range(int(lo), int(hi) + 1)
     elif getattr(args, "input", None):
         ks = [None]
     else:
@@ -312,6 +320,7 @@ def _cmd_demo(args, out) -> int:
     n = args.n
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and at least 4, got {n}")
+    _indexable(n, f"--n {n}")
     r1 = parse_fraction(args.r1)
     W = build_W(n // 2 - 1, r1)
     report = glue_report(W, args.seed)

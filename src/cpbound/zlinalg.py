@@ -1,19 +1,22 @@
 """Exact integer linear algebra on Python's arbitrary-precision integers.
 
-Matrices are immutable value types, stored dense and read by their nonzero
-entries, which one scan in C (``compress``) finds.  The one fraction-free
-(Bareiss) Gauss-Jordan elimination, which gives determinants, unimodular
-inverses and the vertex certificates of ``charfn``, runs on sparse rows,
-dicts from column to nonzero entry, and ``column_product`` adds x * column j
-over a vector's nonzero entries x = v_j.  On W's glue path the determinant
-of the signed permutation delta' is its permutation's sign, inverting P3's
-basis change updates O(n) entries, and applying delta' to one of W's
-vectors, with one or two nonzero entries, takes O(1) steps beyond the scan.
-The Smith normal form is the classical dense pivot-and-reduce algorithm, run
-only on a failing or below-full-count vertex set, and ``invariant_factors``
-hands it what is left of such a set once every row with a single entry +-1
-is split off.  No floats, no machine-word arithmetic: intermediate
-determinant values overflow 64 bits already at modest sizes.
+Matrices are immutable value types that store each row's nonzero entries
+(``Entries``), so a matrix with O(n) of them is built, inverted and applied
+in O(n); reading one densely, row by row, is left to the Smith normal form
+and the tests.  The one fraction-free (Bareiss) Gauss-Jordan elimination,
+which gives determinants, the cores of unimodular inverses and the vertex
+certificates of ``charfn``, runs on sparse rows, dicts from column to
+nonzero entry, and ``column_product`` adds x * column j over a vector's
+nonzero entries x = v_j.  On W's glue path the determinant of the signed
+permutation delta' is its permutation's sign, inverting P3's basis reads
+its unit columns off and eliminates a core of at most 2 x 2, and applying
+delta' to one of W's vectors, with one or two nonzero entries, takes O(1)
+steps beyond the scan.  The Smith normal form is the classical dense
+pivot-and-reduce algorithm, run only on a failing or below-full-count
+vertex set, and ``invariant_factors`` hands it what is left of such a set
+once every row with a single entry +-1 is split off.  No floats, no
+machine-word arithmetic: intermediate determinant values overflow 64 bits
+already at modest sizes.
 
 Pivot selection is deterministic, with one rule per elimination: the
 fraction-free elimination takes the columns in index order and the first
@@ -22,28 +25,58 @@ normal form the smallest-magnitude nonzero entry of the working submatrix,
 ties broken in row-major order.  The callers of the fraction-free
 elimination order its columns by ``sparsest_first``, by (number of nonzero
 entries, index), Markowitz's rule: a unit column then pivots before a dense
-one, and its step updates no other row.
+one, and its step updates no other row.  ``inverse_unimodular`` goes one
+step further and does not eliminate a unit column at all: it peels it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import chain, compress
 
 from .record import Record
 
 
+class Entries(Record):
+    """A matrix's entries in row-major order, stored as each row's nonzero entries.
+
+    ``nonzero[i]`` holds row i's nonzero entries as (column, value) pairs by
+    column, so a matrix with O(n) nonzero entries is built and scanned in
+    O(n).  Iterated, it reads every entry, zeros included, one dense ``row``
+    at a time: the one dense read of a matrix.
+    """
+
+    __slots__ = ("cols", "nonzero")
+
+    def row(self, i: int) -> tuple[int, ...]:
+        out = [0] * self.cols
+        for j, x in self.nonzero[i]:
+            out[j] = x
+        return tuple(out)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(map(self.row, range(len(self.nonzero))))
+
+
 class IntMatrix(Record):
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix; ``entries`` stores its rows' nonzero entries and reads row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int] | Entries) -> None:
+        """The matrix with the given entries: a dense row-major sequence, or ``Entries``, kept as they are."""
         if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and one column")
-        if len(entries) != rows * cols:
-            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        if isinstance(entries, Entries):
+            if (len(entries.nonzero), entries.cols) != (rows, cols):
+                given = f"{len(entries.nonzero)}x{entries.cols}"
+                raise ValueError(f"{rows}x{cols} matrix given the entries of a {given} one")
+        else:
+            if len(entries) != rows * cols:
+                raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+            places = range(cols)
+            dense = (entries[p : p + cols] for p in range(0, rows * cols, cols))
+            entries = Entries(cols, tuple([tuple(zip(compress(places, row), compress(row, row))) for row in dense]))
         super().__init__(rows, cols, entries)
 
     @classmethod
@@ -55,8 +88,18 @@ class IntMatrix(Record):
             raise ValueError("rows have unequal lengths")
         return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
 
+    @classmethod
+    def from_nonzero(cls, cols: int, rows: Sequence[Mapping[int, int]]) -> "IntMatrix":
+        """The matrix whose row i maps columns to nonzero entries as ``rows[i]`` does; every other entry is 0."""
+        if any(0 in row.values() for row in rows):
+            raise ValueError("a zero given as a nonzero entry")
+        nonzero = tuple([tuple(sorted(row.items())) for row in rows])
+        if any(row[0][0] < 0 or row[-1][0] >= cols for row in nonzero if row):
+            raise ValueError(f"a column outside 0..{cols - 1}")
+        return cls(len(rows), cols, Entries(cols, nonzero))
+
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.entries.row(i)
 
 
 class Permutation(Record):
@@ -71,14 +114,6 @@ class Permutation(Record):
 
     def __call__(self, j: int) -> int:
         return self.images[j]
-
-
-def nonzero_rows(m: IntMatrix) -> list[dict[int, int]]:
-    """The rows of ``m`` as sparse rows: dicts from column to nonzero entry."""
-    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
-    for p in compress(range(len(m.entries)), m.entries):
-        rows[p // m.cols][p % m.cols] = m.entries[p]
-    return rows
 
 
 def sparsest_first(counts: Sequence[int]) -> list[int]:
@@ -133,12 +168,12 @@ def determinant(m: IntMatrix) -> int:
     """Exact determinant: a signed permutation's sign times its entries, any other by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    rows = nonzero_rows(m)
+    rows = m.entries.nonzero
     if all(len(row) == 1 for row in rows):
-        images, entries = zip(*[item for row in rows for item in row.items()])
+        images, entries = zip(*[row[0] for row in rows])
         if len(set(images)) == m.rows and set(entries) <= {1, -1}:
             return permutation_sign(Permutation(images)) * (-1) ** entries.count(-1)
-    pivots, d, sign = fraction_free_reduce(rows)
+    pivots, d, sign = fraction_free_reduce([dict(row) for row in rows])
     return sign * d if len(pivots) == m.rows else 0
 
 
@@ -241,8 +276,9 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         rest = [{j: x for j, x in row.items() if j not in split} for i, row in enumerate(rest) if i not in taken]
     if not rest:
         return (1,) * ones
-    columns = sorted(set().union(*rest))
-    return (1,) * ones + smith_normal_form(IntMatrix.from_rows([[row.get(j, 0) for j in columns] for row in rest]))
+    place = {j: c for c, j in enumerate(sorted(set().union(*rest)))}
+    rest = [{place[j]: x for j, x in row.items()} for row in rest]
+    return (1,) * ones + smith_normal_form(IntMatrix.from_nonzero(len(place), rest))
 
 
 def _as_int_vectors(vectors: Sequence[Sequence[int]], k: int) -> list[tuple[int, ...]]:
@@ -288,8 +324,9 @@ def permutation_sign(p: Permutation) -> int:
 def column_product(m: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map v -> m v on integer vectors of length ``m.cols``: x * column j of m, summed over v's nonzero x = v_j."""
     columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
-    for p in compress(range(len(m.entries)), m.entries):  # each column's nonzero entries, collected once
-        columns[p % m.cols].append((p // m.cols, m.entries[p]))
+    for i, row in enumerate(m.entries.nonzero):  # each column's nonzero entries, collected once
+        for j, x in row:
+            columns[j].append((i, x))
 
     def product(v: Sequence[int]) -> tuple[int, ...]:
         out = [0] * m.rows
@@ -309,40 +346,63 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """Exact inverse of a matrix with determinant +-1, and that determinant, by fraction-free elimination.
+    """Exact inverse of a matrix with determinant +-1, and that determinant: unit columns peeled, the core eliminated.
 
-    The columns of m are taken sparsest first: m P, for the permutation P
-    of ``sparsest_first``, so that a unit column pivots before a dense one
-    and its step updates no other row.
-    Reducing the sparse rows of [m P | I] brings m P to d * I exactly when m
-    has full rank, and then the right half is d * (m P)^-1, where
-    d = +-det m: det m is d times the sign of the row swaps times sign(P).
-    The matrix is unimodular exactly when |d| = 1, and (m P)^-1 = P^-1 m^-1
-    is the right half times d, whose rows put back in place are the inverse
-    B.  The result is checked on the sparse rows: m B = I.
+    A column j whose one nonzero entry is s = +-1, at a row i that no earlier
+    such column took, is peeled.  With the peeled pairs (i, j) first, m is
+    block triangular, [[S, X], [0, K]] for S = diag(s), with the inverse
+    [[S, -S X K^-1], [0, K^-1]]: row j of B = m^-1 is read off by
+    back-substitution, s * (e_i - the sum of m[i, c] * row c of B over the
+    core columns c), and only the core K is eliminated.  Reducing the sparse
+    rows of [K P | I], P the ``sparsest_first`` order of K's columns, gives
+    [d * I | d * (K P)^-1] exactly when K has full rank, and m is unimodular
+    exactly when |d| = 1.  det m is prod(s) times det K P, d times the sign
+    of the row swaps, times the sign of the permutation that pairs each
+    column with its diagonal row, the row order's sign times the column
+    order's.  The result is checked on the sparse rows: m B = I.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    rows = nonzero_rows(m)
-    filled = Counter(chain.from_iterable(rows))  # nonzero entries per column
-    order = sparsest_first([filled[j] for j in range(n)])  # column c of m P is column order[c] of m
-    place = {j: c for c, j in enumerate(order)}
-    a = [{place[j]: x for j, x in row.items()} | {n + i: 1} for i, row in enumerate(rows)]
+    rows = m.entries.nonzero
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # each column's nonzero entries: (row, value)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    peeled: dict[int, tuple[int, int]] = {}  # row -> the column peeled at it, and its entry there, +-1
+    for j, column in enumerate(columns):
+        if len(column) == 1 and column[0][1] in (1, -1):
+            peeled.setdefault(column[0][0], (j, column[0][1]))
+    core_rows = [i for i in range(n) if i not in peeled]
+    units = {j for j, _ in peeled.values()}
+    core = [j for j in range(n) if j not in units]
+    order = [core[c] for c in sparsest_first([sum(i not in peeled for i, _ in columns[j]) for j in core])]
+    place = {j: c for c, j in enumerate(order)}  # column c of K P is column order[c] of m
+    r = len(order)
+    a = [{place[j]: x for j, x in rows[i] if j in place} | {r + t: 1} for t, i in enumerate(core_rows)]
     pivots, d, sign = fraction_free_reduce(a)
-    if pivots != list(range(n)) or abs(d) != 1:
+    if pivots != list(range(r)) or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    right = [{j - n: d * x for j, x in row.items() if j >= n} for row in a]  # the rows of (m P)^-1
-    inverse = [right[place[i]] for i in range(n)]  # row i of m^-1 is row place[i] of (m P)^-1
-    for i, row in enumerate(rows):  # cannot fail after unit pivots
+    inverse: list[dict[int, int]] = [{}] * n  # every row is set below
+    pairing = [0] * n  # column -> its row on the diagonal of the block-triangular form
+    for c, row in enumerate(a):  # row c of (K P)^-1 is row order[c] of K^-1, on the core rows
+        inverse[order[c]] = {core_rows[t - r]: d * x for t, x in row.items() if t >= r}
+        pairing[order[c]] = core_rows[c]
+    det = sign * d
+    for i, (j, s) in peeled.items():
+        row = {i: s}
+        for c, x in rows[i]:  # j and core columns only
+            if c != j:
+                for t, y in inverse[c].items():  # t is a core row, never i
+                    row[t] = row.get(t, 0) - s * x * y
+        inverse[j] = row if all(row.values()) else {t: y for t, y in row.items() if y}
+        pairing[j] = i
+        det *= s
+    for i, row in enumerate(rows):  # cannot fail: the rows read off and K^-1's invert m
         product: dict[int, int] = {}
-        for c, x in row.items():
+        for c, x in row:
             for j, y in inverse[c].items():
                 product[j] = product.get(j, 0) + x * y
-        if {j: x for j, x in product.items() if x} != {i: 1}:
+        if product.pop(i, 0) != 1 or any(product.values()):
             raise ArithmeticError("row reduction did not invert the matrix")
-    entries = [0] * (n * n)
-    for i, row in enumerate(inverse):
-        for j, x in row.items():
-            entries[i * n + j] = x
-    return IntMatrix(n, n, tuple(entries)), sign * d * permutation_sign(Permutation(tuple(order)))
+    return IntMatrix.from_nonzero(n, inverse), det * permutation_sign(Permutation(tuple(pairing)))

@@ -723,3 +723,68 @@ def test_out_of_memory_exits_2_with_an_error_line(monkeypatch, capsys, command):
     assert run([command, "--k", "3"], out) == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err == f"error: out of memory running {command}; try a smaller --k or --n\n"
+
+
+def first_too_large(size):
+    """The least x >= 1 for which W of dimension n = size(x) has more vertices, n(n+4)/2, than an index can count."""
+    lo, hi = 1, sys.maxsize
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n = size(mid)
+        lo, hi = (lo, mid) if n * (n + 4) // 2 > sys.maxsize else (mid + 1, hi)
+    return lo
+
+
+FIRST_K = first_too_large(lambda k: 2 * (k + 1))
+FIRST_N = 2 * first_too_large(lambda half: 2 * half)
+
+
+class TestSizeLimits:
+    """A size whose vertex count cannot be an index exits 2 with one error line naming the option, before W is built.
+
+    Only rejected sizes run a command: one below the limit would be accepted and allocate.
+    """
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def refused(k, r1=None):
+            raise AssertionError("a too-large W was built")
+
+        monkeypatch.setattr(cli, "build_W", refused)
+
+    def test_the_limits_are_the_first_sizes_rejected(self):
+        assert cli._indexable(2 * FIRST_K, "--k") == 2 * FIRST_K  # k = FIRST_K - 1 would be built
+        assert cli._indexable(FIRST_N - 2, "--n") == FIRST_N - 2
+        with pytest.raises(ValueError):
+            cli._indexable(2 * (FIRST_K + 1), "--k")
+        with pytest.raises(ValueError):
+            cli._indexable(FIRST_N, "--n")
+
+    @pytest.mark.parametrize("k", (FIRST_K, 2**63, 99999999999999999999))
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary", "construct"))
+    def test_k(self, capsys, command, k):
+        code, out = invoke(command, "--k", str(k))
+        err = f"error: --k {k} is too large: W would have more vertices than an index can count\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("n", (FIRST_N, 2**64, 99999999999999999998))
+    @pytest.mark.parametrize("command", ("glue", "validate", "homology", "boundary", "construct", "demo"))
+    def test_n(self, capsys, command, n):
+        code, out = invoke(command, "--n", str(n))
+        err = f"error: --n {n} is too large: W would have more vertices than an index can count\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    @pytest.mark.parametrize("hi", (FIRST_K, 2**63, 99999999999999999999))
+    def test_k_range_hi(self, capsys, hi):
+        code, out = invoke("glue", "--k-range", f"1:{hi}")
+        err = f"error: --k-range 1:{hi} is too large: W would have more vertices than an index can count\n"
+        assert (code, out, capsys.readouterr().err) == (2, "", err)
+
+    def test_no_traceback_from_the_command_line(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "cpbound", "glue", "--k", "99999999999999999999"],
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: --k 99999999999999999999 is too large") and "Traceback" not in done.stderr

@@ -44,7 +44,7 @@ from cpbound.polytope import (
     original_facet,
 )
 from cpbound.record import Record
-from cpbound.zlinalg import IntMatrix, Permutation
+from cpbound.zlinalg import Entries, IntMatrix, Permutation
 
 import oracles
 from oracles import CellGenerator, EdgeProvenance
@@ -59,7 +59,12 @@ WITNESS = TranslationWitness({"d0": "d1", "d1": "d0"}, SWAP)
 
 # (record type, its fields by keyword in slot order, (field, another value))
 RECORDS = [
-    (IntMatrix, {"rows": 1, "cols": 2, "entries": (3, -4)}, ("entries", (3, 4))),
+    (
+        IntMatrix,
+        {"rows": 1, "cols": 2, "entries": Entries(2, (((0, 3), (1, -4)),))},
+        ("entries", Entries(2, (((0, 3),),))),
+    ),
+    (Entries, {"cols": 2, "nonzero": (((0, 3), (1, -4)),)}, ("nonzero", (((0, 3), (1, 4)),))),
     (Permutation, {"images": (1, 0, 2)}, ("images", (0, 1, 2))),
     (FacetProvenance, {"kind": "cut", "index": None, "cut_face": ("d0", "d1")}, ("cut_face", ("d0", "d2"))),
     (FacetLabel, {"id": "d0", "provenance": original_facet(0)}, ("provenance", original_facet(1))),

@@ -11,9 +11,11 @@ with no elimination of its own), no coordinate made for a built W by
 validation of a boundary component (each reads W's report), one
 determinant per request (none for the orientation record or the P3 basis
 change), read off delta' as a signed permutation, and two eliminations per
-request, no Smith normal form on a valid datum, no determinant to invert a
-unimodular matrix, no dense matrix product in a ``glue`` request (delta' and
-P3's basis change are applied by their nonzero entries), no model polytope
+request, the second of at most 2 rows (P3's basis, once its unit columns are
+read off), no Smith normal form on a valid datum, no determinant to invert a
+unimodular matrix, no dense matrix product in a ``glue`` request and no dense
+read of any matrix in ``glue_report`` (delta' and P3's basis change are built
+and applied by their nonzero entries), no model polytope
 built to recognize the boundary, one functional per boundary component, one
 boundary extraction per ``demo``, no gluing work in ``homology`` beyond
 validating a loaded datum, no ``Vertex`` record and no ``SimplePolytope`` in
@@ -182,6 +184,58 @@ def test_w_memo_holds_one_key_per_missed_root_pair(monkeypatch, k):
     assert W.report.ok and W.report.checked_vertices == len(W.labels) == n * (n + 4) // 2
     assert len(judged) == len(set(judged)) == 8
     assert all(len(missed) == 2 for missed in judged)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The number of rows of each matrix passed to ``zlinalg.fraction_free_reduce``, in call order."""
+    sizes = []
+
+    def make_wrapper(original):
+        def recording(a):
+            sizes.append(len(a))
+            return original(a)
+
+        return recording
+
+    _patch_everywhere(monkeypatch, zlinalg, "fraction_free_reduce", make_wrapper)
+    return sizes
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_p3_normal_form_eliminates_a_core_of_at_most_two_rows(reductions, k):
+    """P3's basis has n - 3 or n - 2 unit columns at distinct rows: ``inverse_unimodular`` reads them off and
+    eliminates what is left, the two dense eta vectors' columns on the rows no unit column took, or fewer."""
+    P3 = cobordism.boundary_components(build_W(k))[2]
+    reductions.clear()
+    form = charfn.normalize_simplex_pair(P3, P3.report)
+    assert form.vector_of(form.residual_facet) == (1,) * P3.torus_rank
+    assert len(reductions) == 1 and reductions[0] <= 2
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_delta_determinant_check_runs_no_elimination(reductions, k):
+    n = 2 * (k + 1)
+    delta = charfn.delta_matrix(n)
+    witness = charfn.TranslationWitness(charfn.rho_facet_bijection(n), delta)
+    assert zlinalg.determinant(witness.delta) == (-1 if n % 4 == 0 else 1)
+    assert reductions == []
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_glue_report_reads_no_matrix_densely(monkeypatch, k):
+    """delta', P3's basis M, B = M^-1 and D B are built, inverted and applied by their nonzero entries."""
+    dense_reads = []
+    row = zlinalg.Entries.row
+
+    def counting(entries, i):
+        dense_reads.append(i)
+        return row(entries, i)
+
+    W = build_W(k)
+    monkeypatch.setattr(zlinalg.Entries, "row", counting)
+    assert glue_report(W, 0).passed
+    assert dense_reads == []
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12))

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from cpbound import zlinalg
 from cpbound.charfn import eta_standard, normalize_simplex_pair
 from cpbound.cobordism import boundary_components, build_W
 from cpbound.zlinalg import (
+    Entries,
     IntMatrix,
     Permutation,
     apply_matrix,
@@ -69,6 +71,30 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert m.row(1)[0] == 3
         assert m.row(0) == (1, 2)
+
+    def test_stored_by_nonzero_entries(self):
+        m = IntMatrix(2, 3, (0, 5, 0, -1, 0, 2))
+        assert m.entries == Entries(3, (((1, 5),), ((0, -1), (2, 2))))
+        assert tuple(m.entries) == (0, 5, 0, -1, 0, 2)
+        assert m.row(1) == (-1, 0, 2)
+
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4))
+    def test_dense_and_nonzero_constructions_agree(self, rows):
+        dense = IntMatrix.from_rows(rows)
+        sparse = IntMatrix.from_nonzero(3, [{j: x for j, x in reversed(list(enumerate(row))) if x} for row in rows])
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert pickle.loads(pickle.dumps(sparse)) == dense
+        assert list(sparse.entries) == [x for row in rows for x in row]
+
+    def test_nonzero_construction_checks(self):
+        with pytest.raises(ValueError, match="^a zero given as a nonzero entry$"):
+            IntMatrix.from_nonzero(2, [{0: 1, 1: 0}])
+        with pytest.raises(ValueError, match=r"^a column outside 0\.\.1$"):
+            IntMatrix.from_nonzero(2, [{2: 1}])
+        with pytest.raises(ValueError, match="^matrix needs at least one row and one column$"):
+            IntMatrix.from_nonzero(2, [])
+        with pytest.raises(ValueError, match="^2x3 matrix given the entries of a 1x3 one$"):
+            IntMatrix(2, 3, Entries(3, ((),)))
 
 
 class TestDeterminant:
@@ -331,8 +357,9 @@ def unit_and_dense_columns(draw, max_size=40):
 
 
 class TestSparsestColumnsFirst:
-    """``inverse_unimodular`` pivots on m's columns sparsest first; the inverse and the determinant are unique,
-    so they equal the dense elimination's in the natural column order, the determinant's sign included."""
+    """``inverse_unimodular`` peels m's unit columns and pivots on the rest sparsest first; the inverse and the
+    determinant are unique, so they equal the dense elimination's in the natural column order, the determinant's
+    sign included."""
 
     @given(unit_and_dense_columns())
     @settings(max_examples=150, deadline=None)
@@ -354,6 +381,70 @@ class TestSparsestColumnsFirst:
         assert form.normal_form == expected.normal_form
         assert form.det == expected.det
         assert form == expected
+
+
+PEEL_KINDS = ("unimodular", "two-units-on-one-row", "core-det-2")
+
+
+@st.composite
+def peelable_matrices(draw, max_size=40):
+    """A signed permutation matrix with 1 to 3 columns made dense, rows and columns shuffled: its kind and rows.
+
+    Dense column t keeps its permutation row r_t; on the rows r_u of the
+    dense columns it is lower triangular, 0 for u < t and +-1 for u = t,
+    and elsewhere it takes entries in -2..2, so the determinant is +-1 and
+    ``inverse_unimodular`` peels the unit columns and leaves the dense ones
+    on rows r_u as its core.  Two kinds are not unimodular: one unit column
+    moved onto another's row (singular), and one diagonal entry of the core
+    made +-2 (determinant +-2).
+    """
+    kind = draw(st.sampled_from(PEEL_KINDS))
+    d = draw(st.integers(4 if kind == "two-units-on-one-row" else 1, max_size))
+    p = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    columns = [[signs[j] if i == p[j] else 0 for i in range(d)] for j in range(d)]
+    places = draw(st.permutations(range(d)))
+    s = draw(st.integers(1, min(3, d - 2) if kind == "two-units-on-one-row" else min(3, d)))
+    dense, units = places[:s], places[s:]
+    for t, c in enumerate(dense):
+        column = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        for u, c2 in enumerate(dense):
+            if u < t:
+                column[p[c2]] = 0
+            elif u == t:
+                column[p[c2]] = draw(st.sampled_from((1, -1))) * (2 if kind == "core-det-2" and t == 0 else 1)
+        columns[c] = column
+    if kind == "two-units-on-one-row":
+        j, other = draw(st.permutations(units))[:2]
+        columns[j] = [draw(st.sampled_from((1, -1))) if i == p[other] else 0 for i in range(d)]
+    row_order, column_order = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    return kind, [[columns[j][i] for j in column_order] for i in row_order]
+
+
+class TestPeeledInverse:
+    """``inverse_unimodular`` reads unit columns off and eliminates only the core; inverse and determinant are
+    unique, so both equal the dense elimination's, and a singular or determinant +-2 matrix is rejected."""
+
+    @given(peelable_matrices())
+    @settings(max_examples=300, deadline=None)
+    @example(("unimodular", [[0, -1], [1, 0]]))
+    @example(("unimodular", [[1, 2, 0], [0, -1, 0], [0, 3, -1]]))
+    @example(("two-units-on-one-row", [[1, -1, 0], [0, 0, 1], [0, 0, 1]]))
+    @example(("core-det-2", [[2, 0, 0], [0, -1, 0], [1, 0, 1]]))
+    def test_against_the_dense_inverse(self, case):
+        kind, rows = case
+        m = IntMatrix.from_rows(rows)
+        if kind == "unimodular":
+            inverse, det = inverse_unimodular(m)
+            assert (inverse, det) == dense_inverse_unimodular(m)
+            assert det == bareiss_det(rows)
+            assert matmul(m, inverse) == identity(len(rows))
+        else:
+            assert abs(bareiss_det(rows)) == (0 if kind == "two-units-on-one-row" else 2)
+            with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+                dense_inverse_unimodular(m)
+            with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+                inverse_unimodular(m)
 
 
 class TestSmithNormalForm:
