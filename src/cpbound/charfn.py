@@ -52,9 +52,10 @@ and d{m}.  On W the two dense eta vectors are the free rows and the n - 1
 unit vectors fall into three classes, by which dense vector holds their 1,
 so 8 classes, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices at
 every k.  A
-boundary component there is a ``CutPair``, a view of the labels on one cut
-facet, whose validity is the pair's report on its vertices and whose
-translations ``verify_translation`` checks on the pairs (i, m) they miss.
+boundary component there is a ``CutPair``, a view of one cut face F and its
+complement R, whose vertices are F x R, whose validity is the pair's report
+on them and whose translations ``verify_translation`` checks on the parts F
+and R.
 Delta, the basis M, its inverse and the basis change are stored by their
 nonzero entries, built in O(n), and applied by their nonzero columns,
 collected once per call, to each vector's nonzero entries; an image is
@@ -333,24 +334,23 @@ def restrict_to_facet(pair: CharPair, facet_id: str) -> CharPair:
 
 
 class CutPair:
-    """The closed pair that a pair over the truncated simplex induces on one cut facet, a view of its labels.
+    """The closed pair that W induces on one cut facet, a view of the cut face F, ``face``, and its complement R.
 
-    ``labels`` are the (i, m, cut) of the vertices on the cut facet, in the
-    pair's vertex order.  Vertex (i, m) lies on every root facet but d{i} and
-    d{m}: the component's facets are the d{j} for the ``roots`` j some vertex
-    lies on, and its vertices carry the vector sets they carry in the pair,
-    so its validation ``report`` is the pair's on them.
+    Its vertices are the (i, m) of F x R, each on every root facet but d{i}
+    and d{m}, so its facets are the d{j} for the ``roots`` j, the parts of 2
+    or more elements: a part's one element is missed by every vertex.  Its
+    validation ``report`` is W's on its vertices.
     """
 
     def __init__(
-        self, labels: Sequence[tuple], assignment: Mapping[str, CharVector], rank: int, report: ValidationReport
+        self, face: Sequence[int], rest: Sequence[int], assignment: Mapping[str, CharVector], rank: int,
+        report: ValidationReport,
     ) -> None:
-        always = [j for j in labels[0][:2] if all(j in label[:2] for label in labels)]  # missed by every vertex
-        self.labels = labels
-        self.roots = tuple(j for j in range(rank + 2) if j not in always)  # of the n + 1 root facets
+        self.face, self.rest = tuple(face), tuple(rest)
+        self.roots = tuple(sorted(j for part in (self.face, self.rest) if len(part) > 1 for j in part))
         self.assignment = {f: assignment[f] for f in sorted(f"d{j}" for j in self.roots)}
         self.facet_ids = tuple(self.assignment)
-        self.torus_rank = self.dim = rank  # a closed pair's rank is its dimension
+        self.torus_rank = rank  # a closed pair's rank is its dimension
         self.boundary_facet_ids = ()
         self.report = report
 
@@ -454,23 +454,20 @@ class TranslationReport(Record):
     __slots__ = ("ok", "phi_is_isomorphism", "vector_mismatches")
 
 
-def _missed_pairs(pair: CutPair, name: Mapping[int, int]) -> set[tuple[int, int]]:
-    """The facets each vertex of ``pair`` misses, renamed by ``name``, as sorted pairs; -1 for a facet outside it."""
-    out = set()
-    for i, m, _ in pair.labels:
-        a, b = name.get(i, -1), name.get(m, -1)
-        out.add((a, b) if a < b else (b, a))
-    return out
+def _named_parts(pair: CutPair, name: Mapping[int, int]) -> set[frozenset[int]]:
+    """The parts F and R of ``pair``, renamed by ``name``; -1 for a facet outside it, a part's one element."""
+    return {frozenset([name.get(j, -1) for j in part]) for part in (pair.face, pair.rest)}
 
 
 def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) -> TranslationReport:
     """Check that phi is a combinatorial isomorphism and delta carries the vectors across.
 
     phi, a facet bijection, is an isomorphism exactly when it carries the
-    facets each vertex of ``pair1`` misses, d{i} and d{m}, onto those a
-    vertex of ``pair2`` misses.  Vector equality is up to global sign: delta
-    v must be the canonical target t or -t.  Delta is applied by its nonzero
-    columns, collected once.
+    facet pairs {d{i}, d{m}} the vertices of ``pair1`` miss onto those of
+    ``pair2``: the edges of K_(F,R), a connected graph, whose parts F and R
+    it must then carry onto the parts of ``pair2``.  Vector equality is up
+    to global sign: delta v must be the canonical target t or -t.  Delta is
+    applied by its nonzero columns, collected once.
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
@@ -480,20 +477,13 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
     if sorted(phi) != sorted(pair1.facet_ids) or sorted(phi.values()) != sorted(pair2.facet_ids):
         raise ValueError("phi is not a bijection between the facet sets")
     root = {f"d{j}": j for j in pair2.roots}
-    images = _missed_pairs(pair1, {j: root[phi[f"d{j}"]] for j in pair1.roots})
-    iso = len(pair1.labels) == len(pair2.labels) and images == _missed_pairs(pair2, {j: j for j in pair2.roots})
+    images = _named_parts(pair1, {j: root[phi[f"d{j}"]] for j in pair1.roots})
+    iso = images == _named_parts(pair2, {j: j for j in pair2.roots})
     delta = column_product(w.delta)
     mismatches = []
-    for fid in sorted(pair1.assignment):
-        target = phi[fid]
-        if target not in pair2.assignment:
-            mismatches.append((fid, target))
-            continue
-        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[target].entries
+    for fid in sorted(pair1.assignment):  # phi carries it to a facet of pair2, which carries a vector
+        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[phi[fid]].entries
         if image != t and tuple([-x for x in image]) != t:
-            mismatches.append((fid, target))
-    for fid in pair1.boundary_facet_ids:
-        if phi[fid] in pair2.assignment:
             mismatches.append((fid, phi[fid]))
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
 

@@ -202,13 +202,12 @@ def _cmd_boundary(args, out) -> int:
     components = boundary_components(W)
     rows = []
     for fid, comp, h in zip(BOUNDARY_FACETS, components, boundary_h_vectors(W, args.seed)):
-        label = identify_simplex_or_product(comp) or "unrecognized"
         betti = betti_from_h_vector(h)
         rows.append(
             {
                 "facet": fid,
-                "polytope": label,
-                "vertices": len(comp.labels),
+                "polytope": identify_simplex_or_product(comp),
+                "vertices": len(comp.face) * len(comp.rest),
                 "h_vector": list(h),
                 "betti_even": {str(d): b for d, b in sorted(betti.items())},
             }
@@ -336,8 +335,7 @@ def _cmd_demo(args, out) -> int:
     )
 
     for fid, comp in zip(BOUNDARY_FACETS, report.components):
-        label = identify_simplex_or_product(comp) or "unrecognized"
-        out.write(f"\n{fid} ({label}) carries:\n")
+        out.write(f"\n{fid} ({identify_simplex_or_product(comp)}) carries:\n")
         for facet, vec in sorted(comp.assignment.items()):
             out.write(f"  {facet} /\\ {fid} -> {vec.entries}\n")
 

@@ -9,12 +9,13 @@ other under the basis reversal, and bring the simplex component to standard
 projective form.  ``glue_report`` runs the whole pipeline and aggregates one
 pass/fail record per check.
 
-Every check reads W through its vertex labels (i, m, cut), ``W.n``,
-``W.r1`` and ``W.pair.assignment``, with no vertex record or incidence mask:
-a built W builds its polytope only when read (for JSON), and a loaded one
-is decoded into labels once.  A boundary component is a ``CutPair``, the
-labels of one cut: its validity is W's report there, its type comes from
-the facet pairs its vertices miss, and the Euler check counts labels by cut.
+Every check reads W through ``W.n``, ``W.r1``, ``W.pair.assignment`` and,
+to validate it, its vertex labels (i, m, cut), with no vertex record or
+incidence mask.  The vertices on the cut facet of a cut face F are exactly
+F x R, R the root indices outside F (``decode_truncated_simplex`` proves it
+for a loaded W), so a boundary component is a ``CutPair``, the view of F
+and R: its type is read from |F| and |R|, its translations from the parts,
+and the Euler check sums |F| * |R| over the cuts.
 
 The cells are counted, never listed.  A generic functional c on the root
 vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
@@ -143,18 +144,19 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
 
 
 def boundary_components(W: WManifold) -> tuple[CutPair, CutPair, CutPair]:
-    """The closed pairs on P1, P2, P3: W's labels split by their cut, so no two share a vertex.
+    """The closed pairs on P1, P2, P3, views of the cut faces F and their complements R, which share no vertex.
 
-    A component's validation is W's report on its vertices.
+    A component's validation is W's report on its vertices, F x R: W's
+    failures, if any, split by the cut of their labels.
     """
     failures = W.report.failures
     cut_of = {v.id: c for v, (*_, c) in zip(W.pair.polytope.vertices, W.labels)} if failures else {}
     components = []
-    for c in range(len(BOUNDARY_FACETS)):
-        part = [label for label in W.labels if label[2] == c]
+    for c, face in enumerate(cut_faces(W.n).values()):
+        rest = [m for m in range(W.n + 1) if m not in face]
         failing = tuple(f for f in failures if cut_of[f.vertex] == c)
-        report = ValidationReport(not failing, len(part), failing)
-        components.append(CutPair(part, W.pair.assignment, W.pair.torus_rank, report))
+        report = ValidationReport(not failing, len(face) * len(rest), failing)
+        components.append(CutPair(face, rest, W.pair.assignment, W.pair.torus_rank, report))
     return tuple(components)  # type: ignore[return-value]
 
 
@@ -174,23 +176,17 @@ class CellStructure(Record):
         return {2 * j - 1: c for j, c in self.counts}
 
 
-def _separating_draw(W: WManifold, faces: list[range], seed: int) -> tuple[int, ...]:
-    """The first draw c of ``functional_draws`` that separates the vertices on the cut faces ``faces``.
+def _separating_draw(n: int, seed: int) -> tuple[int, ...]:
+    """The first draw c of ``functional_draws`` for W's n(n+4)/2 vertices that is injective on the roots 0..n.
 
-    The vertices on a cut face F are the ``A{i}|d{m}`` with i in F and m
-    outside it.  For r1 = p/q, c takes q times its value, (q-p)*c_i + p*c_m,
-    at each; a draw separates the vertices when these values are distinct
-    over all the faces given.  The draws are those ``generate_functional``
-    takes on a polytope of these vertices and their coordinates, and so is
-    the error when none separates them.
+    That is enough: no edge of W is then level.  For r1 = p/q, c takes q
+    times its value, (q-p)*c_i + p*c_m, at ``A{i}|d{m}``; an edge from there
+    changes c_i alone, c_m alone, or, to ``A{m}|d{i}``, by (q-2p)(c_m - c_i),
+    with q - 2p > 0 as r1 < 1/4.  When no draw is injective,
+    ``functional_draws`` raises ``ValueError``.
     """
-    n = W.n
-    p, q = W.r1.numerator, W.r1.denominator
-    pairs = [(face, [m for m in range(n + 1) if m not in face]) for face in faces]
-    count = sum(len(face) * len(rest) for face, rest in pairs)
-    for c in functional_draws(n + 1, count, seed):
-        scaled = [([(q - p) * c[i] for i in face], [p * c[m] for m in rest]) for face, rest in pairs]
-        if len({x + y for inside, outside in scaled for x in inside for y in outside}) == count:
+    for c in functional_draws(n + 1, n * (n + 4) // 2, seed):
+        if len(set(c)) == n + 1:
             return c
 
 
@@ -200,9 +196,9 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     Each vertex of the truncated simplex (``W.labels``) lies on exactly one
     surviving root edge; orienting edges by a generic functional, the vertex
     contributes one cell of dimension 2*ind(v)-1 exactly when that edge
-    points toward it.  For r1 = p/q, the first draw c of ``functional_draws``
-    that separates the vertices takes q times its value, (q-p)*c_i + p*c_m,
-    at ``A{i}|d{m}``, for i in a cut face F and m outside it.  That vertex's
+    points toward it.  For r1 = p/q, the draw c of ``_separating_draw``, with
+    no level edge, takes q times its value, (q-p)*c_i + p*c_m, at
+    ``A{i}|d{m}``, for i in a cut face F and m outside it.  That vertex's
     neighbours on its cut facet are ``A{i'}|d{m}`` and ``A{i}|d{m'}`` for the
     other i' in F and m' outside F; its root edge goes to ``A{m}|d{i}``.  So
     its index is the number b_i of i' with c_i' < c_i, plus the number of m'
@@ -216,7 +212,7 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     """
     n = W.n
     faces = list(cut_faces(n).values())
-    c = _separating_draw(W, faces, seed)
+    c = _separating_draw(n, seed)
     order = sorted(range(n + 1), key=c.__getitem__)
     steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
     extremes = [0, 0]  # vertices of index 0 and of index n
@@ -286,7 +282,8 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     closed piece of the boundary has Euler characteristic equal to its
     polytope's vertex count and the boundary of an odd-dimensional compact
     manifold has twice the manifold's characteristic, which forces the cell
-    total to be half the summed vertex counts of the three boundary facets.
+    total to be half the summed vertex counts of the three boundary facets,
+    |F| * |R| on the cut facet of F.
     A failure of the ``seed`` structure itself is raised.
     """
     structure = cell_structure(W, seed)
@@ -300,10 +297,9 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
             extra_error = exc
             break
     homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
-    on_cut = [0] * len(BOUNDARY_FACETS)  # the vertices of each boundary facet, by the cut of their labels
-    for *_, c in W.labels:
-        on_cut[c] += 1
-    euler = EulerCheck(sum(structure.index_counts().values()), sum(on_cut) // 2)
+    n = W.n
+    boundary = sum(len(face) * (n + 1 - len(face)) for face in cut_faces(n).values())
+    euler = EulerCheck(sum(structure.index_counts().values()), boundary // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
@@ -312,17 +308,17 @@ def boundary_h_vectors(W: WManifold, seed: int = 0) -> tuple[tuple[int, ...], ..
 
     The component on the cut facet of F has the vertices ``A{i}|d{m}`` of
     ``W.labels`` with i in F and m in R, the root indices outside F; two are
-    adjacent when they share i or share m.  Under a functional c that
-    separates them, its index at ``A{i}|d{m}`` is the rank of c_i within F
+    adjacent when they share i or share m.  Under a functional c injective
+    on the roots, its index at ``A{i}|d{m}`` is the rank of c_i within F
     plus the rank of c_m within R, so h_j = #{(a, b) in [0,|F|) x [0,|R|) :
-    a + b = j} = min(j+1, |F|, |R|, |F|+|R|-1-j), whatever c is.  Each
-    component still takes its draw under ``seed`` (``_separating_draw`` on
-    that face alone), so a component that no draw separates raises the
+    a + b = j} = min(j+1, |F|, |R|, |F|+|R|-1-j), whatever c is.  The
+    components still take the draw of ``cell_structure`` under ``seed``
+    (``_separating_draw``), so a seed that no draw serves raises the
     ``ValueError`` of ``functional_draws``.
     """
+    _separating_draw(W.n, seed)
     h_vectors = []
     for face in cut_faces(W.n).values():
-        _separating_draw(W, [face], seed)
         a, b = len(face), W.n + 1 - len(face)
         h_vectors.append(tuple(min(j + 1, a, b, a + b - 1 - j) for j in range(a + b - 1)))
     return tuple(h_vectors)
@@ -333,39 +329,17 @@ def betti_from_h_vector(h: tuple[int, ...]) -> dict[int, int]:
     return {2 * i: h_i for i, h_i in enumerate(h)}
 
 
-def identify_simplex_or_product(P: SimplePolytope | CutPair) -> str | None:
-    """Recognize a simplex or a product of two simplices from the facets each vertex misses.
+def identify_simplex_or_product(P: CutPair) -> str:
+    """The polytope of a boundary component, from the sizes of its cut face F and its complement R.
 
-    A polytope's misses are read off its incidence masks, a boundary
-    component's off its labels: vertex (i, m) misses d{i} and d{m}.  A simple
-    d-polytope with d+1 facets is Delta^d exactly when it has d+1 vertices:
-    their facet sets are distinct, so each misses a different facet.  With
-    d+2 facets every vertex misses two, and the polytope is Delta^a x Delta^b
-    exactly when these missing pairs, as edges on the facets, form the
-    complete bipartite graph K_(a+1, b+1).  The facets missed together with
-    any one facet are then one class, B; as the pairs are distinct, they are
-    all of B x (the rest) exactly when each has one facet in B and there are
-    |B| * (count - |B|) of them.
+    Its vertices (i, m), i in F and m in R, miss the facet pairs {d{i}, d{m}}
+    of F x R, the edges of the complete bipartite graph K_(|F|,|R|), so it
+    is Delta^(|F|-1) x Delta^(|R|-1).  When one part has a single element,
+    its facet is missed by every vertex and is none of the component's, and
+    the other part's |F| + |R| - 1 facets bound the simplex Delta^(|F|+|R|-2).
     """
-    d = P.dim
-    if isinstance(P, CutPair):
-        count, missing = len(P.roots), [(i, m) for i, m, _ in P.labels]
-    else:
-        count = len(P.facet_ids)
-        missing = [tuple(j for j in range(count) if not mask >> j & 1) for mask in P.incidence]
-    if count == d + 1:
-        return f"Delta^{d}" if len(missing) == d + 1 else None
-    if count != d + 2:
-        return None
-    f = missing[0][0]
-    other = {b if a == f else a for a, b in missing if f in (a, b)}
-    size = len(other)
-    smaller = min(size, count - size)
-    if smaller < 2 or len(missing) != size * (count - size):
-        return None
-    if any((a in other) == (b in other) for a, b in missing):
-        return None
-    return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
+    a, b = sorted((len(P.face), len(P.rest)))
+    return f"Delta^{b - 1}" if a == 1 else f"Delta^{a - 1} x Delta^{b - 1}"
 
 
 class CheckResult(Record):

@@ -5,11 +5,13 @@ The one polytope the pipeline needs is the n-simplex with the faces F1 =
 ``P2`` and ``P3``.  Its vertices are the pairs (i, m) with i in a cut face F
 and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on every root
 facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet of F, at
-(1-r1)*e_i + r1*e_m.  Requests read it through these (i, m, cut) labels
-only, which ``truncation_labels`` writes in closed form in the order of the
-vertex ids: its cells, boundary h-vectors, boundary components and vertex
-vector sets all have closed forms in them, so no check builds a vertex
-record or an incidence mask of a built truncated simplex; its JSON does.
+(1-r1)*e_i + r1*e_m.  So the vertices on the cut facet of F are the block
+F x R, R the root indices outside F (``cut_faces``), and the boundary
+components, cells and boundary h-vectors are read off the three blocks.
+Vertex validation reads the (i, m, cut) labels, which ``truncation_labels``
+writes in closed form in the order of the vertex ids, so no check builds a
+vertex record or an incidence mask of a built truncated simplex; its JSON
+does.
 
 A ``SimplePolytope`` is the general form, stored by vertex-facet incidence:
 each vertex lies on exactly ``dim`` facets (simplicity), and its facet set
@@ -527,8 +529,8 @@ def functional_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tup
     and the square of the vertex count: by the birthday bound a draw then
     rarely puts two vertices at one value, however large the polytope.  Up to
     1000 vertices B is ``FUNCTIONAL_COEFF_BOUND``.  A caller takes the first
-    draw that separates its vertices; once ``FUNCTIONAL_RETRY_BUDGET`` draws
-    are spent, the next one raises ``ValueError``.
+    draw that serves it; once ``FUNCTIONAL_RETRY_BUDGET`` draws are spent,
+    the next one raises ``ValueError``.
     """
     rng = random.Random(seed)
     bound = max(FUNCTIONAL_COEFF_BOUND, vertex_count**2)

@@ -75,6 +75,13 @@ the mask path it read them through before is the last oracle section:
 masks) and ``mask_glue_report``, which assembles them into a report.
 ``FaceRef`` and ``face_from_facets``, which only ``cut_face`` and tests
 read, live here too.
+The boundary checks read W's three blocks F x R, the vertices on each cut;
+the label walks they replaced are the oracles of the label section:
+``label_components`` splits W's labels by cut into ``LabelCutPair`` views,
+``label_identify_simplex_or_product`` recognizes K_(a,b) on their missed
+pairs and ``label_verify_translation`` compares the missed pairs
+(``label_missed_pairs``) under phi.  ``vertex_value_draw`` is the draw
+``cell_structure`` took before it asked only for distinct root entries.
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
 ``determinant`` or ``inverse_unimodular``, save the mask path, which reuses
 ``charfn._FullCountCertificate`` as the library did.  The last section holds helpers
@@ -902,13 +909,12 @@ def closed_form_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerat
     (q-p)*c_i + p*c_m, at ``A{i}|d{m}`` (``W.labels``); the index there is
     the number of i' in its cut face F with c_i' < c_i, plus the number of
     m' outside F with c_m' < c_m, plus 1 when c_m < c_i, which is when its
-    root edge points at it and it is a generator.
+    root edge points at it and it is a generator.  c is ``vertex_value_draw``,
+    the draw of ``graph_walk_cell_structure``, so the two list the same
+    generators.
     """
     n, labels = W.n, W.labels
-    p, q = W.r1.numerator, W.r1.denominator
-    for c in functional_draws(n + 1, len(labels), seed):
-        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
-            break
+    c = vertex_value_draw(W, seed)
     # Per face, how many of c's entries inside and outside it lie below each one.
     below_inside = [0] * (n + 1)
     below_outside = [[0] * (n + 1) for _ in range(3)]
@@ -1415,3 +1421,121 @@ def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> Gluin
         witness=witness,
         passed=passed,
     )
+
+
+# --- the label path ---------------------------------------------------------------
+#
+# The boundary checks read W's three blocks F x R; before, they walked W's vertex
+# labels (i, m, cut), and the walks are the oracles of the blocks.
+
+
+class LabelCutPair:
+    """A boundary component as a view of the labels (i, m, cut) of the vertices on its cut, in W's vertex order.
+
+    Vertex (i, m) lies on every root facet but d{i} and d{m}: the component's
+    facets are the d{j} for the ``roots`` j some vertex lies on, read off
+    the labels, and its validation ``report`` is W's on its vertices.
+    """
+
+    def __init__(self, labels, assignment, rank: int, report: ValidationReport) -> None:
+        always = [j for j in labels[0][:2] if all(j in label[:2] for label in labels)]  # missed by every vertex
+        self.labels = labels
+        self.roots = tuple(j for j in range(rank + 2) if j not in always)  # of the n + 1 root facets
+        self.assignment = {f: assignment[f] for f in sorted(f"d{j}" for j in self.roots)}
+        self.facet_ids = tuple(self.assignment)
+        self.torus_rank = self.dim = rank
+        self.boundary_facet_ids = ()
+        self.report = report
+
+
+def label_components(W: WManifold) -> tuple[LabelCutPair, LabelCutPair, LabelCutPair]:
+    """W's labels split by their cut, each component's report W's on its vertices."""
+    failures = W.report.failures
+    cut_of = {v.id: c for v, (*_, c) in zip(W.pair.polytope.vertices, W.labels)} if failures else {}
+    components = []
+    for c in range(len(BOUNDARY_FACETS)):
+        part = [label for label in W.labels if label[2] == c]
+        failing = tuple(f for f in failures if cut_of[f.vertex] == c)
+        report = ValidationReport(not failing, len(part), failing)
+        components.append(LabelCutPair(part, W.pair.assignment, W.pair.torus_rank, report))
+    return tuple(components)
+
+
+def label_identify_simplex_or_product(P: LabelCutPair) -> str | None:
+    """``identify_simplex_or_product`` from the facet pairs {d{i}, d{m}} the labels (i, m) miss.
+
+    A simple d-polytope with d+1 facets is Delta^d exactly when it has d+1
+    vertices: their facet sets are distinct, so each misses a different
+    facet.  With d+2 facets every vertex misses two, and the polytope is
+    Delta^a x Delta^b exactly when these missing pairs, as edges on the
+    facets, form the complete bipartite graph K_(a+1, b+1).  The facets
+    missed together with any one facet are then one class, B; as the pairs
+    are distinct, they are all of B x (the rest) exactly when each has one
+    facet in B and there are |B| * (count - |B|) of them.
+    """
+    d, count = P.dim, len(P.roots)
+    missing = [(i, m) for i, m, _ in P.labels]
+    if count == d + 1:
+        return f"Delta^{d}" if len(missing) == d + 1 else None
+    if count != d + 2:
+        return None
+    f = missing[0][0]
+    other = {b if a == f else a for a, b in missing if f in (a, b)}
+    size = len(other)
+    smaller = min(size, count - size)
+    if smaller < 2 or len(missing) != size * (count - size):
+        return None
+    if any((a in other) == (b in other) for a, b in missing):
+        return None
+    return f"Delta^{smaller - 1} x Delta^{d - smaller + 1}"
+
+
+def label_missed_pairs(pair: LabelCutPair, name) -> set[tuple[int, int]]:
+    """The facets each vertex of ``pair`` misses, renamed by ``name``, as sorted pairs; -1 for a facet outside it."""
+    out = set()
+    for i, m, _ in pair.labels:
+        a, b = name.get(i, -1), name.get(m, -1)
+        out.add((a, b) if a < b else (b, a))
+    return out
+
+
+def label_verify_translation(pair1: LabelCutPair, pair2: LabelCutPair, w: TranslationWitness) -> TranslationReport:
+    """``verify_translation`` with phi checked on the facet pairs each vertex misses, d{i} and d{m}.
+
+    phi is an isomorphism exactly when it carries the pairs the vertices of
+    ``pair1`` miss onto those the vertices of ``pair2`` miss.  Vector
+    equality is up to global sign: the dense product's canonical form must
+    be the target's vector.
+    """
+    if pair1.torus_rank != pair2.torus_rank:
+        raise ValueError("pairs have different torus ranks")
+    if w.delta.cols != pair1.torus_rank:
+        raise ValueError(f"cannot apply {w.delta.rows}x{w.delta.cols} matrix to a vector of length {pair1.torus_rank}")
+    phi = dict(w.phi)
+    if sorted(phi) != sorted(pair1.facet_ids) or sorted(phi.values()) != sorted(pair2.facet_ids):
+        raise ValueError("phi is not a bijection between the facet sets")
+    root = {f"d{j}": j for j in pair2.roots}
+    images = label_missed_pairs(pair1, {j: root[phi[f"d{j}"]] for j in pair1.roots})
+    iso = len(pair1.labels) == len(pair2.labels) and images == label_missed_pairs(pair2, {j: j for j in pair2.roots})
+    mismatches = []
+    for fid in sorted(pair1.assignment):
+        target = phi[fid]
+        image = CharVector.canon(dense_apply_matrix(w.delta, pair1.assignment[fid].entries))
+        if target not in pair2.assignment or image != pair2.assignment[target]:
+            mismatches.append((fid, target))
+    return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
+
+
+def vertex_value_draw(W: WManifold, seed: int) -> tuple[int, ...]:
+    """The draw ``cell_structure`` took before it asked only for distinct root entries.
+
+    For r1 = p/q the draw c takes q times its value, (q-p)*c_i + p*c_m, at
+    ``A{i}|d{m}`` (``W.labels``); the first draw of ``functional_draws`` at
+    which these values are distinct over all of W's vertices.  This is the
+    draw ``separating_functional`` takes on W's polytope.
+    """
+    n, labels = W.n, W.labels
+    p, q = W.r1.numerator, W.r1.denominator
+    for c in functional_draws(n + 1, len(labels), seed):
+        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
+            return c

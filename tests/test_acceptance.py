@@ -123,7 +123,7 @@ def test_criterion_04_boundary_structure():
             assert not (vsets["P1"] & vsets["P3"])
             comps = mask_components(W)
             views = boundary_components(W)
-            assert [len(c.polytope.vertices) for c in comps] == [len(v.labels) for v in views]
+            assert [len(c.polytope.vertices) for c in comps] == [len(v.face) * len(v.rest) for v in views]
             model = product(simplex(n // 2 - 1), simplex(n // 2))
             assert combinatorially_isomorphic(comps[0].polytope, model) is not None
             assert combinatorially_isomorphic(comps[1].polytope, model) is not None

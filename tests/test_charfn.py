@@ -596,7 +596,7 @@ class TestDependenceDichotomy:
 
 
 def views(n):
-    """The boundary components of the standard W of dimension n, as views of its labels."""
+    """The boundary components of the standard W of dimension n, as views of its cut faces and their complements."""
     return boundary_components(build_W(n // 2 - 1))
 
 
@@ -657,7 +657,8 @@ class TestVerifyTranslation:
 
     @staticmethod
     def with_vector(pair, fid, entries):
-        return CutPair(pair.labels, {**pair.assignment, fid: CharVector.canon(entries)}, pair.torus_rank, pair.report)
+        assignment = {**pair.assignment, fid: CharVector.canon(entries)}
+        return CutPair(pair.face, pair.rest, assignment, pair.torus_rank, pair.report)
 
     @staticmethod
     def oracle_mismatches(pair1, pair2, w):

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,53 @@ class TestRoundTrip:
         _, from_file = invoke("glue", "--input", str(path), "--format", "json")
         _, fresh = invoke("glue", "--k", "1", "--format", "json")
         assert from_file == fresh
+
+
+    @staticmethod
+    def shuffled_pair(tmp_path, data, seed):
+        """``data`` and a copy with its vertex list in a shuffled order, the coordinate rows kept aligned, as
+        files; and the order: vertex j of the copy is vertex order[j] of ``data``."""
+        order = list(range(len(data["pair"]["polytope"]["vertices"])))
+        random.Random(seed).shuffle(order)
+        mixed = copy.deepcopy(data)
+        polytope = mixed["pair"]["polytope"]
+        polytope["vertices"] = [polytope["vertices"][j] for j in order]
+        polytope["coords"] = [polytope["coords"][j] for j in order]
+        paths = tmp_path / "plain.json", tmp_path / "mixed.json"
+        for path, blob in zip(paths, (data, mixed)):
+            path.write_text(json.dumps(blob))
+        return (*map(str, paths), order)
+
+    @pytest.mark.parametrize("k", (2, 5))
+    def test_a_shuffled_vertex_list_changes_no_result(self, tmp_path, k):
+        plain, mixed, _ = self.shuffled_pair(tmp_path, wmanifold_to_json(build_W(k)), k)
+        for command in ("glue", "boundary", "homology"):
+            for fmt in ("text", "json"):
+                argv = (command, "--format", fmt)
+                expected = invoke(*argv, "--k", str(k))
+                assert invoke(*argv, "--input", mixed) == invoke(*argv, "--input", plain) == expected
+
+    @pytest.mark.parametrize("k", (2, 5))
+    def test_a_shuffled_mutant_lists_the_same_failures_in_its_own_order(self, tmp_path, k):
+        data = wmanifold_to_json(build_W(k))
+        vector = data["pair"]["vectors"]["d0"]
+        vector[:] = [2] + [0] * (len(vector) - 1)
+        plain, mixed, order = self.shuffled_pair(tmp_path, data, k)
+        for command in ("validate", "glue"):
+            assert invoke(command, "--input", plain)[0] == invoke(command, "--input", mixed)[0] == 1
+        failures = {}
+        for path in (plain, mixed):
+            code, out = invoke("validate", "--input", path, "--format", "json")
+            failures[path] = json.loads(out)["failures"]
+        width = len(str(len(order)))
+        by_vertex = {f["vertex"]: f for f in failures[plain]}
+        expected = [
+            {**by_vertex[f"v{old:0{width}d}"], "vertex": f"v{new:0{width}d}"}
+            for new, old in enumerate(order)
+            if f"v{old:0{width}d}" in by_vertex
+        ]
+        assert len(failures[plain]) > 1
+        assert failures[mixed] == expected
 
 
 class TestBatchAndFormats:

@@ -56,6 +56,8 @@ from oracles import (
     graph_walk_cell_structure,
     h_vector,
     label_by_isomorphism_search,
+    mask_identify_simplex_or_product,
+    vertex_value_draw,
     SetVertex,
     root_coords,
     simplex,
@@ -98,7 +100,9 @@ class TestBoundaryComponents:
         comps = boundary_components(build_W(1))
         labels = [identify_simplex_or_product(c) for c in comps]
         assert labels == ["Delta^1 x Delta^2", "Delta^1 x Delta^2", "Delta^3"]
-        assert [len(c.labels) for c in comps] == [6, 6, 4]
+        assert [(c.face, c.rest) for c in comps] == [((0, 1), (2, 3, 4)), ((3, 4), (0, 1, 2)), ((2,), (0, 1, 3, 4))]
+        assert [len(c.face) * len(c.rest) for c in comps] == [6, 6, 4]
+        assert [c.roots for c in comps] == [(0, 1, 2, 3, 4)] * 2 + [(0, 1, 3, 4)]
 
     def test_n6_shapes(self):
         comps = boundary_components(build_W(2))
@@ -149,11 +153,12 @@ def incidence_polytope(dim, facet_count, missing_sets):
 
 
 class TestRecognizerAgainstOracle:
-    """The missing-facet witness decides what the facet-bijection search decides."""
+    """The missing-facet witness on a polytope's masks, the oracle of the boundary components' labels and
+    blocks, decides what the facet-bijection search decides."""
 
     @staticmethod
     def agree(P):
-        label = identify_simplex_or_product(P)
+        label = mask_identify_simplex_or_product(P)
         assert label == label_by_isomorphism_search(P)
         return label
 
@@ -303,8 +308,9 @@ class TestCellStructure:
             expected = generator_counts(closed_form_cell_structure(W, seed))
             assert cell_structure(W, seed).index_counts() == expected
 
-    def test_takes_the_draw_separating_functional_takes(self, monkeypatch):
-        # With coefficients only in [-V^2, V^2], seed 2 rejects its first draw at k = 1 and 2.
+    def test_takes_the_first_draw_injective_on_the_roots(self, monkeypatch):
+        # With coefficients only in [-V^2, V^2], seed 2's first draw at k = 1 and 2 puts two vertices at one
+        # value, but its root entries are distinct: the vertex-value rule takes the second draw, this one the first.
         monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
         drawn = []
         real = cobordism.functional_draws
@@ -315,22 +321,32 @@ class TestCellStructure:
                 yield coefficients
 
         monkeypatch.setattr(cobordism, "functional_draws", recording)
-        counts = []
-        for k in (1, 2):
+        differ = []
+        for k in (1, 2, 3):
             W = build_W(k)
-            for seed in range(6):
+            for seed in range(12):
                 drawn.clear()
                 structure = cell_structure(W, seed)
-                counts.append(len(drawn))
-                assert drawn[-1] == separating_functional(W.pair.polytope, seed)[0].coefficients
+                assert [len(set(c)) == W.n + 1 for c in drawn] == [False] * (len(drawn) - 1) + [True]
+                if drawn[-1] != vertex_value_draw(W, seed):
+                    assert vertex_value_draw(W, seed) == separating_functional(W.pair.polytope, seed)[0].coefficients
+                    differ.append((k, seed))
                 assert structure.index_counts() == generator_counts(graph_walk_cell_structure(W, seed))
-        assert counts == [1, 1, 2, 1, 1, 1] * 2
+        assert differ == [(1, 2), (2, 2)]
+
+    def test_a_draw_repeating_a_root_entry_is_rejected(self, monkeypatch):
+        draws = [(5, -3, 8, -3, 1), (2, 7, -1, 8, 3), (1, 2, 3, 4, 5)]
+        monkeypatch.setattr(cobordism, "functional_draws", lambda *args: iter(draws))
+        assert cobordism._separating_draw(4, 0) == draws[1]
+        W = build_W(1)
+        assert cell_structure(W, 0).index_counts() == generator_counts(graph_walk_cell_structure(W, 0))
 
     def test_no_separating_draw_is_an_error(self, monkeypatch):
+        # With coefficients only in [-V^2, V^2], seed 21's first draw repeats a root entry.
         monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
         monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", 1)
         with pytest.raises(ValueError, match="^no injective functional after 1 attempts"):
-            cell_structure(build_W(1), 2)
+            cell_structure(build_W(1), 21)
 
 
 class TestHomology:
@@ -599,19 +615,25 @@ class TestBoundaryHVectors:
             W = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(W))))
         assert boundary_h_vectors(W, seed) == graph_walk_h_vectors(W, seed)
 
-    @pytest.mark.parametrize("budget,failures", [(1, 4), (2, 0)])
-    def test_no_separating_draw_fails_as_the_graph_walk_does(self, monkeypatch, budget, failures):
-        # With coefficients only in [-V^2, V^2], some components reject their first draw.
+    @pytest.mark.parametrize("budget,failures", [(1, 3), (2, 0)])
+    def test_no_separating_draw_fails_as_cell_structure_does(self, monkeypatch, budget, failures):
+        # With coefficients only in [-V^2, V^2], seed 21's first draw repeats a root entry at k = 1, 2 and 3.
+        # The components take cell_structure's one draw; where the graph walk, which draws a functional
+        # separating each component's vertices, finds its draws, it gives the same h-vectors.
         monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
         monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", budget)
         errors = []
         for k in (1, 2, 3):
             W = build_W(k)
-            for seed in range(12):
-                expected = outcome(graph_walk_h_vectors, W, seed)
-                assert outcome(boundary_h_vectors, W, seed) == expected
-                if isinstance(expected, str):
-                    errors.append(expected)
+            for seed in (*range(12), 21):
+                found, cells = outcome(boundary_h_vectors, W, seed), outcome(cell_structure, W, seed)
+                if isinstance(found, str):
+                    assert cells == found
+                    errors.append(found)
+                else:
+                    assert not isinstance(cells, str)
+                    walked = outcome(graph_walk_h_vectors, W, seed)
+                    assert isinstance(walked, str) or walked == found
         message = f"no injective functional after {budget} attempts; vertex coordinates are degenerate"
         assert errors == [message] * failures
 

@@ -1,5 +1,6 @@
 """Incidence masks against the per-vertex frozensets the library built before it kept masks only,
-and W's labels against the masks the library read W's boundary through before.
+W's labels and blocks against the masks the library read W's boundary through before, and the blocks
+against the label walks that followed.
 
 Covers k = 1..8, built and loaded from JSON: W, its three boundary faces and
 products of simplices.  Each vertex's derived ``facet_ids`` must equal the
@@ -9,8 +10,11 @@ with one verdict memo shared by W and its faces and with a fresh memo per
 face), must equal ``oracles.per_vertex_validate``, reasons included.  Over
 k <= 12, several r1 and seeds, built, loaded and mutated, the label path's
 validation, boundary components, types, translation and JSON report must be
-the mask path's (``oracles.mask_glue_report`` and its parts), and on the
-mutated corpus ``validate`` judges each distinct class of full-count key once.
+the mask path's (``oracles.mask_glue_report`` and its parts), the boundary
+components read off the blocks F x R must be the label walks'
+(``oracles.label_components`` and its recognizer and translation check), and
+on the mutated corpus ``validate`` judges each distinct class of full-count
+key once.
 """
 
 import json
@@ -39,6 +43,7 @@ from cpbound.cobordism import (
     WManifold,
     boundary_components,
     build_W,
+    cell_stage,
     glue_report,
     glue_report_to_json,
     identify_simplex_or_product,
@@ -75,6 +80,9 @@ from oracles import (
     mask_validate,
     mask_verify_translation,
     identity,
+    label_components,
+    label_identify_simplex_or_product,
+    label_verify_translation,
     matrix_rows,
     per_vertex_validate,
     renumbering,
@@ -363,12 +371,45 @@ def loaded(W):
 
 def with_vector(view, fid, entries):
     """A boundary component with the vector on ``fid`` replaced."""
-    return type(view)(view.labels, {**view.assignment, fid: CharVector.canon(entries)}, view.torus_rank, view.report)
+    assignment = {**view.assignment, fid: CharVector.canon(entries)}
+    return type(view)(view.face, view.rest, assignment, view.torus_rank, view.report)
+
+
+def block_witnesses(n):
+    """The witness phi of ``translation-p1-p2``, the identity, and the witness after a swap of two facets
+    inside F1 and of two across F1 and R1, each with delta' and with the identity matrix."""
+    phi = rho_facet_bijection(n)
+
+    def swapped(a, b):
+        return {**phi, f"d{a}": phi[f"d{b}"], f"d{b}": phi[f"d{a}"]}
+
+    phis = (phi, {f: f for f in phi}, swapped(0, 1), swapped(0, n // 2))
+    return [TranslationWitness(p, delta) for p in phis for delta in (delta_matrix(n), identity(n - 1))]
+
+
+def assert_blocks_are_the_label_walks(W):
+    """W's boundary components, read off the blocks F x R, are the label walks' (``oracles.label_components``):
+    the same vertices, facets, vectors, reports, types and translations, and the Euler count is the labels'."""
+    views, walks = boundary_components(W), label_components(W)
+    for view, walk in zip(views, walks):
+        assert sorted((i, m) for i in view.face for m in view.rest) == sorted((i, m) for i, m, _ in walk.labels)
+        assert (view.roots, view.facet_ids, view.assignment) == (walk.roots, walk.facet_ids, walk.assignment)
+        assert view.report == walk.report
+        assert identify_simplex_or_product(view) == label_identify_simplex_or_product(walk)
+    for w in block_witnesses(W.n):
+        for a, b in ((0, 1), (1, 0), (0, 0), (1, 1)):
+            assert verify_translation(views[a], views[b], w) == label_verify_translation(walks[a], walks[b], w)
+    ids = views[2].facet_ids
+    for phi in (dict(zip(ids, ids)), dict(zip(ids, ids[1:] + ids[:1]))):
+        w = TranslationWitness(phi, identity(W.n - 1))
+        assert verify_translation(views[2], views[2], w) == label_verify_translation(walks[2], walks[2], w)
+    if W.report.ok:
+        assert cell_stage(W, 0).euler.half_boundary_vertices == sum(len(walk.labels) for walk in walks) // 2
 
 
 def assert_label_path_is_mask_path(W, seeds=(0,)):
-    """W's validation, boundary components, their types and translations, and W's JSON report are
-    the mask path's."""
+    """W's validation on its labels, its boundary components on their blocks, their types and translations,
+    and W's JSON report are the mask path's, and the components are the label walks'."""
     n = W.n
     assert validate(W.pair, W.labels) == W.report == mask_validate(W.pair)
     views, faces = boundary_components(W), mask_components(W)
@@ -377,10 +418,10 @@ def assert_label_path_is_mask_path(W, seeds=(0,)):
     assert [v.report for v in views] == [mask_validate(f, verdicts) for f in faces]
     assert [v.facet_ids for v in views] == [f.polytope.facet_ids for f in faces]
     assert [v.assignment for v in views] == [f.assignment for f in faces]
-    assert [len(v.labels) for v in views] == [len(f.polytope.vertices) for f in faces]
+    assert [len(v.face) * len(v.rest) for v in views] == [len(f.polytope.vertices) for f in faces]
     types = [identify_simplex_or_product(v) for v in views]
     assert types == [mask_identify_simplex_or_product(f.polytope) for f in faces]
-    assert types == [identify_simplex_or_product(f.polytope) for f in faces]
+    assert_blocks_are_the_label_walks(W)
     witnesses = [
         TranslationWitness(rho_facet_bijection(n), delta_matrix(n)),
         TranslationWitness(rho_facet_bijection(n), identity(n - 1)),
@@ -401,8 +442,9 @@ def assert_label_path_is_mask_path(W, seeds=(0,)):
 
 
 class TestLabelPathAgainstMaskPath:
-    """The label path of ``validate``, ``boundary_components``, ``identify_simplex_or_product``,
-    ``verify_translation`` and ``glue_report`` against the mask path it replaced."""
+    """The label path of ``validate``, the block path of ``boundary_components``,
+    ``identify_simplex_or_product`` and ``verify_translation``, and ``glue_report`` against the mask path
+    they replaced, and the blocks against the label walks."""
 
     @pytest.mark.parametrize("r1", R1S, ids=str)
     @pytest.mark.parametrize("k", range(1, 13))
@@ -434,6 +476,29 @@ class TestLabelPathAgainstMaskPath:
         if not any(vector):
             vector[j] = 1
         assert_label_path_is_mask_path(wmanifold_from_json(blob))
+
+
+class TestBlocksAgainstLabelWalks:
+    """The boundary checks on W's three blocks F x R against the label walks they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 12), r1=st.sampled_from(R1S), load=st.booleans())
+    def test_built_and_loaded_w(self, k, r1, load):
+        W = build_W(k, r1)
+        assert_blocks_are_the_label_walks(loaded(W) if load else W)
+
+    @pytest.mark.parametrize("k", (1, 2, 5))
+    def test_each_witness_decides_as_the_missed_pairs_do(self, k):
+        n = 2 * (k + 1)
+        views, walks = boundary_components(build_W(k)), label_components(build_W(k))
+        found = []
+        for w in block_witnesses(n):
+            report = verify_translation(views[0], views[1], w)
+            assert report == label_verify_translation(walks[0], walks[1], w)
+            found.append(report.phi_is_isomorphism)
+        # phi and its swap inside F1 carry F1 onto F2; the identity and the swap across F1 and R1 do not.
+        assert found == [True, True, False, False, True, True, False, False]
+        assert verify_translation(views[0], views[1], block_witnesses(n)[0]).ok
 
 
 def key_classes(pair):

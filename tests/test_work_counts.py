@@ -16,7 +16,9 @@ read off), no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no dense matrix product in a ``glue`` request and no dense
 read of any matrix in ``glue_report`` (delta' and P3's basis change are built
 and applied by their nonzero entries), no model polytope
-built to recognize the boundary, one functional per boundary component, one
+built to recognize the boundary, one functional for the three boundary
+components, one pass over W's labels in ``glue_report`` on a built W (the
+class pass of ``validate``; the boundary checks read the blocks F x R), one
 boundary extraction per ``demo``, no gluing work in ``homology`` beyond
 validating a loaded datum, no ``Vertex`` record and no ``SimplePolytope`` in
 ``glue_report`` on a built W or in a ``glue``, ``homology``, ``validate`` or
@@ -119,6 +121,36 @@ class VertexCount:
 
     def __len__(self):
         return self.count
+
+
+class CountingLabels(tuple):
+    """W's labels, counting the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_glue_report_walks_the_labels_once(monkeypatch, k):
+    """On a built W the one pass over the labels is ``validate``'s, by the class of each root row; the boundary
+    components, their types and translations, the Euler count and the h-vectors read the blocks F x R."""
+    made = []
+
+    def counting(n):
+        made.append(CountingLabels(polytope.truncation_labels(n)))
+        return made[-1]
+
+    monkeypatch.setattr(cobordism, "truncation_labels", counting)
+    W = build_W(k)
+    (labels,) = made
+    assert W.labels is labels and labels.passes == 1
+    assert glue_report(W, 0, extra_seeds=2).passed
+    assert labels.passes == 1
+    assert cobordism.boundary_h_vectors(W, 0)
+    assert labels.passes == 1
 
 
 @pytest.mark.parametrize("k", (1, 4, 10))
@@ -306,7 +338,8 @@ def test_glue_request_validates_each_component_once(validated, k):
     # Each component's one validation is W's report on its vertices, with no
     # call of its own; P3's also serves its normal form.
     assert validated == [W.pair]
-    assert [c.report.checked_vertices for c in report.components] == [len(c.labels) for c in report.components]
+    components = report.components
+    assert [c.report.checked_vertices for c in components] == [len(c.face) * len(c.rest) for c in components]
     assert sum(c.report.checked_vertices for c in report.components) == W.report.checked_vertices
 
 
@@ -475,12 +508,12 @@ def test_building_polytopes_calls_no_neighbors():
     assert not hasattr(polytope.SimplePolytope, "edges") and not hasattr(polytope, "Edge")
 
 
-def test_boundary_draws_one_functional_per_component(calls):
+def test_boundary_draws_one_functional(calls):
     counts, count = calls
     count(polytope, "functional_draws")
     count(polytope, "separating_functional")
     assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
-    assert counts == {"functional_draws": 3}
+    assert counts == {"functional_draws": 1}  # the one draw of cell_structure serves the three components
 
 
 def test_demo_extracts_the_boundary_once(calls):
