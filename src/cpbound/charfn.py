@@ -46,33 +46,37 @@ each distinct class of key once; it walks the vertices again only when a
 class fails.  A full-count key's class is the multiset of its rows' classes
 in the certificate: a free row, outside A, is its own class, and an anchor
 row's class is its column of Y at the free rows, since the minor
-Y[S - A, A - S] reads nothing else.  Over the truncated simplex it reads the
-keys from each vertex's label (i, m, cut), with no mask: the rows of d{i}
-and d{m}.  On W the two dense eta vectors are the free rows and the n - 1
-unit vectors fall into three classes, by which dense vector holds their 1,
-so 8 classes, each a minor of at most 2 x 2, cover the n(n+4)/2 vertices at
-every k.  A
-boundary component there is a ``CutPair``, a view of one cut face F and its
-complement R, whose vertices are F x R, whose validity is the pair's report
-on them and whose translations ``verify_translation`` checks on the parts F
-and R.
-Delta, the basis M, its inverse and the basis change are stored by their
-nonzero entries, built in O(n), and applied by their nonzero columns,
-collected once per call, to each vector's nonzero entries; an image is
-matched to its canonical target up to sign, or signed by its first nonzero
-entry, without building a ``CharVector``.
+Y[S - A, A - S] reads nothing else.  Over the truncated simplex vertex
+(i, m) misses the rows of d{i} and d{m}, and the vertices on the cut facet
+of F are F x R, so the classes found are classes(F) x classes(R) over the
+three cut faces, in O(n) steps; the labels (i, m, cut) are read only to list
+a failing class's vertices.  On W the two dense eta vectors are the free
+rows and the n - 1 unit vectors fall into three classes, by which dense
+vector holds their 1, so 8 classes, each a minor of at most 2 x 2, cover the
+n(n+4)/2 vertices at every k.  A boundary component there is a ``CutPair``,
+a view of one cut face F and its complement R, whose vertices are F x R,
+whose validity is the pair's report on them and whose translations
+``verify_translation`` checks on the parts F and R.
+A ``CharVector`` stores its length and its nonzero (place, value) pairs, so
+W's vectors are built and read in O(n); ``entries``, the dense view, is
+built for JSON, ``demo``, a failing vertex's Smith normal form and the
+tests.  Delta, the basis M, its inverse and the basis change are stored by
+their nonzero entries too, and applied by their nonzero columns to a
+vector's nonzero entries; an image is matched to its target's up to sign.
+P3's normal form is read off B M = I: of the images under D B only the
+residual's, D u, is computed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from itertools import compress
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from math import prod
 
 from .polytope import (
     SimplePolytope,
     check_keys,
     check_list,
+    cut_faces,
     face_as_polytope,
     parse_int,
     polytope_from_json,
@@ -84,6 +88,7 @@ from .zlinalg import (
     IntMatrix,
     Permutation,
     column_product,
+    dense,
     determinant,
     fraction_free_reduce,
     inverse_unimodular,
@@ -95,27 +100,34 @@ from .zlinalg import (
 
 
 class CharVector(Record):
-    """A nonzero integer vector in canonical sign form (first nonzero > 0)."""
+    """A nonzero integer vector in canonical sign form (first nonzero > 0), stored by its length and nonzero entries.
 
-    __slots__ = ("entries",)
+    ``nonzero`` holds the (place, value) pairs by place; ``entries`` is the
+    dense view, built when read.
+    """
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        first = next((e for e in entries if e != 0), None)
-        if first is None:
+    __slots__ = ("length", "nonzero")
+
+    def __init__(self, length: int, nonzero: tuple[tuple[int, int], ...]) -> None:
+        if not nonzero:
             raise ValueError("characteristic vector must be nonzero")
-        if first < 0:
-            raise ValueError(f"{entries} is not canonical; use CharVector.canon")
-        super().__init__(entries)
+        if nonzero[0][1] < 0:
+            raise ValueError(f"{dense(length, nonzero)} is not canonical; use CharVector.canon")
+        super().__init__(length, nonzero)
 
     @classmethod
     def canon(cls, entries: Sequence[int]) -> "CharVector":
-        t = tuple(int(x) for x in entries)
-        if next((e for e in t if e != 0), 0) < 0:
-            t = tuple(-x for x in t)
-        return cls(t)  # which rejects the zero vector
+        nonzero = [(j, x) for j, x in enumerate(map(int, entries)) if x]
+        if nonzero and nonzero[0][1] < 0:
+            nonzero = [(j, -x) for j, x in nonzero]
+        return cls(len(entries), tuple(nonzero))  # which rejects the zero vector
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return dense(self.length, self.nonzero)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.length
 
 
 class CharPair:
@@ -163,7 +175,7 @@ class _FullCountCertificate:
     """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
 
     Reduces M^T (r x m, one column per row of M, built from each row's
-    nonzero entries) by ``fraction_free_reduce``.  The pivot columns are the
+    nonzero (place, value) pairs) by ``fraction_free_reduce``.  The pivot columns are the
     anchor rows A, the first independent rows in the order given
     (``validate`` gives them sparsest first), and end as d * I, where d, the
     last pivot, is +-det M_A; the column of any other row j holds Y_j with
@@ -184,12 +196,11 @@ class _FullCountCertificate:
     no anchor, every row is its own class and no full-count set is a basis.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], rank: int) -> None:
+    def __init__(self, rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> None:
         work: list[dict[int, int]] = [{} for _ in range(rank)]
-        places = range(rank)
         for j, row in enumerate(rows):
-            for t in compress(places, row):
-                work[t][j] = row[t]
+            for t, x in row:
+                work[t][j] = x
         pivots, d, _ = fraction_free_reduce(work)
         # Anchor row -> its place in Y's columns; None when rank M < r.
         self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
@@ -234,32 +245,32 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
     return f"vectors do not span a direct summand (invariant factors {factors})"
 
 
-def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = None) -> ValidationReport:
+def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]] | None = None) -> ValidationReport:
     """Check the direct-summand condition at every vertex; never raises on a vector set.
 
     A vertex is judged by the assigned rows of M it misses, its key, and
     each distinct class of key once.  The rows are numbered in
-    ``sparsest_first`` order, by (number of nonzero entries, row), the order
-    in which the pair's ``_FullCountCertificate`` takes them, so that its
-    anchor is the sparsest independent rows: on W the n - 1 unit vectors,
-    with d = 1.  With ``labels`` the pair is over the truncated simplex and
-    vertex j, labels[j] = (i, m, cut), misses the rows of d{i} and d{m};
-    without, the misses are read off the incidence masks.
+    ``sparsest_first`` order, as the pair's ``_FullCountCertificate`` takes
+    them, so that its anchor is the sparsest independent rows: on W the
+    n - 1 unit vectors, with d = 1.  Without ``labels`` the keys are read off
+    the incidence masks.  With ``labels``, a function that lists each
+    vertex's (i, m, cut) in vertex order, the pair is over the truncated
+    n-simplex, its classes are read off the blocks F x R (module docstring),
+    and ``labels`` is called only to walk a failing class.
 
-    A key at full count, m - r rows, is certified by the certificate, built
-    when such a key occurs.  Its class is the multiset of its rows'
-    certificate ``classes``, whose keys share one verdict, and each class is
-    judged once, by ``is_unimodular`` on its ``first_rows``.  A key of any
-    other count is a class of its own, judged by the Smith normal form.
-    Only when a class fails are the vertices walked again, in order: each
-    distinct failing key gets its own Smith normal form, whose invariant
-    factors, not always shared by its class, give its reason, and only a
-    failing vertex's id is read off the polytope.
+    A full-count key, m - r rows, is judged by the certificate, built when
+    such a key occurs, once per class, by ``is_unimodular`` on its
+    ``first_rows``; a key of any other count is a class of its own, judged
+    by the Smith normal form.  Only when a class fails are the vertices
+    walked again, in order: each distinct failing key gets its own Smith
+    normal form of the dense vectors, whose invariant factors, not always
+    shared by its class, give its reason, and only a failing vertex's id is
+    read off the polytope.
     """
     rank = pair.torus_rank
     ids = tuple(pair.assignment)  # sorted, like facet_ids
-    entries = [pair.assignment[f].entries for f in ids]
-    order = sparsest_first([len(v) - v.count(0) for v in entries])
+    vectors = [pair.assignment[f] for f in ids]
+    order = sparsest_first([len(v.nonzero) for v in vectors])
     place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in the certificate's order
     width = len(ids) - rank  # the rows a vertex misses at full count
     if labels is None:
@@ -273,14 +284,14 @@ def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = Non
         keys = set(misses())
         full = any(len(missed) == width for missed in keys)
     else:  # every root facet d0..dn carries a vector
-        root = [place[f"d{j}"] for j in range(len(ids))]
-        count = len(labels)
-        full = width == 2 and count > 0
+        n = len(ids) - 1
+        root = [place[f"d{j}"] for j in range(n + 1)]
+        count, full = n * (n + 4) // 2, width == 2
 
         def misses() -> Iterator[tuple[int, ...]]:
-            return ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels)
+            return ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels())
 
-    certificate = _FullCountCertificate([entries[row] for row in order], rank) if full else None
+    certificate = _FullCountCertificate([vectors[row].nonzero for row in order], rank) if full else None
     classes = certificate.classes if certificate else range(len(ids))
 
     def class_of(missed: tuple[int, ...]) -> tuple[int, ...]:
@@ -288,9 +299,12 @@ def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = Non
 
     if labels is None:
         found = {class_of(missed) for missed in keys}
-    else:  # one pass over the labels, by the class of each root row
-        of_root = [classes[row] for row in root]
-        found = {(a, b) if a < b else (b, a) for a, b in {(of_root[i], of_root[m]) for i, m, _ in labels}}
+    else:  # the class pairs of each block F x R
+        found = set()
+        for face in cut_faces(n).values():
+            inside = {classes[root[i]] for i in face}
+            outside = {classes[root[m]] for m in range(n + 1) if m not in face}
+            found |= {(a, b) if a < b else (b, a) for a in inside for b in outside}
     failed = set()
     for key in found:
         if len(key) == len(ids):
@@ -298,19 +312,21 @@ def validate(pair: CharPair, labels: Sequence[tuple[int, int, int]] | None = Non
         if len(key) == width:
             ok = certificate.is_unimodular(certificate.first_rows(key))
         else:
-            ok = is_direct_summand(tuple([entries[row] for row, f in enumerate(ids) if place[f] not in key]), rank)
+            kept = tuple([vectors[row].entries for row, f in enumerate(ids) if place[f] not in key])
+            ok = is_direct_summand(kept, rank)
         if not ok:
             failed.add(key)
+    entries = [v.entries for v in vectors] if failed else []
     reasons: dict[tuple[int, ...], str] = {}  # the failing keys
     failures = []
     for j, missed in enumerate(misses() if failed else ()):
         if class_of(missed) in failed:
             rows = [row for row, f in enumerate(ids) if place[f] not in missed]
             vertex = pair.polytope.vertices[j].id
-            vectors = tuple([entries[row] for row in rows])
+            kept = tuple([entries[row] for row in rows])
             if missed not in reasons:
-                reasons[missed] = _failure_reason(vectors)
-            failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), vectors, False, reasons[missed]))
+                reasons[missed] = _failure_reason(kept)
+            failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), kept, False, reasons[missed]))
     return ValidationReport(not failures, count, tuple(failures))
 
 
@@ -356,7 +372,7 @@ class CutPair:
 
 
 def eta_standard(n: int) -> dict[int, CharVector]:
-    """The standard family of n+1 vectors in Z^(n-1) for even n >= 4.
+    """The standard family of n+1 vectors in Z^(n-1) for even n >= 4, built by their nonzero entries in O(n).
 
     Index j runs over 0..n; the vector for j is meant for facet ``d{n-j}`` of
     the n-simplex.  Entries (1-based places): a single 1 in place j+1 for
@@ -366,21 +382,9 @@ def eta_standard(n: int) -> dict[int, CharVector]:
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got {n}")
     half = n // 2
-    out: dict[int, CharVector] = {}
-    for j in range(n + 1):
-        v = [0] * (n - 1)
-        if j < half - 1:
-            v[j] = 1
-        elif j == half - 1:
-            for p in range(half):
-                v[p] = 1
-        elif j < n:
-            v[j - 1] = 1
-        else:
-            for p in range(half - 1, n - 1):
-                v[p] = 1
-        out[j] = CharVector(tuple(v))
-    return out
+    ones = {half - 1: range(half), n: range(half - 1, n - 1)}  # the two dense vectors' places
+    places = {j: ones.get(j, (j if j < half else j - 1,)) for j in range(n + 1)}
+    return {j: CharVector(n - 1, tuple([(p, 1) for p in places[j]])) for j in range(n + 1)}
 
 
 def eta_facet_assignment(n: int) -> dict[str, CharVector]:
@@ -467,7 +471,8 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
     ``pair2``: the edges of K_(F,R), a connected graph, whose parts F and R
     it must then carry onto the parts of ``pair2``.  Vector equality is up
     to global sign: delta v must be the canonical target t or -t.  Delta is
-    applied by its nonzero columns, collected once.
+    applied by its nonzero columns, collected once, to each vector's nonzero
+    entries, and the image compared with t's nonzero entries.
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
@@ -482,19 +487,20 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
     delta = column_product(w.delta)
     mismatches = []
     for fid in sorted(pair1.assignment):  # phi carries it to a facet of pair2, which carries a vector
-        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[phi[fid]].entries
-        if image != t and tuple([-x for x in image]) != t:
+        image, t = delta(pair1.assignment[fid].nonzero), pair2.assignment[phi[fid]].nonzero
+        if image != t and tuple([(i, -x) for i, x in image]) != t:
             mismatches.append((fid, phi[fid]))
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
 
 
 class SimplexNormalForm(Record):
-    """Result of normalizing a valid pair over a combinatorial simplex."""
+    """Result of normalizing a valid pair over a simplex; ``normal_form`` holds each facet's nonzero entries."""
 
     __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")  # det: of basis_change
 
     def vector_of(self, facet_id: str) -> tuple[int, ...]:
-        return dict(self.normal_form)[facet_id]
+        """The facet's vector in normal form, dense."""
+        return dense(self.basis_change.cols, dict(self.normal_form)[facet_id])
 
 
 def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | None = None) -> SimplexNormalForm:
@@ -506,7 +512,8 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
     vector's entries to +-1, so signs can be absorbed into the basis change:
     D * B for B = M^-1 and D = diag(u), of determinant prod(u) * det M, det M
     from ``inverse_unimodular``.  M, B and D * B are built from their
-    nonzero entries, never densely.  ``report`` is the pair's validation,
+    nonzero entries, never densely, and of the images under D * B only D u
+    is computed: B M = I gives the others.  ``report`` is the pair's validation,
     for a caller that has it; without one it is computed, or a ``CutPair``'s
     read.  The polytope itself is not read.
     """
@@ -531,24 +538,19 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
     residual = ids[-1]
     basis_ids = ids[:-1]
     rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # M's nonzero entries, the basis vectors its columns
-    for c, v in enumerate(pair.assignment[f].entries for f in basis_ids):
-        for i in compress(range(d), v):
-            rows[i].append((c, v[i]))
+    for c, f in enumerate(basis_ids):
+        for i, x in pair.assignment[f].nonzero:
+            rows[i].append((c, x))
     B, det_m = inverse_unimodular(IntMatrix(d, d, Entries(d, tuple(map(tuple, rows)))))
-    u = column_product(B)(pair.assignment[residual].entries)
-    if any(abs(x) != 1 for x in u):  # cannot happen for a valid pair
-        raise ArithmeticError(f"residual vector {u} is not a sign vector")
-    scaled = (row if s == 1 else tuple([(j, -x) for j, x in row]) for s, row in zip(u, B.entries.nonzero))
+    u = column_product(B)(pair.assignment[residual].nonzero)
+    if len(u) != d or any(abs(x) != 1 for _, x in u):  # cannot happen for a valid pair
+        raise ArithmeticError(f"residual vector {dense(d, u)} is not a sign vector")
+    scaled = (row if s == 1 else tuple([(j, -x) for j, x in row]) for (_, s), row in zip(u, B.entries.nonzero))
     A = IntMatrix(d, d, Entries(d, tuple(scaled)))  # D B
-    apply = column_product(A)
-    normal = []
-    signs = []
-    for fid in ids:  # D B is unimodular: no image is zero
-        w = apply(pair.assignment[fid].entries)
-        sign = 1 if next(compress(w, w)) > 0 else -1
-        normal.append((fid, w if sign == 1 else tuple([-x for x in w])))
-        signs.append((fid, sign))
-    return SimplexNormalForm(A, tuple(signs), tuple(normal), residual, prod(u) * det_m)
+    # B M = I, so D B carries basis facet c to u_c e_c, and the residual to D u = (u_c^2), whose first entry is 1.
+    normal = [(f, ((c, 1),)) for c, f in enumerate(basis_ids)] + [(residual, tuple([(c, s * s) for c, s in u]))]
+    signs = [(f, s) for f, (_, s) in zip(basis_ids, u)] + [(residual, 1)]
+    return SimplexNormalForm(A, tuple(signs), tuple(normal), residual, prod([s for _, s in u]) * det_m)
 
 
 class OrientationRecord(Record):

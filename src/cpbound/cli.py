@@ -165,7 +165,8 @@ def _cmd_construct(args, out) -> int:
         _dump_json(wmanifold_to_json(W), out)
     if args.format == "text":
         out.write(f"n = {W.n}, k = {W.k}, r1 = {format_fraction(W.r1)}\n")
-        out.write(f"facets: {len(W.pair.assignment) + len(W.pair.boundary_facet_ids)}, vertices: {len(W.labels)}\n")
+        facets = len(W.pair.assignment) + len(W.pair.boundary_facet_ids)
+        out.write(f"facets: {facets}, vertices: {W.n * (W.n + 4) // 2}\n")
         out.write(f"boundary facets: {', '.join(W.pair.boundary_facet_ids)}\n")
     return _EXIT_OK
 
@@ -331,7 +332,7 @@ def _cmd_demo(args, out) -> int:
         out.write(f"  eta_{j} = {eta[j].entries}   on facet d{n - j}\n")
     out.write(
         f"\nTruncated simplex (r1 = {format_fraction(r1)}): "
-        f"{len(W.pair.assignment) + len(W.pair.boundary_facet_ids)} facets, {len(W.labels)} vertices\n"
+        f"{len(W.pair.assignment) + len(W.pair.boundary_facet_ids)} facets, {n * (n + 4) // 2} vertices\n"
     )
 
     for fid, comp in zip(BOUNDARY_FACETS, report.components):

@@ -9,13 +9,14 @@ other under the basis reversal, and bring the simplex component to standard
 projective form.  ``glue_report`` runs the whole pipeline and aggregates one
 pass/fail record per check.
 
-Every check reads W through ``W.n``, ``W.r1``, ``W.pair.assignment`` and,
-to validate it, its vertex labels (i, m, cut), with no vertex record or
-incidence mask.  The vertices on the cut facet of a cut face F are exactly
-F x R, R the root indices outside F (``decode_truncated_simplex`` proves it
-for a loaded W), so a boundary component is a ``CutPair``, the view of F
-and R: its type is read from |F| and |R|, its translations from the parts,
-and the Euler check sums |F| * |R| over the cuts.
+Every check reads W through ``W.n``, ``W.r1`` and ``W.pair.assignment``,
+with no vertex record, incidence mask or vertex label: the vertices on the
+cut facet of a cut face F are exactly F x R, R the root indices outside F
+(``decode_truncated_simplex`` proves it for a loaded W), so validation reads
+the classes of each block, a boundary component is a ``CutPair``, the view
+of F and R, its type is read from |F| and |R|, its translations from the
+parts, and the Euler check sums |F| * |R| over the cuts.  A built W's
+labels are made only when read: to list a failing vertex, or by a test.
 
 The cells are counted, never listed.  A generic functional c on the root
 vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
@@ -30,7 +31,6 @@ from |F| and |R| alone.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -54,6 +54,7 @@ from .polytope import (
     SimplePolytope,
     check_keys,
     cut_faces,
+    cut_places,
     decode_truncated_simplex,
     format_fraction,
     functional_draws,
@@ -68,27 +69,27 @@ BOUNDARY_FACETS = ("P1", "P2", "P3")
 
 
 class WManifold:
-    """The bounding-manifold datum: a pair over the truncated simplex, read through its labels.
+    """The bounding-manifold datum: a pair over the truncated simplex, read through its blocks F x R.
 
     Torus rank is one less than the dimension and exactly the three cut
-    facets are boundary.  The polytope must be ``truncated_simplex(n, r1)``:
-    ``labels`` holds each vertex's (i, m, cut), in the polytope's vertex
-    order, given by ``build_W`` or else decoded by
+    facets are boundary.  The polytope must be ``truncated_simplex(n, r1)``,
+    as ``build_W``'s is by construction; any other pair's is decoded by
     ``decode_truncated_simplex``, which raises ``RealisationError`` for any
-    other polytope.  Validity of the vectors is *not* assumed here so that
-    deliberately broken inputs can still be loaded and reported on.
-    ``report`` is the vertex validation of the pair, computed on first use
-    from the labels and then read by every check that needs it, the
-    boundary components' among them.
+    other polytope, into ``labels``, each vertex's (i, m, cut) in vertex
+    order, which a built W makes only when read.  Validity of the vectors is
+    *not* assumed here so that deliberately broken inputs can still be
+    loaded and reported on.  ``report``, the vertex validation of the pair,
+    is computed on first use and then read by every check that needs it.
     """
 
-    def __init__(self, pair: CharPair, n: int, r1: Fraction, labels: Sequence[tuple] | None = None) -> None:
+    def __init__(self, pair: CharPair, n: int, r1: Fraction) -> None:
         r1 = Fraction(r1)
         if not Fraction(0) < r1 < Fraction(1, 4):
             raise ValueError(f"r1 must lie strictly between 0 and 1/4, got {r1}")
         if n < 4 or n % 2:
             raise ValueError(f"n must be even and at least 4, got {n}")
-        if labels is None and pair.polytope.dim != n:
+        built = isinstance(pair, _StandardPair) and pair._size == (n, r1)
+        if not built and pair.polytope.dim != n:
             raise ValueError(f"pair polytope has dimension {pair.polytope.dim}, expected {n}")
         if pair.torus_rank != n - 1:
             raise ValueError(f"torus rank must be {n - 1}, got {pair.torus_rank}")
@@ -96,7 +97,8 @@ class WManifold:
             raise ValueError(
                 f"boundary facets must be {BOUNDARY_FACETS}, got {pair.boundary_facet_ids}"
             )
-        self.labels = decode_truncated_simplex(pair.polytope, r1) if labels is None else labels
+        if not built:
+            self.labels = decode_truncated_simplex(pair.polytope, r1)
         self.pair = pair
         self.n = n
         self.r1 = r1
@@ -106,8 +108,12 @@ class WManifold:
         return self.n // 2 - 1
 
     @cached_property
+    def labels(self) -> tuple[tuple[int, int, int], ...]:
+        return truncation_labels(self.n)
+
+    @cached_property
     def report(self) -> ValidationReport:
-        return validate(self.pair, self.labels)
+        return validate(self.pair, lambda: self.labels)
 
 
 class _StandardPair(CharPair):
@@ -129,7 +135,8 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
 
     Sets n = 2(k+1).  k = 0 is rejected: with n = 2 the two faces to cut
     would be single vertices, not positive-dimensional faces (CP^1 = S^2
-    bounds a ball anyway).  ``W.pair.polytope`` is built only when read.
+    bounds a ball anyway).  ``W.pair.polytope`` and ``W.labels`` are built
+    only when read.
     """
     if k < 1:
         raise ValueError(
@@ -137,7 +144,7 @@ def build_W(k: int, r1: Fraction = Fraction(1, 5)) -> WManifold:
             "the two cut faces have positive dimension"
         )
     n = 2 * (k + 1)
-    W = WManifold(_StandardPair(n, Fraction(r1)), n, Fraction(r1), truncation_labels(n))
+    W = WManifold(_StandardPair(n, Fraction(r1)), n, Fraction(r1))
     if not W.report.ok:  # would be a bug in the construction, not bad input
         raise AssertionError(f"standard assignment failed validation at {W.report.failing_vertices()}")
     return W
@@ -205,28 +212,25 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     with c_m' < c_m, plus 1 when c_m < c_i (as q - 2p > 0): then the root
     edge points at it, and it is a generator.  With t_i the number of m
     outside F with c_m < c_i, the t_i generators at i thus have the indices
-    b_i+1, ..., b_i+t_i, one each.  One walk of c's sorted order per face
-    gives every b_i and t_i, and a difference array sums the intervals:
-    O(n log n) after the draw.  The vertex of index 0 is (i, lowest m) for
+    b_i+1, ..., b_i+t_i, one each.  One walk of c's sorted order, with a
+    count per face, gives every b_i and t_i, as b_i + t_i is i's place in
+    that order, and a difference array sums the intervals: O(n log n) after
+    the draw.  The vertex of index 0 is (i, lowest m) for
     b_i = t_i = 0; one of index n is a generator with b_i + t_i = n.
     """
     n = W.n
-    faces = list(cut_faces(n).values())
+    face_of = cut_places(n)
     c = _separating_draw(n, seed)
-    order = sorted(range(n + 1), key=c.__getitem__)
     steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
     extremes = [0, 0]  # vertices of index 0 and of index n
-    for face in faces:
-        b = t = 0  # entries of c inside and outside the face below the current one
-        for j in order:
-            if j not in face:
-                t += 1
-                continue
-            steps[b + 1] += 1
-            steps[b + t + 1] -= 1
-            if b + t in (0, n):
-                extremes[b + t == n] += 1
-            b += 1
+    below = [0, 0, 0]  # entries of c so far inside each face
+    for p, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
+        b = below[face_of[j]]  # and t = p - b outside j's face
+        below[face_of[j]] += 1
+        steps[b + 1] += 1
+        steps[p + 1] -= 1
+        if p in (0, n):
+            extremes[p == n] += 1
     if extremes != [1, 1]:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     structure = CellStructure(n, tuple((j, count) for j, count in enumerate(accumulate(steps)) if count))
@@ -369,78 +373,56 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
+    def check(name: str, passed: bool, details: str) -> None:
+        checks.append(CheckResult(name, passed, details))
+
     report = W.report
-    checks.append(
-        CheckResult(
-            "w-validity",
-            report.ok,
-            f"{report.checked_vertices} vertices checked, {len(report.failures)} failures"
-            + ("" if report.ok else f" (first at {report.failures[0].vertex})"),
-        )
-    )
+    counts = f"{report.checked_vertices} vertices checked, {len(report.failures)} failures"
+    check("w-validity", report.ok, counts + ("" if report.ok else f" (first at {report.failures[0].vertex})"))
 
     components: tuple[CutPair, ...] = ()
     if report.ok:
         components = boundary_components(W)
-        checks.append(CheckResult("boundary-disjointness", True, "P1, P2, P3 share no vertices"))
+        check("boundary-disjointness", True, "P1, P2, P3 share no vertices")
         half = n // 2
         expected = [f"Delta^{half - 1} x Delta^{half}", f"Delta^{half - 1} x Delta^{half}", f"Delta^{n - 1}"]
         found = [identify_simplex_or_product(c) for c in components]
-        ok = found == expected
-        checks.append(
-            CheckResult(
-                "boundary-polytope-types",
-                ok,
-                "; ".join(f"{f}: {t}" for f, t in zip(BOUNDARY_FACETS, found)),
-            )
-        )
+        types = "; ".join(f"{f}: {t}" for f, t in zip(BOUNDARY_FACETS, found))
+        check("boundary-polytope-types", found == expected, types)
 
         sub_reports = [c.report for c in components]
-        ok = all(r.ok for r in sub_reports)
-        checks.append(
-            CheckResult(
-                "component-validity",
-                ok,
-                ", ".join(
-                    f"{f}: {len(r.failures)} failures" for f, r in zip(BOUNDARY_FACETS, sub_reports)
-                ),
-            )
-        )
+        failing = ", ".join(f"{f}: {len(r.failures)} failures" for f, r in zip(BOUNDARY_FACETS, sub_reports))
+        check("component-validity", all(r.ok for r in sub_reports), failing)
 
         witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
         translation = verify_translation(components[0], components[1], witness)
-        checks.append(
-            CheckResult(
-                "translation-p1-p2",
-                translation.ok,
-                "facet bijection is an isomorphism and the basis reversal carries "
-                "every vector across"
-                if translation.ok
-                else f"mismatches at {translation.vector_mismatches}",
-            )
+        check(
+            "translation-p1-p2",
+            translation.ok,
+            "facet bijection is an isomorphism and the basis reversal carries every vector across"
+            if translation.ok
+            else f"mismatches at {translation.vector_mismatches}",
         )
 
         try:
             normal = normalize_simplex_pair(components[2], sub_reports[2])
-            allones = normal.vector_of(normal.residual_facet) == (1,) * (n - 1)
-            checks.append(
-                CheckResult(
-                    "p3-normal-form",
-                    allones,
-                    f"residual facet {normal.residual_facet} carries the all-ones vector; "
-                    f"basis change determinant {normal.det}",
-                )
-            )
         except ValueError as exc:
-            checks.append(CheckResult("p3-normal-form", False, str(exc)))
+            check("p3-normal-form", False, str(exc))
+        else:
+            check(
+                "p3-normal-form",
+                normal.vector_of(normal.residual_facet) == (1,) * (n - 1),
+                f"residual facet {normal.residual_facet} carries the all-ones vector; "
+                f"basis change determinant {normal.det}",
+            )
 
     if report.ok:
         try:
             stage = cell_stage(W, seed, extra_seeds)
         except (ValueError, AssertionError) as exc:
             # Both checks rest on this structure, so both report its failure.
-            checks.append(CheckResult("cell-structure", False, str(exc)))
-            checks.append(CheckResult("euler-cross-check", False, str(exc)))
+            check("cell-structure", False, str(exc))
+            check("euler-cross-check", False, str(exc))
         else:
             cells = stage.counts
             if stage.extra_error is None:
@@ -452,17 +434,12 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
                 )
             else:
                 details = str(stage.extra_error)
-            checks.append(
-                CheckResult("cell-structure", stage.stable and stage.extra_error is None, details)
-            )
+            check("cell-structure", stage.stable and stage.extra_error is None, details)
             euler = stage.euler
-            checks.append(
-                CheckResult(
-                    "euler-cross-check",
-                    euler.ok,
-                    f"cell total {euler.cell_total} vs half boundary vertex count "
-                    f"{euler.half_boundary_vertices}",
-                )
+            check(
+                "euler-cross-check",
+                euler.ok,
+                f"cell total {euler.cell_total} vs half boundary vertex count {euler.half_boundary_vertices}",
             )
 
     orient = orientation_signs(n)

@@ -6,12 +6,11 @@ The one polytope the pipeline needs is the n-simplex with the faces F1 =
 and m outside it, with id ``A{i}|d{m}``: vertex (i, m) lies on every root
 facet ``d0..dn`` except ``d{i}`` and ``d{m}``, and on the cut facet of F, at
 (1-r1)*e_i + r1*e_m.  So the vertices on the cut facet of F are the block
-F x R, R the root indices outside F (``cut_faces``), and the boundary
-components, cells and boundary h-vectors are read off the three blocks.
-Vertex validation reads the (i, m, cut) labels, which ``truncation_labels``
-writes in closed form in the order of the vertex ids, so no check builds a
-vertex record or an incidence mask of a built truncated simplex; its JSON
-does.
+F x R, R the root indices outside F (``cut_faces``), and vertex validation,
+the boundary components, cells and boundary h-vectors are read off the three
+blocks.  ``truncation_labels`` writes each vertex's (i, m, cut) in closed
+form, in the order of the vertex ids, only for what lists vertices: a
+failing validation, the JSON and the tests.
 
 A ``SimplePolytope`` is the general form, stored by vertex-facet incidence:
 each vertex lies on exactly ``dim`` facets (simplicity), and its facet set
@@ -276,7 +275,7 @@ def cut_faces(n: int) -> dict[str, range]:
     return {"P1": range(half), "P2": range(half + 1, n + 1), "P3": range(half, half + 1)}
 
 
-def _cut_of(n: int) -> list[int]:
+def cut_places(n: int) -> list[int]:
     """The place in (``P1``, ``P2``, ``P3``) of the cut face holding each root vertex 0..n."""
     cut_of = [0] * (n + 1)
     for c, face in enumerate(cut_faces(n).values()):
@@ -291,7 +290,7 @@ def truncation_labels(n: int) -> tuple[tuple[int, int, int], ...]:
     ``cut``, the place in (``P1``, ``P2``, ``P3``) of the face holding i; m is
     outside it.  Ids sort by i's digits then "|", after every digit, then m's.
     """
-    cut_of = _cut_of(n)
+    cut_of = cut_places(n)
     by_digits = sorted(range(n + 1), key=str)
     outside = [[m for m in by_digits if cut_of[m] != c] for c in range(3)]
     return tuple(
@@ -403,7 +402,7 @@ def decode_truncated_simplex(P: SimplePolytope, r1: Fraction) -> tuple[tuple[int
     place = [cut_ids.index(f.id) if f.provenance.kind == "cut" else f.provenance.index for f in P.facets]
     cut_bits = sum(1 << j for j, f in enumerate(P.facets) if f.provenance.kind == "cut")
     root_bits = (1 << len(P.facets)) - 1 ^ cut_bits
-    face_of = _cut_of(n)
+    face_of = cut_places(n)
     closed = _ClosedForm(r1)
     labels = []
     for v, mask, coord in zip(P.vertices, P.incidence, rows):
@@ -535,7 +534,7 @@ def functional_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tup
     rng = random.Random(seed)
     bound = max(FUNCTIONAL_COEFF_BOUND, vertex_count**2)
     for _ in range(FUNCTIONAL_RETRY_BUDGET):
-        yield tuple(rng.randint(-bound, bound) for _ in range(ambient))
+        yield tuple([rng.randrange(-bound, bound + 1) for _ in range(ambient)])  # the values randint(-bound, bound) draws
     raise ValueError(
         f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
         "vertex coordinates are degenerate"

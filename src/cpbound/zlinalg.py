@@ -6,12 +6,12 @@ in O(n); reading one densely, row by row, is left to the Smith normal form
 and the tests.  The one fraction-free (Bareiss) Gauss-Jordan elimination,
 which gives determinants, the cores of unimodular inverses and the vertex
 certificates of ``charfn``, runs on sparse rows, dicts from column to
-nonzero entry, and ``column_product`` adds x * column j over a vector's
-nonzero entries x = v_j.  On W's glue path the determinant of the signed
-permutation delta' is its permutation's sign, inverting P3's basis reads
-its unit columns off and eliminates a core of at most 2 x 2, and applying
-delta' to one of W's vectors, with one or two nonzero entries, takes O(1)
-steps beyond the scan.  The Smith normal form is the classical dense
+nonzero entry, and finds a column's rows through a column index; and
+``column_product`` maps a vector's nonzero entries to its image's.  On W's
+glue path the determinant of the signed permutation delta' is its
+permutation's sign, inverting P3's basis reads its unit columns off and
+eliminates a core of at most 2 x 2, and applying delta' to a vector takes
+O(1) steps per nonzero entry.  The Smith normal form is the classical dense
 pivot-and-reduce algorithm, run only on a failing or below-full-count
 vertex set, and ``invariant_factors`` hands it what is left of such a set
 once every row with a single entry +-1 is split off.  No floats, no
@@ -31,7 +31,7 @@ step further and does not eliminate a unit column at all: it peels it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, compress
 
 from .record import Record
@@ -49,10 +49,7 @@ class Entries(Record):
     __slots__ = ("cols", "nonzero")
 
     def row(self, i: int) -> tuple[int, ...]:
-        out = [0] * self.cols
-        for j, x in self.nonzero[i]:
-            out[j] = x
-        return tuple(out)
+        return dense(self.cols, self.nonzero[i])
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(map(self.row, range(len(self.nonzero))))
@@ -75,8 +72,8 @@ class IntMatrix(Record):
             if len(entries) != rows * cols:
                 raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
             places = range(cols)
-            dense = (entries[p : p + cols] for p in range(0, rows * cols, cols))
-            entries = Entries(cols, tuple([tuple(zip(compress(places, row), compress(row, row))) for row in dense]))
+            given = (entries[p : p + cols] for p in range(0, rows * cols, cols))
+            entries = Entries(cols, tuple([tuple(zip(compress(places, row), compress(row, row))) for row in given]))
         super().__init__(rows, cols, entries)
 
     @classmethod
@@ -131,26 +128,35 @@ def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
     (row_i * piv - row_i[j] * row_t) // prev, where piv is the new pivot and
     prev the one before it; by Sylvester's identity every division is exact.
     A row without an entry in the pivot column is skipped while piv == prev,
-    when the step leaves it as it is.  Returns the pivot columns, the last
-    pivot d and the sign of the row swaps.  When every row gets a pivot, the
-    pivot columns end as d * I, and d is sign times the determinant of the
-    original rows on those columns.
+    when the step leaves it as it is.  A column index, each column's rows,
+    kept up to date as rows swap and change, finds the pivot row and those
+    rows from the column's own entries, not by testing every row.  Returns
+    the pivot columns, the last pivot d and the sign of the row swaps.  When
+    every row gets a pivot, the pivot columns end as d * I, and d is sign
+    times the determinant of the original rows on those columns.
     """
+    holding: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(a):
+        for c in row:
+            holding.setdefault(c, set()).add(i)
     pivots: list[int] = []
     prev = sign = 1
-    for j in sorted(set().union(*a)):
+    for j in sorted(holding):
         t = len(pivots)
         if t == len(a):
             break
-        p = next((i for i in range(t, len(a)) if j in a[i]), None)
+        p = min([i for i in holding[j] if i >= t], default=None)
         if p is None:
             continue
         if p != t:
+            swapped = {t, p}
+            for c in a[t].keys() ^ a[p].keys():  # a column of only one of the two rows moves with it
+                holding[c] ^= swapped
             a[t], a[p] = a[p], a[t]
             sign = -sign
         row_t = a[t]
         piv = row_t[j]
-        for i in range(len(a)) if piv != prev else [i for i, row in enumerate(a) if j in row]:
+        for i in range(len(a)) if piv != prev else [*holding[j]]:
             if i == t:
                 continue
             row = a[i]
@@ -159,6 +165,8 @@ def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
             for c, y in row_t.items():
                 new[c] = new.get(c, 0) - f * y
             a[i] = {c: x // prev for c, x in new.items() if x}
+            for c in row.keys() ^ a[i].keys():  # row i gained or lost its entry there
+                holding[c] ^= {i}
         prev = piv
         pivots.append(j)
     return pivots, prev, sign
@@ -281,14 +289,6 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return (1,) * ones + smith_normal_form(IntMatrix.from_nonzero(len(place), rest))
 
 
-def _as_int_vectors(vectors: Sequence[Sequence[int]], k: int) -> list[tuple[int, ...]]:
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != k:
-            raise ValueError(f"vector {v} has length {len(v)}, expected {k}")
-    return vecs
-
-
 def is_direct_summand(vectors: Sequence[Sequence[int]], k: int) -> bool:
     """True iff the vectors span a direct summand of Z^k of their own count.
 
@@ -296,7 +296,10 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], k: int) -> bool:
     factors must equal 1 and there must be as many of them as vectors (so
     repeated vectors or dependent sets fail).
     """
-    vecs = _as_int_vectors(vectors, k)
+    vecs = [tuple(int(x) for x in v) for v in vectors]
+    for v in vecs:
+        if len(v) != k:
+            raise ValueError(f"vector {v} has length {len(v)}, expected {k}")
     if not vecs:
         raise ValueError("need at least one vector")
     factors = invariant_factors(vecs)
@@ -321,19 +324,30 @@ def permutation_sign(p: Permutation) -> int:
     return sign
 
 
-def column_product(m: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The map v -> m v on integer vectors of length ``m.cols``: x * column j of m, summed over v's nonzero x = v_j."""
+def dense(length: int, nonzero: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The vector of ``length`` entries whose nonzero ones are the (place, value) pairs ``nonzero``."""
+    out = [0] * length
+    for j, x in nonzero:
+        out[j] = x
+    return tuple(out)
+
+
+def column_product(m: IntMatrix) -> Callable[[Iterable[tuple[int, int]]], tuple[tuple[int, int], ...]]:
+    """The map v -> m v on the nonzero (place, value) pairs of vectors of length ``m.cols``, to m v's, by place.
+
+    m v is x * column j of m summed over v's nonzero x = v_j.
+    """
     columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
     for i, row in enumerate(m.entries.nonzero):  # each column's nonzero entries, collected once
         for j, x in row:
             columns[j].append((i, x))
 
-    def product(v: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * m.rows
-        for j in compress(range(len(v)), v):
+    def product(v: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        out: dict[int, int] = {}
+        for j, x in v:
             for i, y in columns[j]:
-                out[i] += v[j] * y
-        return tuple(out)
+                out[i] = out.get(i, 0) + x * y
+        return tuple(sorted([(i, y) for i, y in out.items() if y]))
 
     return product
 
@@ -342,7 +356,7 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     """Matrix-vector product over Z; m must be square of the vector's size."""
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
-    return column_product(m)(tuple(int(x) for x in v))
+    return dense(m.rows, column_product(m)([(j, x) for j, x in enumerate(map(int, v)) if x]))
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:

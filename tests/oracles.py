@@ -82,9 +82,15 @@ the label walks they replaced are the oracles of the label section:
 pairs and ``label_verify_translation`` compares the missed pairs
 (``label_missed_pairs``) under phi.  ``vertex_value_draw`` is the draw
 ``cell_structure`` took before it asked only for distinct root entries.
+On a built W the library does O(n) work; the paths it replaced are the
+section after: ``dense_canon`` and ``dense_eta_standard`` (dense vectors),
+``label_validate`` (``validate``'s one pass over the labels, before it read
+the blocks) and ``scanning_fraction_free_reduce`` (the elimination that
+tests every row for each pivot column, before its column index).
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
-``determinant`` or ``inverse_unimodular``, save the mask path, which reuses
-``charfn._FullCountCertificate`` as the library did.  The last section holds helpers
+``determinant`` or ``inverse_unimodular``, save the mask path and
+``label_validate``, which reuse ``charfn._FullCountCertificate`` as the
+library did.  One section holds helpers
 over package types that only tests need; they are not oracles, and
 ``inverse_witness`` does use the library's inverse.  ``attach``, which builds
 a pair from plain integer vectors, canonicalizing each, is one of them.
@@ -149,7 +155,7 @@ from cpbound.polytope import (
 from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
-    column_product,
+    apply_matrix,
     inverse_unimodular,
     is_direct_summand,
     smith_normal_form,
@@ -277,7 +283,7 @@ def dense_normalize_simplex_pair(pair) -> SimplexNormalForm:
     for fid in ids:
         w = dense_apply_matrix(A, pair.assignment[fid].entries)
         sign = 1 if next(x for x in w if x) > 0 else -1
-        normal.append((fid, tuple(sign * x for x in w)))
+        normal.append((fid, tuple((j, sign * x) for j, x in enumerate(w) if x)))  # stored by its nonzero entries
         signs.append((fid, sign))
     return SimplexNormalForm(A, tuple(signs), tuple(normal), ids[-1], math.prod(u) * det_m)
 
@@ -285,6 +291,11 @@ def dense_normalize_simplex_pair(pair) -> SimplexNormalForm:
 def sparse_rows(rows) -> list[dict[int, int]]:
     """Dense rows as the sparse rows ``zlinalg.fraction_free_reduce`` takes."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def nonzero_pairs(rows) -> list[tuple[tuple[int, int], ...]]:
+    """Dense rows as the (place, value) pairs of their nonzero entries, which ``charfn._FullCountCertificate`` takes."""
+    return [tuple((j, x) for j, x in enumerate(row) if x) for row in rows]
 
 
 def identity(k: int) -> IntMatrix:
@@ -1192,7 +1203,7 @@ def mask_validate(pair: CharPair, verdicts: Verdicts | None = None) -> Validatio
         full = mapped.bit_count() == rank
         if reason is None and full:
             if certificate is None:
-                certificate = _FullCountCertificate(entries, rank)
+                certificate = _FullCountCertificate([pair.assignment[f].nonzero for f in ids], rank)
             if certificate.is_unimodular(_rows(assigned ^ mapped, row_at)):
                 reasons[key] = ""
                 continue
@@ -1273,14 +1284,13 @@ def mask_verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitn
             missed &= missed - 1
         images.add(out)
     iso = images == set(P2.incidence) and len(P1.vertices) == len(P2.vertices)
-    delta = column_product(w.delta)
     mismatches = []
     for fid in sorted(pair1.assignment):
         target = phi[fid]
         if target not in pair2.assignment:
             mismatches.append((fid, target))
             continue
-        image, t = delta(pair1.assignment[fid].entries), pair2.assignment[target].entries
+        image, t = apply_matrix(w.delta, pair1.assignment[fid].entries), pair2.assignment[target].entries
         if image != t and tuple([-x for x in image]) != t:
             mismatches.append((fid, target))
     for fid in pair1.boundary_facet_ids:
@@ -1539,3 +1549,122 @@ def vertex_value_draw(W: WManifold, seed: int) -> tuple[int, ...]:
     for c in functional_draws(n + 1, len(labels), seed):
         if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
             return c
+
+
+# --- the dense and scanning paths -----------------------------------------------------
+#
+# On a built W the library does O(n) work: a vector is stored by its nonzero entries,
+# ``validate`` reads its classes off the blocks F x R, and the elimination finds a
+# column's rows through a column index.  The paths these replaced are the oracles here.
+
+
+def dense_canon(entries) -> tuple[int, ...]:
+    """The entries ``CharVector.canon`` stored before it kept only the nonzero ones: dense, first nonzero positive."""
+    t = tuple(int(x) for x in entries)
+    first = next((x for x in t if x), None)
+    if first is None:
+        raise ValueError("characteristic vector must be nonzero")
+    return t if first > 0 else tuple(-x for x in t)
+
+
+def dense_eta_standard(n: int) -> dict[int, tuple[int, ...]]:
+    """``charfn.eta_standard`` as it was built before, entry by entry into dense lists of n - 1 entries."""
+    half = n // 2
+    out = {}
+    for j in range(n + 1):
+        v = [0] * (n - 1)
+        if j < half - 1:
+            v[j] = 1
+        elif j == half - 1:
+            for p in range(half):
+                v[p] = 1
+        elif j < n:
+            v[j - 1] = 1
+        else:
+            for p in range(half - 1, n - 1):
+                v[p] = 1
+        out[j] = tuple(v)
+    return out
+
+
+def label_validate(pair: CharPair, labels) -> ValidationReport:
+    """``charfn.validate`` over the truncated simplex as it ran before it read the blocks: one pass over the labels.
+
+    Vertex (i, m) misses the rows of d{i} and d{m}; each label gives the
+    class pair of its two root rows, and the found classes are judged once
+    each by the library's ``_FullCountCertificate``, built on the dense
+    vectors' nonzero entries in sparsest-first row order.  A failing class
+    is walked over the labels again, in order.
+    """
+    rank = pair.torus_rank
+    ids = tuple(pair.assignment)
+    entries = [pair.assignment[f].entries for f in ids]
+    order = sorted(range(len(ids)), key=lambda row: sum(x != 0 for x in entries[row]))
+    place = {ids[row]: t for t, row in enumerate(order)}
+    width = len(ids) - rank
+    root = [place[f"d{j}"] for j in range(len(ids))]
+    rows = [entries[row] for row in order]
+    certificate = _FullCountCertificate(nonzero_pairs(rows), rank) if width == 2 and labels else None
+    classes = certificate.classes if certificate else range(len(ids))
+
+    def class_of(missed):
+        return tuple(sorted(classes[row] for row in missed)) if len(missed) == width else missed
+
+    of_root = [classes[row] for row in root]
+    found = {(a, b) if a < b else (b, a) for a, b in {(of_root[i], of_root[m]) for i, m, _ in labels}}
+    failed = set()
+    for key in found:
+        if len(key) == len(ids):
+            continue
+        if len(key) == width:
+            ok = certificate.is_unimodular(certificate.first_rows(key))
+        else:
+            ok = is_direct_summand([rows[row] for row in range(len(ids)) if row not in key], rank)
+        if not ok:
+            failed.add(key)
+    reasons = {}
+    failures = []
+    for j, (i, m, _) in enumerate(labels if failed else ()):
+        missed = (root[i], root[m]) if root[i] < root[m] else (root[m], root[i])
+        if class_of(missed) in failed:
+            kept = [row for row, f in enumerate(ids) if place[f] not in missed]
+            vectors = tuple(entries[row] for row in kept)
+            reason = reasons.setdefault(missed, _failure_reason(vectors))
+            vertex = pair.polytope.vertices[j].id
+            failures.append(VertexCheck(vertex, tuple(ids[row] for row in kept), vectors, False, reason))
+    return ValidationReport(not failures, len(labels), tuple(failures))
+
+
+def scanning_fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
+    """``zlinalg.fraction_free_reduce`` as it ran before its column index: it tests every row for each pivot column.
+
+    The first row at or below row t holding the column is found by testing
+    each row in turn, and while piv == prev the rows to update by testing
+    every row; the updates are the library's.
+    """
+    pivots: list[int] = []
+    prev = sign = 1
+    for j in sorted(set().union(*a)):
+        t = len(pivots)
+        if t == len(a):
+            break
+        p = next((i for i in range(t, len(a)) if j in a[i]), None)
+        if p is None:
+            continue
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            sign = -sign
+        row_t = a[t]
+        piv = row_t[j]
+        for i in range(len(a)) if piv != prev else [i for i, row in enumerate(a) if j in row]:
+            if i == t:
+                continue
+            row = a[i]
+            f = row.get(j, 0)
+            new = {c: x * piv for c, x in row.items()}
+            for c, y in row_t.items():
+                new[c] = new.get(c, 0) - f * y
+            a[i] = {c: x // prev for c, x in new.items() if x}
+        prev = piv
+        pivots.append(j)
+    return pivots, prev, sign

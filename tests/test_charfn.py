@@ -45,6 +45,7 @@ from oracles import (
     mask_components,
     matmul,
     minor_gcd_invariant_factors,
+    nonzero_pairs,
     per_vertex_validate,
     random_unimodular,
     simplex,
@@ -74,11 +75,11 @@ class TestCharVector:
         with pytest.raises(ValueError):
             CharVector.canon((0, 0, 0))
         with pytest.raises(ValueError):
-            CharVector((0,))
+            CharVector(1, ())
 
     def test_non_canonical_constructor_rejected(self):
         with pytest.raises(ValueError):
-            CharVector((-1, 0))
+            CharVector(2, ((0, -1),))
 
 
 class TestEtaStandard:
@@ -138,7 +139,7 @@ class TestAttachAndValidate:
     def test_closed_pair_needs_full_rank(self):
         assignment = {f"d{i}": (1, 0, 0) for i in range(4)}
         with pytest.raises(ValueError, match="closed pair"):
-            CharPair(simplex(3), 2, {k: CharVector((1, 0)) for k in assignment})
+            CharPair(simplex(3), 2, {k: CharVector(2, ((0, 1),)) for k in assignment})
 
     def test_mutated_pair_fails_exactly_where_vectors_collide(self):
         n = 4
@@ -202,7 +203,7 @@ class TestValidateAgainstOracle:
     """validate() must give the oracle's verdicts, failing vertices and reasons."""
 
     def assert_matches_oracle(self, pair, labels=None):
-        report = validate(pair, labels)
+        report = validate(pair, labels and (lambda: labels))
         expected = reference_failures(pair)
         assert report.ok == (not expected)
         assert report.checked_vertices == len(pair.polytope.vertices)
@@ -275,7 +276,7 @@ class TestValidateAgainstPerVertexOracle:
     its reports must equal those of one Bareiss determinant per vertex set."""
 
     def assert_same(self, pair, labels=None):
-        report = validate(pair, labels)
+        report = validate(pair, labels and (lambda: labels))
         assert report == per_vertex_validate(pair)
         return report
 
@@ -379,7 +380,7 @@ class TestFullCountCertificate:
     @example(([[4, 2], [6, 3], [1, 1]], 2))
     def test_matches_the_fraction_certificate(self, case):
         rows, rank = case
-        certificate = _FullCountCertificate(rows, rank)
+        certificate = _FullCountCertificate(nonzero_pairs(rows), rank)
         oracle = FractionFullCountCertificate(rows, rank)
         assert certificate.anchor == oracle.anchor
         if oracle.anchor is None:
@@ -413,7 +414,7 @@ class TestKeyClasses:
     @example(([[1, 2], [2, 4], [3, 6], [1, 2]], 2))  # rank M < r: every row its own class
     def test_a_class_shares_the_cofactor_verdict(self, case):
         rows, rank = case
-        certificate = _FullCountCertificate(rows, rank)
+        certificate = _FullCountCertificate(nonzero_pairs(rows), rank)
         classes = certificate.classes
         if certificate.anchor is None:
             assert classes == list(range(len(rows)))
@@ -468,7 +469,7 @@ class TestMinorsAgainstBareiss:
     def test_verdict_is_the_kept_rows_determinant(self, case):
         rows, rank, missed = case
         kept = [rows[j] for j in range(len(rows)) if j not in missed]
-        assert _FullCountCertificate(rows, rank).is_unimodular(missed) == (abs(bareiss_det(kept)) == 1)
+        assert _FullCountCertificate(nonzero_pairs(rows), rank).is_unimodular(missed) == (abs(bareiss_det(kept)) == 1)
 
 
 class TestValidateMaskMemo:

@@ -411,7 +411,7 @@ def assert_label_path_is_mask_path(W, seeds=(0,)):
     """W's validation on its labels, its boundary components on their blocks, their types and translations,
     and W's JSON report are the mask path's, and the components are the label walks'."""
     n = W.n
-    assert validate(W.pair, W.labels) == W.report == mask_validate(W.pair)
+    assert validate(W.pair, lambda: W.labels) == W.report == mask_validate(W.pair)
     views, faces = boundary_components(W), mask_components(W)
     verdicts = Verdicts(W.pair.polytope.facet_ids)
     mask_validate(W.pair, verdicts)
@@ -552,7 +552,7 @@ class TestFailingKeysJudgedOnce:
                 assert not expected.ok
                 for labels in (w.labels, None):
                     judged.clear()
-                    report = validate(pair, labels)
+                    report = validate(pair, labels and (lambda: labels))
                     assert len(judged) == len(classes)
                     assert {class_of(missed) for missed in judged} == classes
                     assert report == expected
@@ -579,7 +579,7 @@ class TestFailingKeysJudgedOnce:
             assert len(expected.failures) == expected.checked_vertices
             for labels in (w.labels, None):
                 judged.clear()
-                assert validate(w.pair, labels) == expected
+                assert validate(w.pair, labels and (lambda: labels)) == expected
                 assert len(judged) == len(set(judged)) == len({tuple(sorted(f.facets)) for f in expected.failures})
 
 

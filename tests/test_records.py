@@ -80,7 +80,7 @@ RECORDS = [
     ),
     (oracles.FaceRef, {"facet_ids": frozenset({"d0"}), "vertex_ids": ("v0", "v1")}, ("vertex_ids", ("v0",))),
     (LinearFunctional, {"coefficients": (5, -2, 7)}, ("coefficients", (5, -2, 8))),
-    (CharVector, {"entries": (0, 1, -1)}, ("entries", (0, 1, 1))),
+    (CharVector, {"length": 3, "nonzero": ((1, 1), (2, -1))}, ("nonzero", ((1, 1), (2, 1)))),
     (
         VertexCheck,
         {"vertex": "v0", "facets": ("d0", "d1"), "vectors": ((2, 0), (0, 1)), "ok": False, "reason": "r"},
@@ -98,7 +98,7 @@ RECORDS = [
         {
             "basis_change": SWAP,
             "signs": (("d0", 1), ("d1", -1)),
-            "normal_form": (("d0", (1, 0)),),
+            "normal_form": (("d0", ((0, 1),)),),
             "residual_facet": "d2",
             "det": -1,
         },
@@ -274,8 +274,8 @@ def test_vertex_facet_ids_are_read_off_the_mask():
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: CharVector((0, 0)), "characteristic vector must be nonzero"),
-        (lambda: CharVector((0, -1, 2)), "(0, -1, 2) is not canonical; use CharVector.canon"),
+        (lambda: CharVector(2, ()), "characteristic vector must be nonzero"),
+        (lambda: CharVector(3, ((1, -1), (2, 2))), "(0, -1, 2) is not canonical; use CharVector.canon"),
         (lambda: IntMatrix(0, 1, ()), "matrix needs at least one row and one column"),
         (lambda: IntMatrix(2, 2, (1, 2, 3)), "2x2 matrix needs 4 entries, got 3"),
         (lambda: Permutation((0, 2)), "not a bijection of 0..1: (0, 2)"),

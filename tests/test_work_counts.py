@@ -17,12 +17,15 @@ unimodular matrix, no dense matrix product in a ``glue`` request and no dense
 read of any matrix in ``glue_report`` (delta' and P3's basis change are built
 and applied by their nonzero entries), no model polytope
 built to recognize the boundary, one functional for the three boundary
-components, one pass over W's labels in ``glue_report`` on a built W (the
-class pass of ``validate``; the boundary checks read the blocks F x R), one
+components, no label list, no dense vector and no pass over W's labels in
+``build_W`` and ``glue_report`` (``validate`` and the boundary checks read the
+blocks F x R, and the vectors are read by their nonzero entries), column
+lookups in ``fraction_free_reduce`` bounded by its rows' entries (a column
+index, not a test of every row), one
 boundary extraction per ``demo``, no gluing work in ``homology`` beyond
 validating a loaded datum, no ``Vertex`` record and no ``SimplePolytope`` in
 ``glue_report`` on a built W or in a ``glue``, ``homology``, ``validate`` or
-``boundary`` request on one (W is read through its labels), one polytope
+``boundary`` request on one (W is read through its blocks), one polytope
 built for the truncated simplex when its JSON is written (``construct``)
 and only the loader's one for a loaded certificate, no edge derivation or
 integer coordinate table in any request (``boundary`` writes its h-vectors
@@ -135,8 +138,9 @@ class CountingLabels(tuple):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_glue_report_walks_the_labels_once(monkeypatch, k):
-    """On a built W the one pass over the labels is ``validate``'s, by the class of each root row; the boundary
-    components, their types and translations, the Euler count and the h-vectors read the blocks F x R."""
+    """On a built W the labels are walked no time at all, and not even made: ``validate`` reads its class pairs
+    off the blocks F x R, as the boundary components, their types and translations, the Euler count and the
+    h-vectors do.  Reading ``W.labels`` makes them then, once, and walks them not at all."""
     made = []
 
     def counting(n):
@@ -145,12 +149,84 @@ def test_glue_report_walks_the_labels_once(monkeypatch, k):
 
     monkeypatch.setattr(cobordism, "truncation_labels", counting)
     W = build_W(k)
-    (labels,) = made
-    assert W.labels is labels and labels.passes == 1
     assert glue_report(W, 0, extra_seeds=2).passed
-    assert labels.passes == 1
     assert cobordism.boundary_h_vectors(W, 0)
-    assert labels.passes == 1
+    assert made == []
+    labels = W.labels
+    assert made == [labels] and W.labels is labels and labels.passes == 0
+
+
+class ProbedRow(dict):
+    """A sparse row of ``fraction_free_reduce`` that counts the lookups of a column in it, ``probes``."""
+
+    probes = Counter()
+
+    def __contains__(self, column):
+        self.probes["row"] += 1
+        return super().__contains__(column)
+
+    def __getitem__(self, column):
+        self.probes["row"] += 1
+        return super().__getitem__(column)
+
+    def get(self, column, default=None):
+        self.probes["row"] += 1
+        return super().get(column, default)
+
+
+@pytest.fixture
+def glue_work(monkeypatch):
+    """After ``build_W`` and ``glue_report`` under it: the calls of ``truncation_labels``, the dense reads of a
+    ``CharVector`` and, per ``fraction_free_reduce``, its rows' nonzero entries and the column lookups in them."""
+    work = Counter()
+    reductions = []
+    dense = charfn.CharVector.__dict__["entries"]
+
+    def counting_dense(v):
+        work["densified"] += 1
+        return dense.__get__(v)
+
+    def labels_wrapper(original):
+        def counting(n):
+            work["truncation_labels"] += 1
+            return original(n)
+
+        return counting
+
+    def reduce_wrapper(original):
+        def probed(a):
+            ProbedRow.probes.clear()
+            a[:] = [ProbedRow(row) for row in a]
+            entries = sum(map(len, a))
+            result = original(a)
+            reductions.append((entries, ProbedRow.probes["row"]))
+            return result
+
+        return probed
+
+    monkeypatch.setattr(charfn.CharVector, "entries", property(counting_dense))
+    _patch_everywhere(monkeypatch, polytope, "truncation_labels", labels_wrapper)
+    _patch_everywhere(monkeypatch, zlinalg, "fraction_free_reduce", reduce_wrapper)
+    return work, reductions
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_glue_on_a_built_w_makes_no_labels_and_no_dense_vector(glue_work, k):
+    """``build_W`` and ``glue_report`` call ``truncation_labels`` no time and read no vector densely: the
+    certificate, its ``sparsest_first`` counts, delta' and P3's normal form read the nonzero entries."""
+    work, _ = glue_work
+    assert glue_report(build_W(k), 0, extra_seeds=2).passed
+    assert work == {}
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_eliminations_on_a_built_w_look_up_columns_by_their_entries(glue_work, k):
+    """``fraction_free_reduce`` finds a pivot column's rows through its column index: on W's M^T and on P3's core
+    it looks up no more columns in rows than the rows hold entries, not one per row for every pivot."""
+    _, reductions = glue_work
+    assert glue_report(build_W(k), 0, extra_seeds=2).passed
+    assert len(reductions) == 2
+    assert all(probes <= entries for entries, probes in reductions)
 
 
 @pytest.mark.parametrize("k", (1, 4, 10))
@@ -279,7 +355,7 @@ def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
 
     def recording(certificate, rows, rank):
         init(certificate, rows, rank)
-        made.append((certificate, [tuple(row) for row in rows]))
+        made.append((certificate, [zlinalg.dense(rank, row) for row in rows]))  # each row's nonzero entries
 
     monkeypatch.setattr(charfn._FullCountCertificate, "__init__", recording)
     W = build_W(k)
