@@ -13,9 +13,8 @@ from cpbound.cli import run
 
 GOLDENS = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
+# Golden file -> the command that writes it; tests/test_cli.py checks each one.
 TARGETS = {
-    "w_n4.json": ["construct", "--k", "1", "--format", "json"],
-    "glue_k1.json": ["glue", "--k", "1", "--format", "json"],
     "glue_k1.txt": ["glue", "--k", "1"],
     "demo_n4.txt": ["demo", "--n", "4"],
     "homology_k1_seeds3.txt": ["homology", "--k", "1", "--seeds", "3"],
@@ -23,6 +22,8 @@ TARGETS = {
     "glue_k1-6.json": ["glue", "--k-range", "1:6", "--format", "json"],
     "boundary_n8.json": ["boundary", "--n", "8", "--format", "json"],
     "glue_k24.txt": ["glue", "--k", "24"],
+    "w_n4.json": ["construct", "--k", "1", "--format", "json"],
+    "glue_k1.json": ["glue", "--k", "1", "--format", "json"],
 }
 
 

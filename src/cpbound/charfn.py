@@ -24,7 +24,7 @@ d * e_t rows gives, with s = |S - A|,
 So S is a basis of Z^r exactly when |det Y[S - A, A - S]| = |d|^(s - 1), an
 integer minor of size at most m - r; for s = 0, S = A and the condition is
 |d| = 1.  When rank M < r there is no anchor and no full-count vertex is
-unimodular.  Below full count a vertex is checked by its Smith normal form.
+unimodular.
 
 The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
 is the one this module runs: it reduces M^T for vertex validation, and each
@@ -41,17 +41,19 @@ columns, reading their rows of the inverse off by back-substitution, and
 eliminates only the rest: on W's P3 the two dense eta columns on the rows
 no unit column took, at most 2 x 2.
 
-``validate`` judges a vertex by the assigned rows it misses, its key, and
-each distinct class of key once; it walks the vertices again only when a
-class fails.  A full-count key's class is the multiset of its rows' classes
-in the certificate: a free row, outside A, is its own class, and an anchor
-row's class is its column of Y at the free rows, since the minor
-Y[S - A, A - S] reads nothing else.  Over the truncated simplex vertex
-(i, m) misses the rows of d{i} and d{m}, and the vertices on the cut facet
-of F are F x R, so the classes found are classes(F) x classes(R) over the
-three cut faces, in O(n) steps; the labels (i, m, cut) are read only to list
-a failing class's vertices.  On W the two dense eta vectors are the free
-rows and the n - 1 unit vectors fall into three classes, by which dense
+``validate`` reads one polytope, the truncated n-simplex that every
+``WManifold`` is decoded to, where each vertex carries r = n - 1 vectors;
+``tests/oracles.py`` keeps the incidence-mask path for any other pair.  It
+judges a vertex by the assigned rows it misses, its key, and each distinct
+class of key once; it walks the vertices again only when a class fails.  A
+key's class is the multiset of its rows' classes in the certificate: a free
+row, outside A, is its own class, and an anchor row's class is its column
+of Y at the free rows, since the minor Y[S - A, A - S] reads nothing else.
+Vertex (i, m) misses the rows of d{i} and d{m}, and the vertices on the cut
+facet of F are F x R, so the classes found are classes(F) x classes(R) over
+the three cut faces, in O(n) steps; the labels (i, m, cut) are read only to
+list a failing class's vertices.  On W the two dense eta vectors are the
+free rows and the n - 1 unit vectors fall into three classes, by which dense
 vector holds their 1, so 8 classes, each a minor of at most 2 x 2, cover the
 n(n+4)/2 vertices at every k.  A boundary component there is a ``CutPair``,
 a view of one cut face F and its complement R, whose vertices are F x R,
@@ -60,16 +62,16 @@ whose validity is the pair's report on them and whose translations
 A ``CharVector`` stores its length and its nonzero (place, value) pairs, so
 W's vectors are built and read in O(n); ``entries``, the dense view, is
 built for JSON, ``demo``, a failing vertex's Smith normal form and the
-tests.  Delta, the basis M, its inverse and the basis change are stored by
-their nonzero entries too, and applied by their nonzero columns to a
-vector's nonzero entries; an image is matched to its target's up to sign.
-P3's normal form is read off B M = I: of the images under D B only the
-residual's, D u, is computed.
+tests.  Delta, the basis M and its inverse B are stored by their nonzero
+entries too, and applied by their nonzero columns to a vector's nonzero
+entries; an image is matched to its target's up to sign.  P3's normal form
+is read off B M = I: the basis change D B is not built, and of its images
+only the residual's, D u, is computed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from math import prod
 
 from .polytope import (
@@ -93,7 +95,6 @@ from .zlinalg import (
     fraction_free_reduce,
     inverse_unimodular,
     invariant_factors,
-    is_direct_summand,
     permutation_sign,
     sparsest_first,
 )
@@ -245,81 +246,50 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
     return f"vectors do not span a direct summand (invariant factors {factors})"
 
 
-def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]] | None = None) -> ValidationReport:
-    """Check the direct-summand condition at every vertex; never raises on a vector set.
+def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]]) -> ValidationReport:
+    """Check the direct-summand condition at every vertex of a pair over the truncated n-simplex; never raises.
 
-    A vertex is judged by the assigned rows of M it misses, its key, and
-    each distinct class of key once.  The rows are numbered in
+    Every root facet d0..dn carries a vector of length n - 1, so vertex
+    (i, m) misses the two rows of d{i} and d{m}, its key, and each distinct
+    class of key is judged once.  The rows are numbered in
     ``sparsest_first`` order, as the pair's ``_FullCountCertificate`` takes
     them, so that its anchor is the sparsest independent rows: on W the
-    n - 1 unit vectors, with d = 1.  Without ``labels`` the keys are read off
-    the incidence masks.  With ``labels``, a function that lists each
-    vertex's (i, m, cut) in vertex order, the pair is over the truncated
-    n-simplex, its classes are read off the blocks F x R (module docstring),
-    and ``labels`` is called only to walk a failing class.
-
-    A full-count key, m - r rows, is judged by the certificate, built when
-    such a key occurs, once per class, by ``is_unimodular`` on its
-    ``first_rows``; a key of any other count is a class of its own, judged
-    by the Smith normal form.  Only when a class fails are the vertices
-    walked again, in order: each distinct failing key gets its own Smith
-    normal form of the dense vectors, whose invariant factors, not always
-    shared by its class, give its reason, and only a failing vertex's id is
-    read off the polytope.
+    n - 1 unit vectors, with d = 1.  The classes are read off the blocks
+    F x R (module docstring), each judged by ``is_unimodular`` on its
+    ``first_rows``.  ``labels``, a function that lists each vertex's
+    (i, m, cut) in vertex order, is called only when a class fails, to walk
+    the vertices again, in order: each distinct failing key gets its own
+    Smith normal form of the dense vectors, whose invariant factors, not
+    always shared by its class, give its reason, and only a failing
+    vertex's id is read off the polytope.
     """
-    rank = pair.torus_rank
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     vectors = [pair.assignment[f] for f in ids]
     order = sparsest_first([len(v.nonzero) for v in vectors])
     place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in the certificate's order
-    width = len(ids) - rank  # the rows a vertex misses at full count
-    if labels is None:
-        P = pair.polytope
-        rows_at = [(j, place[f]) for j, f in enumerate(P.facet_ids) if f in place]  # (bit place, row)
-        count = len(P.vertices)
+    n = len(ids) - 1
+    root = [place[f"d{j}"] for j in range(n + 1)]
+    certificate = _FullCountCertificate([vectors[row].nonzero for row in order], pair.torus_rank)
+    classes = certificate.classes
 
-        def misses() -> Iterator[tuple[int, ...]]:
-            return (tuple([row for j, row in rows_at if not mask >> j & 1]) for mask in P.incidence)
+    def class_of(missed: tuple[int, int]) -> tuple[int, int]:
+        a, b = classes[missed[0]], classes[missed[1]]
+        return (a, b) if a < b else (b, a)
 
-        keys = set(misses())
-        full = any(len(missed) == width for missed in keys)
-    else:  # every root facet d0..dn carries a vector
-        n = len(ids) - 1
-        root = [place[f"d{j}"] for j in range(n + 1)]
-        count, full = n * (n + 4) // 2, width == 2
-
-        def misses() -> Iterator[tuple[int, ...]]:
-            return ((root[i], root[m]) if root[i] < root[m] else (root[m], root[i]) for i, m, _ in labels())
-
-    certificate = _FullCountCertificate([vectors[row].nonzero for row in order], rank) if full else None
-    classes = certificate.classes if certificate else range(len(ids))
-
-    def class_of(missed: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted([classes[row] for row in missed])) if len(missed) == width else missed
-
-    if labels is None:
-        found = {class_of(missed) for missed in keys}
-    else:  # the class pairs of each block F x R
-        found = set()
-        for face in cut_faces(n).values():
-            inside = {classes[root[i]] for i in face}
-            outside = {classes[root[m]] for m in range(n + 1) if m not in face}
-            found |= {(a, b) if a < b else (b, a) for a in inside for b in outside}
+    found = set()  # the class pairs of each block F x R
+    for face in cut_faces(n).values():
+        inside = {classes[root[i]] for i in face}
+        outside = {classes[root[m]] for m in range(n + 1) if m not in face}
+        found |= {(a, b) if a < b else (b, a) for a in inside for b in outside}
     failed = set()
     for key in found:
-        if len(key) == len(ids):
-            continue
-        if len(key) == width:
-            ok = certificate.is_unimodular(certificate.first_rows(key))
-        else:
-            kept = tuple([vectors[row].entries for row, f in enumerate(ids) if place[f] not in key])
-            ok = is_direct_summand(kept, rank)
-        if not ok:
+        if not certificate.is_unimodular(certificate.first_rows(key)):
             failed.add(key)
     entries = [v.entries for v in vectors] if failed else []
-    reasons: dict[tuple[int, ...], str] = {}  # the failing keys
+    reasons: dict[tuple[int, int], str] = {}  # the failing keys
     failures = []
-    for j, missed in enumerate(misses() if failed else ()):
+    for j, (i, m, _) in enumerate(labels() if failed else ()):
+        missed = (root[i], root[m]) if root[i] < root[m] else (root[m], root[i])
         if class_of(missed) in failed:
             rows = [row for row, f in enumerate(ids) if place[f] not in missed]
             vertex = pair.polytope.vertices[j].id
@@ -327,7 +297,7 @@ def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]
             if missed not in reasons:
                 reasons[missed] = _failure_reason(kept)
             failures.append(VertexCheck(vertex, tuple([ids[row] for row in rows]), kept, False, reasons[missed]))
-    return ValidationReport(not failures, count, tuple(failures))
+    return ValidationReport(not failures, n * (n + 4) // 2, tuple(failures))
 
 
 def restrict_to_facet(pair: CharPair, facet_id: str) -> CharPair:
@@ -367,7 +337,6 @@ class CutPair:
         self.assignment = {f: assignment[f] for f in sorted(f"d{j}" for j in self.roots)}
         self.facet_ids = tuple(self.assignment)
         self.torus_rank = rank  # a closed pair's rank is its dimension
-        self.boundary_facet_ids = ()
         self.report = report
 
 
@@ -494,40 +463,31 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
 
 
 class SimplexNormalForm(Record):
-    """Result of normalizing a valid pair over a simplex; ``normal_form`` holds each facet's nonzero entries."""
+    """The residual facet of a valid pair over a simplex, its vector's image D u by nonzero entries, and det D B."""
 
-    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")  # det: of basis_change
-
-    def vector_of(self, facet_id: str) -> tuple[int, ...]:
-        """The facet's vector in normal form, dense."""
-        return dense(self.basis_change.cols, dict(self.normal_form)[facet_id])
+    __slots__ = ("residual_facet", "residual_image", "det")
 
 
-def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | None = None) -> SimplexNormalForm:
+def normalize_simplex_pair(pair: CutPair) -> SimplexNormalForm:
     """Change basis so all facets but one carry the standard basis, the last all-ones.
 
-    Works for every valid closed pair over a combinatorial simplex: the
-    lexicographically largest facet is made residual, the others are mapped
-    to the standard basis, and vertex unimodularity forces the residual
-    vector's entries to +-1, so signs can be absorbed into the basis change:
-    D * B for B = M^-1 and D = diag(u), of determinant prod(u) * det M, det M
-    from ``inverse_unimodular``.  M, B and D * B are built from their
-    nonzero entries, never densely, and of the images under D * B only D u
-    is computed: B M = I gives the others.  ``report`` is the pair's validation,
-    for a caller that has it; without one it is computed, or a ``CutPair``'s
-    read.  The polytope itself is not read.
+    Works for every valid closed pair over a combinatorial simplex, here the
+    component on P3: the lexicographically largest facet is made residual,
+    the others are mapped to the standard basis by B = M^-1, M their vectors
+    as columns, and vertex unimodularity forces the residual vector's image
+    u = B v to have entries +-1, so signs can be absorbed into the basis
+    change D * B for D = diag(u), of determinant prod(u) * det M, det M from
+    ``inverse_unimodular``.  M and B are built from their nonzero entries,
+    never densely; D * B is not built, as B M = I gives the basis facets'
+    images u_c e_c, and the residual's is D u = (u_c^2).  The pair's
+    validation is its ``report``; the polytope itself is not read.
     """
-    if pair.boundary_facet_ids:
-        raise ValueError("pair has boundary facets; normalization needs a closed pair")
     d = pair.torus_rank  # a closed pair's rank is its dimension, and every facet carries a vector
+    # Its facets are the d + 2 root facets less those of a part of one element:
+    # d + 1 exactly when F or R is one vertex, and then it is Delta^d.
     if len(pair.assignment) != d + 1:
         raise ValueError("polytope is not a combinatorial simplex")
-    if report is None:
-        report = pair.report if isinstance(pair, CutPair) else validate(pair)
-    # A simple polytope's vertex masks are distinct, each with d bits: d + 1
-    # of them over d + 1 facets are every facet's complement, a simplex.
-    if report.checked_vertices != d + 1:
-        raise ValueError("polytope is not a combinatorial simplex")
+    report = pair.report
     if not report.ok:
         first = report.failures[0]
         raise ValueError(
@@ -536,21 +496,15 @@ def normalize_simplex_pair(pair: CharPair | CutPair, report: ValidationReport | 
         )
     ids = sorted(pair.assignment)
     residual = ids[-1]
-    basis_ids = ids[:-1]
     rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # M's nonzero entries, the basis vectors its columns
-    for c, f in enumerate(basis_ids):
+    for c, f in enumerate(ids[:-1]):
         for i, x in pair.assignment[f].nonzero:
             rows[i].append((c, x))
     B, det_m = inverse_unimodular(IntMatrix(d, d, Entries(d, tuple(map(tuple, rows)))))
     u = column_product(B)(pair.assignment[residual].nonzero)
     if len(u) != d or any(abs(x) != 1 for _, x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {dense(d, u)} is not a sign vector")
-    scaled = (row if s == 1 else tuple([(j, -x) for j, x in row]) for (_, s), row in zip(u, B.entries.nonzero))
-    A = IntMatrix(d, d, Entries(d, tuple(scaled)))  # D B
-    # B M = I, so D B carries basis facet c to u_c e_c, and the residual to D u = (u_c^2), whose first entry is 1.
-    normal = [(f, ((c, 1),)) for c, f in enumerate(basis_ids)] + [(residual, tuple([(c, s * s) for c, s in u]))]
-    signs = [(f, s) for f, (_, s) in zip(basis_ids, u)] + [(residual, 1)]
-    return SimplexNormalForm(A, tuple(signs), tuple(normal), residual, prod([s for _, s in u]) * det_m)
+    return SimplexNormalForm(residual, tuple([(c, s * s) for c, s in u]), prod([s for _, s in u]) * det_m)
 
 
 class OrientationRecord(Record):

@@ -64,6 +64,7 @@ from .polytope import (
     truncation_labels,
 )
 from .record import Record
+from .zlinalg import dense
 
 BOUNDARY_FACETS = ("P1", "P2", "P3")
 
@@ -168,12 +169,10 @@ def boundary_components(W: WManifold) -> tuple[CutPair, CutPair, CutPair]:
 
 
 class CellStructure(Record):
-    """``zero_cells`` 0-cells and, for each (j, count) in ``counts``, sorted by j, count (2j-1)-cells."""
+    """One 0-cell and, for each (j, count) in ``counts``, sorted by j, count (2j-1)-cells."""
 
-    __slots__ = ("n", "counts", "zero_cells")
-
-    def __init__(self, n: int, counts: tuple[tuple[int, int], ...], zero_cells: int = 1) -> None:
-        super().__init__(n, counts, zero_cells)
+    __slots__ = ("n", "counts")
+    zero_cells = 1
 
     def index_counts(self) -> dict[int, int]:
         return dict(self.counts)
@@ -243,14 +242,12 @@ class HomologyTable(Record):
     """Ranks of H_*(W, boundary) as sorted (degree, rank) pairs; absent degrees have rank zero.
 
     The one 0-cell of the quotient contributes to unreduced homology only,
-    so degree 0 is reported as rank 0 and the discrepancy flag records that
-    the naive cell count would instead give 1 there.
+    so degree 0 is reported as rank 0 and the constant discrepancy flag
+    records that the naive cell count would instead give 1 there.
     """
 
-    __slots__ = ("ranks", "paper_h0_discrepancy")
-
-    def __init__(self, ranks: tuple[tuple[int, int], ...], paper_h0_discrepancy: bool = True) -> None:
-        super().__init__(ranks, paper_h0_discrepancy)
+    __slots__ = ("ranks",)
+    paper_h0_discrepancy = True
 
     def rank(self, degree: int) -> int:
         return dict(self.ranks).get(degree, 0)
@@ -405,13 +402,13 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         )
 
         try:
-            normal = normalize_simplex_pair(components[2], sub_reports[2])
+            normal = normalize_simplex_pair(components[2])
         except ValueError as exc:
             check("p3-normal-form", False, str(exc))
         else:
             check(
                 "p3-normal-form",
-                normal.vector_of(normal.residual_facet) == (1,) * (n - 1),
+                dense(n - 1, normal.residual_image) == (1,) * (n - 1),
                 f"residual facet {normal.residual_facet} carries the all-ones vector; "
                 f"basis change determinant {normal.det}",
             )
@@ -499,7 +496,5 @@ def glue_report_to_json(report: GluingReport) -> dict:
             "det_delta": report.orientation.det_delta,
         },
         "boundary_label": report.boundary_label,
-        "paper_H0_discrepancy": (
-            report.homology.paper_h0_discrepancy if report.homology else True
-        ),
+        "paper_H0_discrepancy": HomologyTable.paper_h0_discrepancy,
     }

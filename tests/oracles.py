@@ -64,15 +64,21 @@ oracles here: ``dense_fraction_free_reduce`` (the same pivot rule and
 updates on every entry of every row), ``dense_inverse_unimodular`` (it
 reduces the dense [m | I], columns in their natural order, and checks
 m B = I by entrywise sums) and ``dense_apply_matrix``, and
-``dense_normalize_simplex_pair``, the normal form of a simplex pair from
-those two; ``matmul``, the dense matrix product that only tests
-use, moved here too.
+``dense_normalize_simplex_pair``, the normal form of any closed simplex pair
+from those two, kept whole in its own ``DenseNormalForm`` (the basis change
+D B, each facet's sign and image), of which the library keeps only the
+residual's image and the determinant; ``matmul``, the dense matrix product
+that only tests use, moved here too.
 The library reads W and its boundary through W's vertex labels (i, m, cut);
 the mask path it read them through before is the last oracle section:
 ``mask_validate`` with its mask-keyed memo ``Verdicts`` and ``renumbering``,
 ``mask_components`` (faces built by ``face_as_polytope``),
 ``mask_identify_simplex_or_product``, ``mask_verify_translation`` (XOR over
-masks) and ``mask_glue_report``, which assembles them into a report.
+masks) and ``mask_glue_report``, which assembles them into a report and
+normalizes P3 by ``dense_normalize_simplex_pair``.  ``validate`` reads only
+the truncated simplex, so ``mask_validate`` and ``per_vertex_validate`` are
+also the reference validation of any other pair: a simplex, a product of
+simplices, a face of W, or a W with no labels.
 ``FaceRef`` and ``face_from_facets``, which only ``cut_face`` and tests
 read, live here too.
 The boundary checks read W's three blocks F x R, the vertices on each cut;
@@ -88,7 +94,8 @@ section after: ``dense_canon`` and ``dense_eta_standard`` (dense vectors),
 the blocks) and ``scanning_fraction_free_reduce`` (the elimination that
 tests every row for each pivot column, before its column index).
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
-``determinant`` or ``inverse_unimodular``, save the mask path and
+``determinant`` or ``inverse_unimodular``, save the mask path (through
+which ``dense_normalize_simplex_pair`` validates a ``CharPair``) and
 ``label_validate``, which reuse ``charfn._FullCountCertificate`` as the
 library did.  One section holds helpers
 over package types that only tests need; they are not oracles, and
@@ -118,7 +125,6 @@ from cpbound.charfn import (
     _failure_reason,
     _FullCountCertificate,
     delta_matrix,
-    normalize_simplex_pair,
     orientation_signs,
     restrict_to_facet,
     rho_facet_bijection,
@@ -156,6 +162,7 @@ from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
     apply_matrix,
+    dense,
     inverse_unimodular,
     is_direct_summand,
     smith_normal_form,
@@ -269,11 +276,42 @@ def dense_inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
     return inverse, sign * d
 
 
-def dense_normalize_simplex_pair(pair) -> SimplexNormalForm:
+class DenseNormalForm(Record):
+    """The full normal form of a simplex pair, as ``charfn.normalize_simplex_pair`` built it before it kept only
+    the residual's image: the basis change D B, each facet's sign and normal form by nonzero entries, the
+    residual facet and det D B."""
+
+    __slots__ = ("basis_change", "signs", "normal_form", "residual_facet", "det")
+
+    def vector_of(self, facet_id: str) -> tuple[int, ...]:
+        """The facet's vector in normal form, dense."""
+        return dense(self.basis_change.cols, dict(self.normal_form)[facet_id])
+
+    def as_simplex_normal_form(self) -> SimplexNormalForm:
+        """What the library keeps of it: the residual facet, its image and the determinant."""
+        return SimplexNormalForm(self.residual_facet, dict(self.normal_form)[self.residual_facet], self.det)
+
+
+def dense_normalize_simplex_pair(pair) -> DenseNormalForm:
     """``charfn.normalize_simplex_pair`` with M, the basis facets' vectors as columns in facet order,
-    inverted by ``dense_inverse_unimodular`` in that natural column order, and every product dense."""
+    inverted by ``dense_inverse_unimodular`` in that natural column order, and every product dense.
+
+    It takes any closed pair over a simplex: a view with its own ``report``, such as a ``CutPair``, or a
+    ``CharPair``, validated by ``mask_validate``, and raises the ``ValueError`` the library raised for an
+    open pair, a non-simplex and an invalid pair.
+    """
+    if isinstance(pair, CharPair) and pair.boundary_facet_ids:
+        raise ValueError("pair has boundary facets; normalization needs a closed pair")
     ids = sorted(pair.assignment)
     d = pair.torus_rank
+    if len(ids) != d + 1:
+        raise ValueError("polytope is not a combinatorial simplex")
+    report = mask_validate(pair) if isinstance(pair, CharPair) else pair.report
+    if report.checked_vertices != d + 1:
+        raise ValueError("polytope is not a combinatorial simplex")
+    if not report.ok:
+        first = report.failures[0]
+        raise ValueError(f"pair is not a valid characteristic pair: vertex {first.vertex} ({first.reason})")
     columns = [pair.assignment[f].entries for f in ids[:-1]]
     B, det_m = dense_inverse_unimodular(IntMatrix(d, d, tuple(x for row in zip(*columns) for x in row)))
     u = dense_apply_matrix(B, pair.assignment[ids[-1]].entries)
@@ -285,7 +323,7 @@ def dense_normalize_simplex_pair(pair) -> SimplexNormalForm:
         sign = 1 if next(x for x in w if x) > 0 else -1
         normal.append((fid, tuple((j, sign * x) for j, x in enumerate(w) if x)))  # stored by its nonzero entries
         signs.append((fid, sign))
-    return SimplexNormalForm(A, tuple(signs), tuple(normal), ids[-1], math.prod(u) * det_m)
+    return DenseNormalForm(A, tuple(signs), tuple(normal), ids[-1], math.prod(u) * det_m)
 
 
 def sparse_rows(rows) -> list[dict[int, int]]:
@@ -1369,7 +1407,7 @@ def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> Gluin
         )
 
         try:
-            normal = normalize_simplex_pair(components[2], sub_reports[2])
+            normal = dense_normalize_simplex_pair(components[2])
             allones = normal.vector_of(normal.residual_facet) == (1,) * (n - 1)
             checks.append(
                 CheckResult(
@@ -1454,7 +1492,6 @@ class LabelCutPair:
         self.assignment = {f: assignment[f] for f in sorted(f"d{j}" for j in self.roots)}
         self.facet_ids = tuple(self.assignment)
         self.torus_rank = self.dim = rank
-        self.boundary_facet_ids = ()
         self.report = report
 
 

@@ -21,7 +21,6 @@ from cpbound.charfn import (
     restrict_to_facet,
     rho_facet_bijection,
     rho_permutation,
-    validate,
     verify_translation,
 )
 from cpbound.cli import run as cli_run
@@ -89,7 +88,7 @@ def test_criterion_01_eta_reproduction():
 def test_criterion_02_validity_all_n():
     with criterion(2, "lattice condition holds at every vertex for even n in [4, 12]"):
         for n in EVEN_RANGE:
-            report = validate(w_pair(n))
+            report = WManifold(w_pair(n), n, Fraction(1, 5)).report
             assert report.ok, f"n={n}: failures at {report.failing_vertices()}"
             assert report.checked_vertices == n * (n + 4) // 2
 
@@ -238,8 +237,9 @@ def test_criterion_10_mutation_and_snf_robustness():
             )
             if not breaks:
                 continue
-            assert not validate(pair).ok
-            assert not glue_report(WManifold(pair, n, Fraction(1, 5)), 0).passed
+            W = WManifold(pair, n, Fraction(1, 5))
+            assert not W.report.ok
+            assert not glue_report(W, 0).passed
             detected += 1
         assert detected >= 20
 

@@ -5,7 +5,8 @@
 F x R and walks the labels only for a failing class (oracle
 ``label_validate``, the one pass over the labels), P3's normal form is read
 off B M = I (oracle ``dense_normalize_simplex_pair``, D B applied densely to
-every vector), ``fraction_free_reduce`` finds a column's rows through its
+every vector, also on loaded certificates whose vectors are g eta for a
+random unimodular g), ``fraction_free_reduce`` finds a column's rows through its
 column index (oracle ``scanning_fraction_free_reduce``, which tests every
 row) and ``cell_structure`` walks the draw's sorted order once (oracles
 ``closed_form_cell_structure`` and ``graph_walk_cell_structure``).  Built and
@@ -13,7 +14,9 @@ loaded W, with the loaded vertex lists shuffled, at k <= 12 and several r1,
 and the mutated corpus, whose failures must be the oracle's in the same order.
 """
 
+import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -32,8 +35,9 @@ from cpbound.cobordism import (
     wmanifold_from_json,
     wmanifold_to_json,
 )
+from cpbound.cli import run
 from cpbound.polytope import truncated_simplex
-from cpbound.zlinalg import fraction_free_reduce
+from cpbound.zlinalg import apply_matrix, dense, fraction_free_reduce
 
 from oracles import (
     attach,
@@ -45,6 +49,7 @@ from oracles import (
     graph_walk_cell_structure,
     label_validate,
     per_vertex_validate,
+    random_unimodular,
     scanning_fraction_free_reduce,
 )
 
@@ -138,10 +143,42 @@ class TestNormalFormFromTheInverse:
     def test_p3_is_the_dense_normal_form(self, k, r1, load):
         W = build_W(k, r1)
         P3 = boundary_components(loaded(W, shuffle=k) if load else W)[2]
-        form = normalize_simplex_pair(P3)
-        assert form == dense_normalize_simplex_pair(P3)
-        assert form.vector_of(form.residual_facet) == (1,) * (W.n - 1)
-        assert all(len(image) == 1 for f, image in form.normal_form if f != form.residual_facet)
+        form, expected = normalize_simplex_pair(P3), dense_normalize_simplex_pair(P3)
+        assert form == expected.as_simplex_normal_form()
+        assert dense(W.n - 1, form.residual_image) == (1,) * (W.n - 1)
+        assert all(len(image) == 1 for f, image in expected.normal_form if f != expected.residual_facet)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_twisted_certificates_normalize_as_the_dense_form(self, tmp_path, k):
+        """A loaded certificate whose vectors are g eta, g a random unimodular matrix, is still valid, and its
+        P3 is a simplex pair whose residual image u has entries of both signs: the normal form's determinant,
+        prod(u) det M, is the dense one's.  The basis reversal no longer carries P1 to P2, so ``glue --input``
+        fails on the translation alone, with the normal form passing."""
+        W = build_W(k)
+        n = W.n
+        rng = random.Random(900 + k)
+        products = set()
+        for trial in range(6):
+            g = random_unimodular(rng, n - 1)
+            data = json.loads(json.dumps(wmanifold_to_json(W)))
+            vectors = data["pair"]["vectors"]
+            data["pair"]["vectors"] = {f: list(apply_matrix(g, v)) for f, v in vectors.items()}
+            twisted = wmanifold_from_json(data)
+            assert twisted.report.ok
+            P3 = boundary_components(twisted)[2]
+            form, expected = normalize_simplex_pair(P3), dense_normalize_simplex_pair(P3)
+            image = dict(expected.normal_form)[expected.residual_facet]
+            kept = (expected.residual_facet, image, expected.det)
+            assert (form.residual_facet, form.residual_image, form.det) == kept
+            products.add(math.prod(s for f, s in expected.signs if f != expected.residual_facet))  # prod(u)
+            path = tmp_path / f"twisted_{trial}.json"
+            path.write_text(json.dumps(data))
+            out = io.StringIO()
+            assert run(["glue", "--input", str(path)], out) == 1
+            lines = out.getvalue().splitlines()
+            assert [line.split(":")[0].strip() for line in lines if "[FAIL]" in line] == ["[FAIL] translation-p1-p2"]
+            assert any(line.startswith("  [PASS] p3-normal-form:") for line in lines)
+        assert -1 in products  # the determinant carries u's signs
 
 
 @st.composite

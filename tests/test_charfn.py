@@ -28,7 +28,7 @@ from cpbound.charfn import (
     verify_translation,
 )
 from cpbound.cobordism import WManifold, boundary_components, build_W, glue_report
-from cpbound.polytope import product, truncated_simplex
+from cpbound.polytope import product, truncated_simplex, truncation_labels
 from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, permutation_sign
 
 from oracles import (
@@ -38,11 +38,13 @@ from oracles import (
     cofactor_det,
     compose_witnesses,
     dense_apply_matrix,
+    dense_normalize_simplex_pair,
     edges_of,
     fraction_rank,
     identity,
     inverse_witness,
     mask_components,
+    mask_validate,
     matmul,
     minor_gcd_invariant_factors,
     nonzero_pairs,
@@ -57,6 +59,11 @@ EVEN_RANGE = (4, 6, 8, 10, 12)
 def w_pair(n, r1=Fraction(1, 5)):
     P = truncated_simplex(n, r1)
     return attach(P, {f: v.entries for f, v in eta_facet_assignment(n).items()}, n - 1)
+
+
+def validate_w(pair):
+    """``validate`` on a pair over ``truncated_simplex(n, r1)``, whose vertex labels are ``truncation_labels(n)``."""
+    return validate(pair, lambda: truncation_labels(pair.polytope.dim))
 
 
 def cp_pair(d):
@@ -115,18 +122,18 @@ class TestAttachAndValidate:
         assert len(pair.assignment) == 5
 
     def test_w_pair_valid_n4(self):
-        report = validate(w_pair(4))
+        report = validate_w(w_pair(4))
         assert report.ok
         assert report.checked_vertices == 16
 
     @pytest.mark.parametrize("n", EVEN_RANGE)
     def test_w_pair_valid_all_n(self, n):
-        report = validate(w_pair(n))
+        report = validate_w(w_pair(n))
         assert report.ok
         assert report.checked_vertices == n * (n + 4) // 2
 
     def test_projective_pair_valid(self):
-        assert validate(cp_pair(3)).ok
+        assert mask_validate(cp_pair(3)).ok
 
     def test_vector_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -147,7 +154,7 @@ class TestAttachAndValidate:
         table = {f: v.entries for f, v in eta_facet_assignment(n).items()}
         table["d3"] = (1, 0, 0)  # duplicates the vector on d4
         pair = attach(P, table, 3)
-        report = validate(pair)
+        report = validate_w(pair)
         assert not report.ok
 
         expected = set()
@@ -203,7 +210,8 @@ class TestValidateAgainstOracle:
     """validate() must give the oracle's verdicts, failing vertices and reasons."""
 
     def assert_matches_oracle(self, pair, labels=None):
-        report = validate(pair, labels and (lambda: labels))
+        """``validate`` over the truncated simplex, given its labels; ``mask_validate`` on any other pair."""
+        report = validate(pair, lambda: labels) if labels else mask_validate(pair)
         expected = reference_failures(pair)
         assert report.ok == (not expected)
         assert report.checked_vertices == len(pair.polytope.vertices)
@@ -219,7 +227,7 @@ class TestValidateAgainstOracle:
         failed = 0
         for _ in range(4):
             pair = attach(P, mutated_w_table(n, rng), n - 1)
-            failed += not self.assert_matches_oracle(pair).ok
+            failed += not self.assert_matches_oracle(pair, truncation_labels(n)).ok
         assert failed  # non-vacuous
 
     def test_random_simplex_pairs(self):
@@ -276,7 +284,8 @@ class TestValidateAgainstPerVertexOracle:
     its reports must equal those of one Bareiss determinant per vertex set."""
 
     def assert_same(self, pair, labels=None):
-        report = validate(pair, labels and (lambda: labels))
+        """``validate`` over the truncated simplex, given its labels; ``mask_validate`` on any other pair."""
+        report = validate(pair, lambda: labels) if labels else mask_validate(pair)
         assert report == per_vertex_validate(pair)
         return report
 
@@ -318,10 +327,10 @@ class TestValidateAgainstPerVertexOracle:
         P = truncated_simplex(n, Fraction(1, 5))
         eta = {f: v.entries for f, v in eta_facet_assignment(n).items()}
         copied = dict(eta, d1=eta["d2"])  # two facets share a vector
-        assert not self.assert_same(attach(P, copied, n - 1)).ok
+        assert not self.assert_same(attach(P, copied, n - 1), truncation_labels(n)).ok
         # every vector in the hyperplane x_last = 0: M has rank < n - 1, no anchor
         flat = {f: v[:-1] + (0,) if any(v[:-1]) else (1,) + (0,) * (n - 2) for f, v in eta.items()}
-        report = self.assert_same(attach(P, flat, n - 1))
+        report = self.assert_same(attach(P, flat, n - 1), truncation_labels(n))
         assert len(report.failures) == len(P.vertices)
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2)])
@@ -528,7 +537,7 @@ class TestRestrictToFacet:
         for n in (4, 6, 8):
             pair = w_pair(n)
             for fid in ("P1", "P2", "P3"):
-                assert validate(restrict_to_facet(pair, fid)).ok
+                assert mask_validate(restrict_to_facet(pair, fid)).ok
 
     def test_mapped_facet_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -670,7 +679,6 @@ class TestVerifyTranslation:
             image = CharVector.canon(dense_apply_matrix(w.delta, pair1.assignment[fid].entries))
             if target not in pair2.assignment or image != pair2.assignment[target]:
                 out.append((fid, target))
-        out += [(fid, w.phi[fid]) for fid in pair1.boundary_facet_ids if w.phi[fid] in pair2.assignment]
         return tuple(out)
 
     @pytest.mark.parametrize("n", EVEN_RANGE)
@@ -715,8 +723,11 @@ class TestVerifyTranslation:
 
 
 class TestNormalizeSimplexPair:
+    """The library normalizes the ``CutPair`` on P3; ``dense_normalize_simplex_pair`` is the general path on
+    any closed simplex pair, and keeps the basis change D B whose residual image the library reads."""
+
     def test_standard_projective_pair_gives_identity(self):
-        form = normalize_simplex_pair(cp_pair(3))
+        form = dense_normalize_simplex_pair(cp_pair(3))
         assert form.basis_change.entries == identity(3).entries
         assert form.residual_facet == "d3"
         assert form.vector_of("d3") == (1, 1, 1)
@@ -724,16 +735,19 @@ class TestNormalizeSimplexPair:
 
     def test_p3_component_normalizes_to_projective_form(self):
         pair = restrict_to_facet(w_pair(4), "P3")
-        form = normalize_simplex_pair(pair)
+        form = dense_normalize_simplex_pair(pair)
         assert form.vector_of(form.residual_facet) == (1, 1, 1)
         basis = [form.vector_of(f) for f in sorted(pair.polytope.facet_ids) if f != form.residual_facet]
         assert sorted(basis) == sorted(
             tuple(1 if j == i else 0 for j in range(3)) for i in range(3)
         )
+        view = normalize_simplex_pair(views(4)[2])
+        assert view == form.as_simplex_normal_form()
+        assert view.residual_image == ((0, 1), (1, 1), (2, 1))
 
     def test_round_trip(self):
         pair = restrict_to_facet(w_pair(6), "P3")
-        form = normalize_simplex_pair(pair)
+        form = dense_normalize_simplex_pair(pair)
         for fid, vec in pair.assignment.items():
             image = apply_matrix(form.basis_change, vec.entries)
             assert image == tuple(dict(form.signs)[fid] * x for x in form.vector_of(fid))
@@ -743,7 +757,7 @@ class TestNormalizeSimplexPair:
         assert abs(cofactor_det(rows)) != 1  # fails at the vertex on facets d1, d2
         bad = attach(simplex(2), {"d0": (1, 0), "d1": (0, 1), "d2": (2, 1)}, 2)
         with pytest.raises(ValueError, match="not a valid"):
-            normalize_simplex_pair(bad)
+            dense_normalize_simplex_pair(bad)
 
     def test_sign_twisted_pair_is_valid_and_normalizes(self):
         # all vertex determinants are +-1 here, so this is a valid pair and
@@ -751,8 +765,8 @@ class TestNormalizeSimplexPair:
         for rows in ([[1, 0], [1, -1]], [[0, 1], [1, -1]]):
             assert abs(cofactor_det(rows)) == 1
         pair = attach(simplex(2), {"d0": (1, 0), "d1": (0, 1), "d2": (1, -1)}, 2)
-        assert validate(pair).ok
-        form = normalize_simplex_pair(pair)
+        assert mask_validate(pair).ok
+        form = dense_normalize_simplex_pair(pair)
         assert form.vector_of("d2") == (1, 1)
 
     def test_non_simplex_rejected(self):
@@ -766,21 +780,23 @@ class TestNormalizeSimplexPair:
             "R.d1": (0, 1),
         }
         with pytest.raises(ValueError, match="not a combinatorial simplex"):
-            normalize_simplex_pair(attach(P, assignment, 2))
+            dense_normalize_simplex_pair(attach(P, assignment, 2))
+        with pytest.raises(ValueError, match="not a combinatorial simplex"):
+            normalize_simplex_pair(views(6)[0])  # P1, a product of simplices
 
     def test_open_pair_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
-            normalize_simplex_pair(w_pair(4))
+            dense_normalize_simplex_pair(w_pair(4))
 
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_given_report_is_read_not_recomputed(self, n):
-        pair = restrict_to_facet(w_pair(n), "P3")
-        report = validate(pair)
-        assert normalize_simplex_pair(pair, report) == normalize_simplex_pair(pair)
+        p3 = views(n)[2]
+        expected = dense_normalize_simplex_pair(restrict_to_facet(w_pair(n), "P3"))
+        assert normalize_simplex_pair(p3) == expected.as_simplex_normal_form()
         # A failing report is taken at its word: the pair is not validated again.
-        failing = ValidationReport(False, report.checked_vertices, (VertexCheck("v", (), (), False, "r"),))
+        failing = ValidationReport(False, p3.report.checked_vertices, (VertexCheck("v", (), (), False, "r"),))
         with pytest.raises(ValueError, match=r"not a valid characteristic pair: vertex v \(r\)"):
-            normalize_simplex_pair(pair, failing)
+            normalize_simplex_pair(CutPair(p3.face, p3.rest, p3.assignment, p3.torus_rank, failing))
 
     def test_random_valid_simplex_pairs_normalize(self):
         rng = random.Random(42)
@@ -797,8 +813,8 @@ class TestNormalizeSimplexPair:
             assignment = {f"d{i}": tuple(rows[i]) for i in range(d)}
             assignment[f"d{d}"] = tuple(residual)
             pair = attach(simplex(d), assignment, d)
-            assert validate(pair).ok
-            form = normalize_simplex_pair(pair)
+            assert mask_validate(pair).ok
+            form = dense_normalize_simplex_pair(pair)
             for fid, vec in pair.assignment.items():
                 image = apply_matrix(form.basis_change, vec.entries)
                 assert image == tuple(dict(form.signs)[fid] * x for x in form.vector_of(fid))
@@ -830,7 +846,7 @@ class TestCharPairJson:
     def test_boundary_facets_derived_on_load(self):
         loaded = charpair_from_json(charpair_to_json(w_pair(4)))
         assert loaded.boundary_facet_ids == ("P1", "P2", "P3")
-        assert validate(loaded).ok
+        assert validate_w(loaded).ok
 
     def test_canonical_sign_enforced_on_load(self):
         blob = charpair_to_json(cp_pair(3))

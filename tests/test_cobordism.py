@@ -92,7 +92,7 @@ class TestBuildW:
     def test_r1_passes_through(self):
         W = build_W(1, Fraction(1, 8))
         assert W.r1 == Fraction(1, 8)
-        assert validate(W.pair).ok
+        assert validate(W.pair, lambda: W.labels).ok
 
 
 class TestBoundaryComponents:
@@ -122,7 +122,7 @@ class TestBoundaryComponents:
 
     def test_components_are_closed_and_valid(self):
         for comp in boundary_components(build_W(2)):
-            assert comp.boundary_facet_ids == ()
+            assert comp.torus_rank == len(comp.face) + len(comp.rest) - 2  # a closed pair's rank is its dimension
             assert comp.report.ok
 
 
@@ -706,7 +706,7 @@ class TestGlueReport:
                 continue
             W = WManifold(pair, n, Fraction(1, 5))
             assert not glue_report(W, 0).passed
-            assert not validate(pair).ok
+            assert not validate(pair, lambda: W.labels).ok
             detected += 1
         assert detected >= 20
 

@@ -69,6 +69,7 @@ from oracles import (
     Verdicts,
     attach,
     bareiss_det,
+    dense_normalize_simplex_pair,
     frozenset_face_sets,
     frozenset_polytope_to_json,
     frozenset_product_sets,
@@ -200,7 +201,7 @@ class TestReportsWithOneMemo:
             vectors = {f: tuple(rng.randint(-1, 2) for _ in range(P.dim)) for f in P.facet_ids}
             vectors = {f: v if any(v) else (1,) + v[1:] for f, v in vectors.items()}
             pair = attach(P, vectors, P.dim)
-            assert validate(pair) == per_vertex_validate(pair)
+            assert mask_validate(pair) == per_vertex_validate(pair)
 
     @pytest.mark.parametrize("k", (1, 2, 5))
     def test_valid_and_mutated_w_keep_their_own_memo(self, k):
@@ -311,8 +312,9 @@ def test_printed_basis_change_determinant_is_the_bareiss_determinant(k):
     (details,) = [c.details for c in report.checks if c.name == "p3-normal-form"]
     printed = int(re.fullmatch(r".*basis change determinant (-?\d+)", details).group(1))
     form = normalize_simplex_pair(report.components[2])
-    assert form == normalize_simplex_pair(mask_components(build_W(k))[2])
-    assert printed == form.det == bareiss_det(matrix_rows(form.basis_change))
+    expected = dense_normalize_simplex_pair(mask_components(build_W(k))[2])
+    assert form == expected.as_simplex_normal_form()
+    assert printed == form.det == bareiss_det(matrix_rows(expected.basis_change))
 
 
 def bitwise_renumbering(source, target, mask):
@@ -517,8 +519,8 @@ def key_classes(pair):
 
 class TestFailingKeysJudgedOnce:
     """``validate`` judges each distinct class of missed-row key once and walks the vertices again only
-    when a class fails.  On the mutated corpus, built and loaded, its failures on the label path and on
-    the mask path are the mask path's and the per-vertex oracle's, in the same order, and
+    when a class fails.  On the mutated corpus, built and loaded, its failures are the mask path's
+    (``oracles.mask_validate``) and the per-vertex oracle's, in the same order, and
     ``is_unimodular`` runs once per distinct class of full-count key, on a key of each."""
 
     @pytest.mark.parametrize("k", (1, 2, 3, 5))
@@ -550,13 +552,12 @@ class TestFailingKeysJudgedOnce:
                 merged += len(classes) < len(full)
                 expected = per_vertex_validate(pair)
                 assert not expected.ok
-                for labels in (w.labels, None):
-                    judged.clear()
-                    report = validate(pair, labels and (lambda: labels))
-                    assert len(judged) == len(classes)
-                    assert {class_of(missed) for missed in judged} == classes
-                    assert report == expected
-                    assert report.failures == mask_validate(pair).failures
+                judged.clear()
+                report = validate(pair, lambda: w.labels)
+                assert len(judged) == len(classes)
+                assert {class_of(missed) for missed in judged} == classes
+                assert report == expected == w.report
+                assert report.failures == mask_validate(pair).failures
         assert merged  # some classes hold more than one key
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -577,10 +578,10 @@ class TestFailingKeysJudgedOnce:
         for w in (W, loaded(W)):
             expected = per_vertex_validate(w.pair)
             assert len(expected.failures) == expected.checked_vertices
-            for labels in (w.labels, None):
-                judged.clear()
-                assert validate(w.pair, labels and (lambda: labels)) == expected
-                assert len(judged) == len(set(judged)) == len({tuple(sorted(f.facets)) for f in expected.failures})
+            judged.clear()
+            assert validate(w.pair, lambda: w.labels) == expected
+            assert len(judged) == len(set(judged)) == len({tuple(sorted(f.facets)) for f in expected.failures})
+            assert mask_validate(w.pair) == expected
 
 
 class TestMasksThatCollideUnderHash:

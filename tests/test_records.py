@@ -1,10 +1,13 @@
 """Value records: fields, defaults, equality, hashing, repr and read-only fields.
 
-Every record of the library, and the oracles' ``CellGenerator`` and
-``EdgeProvenance``, derives from ``cpbound.record.Record``.  Each row of ``RECORDS`` builds one record of each
+Every record of the library, and the oracles' ``CellGenerator``,
+``EdgeProvenance`` and ``DenseNormalForm``, derives from
+``cpbound.record.Record``.  Each row of ``RECORDS`` builds one record of each
 type by keyword and names a second value for one field; the checks are the
-behaviour of the frozen dataclasses the records replaced.  Importing the
-command line loads no ``dataclasses``, ``inspect``, ``typing`` or ``pathlib``.
+behaviour of the frozen dataclasses the records replaced.  A value no caller
+sets, such as ``CellStructure.zero_cells``, is a class constant, not a field.
+Importing the command line loads no ``dataclasses``, ``inspect``, ``typing``
+or ``pathlib``.
 """
 
 import copy
@@ -95,6 +98,11 @@ RECORDS = [
     ),
     (
         SimplexNormalForm,
+        {"residual_facet": "d2", "residual_image": ((0, 1), (1, 1)), "det": -1},
+        ("residual_facet", "d1"),
+    ),
+    (
+        oracles.DenseNormalForm,
         {
             "basis_change": SWAP,
             "signs": (("d0", 1), ("d1", -1)),
@@ -106,8 +114,8 @@ RECORDS = [
     ),
     (OrientationRecord, {"sign_rho": -1, "det_delta": 1, "boundary_label": "CP"}, ("boundary_label", "conjugate-CP")),
     (CellGenerator, {"index": 2, "vertex": "A0|d3"}, ("index", 3)),
-    (CellStructure, {"n": 4, "counts": CELLS.counts, "zero_cells": 1}, ("zero_cells", 0)),
-    (HomologyTable, {"ranks": ((0, 0), (1, 2)), "paper_h0_discrepancy": True}, ("paper_h0_discrepancy", False)),
+    (CellStructure, {"n": 4, "counts": CELLS.counts}, ("counts", ((1, 1),))),
+    (HomologyTable, {"ranks": ((0, 0), (1, 2))}, ("ranks", ((0, 0),))),
     (EulerCheck, {"cell_total": 8, "half_boundary_vertices": 8}, ("cell_total", 7)),
     (
         CellStage,
@@ -211,9 +219,9 @@ class TestRecord:
 
 def test_reprs_are_the_dataclass_text():
     assert repr(CellGenerator(2, "A0|d3")) == "CellGenerator(index=2, vertex='A0|d3')"
-    assert repr(CELLS) == "CellStructure(n=4, counts=((1, 1), (4, 1)), zero_cells=1)"
+    assert repr(CELLS) == "CellStructure(n=4, counts=((1, 1), (4, 1)))"
     assert repr(original_facet(3)) == "FacetProvenance(kind='original', index=3, cut_face=None)"
-    assert repr(HOMOLOGY) == "HomologyTable(ranks=((0, 0), (1, 2)), paper_h0_discrepancy=True)"
+    assert repr(HOMOLOGY) == "HomologyTable(ranks=((0, 0), (1, 2)))"
 
 
 @pytest.mark.parametrize(
@@ -233,7 +241,7 @@ def test_defaults(build, fields):
 
 def test_only_checking_and_per_vertex_records_define_a_constructor():
     own = {cls for cls, _, _ in RECORDS if "__init__" in vars(cls)}
-    checking = {CharVector, IntMatrix, Permutation, FacetProvenance, TranslationWitness, CellStructure, HomologyTable}
+    checking = {CharVector, IntMatrix, Permutation, FacetProvenance, TranslationWitness}
     assert own == checking | {EdgeProvenance, Vertex}
 
 

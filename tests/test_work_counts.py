@@ -14,8 +14,9 @@ change), read off delta' as a signed permutation, and two eliminations per
 request, the second of at most 2 rows (P3's basis, once its unit columns are
 read off), no Smith normal form on a valid datum, no determinant to invert a
 unimodular matrix, no dense matrix product in a ``glue`` request and no dense
-read of any matrix in ``glue_report`` (delta' and P3's basis change are built
-and applied by their nonzero entries), no model polytope
+read of any matrix in ``glue_report`` (delta', P3's basis M and its inverse
+are built and applied by their nonzero entries, and these two are the only
+matrices its normal form makes: the basis change D B is not built), no model polytope
 built to recognize the boundary, one functional for the three boundary
 components, no label list, no dense vector and no pass over W's labels in
 ``build_W`` and ``glue_report`` (``validate`` and the boundary checks read the
@@ -316,9 +317,42 @@ def test_p3_normal_form_eliminates_a_core_of_at_most_two_rows(reductions, k):
     eliminates what is left, the two dense eta vectors' columns on the rows no unit column took, or fewer."""
     P3 = cobordism.boundary_components(build_W(k))[2]
     reductions.clear()
-    form = charfn.normalize_simplex_pair(P3, P3.report)
-    assert form.vector_of(form.residual_facet) == (1,) * P3.torus_rank
+    form = charfn.normalize_simplex_pair(P3)
+    assert zlinalg.dense(P3.torus_rank, form.residual_image) == (1,) * P3.torus_rank
     assert len(reductions) == 1 and reductions[0] <= 2
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_p3_normal_form_makes_only_m_and_its_inverse(monkeypatch, calls, k):
+    """Inside ``normalize_simplex_pair`` ``glue_report`` makes two matrices, P3's basis M and B = M^-1, and
+    no basis change D B; on a built W no Smith normal form and no direct-summand test runs at all."""
+    counts, count = calls
+    count(zlinalg, "is_direct_summand")
+    count(zlinalg, "smith_normal_form")
+    made, inside = [], []
+    init = zlinalg.IntMatrix.__init__
+
+    def recording(m, *args, **kwargs):
+        init(m, *args, **kwargs)
+        if inside:
+            made.append((m.rows, m.cols))
+
+    def make_wrapper(original):
+        def flagged(*args, **kwargs):
+            inside.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return flagged
+
+    monkeypatch.setattr(zlinalg.IntMatrix, "__init__", recording)
+    _patch_everywhere(monkeypatch, charfn, "normalize_simplex_pair", make_wrapper)
+    W = build_W(k)
+    assert glue_report(W, 0).passed
+    assert made == [(W.n - 1, W.n - 1)] * 2
+    assert counts == {}
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
@@ -332,7 +366,7 @@ def test_delta_determinant_check_runs_no_elimination(reductions, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_glue_report_reads_no_matrix_densely(monkeypatch, k):
-    """delta', P3's basis M, B = M^-1 and D B are built, inverted and applied by their nonzero entries."""
+    """delta', P3's basis M and B = M^-1 are built, inverted and applied by their nonzero entries."""
     dense_reads = []
     row = zlinalg.Entries.row
 
@@ -382,7 +416,7 @@ def test_built_w_makes_no_coordinates(monkeypatch, k):
     W = build_W(k)
     assert glue_report(W, 0, extra_seeds=2).passed
     assert cobordism.cell_stage(W, 3, extra_seeds=2).euler.ok
-    assert charfn.validate(W.pair).ok
+    assert charfn.validate(W.pair, lambda: W.labels).ok
     assert cobordism.boundary_h_vectors(W, 1)
     assert W.pair.polytope.has_coords
     with pytest.raises(AssertionError, match="^a coordinate was made$"):
