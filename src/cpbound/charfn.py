@@ -9,55 +9,56 @@ there are r of them).  Vertex-level checking suffices because every nonempty
 facet intersection contains a vertex and any subset of a basis that is a
 direct summand is again one.
 
-A vertex with r vectors is a set S of r rows of the m x r matrix M that
-stacks the vectors of all mapped facets, so its determinant is a maximal
-minor of M.  One exact integer elimination certifies all of them.
-Fraction-free Gauss-Jordan elimination of M^T picks r independent rows A,
-the anchor, and ends with d * I on their columns, where |d| = |det M_A|, and
-with an integer column Y_j on every other row j, such that d * M_j = Y_j M_A
-(Cramer's rule).  Stacking d * e_t for the anchor rows of S and Y_j for the
-others gives a matrix C with C M_A = d * M_S, and expanding det C along its
-d * e_t rows gives, with s = |S - A|,
+``validate`` reads one polytope, the truncated n-simplex that every
+``WManifold`` is decoded to: its n + 1 root facets d0..dn carry vectors in
+Z^r, r = n - 1, the rows of the (n + 1) x r matrix M, and vertex (i, m)
+carries all of them but those of d{i} and d{m}.  When rank M = r the
+integer relations among the rows form a lattice of rank 2, and by Gale
+duality (Ziegler, *Lectures on Polytopes*, GTM 152, ch. 6) the maximal
+minors of M are those of the complementary rows of the 2-column relation
+matrix, up to one factor.  One fraction-free Gauss-Jordan elimination of
+M^T finds the relations: it picks r independent rows A, the anchor, and
+ends with d * I on their columns, where |d| = |det M_A|, and with an
+integer column Y_j on each of the two other rows, the free rows p and q,
+such that d * M_j = Y_j M_A (Cramer's rule).  So d e_p - Y_p and
+d e_q - Y_q are relations, and row j's Gale vector g_j, its two
+coefficients in them up to sign, is (d, 0) on p, (0, d) on q and
+(Y_p[t], Y_q[t]) on the anchor row of place t.  Putting free rows in place
+of anchor rows through d * M_j = Y_j M_A gives, for the r rows S other
+than i and m,
 
-    |det Y[S - A, A - S]| = |d|^(s - 1) * |det M_S|.
+    |det M_S| = |det(g_i, g_m)| / |d|:
 
-So S is a basis of Z^r exactly when |det Y[S - A, A - S]| = |d|^(s - 1), an
-integer minor of size at most m - r; for s = 0, S = A and the condition is
-|d| = 1.  When rank M < r there is no anchor and no full-count vertex is
-unimodular.
+d^2 / |d| when S = A, |d * Y_q[t]| / |d| when S drops p and anchor row t,
+and the 2 x 2 minor of Y divided by |d| when S drops two anchor rows.  So
+vertex (i, m) is a basis of Z^r exactly when d != 0 and
+|det(g_i, g_m)| = |d|, which reads g_i and g_m up to sign alone.  When
+rank M < r no vertex is a basis: every Gale vector is (0, 0) and d = 0.
 
 The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
-is the one this module runs: it reduces M^T for vertex validation, and each
-minor Y[S - A, A - S] of size 3 or more, gives the determinant for the
-witness check of a delta that is no signed permutation (delta' is one, and
-its determinant is read off its rows), and inverts the core of the basis of
-a simplex pair in ``normalize_simplex_pair``.  A minor of size 1 or 2 is
-evaluated directly, as the entry or as ad - bc.  It pivots on its columns
-in the order given, so ``validate`` gives it the rows of M in
-``zlinalg.sparsest_first`` order, by (number of nonzero entries, row).  On W
-the anchor is then the n - 1 unit eta vectors, d = 1 and the reduction of
-M^T updates no row.  ``zlinalg.inverse_unimodular`` peels the basis's unit
-columns, reading their rows of the inverse off by back-substitution, and
-eliminates only the rest: on W's P3 the two dense eta columns on the rows
-no unit column took, at most 2 x 2.
+is the one this module runs: it reduces M^T for vertex validation, gives the
+determinant for the witness check of a delta that is no signed permutation
+(delta' is one, and its determinant is read off its rows), and inverts the
+core of the basis of a simplex pair in ``normalize_simplex_pair``.  It
+pivots on its columns in the order given, so ``validate`` gives it the rows
+of M in ``zlinalg.sparsest_first`` order, by (number of nonzero entries,
+row).  On W the anchor is then the n - 1 unit eta vectors, d = 1 and the
+reduction of M^T updates no row.  ``zlinalg.inverse_unimodular`` peels the
+basis's unit columns, reading their rows of the inverse off by
+back-substitution, and eliminates only the rest: on W's P3 the two dense
+eta columns on the rows no unit column took, at most 2 x 2.
 
-``validate`` reads one polytope, the truncated n-simplex that every
-``WManifold`` is decoded to, where each vertex carries r = n - 1 vectors;
-``tests/oracles.py`` keeps the incidence-mask path for any other pair.  It
-judges a vertex by the assigned rows it misses, its key, and each distinct
-class of key once; it walks the vertices again only when a class fails.  A
-key's class is the multiset of its rows' classes in the certificate: a free
-row, outside A, is its own class, and an anchor row's class is its column
-of Y at the free rows, since the minor Y[S - A, A - S] reads nothing else.
-Vertex (i, m) misses the rows of d{i} and d{m}, and the vertices on the cut
-facet of F are F x R, so the classes found are classes(F) x classes(R) over
-the three cut faces, in O(n) steps; the labels (i, m, cut) are read only to
-list a failing class's vertices.  On W the two dense eta vectors are the
-free rows and the n - 1 unit vectors fall into three classes, by which dense
-vector holds their 1, so 8 classes, each a minor of at most 2 x 2, cover the
-n(n+4)/2 vertices at every k.  A boundary component there is a ``CutPair``,
-a view of one cut face F and its complement R, whose vertices are F x R,
-whose validity is the pair's report on them and whose translations
+``validate`` keys the root rows by Gale vector and judges each pair of keys
+once.  The vertices on the cut facet of F are F x R, so the pairs found are
+keys(F) x keys(R) over the three cut faces, in O(n) steps; the labels
+(i, m, cut) are read only to list a failing pair's vertices.  On W a unit
+vector's Gale vector is its place's entries in the two dense eta vectors,
+so the Gale vectors are (1, 0), (0, 1) and (1, 1), and 3 minors judge the
+n(n+4)/2 vertices at every k.  The incidence-mask path for any other pair,
+and the certificate for any number of rows outside a vertex, are
+``tests/oracles.py``'s.  A boundary component of W is a ``CutPair``, a view
+of one cut face F and its complement R, whose vertices are F x R, whose
+validity is W's report on them and whose translations
 ``verify_translation`` checks on the parts F and R.
 A ``CharVector`` stores its length and its nonzero (place, value) pairs, so
 W's vectors are built and read in O(n); ``entries``, the dense view, is
@@ -172,73 +173,28 @@ class ValidationReport(Record):
         return tuple(f.vertex for f in self.failures)
 
 
-class _FullCountCertificate:
-    """|det| of every set of r rows of an m x r integer matrix M, from one elimination.
+def _gale_vectors(rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> tuple[list[tuple[int, int]], int]:
+    """Each row's Gale vector up to sign, and |d|, for r + 2 rows of Z^r given by their nonzero (place, value) pairs.
 
-    Reduces M^T (r x m, one column per row of M, built from each row's
-    nonzero (place, value) pairs) by ``fraction_free_reduce``.  The pivot columns are the
-    anchor rows A, the first independent rows in the order given
-    (``validate`` gives them sparsest first), and end as d * I, where d, the
-    last pivot, is +-det M_A; the column of any other row j holds Y_j with
-    d * M_j = Y_j M_A, so ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.
-    Row sets are then judged by the integer identity of the module
-    docstring, with no determinant of M_A beyond d; the minor
-    Y[S - A, A - S] is evaluated directly when it is 1 x 1 or 2 x 2, and
-    reduced by the same elimination when it is larger.
-
-    ``classes`` names each row's class by its first row: a free row, outside
-    A, is a class of its own, and an anchor row's class is its column of Y
-    at the free rows.  ``is_unimodular(missed)`` reads only which free rows
-    are outside ``missed``, the rows of Y[S - A, A - S], and the columns of
-    Y of the anchor rows in ``missed`` at those rows, the minor's columns.
-    So two sets of missed rows with the same multiset of classes leave out
-    the same free rows and give the same minor up to the order of its
-    columns: the same |det|, and the same verdict.  When rank M < r there is
-    no anchor, every row is its own class and no full-count set is a basis.
+    One ``fraction_free_reduce`` of M^T, its columns in the order given
+    (module docstring); every row gets (0, 0), and d = 0, when rank M < r.
     """
+    work: list[dict[int, int]] = [{} for _ in range(rank)]
+    for j, row in enumerate(rows):
+        for t, x in row:
+            work[t][j] = x
+    pivots, d, _ = fraction_free_reduce(work)
+    if len(pivots) < rank:
+        return [(0, 0)] * len(rows), 0
+    y = dict(zip(pivots, work))  # anchor row -> its column of Y, by the rows it holds
+    p, q = [j for j in range(len(rows)) if j not in y]
+    gale = [(y[j].get(p, 0), y[j].get(q, 0)) if j in y else (d, 0) if j == p else (0, d) for j in range(len(rows))]
+    return [max(g, (-g[0], -g[1])) for g in gale], abs(d)
 
-    def __init__(self, rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> None:
-        work: list[dict[int, int]] = [{} for _ in range(rank)]
-        for j, row in enumerate(rows):
-            for t, x in row:
-                work[t][j] = x
-        pivots, d, _ = fraction_free_reduce(work)
-        # Anchor row -> its place in Y's columns; None when rank M < r.
-        self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
-        self.det = d if self.anchor is not None else 0
-        self.reduced = work
-        anchor = self.anchor or {}
-        self.free = [j for j in range(len(rows)) if j not in anchor]
-        first: dict[tuple[int, ...], int] = {}  # an anchor row's column of Y at the free rows -> its first row
-        self.classes = [
-            first.setdefault(tuple([work[anchor[j]].get(f, 0) for f in self.free]), j) if j in anchor else j
-            for j in range(len(rows))
-        ]
-        self.members: dict[int, list[int]] = {}  # a class -> its rows, in order
-        for j, c in enumerate(self.classes):
-            self.members.setdefault(c, []).append(j)
 
-    def first_rows(self, key: Sequence[int]) -> list[int]:
-        """Rows whose classes are ``key``, a sorted multiset of classes: the first rows of each class."""
-        return [self.members[c][t - key.index(c)] for t, c in enumerate(key)]
-
-    def is_unimodular(self, missed: Sequence[int]) -> bool:
-        """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
-        if self.anchor is None:
-            return False
-        outside = [j for j in self.free if j not in missed]
-        if not outside:
-            return abs(self.det) == 1
-        dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]  # Y's columns A - S
-        power = abs(self.det) ** (len(outside) - 1)
-        if len(outside) == 1:
-            return abs(dropped[0].get(outside[0], 0)) == power
-        if len(outside) == 2:  # Y[S - A, A - S] has rows Y_i, Y_j and columns left, right
-            (i, j), (left, right) = outside, dropped
-            return abs(left.get(i, 0) * right.get(j, 0) - right.get(i, 0) * left.get(j, 0)) == power
-        y = [{c: x for c, row in enumerate(dropped) if (x := row.get(j, 0))} for j in outside]
-        pivots, d, _ = fraction_free_reduce(y)
-        return len(pivots) == len(y) and abs(d) == power
+def _gale_minor(g: tuple[int, int], h: tuple[int, int]) -> int:
+    """|det(g, h)|: the r rows other than two with Gale vectors g and h form a basis of Z^r iff it is |d| != 0."""
+    return abs(g[0] * h[1] - g[1] * h[0])
 
 
 def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
@@ -249,48 +205,41 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
 def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]]) -> ValidationReport:
     """Check the direct-summand condition at every vertex of a pair over the truncated n-simplex; never raises.
 
-    Every root facet d0..dn carries a vector of length n - 1, so vertex
-    (i, m) misses the two rows of d{i} and d{m}, its key, and each distinct
-    class of key is judged once.  The rows are numbered in
-    ``sparsest_first`` order, as the pair's ``_FullCountCertificate`` takes
-    them, so that its anchor is the sparsest independent rows: on W the
-    n - 1 unit vectors, with d = 1.  The classes are read off the blocks
-    F x R (module docstring), each judged by ``is_unimodular`` on its
-    ``first_rows``.  ``labels``, a function that lists each vertex's
-    (i, m, cut) in vertex order, is called only when a class fails, to walk
-    the vertices again, in order: each distinct failing key gets its own
-    Smith normal form of the dense vectors, whose invariant factors, not
-    always shared by its class, give its reason, and only a failing
-    vertex's id is read off the polytope.
+    The root facets d0..dn must carry vectors of length n - 1, as a
+    ``WManifold`` checks.  Vertex (i, m) passes iff d != 0 and
+    ``_gale_minor(g, h)`` is |d|, for g and h the Gale vectors of the rows
+    of d{i} and d{m} (module docstring), and each pair of Gale vectors that
+    the blocks F x R meet is judged once.  The rows are numbered in
+    ``sparsest_first`` order, as ``_gale_vectors`` takes them, so that its
+    anchor is the sparsest independent rows: on W the n - 1 unit vectors,
+    with d = 1.  ``labels``, a function that lists each vertex's (i, m, cut)
+    in vertex order, is called only when a pair fails, to walk the vertices
+    again, in order: each distinct failing pair of rows gets its own Smith
+    normal form of the dense vectors, whose invariant factors, not always
+    shared by rows with the same Gale vectors, give its reason, and only a
+    failing vertex's id is read off the polytope.
     """
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     vectors = [pair.assignment[f] for f in ids]
     order = sparsest_first([len(v.nonzero) for v in vectors])
-    place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in the certificate's order
+    place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in ``_gale_vectors``'s order
     n = len(ids) - 1
     root = [place[f"d{j}"] for j in range(n + 1)]
-    certificate = _FullCountCertificate([vectors[row].nonzero for row in order], pair.torus_rank)
-    classes = certificate.classes
+    gale, d = _gale_vectors([vectors[row].nonzero for row in order], pair.torus_rank)
+    of_root = [gale[row] for row in root]
 
-    def class_of(missed: tuple[int, int]) -> tuple[int, int]:
-        a, b = classes[missed[0]], classes[missed[1]]
-        return (a, b) if a < b else (b, a)
-
-    found = set()  # the class pairs of each block F x R
+    found = set()  # the pairs of Gale vectors of each block F x R
     for face in cut_faces(n).values():
-        inside = {classes[root[i]] for i in face}
-        outside = {classes[root[m]] for m in range(n + 1) if m not in face}
-        found |= {(a, b) if a < b else (b, a) for a in inside for b in outside}
-    failed = set()
-    for key in found:
-        if not certificate.is_unimodular(certificate.first_rows(key)):
-            failed.add(key)
+        inside = {of_root[i] for i in face}
+        outside = {of_root[m] for m in range(n + 1) if m not in face}
+        found |= {tuple(sorted((g, h))) for g in inside for h in outside}
+    failed = {gh for gh in found if not d or _gale_minor(*gh) != d}
     entries = [v.entries for v in vectors] if failed else []
-    reasons: dict[tuple[int, int], str] = {}  # the failing keys
+    reasons: dict[frozenset[int], str] = {}  # the failing pairs of rows
     failures = []
     for j, (i, m, _) in enumerate(labels() if failed else ()):
-        missed = (root[i], root[m]) if root[i] < root[m] else (root[m], root[i])
-        if class_of(missed) in failed:
+        if tuple(sorted((of_root[i], of_root[m]))) in failed:
+            missed = frozenset((root[i], root[m]))
             rows = [row for row, f in enumerate(ids) if place[f] not in missed]
             vertex = pair.polytope.vertices[j].id
             kept = tuple([entries[row] for row in rows])

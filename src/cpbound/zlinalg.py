@@ -4,19 +4,19 @@ Matrices are immutable value types that store each row's nonzero entries
 (``Entries``), so a matrix with O(n) of them is built, inverted and applied
 in O(n); reading one densely, row by row, is left to the Smith normal form
 and the tests.  The one fraction-free (Bareiss) Gauss-Jordan elimination,
-which gives determinants, the cores of unimodular inverses and the vertex
-certificates of ``charfn``, runs on sparse rows, dicts from column to
-nonzero entry, and finds a column's rows through a column index; and
-``column_product`` maps a vector's nonzero entries to its image's.  On W's
-glue path the determinant of the signed permutation delta' is its
-permutation's sign, inverting P3's basis reads its unit columns off and
-eliminates a core of at most 2 x 2, and applying delta' to a vector takes
-O(1) steps per nonzero entry.  The Smith normal form is the classical dense
-pivot-and-reduce algorithm, run only on a failing or below-full-count
-vertex set, and ``invariant_factors`` hands it what is left of such a set
-once every row with a single entry +-1 is split off.  No floats, no
-machine-word arithmetic: intermediate determinant values overflow 64 bits
-already at modest sizes.
+which gives determinants, the cores of unimodular inverses and the Gale
+vectors that ``charfn`` judges W's vertices by, runs on sparse rows, dicts
+from column to nonzero entry, and finds a column's rows through a column
+index; and ``column_product`` maps a vector's nonzero entries to its
+image's.  On W's glue path the determinant of the signed permutation delta'
+is its permutation's sign, inverting P3's basis reads its unit columns off
+and eliminates a core of at most 2 x 2, and applying delta' to a vector
+takes O(1) steps per nonzero entry.  The Smith normal form is the classical
+dense pivot-and-reduce algorithm, run only on a failing vertex set and by
+``is_direct_summand``, and ``invariant_factors`` hands it what is left of
+such a set once every row with a single entry +-1 is split off.  No floats,
+no machine-word arithmetic: intermediate determinant values overflow 64
+bits already at modest sizes.
 
 Pivot selection is deterministic, with one rule per elimination: the
 fraction-free elimination takes the columns in index order and the first
@@ -75,15 +75,6 @@ class IntMatrix(Record):
             given = (entries[p : p + cols] for p in range(0, rows * cols, cols))
             entries = Entries(cols, tuple([tuple(zip(compress(places, row), compress(row, row))) for row in given]))
         super().__init__(rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not rows:
-            raise ValueError("no rows given")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("rows have unequal lengths")
-        return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
 
     @classmethod
     def from_nonzero(cls, cols: int, rows: Sequence[Mapping[int, int]]) -> "IntMatrix":

@@ -39,8 +39,11 @@ all its facets but one), which only ``cut_face`` and
 ``fraction_vertex_indices`` read, lives here too.  Vertex validation has a
 second, per-vertex oracle: one ``bareiss_det`` for every distinct
 full-count vector set, the path ``validate`` took before it certified them
-all from one elimination per pair.  That elimination has the rational oracle
-it replaced: ``FractionFullCountCertificate``, a ``Fraction`` reduced row
+all from one elimination per pair.  ``FullCountCertificate`` is that
+elimination for any co-rank, the certificate ``validate`` ran before it read
+W's Gale vectors: it judges a set of rows by an integer minor of any size,
+reducing one of size 3 or more, and it has the rational oracle it replaced:
+``FractionFullCountCertificate``, a ``Fraction`` reduced row
 echelon form of M^T whose non-pivot columns hold the coefficients X of each
 row of M over the anchor rows, with the anchor determinant from
 ``bareiss_det``.  The cells of (W, boundary), which ``cobordism.cell_structure``
@@ -94,13 +97,14 @@ section after: ``dense_canon`` and ``dense_eta_standard`` (dense vectors),
 the blocks) and ``scanning_fraction_free_reduce`` (the elimination that
 tests every row for each pivot column, before its column index).
 No oracle calls ``zlinalg.fraction_free_reduce``, directly or through
-``determinant`` or ``inverse_unimodular``, save the mask path (through
-which ``dense_normalize_simplex_pair`` validates a ``CharPair``) and
-``label_validate``, which reuse ``charfn._FullCountCertificate`` as the
-library did.  One section holds helpers
+``determinant`` or ``inverse_unimodular``, save ``FullCountCertificate``,
+which the mask path (through which ``dense_normalize_simplex_pair``
+validates a ``CharPair``) and ``label_validate`` run, as the library did
+before it read Gale vectors.  One section holds helpers
 over package types that only tests need; they are not oracles, and
 ``inverse_witness`` does use the library's inverse.  ``attach``, which builds
-a pair from plain integer vectors, canonicalizing each, is one of them.
+a pair from plain integer vectors, canonicalizing each, is one of them, and
+``from_rows``, which builds an ``IntMatrix`` from dense rows, another.
 """
 
 from __future__ import annotations
@@ -123,7 +127,6 @@ from cpbound.charfn import (
     ValidationReport,
     VertexCheck,
     _failure_reason,
-    _FullCountCertificate,
     delta_matrix,
     orientation_signs,
     restrict_to_facet,
@@ -158,6 +161,7 @@ from cpbound.polytope import (
     separating_functional,
     vertex_indices,
 )
+from cpbound import zlinalg
 from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
@@ -332,7 +336,7 @@ def sparse_rows(rows) -> list[dict[int, int]]:
 
 
 def nonzero_pairs(rows) -> list[tuple[tuple[int, int], ...]]:
-    """Dense rows as the (place, value) pairs of their nonzero entries, which ``charfn._FullCountCertificate`` takes."""
+    """Dense rows as the (place, value) pairs of their nonzero entries, which ``FullCountCertificate`` takes."""
     return [tuple((j, x) for j, x in enumerate(row) if x) for row in rows]
 
 
@@ -399,7 +403,7 @@ def random_unimodular(rng, n: int) -> IntMatrix:
             c = rng.choice((-3, -2, -1, 1, 2, 3))
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     rng.shuffle(rows)
-    return IntMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 def random_matrix_rows(rng, max_size: int = 5, lo: int = -6, hi: int = 6, square: bool = False):
@@ -1070,6 +1074,80 @@ class FractionFullCountCertificate:
         return abs(self.det) * _fraction_abs_det(minor) == 1
 
 
+class FullCountCertificate:
+    """|det| of every set of r rows of an m x r integer matrix M, from one elimination, for any co-rank m - r.
+
+    The certificate ``charfn.validate`` ran before it read W's Gale vectors,
+    and the one ``mask_validate`` and ``label_validate`` still run.  Reduces
+    M^T (r x m, one column per row of M, built from each row's nonzero
+    (place, value) pairs) by ``zlinalg.fraction_free_reduce``, looked up on
+    the module, so that the work counts that wrap it count these too.  The pivot
+    columns are the anchor rows A, the first independent rows in the order
+    given, and end as d * I, where d, the last pivot, is +-det M_A; the
+    column of any other row j holds Y_j with d * M_j = Y_j M_A, so
+    ``reduced[t].get(j, 0)`` is Y_j's entry at anchor t.  Stacking d * e_t
+    for the anchor rows of a set S and Y_j for the others gives a matrix C
+    with C M_A = d * M_S, and expanding det C along its d * e_t rows gives,
+    with s = |S - A|, |det Y[S - A, A - S]| = |d|^(s - 1) * |det M_S|.  So S
+    is a basis exactly when |det Y[S - A, A - S]| = |d|^(s - 1), and for
+    s = 0 when |d| = 1; the minor is evaluated directly when it is 1 x 1 or
+    2 x 2, and reduced by the same elimination when it is larger.
+
+    ``classes`` names each row's class by its first row: a free row, outside
+    A, is a class of its own, and an anchor row's class is its column of Y
+    at the free rows.  ``is_unimodular(missed)`` reads only which free rows
+    are outside ``missed``, the rows of Y[S - A, A - S], and the columns of
+    Y of the anchor rows in ``missed`` at those rows, the minor's columns.
+    So two sets of missed rows with the same multiset of classes leave out
+    the same free rows and give the same minor up to the order of its
+    columns: the same |det|, and the same verdict.  When rank M < r there is
+    no anchor, every row is its own class and no full-count set is a basis.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> None:
+        work: list[dict[int, int]] = [{} for _ in range(rank)]
+        for j, row in enumerate(rows):
+            for t, x in row:
+                work[t][j] = x
+        pivots, d, _ = zlinalg.fraction_free_reduce(work)
+        # Anchor row -> its place in Y's columns; None when rank M < r.
+        self.anchor = {j: t for t, j in enumerate(pivots)} if len(pivots) == rank else None
+        self.det = d if self.anchor is not None else 0
+        self.reduced = work
+        anchor = self.anchor or {}
+        self.free = [j for j in range(len(rows)) if j not in anchor]
+        first: dict[tuple[int, ...], int] = {}  # an anchor row's column of Y at the free rows -> its first row
+        self.classes = [
+            first.setdefault(tuple([work[anchor[j]].get(f, 0) for f in self.free]), j) if j in anchor else j
+            for j in range(len(rows))
+        ]
+        self.members: dict[int, list[int]] = {}  # a class -> its rows, in order
+        for j, c in enumerate(self.classes):
+            self.members.setdefault(c, []).append(j)
+
+    def first_rows(self, key: Sequence[int]) -> list[int]:
+        """Rows whose classes are ``key``, a sorted multiset of classes: the first rows of each class."""
+        return [self.members[c][t - key.index(c)] for t, c in enumerate(key)]
+
+    def is_unimodular(self, missed: Sequence[int]) -> bool:
+        """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
+        if self.anchor is None:
+            return False
+        outside = [j for j in self.free if j not in missed]
+        if not outside:
+            return abs(self.det) == 1
+        dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]  # Y's columns A - S
+        power = abs(self.det) ** (len(outside) - 1)
+        if len(outside) == 1:
+            return abs(dropped[0].get(outside[0], 0)) == power
+        if len(outside) == 2:  # Y[S - A, A - S] has rows Y_i, Y_j and columns left, right
+            (i, j), (left, right) = outside, dropped
+            return abs(left.get(i, 0) * right.get(j, 0) - right.get(i, 0) * left.get(j, 0)) == power
+        y = [{c: x for c, row in enumerate(dropped) if (x := row.get(j, 0))} for j in outside]
+        pivots, d, _ = zlinalg.fraction_free_reduce(y)
+        return len(pivots) == len(y) and abs(d) == power
+
+
 def per_vertex_validate(pair: CharPair) -> ValidationReport:
     """``validate`` with one determinant per distinct full-count vector set, SNF below it."""
     reasons: dict[tuple[tuple[int, ...], ...], str] = {}
@@ -1086,7 +1164,7 @@ def per_vertex_validate(pair: CharPair) -> ValidationReport:
                 ok = is_direct_summand(vectors, pair.torus_rank)
             reasons[vectors] = ""
             if not ok:
-                factors = smith_normal_form(IntMatrix.from_rows(vectors))
+                factors = smith_normal_form(from_rows(vectors))
                 reasons[vectors] = f"vectors do not span a direct summand (invariant factors {factors})"
         if reasons[vectors]:
             failures.append(VertexCheck(v.id, tuple(mapped), vectors, False, reasons[vectors]))
@@ -1094,6 +1172,17 @@ def per_vertex_validate(pair: CharPair) -> ValidationReport:
 
 
 # --- helpers over package types that only tests use ---------------------------
+
+
+def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """The ``IntMatrix`` whose rows are ``rows``, given densely; ragged or no rows are refused."""
+    if not rows:
+        raise ValueError("no rows given")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows have unequal lengths")
+    return IntMatrix(len(rows), width, tuple(int(x) for r in rows for x in r))
+
 
 
 def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
@@ -1211,7 +1300,7 @@ def mask_validate(pair: CharPair, verdicts: Verdicts | None = None) -> Validatio
     assigned facets.  Its verdict is looked up in ``verdicts`` by that mask
     mapped back to ``verdicts.facet_ids``, W's; only a vertex whose mask is
     not there, or fails, has its vectors built.  A new set is certified at
-    full count by the pair's ``_FullCountCertificate``, built on the first
+    full count by the pair's ``FullCountCertificate``, built on the first
     such set, from the rows the vertex misses, and otherwise by the Smith
     normal form, which also gives a failing set's invariant factors.  On W
     n(n+4)/4 masks cover the n(n+4)/2 vertices; a component's masks are all W's.
@@ -1228,7 +1317,7 @@ def mask_validate(pair: CharPair, verdicts: Verdicts | None = None) -> Validatio
     row_of = {f: row for row, f in enumerate(ids)}
     row_at = [row_of.get(f) for f in P.facet_ids]  # bit place -> row of M
     assigned = sum(1 << j for j, row in enumerate(row_at) if row is not None)
-    certificate: _FullCountCertificate | None = None
+    certificate: FullCountCertificate | None = None
     failures = []
     for v, mask in zip(P.vertices, P.incidence):
         mapped = mask & assigned
@@ -1241,7 +1330,7 @@ def mask_validate(pair: CharPair, verdicts: Verdicts | None = None) -> Validatio
         full = mapped.bit_count() == rank
         if reason is None and full:
             if certificate is None:
-                certificate = _FullCountCertificate([pair.assignment[f].nonzero for f in ids], rank)
+                certificate = FullCountCertificate([pair.assignment[f].nonzero for f in ids], rank)
             if certificate.is_unimodular(_rows(assigned ^ mapped, row_at)):
                 reasons[key] = ""
                 continue
@@ -1629,7 +1718,7 @@ def label_validate(pair: CharPair, labels) -> ValidationReport:
 
     Vertex (i, m) misses the rows of d{i} and d{m}; each label gives the
     class pair of its two root rows, and the found classes are judged once
-    each by the library's ``_FullCountCertificate``, built on the dense
+    each by ``FullCountCertificate``, built on the dense
     vectors' nonzero entries in sparsest-first row order.  A failing class
     is walked over the labels again, in order.
     """
@@ -1641,7 +1730,7 @@ def label_validate(pair: CharPair, labels) -> ValidationReport:
     width = len(ids) - rank
     root = [place[f"d{j}"] for j in range(len(ids))]
     rows = [entries[row] for row in order]
-    certificate = _FullCountCertificate(nonzero_pairs(rows), rank) if width == 2 and labels else None
+    certificate = FullCountCertificate(nonzero_pairs(rows), rank) if width == 2 and labels else None
     classes = certificate.classes if certificate else range(len(ids))
 
     def class_of(missed):

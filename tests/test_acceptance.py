@@ -35,7 +35,6 @@ from cpbound.cobordism import (
 )
 from cpbound.polytope import combinatorially_isomorphic, product, truncated_simplex
 from cpbound.zlinalg import (
-    IntMatrix,
     apply_matrix,
     is_direct_summand,
     permutation_sign,
@@ -46,6 +45,7 @@ from oracles import (
     attach,
     cofactor_det,
     fraction_rank,
+    from_rows,
     identity,
     mask_components,
     mask_verify_translation,
@@ -246,7 +246,7 @@ def test_criterion_10_mutation_and_snf_robustness():
         checked = 0
         for _ in range(220):
             rows = random_matrix_rows(rng, max_size=5)
-            m = IntMatrix.from_rows(rows)
+            m = from_rows(rows)
             factors = smith_normal_form(m)
             assert factors == minor_gcd_invariant_factors(rows)
             assert len(factors) == fraction_rank(rows)

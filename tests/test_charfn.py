@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cpbound.charfn import (
     CharPair,
-    _FullCountCertificate,
     CharVector,
     CutPair,
     TranslationWitness,
@@ -33,6 +32,7 @@ from cpbound.zlinalg import IntMatrix, apply_matrix, determinant, permutation_si
 
 from oracles import (
     FractionFullCountCertificate,
+    FullCountCertificate,
     attach,
     bareiss_det,
     cofactor_det,
@@ -41,6 +41,7 @@ from oracles import (
     dense_normalize_simplex_pair,
     edges_of,
     fraction_rank,
+    from_rows,
     identity,
     inverse_witness,
     mask_components,
@@ -389,7 +390,7 @@ class TestFullCountCertificate:
     @example(([[4, 2], [6, 3], [1, 1]], 2))
     def test_matches_the_fraction_certificate(self, case):
         rows, rank = case
-        certificate = _FullCountCertificate(nonzero_pairs(rows), rank)
+        certificate = FullCountCertificate(nonzero_pairs(rows), rank)
         oracle = FractionFullCountCertificate(rows, rank)
         assert certificate.anchor == oracle.anchor
         if oracle.anchor is None:
@@ -423,7 +424,7 @@ class TestKeyClasses:
     @example(([[1, 2], [2, 4], [3, 6], [1, 2]], 2))  # rank M < r: every row its own class
     def test_a_class_shares_the_cofactor_verdict(self, case):
         rows, rank = case
-        certificate = _FullCountCertificate(nonzero_pairs(rows), rank)
+        certificate = FullCountCertificate(nonzero_pairs(rows), rank)
         classes = certificate.classes
         if certificate.anchor is None:
             assert classes == list(range(len(rows)))
@@ -478,7 +479,7 @@ class TestMinorsAgainstBareiss:
     def test_verdict_is_the_kept_rows_determinant(self, case):
         rows, rank, missed = case
         kept = [rows[j] for j in range(len(rows)) if j not in missed]
-        assert _FullCountCertificate(nonzero_pairs(rows), rank).is_unimodular(missed) == (abs(bareiss_det(kept)) == 1)
+        assert FullCountCertificate(nonzero_pairs(rows), rank).is_unimodular(missed) == (abs(bareiss_det(kept)) == 1)
 
 
 class TestValidateMaskMemo:
@@ -650,7 +651,7 @@ class TestVerifyTranslation:
 
     def test_witness_requires_unimodular_delta(self):
         with pytest.raises(ValueError, match="determinant"):
-            TranslationWitness({}, IntMatrix.from_rows([[2, 0], [0, 1]]))
+            TranslationWitness({}, from_rows([[2, 0], [0, 1]]))
 
     @pytest.mark.parametrize("n", EVEN_RANGE)
     def test_witness_rejects_delta_prime_with_an_entry_2(self, n):

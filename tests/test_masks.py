@@ -14,12 +14,15 @@ the mask path's (``oracles.mask_glue_report`` and its parts), the boundary
 components read off the blocks F x R must be the label walks'
 (``oracles.label_components`` and its recognizer and translation check), and
 on the mutated corpus ``validate`` judges each distinct class of full-count
-key once.
+key, its pair of Gale vectors, once.  Its one 2 x 2 Gale minor per vertex
+must decide as ``oracles.FullCountCertificate`` does, on random tables and
+on built, loaded, g eta and mutated W.
 """
 
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,10 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpbound import charfn
 from cpbound.charfn import (
     CharVector,
     TranslationWitness,
-    _FullCountCertificate,
     delta_matrix,
     eta_facet_assignment,
     normalize_simplex_pair,
@@ -63,9 +66,11 @@ from cpbound.polytope import (
     truncated_simplex,
     truncation_labels,
 )
+from cpbound.zlinalg import apply_matrix
 
 from oracles import (
     FractionFullCountCertificate,
+    FullCountCertificate,
     Verdicts,
     attach,
     bareiss_det,
@@ -86,6 +91,7 @@ from oracles import (
     label_verify_translation,
     matrix_rows,
     per_vertex_validate,
+    random_unimodular,
     renumbering,
     simplex,
 )
@@ -504,35 +510,46 @@ class TestBlocksAgainstLabelWalks:
 
 
 def key_classes(pair):
-    """The rows of M in the certificate's order, by (nonzero entries, facet id), and a function from a set
-    of missed rows to its class: the sorted classes of its rows.  A row outside the anchor of
-    ``FractionFullCountCertificate`` is its own class; an anchor row's class is the column of the other
-    rows' coefficients over the anchor that belongs to it."""
+    """The rows of M in ``validate``'s order, by (nonzero entries, facet id), and a function from a set of
+    two missed rows to its class: the sorted Gale vectors of its rows, up to sign.  They are read off
+    ``FractionFullCountCertificate``: with D = det M_A and X a free row's coefficients over the anchor A,
+    the two free rows get (D, 0) and (0, D), and an anchor row the D X of the two free rows at it."""
     rank = pair.torus_rank
     ids = sorted(pair.assignment, key=lambda f: (sum(x != 0 for x in pair.assignment[f].entries), f))
     oracle = FractionFullCountCertificate([pair.assignment[f].entries for f in ids], rank)
-    anchor = oracle.anchor or {}
-    free = [j for j in range(len(ids)) if j not in anchor]
-    cls = [(0, tuple(oracle.coefficients[f][anchor[j]] for f in free)) if j in anchor else (1, j) for j in range(len(ids))]
-    return ids, lambda missed: tuple(sorted(cls[j] for j in missed))
+    gale = [(0, 0)] * len(ids)
+    if oracle.anchor is not None:
+        p, q = [j for j in range(len(ids)) if j not in oracle.anchor]
+        D, X = oracle.det, oracle.coefficients
+        gale = [(D * X[p][t], D * X[q][t]) if (t := oracle.anchor.get(j)) is not None else (D, 0) if j == p else (0, D)
+                for j in range(len(ids))]
+        assert all(x.denominator == 1 for g in gale for x in map(Fraction, g))
+        gale = [max((int(a), int(b)), (-int(a), -int(b))) for a, b in gale]
+    return ids, lambda missed: tuple(sorted(gale[j] for j in missed))
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """The pairs of Gale vectors whose minor ``validate`` evaluates, in call order."""
+    pairs = []
+    minor = charfn._gale_minor
+
+    def recording(g, h):
+        pairs.append((g, h))
+        return minor(g, h)
+
+    monkeypatch.setattr(charfn, "_gale_minor", recording)
+    return pairs
 
 
 class TestFailingKeysJudgedOnce:
-    """``validate`` judges each distinct class of missed-row key once and walks the vertices again only
-    when a class fails.  On the mutated corpus, built and loaded, its failures are the mask path's
-    (``oracles.mask_validate``) and the per-vertex oracle's, in the same order, and
-    ``is_unimodular`` runs once per distinct class of full-count key, on a key of each."""
+    """``validate`` judges each distinct class of missed-row key, its pair of Gale vectors, by one 2 x 2
+    minor and walks the vertices again only when a class fails.  On the mutated corpus, built and loaded,
+    its failures are the mask path's (``oracles.mask_validate``) and the per-vertex oracle's, in the same
+    order, and ``_gale_minor`` runs once per distinct class of full-count key."""
 
     @pytest.mark.parametrize("k", (1, 2, 3, 5))
-    def test_mutated_corpus(self, monkeypatch, k):
-        judged = []
-        is_unimodular = _FullCountCertificate.is_unimodular
-
-        def recording(certificate, missed):
-            judged.append(tuple(missed))
-            return is_unimodular(certificate, missed)
-
-        monkeypatch.setattr(_FullCountCertificate, "is_unimodular", recording)
+    def test_mutated_corpus(self, judged, k):
         n = 2 * (k + 1)
         rng = random.Random(800 + k)
         P = truncated_simplex(n)
@@ -554,23 +571,18 @@ class TestFailingKeysJudgedOnce:
                 assert not expected.ok
                 judged.clear()
                 report = validate(pair, lambda: w.labels)
-                assert len(judged) == len(classes)
-                assert {class_of(missed) for missed in judged} == classes
+                if classes == {((0, 0), (0, 0))}:  # rank M < r: no minor is evaluated
+                    assert judged == []
+                else:
+                    assert len(judged) == len(set(judged)) == len(classes)
+                    assert set(judged) == classes
                 assert report == expected == w.report
                 assert report.failures == mask_validate(pair).failures
         assert merged  # some classes hold more than one key
 
     @pytest.mark.parametrize("k", (1, 2, 3))
-    def test_rank_deficient_m(self, monkeypatch, k):
-        """When rank M < r there is no anchor: every full-count key is its own class, and every one fails."""
-        judged = []
-        is_unimodular = _FullCountCertificate.is_unimodular
-
-        def recording(certificate, missed):
-            judged.append(tuple(missed))
-            return is_unimodular(certificate, missed)
-
-        monkeypatch.setattr(_FullCountCertificate, "is_unimodular", recording)
+    def test_rank_deficient_m(self, judged, k):
+        """When rank M < r there is no anchor and d = 0: no minor is evaluated, and every vertex fails."""
         n = 2 * (k + 1)
         units = [tuple(int(p == q) for q in range(n - 1)) for p in range(2)]
         table = {f"d{m}": units[m % 2] if m < 2 else tuple(a + b for a, b in zip(*units)) for m in range(n + 1)}
@@ -580,8 +592,117 @@ class TestFailingKeysJudgedOnce:
             assert len(expected.failures) == expected.checked_vertices
             judged.clear()
             assert validate(w.pair, lambda: w.labels) == expected
-            assert len(judged) == len(set(judged)) == len({tuple(sorted(f.facets)) for f in expected.failures})
+            assert judged == []
             assert mask_validate(w.pair) == expected
+
+
+def random_table(n, rng):
+    """n + 1 nonzero vectors of Z^(n-1), for the root facets d0..dn: sparse 0/+-1 entries, denser entries in
+    [-2, 2], or sparse ones with a column zeroed, so that d = 1, |d| > 1 and rank M < r all occur."""
+    r = n - 1
+    shape = rng.choice(("sparse", "sparse", "dense", "deficient"))
+    bound, density = (2, 0.7) if shape == "dense" else (1, 0.35)
+    rows = []
+    for _ in range(n + 1):
+        v = [0] * r
+        while not any(v):
+            v = [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(r)]
+        rows.append(v)
+    if shape == "deficient":
+        c = rng.randrange(r)
+        rows = [v[:c] + [0] + v[c + 1 :] if any(v[:c] + v[c + 1 :]) else v for v in rows]
+    return {f"d{m}": tuple(v) for m, v in enumerate(rows)}
+
+
+def twisted(W, rng):
+    """W through its JSON with every vector replaced by g eta, g a random unimodular matrix."""
+    g = random_unimodular(rng, W.n - 1)
+    data = json.loads(json.dumps(wmanifold_to_json(W)))
+    data["pair"]["vectors"] = {f: list(apply_matrix(g, v)) for f, v in data["pair"]["vectors"].items()}
+    return wmanifold_from_json(data)
+
+
+def assert_gale_rule_is_the_certificate(w):
+    """``validate``'s verdict at every vertex (i, m) of ``w`` is ``oracles.FullCountCertificate``'s on the rows
+    of d{i} and d{m}, and ``_gale_vectors`` with ``_gale_minor`` decides every pair of rows, vertex or not, as
+    the certificate does; returns |d| and the number of vertices that pass."""
+    pair = w.pair
+    ids = tuple(pair.assignment)
+    row = {f: j for j, f in enumerate(ids)}
+    rows = [pair.assignment[f].nonzero for f in ids]
+    certificate = FullCountCertificate(rows, pair.torus_rank)
+    gale, d = charfn._gale_vectors(rows, pair.torus_rank)
+    assert d == abs(certificate.det)
+    for i in range(len(ids)):
+        for m in range(i + 1, len(ids)):
+            assert (d != 0 and charfn._gale_minor(gale[i], gale[m]) == d) == certificate.is_unimodular([i, m])
+    failing = set(validate(pair, lambda: w.labels).failing_vertices())
+    passed = 0
+    for v, (i, m, _) in zip(pair.polytope.vertices, w.labels):
+        expected = certificate.is_unimodular(sorted((row[f"d{i}"], row[f"d{m}"])))
+        assert (v.id not in failing) == expected
+        passed += expected
+    return d, passed
+
+
+class TestGaleRule:
+    """One 2 x 2 Gale minor per vertex, |det(g_i, g_m)| = |d|, against the certificate of any co-rank it
+    replaced (``oracles.FullCountCertificate``) on random tables, on built, loaded and g eta W, and on the
+    mutated corpus."""
+
+    @pytest.mark.parametrize("n", (4, 6, 8, 10))
+    def test_random_tables(self, n):
+        rng = random.Random(1100 + n)
+        kinds = Counter()
+        for _ in range(40):
+            W = WManifold(attach(truncated_simplex(n), random_table(n, rng), n - 1), n, Fraction(1, 5))
+            for w in (W, loaded(W)):
+                d, passed = assert_gale_rule_is_the_certificate(w)
+            kinds["rank M < r" if d == 0 else "d = 1" if d == 1 else "|d| > 1"] += 1
+        assert len(kinds) == 3, kinds
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 12), r1=st.sampled_from(R1S), source=st.sampled_from(("built", "loaded", "twisted")))
+    def test_built_loaded_and_twisted_w(self, k, r1, source):
+        W = build_W(k, r1)
+        w = {"built": W, "loaded": loaded(W), "twisted": twisted(W, random.Random(k))}[source]
+        d, passed = assert_gale_rule_is_the_certificate(w)
+        assert passed == len(w.labels) and w.report.ok
+        assert d == 1  # g eta has eta's relations, whose Gale vectors make every independent n - 1 rows a basis
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 5))
+    def test_mutated_corpus(self, k):
+        n = 2 * (k + 1)
+        rng = random.Random(1200 + k)
+        scaled_anchor_passes = False  # |d| > 1, yet a vertex is a basis
+        for r1 in R1S:
+            P = truncated_simplex(n, r1)
+            corpus = [WManifold(attach(P, table, n - 1), n, r1) for table in mutated_tables(k, rng)]
+            for W in [mutated_W(k, rng)] + corpus:
+                for w in (W, loaded(W)):
+                    d, passed = assert_gale_rule_is_the_certificate(w)
+                    scaled_anchor_passes |= d > 1 and passed > 0
+        assert scaled_anchor_passes
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_w_gale_table(monkeypatch, k):
+    """W's Gale vectors, as ``validate`` reads them: d = 1, and, up to sign, (1, 0) and (0, 1) n/2 times
+    each and (1, 1) once, so the 3 pairs of distinct vectors are the only minors judged."""
+    made = []
+    gale_vectors = charfn._gale_vectors
+
+    def recording(rows, rank):
+        made.append(gale_vectors(rows, rank))
+        return made[-1]
+
+    monkeypatch.setattr(charfn, "_gale_vectors", recording)
+    W = build_W(k)
+    n = W.n
+    assert W.report.ok
+    ((gale, d),) = made
+    assert d == 1
+    assert Counter(gale) == {(1, 0): n // 2, (0, 1): n // 2, (1, 1): 1}
 
 
 class TestMasksThatCollideUnderHash:

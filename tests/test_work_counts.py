@@ -4,11 +4,12 @@ Every artifact is computed once per manifold: one validation of W per
 request, one cell structure per seed, read off the functional's entries
 without a vertex or its label, one integer elimination and no
 determinant for all the full-count vertex vector sets (anchored on the
-n - 1 unit vectors, with d = 1 and no row updated; each set a minor of
-size at most 2, one per class of missed root pair {i, m}, 8 at every k,
-with no elimination of its own), no coordinate made for a built W by
-``glue_report``, ``cell_stage``, ``validate`` or ``boundary_h_vectors``, no
-validation of a boundary component (each reads W's report), one
+n - 1 unit vectors, with d = 1 and no row updated; each set judged by one
+2 x 2 minor of the Gale vectors of its missed root pair {i, m}, one per
+pair of Gale vectors, 3 at every k, with no elimination of its own), no
+coordinate made for a built W by ``glue_report``, ``cell_stage``,
+``validate`` or ``boundary_h_vectors``, no validation of a boundary
+component (each reads W's report), one
 determinant per request (none for the orientation record or the P3 basis
 change), read off delta' as a signed permutation, and two eliminations per
 request, the second of at most 2 rows (P3's basis, once its unit columns are
@@ -245,17 +246,17 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
     count(zlinalg, "determinant")
     count(zlinalg, "smith_normal_form")
     count(zlinalg, "fraction_free_reduce")
-    count(charfn, "_FullCountCertificate")
+    count(charfn, "_gale_vectors")
     for _ in range(2):  # nothing is remembered across requests
         counts.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
-        # W's one certificate serves the components through W.verdicts and
-        # needs no determinant; the one is the witness check of delta',
+        # W's one set of Gale vectors serves the components through W.report
+        # and needs no determinant; the one is the witness check of delta',
         # read off its rows as a signed permutation, with no elimination.
         # The two eliminations reduce W's M^T and invert the P3 basis
         # change, which gives that change's determinant too; det delta' for
         # the orientation record is the sign of the reversal delta' permutes by.
-        assert counts == {"_FullCountCertificate": 1, "determinant": 1, "fraction_free_reduce": 2}
+        assert counts == {"_gale_vectors": 1, "determinant": 1, "fraction_free_reduce": 2}
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 8))
@@ -277,22 +278,21 @@ def test_vertex_sets_of_w_run_no_elimination(calls, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_w_memo_holds_one_key_per_missed_root_pair(monkeypatch, k):
-    """Vertex (i, m) misses the rows d_i, d_m, and a pair of rows is judged once per class: the two dense
-    eta vectors are classes of their own and the unit vectors fall into three, so 8 minors judge the
-    n(n+4)/2 vertices at every k."""
+    """Vertex (i, m) is judged by the Gale vectors of the rows d_i, d_m, and a pair of Gale vectors is judged
+    once: W's are (1, 0), (0, 1) and (1, 1), so 3 minors judge the n(n+4)/2 vertices at every k."""
     judged = []
-    is_unimodular = charfn._FullCountCertificate.is_unimodular
+    minor = charfn._gale_minor
 
-    def recording(certificate, missed):
-        judged.append(tuple(missed))
-        return is_unimodular(certificate, missed)
+    def recording(g, h):
+        judged.append((g, h))
+        return minor(g, h)
 
-    monkeypatch.setattr(charfn._FullCountCertificate, "is_unimodular", recording)
+    monkeypatch.setattr(charfn, "_gale_minor", recording)
     W = build_W(k)
     n = W.n
     assert W.report.ok and W.report.checked_vertices == len(W.labels) == n * (n + 4) // 2
-    assert len(judged) == len(set(judged)) == 8
-    assert all(len(missed) == 2 for missed in judged)
+    assert len(judged) == len(set(judged)) == 3
+    assert set(judged) == {((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
 
 
 @pytest.fixture
@@ -382,27 +382,34 @@ def test_glue_report_reads_no_matrix_densely(monkeypatch, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12))
 def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
-    """``validate`` hands W's certificate the rows of M sparsest first, so its anchor is the n - 1 unit eta
+    """``validate`` hands ``_gale_vectors`` the rows of M sparsest first, so its anchor is the n - 1 unit eta
     vectors, with d = 1, and the reduction of M^T swaps rows and updates none."""
-    made = []
-    init = charfn._FullCountCertificate.__init__
+    made, reduced = [], []
+    gale_vectors, reduce = charfn._gale_vectors, charfn.fraction_free_reduce
 
-    def recording(certificate, rows, rank):
-        init(certificate, rows, rank)
-        made.append((certificate, [zlinalg.dense(rank, row) for row in rows]))  # each row's nonzero entries
+    def recording(rows, rank):
+        made.append(([zlinalg.dense(rank, row) for row in rows], gale_vectors(rows, rank)))  # each row's entries
+        return made[-1][1]
 
-    monkeypatch.setattr(charfn._FullCountCertificate, "__init__", recording)
+    def reducing(a):
+        result = reduce(a)
+        reduced.append((a, result))
+        return result
+
+    monkeypatch.setattr(charfn, "_gale_vectors", recording)
+    monkeypatch.setattr(charfn, "fraction_free_reduce", reducing)
     W = build_W(k)
     n = W.n
     assert W.report.ok
-    ((certificate, rows),) = made
-    assert certificate.det == 1
+    ((rows, (_, d)),) = made
+    ((work, (pivots, last, _)),) = reduced
+    assert d == abs(last) == 1
     units = {tuple(int(p == q) for q in range(n - 1)) for p in range(n - 1)}
     assert units <= {v.entries for v in charfn.eta_standard(n).values()}
-    anchor = [rows[j] for j in certificate.anchor]
+    anchor = [rows[j] for j in pivots]
     assert len(anchor) == n - 1 and set(anchor) == units
     transposed = [sorted((j, x) for j, x in enumerate(column) if x) for column in zip(*rows)]
-    assert sorted(sorted(row.items()) for row in certificate.reduced) == sorted(transposed)  # swapped, not updated
+    assert sorted(sorted(row.items()) for row in work) == sorted(transposed)  # swapped, not updated
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))
