@@ -203,27 +203,31 @@ def _failure_reason(vectors: tuple[tuple[int, ...], ...]) -> str:
 
 
 def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]]) -> ValidationReport:
-    """Check the direct-summand condition at every vertex of a pair over the truncated n-simplex; never raises.
+    """Check the direct-summand condition at every vertex of a pair over the truncated n-simplex.
 
-    The root facets d0..dn must carry vectors of length n - 1, as a
-    ``WManifold`` checks.  Vertex (i, m) passes iff d != 0 and
-    ``_gale_minor(g, h)`` is |d|, for g and h the Gale vectors of the rows
-    of d{i} and d{m} (module docstring), and each pair of Gale vectors that
-    the blocks F x R meet is judged once.  The rows are numbered in
-    ``sparsest_first`` order, as ``_gale_vectors`` takes them, so that its
-    anchor is the sparsest independent rows: on W the n - 1 unit vectors,
-    with d = 1.  ``labels``, a function that lists each vertex's (i, m, cut)
-    in vertex order, is called only when a pair fails, to walk the vertices
-    again, in order: each distinct failing pair of rows gets its own Smith
-    normal form of the dense vectors, whose invariant factors, not always
-    shared by rows with the same Gale vectors, give its reason, and only a
-    failing vertex's id is read off the polytope.
+    The vectors must sit on the root facets d0..dn, with length n - 1, as a
+    ``WManifold`` checks; ``ValueError`` names the first facet, in id order,
+    whose vector has another length.  Vertex (i, m) passes iff
+    d != 0 and ``_gale_minor(g, h)`` is |d|, for g and h the Gale vectors of
+    the rows of d{i} and d{m} (module docstring), and each pair of Gale
+    vectors that the blocks F x R meet is judged once.  The rows are
+    numbered in ``sparsest_first`` order, as ``_gale_vectors`` takes them,
+    so that its anchor is the sparsest independent rows: on W the n - 1 unit
+    vectors, with d = 1.  ``labels``, a function that lists each vertex's
+    (i, m, cut) in vertex order, is called only when a pair fails, to walk
+    the vertices again, in order: each distinct failing pair of rows gets
+    its own Smith normal form of the dense vectors, whose invariant factors,
+    not always shared by rows with the same Gale vectors, give its reason,
+    and only a failing vertex's id is read off the polytope.
     """
     ids = tuple(pair.assignment)  # sorted, like facet_ids
     vectors = [pair.assignment[f] for f in ids]
+    n = len(ids) - 1
+    for f, v in zip(ids, vectors):
+        if len(v) != n - 1:
+            raise ValueError(f"vector on facet {f} has length {len(v)}, expected {n - 1}")
     order = sparsest_first([len(v.nonzero) for v in vectors])
     place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in ``_gale_vectors``'s order
-    n = len(ids) - 1
     root = [place[f"d{j}"] for j in range(n + 1)]
     gale, d = _gale_vectors([vectors[row].nonzero for row in order], pair.torus_rank)
     of_root = [gale[row] for row in root]

@@ -214,28 +214,24 @@ def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
     b_i+1, ..., b_i+t_i, one each.  One walk of c's sorted order, with a
     count per face, gives every b_i and t_i, as b_i + t_i is i's place in
     that order, and a difference array sums the intervals: O(n log n) after
-    the draw.  The vertex of index 0 is (i, lowest m) for
-    b_i = t_i = 0; one of index n is a generator with b_i + t_i = n.
+    the draw.  The counts do not depend on c: index j has as many generators
+    as there are i with b_i < j, less those with b_i + t_i < j; within a
+    face F the b_i + 1 run over 1..|F|, and the places b_i + t_i over 0..n,
+    so index j has the sum over F of min(|F|, j), less j: one at j = n.
     """
     n = W.n
     face_of = cut_places(n)
     c = _separating_draw(n, seed)
     steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
-    extremes = [0, 0]  # vertices of index 0 and of index n
     below = [0, 0, 0]  # entries of c so far inside each face
     for p, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
-        b = below[face_of[j]]  # and t = p - b outside j's face
-        below[face_of[j]] += 1
-        steps[b + 1] += 1
+        steps[below[face_of[j]] + 1] += 1  # b = below[face_of[j]] inside j's face, and t = p - b outside it
         steps[p + 1] -= 1
-        if p in (0, n):
-            extremes[p == n] += 1
-    if extremes != [1, 1]:
-        raise ValueError("index profile is degenerate: expected a unique source and sink")
-    structure = CellStructure(n, tuple((j, count) for j, count in enumerate(accumulate(steps)) if count))
-    if structure.index_counts().get(n, 0) != 1:
+        below[face_of[j]] += 1
+    counts = tuple((j, count) for j, count in enumerate(accumulate(steps)) if count)
+    if counts[-1] != (n, 1):
         raise AssertionError("expected exactly one top-dimensional cell")
-    return structure
+    return CellStructure(n, counts)
 
 
 class HomologyTable(Record):
@@ -288,19 +284,18 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     A failure of the ``seed`` structure itself is raised.
     """
     structure = cell_structure(W, seed)
-    counts = structure.cell_counts()
     stable, extra_error = True, None
     for s in range(1, extra_seeds + 1):
         try:
-            if cell_structure(W, seed + s).cell_counts() != counts:
+            if cell_structure(W, seed + s).counts != structure.counts:
                 stable = False
         except (ValueError, AssertionError) as exc:
             extra_error = exc
             break
-    homology = HomologyTable(((0, 0),) + tuple(sorted(counts.items())))
-    n = W.n
-    boundary = sum(len(face) * (n + 1 - len(face)) for face in cut_faces(n).values())
-    euler = EulerCheck(sum(structure.index_counts().values()), boundary // 2)
+    counts = structure.cell_counts()  # sorted by degree, as ``structure.counts`` is by index
+    homology = HomologyTable(((0, 0),) + tuple(counts.items()))
+    boundary = sum(len(face) * (W.n + 1 - len(face)) for face in cut_faces(W.n).values())
+    euler = EulerCheck(sum(counts.values()), boundary // 2)
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 

@@ -43,6 +43,7 @@ import random
 from collections.abc import Callable, Collection, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import islice, repeat
 from math import lcm
 from operator import mul, or_
 
@@ -276,12 +277,8 @@ def cut_faces(n: int) -> dict[str, range]:
 
 
 def cut_places(n: int) -> list[int]:
-    """The place in (``P1``, ``P2``, ``P3``) of the cut face holding each root vertex 0..n."""
-    cut_of = [0] * (n + 1)
-    for c, face in enumerate(cut_faces(n).values()):
-        for i in face:
-            cut_of[i] = c
-    return cut_of
+    """The place in (``P1``, ``P2``, ``P3``) of the cut face holding each root vertex 0..n, as ``cut_faces`` cuts."""
+    return [0] * (n // 2) + [2] + [1] * (n // 2)
 
 
 def truncation_labels(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -529,12 +526,16 @@ def functional_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tup
     rarely puts two vertices at one value, however large the polytope.  Up to
     1000 vertices B is ``FUNCTIONAL_COEFF_BOUND``.  A caller takes the first
     draw that serves it; once ``FUNCTIONAL_RETRY_BUDGET`` draws are spent,
-    the next one raises ``ValueError``.
+    the next one raises ``ValueError``.  The coefficients are those of
+    ``randrange(-B, B + 1)``, value for value, drawn as it draws them: r =
+    ``getrandbits`` of the bit length of 2B + 1, redrawn until r < 2B + 1.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     bound = max(FUNCTIONAL_COEFF_BOUND, vertex_count**2)
+    width = 2 * bound + 1
+    coefficients = (r - bound for r in map(getrandbits, repeat(width.bit_length())) if r < width)
     for _ in range(FUNCTIONAL_RETRY_BUDGET):
-        yield tuple([rng.randrange(-bound, bound + 1) for _ in range(ambient)])  # the values randint(-bound, bound) draws
+        yield tuple(islice(coefficients, ambient))
     raise ValueError(
         f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
         "vertex coordinates are degenerate"

@@ -58,7 +58,10 @@ walk ``cpbound boundary`` ran before, the count of vertices of each index
 under ``vertex_indices``.
 ``closed_form_cell_structure`` is the per-vertex closed form it ran next,
 which reads each index off the vertex's (i, m, cut) label; ``generator_counts``
-counts either list by index.
+counts either list by index.  ``closed_form_index_counts`` writes the counts
+with no functional at all, from the sizes of the three cut faces.
+``randrange_draws`` is ``polytope.functional_draws`` as it drew before it
+called ``getrandbits`` itself, one ``random.randrange`` per coefficient.
 The library's one elimination, ``zlinalg.fraction_free_reduce``, runs on
 sparse rows, dicts from column to nonzero entry, and its matrix-vector
 product, ``zlinalg.column_product``, over a vector's nonzero entries and the
@@ -112,7 +115,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -873,6 +876,18 @@ def label_by_isomorphism_search(P: SimplePolytope) -> str | None:
     return None
 
 
+def randrange_draws(ambient: int, vertex_count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """``functional_draws`` as it drew before it called ``getrandbits`` itself: one ``randrange`` per coefficient."""
+    rng = random.Random(seed)
+    bound = max(FUNCTIONAL_COEFF_BOUND, vertex_count**2)
+    for _ in range(FUNCTIONAL_RETRY_BUDGET):
+        yield tuple([rng.randrange(-bound, bound + 1) for _ in range(ambient)])  # the values randint(-bound, bound) draws
+    raise ValueError(
+        f"no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "
+        "vertex coordinates are degenerate"
+    )
+
+
 def fraction_separating_functional(P: SimplePolytope, seed: int):
     """``separating_functional`` evaluated in ``Fraction`` arithmetic at the vertex coordinates.
 
@@ -993,6 +1008,19 @@ def closed_form_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerat
     if extremes != [1, 1]:
         raise ValueError("index profile is degenerate: expected a unique source and sink")
     return _checked_top_cell(n, gens)
+
+
+def closed_form_index_counts(n: int) -> dict[int, int]:
+    """``cell_structure``'s counts by index with no functional: sum over the cut faces F of min(|F|, j), less j.
+
+    The generators at a root i of F have the indices b_i+1, ..., p_i, for
+    b_i the rank of i within F and p_i its place among all n + 1 roots.
+    Within F the b_i run over 0..|F|-1, and over all roots the p_i run over
+    0..n, so #{i : b_i < j} - #{i : p_i < j} of them have index j.
+    """
+    sizes = (n // 2, n // 2, 1)  # F1 = {0..n/2-1}, F2 = {n/2+1..n}, F3 = {n/2}
+    counts = {j: sum(min(size, j) for size in sizes) - j for j in range(1, n + 1)}
+    return {j: count for j, count in counts.items() if count}
 
 
 def h_vector(P: SimplePolytope, zeta: LinearFunctional) -> tuple[int, ...]:

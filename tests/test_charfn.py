@@ -140,6 +140,15 @@ class TestAttachAndValidate:
         with pytest.raises(ValueError, match="length"):
             attach(simplex(3), {"d0": (1, 0)}, 3)
 
+    def test_validate_names_the_first_vector_of_another_length(self):
+        # Rank-2 vectors over the truncated 4-simplex, whose vertices need 3: no WManifold takes them.
+        pair = attach(truncated_simplex(4), {f"d{j}": (1, j) for j in range(5)}, 2)
+        with pytest.raises(ValueError) as error:
+            validate(pair, lambda: pytest.fail("no vertex is listed"))
+        assert str(error.value) == "vector on facet d0 has length 2, expected 3"
+        with pytest.raises(ValueError, match="^torus rank must be 3, got 2$"):
+            WManifold(pair, 4, Fraction(1, 5))
+
     def test_unknown_facet(self):
         with pytest.raises(ValueError, match="unknown"):
             attach(simplex(3), {"zzz": (1, 0, 0)}, 3)

@@ -47,6 +47,7 @@ from oracles import (
     betti_boundary,
     checked_polytope,
     closed_form_cell_structure,
+    closed_form_index_counts,
     coords_by_id,
     cofactor_det,
     cut_face,
@@ -300,6 +301,16 @@ class TestCellStructure:
                 # The oracles agree generator by generator, by index and vertex id, in vertex order.
                 assert closed_form_cell_structure(W, seed) == walked
                 assert cell_structure(W, seed).index_counts() == generator_counts(walked)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_counts_match_the_functional_free_closed_form(self, k):
+        W = build_W(k)
+        expected = closed_form_index_counts(W.n)
+        assert expected[W.n] == 1 and sum(expected.values()) == W.n * (W.n + 4) // 4
+        if k <= 8:
+            assert expected == generator_counts(graph_walk_cell_structure(W, 0))
+        for seed in range(4):
+            assert cell_structure(W, seed).index_counts() == expected
 
     @pytest.mark.parametrize("k", (32, 64))
     def test_interval_counts_match_the_closed_form_at_large_k(self, k):

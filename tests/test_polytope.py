@@ -4,9 +4,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from cpbound import polytope
 from cpbound.cobordism import build_W, wmanifold_from_json, wmanifold_to_json
 from cpbound.polytope import (
+    FUNCTIONAL_RETRY_BUDGET,
     FacetLabel,
     LinearFunctional,
     RealisationError,
@@ -15,6 +20,7 @@ from cpbound.polytope import (
     combinatorially_isomorphic,
     decode_truncated_simplex,
     face_as_polytope,
+    functional_draws,
     generate_functional,
     original_facet,
     polytope_from_json,
@@ -41,6 +47,7 @@ from oracles import (
     h_vector,
     original_edge,
     product_h_vector,
+    randrange_draws,
     SetVertex,
     closed_form_coords,
     coords_by_id,
@@ -786,6 +793,39 @@ class TestGenerateFunctional:
             zeta, values = separating_functional(P, seed)
             assert len(set(values.values())) == len(P.vertices)
             assert max(map(abs, zeta.coefficients)) > 10**6
+
+
+class TestFunctionalDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ambient=st.integers(1, 64),
+        vertex_count=st.sampled_from((1, 286, 1000, 1001, 10**5)),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    @example(ambient=64, vertex_count=10**5, seed=0)
+    @example(ambient=1, vertex_count=1001, seed=2**64)
+    def test_draws_are_the_randrange_draws(self, ambient, vertex_count, seed):
+        # B is 10**6 up to 1000 vertices and the vertex count squared past it;
+        # at 10**5 vertices 2B + 1 needs 35 bits, more than one 32-bit word.
+        drawn = functional_draws(ambient, vertex_count, seed)
+        expected = randrange_draws(ambient, vertex_count, seed)
+        assert [next(drawn) for _ in range(3)] == [next(expected) for _ in range(3)]
+        for _ in range(FUNCTIONAL_RETRY_BUDGET - 3):
+            next(drawn)
+        with pytest.raises(ValueError, match=f"^no injective functional after {FUNCTIONAL_RETRY_BUDGET} attempts; "):
+            next(drawn)
+
+    @pytest.mark.parametrize("vertex_count", range(1, 7))
+    def test_draws_are_the_randrange_draws_at_small_widths(self, monkeypatch, vertex_count):
+        # With no floor on B, B = V**2 and 2B + 1 = 3, 9, ..., 73: up to a quarter of the getrandbits are redrawn.
+        for module in (polytope, oracles):
+            monkeypatch.setattr(module, "FUNCTIONAL_COEFF_BOUND", 0)
+        values = set()
+        for seed in range(20):
+            drawn = list(itertools.islice(functional_draws(3, vertex_count, seed), FUNCTIONAL_RETRY_BUDGET))
+            assert drawn == list(itertools.islice(randrange_draws(3, vertex_count, seed), FUNCTIONAL_RETRY_BUDGET))
+            values.update(x for c in drawn for x in c)
+        assert values == set(range(-(vertex_count**2), vertex_count**2 + 1))
 
 
 class TestJson:

@@ -1,8 +1,9 @@
 """How much work one certificate does, counted by wrapping cpbound's functions.
 
 Every artifact is computed once per manifold: one validation of W per
-request, one cell structure per seed, read off the functional's entries
-without a vertex or its label, one integer elimination and no
+request, one cell structure and one functional draw per seed, the cells
+read off the functional's entries without a vertex or its label, one
+integer elimination and no
 determinant for all the full-count vertex vector sets (anchored on the
 n - 1 unit vectors, with d = 1 and no row updated; each set judged by one
 2 x 2 minor of the Gale vectors of its missed root pair {i, m}, one per
@@ -631,6 +632,14 @@ def test_boundary_draws_one_functional(calls):
     count(polytope, "separating_functional")
     assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
     assert counts == {"functional_draws": 1}  # the one draw of cell_structure serves the three components
+
+
+def test_each_seed_draws_once(calls):
+    counts, count = calls
+    count(polytope, "functional_draws")
+    count(cobordism, "cell_structure")
+    assert run(["homology", "--k", "2", "--seeds", "5"], io.StringIO()) == 0
+    assert counts == {"functional_draws": 5, "cell_structure": 5}  # one draw per seed, the given one and 4 extra
 
 
 def test_demo_extracts_the_boundary_once(calls):
