@@ -16,37 +16,30 @@ carries all of them but those of d{i} and d{m}.  When rank M = r the
 integer relations among the rows form a lattice of rank 2, and by Gale
 duality (Ziegler, *Lectures on Polytopes*, GTM 152, ch. 6) the maximal
 minors of M are those of the complementary rows of the 2-column relation
-matrix, up to one factor.  One fraction-free Gauss-Jordan elimination of
-M^T finds the relations: it picks r independent rows A, the anchor, and
-ends with d * I on their columns, where |d| = |det M_A|, and with an
-integer column Y_j on each of the two other rows, the free rows p and q,
-such that d * M_j = Y_j M_A (Cramer's rule).  So d e_p - Y_p and
-d e_q - Y_q are relations, and row j's Gale vector g_j, its two
+matrix, up to one factor.  Take r independent rows A, the anchor, and
+d = +-det M_A: each of the two other rows, the free rows p and q, has an
+integer column Y_j with d * M_j = Y_j M_A (Cramer's rule).  So d e_p - Y_p
+and d e_q - Y_q are relations, and row j's Gale vector g_j, its two
 coefficients in them up to sign, is (d, 0) on p, (0, d) on q and
-(Y_p[t], Y_q[t]) on the anchor row of place t.  Putting free rows in place
-of anchor rows through d * M_j = Y_j M_A gives, for the r rows S other
-than i and m,
+(Y_p[t], Y_q[t]) on anchor row t.  Putting free rows in place of anchor
+rows through d * M_j = Y_j M_A gives, for the r rows S other than i and m,
 
-    |det M_S| = |det(g_i, g_m)| / |d|:
+    |det M_S| = |det(g_i, g_m)| / |d|,
 
-d^2 / |d| when S = A, |d * Y_q[t]| / |d| when S drops p and anchor row t,
-and the 2 x 2 minor of Y divided by |d| when S drops two anchor rows.  So
-vertex (i, m) is a basis of Z^r exactly when d != 0 and
-|det(g_i, g_m)| = |d|, which reads g_i and g_m up to sign alone.  When
-rank M < r no vertex is a basis: every Gale vector is (0, 0) and d = 0.
+whatever the anchor.  So vertex (i, m) is a basis of Z^r exactly when
+d != 0 and |det(g_i, g_m)| = |d|, which reads g_i and g_m up to sign alone.
+When rank M < r no vertex is a basis: every Gale vector is (0, 0), d = 0.
 
-The elimination is ``zlinalg.fraction_free_reduce``, on sparse rows, and it
-is the one this module runs: it reduces M^T for vertex validation, gives the
-determinant for the witness check of a delta that is no signed permutation
-(delta' is one, and its determinant is read off its rows), and inverts the
-core of the basis of a simplex pair in ``normalize_simplex_pair``.  It
-pivots on its columns in the order given, so ``validate`` gives it the rows
-of M in ``zlinalg.sparsest_first`` order, by (number of nonzero entries,
-row).  On W the anchor is then the n - 1 unit eta vectors, d = 1 and the
-reduction of M^T updates no row.  ``zlinalg.inverse_unimodular`` peels the
-basis's unit columns, reading their rows of the inverse off by
-back-substitution, and eliminates only the rest: on W's P3 the two dense
-eta columns on the rows no unit column took, at most 2 x 2.
+``_gale_vectors`` takes as anchor rows, without eliminating them, the rows
++-e_p at a place p that no earlier such row took: the peel.  One
+``zlinalg.fraction_free_reduce``, on sparse rows, of the transpose of the
+other rows on the other places finds the rest of A, d and their Y, and a
+peeled row's Y is read off place p of d * M_f = Y_f M_A.  ``validate``
+gives it the rows of M ``zlinalg.sparsest_first``, by (number of nonzero
+entries, row); on W the peel takes the n - 1 unit eta vectors, d = 1 and
+no row is reduced.  ``zlinalg.solve_unimodular`` peels the unit columns of
+P3's basis and eliminates the rest, at most 2 x 2, and the determinant of
+a delta that is no signed permutation is eliminated too (delta' is one).
 
 ``validate`` keys the root rows by Gale vector and judges each pair of keys
 once.  The vertices on the cut facet of F are F x R, so the pairs found are
@@ -63,11 +56,10 @@ validity is W's report on them and whose translations
 A ``CharVector`` stores its length and its nonzero (place, value) pairs, so
 W's vectors are built and read in O(n); ``entries``, the dense view, is
 built for JSON, ``demo``, a failing vertex's Smith normal form and the
-tests.  Delta, the basis M and its inverse B are stored by their nonzero
-entries too, and applied by their nonzero columns to a vector's nonzero
-entries; an image is matched to its target's up to sign.  P3's normal form
-is read off B M = I: the basis change D B is not built, and of its images
-only the residual's, D u, is computed.
+tests.  Delta and the basis M are stored by their nonzero entries too, and
+delta is applied by its nonzero columns to a vector's nonzero entries; an
+image is matched to its target's up to sign.  P3's normal form is read off
+one solve, M u = v: neither M^-1 nor the basis change is built.
 """
 
 from __future__ import annotations
@@ -94,10 +86,11 @@ from .zlinalg import (
     dense,
     determinant,
     fraction_free_reduce,
-    inverse_unimodular,
     invariant_factors,
     permutation_sign,
+    solve_unimodular,
     sparsest_first,
+    unit_vectors,
 )
 
 
@@ -176,20 +169,34 @@ class ValidationReport(Record):
 def _gale_vectors(rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> tuple[list[tuple[int, int]], int]:
     """Each row's Gale vector up to sign, and |d|, for r + 2 rows of Z^r given by their nonzero (place, value) pairs.
 
-    One ``fraction_free_reduce`` of M^T, its columns in the order given
-    (module docstring); every row gets (0, 0), and d = 0, when rank M < r.
+    The peeled rows, the core's ``fraction_free_reduce`` with its columns in
+    the order given, and a peeled row's Y at free row f, d * M_f[p] minus
+    the sum of Y_f[a] * M_a[p] over the core anchor rows a, up to the sign
+    of its entry (module docstring).  Every row gets (0, 0), and d = 0, when
+    rank M < r.
     """
-    work: list[dict[int, int]] = [{} for _ in range(rank)]
-    for j, row in enumerate(rows):
-        for t, x in row:
-            work[t][j] = x
-    pivots, d, _ = fraction_free_reduce(work)
-    if len(pivots) < rank:
+    peeled = unit_vectors(rows)  # place -> its anchor row
+    core = sorted(set(range(len(rows))) - {j for j, _ in peeled.values()})
+    work: dict[int, dict[int, int]] = {}  # an unpeeled place -> the core rows' entries there
+    for j in core:
+        for t, x in rows[j]:
+            if t not in peeled:
+                work.setdefault(t, {})[j] = x
+    reduced = list(work.values())
+    pivots, d, _ = fraction_free_reduce(reduced)
+    if len(pivots) < rank - len(peeled):
         return [(0, 0)] * len(rows), 0
-    y = dict(zip(pivots, work))  # anchor row -> its column of Y, by the rows it holds
-    p, q = [j for j in range(len(rows)) if j not in y]
-    gale = [(y[j].get(p, 0), y[j].get(q, 0)) if j in y else (d, 0) if j == p else (0, d) for j in range(len(rows))]
-    return [max(g, (-g[0], -g[1])) for g in gale], abs(d)
+    y = dict(zip(pivots, reduced))  # core anchor row -> its column of Y, by the rows it holds
+    p, q = [j for j in core if j not in y]
+    gale = {p: (d, 0), q: (0, d)} | {j: (column.get(p, 0), column.get(q, 0)) for j, column in y.items()}
+    left, right = ({t: d * x for t, x in rows[f] if t in peeled} for f in (p, q))
+    for a, column in y.items():
+        for t, x in rows[a]:
+            if t in peeled:
+                left[t] = left.get(t, 0) - column.get(p, 0) * x
+                right[t] = right.get(t, 0) - column.get(q, 0) * x
+    gale |= {j: (left.get(t, 0), right.get(t, 0)) for t, (j, _) in peeled.items()}
+    return [max(g, (-g[0], -g[1])) for g in map(gale.__getitem__, range(len(rows)))], abs(d)
 
 
 def _gale_minor(g: tuple[int, int], h: tuple[int, int]) -> int:
@@ -207,12 +214,12 @@ def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]
 
     The vectors must sit on the root facets d0..dn, with length n - 1, as a
     ``WManifold`` checks; ``ValueError`` names the first facet, in id order,
-    whose vector has another length.  Vertex (i, m) passes iff
-    d != 0 and ``_gale_minor(g, h)`` is |d|, for g and h the Gale vectors of
-    the rows of d{i} and d{m} (module docstring), and each pair of Gale
-    vectors that the blocks F x R meet is judged once.  The rows are
-    numbered in ``sparsest_first`` order, as ``_gale_vectors`` takes them,
-    so that its anchor is the sparsest independent rows: on W the n - 1 unit
+    whose vector has another length, or else the first that is no root
+    facet.  Vertex (i, m) passes iff d != 0 and ``_gale_minor(g, h)`` is
+    |d|, for g and h the Gale vectors of the rows of d{i} and d{m} (module
+    docstring), and each pair of Gale vectors that the blocks F x R meet is
+    judged once.  The rows are numbered in ``sparsest_first`` order, as
+    ``_gale_vectors`` takes them, so that on W its peel takes the n - 1 unit
     vectors, with d = 1.  ``labels``, a function that lists each vertex's
     (i, m, cut) in vertex order, is called only when a pair fails, to walk
     the vertices again, in order: each distinct failing pair of rows gets
@@ -228,7 +235,10 @@ def validate(pair: CharPair, labels: Callable[[], Sequence[tuple[int, int, int]]
             raise ValueError(f"vector on facet {f} has length {len(v)}, expected {n - 1}")
     order = sparsest_first([len(v.nonzero) for v in vectors])
     place = {ids[row]: t for t, row in enumerate(order)}  # facet -> its row of M in ``_gale_vectors``'s order
-    root = [place[f"d{j}"] for j in range(n + 1)]
+    root = [place.get(f"d{j}") for j in range(n + 1)]
+    if None in root:  # n + 1 facets carry vectors, so one of them is no root facet
+        wrong = min(set(ids) - {f"d{j}" for j in range(n + 1)})  # ids are sorted: the first in id order
+        raise ValueError(f"vector on facet {wrong}, which is not one of the root facets d0..d{n}")
     gale, d = _gale_vectors([vectors[row].nonzero for row in order], pair.torus_rank)
     of_root = [gale[row] for row in root]
 
@@ -416,7 +426,7 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
 
 
 class SimplexNormalForm(Record):
-    """The residual facet of a valid pair over a simplex, its vector's image D u by nonzero entries, and det D B."""
+    """The residual facet of a valid pair over a simplex, its vector's image D u by nonzero entries, and det D M^-1."""
 
     __slots__ = ("residual_facet", "residual_image", "det")
 
@@ -426,14 +436,13 @@ def normalize_simplex_pair(pair: CutPair) -> SimplexNormalForm:
 
     Works for every valid closed pair over a combinatorial simplex, here the
     component on P3: the lexicographically largest facet is made residual,
-    the others are mapped to the standard basis by B = M^-1, M their vectors
-    as columns, and vertex unimodularity forces the residual vector's image
-    u = B v to have entries +-1, so signs can be absorbed into the basis
-    change D * B for D = diag(u), of determinant prod(u) * det M, det M from
-    ``inverse_unimodular``.  M and B are built from their nonzero entries,
-    never densely; D * B is not built, as B M = I gives the basis facets'
-    images u_c e_c, and the residual's is D u = (u_c^2).  The pair's
-    validation is its ``report``; the polytope itself is not read.
+    the others are mapped to the standard basis by M^-1, M their vectors as
+    columns, and vertex unimodularity forces the residual vector's image u,
+    the solution of M u = v from ``solve_unimodular``, to have entries +-1,
+    so signs can be absorbed into the basis change D M^-1 for D = diag(u),
+    of determinant prod(u) * det M.  That change carries each basis facet to
+    u_c e_c and the residual to D u = (u_c^2), so it is not built, nor is
+    M^-1.  The pair's validation is its ``report``; the polytope is not read.
     """
     d = pair.torus_rank  # a closed pair's rank is its dimension, and every facet carries a vector
     # Its facets are the d + 2 root facets less those of a part of one element:
@@ -443,18 +452,16 @@ def normalize_simplex_pair(pair: CutPair) -> SimplexNormalForm:
     report = pair.report
     if not report.ok:
         first = report.failures[0]
-        raise ValueError(
-            f"pair is not a valid characteristic pair: vertex {first.vertex} "
-            f"({first.reason})"
-        )
+        raise ValueError(f"pair is not a valid characteristic pair: vertex {first.vertex} ({first.reason})")
     ids = sorted(pair.assignment)
     residual = ids[-1]
     rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]  # M's nonzero entries, the basis vectors its columns
     for c, f in enumerate(ids[:-1]):
         for i, x in pair.assignment[f].nonzero:
             rows[i].append((c, x))
-    B, det_m = inverse_unimodular(IntMatrix(d, d, Entries(d, tuple(map(tuple, rows)))))
-    u = column_product(B)(pair.assignment[residual].nonzero)
+    m = IntMatrix(d, d, Entries(d, tuple(map(tuple, rows))))
+    solved, det_m = solve_unimodular(m, [pair.assignment[residual].nonzero])
+    u = [(c, x[0]) for c, x in enumerate(solved) if x]  # the one right-hand side's solution
     if len(u) != d or any(abs(x) != 1 for _, x in u):  # cannot happen for a valid pair
         raise ArithmeticError(f"residual vector {dense(d, u)} is not a sign vector")
     return SimplexNormalForm(residual, tuple([(c, s * s) for c, s in u]), prod([s for _, s in u]) * det_m)

@@ -1,16 +1,15 @@
 """Exact integer linear algebra on Python's arbitrary-precision integers.
 
 Matrices are immutable value types that store each row's nonzero entries
-(``Entries``), so a matrix with O(n) of them is built, inverted and applied
+(``Entries``), so a matrix with O(n) of them is built, solved and applied
 in O(n); reading one densely, row by row, is left to the Smith normal form
 and the tests.  The one fraction-free (Bareiss) Gauss-Jordan elimination,
-which gives determinants, the cores of unimodular inverses and the Gale
+which gives determinants, the cores of unimodular systems and of the Gale
 vectors that ``charfn`` judges W's vertices by, runs on sparse rows, dicts
 from column to nonzero entry, and finds a column's rows through a column
-index; and ``column_product`` maps a vector's nonzero entries to its
-image's.  On W's glue path the determinant of the signed permutation delta'
-is its permutation's sign, inverting P3's basis reads its unit columns off
-and eliminates a core of at most 2 x 2, and applying delta' to a vector
+index; ``column_product`` maps a vector's nonzero entries to its image's.
+On W's glue path the determinant of delta' is its permutation's sign,
+solving P3's basis eliminates a core of at most 2 x 2, and applying delta'
 takes O(1) steps per nonzero entry.  The Smith normal form is the classical
 dense pivot-and-reduce algorithm, run only on a failing vertex set and by
 ``is_direct_summand``, and ``invariant_factors`` hands it what is left of
@@ -18,15 +17,14 @@ such a set once every row with a single entry +-1 is split off.  No floats,
 no machine-word arithmetic: intermediate determinant values overflow 64
 bits already at modest sizes.
 
-Pivot selection is deterministic, with one rule per elimination: the
-fraction-free elimination takes the columns in index order and the first
-nonzero entry of the pivot column at or below the pivot row, and the Smith
-normal form the smallest-magnitude nonzero entry of the working submatrix,
-ties broken in row-major order.  The callers of the fraction-free
-elimination order its columns by ``sparsest_first``, by (number of nonzero
-entries, index), Markowitz's rule: a unit column then pivots before a dense
-one, and its step updates no other row.  ``inverse_unimodular`` goes one
-step further and does not eliminate a unit column at all: it peels it.
+Pivot selection is deterministic: the fraction-free elimination takes the
+columns in index order and the first nonzero entry of the pivot column at
+or below the pivot row, and the Smith normal form the smallest-magnitude
+nonzero entry of the working submatrix, ties broken in row-major order.
+The callers of the fraction-free elimination order its columns
+``sparsest_first``, by (number of nonzero entries, index), Markowitz's
+rule, and do not eliminate a unit vector that ``unit_vectors`` finds at
+all: they peel it, and eliminate only the rest.
 """
 
 from __future__ import annotations
@@ -350,64 +348,78 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return dense(m.rows, column_product(m)([(j, x) for j, x in enumerate(map(int, v)) if x]))
 
 
-def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """Exact inverse of a matrix with determinant +-1, and that determinant: unit columns peeled, the core eliminated.
+def unit_vectors(vectors: Iterable[Sequence[tuple[int, int]]]) -> dict[int, tuple[int, int]]:
+    """place -> (index, s) for each of ``vectors``, by nonzero (place, value) pairs, that is s = +-1 at one place
+    no earlier such vector took: the unit vectors to peel."""
+    peeled: dict[int, tuple[int, int]] = {}
+    for j, v in enumerate(vectors):
+        if len(v) == 1 and v[0][1] in (1, -1):
+            peeled.setdefault(v[0][0], (j, v[0][1]))
+    return peeled
 
-    A column j whose one nonzero entry is s = +-1, at a row i that no earlier
-    such column took, is peeled.  With the peeled pairs (i, j) first, m is
-    block triangular, [[S, X], [0, K]] for S = diag(s), with the inverse
-    [[S, -S X K^-1], [0, K^-1]]: row j of B = m^-1 is read off by
-    back-substitution, s * (e_i - the sum of m[i, c] * row c of B over the
-    core columns c), and only the core K is eliminated.  Reducing the sparse
-    rows of [K P | I], P the ``sparsest_first`` order of K's columns, gives
-    [d * I | d * (K P)^-1] exactly when K has full rank, and m is unimodular
-    exactly when |d| = 1.  det m is prod(s) times det K P, d times the sign
-    of the row swaps, times the sign of the permutation that pairs each
-    column with its diagonal row, the row order's sign times the column
-    order's.  The result is checked on the sparse rows: m B = I.
+
+def solve_unimodular(m: IntMatrix, columns: Sequence[Iterable[tuple[int, int]]]) -> tuple[list[dict[int, int]], int]:
+    """X with m X = V, by rows (dicts from right-hand side to nonzero entry), and det m = +-1; V is ``columns``.
+
+    The unit columns of m that ``unit_vectors`` finds, j with s = +-1 at
+    row i, are peeled: with the pairs (i, j) first m is [[S, X], [0, K]],
+    S = diag(s), so only [K P | V] is reduced, P the ``sparsest_first``
+    order of K's columns, to [d * I | d * (K P)^-1 V], and m is unimodular
+    exactly when K has full rank and |d| = 1.  Row j of X is then
+    s * (row i of V - the sum of m[i, c] * row c of X over the core columns
+    c).  det m is d times the signs of the row swaps, of s and of the
+    pairing of columns with diagonal rows.  m X = V is checked on m's sparse
+    columns.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
     rows = m.entries.nonzero
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # each column's nonzero entries: (row, value)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # each column's nonzero entries: (row, value)
     for i, row in enumerate(rows):
         for j, x in row:
-            columns[j].append((i, x))
-    peeled: dict[int, tuple[int, int]] = {}  # row -> the column peeled at it, and its entry there, +-1
-    for j, column in enumerate(columns):
-        if len(column) == 1 and column[0][1] in (1, -1):
-            peeled.setdefault(column[0][0], (j, column[0][1]))
+            cols[j].append((i, x))
+    peeled = unit_vectors(cols)  # row -> the column peeled at it, and its entry there, +-1
     core_rows = [i for i in range(n) if i not in peeled]
-    units = {j for j, _ in peeled.values()}
-    core = [j for j in range(n) if j not in units]
-    order = [core[c] for c in sparsest_first([sum(i not in peeled for i, _ in columns[j]) for j in core])]
+    core = sorted(set(range(n)) - {j for j, _ in peeled.values()})
+    order = [core[c] for c in sparsest_first([sum(i not in peeled for i, _ in cols[j]) for j in core])]
     place = {j: c for c, j in enumerate(order)}  # column c of K P is column order[c] of m
     r = len(order)
-    a = [{place[j]: x for j, x in rows[i] if j in place} | {r + t: 1} for t, i in enumerate(core_rows)]
+    given: dict[int, dict[int, int]] = {}  # row i of V: right-hand side -> its entry there
+    for t, v in enumerate(columns):
+        for i, x in v:
+            given.setdefault(i, {})[t] = x
+    a = [{place[j]: x for j, x in rows[i] if j in place} | {r + t: x for t, x in given.get(i, {}).items()}
+         for i in core_rows]
     pivots, d, sign = fraction_free_reduce(a)
     if pivots != list(range(r)) or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    inverse: list[dict[int, int]] = [{}] * n  # every row is set below
+    solved: list[dict[int, int]] = [{}] * n  # the rows of X; every row is set below
     pairing = [0] * n  # column -> its row on the diagonal of the block-triangular form
-    for c, row in enumerate(a):  # row c of (K P)^-1 is row order[c] of K^-1, on the core rows
-        inverse[order[c]] = {core_rows[t - r]: d * x for t, x in row.items() if t >= r}
+    for c, row in enumerate(a):  # row c of (K P)^-1 V is row order[c] of X
+        solved[order[c]] = {t - r: d * x for t, x in row.items() if t >= r}
         pairing[order[c]] = core_rows[c]
     det = sign * d
     for i, (j, s) in peeled.items():
-        row = {i: s}
+        row = {t: s * x for t, x in given[i].items()} if i in given else {}
         for c, x in rows[i]:  # j and core columns only
             if c != j:
-                for t, y in inverse[c].items():  # t is a core row, never i
+                for t, y in solved[c].items():
                     row[t] = row.get(t, 0) - s * x * y
-        inverse[j] = row if all(row.values()) else {t: y for t, y in row.items() if y}
+        solved[j] = row if all(row.values()) else {t: y for t, y in row.items() if y}
         pairing[j] = i
         det *= s
-    for i, row in enumerate(rows):  # cannot fail: the rows read off and K^-1's invert m
-        product: dict[int, int] = {}
-        for c, x in row:
-            for j, y in inverse[c].items():
-                product[j] = product.get(j, 0) + x * y
-        if product.pop(i, 0) != 1 or any(product.values()):
-            raise ArithmeticError("row reduction did not invert the matrix")
-    return IntMatrix.from_nonzero(n, inverse), det * permutation_sign(Permutation(tuple(pairing)))
+    product: dict[tuple[int, int], int] = {}  # (row, right-hand side) -> its entry of m X, by m's columns
+    for c, row in enumerate(solved):
+        for t, y in row.items():
+            for i, x in cols[c]:
+                product[i, t] = product.get((i, t), 0) + x * y
+    if {it: x for it, x in product.items() if x} != {(i, t): x for i, row in given.items() for t, x in row.items()}:
+        raise ArithmeticError("row reduction did not solve the system")  # cannot happen
+    return solved, det * permutation_sign(Permutation(tuple(pairing)))
+
+
+def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """Exact inverse of a matrix with determinant +-1, and that determinant: ``solve_unimodular`` of m B = I."""
+    rows, det = solve_unimodular(m, [((j, 1),) for j in range(m.rows)])
+    return IntMatrix.from_nonzero(m.rows, rows), det

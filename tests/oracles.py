@@ -1157,23 +1157,30 @@ class FullCountCertificate:
         """Rows whose classes are ``key``, a sorted multiset of classes: the first rows of each class."""
         return [self.members[c][t - key.index(c)] for t, c in enumerate(key)]
 
-    def is_unimodular(self, missed: Sequence[int]) -> bool:
-        """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
+    def abs_det(self, missed: Sequence[int]) -> int:
+        """|det M_S| for S the r rows of M other than the m - r rows ``missed``: |det Y[S - A, A - S]| / |d|^(s - 1)."""
         if self.anchor is None:
-            return False
+            return 0
         outside = [j for j in self.free if j not in missed]
         if not outside:
-            return abs(self.det) == 1
+            return abs(self.det)
         dropped = [self.reduced[self.anchor[j]] for j in missed if j in self.anchor]  # Y's columns A - S
-        power = abs(self.det) ** (len(outside) - 1)
         if len(outside) == 1:
-            return abs(dropped[0].get(outside[0], 0)) == power
-        if len(outside) == 2:  # Y[S - A, A - S] has rows Y_i, Y_j and columns left, right
+            minor = abs(dropped[0].get(outside[0], 0))
+        elif len(outside) == 2:  # Y[S - A, A - S] has rows Y_i, Y_j and columns left, right
             (i, j), (left, right) = outside, dropped
-            return abs(left.get(i, 0) * right.get(j, 0) - right.get(i, 0) * left.get(j, 0)) == power
-        y = [{c: x for c, row in enumerate(dropped) if (x := row.get(j, 0))} for j in outside]
-        pivots, d, _ = zlinalg.fraction_free_reduce(y)
-        return len(pivots) == len(y) and abs(d) == power
+            minor = abs(left.get(i, 0) * right.get(j, 0) - right.get(i, 0) * left.get(j, 0))
+        else:
+            y = [{c: x for c, row in enumerate(dropped) if (x := row.get(j, 0))} for j in outside]
+            pivots, d, _ = zlinalg.fraction_free_reduce(y)
+            minor = abs(d) if len(pivots) == len(y) else 0
+        det, rest = divmod(minor, abs(self.det) ** (len(outside) - 1))
+        assert not rest
+        return det
+
+    def is_unimodular(self, missed: Sequence[int]) -> bool:
+        """Whether the r rows of M other than the m - r rows ``missed`` form a basis of Z^r."""
+        return self.abs_det(missed) == 1
 
 
 def per_vertex_validate(pair: CharPair) -> ValidationReport:

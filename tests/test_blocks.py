@@ -4,7 +4,7 @@
 ``dense_eta_standard``), ``validate`` reads its class pairs off the blocks
 F x R and walks the labels only for a failing class (oracle
 ``label_validate``, the one pass over the labels), P3's normal form is read
-off B M = I (oracle ``dense_normalize_simplex_pair``, D B applied densely to
+off one solve M u = v (oracle ``dense_normalize_simplex_pair``, D B applied densely to
 every vector, also on loaded certificates whose vectors are g eta for a
 random unimodular g), ``fraction_free_reduce`` finds a column's rows through its
 column index (oracle ``scanning_fraction_free_reduce``, which tests every

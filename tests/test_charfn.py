@@ -149,6 +149,15 @@ class TestAttachAndValidate:
         with pytest.raises(ValueError, match="^torus rank must be 3, got 2$"):
             WManifold(pair, 4, Fraction(1, 5))
 
+    def test_validate_names_the_first_vector_off_the_root_facets(self):
+        # eta's vectors over the truncated 4-simplex with some moved onto cut facets: no WManifold takes them.
+        eta = {f: v.entries for f, v in eta_facet_assignment(4).items()}
+        for moves, first in (({"d4": "P1"}, "P1"), ({"d0": "P3", "d4": "P2"}, "P2")):
+            table = {moves.get(f, f): v for f, v in eta.items()}
+            with pytest.raises(ValueError) as error:
+                validate(attach(truncated_simplex(4), table, 3), lambda: pytest.fail("no vertex is listed"))
+            assert str(error.value) == f"vector on facet {first}, which is not one of the root facets d0..d4"
+
     def test_unknown_facet(self):
         with pytest.raises(ValueError, match="unknown"):
             attach(simplex(3), {"zzz": (1, 0, 0)}, 3)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpbound import charfn
@@ -90,6 +90,7 @@ from oracles import (
     label_identify_simplex_or_product,
     label_verify_translation,
     matrix_rows,
+    nonzero_pairs,
     per_vertex_validate,
     random_unimodular,
     renumbering,
@@ -565,8 +566,14 @@ class TestFailingKeysJudgedOnce:
                     for v in pair.polytope.vertices
                     if sum(f in pair.assignment for f in v.facet_ids) == pair.torus_rank
                 }
-                classes = {class_of([j for j, f in enumerate(ids) if f not in kept]) for kept in full}
+                missed = [tuple(j for j, f in enumerate(ids) if f not in kept) for kept in full]
+                classes = {class_of(rows) for rows in missed}
                 merged += len(classes) < len(full)
+                # The library's Gale vectors rest on its own anchor, which may not be the oracle's: the two differ
+                # by a GL(2, Q) map, so each class of the oracle's is one of the library's, and back.
+                gale, _ = charfn._gale_vectors([pair.assignment[f].nonzero for f in ids], pair.torus_rank)
+                keys = {rows: tuple(sorted(gale[j] for j in rows)) for rows in missed}
+                assert len({(class_of(rows), keys[rows]) for rows in missed}) == len(classes) == len(set(keys.values()))
                 expected = per_vertex_validate(pair)
                 assert not expected.ok
                 judged.clear()
@@ -575,7 +582,7 @@ class TestFailingKeysJudgedOnce:
                     assert judged == []
                 else:
                     assert len(judged) == len(set(judged)) == len(classes)
-                    assert set(judged) == classes
+                    assert set(judged) == set(keys.values())
                 assert report == expected == w.report
                 assert report.failures == mask_validate(pair).failures
         assert merged  # some classes hold more than one key
@@ -622,20 +629,29 @@ def twisted(W, rng):
     return wmanifold_from_json(data)
 
 
+def assert_gale_minors_are_the_certificates(gale, d, certificate):
+    """For every pair of rows i, m: |det(g_i, g_m)| = |d| * |det M_S|, S the rows other than i and m, with
+    |det M_S| the certificate's, and the verdict d != 0 and |det(g_i, g_m)| = |d| is the certificate's.  The
+    Gale vectors and d depend on the anchor, the certificate's or another; this rule does not."""
+    assert (d == 0) == (certificate.anchor is None)
+    for i in range(len(gale)):
+        for m in range(i + 1, len(gale)):
+            minor = charfn._gale_minor(gale[i], gale[m])
+            assert minor == d * certificate.abs_det([i, m])
+            assert (d != 0 and minor == d) == certificate.is_unimodular([i, m])
+
+
 def assert_gale_rule_is_the_certificate(w):
     """``validate``'s verdict at every vertex (i, m) of ``w`` is ``oracles.FullCountCertificate``'s on the rows
     of d{i} and d{m}, and ``_gale_vectors`` with ``_gale_minor`` decides every pair of rows, vertex or not, as
     the certificate does; returns |d| and the number of vertices that pass."""
     pair = w.pair
-    ids = tuple(pair.assignment)
+    ids = tuple(sorted(pair.assignment, key=lambda f: (len(pair.assignment[f].nonzero), f)))  # ``validate``'s order
     row = {f: j for j, f in enumerate(ids)}
     rows = [pair.assignment[f].nonzero for f in ids]
     certificate = FullCountCertificate(rows, pair.torus_rank)
     gale, d = charfn._gale_vectors(rows, pair.torus_rank)
-    assert d == abs(certificate.det)
-    for i in range(len(ids)):
-        for m in range(i + 1, len(ids)):
-            assert (d != 0 and charfn._gale_minor(gale[i], gale[m]) == d) == certificate.is_unimodular([i, m])
+    assert_gale_minors_are_the_certificates(gale, d, certificate)
     failing = set(validate(pair, lambda: w.labels).failing_vertices())
     passed = 0
     for v, (i, m, _) in zip(pair.polytope.vertices, w.labels):
@@ -643,6 +659,39 @@ def assert_gale_rule_is_the_certificate(w):
         assert (v.id not in failing) == expected
         passed += expected
     return d, passed
+
+
+@st.composite
+def peel_tables(draw):
+    """r + 2 nonzero rows of Z^r, r <= 8, in the order ``_gale_vectors`` takes them: c * e_p for c in
+    {+-1, +-2, 3}, so that +-e_p repeats at one place and 2 * e_p comes before e_p, and dense rows with entries
+    in -2..2, whose core has |d| > 1; or all of them with one place zeroed, so that rank M < r."""
+    r = draw(st.integers(1, 8))
+    scale = st.sampled_from((1, -1, 2, -2, 3))
+    unit = st.builds(lambda p, c: tuple(c * (q == p) for q in range(r)), st.integers(0, r - 1), scale)
+    dense = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any).map(tuple)
+    rows = draw(st.lists(st.one_of(unit, unit, dense), min_size=r + 2, max_size=r + 2))
+    if r > 1 and draw(st.booleans()):
+        c = draw(st.integers(0, r - 1))
+        zeroed = [row[:c] + (0,) + row[c + 1 :] for row in rows]
+        rows = [row if any(row) else tuple(int(q == (c + 1) % r) for q in range(r)) for row in zeroed]
+    return r, rows
+
+
+@given(peel_tables())
+@settings(max_examples=300, deadline=None)
+@example((2, [(1, 0), (-1, 0), (0, 1), (1, 1)]))  # +-e_0 twice: one anchor row, and one free row
+@example((2, [(-1, 0), (0, -1), (1, 1), (1, -1)]))  # -e_p
+@example((2, [(2, 0), (1, 0), (0, 1), (1, 1)]))  # 2 * e_0 before e_0
+@example((3, [(1, 0, 0), (0, 2, 1), (0, 1, 3), (0, 1, 1), (1, 1, 1)]))  # a core of |d| = 5
+@example((3, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0)]))  # rank M < r
+def test_peeled_gale_vectors_are_the_certificate(case):
+    """The peeled Gale vectors give every pair of rows the certificate's |det M_S| = |det(g_i, g_m)| / |d| and
+    verdict, whichever rows the peel and the core take as the anchor."""
+    r, rows = case
+    pairs = nonzero_pairs(rows)
+    gale, d = charfn._gale_vectors(pairs, r)
+    assert_gale_minors_are_the_certificates(gale, d, FullCountCertificate(pairs, r))
 
 
 class TestGaleRule:
@@ -675,9 +724,12 @@ class TestGaleRule:
         n = 2 * (k + 1)
         rng = random.Random(1200 + k)
         scaled_anchor_passes = False  # |d| > 1, yet a vertex is a basis
+        eta = {f: v.entries for f, v in eta_facet_assignment(n).items()}
         for r1 in R1S:
             P = truncated_simplex(n, r1)
             corpus = [WManifold(attach(P, table, n - 1), n, r1) for table in mutated_tables(k, rng)]
+            # d1's e_(n-2) made 2 * e_(n-2): no unit row is left at place n - 2, so every anchor holds that row.
+            corpus.append(WManifold(attach(P, eta | {"d1": (0,) * (n - 2) + (2,)}, n - 1), n, r1))
             for W in [mutated_W(k, rng)] + corpus:
                 for w in (W, loaded(W)):
                     d, passed = assert_gale_rule_is_the_certificate(w)

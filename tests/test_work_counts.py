@@ -13,12 +13,13 @@ coordinate made for a built W by ``glue_report``, ``cell_stage``,
 component (each reads W's report), one
 determinant per request (none for the orientation record or the P3 basis
 change), read off delta' as a signed permutation, and two eliminations per
-request, the second of at most 2 rows (P3's basis, once its unit columns are
-read off), no Smith normal form on a valid datum, no determinant to invert a
-unimodular matrix, no dense matrix product in a ``glue`` request and no dense
-read of any matrix in ``glue_report`` (delta', P3's basis M and its inverse
-are built and applied by their nonzero entries, and these two are the only
-matrices its normal form makes: the basis change D B is not built), no model polytope
+request, the first of no row (W's anchor is all peeled) and the second of at
+most 2 rows (P3's basis, once its unit columns are peeled), no Smith normal
+form on a valid datum, no determinant to solve a unimodular system, no
+inverse, no dense matrix product in a ``glue`` request and no dense read of
+any matrix in ``glue_report`` (delta' and P3's basis M are built, solved and
+applied by their nonzero entries, and M is the one matrix its normal form
+makes: neither M^-1 nor the basis change D M^-1 is built), no model polytope
 built to recognize the boundary, one functional for the three boundary
 components, no label list, no dense vector and no pass over W's labels in
 ``build_W`` and ``glue_report`` (``validate`` and the boundary checks read the
@@ -254,8 +255,8 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
         # W's one set of Gale vectors serves the components through W.report
         # and needs no determinant; the one is the witness check of delta',
         # read off its rows as a signed permutation, with no elimination.
-        # The two eliminations reduce W's M^T and invert the P3 basis
-        # change, which gives that change's determinant too; det delta' for
+        # The two eliminations reduce what the peels leave of W's M^T (no
+        # row) and of P3's basis, whose solve gives its determinant too; det delta' for
         # the orientation record is the sign of the reversal delta' permutes by.
         assert counts == {"_gale_vectors": 1, "determinant": 1, "fraction_free_reduce": 2}
 
@@ -263,7 +264,7 @@ def test_valid_w_certifies_each_vector_set_once(calls, k):
 @pytest.mark.parametrize("k", (1, 2, 3, 8))
 def test_vertex_sets_of_w_run_no_elimination(calls, k):
     """W and its components miss at most two assigned rows per vertex: after the
-    one reduction of M^T per pair, every vertex set is a minor of size <= 2."""
+    one peel and reduction of M^T per pair, every vertex set is a minor of size <= 2."""
     counts, count = calls
     count(zlinalg, "fraction_free_reduce")
     W = build_W(k)
@@ -314,7 +315,7 @@ def reductions(monkeypatch):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_p3_normal_form_eliminates_a_core_of_at_most_two_rows(reductions, k):
-    """P3's basis has n - 3 or n - 2 unit columns at distinct rows: ``inverse_unimodular`` reads them off and
+    """P3's basis has n - 3 or n - 2 unit columns at distinct rows: ``solve_unimodular`` peels them and
     eliminates what is left, the two dense eta vectors' columns on the rows no unit column took, or fewer."""
     P3 = cobordism.boundary_components(build_W(k))[2]
     reductions.clear()
@@ -324,9 +325,10 @@ def test_p3_normal_form_eliminates_a_core_of_at_most_two_rows(reductions, k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
-def test_p3_normal_form_makes_only_m_and_its_inverse(monkeypatch, calls, k):
-    """Inside ``normalize_simplex_pair`` ``glue_report`` makes two matrices, P3's basis M and B = M^-1, and
-    no basis change D B; on a built W no Smith normal form and no direct-summand test runs at all."""
+def test_p3_normal_form_makes_only_m(monkeypatch, calls, k):
+    """Inside ``normalize_simplex_pair`` ``glue_report`` makes one matrix, P3's basis M, and solves M u = v for
+    the residual's v: no inverse M^-1 and no basis change D B; on a built W no Smith normal form and no
+    direct-summand test runs at all."""
     counts, count = calls
     count(zlinalg, "is_direct_summand")
     count(zlinalg, "smith_normal_form")
@@ -352,7 +354,20 @@ def test_p3_normal_form_makes_only_m_and_its_inverse(monkeypatch, calls, k):
     _patch_everywhere(monkeypatch, charfn, "normalize_simplex_pair", make_wrapper)
     W = build_W(k)
     assert glue_report(W, 0).passed
-    assert made == [(W.n - 1, W.n - 1)] * 2
+    assert made == [(W.n - 1, W.n - 1)]
+    assert counts == {}
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_glue_peels_w_and_inverts_no_matrix(reductions, calls, k):
+    """W's Gale step peels all n - 1 anchor rows, the unit eta vectors, and reduces a core of 0 rows; P3's
+    normal form reduces a core of at most 2 rows and builds no inverse."""
+    counts, count = calls
+    count(zlinalg, "inverse_unimodular")
+    W = build_W(k)
+    assert reductions == [0]
+    assert glue_report(W, 0).passed
+    assert reductions[0] == 0 and len(reductions) == 2 and reductions[1] <= 2
     assert counts == {}
 
 
@@ -367,7 +382,7 @@ def test_delta_determinant_check_runs_no_elimination(reductions, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_glue_report_reads_no_matrix_densely(monkeypatch, k):
-    """delta', P3's basis M and B = M^-1 are built, inverted and applied by their nonzero entries."""
+    """delta' and P3's basis M are built, solved and applied by their nonzero entries."""
     dense_reads = []
     row = zlinalg.Entries.row
 
@@ -383,34 +398,37 @@ def test_glue_report_reads_no_matrix_densely(monkeypatch, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12))
 def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
-    """``validate`` hands ``_gale_vectors`` the rows of M sparsest first, so its anchor is the n - 1 unit eta
-    vectors, with d = 1, and the reduction of M^T swaps rows and updates none."""
-    made, reduced = [], []
-    gale_vectors, reduce = charfn._gale_vectors, charfn.fraction_free_reduce
+    """``validate`` hands ``_gale_vectors`` the rows of M sparsest first, and its peel takes the n - 1 unit eta
+    vectors, one at each place, as the anchor, with d = 1: the reduction of M^T is given no row at all."""
+    made, peels, reduced = [], [], []
+    gale_vectors, peel, reduce = charfn._gale_vectors, charfn.unit_vectors, charfn.fraction_free_reduce
 
     def recording(rows, rank):
         made.append(([zlinalg.dense(rank, row) for row in rows], gale_vectors(rows, rank)))  # each row's entries
         return made[-1][1]
 
+    def peeling(vectors):
+        peels.append(peel(vectors))
+        return peels[-1]
+
     def reducing(a):
-        result = reduce(a)
-        reduced.append((a, result))
-        return result
+        reduced.append(len(a))
+        return reduce(a)
 
     monkeypatch.setattr(charfn, "_gale_vectors", recording)
+    monkeypatch.setattr(charfn, "unit_vectors", peeling)
     monkeypatch.setattr(charfn, "fraction_free_reduce", reducing)
     W = build_W(k)
     n = W.n
     assert W.report.ok
     ((rows, (_, d)),) = made
-    ((work, (pivots, last, _)),) = reduced
-    assert d == abs(last) == 1
+    (peeled,) = peels
+    assert d == 1 and reduced == [0]
     units = {tuple(int(p == q) for q in range(n - 1)) for p in range(n - 1)}
     assert units <= {v.entries for v in charfn.eta_standard(n).values()}
-    anchor = [rows[j] for j in pivots]
-    assert len(anchor) == n - 1 and set(anchor) == units
-    transposed = [sorted((j, x) for j, x in enumerate(column) if x) for column in zip(*rows)]
-    assert sorted(sorted(row.items()) for row in work) == sorted(transposed)  # swapped, not updated
+    assert sorted(peeled) == list(range(n - 1)) and {s for _, s in peeled.values()} == {1}
+    assert {rows[j] for j, _ in peeled.values()} == units
+    assert [j for j, _ in peeled.values()] == list(range(n - 1))  # sparsest first: the unit rows lead
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))

@@ -386,7 +386,7 @@ class TestSparsestColumnsFirst:
         assert form.residual_image == dict(expected.normal_form)[expected.residual_facet]
         assert form.det == expected.det
         assert form == expected.as_simplex_normal_form()
-        # B M = I: D B carries the basis facet in column c to u_c e_c, so the library builds no other image.
+        # D M^-1 carries the basis facet in column c to u_c e_c, so the library builds no other image.
         basis = [(f, image) for f, image in expected.normal_form if f != expected.residual_facet]
         assert [image for _, image in basis] == [((c, 1),) for c in range(len(basis))]
 
@@ -453,6 +453,89 @@ class TestPeeledInverse:
                 dense_inverse_unimodular(m)
             with pytest.raises(ValueError, match="^matrix is not unimodular$"):
                 inverse_unimodular(m)
+
+
+@st.composite
+def unimodular_systems(draw, max_size=12):
+    """A kind, the rows of a d x d matrix, d <= 12, and 1 to 3 right-hand sides with entries in -3..3.
+
+    As ``peelable_matrices``, but 0 to d of the signed permutation's columns
+    are made dense, so that anything from no column to every column is
+    peeled; a dense column whose entries off its diagonal row all come out 0
+    is a unit column, and peeled too.
+    """
+    kind = draw(st.sampled_from(PEEL_KINDS))
+    d = draw(st.integers(2 if kind == "two-units-on-one-row" else 1, max_size))
+    p = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    columns = [[signs[j] if i == p[j] else 0 for i in range(d)] for j in range(d)]
+    places = draw(st.permutations(range(d)))
+    low, high = {"unimodular": (0, d), "two-units-on-one-row": (0, d - 2), "core-det-2": (1, d)}[kind]
+    s = draw(st.integers(low, high))
+    dense, units = places[:s], places[s:]
+    for t, c in enumerate(dense):
+        column = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        for u, c2 in enumerate(dense):
+            if u < t:
+                column[p[c2]] = 0
+            elif u == t:
+                column[p[c2]] = draw(st.sampled_from((1, -1))) * (2 if kind == "core-det-2" and t == 0 else 1)
+        columns[c] = column
+    if kind == "two-units-on-one-row":
+        j, other = draw(st.permutations(units))[:2]
+        columns[j] = [draw(st.sampled_from((1, -1))) if i == p[other] else 0 for i in range(d)]
+    row_order, column_order = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    vectors = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=3))
+    return kind, [[columns[j][i] for j in column_order] for i in row_order], vectors
+
+
+class TestSolveUnimodular:
+    """``solve_unimodular`` against the dense inverse times v: the same solutions and determinant, and the same
+    error for a singular or determinant +-2 matrix, with 0 to all columns peeled; its core, the rows no unit
+    column took, is all that is reduced."""
+
+    @given(unimodular_systems())
+    @settings(max_examples=300, deadline=None)
+    @example(("unimodular", [[0, -1], [1, 0]], [[1, 2]]))  # every column peeled
+    @example(("unimodular", [[1, 1], [1, 2]], [[3, -1], [0, 0]]))  # no column peeled, and v = 0
+    @example(("unimodular", [[1, 2, 0], [0, -1, 0], [0, 3, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @example(("two-units-on-one-row", [[1, -1, 0], [0, 0, 1], [0, 0, 1]], [[1, 1, 1]]))
+    @example(("core-det-2", [[2, 0, 0], [0, -1, 0], [1, 0, 1]], [[2, 0, 1]]))
+    def test_against_the_dense_inverse(self, case):
+        kind, rows, vectors = case
+        m, d = from_rows(rows), len(rows)
+        sizes = []
+        reduce = zlinalg.fraction_free_reduce
+
+        def recording(a):
+            sizes.append(len(a))
+            return reduce(a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zlinalg, "fraction_free_reduce", recording)
+            try:
+                result = zlinalg.solve_unimodular(m, nonzero_pairs(vectors))
+            except ValueError as error:
+                result = error
+        units = {column[0][0] for column in nonzero_pairs(zip(*rows)) if len(column) == 1 and abs(column[0][1]) == 1}
+        assert sizes == [d - len(units)]  # one unit column peeled per row that one takes
+        if kind == "unimodular":
+            inverse, det = dense_inverse_unimodular(m)
+            solved, solved_det = result
+            assert all(0 not in row.values() for row in solved)  # X by its rows' nonzero entries
+            expected = [dense_apply_matrix(inverse, v) for v in vectors]
+            assert [[row.get(t, 0) for t in range(len(vectors))] for row in solved] == [list(x) for x in zip(*expected)]
+            assert solved_det == det
+            assert det == bareiss_det(rows)
+        else:
+            assert abs(bareiss_det(rows)) == (0 if kind == "two-units-on-one-row" else 2)
+            with pytest.raises(ValueError) as expected:
+                dense_inverse_unimodular(m)
+            assert str(result) == str(expected.value) == "matrix is not unimodular"
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match="^only square matrices have inverses$"):
+            zlinalg.solve_unimodular(from_rows([[1, 0]]), [((0, 1),)])
 
 
 class TestSmithNormalForm:
