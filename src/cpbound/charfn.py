@@ -30,16 +30,14 @@ whatever the anchor.  So vertex (i, m) is a basis of Z^r exactly when
 d != 0 and |det(g_i, g_m)| = |d|, which reads g_i and g_m up to sign alone.
 When rank M < r no vertex is a basis: every Gale vector is (0, 0), d = 0.
 
-``_gale_vectors`` takes as anchor rows, without eliminating them, the rows
-+-e_p at a place p that no earlier such row took: the peel.  One
-``zlinalg.fraction_free_reduce``, on sparse rows, of the transpose of the
-other rows on the other places finds the rest of A, d and their Y, and a
-peeled row's Y is read off place p of d * M_f = Y_f M_A.  ``validate``
-gives it the rows of M ``zlinalg.sparsest_first``, by (number of nonzero
-entries, row); on W the peel takes the n - 1 unit eta vectors, d = 1 and
-no row is reduced.  ``zlinalg.solve_unimodular`` peels the unit columns of
-P3's basis and eliminates the rest, at most 2 x 2, and the determinant of
-a delta that is no signed permutation is eliminated too (delta' is one).
+``_gale_vectors`` finds A, d and the free rows' Y by the peel that
+``zlinalg``'s module docstring describes, on the rows of M: a row +-e_p
+anchors place p with no elimination, and one elimination of the other rows
+on the other places finds the rest.  ``validate`` gives it the rows of M
+``zlinalg.sparsest_first``, by (number of nonzero entries, row); on W the
+peel takes the n - 1 unit eta vectors, d = 1 and no row is reduced.  P3's
+normal form (``zlinalg.solve_unimodular``) and the determinant of delta'
+take the same peel.
 
 ``validate`` keys the root rows by Gale vector and judges each pair of keys
 once.  The vertices on the cut facet of F are F x R, so the pairs found are
@@ -82,15 +80,14 @@ from .zlinalg import (
     Entries,
     IntMatrix,
     Permutation,
+    _peeled_elimination,
     column_product,
     dense,
     determinant,
-    fraction_free_reduce,
     invariant_factors,
     permutation_sign,
     solve_unimodular,
     sparsest_first,
-    unit_vectors,
 )
 
 
@@ -169,33 +166,16 @@ class ValidationReport(Record):
 def _gale_vectors(rows: Sequence[Sequence[tuple[int, int]]], rank: int) -> tuple[list[tuple[int, int]], int]:
     """Each row's Gale vector up to sign, and |d|, for r + 2 rows of Z^r given by their nonzero (place, value) pairs.
 
-    The peeled rows, the core's ``fraction_free_reduce`` with its columns in
-    the order given, and a peeled row's Y at free row f, d * M_f[p] minus
-    the sum of Y_f[a] * M_a[p] over the core anchor rows a, up to the sign
-    of its entry (module docstring).  Every row gets (0, 0), and d = 0, when
-    rank M < r.
+    The anchor, d and Y are ``zlinalg._peeled_elimination``'s on the rows in
+    the order given: the two free rows are its columns with coordinates, and
+    the anchor row at place t gets (Y_p[t], Y_q[t]).  Every row gets (0, 0),
+    and d = 0, when rank M < r.
     """
-    peeled = unit_vectors(rows)  # place -> its anchor row
-    core = sorted(set(range(len(rows))) - {j for j, _ in peeled.values()})
-    work: dict[int, dict[int, int]] = {}  # an unpeeled place -> the core rows' entries there
-    for j in core:
-        for t, x in rows[j]:
-            if t not in peeled:
-                work.setdefault(t, {})[j] = x
-    reduced = list(work.values())
-    pivots, d, _ = fraction_free_reduce(reduced)
-    if len(pivots) < rank - len(peeled):
+    anchor, d, _, coordinates = _peeled_elimination(rank, rows)
+    if not d:
         return [(0, 0)] * len(rows), 0
-    y = dict(zip(pivots, reduced))  # core anchor row -> its column of Y, by the rows it holds
-    p, q = [j for j in core if j not in y]
-    gale = {p: (d, 0), q: (0, d)} | {j: (column.get(p, 0), column.get(q, 0)) for j, column in y.items()}
-    left, right = ({t: d * x for t, x in rows[f] if t in peeled} for f in (p, q))
-    for a, column in y.items():
-        for t, x in rows[a]:
-            if t in peeled:
-                left[t] = left.get(t, 0) - column.get(p, 0) * x
-                right[t] = right.get(t, 0) - column.get(q, 0) * x
-    gale |= {j: (left.get(t, 0), right.get(t, 0)) for t, (j, _) in peeled.items()}
+    (p, y_p), (q, y_q) = coordinates.items()
+    gale = {p: (d, 0), q: (0, d)} | {j: (y_p.get(t, 0), y_q.get(t, 0)) for t, j in enumerate(anchor)}
     return [max(g, (-g[0], -g[1])) for g in map(gale.__getitem__, range(len(rows)))], abs(d)
 
 

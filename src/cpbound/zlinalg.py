@@ -3,34 +3,44 @@
 Matrices are immutable value types that store each row's nonzero entries
 (``Entries``), so a matrix with O(n) of them is built, solved and applied
 in O(n); reading one densely, row by row, is left to the Smith normal form
-and the tests.  The one fraction-free (Bareiss) Gauss-Jordan elimination,
-which gives determinants, the cores of unimodular systems and of the Gale
-vectors that ``charfn`` judges W's vertices by, runs on sparse rows, dicts
-from column to nonzero entry, and finds a column's rows through a column
-index; ``column_product`` maps a vector's nonzero entries to its image's.
-On W's glue path the determinant of delta' is its permutation's sign,
-solving P3's basis eliminates a core of at most 2 x 2, and applying delta'
-takes O(1) steps per nonzero entry.  The Smith normal form is the classical
-dense pivot-and-reduce algorithm, run only on a failing vertex set and by
-``is_direct_summand``, and ``invariant_factors`` hands it what is left of
-such a set once every row with a single entry +-1 is split off.  No floats,
-no machine-word arithmetic: intermediate determinant values overflow 64
-bits already at modest sizes.
+and the tests.  ``column_product`` maps a vector's nonzero entries to its
+image's, so applying delta' takes O(1) steps per nonzero entry.  The Smith
+normal form is the classical dense pivot-and-reduce algorithm, run only on
+a failing vertex set and by ``is_direct_summand``, and
+``invariant_factors`` hands it what is left of such a set once every row
+with a single entry +-1 is split off.  No floats, no machine-word
+arithmetic: intermediate determinant values overflow 64 bits already at
+modest sizes.
+
+The peel.  ``determinant`` (of m's rows), ``solve_unimodular`` (of m's
+columns, with right-hand sides) and ``charfn``'s Gale vectors (of W's rows)
+are one routine, ``_peeled_elimination``, on vectors of Z^r.  A vector
++-e_p at a place p that no earlier vector took anchors p and is peeled, not
+eliminated.  The fraction-free (Bareiss) Gauss-Jordan elimination,
+``fraction_free_reduce``, reduces the other vectors on the other places,
+right-hand sides as trailing columns, to d * I on its pivots, which anchor
+those places in order, and to d times its coordinates on any other column
+w.  The anchors are block triangular, [[S, X], [0, K]] with S = diag(s_p),
+so w's coordinate at a peeled place p is s_p * (d * w_p - sum_a X[p, a] *
+y_a), y_a its coordinate at the core anchor a, and the anchors' determinant
+is d times the row swaps' sign and the product of the s_p.  A right-hand
+side is never peeled: it would take a place that a vector needs.  On W's
+glue path the peel takes every anchor of W's Gale vectors and every row of
+delta', which leaves no row to eliminate, and leaves P3's basis a core of
+at most 2 x 2.
 
 Pivot selection is deterministic: the fraction-free elimination takes the
-columns in index order and the first nonzero entry of the pivot column at
-or below the pivot row, and the Smith normal form the smallest-magnitude
-nonzero entry of the working submatrix, ties broken in row-major order.
-The callers of the fraction-free elimination order its columns
-``sparsest_first``, by (number of nonzero entries, index), Markowitz's
-rule, and do not eliminate a unit vector that ``unit_vectors`` finds at
-all: they peel it, and eliminate only the rest.
+columns in index order, the vectors in the order given, and the first
+nonzero entry of the pivot column at or below the pivot row, and the Smith
+normal form the smallest-magnitude nonzero entry of the working submatrix,
+ties broken in row-major order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, compress
+from math import prod
 
 from .record import Record
 
@@ -162,16 +172,11 @@ def fraction_free_reduce(a: list[dict[int, int]]) -> tuple[list[int], int, int]:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant: a signed permutation's sign times its entries, any other by fraction-free elimination."""
+    """Exact determinant: the anchors' that ``_peeled_elimination`` finds in m's rows, times place -> anchor's sign."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    rows = m.entries.nonzero
-    if all(len(row) == 1 for row in rows):
-        images, entries = zip(*[row[0] for row in rows])
-        if len(set(images)) == m.rows and set(entries) <= {1, -1}:
-            return permutation_sign(Permutation(images)) * (-1) ** entries.count(-1)
-    pivots, d, sign = fraction_free_reduce([dict(row) for row in rows])
-    return sign * d if len(pivots) == m.rows else 0
+    anchor, _, det, _ = _peeled_elimination(m.cols, m.entries.nonzero)
+    return det and det * permutation_sign(Permutation(tuple(anchor)))
 
 
 def _find_pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int] | None:
@@ -348,75 +353,81 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return dense(m.rows, column_product(m)([(j, x) for j, x in enumerate(map(int, v)) if x]))
 
 
-def unit_vectors(vectors: Iterable[Sequence[tuple[int, int]]]) -> dict[int, tuple[int, int]]:
-    """place -> (index, s) for each of ``vectors``, by nonzero (place, value) pairs, that is s = +-1 at one place
-    no earlier such vector took: the unit vectors to peel."""
-    peeled: dict[int, tuple[int, int]] = {}
-    for j, v in enumerate(vectors):
-        if len(v) == 1 and v[0][1] in (1, -1):
-            peeled.setdefault(v[0][0], (j, v[0][1]))
-    return peeled
+def _peeled_elimination(
+    r: int, vectors: Sequence[Sequence[tuple[int, int]]], sides: Sequence[Sequence[tuple[int, int]]] = (),
+) -> tuple[list[int], int, int, dict[int, dict[int, int]]]:
+    """The anchor of each place, d, the anchors' determinant and d times the other columns' coordinates over them.
+
+    Column j is vector j and column len(vectors) + t is side t, each given
+    by its nonzero (place, value) pairs.  The determinant is that of the
+    matrix whose column p anchors place p, and a column's coordinates map
+    each place to d times its coefficient on that place's anchor (module
+    docstring).  Vectors that span less than Z^r give ([], 0, 0, {}).
+    """
+    anchor = [-1] * r  # place -> the column that anchors it
+    signs: dict[int, int] = {}  # peeled place -> its anchor's entry there, +-1
+    core: list[int] = []  # column c of the core is column core[c]
+    columns = [*vectors, *sides]
+    for j, v in enumerate(columns):
+        if j < len(vectors) and len(v) == 1 and v[0][1] in (1, -1) and v[0][0] not in signs:
+            p, s = v[0]
+            anchor[p], signs[p] = j, s
+        else:
+            core.append(j)  # a side is never peeled
+    rows: dict[int, dict[int, int]] = {p: {} for p in range(r) if p not in signs}  # the core, by place
+    for c, j in enumerate(core):
+        for p, x in columns[j]:
+            if p in rows:
+                rows[p][c] = x
+    places, a = list(rows), list(rows.values())
+    pivots, d, sign = fraction_free_reduce(a)
+    if len(pivots) < len(places) or pivots and core[pivots[-1]] >= len(vectors):
+        return [], 0, 0, {}
+    for p, c in zip(places, pivots):
+        anchor[p] = core[c]
+    pivoted = set(pivots)
+    out = {c: {p: signs[p] * d * x for p, x in columns[j] if p in signs}  # core column -> d * coordinates
+           for c, j in enumerate(core) if c not in pivoted}
+    for p, row in zip(places, a):  # the core anchor at p, then s_q times its entry at each peeled place q
+        below = [(q, signs[q] * x) for q, x in columns[anchor[p]] if q in signs]
+        for c, y in row.items():
+            if c in out:
+                coordinates = out[c]
+                coordinates[p] = y
+                for q, x in below:
+                    coordinates[q] = coordinates.get(q, 0) - x * y
+    det = sign * d * prod(signs.values())
+    return anchor, d, det, {core[c]: {p: x for p, x in v.items() if x} for c, v in out.items()}
 
 
-def solve_unimodular(m: IntMatrix, columns: Sequence[Iterable[tuple[int, int]]]) -> tuple[list[dict[int, int]], int]:
+def solve_unimodular(m: IntMatrix, columns: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[dict[int, int]], int]:
     """X with m X = V, by rows (dicts from right-hand side to nonzero entry), and det m = +-1; V is ``columns``.
 
-    The unit columns of m that ``unit_vectors`` finds, j with s = +-1 at
-    row i, are peeled: with the pairs (i, j) first m is [[S, X], [0, K]],
-    S = diag(s), so only [K P | V] is reduced, P the ``sparsest_first``
-    order of K's columns, to [d * I | d * (K P)^-1 V], and m is unimodular
-    exactly when K has full rank and |d| = 1.  Row j of X is then
-    s * (row i of V - the sum of m[i, c] * row c of X over the core columns
-    c).  det m is d times the signs of the row swaps, of s and of the
-    pairing of columns with diagonal rows.  m X = V is checked on m's sparse
-    columns.
+    ``_peeled_elimination`` of m's columns with V's as its right-hand sides:
+    m is unimodular exactly when its anchors' determinant is +-1, and row j
+    of X is then d times the coordinates on the place that column j anchors.
+    m X = V is checked on m's sparse columns.
     """
     if m.rows != m.cols:
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    rows = m.entries.nonzero
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # each column's nonzero entries: (row, value)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(m.entries.nonzero):
         for j, x in row:
             cols[j].append((i, x))
-    peeled = unit_vectors(cols)  # row -> the column peeled at it, and its entry there, +-1
-    core_rows = [i for i in range(n) if i not in peeled]
-    core = sorted(set(range(n)) - {j for j, _ in peeled.values()})
-    order = [core[c] for c in sparsest_first([sum(i not in peeled for i, _ in cols[j]) for j in core])]
-    place = {j: c for c, j in enumerate(order)}  # column c of K P is column order[c] of m
-    r = len(order)
-    given: dict[int, dict[int, int]] = {}  # row i of V: right-hand side -> its entry there
-    for t, v in enumerate(columns):
-        for i, x in v:
-            given.setdefault(i, {})[t] = x
-    a = [{place[j]: x for j, x in rows[i] if j in place} | {r + t: x for t, x in given.get(i, {}).items()}
-         for i in core_rows]
-    pivots, d, sign = fraction_free_reduce(a)
-    if pivots != list(range(r)) or abs(d) != 1:
+    anchor, d, det, coordinates = _peeled_elimination(n, cols, columns)
+    if abs(det) != 1:
         raise ValueError("matrix is not unimodular")
-    solved: list[dict[int, int]] = [{}] * n  # the rows of X; every row is set below
-    pairing = [0] * n  # column -> its row on the diagonal of the block-triangular form
-    for c, row in enumerate(a):  # row c of (K P)^-1 V is row order[c] of X
-        solved[order[c]] = {t - r: d * x for t, x in row.items() if t >= r}
-        pairing[order[c]] = core_rows[c]
-    det = sign * d
-    for i, (j, s) in peeled.items():
-        row = {t: s * x for t, x in given[i].items()} if i in given else {}
-        for c, x in rows[i]:  # j and core columns only
-            if c != j:
-                for t, y in solved[c].items():
-                    row[t] = row.get(t, 0) - s * x * y
-        solved[j] = row if all(row.values()) else {t: y for t, y in row.items() if y}
-        pairing[j] = i
-        det *= s
-    product: dict[tuple[int, int], int] = {}  # (row, right-hand side) -> its entry of m X, by m's columns
-    for c, row in enumerate(solved):
-        for t, y in row.items():
-            for i, x in cols[c]:
-                product[i, t] = product.get((i, t), 0) + x * y
-    if {it: x for it, x in product.items() if x} != {(i, t): x for i, row in given.items() for t, x in row.items()}:
-        raise ArithmeticError("row reduction did not solve the system")  # cannot happen
-    return solved, det * permutation_sign(Permutation(tuple(pairing)))
+    solved: list[dict[int, int]] = [{} for _ in range(n)]  # the rows of X
+    for t, v in enumerate(columns):
+        image: dict[int, int] = {}  # m times column t of X, by m's columns
+        for p, y in coordinates[n + t].items():
+            solved[anchor[p]][t] = d * y
+            for i, x in cols[anchor[p]]:
+                image[i] = image.get(i, 0) + x * d * y
+        if {i: x for i, x in image.items() if x} != dict(v):
+            raise ArithmeticError("row reduction did not solve the system")  # cannot happen
+    return solved, det * permutation_sign(Permutation(tuple(anchor)))
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:

@@ -685,6 +685,8 @@ def peel_tables(draw):
 @example((2, [(2, 0), (1, 0), (0, 1), (1, 1)]))  # 2 * e_0 before e_0
 @example((3, [(1, 0, 0), (0, 2, 1), (0, 1, 3), (0, 1, 1), (1, 1, 1)]))  # a core of |d| = 5
 @example((3, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0)]))  # rank M < r
+@example((2, [(0, -1), (0, -1), (1, 0), (1, 1)]))  # -e_1 twice: a free row with no entry off the peeled places
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 0, -1)]))  # rank M = 2 < r, no place zero, no peel
 def test_peeled_gale_vectors_are_the_certificate(case):
     """The peeled Gale vectors give every pair of rows the certificate's |det M_S| = |det(g_i, g_m)| / |d| and
     verdict, whichever rows the peel and the core take as the anchor."""

@@ -12,9 +12,10 @@ coordinate made for a built W by ``glue_report``, ``cell_stage``,
 ``validate`` or ``boundary_h_vectors``, no validation of a boundary
 component (each reads W's report), one
 determinant per request (none for the orientation record or the P3 basis
-change), read off delta' as a signed permutation, and two eliminations per
-request, the first of no row (W's anchor is all peeled) and the second of at
-most 2 rows (P3's basis, once its unit columns are peeled), no Smith normal
+change), three eliminations per request, each of the core that the peel of
+unit vectors leaves (``zlinalg``'s module docstring): no row of W's M^T (its
+anchor is all peeled), no row of delta' (a signed permutation) and at most 2
+rows of P3's basis (once its unit columns are peeled), no Smith normal
 form on a valid datum, no determinant to solve a unimodular system, no
 inverse, no dense matrix product in a ``glue`` request and no dense read of
 any matrix in ``glue_report`` (delta' and P3's basis M are built, solved and
@@ -181,7 +182,8 @@ class ProbedRow(dict):
 @pytest.fixture
 def glue_work(monkeypatch):
     """After ``build_W`` and ``glue_report`` under it: the calls of ``truncation_labels``, the dense reads of a
-    ``CharVector`` and, per ``fraction_free_reduce``, its rows' nonzero entries and the column lookups in them."""
+    ``CharVector`` and, per ``fraction_free_reduce``, its rows, their nonzero entries and the column lookups in
+    them."""
     work = Counter()
     reductions = []
     dense = charfn.CharVector.__dict__["entries"]
@@ -203,7 +205,7 @@ def glue_work(monkeypatch):
             a[:] = [ProbedRow(row) for row in a]
             entries = sum(map(len, a))
             result = original(a)
-            reductions.append((entries, ProbedRow.probes["row"]))
+            reductions.append((len(a), entries, ProbedRow.probes["row"]))
             return result
 
         return probed
@@ -225,12 +227,14 @@ def test_glue_on_a_built_w_makes_no_labels_and_no_dense_vector(glue_work, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_eliminations_on_a_built_w_look_up_columns_by_their_entries(glue_work, k):
-    """``fraction_free_reduce`` finds a pivot column's rows through its column index: on W's M^T and on P3's core
-    it looks up no more columns in rows than the rows hold entries, not one per row for every pivot."""
+    """``fraction_free_reduce`` finds a pivot column's rows through its column index: on the cores that the peels
+    leave of W's M^T, of delta' and of P3's basis it looks up no more columns in rows than the rows hold entries,
+    not one per row for every pivot.  The first two cores have no row."""
     _, reductions = glue_work
     assert glue_report(build_W(k), 0, extra_seeds=2).passed
-    assert len(reductions) == 2
-    assert all(probes <= entries for entries, probes in reductions)
+    (w, _, _), (delta, _, _), (p3, _, _) = reductions
+    assert w == delta == 0 and p3 <= 2
+    assert all(probes <= entries for _, entries, probes in reductions)
 
 
 @pytest.mark.parametrize("k", (1, 4, 10))
@@ -243,22 +247,24 @@ def test_cell_structure_reads_no_vertex(k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 8))
-def test_valid_w_certifies_each_vector_set_once(calls, k):
+def test_valid_w_certifies_each_vector_set_once(calls, reductions, k):
     counts, count = calls
     count(zlinalg, "determinant")
     count(zlinalg, "smith_normal_form")
-    count(zlinalg, "fraction_free_reduce")
     count(charfn, "_gale_vectors")
     for _ in range(2):  # nothing is remembered across requests
         counts.clear()
+        reductions.clear()
         assert glue_report(build_W(k), 0, extra_seeds=2).passed
         # W's one set of Gale vectors serves the components through W.report
-        # and needs no determinant; the one is the witness check of delta',
-        # read off its rows as a signed permutation, with no elimination.
-        # The two eliminations reduce what the peels leave of W's M^T (no
-        # row) and of P3's basis, whose solve gives its determinant too; det delta' for
-        # the orientation record is the sign of the reversal delta' permutes by.
-        assert counts == {"_gale_vectors": 1, "determinant": 1, "fraction_free_reduce": 2}
+        # and needs no determinant; the one is the witness check of delta'.
+        # Each of the three peels its unit vectors and reduces the rest: W's
+        # M^T and delta' leave a core of no row, P3's basis one of at most 2,
+        # and its solve gives its determinant too; det delta' for the
+        # orientation record is the sign of the reversal delta' permutes by.
+        assert counts == {"_gale_vectors": 1, "determinant": 1}
+        w, delta, p3 = reductions
+        assert w == delta == 0 and p3 <= 2
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 8))
@@ -360,24 +366,26 @@ def test_p3_normal_form_makes_only_m(monkeypatch, calls, k):
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_glue_peels_w_and_inverts_no_matrix(reductions, calls, k):
-    """W's Gale step peels all n - 1 anchor rows, the unit eta vectors, and reduces a core of 0 rows; P3's
-    normal form reduces a core of at most 2 rows and builds no inverse."""
+    """W's Gale step peels all n - 1 anchor rows, the unit eta vectors, and reduces a core of 0 rows, as the
+    witness check of delta' does; P3's normal form reduces a core of at most 2 rows and builds no inverse."""
     counts, count = calls
     count(zlinalg, "inverse_unimodular")
     W = build_W(k)
     assert reductions == [0]
     assert glue_report(W, 0).passed
-    assert reductions[0] == 0 and len(reductions) == 2 and reductions[1] <= 2
+    w, delta, p3 = reductions
+    assert w == delta == 0 and p3 <= 2
     assert counts == {}
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
 def test_delta_determinant_check_runs_no_elimination(reductions, k):
+    """delta' is a signed permutation: its rows are all peeled, and the core left to eliminate has no row."""
     n = 2 * (k + 1)
     delta = charfn.delta_matrix(n)
     witness = charfn.TranslationWitness(charfn.rho_facet_bijection(n), delta)
     assert zlinalg.determinant(witness.delta) == (-1 if n % 4 == 0 else 1)
-    assert reductions == []
+    assert reductions == [0, 0]  # the witness's check, then this call
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
@@ -401,14 +409,14 @@ def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
     """``validate`` hands ``_gale_vectors`` the rows of M sparsest first, and its peel takes the n - 1 unit eta
     vectors, one at each place, as the anchor, with d = 1: the reduction of M^T is given no row at all."""
     made, peels, reduced = [], [], []
-    gale_vectors, peel, reduce = charfn._gale_vectors, charfn.unit_vectors, charfn.fraction_free_reduce
+    gale_vectors, peel, reduce = charfn._gale_vectors, charfn._peeled_elimination, zlinalg.fraction_free_reduce
 
     def recording(rows, rank):
         made.append(([zlinalg.dense(rank, row) for row in rows], gale_vectors(rows, rank)))  # each row's entries
         return made[-1][1]
 
-    def peeling(vectors):
-        peels.append(peel(vectors))
+    def peeling(rank, vectors):
+        peels.append(peel(rank, vectors))
         return peels[-1]
 
     def reducing(a):
@@ -416,19 +424,18 @@ def test_w_certificate_anchors_on_the_unit_vectors(monkeypatch, k):
         return reduce(a)
 
     monkeypatch.setattr(charfn, "_gale_vectors", recording)
-    monkeypatch.setattr(charfn, "unit_vectors", peeling)
-    monkeypatch.setattr(charfn, "fraction_free_reduce", reducing)
+    monkeypatch.setattr(charfn, "_peeled_elimination", peeling)
+    monkeypatch.setattr(zlinalg, "fraction_free_reduce", reducing)
     W = build_W(k)
     n = W.n
     assert W.report.ok
     ((rows, (_, d)),) = made
-    (peeled,) = peels
-    assert d == 1 and reduced == [0]
+    ((anchor, _, det, coordinates),) = peels
+    assert d == det == 1 and reduced == [0]
     units = {tuple(int(p == q) for q in range(n - 1)) for p in range(n - 1)}
     assert units <= {v.entries for v in charfn.eta_standard(n).values()}
-    assert sorted(peeled) == list(range(n - 1)) and {s for _, s in peeled.values()} == {1}
-    assert {rows[j] for j, _ in peeled.values()} == units
-    assert [j for j, _ in peeled.values()] == list(range(n - 1))  # sparsest first: the unit rows lead
+    assert {rows[j] for j in anchor} == units and sorted(coordinates) == [n - 1, n]
+    assert sorted(anchor) == list(range(n - 1))  # sparsest first: the unit rows lead
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))

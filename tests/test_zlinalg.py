@@ -364,9 +364,8 @@ def unit_and_dense_columns(draw, max_size=40):
 
 
 class TestSparsestColumnsFirst:
-    """``inverse_unimodular`` peels m's unit columns and pivots on the rest sparsest first; the inverse and the
-    determinant are unique, so they equal the dense elimination's in the natural column order, the determinant's
-    sign included."""
+    """``inverse_unimodular`` peels m's unit columns and pivots on the rest; the inverse and the determinant are
+    unique, so they equal the dense elimination's in the natural column order, the determinant's sign included."""
 
     @given(unit_and_dense_columns())
     @settings(max_examples=150, deadline=None)
@@ -501,6 +500,7 @@ class TestSolveUnimodular:
     @example(("unimodular", [[1, 2, 0], [0, -1, 0], [0, 3, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     @example(("two-units-on-one-row", [[1, -1, 0], [0, 0, 1], [0, 0, 1]], [[1, 1, 1]]))
     @example(("core-det-2", [[2, 0, 0], [0, -1, 0], [1, 0, 1]], [[2, 0, 1]]))
+    @example(("unimodular", [[1, 1], [0, 1]], [[0, 1]]))  # v = e_1, a unit vector at the core row: not peeled
     def test_against_the_dense_inverse(self, case):
         kind, rows, vectors = case
         m, d = from_rows(rows), len(rows)
@@ -760,14 +760,15 @@ def near_signed_permutations(draw, max_size=40):
 
 
 class TestSignedPermutationDeterminant:
-    """``determinant`` reads a signed permutation matrix's determinant off its rows, with no elimination.
+    """``determinant`` peels every row of a signed permutation matrix, so the elimination it runs has no row.
 
-    Any other matrix, however close, takes the fraction-free elimination, and
-    both paths must equal the Bareiss oracle.
+    Any other matrix, however close, leaves one place unpeeled, and the
+    elimination one row; both must equal the Bareiss oracle.
     """
 
     @staticmethod
     def determinant_and_eliminations(rows):
+        """The determinant, and the number of rows of each elimination it ran."""
         calls = []
         reduce = zlinalg.fraction_free_reduce
 
@@ -777,21 +778,23 @@ class TestSignedPermutationDeterminant:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(zlinalg, "fraction_free_reduce", counting)
-            return determinant(from_rows(rows)), len(calls)
+            return determinant(from_rows(rows)), calls
 
     @given(signed_permutation_matrices())
     @settings(max_examples=150, deadline=None)
     @example((Permutation(tuple(range(39, -1, -1))), [1] * 40))  # delta' at n = 41
+    @example((Permutation((2, 0, 1, 3)), [-1, 1, -1, -1]))  # -1 entries: det = sign(p) * (-1)^3
     def test_signed_permutations(self, case):
         rows = signed_permutation_rows(case)
-        assert self.determinant_and_eliminations(rows) == (bareiss_det(rows), 0)
+        assert self.determinant_and_eliminations(rows) == (bareiss_det(rows), [0])
 
     @given(near_signed_permutations())
     @settings(max_examples=300, deadline=None)
+    @example(("repeated-column", [[0, -1, 0], [0, 1, 0], [0, 0, 1]]))  # two unit rows at one place
     def test_near_misses(self, case):
         kind, rows = case
         det, eliminations = self.determinant_and_eliminations(rows)
-        assert (det, eliminations) == (bareiss_det(rows), 1)
+        assert (det, eliminations) == (bareiss_det(rows), [1])
         if kind == "entry-2":
             assert abs(det) == 2
         elif kind in ("repeated-column", "zero-row"):
