@@ -48,7 +48,7 @@ def main() -> int:
         print(
             f"{k:>3} {W.n:>3} {len(poly.facets):>7} {len(poly.vertices):>6} {total:>6} "
             f"{report.orientation.sign_rho:>+9d} {report.orientation.det_delta:>+10d} "
-            f"{report.boundary_label + '^' + str(W.n - 1):>16} "
+            f"{report.orientation.boundary_label + '^' + str(W.n - 1):>16} "
             f"{'PASS' if report.passed else 'FAIL':>7}"
         )
         if not report.passed:

@@ -58,6 +58,12 @@ tests.  Delta and the basis M are stored by their nonzero entries too, and
 delta is applied by its nonzero columns to a vector's nonzero entries; an
 image is matched to its target's up to sign.  P3's normal form is read off
 one solve, M u = v: neither M^-1 nor the basis change is built.
+
+The orientation comes from the polytope's and the torus's (Davis and
+Januszkiewicz, *Duke Math. J.* 62, 1991; Buchstaber and Panov, *Toric
+Topology*, AMS 2015), and ``orientation_signs`` reads it off the one gluing
+witness of a report, (``rho_facet_bijection(n)``, ``delta_matrix(n)``),
+whose constructor computes det delta': no closed form in n is kept here.
 """
 
 from __future__ import annotations
@@ -314,29 +320,16 @@ def rho_permutation(n: int) -> Permutation:
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got {n}")
     half = n // 2
-    images = []
-    for j in range(n + 1):
-        if j == half - 1:
-            images.append(n)
-        elif j == half:
-            images.append(half)
-        elif j == n:
-            images.append(half - 1)
-        else:
-            images.append(n - 1 - j)
+    images = [n - 1 - j for j in range(n)] + [half - 1]
+    images[half - 1], images[half] = n, half  # not n - 1 - j: n/2 - 1 goes to n, and n/2 is fixed
     return Permutation(tuple(images))
 
 
-def _basis_reversal(n: int) -> Permutation:
-    """The reversal i -> n-2-i of the n-1 basis places of Z^(n-1)."""
+def delta_matrix(n: int) -> IntMatrix:
+    """The basis reversal i -> n-2-i of Z^(n-1), for even n >= 4: the anti-diagonal permutation matrix."""
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got {n}")
-    return Permutation(tuple(range(n - 2, -1, -1)))
-
-
-def delta_matrix(n: int) -> IntMatrix:
-    """The basis reversal of Z^(n-1): the anti-diagonal permutation matrix."""
-    return IntMatrix(n - 1, n - 1, Entries(n - 1, tuple([((j, 1),) for j in _basis_reversal(n).images])))
+    return IntMatrix(n - 1, n - 1, Entries(n - 1, tuple([((j, 1),) for j in range(n - 2, -1, -1)])))
 
 
 def rho_facet_bijection(n: int) -> dict[str, str]:
@@ -352,18 +345,24 @@ def rho_facet_bijection(n: int) -> dict[str, str]:
 
 
 class TranslationWitness(Record):
-    """A facet bijection plus a GL(Z) matrix relating two pairs."""
+    """A facet bijection plus a GL(Z) matrix relating two pairs, and its determinant, +-1, computed when built.
 
-    __slots__ = ("phi", "delta")
+    A copy or pickle passes ``det`` back to the constructor, which checks it.
+    """
 
-    def __init__(self, phi: Mapping[str, str], delta: IntMatrix) -> None:
+    __slots__ = ("phi", "delta", "det")
+
+    def __init__(self, phi: Mapping[str, str], delta: IntMatrix, det: int | None = None) -> None:
         if delta.rows != delta.cols:
             raise ValueError("delta must be square")
-        if abs(determinant(delta)) != 1:
+        found = determinant(delta)
+        if abs(found) != 1:
             raise ValueError("delta must have determinant +-1")
+        if det is not None and det != found:
+            raise ValueError(f"delta has determinant {found}, not {det}")
         if len(set(phi.values())) != len(phi):
             raise ValueError("phi is not injective")
-        super().__init__(phi, delta)
+        super().__init__(phi, delta, found)
 
 
 class TranslationReport(Record):
@@ -384,7 +383,8 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
     it must then carry onto the parts of ``pair2``.  Vector equality is up
     to global sign: delta v must be the canonical target t or -t.  Delta is
     applied by its nonzero columns, collected once, to each vector's nonzero
-    entries, and the image compared with t's nonzero entries.
+    entries, and the image, a dict from place to value, compared with t's
+    nonzero entries, or their negation, as a dict.
     """
     if pair1.torus_rank != pair2.torus_rank:
         raise ValueError("pairs have different torus ranks")
@@ -400,7 +400,7 @@ def verify_translation(pair1: CutPair, pair2: CutPair, w: TranslationWitness) ->
     mismatches = []
     for fid in sorted(pair1.assignment):  # phi carries it to a facet of pair2, which carries a vector
         image, t = delta(pair1.assignment[fid].nonzero), pair2.assignment[phi[fid]].nonzero
-        if image != t and tuple([(i, -x) for i, x in image]) != t:
+        if image != dict(t) and image != {i: -x for i, x in t}:
             mismatches.append((fid, phi[fid]))
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
 
@@ -451,22 +451,22 @@ class OrientationRecord(Record):
     __slots__ = ("sign_rho", "det_delta", "boundary_label")
 
 
-def orientation_signs(n: int) -> OrientationRecord:
-    """Parities of the facet swap and the basis reversal, plus the boundary label.
+def orientation_signs(witness: TranslationWitness) -> OrientationRecord:
+    """The signs of a gluing witness's facet map and matrix, and the boundary label, read off the witness.
 
-    The label is "CP" for n = 2 mod 4 and "conjugate-CP" for n = 0 mod 4:
-    gluing the two product-facet components through an orientation-reversing
-    identification leaves the projective boundary with the conjugate
-    orientation exactly when the basis reversal is orientation-reversing.
+    phi must permute the root facets d0..dn.  The identification of P1's
+    component with P2's has two signs, its polytope's and its torus's
+    (module docstring).  ``sign_rho`` is the sign of sigma, phi(d_j) =
+    d_sigma(j); for ``rho_facet_bijection(n)``, sigma = r rho r with
+    r(j) = n - j, so sigma has rho's sign.  ``det_delta`` is ``witness.det``.
+    The label is "CP" when det delta = +1, else "conjugate-CP": gluing the two
+    product-facet components through an orientation-reversing identification
+    leaves the projective boundary with the conjugate orientation exactly
+    when the basis reversal is orientation-reversing (for the glue witness,
+    when n = 0 mod 4).
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got {n}")
-    sign_rho = permutation_sign(rho_permutation(n))
-    # delta_matrix(n) is the permutation matrix of the reversal: its
-    # determinant is the reversal's sign.
-    det_delta = permutation_sign(_basis_reversal(n))
-    label = "CP" if n % 4 == 2 else "conjugate-CP"
-    return OrientationRecord(sign_rho, det_delta, label)
+    sign_rho = permutation_sign([int(witness.phi[f"d{j}"][1:]) for j in range(len(witness.phi))])
+    return OrientationRecord(sign_rho, witness.det, "CP" if witness.det == 1 else "conjugate-CP")
 
 
 # --- JSON ---------------------------------------------------------------------

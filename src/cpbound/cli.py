@@ -278,7 +278,7 @@ def _render_glue_text(report, out) -> None:
         f"orientation: sign(rho) = {report.orientation.sign_rho:+d}, "
         f"det(delta') = {report.orientation.det_delta:+d}\n"
     )
-    out.write(f"boundary label: {report.boundary_label}^{report.n - 1}\n")
+    out.write(f"boundary label: {report.orientation.boundary_label}^{report.n - 1}\n")
     out.write(f"overall: {'PASS' if report.passed else 'FAILED'}\n")
 
 
@@ -356,7 +356,7 @@ def _cmd_demo(args, out) -> int:
     out.write(f"\nsign(rho) = {orient.sign_rho:+d}, det(delta') = {orient.det_delta:+d}\n")
     out.write(
         f"After gluing the two product components, the remaining boundary is "
-        f"{report.boundary_label}^{n - 1}.\n"
+        f"{orient.boundary_label}^{n - 1}.\n"
     )
     out.write(f"Overall: {'PASS' if report.passed else 'FAILED'}\n")
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED

@@ -344,7 +344,7 @@ class CheckResult(Record):
 
 class GluingReport(Record):
     __slots__ = ("n", "k", "r1", "seed", "checks", "components", "cell_counts", "homology", "orientation",
-                 "boundary_label", "witness", "passed")
+                 "witness", "passed")
 
     def failed_checks(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)
@@ -358,10 +358,12 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
     validation is ``W.report``, each boundary component's is read from it
     (P3's also serves its normal form), and the cell stage (``cell_stage``)
     supplies both the ``cell-structure`` and the ``euler-cross-check`` checks.
+    The gluing witness depends on n alone: it is built once, before W's validity
+    is known, and ``translation-p1-p2`` and the orientation (a failing report's too) read it.
     """
     n = W.n
     checks: list[CheckResult] = []
-    witness: TranslationWitness | None = None
+    witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
@@ -386,7 +388,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         failing = ", ".join(f"{f}: {len(r.failures)} failures" for f, r in zip(BOUNDARY_FACETS, sub_reports))
         check("component-validity", all(r.ok for r in sub_reports), failing)
 
-        witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
         translation = verify_translation(components[0], components[1], witness)
         check(
             "translation-p1-p2",
@@ -408,7 +409,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
                 f"basis change determinant {normal.det}",
             )
 
-    if report.ok:
         try:
             stage = cell_stage(W, seed, extra_seeds)
         except (ValueError, AssertionError) as exc:
@@ -434,7 +434,6 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
                 f"cell total {euler.cell_total} vs half boundary vertex count {euler.half_boundary_vertices}",
             )
 
-    orient = orientation_signs(n)
     passed = all(c.passed for c in checks)
     return GluingReport(
         n=n,
@@ -445,8 +444,7 @@ def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingRepo
         components=components,
         cell_counts=cells,
         homology=homology,
-        orientation=orient,
-        boundary_label=orient.boundary_label,
+        orientation=orientation_signs(witness),
         witness=witness,
         passed=passed,
     )
@@ -490,6 +488,6 @@ def glue_report_to_json(report: GluingReport) -> dict:
             "sign_rho": report.orientation.sign_rho,
             "det_delta": report.orientation.det_delta,
         },
-        "boundary_label": report.boundary_label,
+        "boundary_label": report.orientation.boundary_label,
         "paper_H0_discrepancy": HomologyTable.paper_h0_discrepancy,
     }

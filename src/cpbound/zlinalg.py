@@ -4,13 +4,13 @@ Matrices are immutable value types that store each row's nonzero entries
 (``Entries``), so a matrix with O(n) of them is built, solved and applied
 in O(n); reading one densely, row by row, is left to the Smith normal form
 and the tests.  ``column_product`` maps a vector's nonzero entries to its
-image's, so applying delta' takes O(1) steps per nonzero entry.  The Smith
-normal form is the classical dense pivot-and-reduce algorithm, run only on
-a failing vertex set and by ``is_direct_summand``, and
-``invariant_factors`` hands it what is left of such a set once every row
-with a single entry +-1 is split off.  No floats, no machine-word
-arithmetic: intermediate determinant values overflow 64 bits already at
-modest sizes.
+image's, a dict from place to value, so applying delta' takes O(1) steps
+per nonzero entry and sorts nothing.  The Smith normal form is the
+classical dense pivot-and-reduce algorithm, run only on a failing vertex
+set and by ``is_direct_summand``, and ``invariant_factors`` hands it what
+is left of such a set once every row with a single entry +-1 is split off.
+No floats, no machine-word arithmetic: intermediate determinant values
+overflow 64 bits already at modest sizes.
 
 The peel.  ``determinant`` (of m's rows), ``solve_unimodular`` (of m's
 columns, with right-hand sides) and ``charfn``'s Gale vectors (of W's rows)
@@ -176,7 +176,7 @@ def determinant(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     anchor, _, det, _ = _peeled_elimination(m.cols, m.entries.nonzero)
-    return det and det * permutation_sign(Permutation(tuple(anchor)))
+    return det and det * permutation_sign(anchor)
 
 
 def _find_pivot(a: list[list[int]], t: int, nrows: int, ncols: int) -> tuple[int, int] | None:
@@ -300,18 +300,18 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], k: int) -> bool:
     return len(factors) == len(vecs) and all(f == 1 for f in factors)
 
 
-def permutation_sign(p: Permutation) -> int:
-    """Parity of a permutation: +1 for even, -1 for odd."""
+def permutation_sign(images: Sequence[int]) -> int:
+    """Parity of the permutation j -> images[j] of {0, ..., m}, which must be one: +1 for even, -1 for odd."""
     sign = 1
-    seen = [False] * len(p.images)
-    for start in range(len(p.images)):
+    seen = [False] * len(images)
+    for start in range(len(images)):
         if seen[start]:
             continue
         length = 0
         c = start
         while not seen[c]:
             seen[c] = True
-            c = p.images[c]
+            c = images[c]
             length += 1
         if length % 2 == 0:
             sign = -sign
@@ -326,8 +326,8 @@ def dense(length: int, nonzero: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def column_product(m: IntMatrix) -> Callable[[Iterable[tuple[int, int]]], tuple[tuple[int, int], ...]]:
-    """The map v -> m v on the nonzero (place, value) pairs of vectors of length ``m.cols``, to m v's, by place.
+def column_product(m: IntMatrix) -> Callable[[Iterable[tuple[int, int]]], dict[int, int]]:
+    """The map v -> m v from the nonzero (place, value) pairs of vectors of length ``m.cols`` to m v's, as a dict.
 
     m v is x * column j of m summed over v's nonzero x = v_j.
     """
@@ -336,12 +336,12 @@ def column_product(m: IntMatrix) -> Callable[[Iterable[tuple[int, int]]], tuple[
         for j, x in row:
             columns[j].append((i, x))
 
-    def product(v: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    def product(v: Iterable[tuple[int, int]]) -> dict[int, int]:
         out: dict[int, int] = {}
         for j, x in v:
             for i, y in columns[j]:
                 out[i] = out.get(i, 0) + x * y
-        return tuple(sorted([(i, y) for i, y in out.items() if y]))
+        return {i: y for i, y in out.items() if y}
 
     return product
 
@@ -350,7 +350,7 @@ def apply_matrix(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     """Matrix-vector product over Z; m must be square of the vector's size."""
     if m.rows != m.cols or m.cols != len(v):
         raise ValueError(f"cannot apply {m.rows}x{m.cols} matrix to a vector of length {len(v)}")
-    return dense(m.rows, column_product(m)([(j, x) for j, x in enumerate(map(int, v)) if x]))
+    return dense(m.rows, column_product(m)([(j, x) for j, x in enumerate(map(int, v)) if x]).items())
 
 
 def _peeled_elimination(
@@ -427,7 +427,7 @@ def solve_unimodular(m: IntMatrix, columns: Sequence[Sequence[tuple[int, int]]])
                 image[i] = image.get(i, 0) + x * d * y
         if {i: x for i, x in image.items() if x} != dict(v):
             raise ArithmeticError("row reduction did not solve the system")  # cannot happen
-    return solved, det * permutation_sign(Permutation(tuple(anchor)))
+    return solved, det * permutation_sign(anchor)
 
 
 def inverse_unimodular(m: IntMatrix) -> tuple[IntMatrix, int]:

@@ -80,9 +80,11 @@ the mask path it read them through before is the last oracle section:
 ``mask_validate`` with its mask-keyed memo ``Verdicts`` and ``renumbering``,
 ``mask_components`` (faces built by ``face_as_polytope``),
 ``mask_identify_simplex_or_product``, ``mask_verify_translation`` (XOR over
-masks) and ``mask_glue_report``, which assembles them into a report and
-normalizes P3 by ``dense_normalize_simplex_pair``.  ``validate`` reads only
-the truncated simplex, so ``mask_validate`` and ``per_vertex_validate`` are
+masks) and ``mask_glue_report``, which assembles them into a report,
+normalizes P3 by ``dense_normalize_simplex_pair`` and writes the orientation
+line by ``closed_form_orientation``, from n alone: the closed forms that
+``orientation_signs`` computed before it read the gluing witness.
+``validate`` reads only the truncated simplex, so ``mask_validate`` and ``per_vertex_validate`` are
 also the reference validation of any other pair: a simplex, a product of
 simplices, a face of W, or a W with no labels.
 ``FaceRef`` and ``face_from_facets``, which only ``cut_face`` and tests
@@ -124,6 +126,7 @@ from operator import or_
 from cpbound.charfn import (
     CharPair,
     CharVector,
+    OrientationRecord,
     TranslationReport,
     TranslationWitness,
     SimplexNormalForm,
@@ -131,7 +134,6 @@ from cpbound.charfn import (
     VertexCheck,
     _failure_reason,
     delta_matrix,
-    orientation_signs,
     restrict_to_facet,
     rho_facet_bijection,
 )
@@ -1461,16 +1463,29 @@ def mask_verify_translation(pair1: CharPair, pair2: CharPair, w: TranslationWitn
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
 
 
+def closed_form_orientation(n: int) -> OrientationRecord:
+    """The orientation line of the glue witness at even n >= 4, from n alone.
+
+    rho swaps j <-> n-1-j for the n/2 - 1 values j < n/2 - 1, swaps n/2 - 1
+    <-> n and fixes n/2: n/2 transpositions.  delta' reverses n - 1 places,
+    (n - 1)(n - 2)/2 transpositions, of the parity of n/2 - 1.  The label is
+    "CP" for n = 2 mod 4 and "conjugate-CP" for n = 0 mod 4.
+    """
+    if n < 4 or n % 2:
+        raise ValueError(f"need even n >= 4, got {n}")
+    return OrientationRecord((-1) ** (n // 2), (-1) ** (n // 2 - 1), "CP" if n % 4 == 2 else "conjugate-CP")
+
+
 def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingReport:
     """``glue_report`` on the mask path: W validated by ``mask_validate`` into one mask-keyed memo
     shared with ``mask_components``, whose types, validity and translation are read off their
     masks, and the Euler count from the boundary facets' vertex lists.  The cells are
-    ``cell_stage``'s.
+    ``cell_stage``'s, and the orientation ``closed_form_orientation``'s.
     """
     verdicts = Verdicts(W.pair.polytope.facet_ids)
     n = W.n
     checks: list[CheckResult] = []
-    witness: TranslationWitness | None = None
+    witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
     cells: dict[int, int] = {}
     homology: HomologyTable | None = None
 
@@ -1517,7 +1532,6 @@ def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> Gluin
             )
         )
 
-        witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
         translation = mask_verify_translation(components[0], components[1], witness)
         checks.append(
             CheckResult(
@@ -1577,7 +1591,6 @@ def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> Gluin
                 )
             )
 
-    orient = orientation_signs(n)
     passed = all(c.passed for c in checks)
     return GluingReport(
         n=n,
@@ -1588,8 +1601,7 @@ def mask_glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> Gluin
         components=components,
         cell_counts=cells,
         homology=homology,
-        orientation=orient,
-        boundary_label=orient.boundary_label,
+        orientation=closed_form_orientation(n),
         witness=witness,
         passed=passed,
     )

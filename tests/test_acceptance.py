@@ -43,6 +43,7 @@ from cpbound.zlinalg import (
 
 from oracles import (
     attach,
+    closed_form_orientation,
     cofactor_det,
     fraction_rank,
     from_rows,
@@ -182,13 +183,15 @@ def test_criterion_07_delta_translation():
 def test_criterion_08_orientation_parities():
     with criterion(8, "facet-swap parity and basis-reversal determinant follow n mod 4"):
         for n in EVEN_RANGE:
-            assert (permutation_sign(rho_permutation(n)) == 1) == (n % 4 == 0)
+            assert (permutation_sign(rho_permutation(n).images) == 1) == (n % 4 == 0)
             from cpbound.zlinalg import determinant
 
             assert (determinant(delta_matrix(n)) == -1) == (n % 4 == 0)
-            rec = orientation_signs(n)
-            assert rec.sign_rho == permutation_sign(rho_permutation(n))
-            assert rec.det_delta == determinant(delta_matrix(n))
+            witness = TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
+            rec = orientation_signs(witness)
+            assert rec.sign_rho == permutation_sign(rho_permutation(n).images)
+            assert rec.det_delta == witness.det == determinant(delta_matrix(n))
+            assert rec == closed_form_orientation(n)
 
 
 def test_criterion_09_final_pipeline():
@@ -197,7 +200,7 @@ def test_criterion_09_final_pipeline():
             report = glue_report(build_W(k), 0)
             assert report.passed, f"k={k} failed at {report.failed_checks()}"
             n = 2 * (k + 1)
-            assert report.boundary_label == ("conjugate-CP" if n % 4 == 0 else "CP")
+            assert report.orientation.boundary_label == ("conjugate-CP" if n % 4 == 0 else "CP")
         buf = io.StringIO()
         code = cli_run(["demo", "--n", "4"], out=buf)
         out = buf.getvalue()

@@ -35,6 +35,7 @@ from oracles import (
     FullCountCertificate,
     attach,
     bareiss_det,
+    closed_form_orientation,
     cofactor_det,
     compose_witnesses,
     dense_apply_matrix,
@@ -578,8 +579,8 @@ class TestRhoAndDelta:
         assert tuple(rho(rho(j)) for j in range(n + 1)) == tuple(range(n + 1))
 
     def test_rho_signs(self):
-        assert permutation_sign(rho_permutation(4)) == 1
-        assert permutation_sign(rho_permutation(6)) == -1
+        assert permutation_sign(rho_permutation(4).images) == 1
+        assert permutation_sign(rho_permutation(6).images) == -1
 
     def test_delta_n4_action(self):
         d = delta_matrix(4)
@@ -839,20 +840,51 @@ class TestNormalizeSimplexPair:
                 assert image == tuple(dict(form.signs)[fid] * x for x in form.vector_of(fid))
 
 
+def glue_witness(n):
+    return TranslationWitness(rho_facet_bijection(n), delta_matrix(n))
+
+
 class TestOrientationSigns:
+    """The orientation is read off the witness it is given: its facet map's sign and its matrix's determinant."""
+
     def test_examples(self):
-        assert orientation_signs(4) == type(orientation_signs(4))(1, -1, "conjugate-CP")
-        rec6 = orientation_signs(6)
+        rec4 = orientation_signs(glue_witness(4))
+        assert (rec4.sign_rho, rec4.det_delta, rec4.boundary_label) == (1, -1, "conjugate-CP")
+        rec6 = orientation_signs(glue_witness(6))
         assert (rec6.sign_rho, rec6.det_delta, rec6.boundary_label) == (-1, 1, "CP")
-        rec8 = orientation_signs(8)
+        rec8 = orientation_signs(glue_witness(8))
         assert (rec8.sign_rho, rec8.det_delta, rec8.boundary_label) == (1, -1, "conjugate-CP")
 
     @pytest.mark.parametrize("n", EVEN_RANGE)
     def test_parity_rules(self, n):
-        rec = orientation_signs(n)
+        witness = glue_witness(n)
+        rec = orientation_signs(witness)
         assert (rec.sign_rho == 1) == (n % 4 == 0)
         assert (rec.det_delta == -1) == (n % 4 == 0)
         assert rec.boundary_label == ("conjugate-CP" if n % 4 == 0 else "CP")
+        assert rec == closed_form_orientation(n)
+        assert rec.det_delta == witness.det == determinant(witness.delta)
+
+    @pytest.mark.parametrize("n", EVEN_RANGE)
+    def test_negated_delta_flips_det_and_label(self, n):
+        witness = glue_witness(n)
+        negated = TranslationWitness(witness.phi, IntMatrix(n - 1, n - 1, tuple(-x for x in witness.delta.entries)))
+        rec, flipped = orientation_signs(witness), orientation_signs(negated)
+        assert negated.det == -witness.det  # n - 1 is odd
+        assert (flipped.sign_rho, flipped.det_delta) == (rec.sign_rho, -rec.det_delta)
+        assert {rec.boundary_label, flipped.boundary_label} == {"CP", "conjugate-CP"}
+
+    @given(n=st.sampled_from(EVEN_RANGE), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_transposition_of_phi_flips_sign_rho(self, n, data):
+        witness = glue_witness(n)
+        a, b = data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+        swap = {f"d{a}": f"d{b}", f"d{b}": f"d{a}"}
+        phi = {f: witness.phi[swap.get(f, f)] for f in witness.phi}  # phi after the transposition (d_a d_b)
+        rec, flipped = orientation_signs(witness), orientation_signs(TranslationWitness(phi, witness.delta))
+        assert (flipped.sign_rho, flipped.det_delta, flipped.boundary_label) == (
+            -rec.sign_rho, rec.det_delta, rec.boundary_label,
+        )
 
 
 class TestCharPairJson:

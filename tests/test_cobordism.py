@@ -676,7 +676,7 @@ class TestGlueReport:
         report = glue_report(build_W(k), 0)
         assert report.passed
         expected = "conjugate-CP" if (2 * (k + 1)) % 4 == 0 else "CP"
-        assert report.boundary_label == expected
+        assert report.orientation.boundary_label == expected
         assert report.failed_checks() == ()
 
     def test_sabotaged_pair_detected(self):

@@ -74,6 +74,7 @@ from oracles import (
     Verdicts,
     attach,
     bareiss_det,
+    closed_form_orientation,
     dense_normalize_simplex_pair,
     frozenset_face_sets,
     frozenset_polytope_to_json,
@@ -453,7 +454,8 @@ def assert_label_path_is_mask_path(W, seeds=(0,)):
 class TestLabelPathAgainstMaskPath:
     """The label path of ``validate``, the block path of ``boundary_components``,
     ``identify_simplex_or_product`` and ``verify_translation``, and ``glue_report`` against the mask path
-    they replaced, and the blocks against the label walks."""
+    they replaced, its orientation, read off the gluing witness, against the closed forms in n, and the
+    blocks against the label walks."""
 
     @pytest.mark.parametrize("r1", R1S, ids=str)
     @pytest.mark.parametrize("k", range(1, 13))
@@ -485,6 +487,11 @@ class TestLabelPathAgainstMaskPath:
         if not any(vector):
             vector[j] = 1
         assert_label_path_is_mask_path(wmanifold_from_json(blob))
+
+    def test_orientation_read_off_the_witness_is_the_closed_form(self):
+        for k in range(1, 65):
+            report = glue_report(build_W(k))
+            assert report.orientation == closed_form_orientation(2 * (k + 1)), k
 
 
 class TestBlocksAgainstLabelWalks:

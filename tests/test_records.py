@@ -90,7 +90,11 @@ RECORDS = [
         ("ok", True),
     ),
     (ValidationReport, {"ok": True, "checked_vertices": 16, "failures": ()}, ("checked_vertices", 15)),
-    (TranslationWitness, {"phi": {"d0": "d1", "d1": "d0"}, "delta": SWAP}, ("phi", {"d0": "d0", "d1": "d1"})),
+    (
+        TranslationWitness,
+        {"phi": {"d0": "d1", "d1": "d0"}, "delta": SWAP, "det": -1},
+        ("phi", {"d0": "d0", "d1": "d1"}),
+    ),
     (
         TranslationReport,
         {"ok": False, "phi_is_isomorphism": True, "vector_mismatches": (("d0", "d1"),)},
@@ -142,7 +146,6 @@ RECORDS = [
             "cell_counts": {1: 1, 7: 1},
             "homology": HOMOLOGY,
             "orientation": OrientationRecord(-1, 1, "conjugate-CP"),
-            "boundary_label": "conjugate-CP",
             "witness": WITNESS,
             "passed": True,
         },
@@ -295,6 +298,7 @@ def test_vertex_facet_ids_are_read_off_the_mask():
         (lambda: TranslationWitness({}, IntMatrix(1, 2, (1, 0))), "delta must be square"),
         (lambda: TranslationWitness({}, IntMatrix(2, 2, (2, 0, 0, 1))), "delta must have determinant +-1"),
         (lambda: TranslationWitness({"d0": "d1", "d1": "d1"}, SWAP), "phi is not injective"),
+        (lambda: TranslationWitness({}, SWAP, 1), "delta has determinant -1, not 1"),
     ],
 )
 def test_argument_checks(build, message):

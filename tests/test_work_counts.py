@@ -10,9 +10,11 @@ n - 1 unit vectors, with d = 1 and no row updated; each set judged by one
 pair of Gale vectors, 3 at every k, with no elimination of its own), no
 coordinate made for a built W by ``glue_report``, ``cell_stage``,
 ``validate`` or ``boundary_h_vectors``, no validation of a boundary
-component (each reads W's report), one
-determinant per request (none for the orientation record or the P3 basis
-change), three eliminations per request, each of the core that the peel of
+component (each reads W's report), one gluing witness per report, failing
+or not, with one ``Permutation`` (rho's), one ``rho_permutation`` and one
+determinant, the witness's, which the orientation record reads (none for
+the P3 basis change, and no ``Permutation`` for a determinant's sign),
+three eliminations per request, each of the core that the peel of
 unit vectors leaves (``zlinalg``'s module docstring): no row of W's M^T (its
 anchor is all peeled), no row of delta' (a signed permutation) and at most 2
 rows of P3's basis (once its unit columns are peeled), no Smith normal
@@ -47,6 +49,7 @@ import random
 import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -260,11 +263,50 @@ def test_valid_w_certifies_each_vector_set_once(calls, reductions, k):
         # and needs no determinant; the one is the witness check of delta'.
         # Each of the three peels its unit vectors and reduces the rest: W's
         # M^T and delta' leave a core of no row, P3's basis one of at most 2,
-        # and its solve gives its determinant too; det delta' for the
-        # orientation record is the sign of the reversal delta' permutes by.
+        # and its solve gives its determinant too; the orientation record
+        # reads det delta' off the witness.
         assert counts == {"_gale_vectors": 1, "determinant": 1}
         w, delta, p3 = reductions
         assert w == delta == 0 and p3 <= 2
+
+
+@pytest.fixture
+def witness_work(monkeypatch, calls):
+    """Counts of ``Permutation``s built and of ``rho_permutation`` and ``determinant`` calls."""
+    counts, count = calls
+    count(charfn, "rho_permutation")
+    count(zlinalg, "determinant")
+    init = zlinalg.Permutation.__init__
+
+    def counting_init(p, images):
+        counts["Permutation"] += 1
+        init(p, images)
+
+    monkeypatch.setattr(zlinalg.Permutation, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 12, 64))
+def test_glue_report_builds_one_witness(witness_work, k):
+    """One gluing witness per report: rho's ``Permutation`` for phi and the determinant of delta', which the
+    orientation reads; no second ``rho_permutation`` or reversal for it, and no ``Permutation`` for a sign."""
+    W = build_W(k)
+    witness_work.clear()
+    report = glue_report(W, 0)
+    assert report.passed
+    assert witness_work == {"Permutation": 1, "rho_permutation": 1, "determinant": 1}
+    assert report.orientation.det_delta == report.witness.det
+
+
+def test_a_failing_report_builds_the_same_one_witness(witness_work):
+    """The witness depends on n alone, so a report that fails W's validity builds and reads it too."""
+    path = Path(__file__).parent / "goldens" / "w_k2_d0_2e0.json"
+    W = cobordism.wmanifold_from_json(json.loads(path.read_text()))
+    witness_work.clear()
+    report = glue_report(W, 0)
+    assert report.failed_checks() == ("w-validity",)
+    assert witness_work == {"Permutation": 1, "rho_permutation": 1, "determinant": 1}
+    assert report.orientation.det_delta == report.witness.det == 1
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 8))
