@@ -31,10 +31,10 @@ TARGETS = {
     "validate_k2_d0.txt": (1, ["validate", "--input", D0]),
     "validate_k2_d0.json": (1, ["validate", "--input", D0, "--format", "json"]),
     "glue_k2_d0.txt": (1, ["glue", "--input", D0]),
-    "glue_k2_d0.json": (1, ["glue", "--input", D0, "--format", "json"]),
     "validate_k2_d1.txt": (1, ["validate", "--input", D1]),
     "validate_k2_d1.json": (1, ["validate", "--input", D1, "--format", "json"]),
     "glue_k2_d1.txt": (1, ["glue", "--input", D1]),
+    "glue_k2_d0.json": (1, ["glue", "--input", D0, "--format", "json"]),
 }
 
 
