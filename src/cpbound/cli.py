@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .charfn import eta_standard, rho_permutation
+from .charfn import eta_standard
 from .cobordism import (
     BOUNDARY_FACETS,
     WManifold,
@@ -112,6 +112,10 @@ def _add_size_options(p: argparse.ArgumentParser, with_input: bool = True) -> No
         p.add_argument("--input", help="read the manifold datum from a JSON file instead")
 
 
+_SEED_HELP = "seed of the one generator that shuffles the root orders of the cell count; default 0"
+_SEEDS_HELP = "count the cells under this many root orders and require equal counts; default 1"
+
+
 @cache  # built on first use, then shared by every call of ``run``
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -131,19 +135,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary", help="list the three boundary components")
     _add_size_options(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and unused: the output does not depend on it")
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("homology", help="cell counts and homology of the pair")
     _add_size_options(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1, help="re-run under this many functionals")
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    p.add_argument("--seeds", type=int, default=1, help=_SEEDS_HELP)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("glue", help="full certification report")
     _add_size_options(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    p.add_argument("--seeds", type=int, default=1, help=_SEEDS_HELP)
     p.add_argument("--k-range", dest="k_range", help="run for a range of k, e.g. 1:5 (excludes --k and --n)")
     p.add_argument("--output", help="write the JSON report(s) here")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -151,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="worked example: tables, translation, and verdict")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r1", default="1/5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     return parser
 
 
@@ -202,7 +206,7 @@ def _cmd_boundary(args, out) -> int:
         return _EXIT_CHECK_FAILED
     components = boundary_components(W)
     rows = []
-    for fid, comp, h in zip(BOUNDARY_FACETS, components, boundary_h_vectors(W, args.seed)):
+    for fid, comp, h in zip(BOUNDARY_FACETS, components, boundary_h_vectors(W)):
         betti = betti_from_h_vector(h)
         rows.append(
             {
@@ -340,11 +344,11 @@ def _cmd_demo(args, out) -> int:
         for facet, vec in sorted(comp.assignment.items()):
             out.write(f"  {facet} /\\ {fid} -> {vec.entries}\n")
 
-    rho = rho_permutation(n)
+    phi = report.witness.phi  # d{n-j} -> d{n - rho(j)}: the facet carrying eta_j goes to the one carrying eta_rho(j)
     out.write("\nBasis reversal delta' acting on the vectors:\n")
     for j in range(n + 1):
         image = apply_matrix(report.witness.delta, eta[j].entries)
-        out.write(f"  delta'(eta_{j}) = {image} = eta_{rho(j)}\n")
+        out.write(f"  delta'(eta_{j}) = {image} = eta_{n - int(phi[f'd{n - j}'][1:])}\n")
     out.write("\nFacet bijection P1 -> P2 (matching the vector swap):\n")
     for a, b in sorted(report.witness.phi.items()):
         out.write(f"  {a} /\\ P1  ->  {b} /\\ P2\n")

@@ -18,22 +18,25 @@ of F and R, its type is read from |F| and |R|, its translations from the
 parts, and the Euler check sums |F| * |R| over the cuts.  A built W's
 labels are made only when read: to list a failing vertex, or by a test.
 
-The cells are counted, never listed.  A generic functional c on the root
-vertices makes ``A{i}|d{m}`` a generator when c_m < c_i, and on the truncated
-simplex that every ``WManifold`` is checked to be, the generators at a root
-vertex i of a cut face F have the indices b_i+1, ..., b_i+t_i, one each,
-where b_i and t_i count the entries of c below c_i inside and outside F.
-``cell_structure`` sums these intervals from one sorted order of c.  The
-boundary component on the cut facet of F is Delta^(|F|-1) x Delta^(|R|-1),
-R the root vertices outside F, and ``boundary_h_vectors`` writes its h-vector
-from |F| and |R| alone.
+The cells are counted, never listed.  A root order, the root vertices 0..n
+in some order with c_j the place of j in it, makes ``A{i}|d{m}`` a generator
+when c_m < c_i, and on the truncated simplex that every ``WManifold`` is
+checked to be, the generators at a root vertex i of a cut face F have the
+indices b_i+1, ..., b_i+t_i, one each, where b_i and t_i count the roots
+before i inside and outside F.  ``cell_structure`` sums these intervals from
+one walk of the order, and ``cell_stage`` shuffles its orders with one
+generator per call (``root_orders``).  The boundary component on the cut
+facet of F is Delta^(|F|-1) x Delta^(|R|-1), R the root vertices outside F,
+and ``boundary_h_vectors`` writes its h-vector from |F| and |R| alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
+from random import Random
 
 from .charfn import (
     CharPair,
@@ -57,7 +60,6 @@ from .polytope import (
     cut_places,
     decode_truncated_simplex,
     format_fraction,
-    functional_draws,
     parse_fraction,
     parse_int,
     truncated_simplex,
@@ -182,49 +184,45 @@ class CellStructure(Record):
         return {2 * j - 1: c for j, c in self.counts}
 
 
-def _separating_draw(n: int, seed: int) -> tuple[int, ...]:
-    """The first draw c of ``functional_draws`` for W's n(n+4)/2 vertices that is injective on the roots 0..n.
-
-    That is enough: no edge of W is then level.  For r1 = p/q, c takes q
-    times its value, (q-p)*c_i + p*c_m, at ``A{i}|d{m}``; an edge from there
-    changes c_i alone, c_m alone, or, to ``A{m}|d{i}``, by (q-2p)(c_m - c_i),
-    with q - 2p > 0 as r1 < 1/4.  When no draw is injective,
-    ``functional_draws`` raises ``ValueError``.
-    """
-    for c in functional_draws(n + 1, n * (n + 4) // 2, seed):
-        if len(set(c)) == n + 1:
-            return c
+def root_orders(n: int, seed: int) -> Iterator[list[int]]:
+    """The root orders of ``cell_stage``: the roots 0..n shuffled afresh, order after order, by one ``Random(seed)``."""
+    shuffle = Random(seed).shuffle
+    while True:
+        order = list(range(n + 1))
+        shuffle(order)
+        yield order
 
 
-def cell_structure(W: WManifold, seed: int = 0) -> CellStructure:
+def cell_structure(W: WManifold, order: Sequence[int]) -> CellStructure:
     """Cells of (W, boundary), counted by index: vertices whose unique root edge points inward.
 
     Each vertex of the truncated simplex (``W.labels``) lies on exactly one
     surviving root edge; orienting edges by a generic functional, the vertex
     contributes one cell of dimension 2*ind(v)-1 exactly when that edge
-    points toward it.  For r1 = p/q, the draw c of ``_separating_draw``, with
-    no level edge, takes q times its value, (q-p)*c_i + p*c_m, at
-    ``A{i}|d{m}``, for i in a cut face F and m outside it.  That vertex's
-    neighbours on its cut facet are ``A{i'}|d{m}`` and ``A{i}|d{m'}`` for the
-    other i' in F and m' outside F; its root edge goes to ``A{m}|d{i}``.  So
-    its index is the number b_i of i' with c_i' < c_i, plus the number of m'
-    with c_m' < c_m, plus 1 when c_m < c_i (as q - 2p > 0): then the root
-    edge points at it, and it is a generator.  With t_i the number of m
-    outside F with c_m < c_i, the t_i generators at i thus have the indices
-    b_i+1, ..., b_i+t_i, one each.  One walk of c's sorted order, with a
-    count per face, gives every b_i and t_i, as b_i + t_i is i's place in
-    that order, and a difference array sums the intervals: O(n log n) after
-    the draw.  The counts do not depend on c: index j has as many generators
-    as there are i with b_i < j, less those with b_i + t_i < j; within a
-    face F the b_i + 1 run over 1..|F|, and the places b_i + t_i over 0..n,
-    so index j has the sum over F of min(|F|, j), less j: one at j = n.
+    points toward it.  ``order`` lists the roots 0..n once each; c_j, the
+    place of j in it, is injective by construction.  For r1 = p/q, the
+    functional with value c_j at root j takes q times its value,
+    (q-p)*c_i + p*c_m, at ``A{i}|d{m}``, for i in a cut face F and m outside
+    it.  That vertex's neighbours on its cut facet are ``A{i'}|d{m}`` and
+    ``A{i}|d{m'}`` for the other i' in F and m' outside F; its root edge goes
+    to ``A{m}|d{i}``, a change of (q-2p)(c_m - c_i), with q - 2p > 0 as
+    r1 < 1/4, so no edge is level.  So its index is the number b_i of i'
+    with c_i' < c_i, plus the number of m' with c_m' < c_m, plus 1 when
+    c_m < c_i: then the root edge points at it, and it is a generator.  With
+    t_i the number of m outside F with c_m < c_i, the t_i generators at i
+    thus have the indices b_i+1, ..., b_i+t_i, one each.  One walk of the
+    order, with a count per face, gives every b_i and t_i, as b_i + t_i is
+    c_i, and a difference array sums the intervals: O(n).  The counts do not
+    depend on the order: index j has as many generators as there are i with
+    b_i < j, less those with b_i + t_i < j; within a face F the b_i + 1 run
+    over 1..|F|, and the places b_i + t_i over 0..n, so index j has the sum
+    over F of min(|F|, j), less j: one at j = n.
     """
     n = W.n
     face_of = cut_places(n)
-    c = _separating_draw(n, seed)
     steps = [0] * (n + 2)  # difference array of the intervals b_i+1 .. b_i+t_i
-    below = [0, 0, 0]  # entries of c so far inside each face
-    for p, j in enumerate(sorted(range(n + 1), key=c.__getitem__)):
+    below = [0, 0, 0]  # roots so far inside each face
+    for p, j in enumerate(order):
         steps[below[face_of[j]] + 1] += 1  # b = below[face_of[j]] inside j's face, and t = p - b outside it
         steps[p + 1] -= 1
         below[face_of[j]] += 1
@@ -258,12 +256,12 @@ class EulerCheck(Record):
 
 
 class CellStage(Record):
-    """The cells of (W, boundary) under one seed, checked under further seeds.
+    """The cells of (W, boundary) under one root order, checked under further orders.
 
-    ``stable`` says whether the counts held under every extra seed computed;
-    ``extra_error`` is the first extra seed's failure, after which no further
-    seed is drawn.  On the truncated simplex, which every ``WManifold`` is,
-    no input makes the counts vary or an extra seed fail; these fields guard
+    ``stable`` says whether the counts held under every extra order computed;
+    ``extra_error`` is the first extra order's failure, after which no further
+    order is walked.  On the truncated simplex, which every ``WManifold`` is,
+    no input makes the counts vary or an extra order fail; these fields guard
     the closed form of ``cell_structure``.
     """
 
@@ -271,7 +269,7 @@ class CellStage(Record):
 
 
 def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
-    """Cells under ``seed`` and ``extra_seeds`` further functionals, homology and Euler check.
+    """Cells under the first of ``root_orders(W.n, seed)`` and ``extra_seeds`` more orders, homology and Euler check.
 
     Homology has rank |I_j| in degree 2j-1.  The Euler check compares two
     independent counts: the total number of odd cells equals the number of
@@ -281,13 +279,14 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     manifold has twice the manifold's characteristic, which forces the cell
     total to be half the summed vertex counts of the three boundary facets,
     |F| * |R| on the cut facet of F.
-    A failure of the ``seed`` structure itself is raised.
+    A failure of the first order's structure is raised.
     """
-    structure = cell_structure(W, seed)
+    orders = root_orders(W.n, seed)
+    structure = cell_structure(W, next(orders))
     stable, extra_error = True, None
-    for s in range(1, extra_seeds + 1):
+    for order in islice(orders, extra_seeds):
         try:
-            if cell_structure(W, seed + s).counts != structure.counts:
+            if cell_structure(W, order).counts != structure.counts:
                 stable = False
         except (ValueError, AssertionError) as exc:
             extra_error = exc
@@ -299,20 +298,17 @@ def cell_stage(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> CellStage:
     return CellStage(structure, counts, stable, extra_error, homology, euler)
 
 
-def boundary_h_vectors(W: WManifold, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+def boundary_h_vectors(W: WManifold) -> tuple[tuple[int, ...], ...]:
     """The h-vectors of the boundary components on P1, P2 and P3, aligned with ``BOUNDARY_FACETS``.
 
     The component on the cut facet of F has the vertices ``A{i}|d{m}`` of
     ``W.labels`` with i in F and m in R, the root indices outside F; two are
-    adjacent when they share i or share m.  Under a functional c injective
-    on the roots, its index at ``A{i}|d{m}`` is the rank of c_i within F
-    plus the rank of c_m within R, so h_j = #{(a, b) in [0,|F|) x [0,|R|) :
-    a + b = j} = min(j+1, |F|, |R|, |F|+|R|-1-j), whatever c is.  The
-    components still take the draw of ``cell_structure`` under ``seed``
-    (``_separating_draw``), so a seed that no draw serves raises the
-    ``ValueError`` of ``functional_draws``.
+    adjacent when they share i or share m.  Under a root order, c_j the place
+    of j in it, its index at ``A{i}|d{m}`` is the rank of c_i within F plus
+    the rank of c_m within R, so h_j = #{(a, b) in [0,|F|) x [0,|R|) :
+    a + b = j} = min(j+1, |F|, |R|, |F|+|R|-1-j), whatever the order is, and
+    no order is drawn.
     """
-    _separating_draw(W.n, seed)
     h_vectors = []
     for face in cut_faces(W.n).values():
         a, b = len(face), W.n + 1 - len(face)
@@ -353,7 +349,7 @@ class GluingReport(Record):
 def glue_report(W: WManifold, seed: int = 0, extra_seeds: int = 0) -> GluingReport:
     """Run the full certification pipeline and aggregate the results.
 
-    ``extra_seeds`` re-runs the cell count under that many further functionals
+    ``extra_seeds`` re-runs the cell count under that many further root orders
     and requires identical counts.  Every artifact is computed once: W's
     validation is ``W.report``, each boundary component's is read from it
     (P3's also serves its normal form), and the cell stage (``cell_stage``)

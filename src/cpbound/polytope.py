@@ -33,8 +33,8 @@ load's parsed rows, the truncated simplex's closed form from each label
 simplex holds no coordinate tuple.  Integer functionals are evaluated on
 integer rows: each polytope scales its coordinates once by their
 common denominator q > 0, which keeps every equality and comparison between
-values exact.  Every functional is drawn by ``functional_draws``, so the same
-seed gives the same coefficients on every path that evaluates them.
+values exact.  No request draws a functional: the cells read a root order
+(``cobordism.root_orders``), and ``functional_draws`` serves the tests.
 """
 
 from __future__ import annotations

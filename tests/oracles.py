@@ -49,9 +49,12 @@ row of M over the anchor rows, with the anchor determinant from
 ``bareiss_det``.  The cells of (W, boundary), which ``cobordism.cell_structure``
 counts by index from intervals of ranks, have two oracles that list one
 ``CellGenerator`` record per generator, which the library no longer builds.
-``graph_walk_cell_structure`` is the graph walk it ran first: it orients W's
-derived edge graph by ``separating_functional``, counts each vertex's index
-with ``vertex_indices`` and follows each vertex's root edge, the one edge
+Both take the library's root order, c_j the place of root j in it
+(``root_places``).  ``graph_walk_cell_structure`` is the graph walk it ran
+first: it orients W's derived edge graph by the functional with value c_j at
+root vertex j, evaluated at the coordinates, counts each vertex's index as
+its neighbours below it (``order_vertex_indices`` counts them over
+``navigation`` instead) and follows each vertex's root edge, the one edge
 whose ends share no cut facet.  ``cobordism.boundary_h_vectors`` writes each
 boundary component's h-vector from its cut face; ``h_vector`` is the graph
 walk ``cpbound boundary`` ran before, the count of vertices of each index
@@ -94,8 +97,7 @@ the label walks they replaced are the oracles of the label section:
 ``label_components`` splits W's labels by cut into ``LabelCutPair`` views,
 ``label_identify_simplex_or_product`` recognizes K_(a,b) on their missed
 pairs and ``label_verify_translation`` compares the missed pairs
-(``label_missed_pairs``) under phi.  ``vertex_value_draw`` is the draw
-``cell_structure`` took before it asked only for distinct root entries.
+(``label_missed_pairs``) under phi.
 On a built W the library does O(n) work; the paths it replaced are the
 section after: ``dense_canon`` and ``dense_eta_standard`` (dense vectors),
 ``label_validate`` (``validate``'s one pass over the labels, before it read
@@ -158,15 +160,13 @@ from cpbound.polytope import (
     _derive_edges,
     combinatorially_isomorphic,
     cut_facet,
-    functional_draws,
     generate_functional,
     original_facet,
     polytope_to_json,
     product,
-    separating_functional,
     vertex_indices,
 )
-from cpbound import zlinalg
+from cpbound import cobordism, zlinalg
 from cpbound.record import Record
 from cpbound.zlinalg import (
     IntMatrix,
@@ -943,48 +943,79 @@ def _checked_top_cell(n: int, generators: list[CellGenerator]) -> tuple[CellGene
     return tuple(generators)
 
 
-def graph_walk_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerator, ...]:
+def root_places(order: Sequence[int]) -> tuple[int, ...]:
+    """c with c_j the place of root j in ``order``: the functional ``cell_structure`` reads off a root order."""
+    c = [0] * len(order)
+    for place, j in enumerate(order):
+        c[j] = place
+    return tuple(c)
+
+
+def order_vertex_indices(P: SimplePolytope, order: Sequence[int]) -> dict[str, int]:
+    """Per vertex of W's polytope, its neighbours below it under the functional of ``order``, by ``navigation``.
+
+    The functional takes the value c_j, the place of root j in ``order``, at
+    root vertex j, so (1-r1)*c_i + r1*c_m at ``A{i}|d{m}``; it is evaluated in
+    ``Fraction`` arithmetic at the coordinates.  Two vertices may share a
+    value, but no edge may be level.
+    """
+    zeta = LinearFunctional(root_places(order))
+    values = {vid: zeta(x) for vid, x in coords_by_id(P).items()}
+    nav = navigation(P)
+    if any(values[far] == values[vid] for vid in values for far, _ in nav[vid].values()):
+        raise ValueError("an edge is level")
+    return {vid: sum(values[far] < values[vid] for far, _ in nav[vid].values()) for vid in values}
+
+
+def graph_walk_cell_structure(W: WManifold, order: Sequence[int]) -> tuple[CellGenerator, ...]:
     """The generators of ``cell_structure`` by walking the edge graph of W's polytope, in vertex order.
 
-    Orients the derived edges by ``separating_functional``'s values, takes
-    each vertex's index from ``vertex_indices``, and makes a vertex a
-    generator when its one root edge, the edge whose ends share no cut
+    Orients the derived edges by the functional of ``order``, evaluated in
+    ``Fraction`` arithmetic at the coordinates as in ``order_vertex_indices``,
+    takes each vertex's index as its neighbours below it, and makes a vertex
+    a generator when its one root edge, the edge whose ends share no cut
     facet, points at it.
     """
     poly = W.pair.polytope
-    zeta, values = separating_functional(poly, seed)
-    ind = vertex_indices(poly, zeta)
+    zeta = LinearFunctional(root_places(order))
+    values = [zeta(x) for x in poly.coords()]
     masks = poly.incidence
     cut = sum(1 << j for j, f in enumerate(poly.facets) if f.provenance.kind == "cut")
+    ind = [0] * len(values)
     root_edges: list[list[int]] = [[] for _ in poly.vertices]
     for i, j in _derive_edges(masks, poly.facet_ids):
+        if values[i] == values[j]:
+            raise ValueError("an edge is level")
+        ind[i if values[i] > values[j] else j] += 1
         if not masks[i] & masks[j] & cut:
             root_edges[i].append(j)
             root_edges[j].append(i)
+    if ind.count(0) != 1 or ind.count(W.n) != 1:
+        raise ValueError("index profile is degenerate: expected a unique source and sink")
     ids = [v.id for v in poly.vertices]
     gens = []
-    for vid, others in zip(ids, root_edges):
+    for vid, index, value, others in zip(ids, ind, values, root_edges):
         if len(others) != 1:
             raise AssertionError(f"vertex {vid} lies on {len(others)} root edges, expected 1")
-        if values[vid] > values[ids[others[0]]]:
-            gens.append(CellGenerator(ind[vid], vid))
+        if value > values[others[0]]:
+            gens.append(CellGenerator(index, vid))
     return _checked_top_cell(W.n, gens)
 
 
-def closed_form_cell_structure(W: WManifold, seed: int = 0) -> tuple[CellGenerator, ...]:
+def closed_form_cell_structure(W: WManifold, order: Sequence[int]) -> tuple[CellGenerator, ...]:
     """The generators of ``cell_structure`` from each vertex's closed-form index, in vertex order.
 
     The per-vertex form ``cell_structure`` took before it summed index
-    intervals.  For r1 = p/q the functional c takes q times its value,
-    (q-p)*c_i + p*c_m, at ``A{i}|d{m}`` (``W.labels``); the index there is
-    the number of i' in its cut face F with c_i' < c_i, plus the number of
-    m' outside F with c_m' < c_m, plus 1 when c_m < c_i, which is when its
-    root edge points at it and it is a generator.  c is ``vertex_value_draw``,
-    the draw of ``graph_walk_cell_structure``, so the two list the same
-    generators.
+    intervals.  For r1 = p/q the functional of ``order``, c_j the place of
+    root j in it (``root_places``), takes q times its value, (q-p)*c_i +
+    p*c_m, at ``A{i}|d{m}`` (``W.labels``); the index there is the number of
+    i' in its cut face F with c_i' < c_i, plus the number of m' outside F
+    with c_m' < c_m, plus 1 when c_m < c_i, which is when its root edge
+    points at it and it is a generator.  It reads the functional of
+    ``graph_walk_cell_structure``, so the two list the same generators.
     """
     n, labels = W.n, W.labels
-    c = vertex_value_draw(W, seed)
+    c = root_places(order)
     # Per face, how many of c's entries inside and outside it lie below each one.
     below_inside = [0] * (n + 1)
     below_outside = [[0] * (n + 1) for _ in range(3)]
@@ -1220,6 +1251,37 @@ def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
         raise ValueError("rows have unequal lengths")
     return IntMatrix(len(rows), width, tuple(int(x) for r in rows for x in r))
 
+
+
+def cells_by_order_place(monkeypatch, outcomes: dict) -> None:
+    """Make ``cell_structure`` on the i-th root order of a ``cell_stage`` call give ``outcomes[i]``.
+
+    An exception there is raised, a callable is applied to the structure
+    the order gives, and any other value is returned; an order with no
+    outcome runs as it does.  The place i starts at 0 each time the stage
+    asks ``root_orders`` for its orders.  No input reaches these outcomes:
+    every ``WManifold`` is the truncated simplex, on which the closed form
+    never fails and never varies.
+    """
+    real_orders, real_cells = cobordism.root_orders, cobordism.cell_structure
+    place = [0]
+
+    def orders(n, seed):
+        place[0] = 0
+        return real_orders(n, seed)
+
+    def cells(W, order):
+        outcome = outcomes.get(place[0])
+        place[0] += 1
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is None or callable(outcome):
+            structure = real_cells(W, order)
+            return structure if outcome is None else outcome(structure)
+        return outcome
+
+    monkeypatch.setattr(cobordism, "root_orders", orders)
+    monkeypatch.setattr(cobordism, "cell_structure", cells)
 
 
 def betti_boundary(pair: CharPair, seed: int = 0) -> dict[int, int]:
@@ -1707,21 +1769,6 @@ def label_verify_translation(pair1: LabelCutPair, pair2: LabelCutPair, w: Transl
         if target not in pair2.assignment or image != pair2.assignment[target]:
             mismatches.append((fid, target))
     return TranslationReport(iso and not mismatches, iso, tuple(mismatches))
-
-
-def vertex_value_draw(W: WManifold, seed: int) -> tuple[int, ...]:
-    """The draw ``cell_structure`` took before it asked only for distinct root entries.
-
-    For r1 = p/q the draw c takes q times its value, (q-p)*c_i + p*c_m, at
-    ``A{i}|d{m}`` (``W.labels``); the first draw of ``functional_draws`` at
-    which these values are distinct over all of W's vertices.  This is the
-    draw ``separating_functional`` takes on W's polytope.
-    """
-    n, labels = W.n, W.labels
-    p, q = W.r1.numerator, W.r1.denominator
-    for c in functional_draws(n + 1, len(labels), seed):
-        if len({(q - p) * c[i] + p * c[m] for i, m, _ in labels}) == len(labels):
-            return c
 
 
 # --- the dense and scanning paths -----------------------------------------------------

@@ -8,13 +8,14 @@ off one solve M u = v (oracle ``dense_normalize_simplex_pair``, D B applied dens
 every vector, also on loaded certificates whose vectors are g eta for a
 random unimodular g), ``fraction_free_reduce`` finds a column's rows through its
 column index (oracle ``scanning_fraction_free_reduce``, which tests every
-row) and ``cell_structure`` walks the draw's sorted order once (oracles
+row) and ``cell_structure`` walks a root order once (oracles
 ``closed_form_cell_structure`` and ``graph_walk_cell_structure``).  Built and
 loaded W, with the loaded vertex lists shuffled, at k <= 12 and several r1,
 and the mutated corpus, whose failures must be the oracle's in the same order.
 """
 
 import io
+import itertools
 import json
 import math
 import random
@@ -32,6 +33,7 @@ from cpbound.cobordism import (
     cell_structure,
     glue_report,
     glue_report_to_json,
+    root_orders,
     wmanifold_from_json,
     wmanifold_to_json,
 )
@@ -211,10 +213,10 @@ class TestOneWalkOfTheDraw:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_counts_are_the_closed_form_and_the_graph_walk(self, k):
         W = build_W(k)
-        for seed in range(20):
-            expected = generator_counts(closed_form_cell_structure(W, seed))
-            assert cell_structure(W, seed).index_counts() == expected
-            assert generator_counts(graph_walk_cell_structure(W, seed)) == expected
+        for order in itertools.islice(root_orders(W.n, k), 20):  # a cell stage's first order and 19 extra ones
+            expected = generator_counts(closed_form_cell_structure(W, order))
+            assert cell_structure(W, order).index_counts() == expected
+            assert generator_counts(graph_walk_cell_structure(W, order)) == expected
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 6, 12))

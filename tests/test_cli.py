@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpbound import cli, cobordism
+from cpbound import cli
 from cpbound.charfn import validate
 from cpbound.cli import run
 from cpbound.cobordism import CellStructure, build_W, wmanifold_from_json, wmanifold_to_json
+
+from oracles import cells_by_order_place
 
 GOLDENS = Path(__file__).parent / "goldens"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -258,6 +260,18 @@ class TestBatchAndFormats:
         code, out = invoke("homology", "--k", "1", "--seeds", "5")
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("command,extra", [("boundary", ()), ("homology", ("--seeds", "4")), ("glue", ("--seeds", "3"))])
+    def test_output_does_not_depend_on_the_seed(self, command, extra):
+        # --seed picks the generator of the root orders (boundary draws none); the counts are the same under all.
+        outputs = {invoke(command, "--k", "5", *extra, "--seed", seed) for seed in ("0", "1000", "-7", str(2**64 + 3))}
+        if command == "glue":  # its header line prints the seed
+            outputs = {(code, out.split("\n", 1)[1]) for code, out in outputs}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
+    def test_boundary_help_says_the_seed_is_unused(self, capsys):
+        assert run(["boundary", "--help"]) == 0
+        assert "the output does not depend on it" in " ".join(capsys.readouterr().out.split())
 
     def test_boundary_text(self):
         code, out = invoke("boundary", "--n", "4")
@@ -672,17 +686,8 @@ def fewer_cells(structure):
 )
 def test_cell_stage_failures_exit_1_from_homology_and_glue(monkeypatch, tmp_path, capsys, outcome, out):
     # No input reaches these: the closed-form cells of the truncated simplex
-    # neither fail nor vary.  A patched cell_structure fails under seed 1.
-    real = cobordism.cell_structure
-
-    def patched(W, seed=0):
-        if seed != 1:
-            return real(W, seed)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome(real(W, seed))
-
-    monkeypatch.setattr(cobordism, "cell_structure", patched)
+    # neither fail nor vary.  A patched cell_structure fails on the second root order.
+    cells_by_order_place(monkeypatch, {1: outcome})
     path = tmp_path / "w.json"
     path.write_text(json.dumps(CERTIFICATE))
     for source in (("--k", "1"), ("--input", str(path))):

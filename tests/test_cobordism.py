@@ -24,6 +24,7 @@ from cpbound.cobordism import (
     glue_report,
     glue_report_to_json,
     identify_simplex_or_product,
+    root_orders,
     wmanifold_from_json,
     wmanifold_to_json,
 )
@@ -45,6 +46,7 @@ from oracles import (
     mask_components,
     attach,
     betti_boundary,
+    cells_by_order_place,
     checked_polytope,
     closed_form_cell_structure,
     closed_form_index_counts,
@@ -58,7 +60,7 @@ from oracles import (
     h_vector,
     label_by_isomorphism_search,
     mask_identify_simplex_or_product,
-    vertex_value_draw,
+    order_vertex_indices,
     SetVertex,
     root_coords,
     simplex,
@@ -243,44 +245,50 @@ class TestRecognizerAgainstOracle:
         assert None in labels and "Delta^3 x Delta^3" in labels
 
 
+def first_order(W, seed=0):
+    """The first root order ``cell_stage`` walks under ``seed``."""
+    return next(root_orders(W.n, seed))
+
+
 class TestCellStructure:
     def test_top_cell_unique(self):
         for k in (1, 2):
             W = build_W(k)
-            cs = cell_structure(W, 0)
+            cs = cell_structure(W, first_order(W))
             assert cs.index_counts()[W.n] == 1
 
     @pytest.mark.parametrize("n", (4, 6, 8, 10, 12))
     def test_total_matches_formula(self, n):
         W = build_W(n // 2 - 1)
-        assert sum(cell_structure(W, 0).index_counts().values()) == n * (n + 4) // 4
+        assert sum(cell_structure(W, first_order(W)).index_counts().values()) == n * (n + 4) // 4
 
     def test_counts_stable_across_seeds_and_depths(self):
         for n in (4, 6):
             baseline = None
             for r1 in (Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)):
                 W = build_W(n // 2 - 1, r1)
-                for seed in range(5):
-                    counts = cell_structure(W, seed).cell_counts()
+                for order in itertools.islice(root_orders(n, 0), 5):
+                    counts = cell_structure(W, order).cell_counts()
                     if baseline is None:
                         baseline = counts
                     assert counts == baseline
 
     def test_minimum_vertex_contributes_nothing(self):
         W = build_W(1)
-        seed = 3
-        ind = vertex_indices(W.pair.polytope, generate_functional(W.pair.polytope, seed))
+        order = first_order(W, 3)
+        ind = order_vertex_indices(W.pair.polytope, order)
         (bottom,) = [v for v, i in ind.items() if i == 0]
         for oracle in (graph_walk_cell_structure, closed_form_cell_structure):
-            assert bottom not in {g.vertex for g in oracle(W, seed)}
-        assert 0 not in cell_structure(W, seed).index_counts()
+            assert bottom not in {g.vertex for g in oracle(W, order)}
+        assert 0 not in cell_structure(W, order).index_counts()
 
     def test_generators_have_positive_index(self):
         W = build_W(2)
-        ind = vertex_indices(W.pair.polytope, generate_functional(W.pair.polytope, 1))
+        order = first_order(W, 1)
+        ind = order_vertex_indices(W.pair.polytope, order)
         for oracle in (graph_walk_cell_structure, closed_form_cell_structure):
-            assert all(g.index == ind[g.vertex] >= 1 for g in oracle(W, 1))
-        cs = cell_structure(W, 1)
+            assert all(g.index == ind[g.vertex] >= 1 for g in oracle(W, order))
+        cs = cell_structure(W, order)
         assert cs.counts == tuple(sorted(cs.counts))
         assert all(j >= 1 and count >= 1 for j, count in cs.counts)
         assert cs.zero_cells == 1
@@ -288,7 +296,8 @@ class TestCellStructure:
     def test_frozen_n4_counts(self):
         # Regression pin: computed by this pipeline, cross-checked by the
         # Euler identity and by seed/depth invariance above.
-        assert cell_structure(build_W(1), 0).cell_counts() == {1: 2, 3: 3, 5: 2, 7: 1}
+        W = build_W(1)
+        assert cell_structure(W, first_order(W)).cell_counts() == {1: 2, 3: 3, 5: 2, 7: 1}
 
     @pytest.mark.parametrize("r1", [Fraction(1, 5), Fraction(2, 9), Fraction(3, 13), Fraction(1, 7)])
     @pytest.mark.parametrize("k", range(1, 9))
@@ -296,11 +305,13 @@ class TestCellStructure:
         built = build_W(k, r1)
         loaded = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(built))))
         for W in (built, loaded):
-            for seed in range(12):
-                walked = graph_walk_cell_structure(W, seed)
+            # The library's own orders: the first of seeds 0..11, and seed 0's first two extra orders.
+            orders = [first_order(W, seed) for seed in range(12)] + list(itertools.islice(root_orders(W.n, 0), 1, 3))
+            for order in orders:
+                walked = graph_walk_cell_structure(W, order)
                 # The oracles agree generator by generator, by index and vertex id, in vertex order.
-                assert closed_form_cell_structure(W, seed) == walked
-                assert cell_structure(W, seed).index_counts() == generator_counts(walked)
+                assert closed_form_cell_structure(W, order) == walked
+                assert cell_structure(W, order).index_counts() == generator_counts(walked)
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_counts_match_the_functional_free_closed_form(self, k):
@@ -308,56 +319,61 @@ class TestCellStructure:
         expected = closed_form_index_counts(W.n)
         assert expected[W.n] == 1 and sum(expected.values()) == W.n * (W.n + 4) // 4
         if k <= 8:
-            assert expected == generator_counts(graph_walk_cell_structure(W, 0))
-        for seed in range(4):
-            assert cell_structure(W, seed).index_counts() == expected
+            assert expected == generator_counts(graph_walk_cell_structure(W, first_order(W)))
+        if k <= 2:  # every order of the n + 1 roots: 120 at k = 1, 5040 at k = 2
+            orders = itertools.permutations(range(W.n + 1))
+        else:  # the library's orders under seeds of every sign and size, and orders drawn apart from it
+            rng = random.Random(k)
+            orders = [rng.sample(range(W.n + 1), W.n + 1) for _ in range(8)]
+            for seed in (0, 1, -k, 2**64 + k):
+                orders += itertools.islice(root_orders(W.n, seed), 4)
+        for order in orders:
+            assert cell_structure(W, order).index_counts() == expected
 
     @pytest.mark.parametrize("k", (32, 64))
     def test_interval_counts_match_the_closed_form_at_large_k(self, k):
         W = build_W(k)
         for seed in range(4):
-            expected = generator_counts(closed_form_cell_structure(W, seed))
-            assert cell_structure(W, seed).index_counts() == expected
+            for order in itertools.islice(root_orders(W.n, seed), 2):
+                expected = generator_counts(closed_form_cell_structure(W, order))
+                assert cell_structure(W, order).index_counts() == expected
 
-    def test_takes_the_first_draw_injective_on_the_roots(self, monkeypatch):
-        # With coefficients only in [-V^2, V^2], seed 2's first draw at k = 1 and 2 puts two vertices at one
-        # value, but its root entries are distinct: the vertex-value rule takes the second draw, this one the first.
-        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
-        drawn = []
-        real = cobordism.functional_draws
 
-        def recording(*args):
-            for coefficients in real(*args):
-                drawn.append(coefficients)
-                yield coefficients
+class TestRootOrders:
+    """The orders ``cell_stage`` walks: permutations of the roots, the same under the same seed."""
 
-        monkeypatch.setattr(cobordism, "functional_draws", recording)
-        differ = []
-        for k in (1, 2, 3):
-            W = build_W(k)
-            for seed in range(12):
-                drawn.clear()
-                structure = cell_structure(W, seed)
-                assert [len(set(c)) == W.n + 1 for c in drawn] == [False] * (len(drawn) - 1) + [True]
-                if drawn[-1] != vertex_value_draw(W, seed):
-                    assert vertex_value_draw(W, seed) == separating_functional(W.pair.polytope, seed)[0].coefficients
-                    differ.append((k, seed))
-                assert structure.index_counts() == generator_counts(graph_walk_cell_structure(W, seed))
-        assert differ == [(1, 2), (2, 2)]
+    SEEDS = (0, 1, 7, -1, -7, 2**63, 2**64, 2**64 + 1, -(2**64) - 3, 2**200 + 5)
 
-    def test_a_draw_repeating_a_root_entry_is_rejected(self, monkeypatch):
-        draws = [(5, -3, 8, -3, 1), (2, 7, -1, 8, 3), (1, 2, 3, 4, 5)]
-        monkeypatch.setattr(cobordism, "functional_draws", lambda *args: iter(draws))
-        assert cobordism._separating_draw(4, 0) == draws[1]
-        W = build_W(1)
-        assert cell_structure(W, 0).index_counts() == generator_counts(graph_walk_cell_structure(W, 0))
+    @pytest.mark.parametrize("n", (4, 6, 22, 130))
+    def test_each_order_is_a_permutation_and_repeats_under_its_seed(self, n):
+        for seed in self.SEEDS:
+            orders = list(itertools.islice(root_orders(n, seed), 6))
+            assert all(sorted(order) == list(range(n + 1)) for order in orders)
+            assert orders == list(itertools.islice(root_orders(n, seed), 6))
+        firsts = {tuple(next(root_orders(n, seed))) for seed in self.SEEDS if seed >= 0}
+        assert len(firsts) > 1  # the seed picks the generator
 
-    def test_no_separating_draw_is_an_error(self, monkeypatch):
-        # With coefficients only in [-V^2, V^2], seed 21's first draw repeats a root entry.
-        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
-        monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", 1)
-        with pytest.raises(ValueError, match="^no injective functional after 1 attempts"):
-            cell_structure(build_W(1), 21)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40).map(lambda h: 2 * h + 2), seed=st.integers(-(2**80), 2**80), count=st.integers(1, 6))
+    def test_sampled_seeds(self, n, seed, count):
+        orders = list(itertools.islice(root_orders(n, seed), count))
+        assert all(sorted(order) == list(range(n + 1)) for order in orders)
+        assert orders == list(itertools.islice(root_orders(n, seed), count))
+
+    @pytest.mark.parametrize("seed,extra", [(0, 0), (5, 3), (-3, 2), (2**64 + 9, 4)])
+    def test_cell_stage_walks_the_orders_of_its_seed_in_turn(self, monkeypatch, seed, extra):
+        W = build_W(3)
+        walked = []
+        real = cobordism.cell_structure
+
+        def recording(W, order):
+            walked.append(list(order))
+            return real(W, order)
+
+        monkeypatch.setattr(cobordism, "cell_structure", recording)
+        stage = cell_stage(W, seed, extra)
+        assert walked == list(itertools.islice(root_orders(W.n, seed), 1 + extra))
+        assert stage.stable and stage.structure == real(W, walked[0])
 
 
 class TestHomology:
@@ -403,33 +419,12 @@ def moved_vertex_polytope(index, coord):
 # and gives other counts on the second, whose seed 2 is then degenerate.
 DEGENERATE_AT_SEED_1 = (4, ["14/4", "-15/1", "0/5", "11/1", "-1/5"])
 VARIES_AT_SEED_1 = (3, ["-6/3", "-10/3", "7/1", "-14/2", "-6/1"])
-
-
-def with_cells(monkeypatch, outcomes):
-    """Make ``cell_structure`` under seed s return or raise ``outcomes[s]``, and run as it does otherwise.
-
-    No input reaches these outcomes: every ``WManifold`` is the truncated
-    simplex, on which the closed form never fails and never varies.
-    """
-    real = cobordism.cell_structure
-
-    def patched(W, seed=0):
-        outcome = outcomes.get(seed)
-        if outcome is None:
-            return real(W, seed)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr(cobordism, "cell_structure", patched)
-
-
 DEGENERATE = ValueError("index profile is degenerate: expected a unique source and sink")
 
 
-def fewer_cells(W, seed=0):
-    """A cell structure whose counts differ from those under ``seed``: its top index is dropped."""
-    return CellStructure(W.n, cell_structure(W, seed).counts[:-1])
+def fewer_cells(structure):
+    """A cell structure whose counts differ from ``structure``'s: its top index is dropped."""
+    return CellStructure(structure.n, structure.counts[:-1])
 
 
 class TestCellStage:
@@ -437,7 +432,7 @@ class TestCellStage:
     def test_reports_the_seed_structure(self, k, extra):
         W = build_W(k)
         stage = cell_stage(W, 2, extra)
-        structure = cell_structure(W, 2)
+        structure = cell_structure(W, first_order(W, 2))
         assert stage.structure == structure
         assert stage.counts == structure.cell_counts()
         assert stage.stable and stage.extra_error is None
@@ -445,18 +440,20 @@ class TestCellStage:
         assert stage.euler == EulerCheck(sum(structure.index_counts().values()), W.n * (W.n + 4) // 4)
 
     def test_seed_failure_is_raised(self, monkeypatch):
+        # A failure on the first order is raised.
         W = build_W(1)
-        with_cells(monkeypatch, {0: AssertionError("expected exactly one top-dimensional cell")})
+        cells_by_order_place(monkeypatch, {0: AssertionError("expected exactly one top-dimensional cell")})
         with pytest.raises(AssertionError, match="expected exactly one top-dimensional cell"):
             cell_stage(W, 0, 2)
 
     def test_extra_seed_failure_is_kept(self, monkeypatch):
+        # A failure on an extra order, the third one walked, is kept, and no fourth order is walked.
         W = build_W(1)
-        with_cells(monkeypatch, {2: DEGENERATE})
+        cells_by_order_place(monkeypatch, {2: DEGENERATE, 3: AssertionError("walked after a failure")})
         stage = cell_stage(W, 0, 3)
         assert stage.stable
         assert stage.extra_error is DEGENERATE
-        assert stage.counts == cell_structure(W, 0).cell_counts()
+        assert stage.counts == cell_structure(W, first_order(W)).cell_counts()
 
         report = glue_report(W, 0, extra_seeds=3)
         checks = {c.name: c for c in report.checks}
@@ -466,13 +463,14 @@ class TestCellStage:
         assert report.cell_counts == stage.counts and report.homology is None
 
     def test_disagreement_comes_before_a_later_failure(self, monkeypatch):
+        # Other counts on the second order, then a failure on the third.
         W = build_W(1)
-        with_cells(monkeypatch, {1: fewer_cells(W, 1), 2: DEGENERATE})
+        cells_by_order_place(monkeypatch, {1: fewer_cells, 2: DEGENERATE})
         stage = cell_stage(W, 0, 1)
         assert not stage.stable and stage.extra_error is None
         stage = cell_stage(W, 0, 3)
         assert not stage.stable and stage.extra_error is DEGENERATE
-        assert cell_stage(W, 1, 0).stable  # one seed alone never disagrees
+        assert cell_stage(W, 1, 0).stable  # one order alone never disagrees
 
         report = glue_report(W, 0, extra_seeds=1)
         checks = {c.name: c for c in report.checks}
@@ -611,7 +609,7 @@ class TestBoundaryHVectors:
     @pytest.mark.parametrize("n", range(4, 42, 2))
     def test_every_even_n_at_seed_0(self, n):
         W = build_W(n // 2 - 1)
-        assert boundary_h_vectors(W, 0) == graph_walk_h_vectors(W, 0)
+        assert boundary_h_vectors(W) == graph_walk_h_vectors(W, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -621,32 +619,11 @@ class TestBoundaryHVectors:
         loaded=st.booleans(),
     )
     def test_sampled_sizes_depths_seeds_and_loads(self, half, r1, seed, loaded):
+        # The graph walk draws its own functional under each seed; the h-vectors draw none.
         W = build_W(half - 1, r1)
         if loaded:
             W = wmanifold_from_json(json.loads(json.dumps(wmanifold_to_json(W))))
-        assert boundary_h_vectors(W, seed) == graph_walk_h_vectors(W, seed)
-
-    @pytest.mark.parametrize("budget,failures", [(1, 3), (2, 0)])
-    def test_no_separating_draw_fails_as_cell_structure_does(self, monkeypatch, budget, failures):
-        # With coefficients only in [-V^2, V^2], seed 21's first draw repeats a root entry at k = 1, 2 and 3.
-        # The components take cell_structure's one draw; where the graph walk, which draws a functional
-        # separating each component's vertices, finds its draws, it gives the same h-vectors.
-        monkeypatch.setattr(polytope, "FUNCTIONAL_COEFF_BOUND", 0)
-        monkeypatch.setattr(polytope, "FUNCTIONAL_RETRY_BUDGET", budget)
-        errors = []
-        for k in (1, 2, 3):
-            W = build_W(k)
-            for seed in (*range(12), 21):
-                found, cells = outcome(boundary_h_vectors, W, seed), outcome(cell_structure, W, seed)
-                if isinstance(found, str):
-                    assert cells == found
-                    errors.append(found)
-                else:
-                    assert not isinstance(cells, str)
-                    walked = outcome(graph_walk_h_vectors, W, seed)
-                    assert isinstance(walked, str) or walked == found
-        message = f"no injective functional after {budget} attempts; vertex coordinates are degenerate"
-        assert errors == [message] * failures
+        assert boundary_h_vectors(W) == graph_walk_h_vectors(W, seed)
 
 
 class TestBettiBoundary:

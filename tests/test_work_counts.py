@@ -1,8 +1,9 @@
 """How much work one certificate does, counted by wrapping cpbound's functions.
 
 Every artifact is computed once per manifold: one validation of W per
-request, one cell structure and one functional draw per seed, the cells
-read off the functional's entries without a vertex or its label, one
+request, one ``random.Random`` per cell stage, which shuffles every root
+order, one cell structure per order, the cells read off the order without
+a vertex or its label, one
 integer elimination and no
 determinant for all the full-count vertex vector sets (anchored on the
 n - 1 unit vectors, with d = 1 and no row updated; each set judged by one
@@ -23,8 +24,8 @@ inverse, no dense matrix product in a ``glue`` request and no dense read of
 any matrix in ``glue_report`` (delta' and P3's basis M are built, solved and
 applied by their nonzero entries, and M is the one matrix its normal form
 makes: neither M^-1 nor the basis change D M^-1 is built), no model polytope
-built to recognize the boundary, one functional for the three boundary
-components, no label list, no dense vector and no pass over W's labels in
+built to recognize the boundary, no generator and no draw for the three
+boundary components, no label list, no dense vector and no pass over W's labels in
 ``build_W`` and ``glue_report`` (``validate`` and the boundary checks read the
 blocks F x R, and the vectors are read by their nonzero entries), column
 lookups in ``fraction_free_reduce`` bounded by its rows' entries (a column
@@ -36,7 +37,8 @@ validating a loaded datum, no ``Vertex`` record and no ``SimplePolytope`` in
 built for the truncated simplex when its JSON is written (``construct``)
 and only the loader's one for a loaded certificate, no edge derivation or
 integer coordinate table in any request (``boundary`` writes its h-vectors
-from the cut faces and draws one functional per component), no
+from the cut faces and draws nothing), one ``rho_permutation`` per
+``demo`` (it reads rho off the report's witness), no
 string-ended edge tuple in a request, no navigation table in any polytope,
 no ``Fraction`` functional evaluation, and nothing kept from one request to
 the next.
@@ -44,6 +46,7 @@ the next.
 
 import functools
 import io
+import itertools
 import json
 import random
 import sys
@@ -106,13 +109,28 @@ def validated(monkeypatch):
     return pairs
 
 
+@pytest.fixture
+def generators(monkeypatch):
+    """How many ``random.Random`` generators are constructed, anywhere, as a one-entry list."""
+    made = [0]
+    init = random.Random.__init__
+
+    def counting(rng, *args, **kwargs):
+        made[0] += 1
+        init(rng, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "__init__", counting)
+    return made
+
+
 @pytest.mark.parametrize("k,extra", [(1, 0), (2, 2), (3, 4)])
-def test_glue_report_builds_one_cell_structure_per_seed(calls, k, extra):
+def test_glue_report_builds_one_cell_structure_per_seed(calls, generators, k, extra):
     counts, count = calls
     W = build_W(k)
     count(cobordism, "cell_structure")
     assert glue_report(W, 0, extra_seeds=extra).passed
     assert counts["cell_structure"] == 1 + extra
+    assert generators == [1]  # one generator shuffles every order the report walks
 
 
 @pytest.mark.parametrize("seeds", (1, 3, 5))
@@ -158,7 +176,7 @@ def test_glue_report_walks_the_labels_once(monkeypatch, k):
     monkeypatch.setattr(cobordism, "truncation_labels", counting)
     W = build_W(k)
     assert glue_report(W, 0, extra_seeds=2).passed
-    assert cobordism.boundary_h_vectors(W, 0)
+    assert cobordism.boundary_h_vectors(W)
     assert made == []
     labels = W.labels
     assert made == [labels] and W.labels is labels and labels.passes == 0
@@ -244,9 +262,10 @@ def test_eliminations_on_a_built_w_look_up_columns_by_their_entries(glue_work, k
 def test_cell_structure_reads_no_vertex(k):
     W = build_W(k)
     bare = types.SimpleNamespace(n=W.n, r1=W.r1, labels=VertexCount(len(W.labels)))
-    for seed in range(4):
-        assert cobordism.cell_structure(bare, seed) == cobordism.cell_structure(W, seed)
-        assert cobordism.boundary_h_vectors(bare, seed) == cobordism.boundary_h_vectors(W, seed)
+    for order in itertools.islice(cobordism.root_orders(W.n, k), 4):
+        assert cobordism.cell_structure(bare, order) == cobordism.cell_structure(W, order)
+    assert cobordism.cell_stage(bare, k, 3) == cobordism.cell_stage(W, k, 3)
+    assert cobordism.boundary_h_vectors(bare) == cobordism.boundary_h_vectors(W)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 8))
@@ -492,7 +511,7 @@ def test_built_w_makes_no_coordinates(monkeypatch, k):
     assert glue_report(W, 0, extra_seeds=2).passed
     assert cobordism.cell_stage(W, 3, extra_seeds=2).euler.ok
     assert charfn.validate(W.pair, lambda: W.labels).ok
-    assert cobordism.boundary_h_vectors(W, 1)
+    assert cobordism.boundary_h_vectors(W)
     assert W.pair.polytope.has_coords
     with pytest.raises(AssertionError, match="^a coordinate was made$"):
         W.pair.polytope.coords()
@@ -693,20 +712,31 @@ def test_building_polytopes_calls_no_neighbors():
     assert not hasattr(polytope.SimplePolytope, "edges") and not hasattr(polytope, "Edge")
 
 
-def test_boundary_draws_one_functional(calls):
+def test_boundary_constructs_no_generator(calls, generators):
     counts, count = calls
     count(polytope, "functional_draws")
     count(polytope, "separating_functional")
-    assert run(["boundary", "--n", "6", "--format", "json"], io.StringIO()) == 0
-    assert counts == {"functional_draws": 1}  # the one draw of cell_structure serves the three components
+    count(cobordism, "root_orders")
+    count(cobordism, "cell_structure")
+    for seed in ("0", "1000"):
+        assert run(["boundary", "--n", "6", "--seed", seed, "--format", "json"], io.StringIO()) == 0
+    assert generators == [0] and counts == {}  # the h-vectors draw no root order and no functional
 
 
-def test_each_seed_draws_once(calls):
+def test_homology_constructs_one_generator_for_its_orders(calls, generators):
     counts, count = calls
     count(polytope, "functional_draws")
+    count(cobordism, "root_orders")
     count(cobordism, "cell_structure")
     assert run(["homology", "--k", "2", "--seeds", "5"], io.StringIO()) == 0
-    assert counts == {"functional_draws": 5, "cell_structure": 5}  # one draw per seed, the given one and 4 extra
+    assert generators == [1]  # one generator shuffles the given order and the 4 extra ones
+    assert counts == {"root_orders": 1, "cell_structure": 5}
+
+
+def test_demo_builds_rho_once(witness_work):
+    # demo prints eta_rho(j) from the witness's phi, d{n-j} -> d{n-rho(j)}, not from a second rho.
+    assert run(["demo", "--n", "4"], io.StringIO()) == 0
+    assert witness_work == {"Permutation": 1, "rho_permutation": 1, "determinant": 1}
 
 
 def test_demo_extracts_the_boundary_once(calls):
